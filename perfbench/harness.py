@@ -16,7 +16,7 @@ import numpy as np
 
 import filtergen as fg
 
-from . import tracing, workloads
+from . import probe, tracing, workloads
 
 
 
@@ -47,74 +47,84 @@ def measure(workload, seconds: float, trace: bool) -> dict:
 
     Set-up and pass times are CPU seconds of this process. The program
     runs on one thread (BLAS pinned to one), so on a machine of its own
-    they equal wall seconds. On a shared VM they leave out the time the
-    host gives the CPU to others (steal), which moved wall times by up to
-    30% from one minute to the next on the 2-vCPU machine the bounds were
-    set on. Wall seconds of each pass are reported alongside.
+    they equal wall seconds, and they leave out the time a shared host
+    gives the CPU to others (steal). A busy neighbour on the same core
+    still slows them, so each is divided by the slowdown the probe
+    measured while it ran (see ``probe.py``). ``pass_s``, ``seqs_per_s``
+    and ``setup_s`` are medians of these rescaled figures; the raw CPU and
+    wall times and the slowdowns are printed before the result line.
     """
     tracer = tracing.Tracer()
-    setup_times, setup_layers = [], {}
-    for _ in range(1 if trace else workload.setup_repeats):
-        with tracer.patch() if trace else contextlib.nullcontext():
-            start = time.process_time()
-            state = workload.setup()
-            setup_times.append(time.process_time() - start)
-    if trace:
-        setup_layers = tracer.summary()
-
+    raw = {"setup": [], False: [], True: []}
+    slow = {"setup": [], False: [], True: []}
+    wall_times, seqs, setup_layers = [], [], {}
     attempted = failed = 0
-    times = {False: [], True: []}
-    wall_times, rates = [], []
     pass_layers, problems, last_spans = [], [], []
     reference = None
-    begin = time.perf_counter()
-    try:
-        while attempted < (2 if trace else 1) or time.perf_counter() - begin < seconds:
-            traced = trace and attempted % 2 == 1
-            attempted += 1
-            tracer.reset()
-            try:
-                with tracer.patch() if traced else contextlib.nullcontext():
-                    start, wall_start = time.process_time(), time.perf_counter()
-                    output = workload.run_pass(state)
-                    elapsed = time.process_time() - start
-                    wall = time.perf_counter() - wall_start
-            except (fg.FiltergenError, workloads.ExitError) as exc:
-                failed += 1
-                problems.append(f"pass {attempted}: {type(exc).__name__}: {exc}")
-                continue
-            times[traced].append(elapsed)
-            if not traced:
-                wall_times.append(wall)
-                rates.append(workload.seqs(state, output) / elapsed)
-            found, digest = workload.check(state, output)
-            problems.extend(f"pass {attempted}: {p}" for p in found)
-            if reference is None:
-                reference = digest
-            elif digest != reference:
-                problems.append(f"pass {attempted}: output differs from the first pass")
-            if traced:
-                layers = tracer.summary()
-                layers.update(workload.pass_layers(output))
-                layers["trace.spans"] = len(tracer.spans)
-                pass_layers.append(layers)
-                last_spans = tracer.spans
-            # drop this pass's output before the next pass, so that peak RSS
-            # is that of one pass however many passes a run makes
-            del output
-    finally:
-        workload.cleanup()
+    with probe.Probe() as prb:
+        for _ in range(1 if trace else workload.setup_repeats):
+            with tracer.patch() if trace else contextlib.nullcontext():
+                first, start = len(prb.samples), time.process_time()
+                state = workload.setup()
+                raw["setup"].append(time.process_time() - start)
+                slow["setup"].append(prb.slowdown(first))
+        if trace:
+            setup_layers = tracer.summary()
+
+        begin = time.perf_counter()
+        try:
+            while attempted < (2 if trace else 1) or time.perf_counter() - begin < seconds:
+                traced = trace and attempted % 2 == 1
+                attempted += 1
+                tracer.reset()
+                try:
+                    with tracer.patch() if traced else contextlib.nullcontext():
+                        first = len(prb.samples)
+                        start, wall_start = time.process_time(), time.perf_counter()
+                        output = workload.run_pass(state)
+                        elapsed = time.process_time() - start
+                        wall = time.perf_counter() - wall_start
+                        slowdown = prb.slowdown(first)
+                except (fg.FiltergenError, workloads.ExitError) as exc:
+                    failed += 1
+                    problems.append(f"pass {attempted}: {type(exc).__name__}: {exc}")
+                    continue
+                raw[traced].append(elapsed)
+                slow[traced].append(slowdown)
+                if not traced:
+                    wall_times.append(wall)
+                    seqs.append(workload.seqs(state, output))
+                found, digest = workload.check(state, output)
+                problems.extend(f"pass {attempted}: {p}" for p in found)
+                if reference is None:
+                    reference = digest
+                elif digest != reference:
+                    problems.append(f"pass {attempted}: output differs from the first pass")
+                if traced:
+                    layers = tracer.summary()
+                    layers.update(workload.pass_layers(output))
+                    layers["trace.spans"] = len(tracer.spans)
+                    pass_layers.append(layers)
+                    last_spans = tracer.spans
+                # drop this pass's output before the next pass, so that peak RSS
+                # is that of one pass however many passes a run makes
+                del output
+        finally:
+            workload.cleanup()
+        # a stretch too short to hold a probe sample takes the run's slowdown
+        overall = prb.slowdown() or 1.0
+    scaled = {key: [t / (s or overall) for t, s in zip(raw[key], slow[key])] for key in raw}
 
     if trace:
         metrics = _layer_metrics(setup_layers, pass_layers)
         metrics["trace.overhead_pct"] = (
-            100.0 * (_median(times[True]) / _median(times[False]) - 1.0)
-            if times[True] and times[False] else 0.0)
+            100.0 * (_median(scaled[True]) / _median(scaled[False]) - 1.0)
+            if scaled[True] and scaled[False] else 0.0)
     else:
         metrics = {
-            "setup_s": _median(setup_times),
-            "pass_s": _median(times[False]),
-            "seqs_per_s": _median(rates),
+            "setup_s": _median(scaled["setup"]),
+            "pass_s": _median(scaled[False]),
+            "seqs_per_s": _median([n / t for n, t in zip(seqs, scaled[False])]),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "success_ratio": (attempted - failed) / attempted,
         }
@@ -124,10 +134,12 @@ def measure(workload, seconds: float, trace: bool) -> dict:
         "failed": failed,
         "metrics": metrics,
         "problems": problems,
-        "setup_times": setup_times,
-        "pass_times": times[False],
-        "traced_pass_times": times[True],
-        "pass_wall_times": wall_times,
+        "timings": {
+            "setup_cpu_s": raw["setup"], "setup_slowdown": slow["setup"],
+            "pass_cpu_s": raw[False], "pass_slowdown": slow[False],
+            "pass_wall_s": wall_times,
+            "traced_pass_cpu_s": raw[True], "traced_pass_slowdown": slow[True],
+        },
         "spans": last_spans,
     }
 

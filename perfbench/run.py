@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 perfbench/run.py --workload filter-s3 --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload filter-s3 --seed 1 --seconds 20 --trace 0
 
 Builds nothing: it imports ``filtergen`` from ``src/`` next to this
 directory and exits with code 2 if that source tree is missing. The last
@@ -60,11 +60,7 @@ def main(argv=None) -> int:
             ROOT / ".perfbench_out" / f"spans-{args.workload}-seed{args.seed}.jsonl",
             result["spans"])
     print(json.dumps({"provenance": harness.provenance(ROOT, args.workload, args.seed)}))
-    print(json.dumps({"setup_times": result["setup_times"],
-                      "pass_times": result["pass_times"],
-                      "traced_pass_times": result["traced_pass_times"],
-                      "pass_wall_times": result["pass_wall_times"],
-                      "problems": result["problems"]}))
+    print(json.dumps({"timings": result["timings"], "problems": result["problems"]}))
     print(harness.result_line(result, spec, bool(args.trace)))
     return 0 if result["correct"] else 1
 

@@ -1,5 +1,6 @@
 import json
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import filtergen as fg
 import filtergen.cli
-from perfbench import harness, tracing, workloads
+from perfbench import harness, probe, tracing, workloads
 from perfbench.tracing import Span, Tracer, self_times
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -134,6 +135,19 @@ def test_filter_check_flags_a_short_stream(tmp_path):
     short = fg.Corpus(accepted.vocab, accepted.sequences[:-1], accepted.split)
     problems, _ = w.check(state, (boundary, short, stats))
     assert any("accepted 1999" in p for p in problems)
+
+
+def test_probe_samples_during_cpu_work_and_restores_the_handler():
+    before = signal.getsignal(signal.SIGPROF)
+    with probe.Probe() as prb:
+        first = len(prb.samples)
+        while len(prb.samples) < first + 5:
+            sum(i * i for i in range(10_000))
+    assert signal.getsignal(signal.SIGPROF) is before
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+    assert min(prb.samples) > 0.0
+    assert prb.slowdown(first) > 0.0
+    assert prb.slowdown(len(prb.samples)) is None
 
 
 def test_run_exits_nonzero_without_the_source_tree(tmp_path):

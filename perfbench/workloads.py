@@ -9,7 +9,7 @@ first pass's. Functions are looked up through their module at call time
 wrappers see every call.
 
 - ``filter-s3``: exact boundary at c=0.2 on a briefly trained TextCNN, then
-  filtered sampling to 100k accepted sequences (criterion-4 flow).
+  filtered sampling to 20k accepted sequences (criterion-4 flow).
 - ``disc-train-s3``: one ``train_discriminator`` of exactly 2 epochs
   (criterion-5 unit of work).
 - ``pipeline-s2``: the README ``pipeline`` config via ``filtergen.cli.main``,
@@ -72,7 +72,10 @@ class FilterS3(Workload):
     setup_repeats = 3
     ratio = 0.2
 
-    def __init__(self, seed: int, n: int = 100_000, setup_epochs: int = 3):
+    # 20k accepted (about 100k attempts) per pass rather than 100k, so that
+    # a run holds about ten passes for its median; the batches stay large,
+    # so the per-sequence cost is that of a 100k pass
+    def __init__(self, seed: int, n: int = 20_000, setup_epochs: int = 3):
         self.seed, self.n, self.setup_epochs = seed, n, setup_epochs
 
     def setup(self):
