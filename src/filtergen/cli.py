@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_model, save_model
-from .data import (Corpus, Vocab, build_vocab, load_corpus, save_corpus,
+from .data import (Vocab, build_vocab, load_corpus, save_corpus,
                    synth_markov)
 from .disc import DiscConfig, error_rate, train_discriminator
 from .errors import BudgetError, ConfigError, FiltergenError, InputError
@@ -467,9 +467,7 @@ class _Pipeline:
                 if rej_path.read_text().strip():
                     rejected = load_corpus(rej_path, vocab, "rejected", max_len)
                     if len(rejected) > cfg.eval["n_samples"]:
-                        rejected = Corpus(vocab,
-                                          rejected.sequences[:cfg.eval["n_samples"]],
-                                          "rejected")
+                        rejected = rejected[:cfg.eval["n_samples"]]
                     rows.append({"temperature": temp, "c": ratio, "stream": "rejected",
                                  **metrics_for(rejected, (temp, ratio, "r"))})
         report = SweepReport(rows)

@@ -1,5 +1,10 @@
 """Corpora, vocabularies, and synthetic Markov sources.
 
+A ``Corpus`` is one padded id matrix plus a length vector. Samplers,
+the classifier and the oracle pass that matrix along; ``Sequence``
+objects (one tuple of ids each) are views built only when a caller
+iterates a corpus or asks for ``corpus.sequences``, once, and cached.
+
 Tokenization is whitespace splitting over pre-tokenized text; any
 pre-processing (lowercasing etc.) is the caller's responsibility.
 All containers are immutable after construction and safe to share
@@ -8,6 +13,7 @@ across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -95,32 +101,159 @@ class Sequence:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
+def _trusted_sequence(ids: tuple) -> Sequence:
+    # rows of a validated Corpus matrix: skip the per-token checks
+    seq = object.__new__(Sequence)
+    object.__setattr__(seq, "ids", ids)
+    return seq
+
+
 class Corpus:
-    """Sequences sharing one vocabulary, tagged with a split name."""
+    """Sequences sharing one vocabulary, tagged with a split name.
 
-    vocab: Vocab
-    sequences: tuple[Sequence, ...]
-    split: str = ""
+    The corpus is a read-only ``(n, Lmax)`` id matrix ``ids``, padded with
+    PAD past each row's end, plus the row lengths ``lengths``; ``Lmax`` is
+    the longest row. ``Sequence`` views of the rows are built on the first
+    use of ``sequences`` (or iteration) and cached. Indexing with an int
+    gives one ``Sequence``; with a slice, index array or mask it gives the
+    corpus of those rows, trimmed to their longest row.
+    """
 
-    def __post_init__(self):
-        seqs = tuple(self.sequences)
+    __slots__ = ("vocab", "ids", "lengths", "split", "_sequences")
+
+    def __init__(self, vocab: Vocab, sequences, split: str = ""):
+        seqs = tuple(sequences)
         if not seqs:
             raise InputError("a corpus must contain at least one sequence")
-        size = len(self.vocab)
-        for seq in seqs:
-            if max(seq.ids) >= size:
-                raise InputError("sequence contains ids outside the vocabulary")
-        object.__setattr__(self, "sequences", seqs)
+        ids, lengths = _pack(seqs, PAD)
+        _check_ids(ids, len(vocab))
+        _init_corpus(self, vocab, ids, lengths, split, seqs)
+
+    @classmethod
+    def from_arrays(cls, vocab: Vocab, ids, lengths, split: str = "") -> "Corpus":
+        """Corpus of the first ``lengths[i]`` ids of each row of ``ids``.
+
+        Entries past a row's length are ignored. The matrix is validated as
+        a whole and copied, so the caller keeps its buffer.
+        """
+        ids = np.asarray(ids)
+        lengths = np.array(lengths, dtype=np.int64)
+        if ids.ndim != 2 or lengths.shape != (len(ids),):
+            raise InputError("expected an (n, L) id matrix and n lengths")
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise InputError("token ids must be integers")
+        if len(ids) == 0:
+            raise InputError("a corpus must contain at least one sequence")
+        if lengths.min() < 1:
+            raise InputError("a sequence must contain at least one token")
+        width = int(lengths.max())
+        if width > ids.shape[1]:
+            raise InputError("a row length exceeds the id matrix width")
+        ids = np.where(_valid_mask(lengths, width), ids[:, :width], PAD).astype(
+            np.int64, copy=False)
+        _check_ids(ids, len(vocab))
+        return _new_corpus(vocab, ids, lengths, split)
+
+    @classmethod
+    def concat(cls, parts, split: str = "") -> "Corpus":
+        """Rows of several corpora over one vocabulary, in order."""
+        parts = list(parts)
+        if not parts:
+            raise InputError("a corpus must contain at least one sequence")
+        vocab = parts[0].vocab
+        if any(p.vocab != vocab for p in parts):
+            raise InputError("corpora use different vocabularies")
+        width = max(p.ids.shape[1] for p in parts)
+        ids = np.full((sum(len(p) for p in parts), width), PAD, dtype=np.int64)
+        row = 0
+        for p in parts:
+            ids[row: row + len(p), : p.ids.shape[1]] = p.ids
+            row += len(p)
+        return _new_corpus(vocab, ids, np.concatenate([p.lengths for p in parts]), split)
+
+    @property
+    def sequences(self) -> tuple[Sequence, ...]:
+        seqs = self._sequences
+        if seqs is None:
+            seqs = tuple(_trusted_sequence(tuple(row[:n]))
+                         for row, n in zip(self.ids.tolist(), self.lengths.tolist()))
+            object.__setattr__(self, "_sequences", seqs)
+        return seqs
 
     def __len__(self):
-        return len(self.sequences)
+        return len(self.lengths)
 
     def __iter__(self):
         return iter(self.sequences)
 
-    def lengths(self) -> np.ndarray:
-        return np.array([len(s) for s in self.sequences], dtype=np.int64)
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            return self.sequences[rows]
+        lengths = self.lengths[rows]
+        if len(lengths) == 0:
+            raise InputError("a corpus must contain at least one sequence")
+        ids = self.ids[rows]
+        width = int(lengths.max())
+        if width < ids.shape[1]:
+            ids = ids[:, :width]
+        seqs = None
+        if isinstance(rows, slice) and self._sequences is not None:
+            seqs = self._sequences[rows]
+        return _new_corpus(self.vocab, ids, lengths, self.split, seqs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (self.vocab == other.vocab and self.split == other.split
+                and np.array_equal(self.lengths, other.lengths)
+                and np.array_equal(self.ids, other.ids))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Corpus({len(self)} sequences, split={self.split!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Corpus is immutable")
+
+    __delattr__ = __setattr__
+
+
+def _valid_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    return np.arange(width)[None, :] < lengths[:, None]
+
+
+def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    # padding is PAD, itself a vocabulary id, so the whole matrix is checked
+    if ids.min() < 0:
+        raise InputError("token ids must be non-negative")
+    if ids.max() >= vocab_size:
+        raise InputError("sequence contains ids outside the vocabulary")
+
+
+def _init_corpus(corpus, vocab, ids, lengths, split, seqs=None) -> None:
+    ids.flags.writeable = False
+    lengths.flags.writeable = False
+    for name, value in (("vocab", vocab), ("ids", ids), ("lengths", lengths),
+                        ("split", split), ("_sequences", seqs)):
+        object.__setattr__(corpus, name, value)
+
+
+def _new_corpus(vocab, ids, lengths, split, seqs=None) -> Corpus:
+    """A Corpus over arrays that are already valid, without a copy."""
+    corpus = object.__new__(Corpus)
+    _init_corpus(corpus, vocab, ids, lengths, split, seqs)
+    return corpus
+
+
+def _pack(seqs, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    width = int(lengths.max(initial=0))
+    ids = np.full((len(seqs), width), pad_id, dtype=np.int64)
+    ids[_valid_mask(lengths, width)] = np.fromiter(
+        itertools.chain.from_iterable(s.ids for s in seqs), dtype=np.int64,
+        count=int(lengths.sum()))
+    return ids, lengths
 
 
 def build_vocab(lines, max_size: int) -> Vocab:
@@ -169,9 +302,7 @@ def split_tail(corpus: Corpus, n: int) -> tuple[Corpus, Corpus]:
     """Split off the last ``n`` sequences (head, tail); disjoint and covering."""
     if not 0 < n < len(corpus):
         raise InputError("tail size must leave both splits non-empty")
-    head = Corpus(corpus.vocab, corpus.sequences[:-n], corpus.split)
-    tail = Corpus(corpus.vocab, corpus.sequences[-n:], corpus.split)
-    return head, tail
+    return corpus[:-n], corpus[-n:]
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -189,13 +320,17 @@ def load_corpus(path, vocab: Vocab, split: str = "",
 
 
 def corpus_to_arrays(corpus_or_seqs, pad_id: int = PAD) -> tuple[np.ndarray, np.ndarray]:
-    """Pad to a (N, Lmax) id matrix plus a length vector, for batched kernels."""
-    seqs = list(corpus_or_seqs)
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    out = np.full((len(seqs), int(lengths.max())), pad_id, dtype=np.int64)
-    for i, seq in enumerate(seqs):
-        out[i, : len(seq)] = seq.ids
-    return out, lengths
+    """A (N, Lmax) id matrix padded with ``pad_id`` plus a length vector.
+
+    A Corpus hands out its own read-only arrays (re-padded only when
+    ``pad_id`` is not PAD); any other sequence of ``Sequence`` is packed.
+    """
+    if isinstance(corpus_or_seqs, Corpus):
+        ids, lengths = corpus_or_seqs.ids, corpus_or_seqs.lengths
+        if pad_id != PAD:
+            ids = np.where(_valid_mask(lengths, ids.shape[1]), ids, pad_id)
+        return ids, lengths
+    return _pack(list(corpus_or_seqs), pad_id)
 
 
 _STOCHASTIC_TOL = 1e-9
@@ -266,9 +401,8 @@ def synth_markov(source: MarkovSource, n: int, rng, split: str = "") -> Corpus:
     if n < 1:
         raise InputError("n must be >= 1")
     states = _sample_chain(source, n, source.length, rng)
-    ids = states + NUM_RESERVED
-    seqs = tuple(Sequence(tuple(row)) for row in ids)
-    return Corpus(source.vocab, seqs, split)
+    return Corpus.from_arrays(source.vocab, states + NUM_RESERVED,
+                              np.full(n, source.length), split)
 
 
 def _sample_chain(source: MarkovSource, n: int, length: int, rng) -> np.ndarray:

@@ -174,12 +174,14 @@ class TextCNN:
         return float(self.predict_corpus([seq])[0])
 
     def predict_corpus(self, corpus, chunk: int = 8192) -> np.ndarray:
-        seqs = list(corpus)
-        out = np.empty(len(seqs))
-        for start in range(0, len(seqs), chunk):
-            ids, lengths = corpus_to_arrays(seqs[start: start + chunk], PAD)
-            logits, _ = self._forward(ids, lengths)
-            out[start: start + len(logits)] = _sigmoid(logits)
+        ids, lengths = corpus_to_arrays(corpus, PAD)
+        out = np.empty(len(lengths))
+        for start in range(0, len(lengths), chunk):
+            rows = slice(start, start + chunk)
+            # as wide as the chunk's longest row, as if packed on its own
+            width = int(lengths[rows].max())
+            logits, _ = self._forward(ids[rows, :width], lengths[rows])
+            out[rows] = _sigmoid(logits)
         return np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)
 
 
@@ -220,8 +222,7 @@ def train_discriminator(real: Corpus, gen_model, cfg: DiscConfig | None = None,
     fake_val = gen_model.sample_corpus(len(real_val), sampler, rng)
 
     def negatives(_epoch):
-        fresh = gen_model.sample_corpus(len(real_tr), sampler, rng)
-        return list(real_tr.sequences), list(fresh.sequences)
+        return real_tr, gen_model.sample_corpus(len(real_tr), sampler, rng)
 
     report = _fit(disc, negatives, real_val, fake_val, cfg, rng)
     return disc, report
@@ -245,8 +246,7 @@ def train_discriminator_corpora(real: Corpus, fake: Corpus,
     def negatives(_epoch):
         ri = rng.permutation(len(real_tr))[:m]
         fi = rng.permutation(len(fake_tr))[:m]
-        return ([real_tr.sequences[i] for i in ri],
-                [fake_tr.sequences[i] for i in fi])
+        return real_tr[ri], fake_tr[fi]
 
     report = _fit(disc, negatives, real_val, fake_val, cfg, rng)
     return disc, report
@@ -269,13 +269,13 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
     for epoch in range(cfg.max_epochs):
         pos, neg = pair_provider(epoch)
         assert len(pos) == len(neg)  # balanced classes by construction
-        seqs = list(pos) + list(neg)
+        seqs = Corpus.concat([pos, neg])
         labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
         order = rng.permutation(len(seqs))
         total_loss, seen = 0.0, 0
         for start in range(0, len(seqs), cfg.batch_size):
             take = order[start: start + cfg.batch_size]
-            loss, grads = disc.loss_and_grads([seqs[i] for i in take], labels[take])
+            loss, grads = disc.loss_and_grads(seqs[take], labels[take])
             for name in disc.trainable():
                 velocity[name] = cfg.momentum * velocity[name] - cfg.lr * grads[name]
                 disc.params[name] += velocity[name]
@@ -313,7 +313,7 @@ def error_rate(disc, real_test: Corpus, gen_samples: Corpus) -> float:
     if len(real_test) == 0 or len(gen_samples) == 0:
         raise InputError("both corpora must be non-empty")
     m = min(len(real_test), len(gen_samples))
-    p_real = disc.predict_corpus(real_test.sequences[:m])
-    p_fake = disc.predict_corpus(gen_samples.sequences[:m])
+    p_real = disc.predict_corpus(real_test[:m])
+    p_fake = disc.predict_corpus(gen_samples[:m])
     wrong = int((p_real < 0.5).sum()) + int((p_fake >= 0.5).sum())
     return wrong / (2 * m)

@@ -77,10 +77,11 @@ def accept(seq, disc, params: FilterParams, rng) -> bool:
     return bool(score >= params.boundary or z <= s)
 
 
-def _accept_mask(scores: np.ndarray, params: FilterParams, rng) -> np.ndarray:
+def _accept_mask(scores: np.ndarray, ratio: float, boundary: float, rng) -> np.ndarray:
+    """Vectorized ``accept``: one uniform draw per score."""
     z = rng.random(len(scores))
-    s = raw_acceptance_probability(scores, params.acceptance_ratio, params.boundary)
-    return (scores >= params.boundary) | (z <= s)
+    s = raw_acceptance_probability(scores, ratio, boundary)
+    return (scores >= boundary) | (z <= s)
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | Non
     for round_idx in range(cfg.rounds):
         batch = gen.sample_corpus(cfg.samples_per_round, sampler, rng)
         scores = np.asarray(disc.predict_corpus(batch), dtype=np.float64)
-        accepted = _accept_mask_at(scores, ratio, boundary, rng)
+        accepted = _accept_mask(scores, ratio, boundary, rng)
         acc = float(accepted.mean())
         trace.append({"round": round_idx, "u_c": boundary, "acceptance": acc})
         history.append(boundary)
@@ -143,21 +144,26 @@ def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | Non
     return final, trace
 
 
-def _accept_mask_at(scores, ratio, boundary, rng) -> np.ndarray:
-    z = rng.random(len(scores))
-    s = raw_acceptance_probability(scores, ratio, boundary)
-    return (scores >= boundary) | (z <= s)
-
-
 @dataclass
 class FilterStats:
-    """Bookkeeping of one filtered-sampling run."""
+    """Bookkeeping of one filtered-sampling run.
+
+    The rejected stream is kept as a list of ``Corpus`` blocks, one per
+    batch that rejected anything.
+    """
 
     attempts: int = 0
     acceptances: int = 0
     sum_score_accepted: float = 0.0
     sum_score_rejected: float = 0.0
-    rejected_sequences: list = field(default_factory=list)
+    rejected_blocks: list = field(default_factory=list)
+
+    @property
+    def rejected_sequences(self) -> Corpus | tuple:
+        """Every rejected sequence kept, in order; empty when there is none."""
+        if not self.rejected_blocks:
+            return ()
+        return Corpus.concat(self.rejected_blocks, "rejected")
 
     @property
     def acceptance_rate(self) -> float:
@@ -179,13 +185,15 @@ class FilterStats:
             self.acceptances + other.acceptances,
             self.sum_score_accepted + other.sum_score_accepted,
             self.sum_score_rejected + other.sum_score_rejected,
-            self.rejected_sequences + other.rejected_sequences,
+            self.rejected_blocks + other.rejected_blocks,
         )
 
     def rejected_corpus(self, vocab) -> Corpus | None:
-        if not self.rejected_sequences:
+        if not self.rejected_blocks:
             return None
-        return Corpus(vocab, tuple(self.rejected_sequences), "rejected")
+        if vocab != self.rejected_blocks[0].vocab:
+            raise InputError("vocabulary does not match the rejected stream")
+        return self.rejected_sequences
 
     def to_dict(self) -> dict:
         return {
@@ -238,23 +246,27 @@ def sample_filtered(fg: FilteredGenerator, n: int, cfg: SamplerConfig, rng=None,
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     accept_rng = rng.spawn(1)[0]
     stats = FilterStats()
-    accepted: list = []
+    accepted: list = []  # Corpus blocks, one per batch that accepted anything
     budget = fg.max_attempts_per_sample * n
-    while len(accepted) < n:
-        want = n - len(accepted)
+    while stats.acceptances < n:
+        want = n - stats.acceptances
         batch_size = min(want, budget - stats.attempts)
         if batch_size <= 0:
-            partial = Corpus(fg.vocab, tuple(accepted), split) if accepted else None
+            partial = Corpus.concat(accepted, split) if accepted else None
             raise BudgetError(
-                f"attempt budget {budget} exhausted with {len(accepted)}/{n} accepted",
+                f"attempt budget {budget} exhausted with {stats.acceptances}/{n} accepted",
                 partial=partial, stats=stats)
         batch = fg.gen.sample_corpus(batch_size, cfg, rng)
         scores = np.asarray(fg.disc.predict_corpus(batch), dtype=np.float64)
-        mask = _accept_mask(scores, fg.params, accept_rng)
+        mask = _accept_mask(scores, fg.params.acceptance_ratio, fg.params.boundary,
+                            accept_rng)
+        n_ok = int(mask.sum())
         stats.attempts += batch_size
-        stats.acceptances += int(mask.sum())
+        stats.acceptances += n_ok
         stats.sum_score_accepted += float(scores[mask].sum())
         stats.sum_score_rejected += float(scores[~mask].sum())
-        for seq, ok in zip(batch.sequences, mask):
-            (accepted if ok else stats.rejected_sequences).append(seq)
-    return Corpus(fg.vocab, tuple(accepted), split), stats
+        if n_ok:
+            accepted.append(batch[mask])
+        if n_ok < batch_size:
+            stats.rejected_blocks.append(batch[~mask])
+    return Corpus.concat(accepted, split), stats

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BOS, EOS, NUM_RESERVED, UNK, Corpus, MarkovSource, Sequence, split_tail
+from .data import (BOS, DEFAULT_MAX_LEN, EOS, NUM_RESERVED, UNK, Corpus, MarkovSource,
+                   Sequence, corpus_to_arrays, split_tail)
 from .errors import InputError
-
-DEFAULT_MAX_LEN = 64
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,7 @@ class NGramLM:
                     [contexts[idx[keep], 1:ctx_len], emitted[keep, None]], axis=1)
                 contexts[idx[keep], :ctx_len] = new_ctx
             active[idx[ended]] = False
-        seqs = []
-        for row in tokens:
-            seqs.append(Sequence(tuple(int(v) for v in row[row >= 0])))
-        return Corpus(self.vocab, tuple(seqs), split)
+        return _token_corpus(self.vocab, tokens, split)
 
     def sample(self, cfg: SamplerConfig, rng=None) -> Sequence:
         return self.sample_corpus(1, cfg, rng).sequences[0]
@@ -247,12 +243,16 @@ class MarkovModel:
                 length,
             )
             states = _sample_chain(src, n, length, rng)
-        seqs = tuple(Sequence(tuple(int(v) for v in row + NUM_RESERVED))
-                     for row in states)
-        return Corpus(self.vocab, seqs, split)
+        return Corpus.from_arrays(self.vocab, states + NUM_RESERVED, np.full(n, length),
+                                  split)
 
     def sample(self, cfg: SamplerConfig, rng=None) -> Sequence:
         return self.sample_corpus(1, cfg, rng).sequences[0]
+
+
+def _token_corpus(vocab, tokens: np.ndarray, split: str) -> Corpus:
+    # sampled rows are filled left to right, -1 past the end
+    return Corpus.from_arrays(vocab, tokens, (tokens >= 0).sum(axis=1), split)
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +326,17 @@ class NeuralLM:
 
     def _targets(self, seqs) -> tuple[np.ndarray, np.ndarray]:
         """Target-event matrix (support indices) and per-sequence event counts."""
+        ids, lengths = corpus_to_arrays(seqs)
         extra = 0 if self.fixed_length is not None else 1
-        events = np.array([len(s) + extra for s in seqs], dtype=np.int64)
-        width = int(events.max())
-        targets = np.zeros((len(seqs), width), dtype=np.int64)
-        for i, seq in enumerate(seqs):
-            idx = self._sup_index[np.array(seq.ids)]
-            if (idx < 0).any():
-                raise InputError("sequence contains ids outside the model support")
-            targets[i, : len(seq)] = idx
-            if extra:
-                targets[i, len(seq)] = self._sup_index[EOS]
+        events = lengths + extra
+        idx = self._sup_index[ids]
+        valid = np.arange(ids.shape[1])[None, :] < lengths[:, None]
+        if (idx[valid] < 0).any():
+            raise InputError("sequence contains ids outside the model support")
+        targets = np.zeros((len(ids), int(events.max())), dtype=np.int64)
+        targets[:, : ids.shape[1]] = np.where(valid, idx, 0)
+        if extra:
+            targets[np.arange(len(ids)), lengths] = self._sup_index[EOS]
         return targets, events
 
     def _step_stack(self, targets, events):
@@ -391,7 +391,7 @@ class NeuralLM:
     def mean_nll(self, corpus: Corpus) -> float:
         total, events = 0.0, 0
         for start in range(0, len(corpus), 256):
-            batch = corpus.sequences[start: start + 256]
+            batch = corpus[start: start + 256]
             targets, ev = self._targets(batch)
             inputs, mask = self._step_stack(targets, ev)
             nll = self._batch_nll(inputs, targets, mask)
@@ -434,7 +434,7 @@ class NeuralLM:
         for epoch in range(cfg.max_epochs):
             order = rng.permutation(len(train))
             for start in range(0, len(train), cfg.batch_size):
-                batch = [train.sequences[i] for i in order[start: start + cfg.batch_size]]
+                batch = train[order[start: start + cfg.batch_size]]
                 _, grads = self.nll_and_grads(batch)
                 for k, g in grads.items():
                     velocity[k] = cfg.momentum * velocity[k] - cfg.lr * g
@@ -488,8 +488,7 @@ class NeuralLM:
             tokens[live, t] = emitted[live]
             current = np.where(live, emitted, current)
             active = live
-        seqs = [Sequence(tuple(int(v) for v in row[row >= 0])) for row in tokens]
-        return Corpus(self.vocab, tuple(seqs), split)
+        return _token_corpus(self.vocab, tokens, split)
 
     def sample(self, cfg: SamplerConfig, rng=None) -> Sequence:
         return self.sample_corpus(1, cfg, rng).sequences[0]

@@ -367,8 +367,7 @@ def classification_error(real_train: Corpus, real_test: Corpus, samples: Corpus,
     n_eval = max(1, int(len(samples) * 0.3))
     if len(samples) - n_eval < 2:
         raise InputError("too few samples for a classification-error estimate")
-    train_part = Corpus(samples.vocab, samples.sequences[:-n_eval], "disc-train")
-    eval_part = Corpus(samples.vocab, samples.sequences[-n_eval:], "disc-eval")
+    train_part, eval_part = samples[:-n_eval], samples[-n_eval:]
     cfg = DiscConfig(**{**disc_cfg.__dict__, "seed": seed})
     rng = np.random.default_rng(seed)
     disc, _ = train_discriminator_corpora(real_train, train_part, cfg, rng)
@@ -429,8 +428,7 @@ def temperature_sweep(gen, real_train: Corpus, real_test: Corpus, temps,
             rejected = stats.rejected_corpus(gen.vocab)
             if rejected is not None:
                 if len(rejected) > n_per_point:
-                    rejected = Corpus(gen.vocab, rejected.sequences[:n_per_point],
-                                      "rejected")
+                    rejected = rejected[:n_per_point]
                 rows.append({"temperature": temp, "c": ratio, "stream": "rejected",
                              **metrics_for(rejected, derive_seed(seed, "err", temp, ratio, "r"))})
     return SweepReport(rows)

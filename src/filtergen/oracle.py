@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUM_RESERVED, Corpus, MarkovSource, Sequence, Vocab
+from .data import NUM_RESERVED, Corpus, MarkovSource, Sequence, Vocab, corpus_to_arrays
 from .errors import DegenerateError, InputError
 from .filtering import raw_acceptance_probability
 
@@ -68,13 +68,14 @@ def sequence_index(seq: Sequence, base: int, length: int) -> int:
 
 def sequence_indices(corpus: Corpus, base: int, length: int) -> np.ndarray:
     """Vectorized ``sequence_index`` over a corpus of equal-length sequences."""
-    ids = np.array([s.ids for s in corpus], dtype=np.int64) - NUM_RESERVED
-    if ids.shape[1] != length:
+    ids, lengths = corpus_to_arrays(corpus)
+    if (lengths != length).any():
         raise InputError(f"expected length-{length} sequences")
-    if ids.min() < 0 or ids.max() >= base:
+    states = ids - NUM_RESERVED
+    if states.min() < 0 or states.max() >= base:
         raise InputError("corpus contains tokens outside the domain alphabet")
     weights = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    return ids @ weights
+    return states @ weights
 
 
 def enumerate_domain(vocab: Vocab, length: int) -> tuple[Sequence, ...]:

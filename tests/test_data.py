@@ -10,6 +10,7 @@ from filtergen import (BOS, EOS, PAD, UNK, Corpus, InputError, MarkovSource,
                        Sequence, Vocab, build_vocab, decode, encode,
                        encode_corpus, exact_prob, load_corpus, save_corpus,
                        split_tail, synth_markov)
+from filtergen.data import corpus_to_arrays
 
 
 def test_build_vocab_frequency_then_first_occurrence():
@@ -165,3 +166,86 @@ def test_markov_source_file_roundtrip(tmp_path):
     assert again.tokens == source.tokens
     assert np.allclose(again.transition, source.transition)
     assert again.length == source.length
+
+
+# -- the id-matrix Corpus --------------------------------------------------
+
+@st.composite
+def _corpora(draw):
+    """A vocabulary plus 1-20 sequences of 1-8 ids, reserved ids included."""
+    k = draw(st.integers(1, 6))
+    vocab = Vocab([f"w{i}" for i in range(k)])
+    rows = draw(st.lists(st.lists(st.integers(0, len(vocab) - 1), min_size=1, max_size=8),
+                         min_size=1, max_size=20))
+    return vocab, tuple(Sequence(tuple(row)) for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpora())
+def test_corpus_matrix_roundtrips_its_sequences(case):
+    vocab, seqs = case
+    corpus = Corpus(vocab, seqs, "train")
+    assert corpus.sequences == seqs
+    assert len(corpus) == len(seqs)
+    ids, lengths = corpus_to_arrays(corpus)
+    packed_ids, packed_lengths = corpus_to_arrays(list(corpus))
+    assert np.array_equal(ids, packed_ids) and np.array_equal(lengths, packed_lengths)
+    assert ids.shape == (len(seqs), max(len(s) for s in seqs))
+    # the matrix constructor rebuilds the same corpus, and its views are fresh
+    again = Corpus.from_arrays(vocab, ids, lengths, "train")
+    assert again == corpus
+    assert again.sequences == seqs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpora(), st.data())
+def test_split_tail_halves_concatenate_to_the_original(case, data):
+    vocab, seqs = case
+    corpus = Corpus(vocab, seqs, "train")
+    if len(corpus) < 2:
+        return
+    n = data.draw(st.integers(1, len(corpus) - 1))
+    head, tail = split_tail(corpus, n)
+    assert head.sequences + tail.sequences == seqs
+    assert Corpus.concat([head, tail], "train") == corpus
+    for part in (head, tail):
+        assert part.ids.shape[1] == part.lengths.max()
+    # halves of a corpus whose views were never built give the same rows
+    fresh_head, fresh_tail = split_tail(Corpus.from_arrays(vocab, corpus.ids,
+                                                           corpus.lengths), n)
+    assert fresh_head.sequences + fresh_tail.sequences == seqs
+
+
+def test_corpus_matrix_validation():
+    vocab = build_vocab(["a b"], max_size=4)
+    good = np.array([[4, 5], [5, 2]])
+    with pytest.raises(InputError):
+        Corpus.from_arrays(vocab, np.zeros((0, 3), dtype=np.int64), np.zeros(0))
+    with pytest.raises(InputError):
+        Corpus.from_arrays(vocab, good, [2, 0])
+    with pytest.raises(InputError):
+        Corpus.from_arrays(vocab, np.array([[4, -1], [5, 4]]), [2, 2])
+    with pytest.raises(InputError):
+        Corpus.from_arrays(vocab, np.array([[4, len(vocab)], [5, 4]]), [2, 2])
+    with pytest.raises(InputError):
+        Corpus.from_arrays(vocab, good, [2, 3])
+    # entries past a row's length are ignored, whatever they hold
+    corpus = Corpus.from_arrays(vocab, np.array([[4, -7], [5, 4]]), [1, 2])
+    assert [s.ids for s in corpus] == [(4,), (5, 4)]
+
+
+def test_corpus_is_read_only():
+    vocab = build_vocab(["a b"], max_size=4)
+    buffer = np.array([[4, 5], [5, 4]])
+    corpus = Corpus.from_arrays(vocab, buffer, [2, 2])
+    with pytest.raises(ValueError):
+        corpus.ids[0, 0] = 5
+    with pytest.raises(ValueError):
+        corpus.lengths[0] = 1
+    with pytest.raises(AttributeError):
+        corpus.split = "test"
+    buffer[0, 0] = 5  # the caller's buffer was copied, not frozen
+    assert corpus.sequences[0].ids == (4, 5)
+    for part in (corpus[:1], corpus[np.array([1])]):
+        with pytest.raises(ValueError):
+            part.ids[0, 0] = 4

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filtergen as fg
 from filtergen import (Corpus, DiscConfig, InputError, MarkovModel, MarkovSource,
@@ -195,3 +197,16 @@ def test_train_discriminator_corpora_balances_by_subsampling():
     disc, report = train_discriminator_corpora(real, fake, cfg,
                                                np.random.default_rng(13))
     assert report.final_valid_accuracy >= 0.95  # separable by first token
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.integers(4, 8), min_size=1, max_size=9),
+                min_size=1, max_size=40))
+def test_predict_corpus_matrix_matches_sequence_list(rows):
+    vocab = fg.build_vocab(["a b c d e"], max_size=10)
+    disc = TextCNN(vocab, DiscConfig(embed_dim=4, kernels2=3, kernels3=2, seed=9),
+                   np.random.default_rng(9))
+    corpus = Corpus(vocab, tuple(Sequence(tuple(r)) for r in rows))
+    from_matrix = disc.predict_corpus(Corpus.from_arrays(vocab, corpus.ids, corpus.lengths))
+    assert np.array_equal(from_matrix, disc.predict_corpus(list(corpus)))
+    assert np.array_equal(disc.predict_corpus(corpus), disc.predict_corpus(list(corpus)))

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filtergen as fg
-from filtergen import (Corpus, InputError, MarkovModel, NeuralConfig, NeuralLM,
+from filtergen import (EOS, Corpus, InputError, MarkovModel, NeuralConfig, NeuralLM,
                        NGramConfig, NGramLM, SamplerConfig, Sequence,
                        build_vocab, encode_corpus, perplexity, synth_markov,
                        train_mle)
@@ -179,6 +181,21 @@ def test_neural_gradients_match_finite_differences():
             denom = max(abs(numeric), abs(grads[name][idx]), 1e-8)
             worst = max(worst, abs(numeric - grads[name][idx]) / denom)
     assert worst <= 1e-4
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.sampled_from((4, 5, 6)), min_size=1, max_size=6),
+                min_size=1, max_size=12))
+def test_neural_targets_match_a_per_sequence_loop(rows):
+    vocab, model = _toy_neural()
+    batch = [Sequence(tuple(r)) for r in rows]
+    targets, events = model._targets(Corpus(vocab, batch))
+    eos = model._sup_index[EOS]
+    assert events.tolist() == [len(r) + 1 for r in rows]
+    for row, got in zip(rows, targets):
+        want = [model._sup_index[i] for i in row] + [eos]
+        assert got.tolist() == want + [0] * (targets.shape[1] - len(want))
+    assert model.nll_and_grads(Corpus(vocab, batch))[0] == model.nll_and_grads(batch)[0]
 
 
 def test_neural_training_nll_decreases_monotonically():

@@ -9,7 +9,7 @@ from filtergen import (DegenerateError, InputError, MarkovSource, Sequence,
                        exact_filtered_distribution, js_divergence,
                        optimal_discriminator, tv_distance)
 from filtergen.oracle import (ExactDistribution, exact_acceptance, kl_divergence,
-                              sequence_index)
+                              sequence_index, sequence_indices)
 
 
 def _uniform_source(k=3, length=2):
@@ -30,6 +30,10 @@ def test_enumeration_order_is_lexicographic():
     for i, seq in enumerate(dist.domain):
         assert dist.index_of(seq) == i
         assert sequence_index(seq, 3, 2) == i
+    matrix = fg.Corpus(source.vocab, dist.domain[::-1])
+    assert sequence_indices(matrix, 3, 2).tolist() == list(range(8, -1, -1))
+    with pytest.raises(InputError):
+        sequence_indices(fg.Corpus(source.vocab, (Sequence((4,)), Sequence((4, 5)))), 3, 2)
 
 
 def test_enumerate_rejects_oversized_domain():
