@@ -306,9 +306,10 @@ def split_tail(corpus: Corpus, n: int) -> tuple[Corpus, Corpus]:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
+    tokens = corpus.vocab.tokens
     with open(path, "w", encoding="utf-8") as fh:
-        for seq in corpus:
-            fh.write(decode(seq, corpus.vocab))
+        for row, n in zip(corpus.ids.tolist(), corpus.lengths.tolist()):
+            fh.write(" ".join([tokens[i] for i in row[:n]]))
             fh.write("\n")
 
 
