@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -253,19 +254,27 @@ class _Pipeline:
         self.scenario = build_scenario(config.scenario) if config.scenario else None
 
     def _load_state(self) -> dict:
-        if self.state_path.exists():
+        # a missing, unreadable or corrupt state file records nothing, so
+        # every stage recomputes
+        try:
             state = json.loads(self.state_path.read_text())
-            if state.get("config_hash") == self.hash:
-                return state
+        except (OSError, ValueError):
+            state = None
+        if (isinstance(state, dict) and state.get("config_hash") == self.hash
+                and isinstance(state.get("stages"), dict)):
+            return state
         return {"config_hash": self.hash, "stages": {}}
 
     def _save_state(self) -> None:
-        self.state_path.write_text(json.dumps(self.state, indent=1, sort_keys=True))
+        # write then rename, so a crash mid-write leaves the old state whole
+        tmp = self.state_path.with_name(self.state_path.name + ".tmp")
+        tmp.write_text(json.dumps(self.state, indent=1, sort_keys=True))
+        os.replace(tmp, self.state_path)
 
     def _stage(self, name: str, artifacts: list[str], runner) -> None:
         paths = [self.out / a for a in artifacts]
         recorded = self.state["stages"].get(name)
-        if recorded is not None and all(p.exists() for p in paths):
+        if isinstance(recorded, dict) and all(p.exists() for p in paths):
             digests = {a: _sha256(p) for a, p in zip(artifacts, paths)}
             if digests == recorded.get("artifacts"):
                 self.stages.append({"name": name, "skipped": True, "wall_clock_s": 0.0,
@@ -679,9 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discriminator-guided rejection sampling for sequence generators")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master random seed")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker count; 1 (the default and only in-process mode) "
-                             "guarantees bit-reproducible runs")
     common.add_argument("--out-dir", default=None, help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -758,9 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -187,9 +187,27 @@ def test_pipeline_resume_recomputes_only_final_stage(tmp_path):
     assert first.artifact_digests() == second.artifact_digests()
 
 
-def test_workers_flag_validation(tmp_path):
+@pytest.mark.parametrize("damage", ["truncated", "not-an-object"])
+def test_corrupt_state_file_recomputes_every_stage(tmp_path, capsys, damage):
     path = _write_config(tmp_path)
-    assert main(["pipeline", "--config", str(path), "--workers", "0"]) == 2
+    out = tmp_path / "run"
+    argv = ["pipeline", "--config", str(path), "--out-dir", str(out)]
+    assert main(argv) == 0
+    first = json.loads(capsys.readouterr().out)
+    state = out / "checkpoints.json"
+    text = state.read_text()
+    # a truncated file is what a crash in the middle of a plain write leaves
+    state.write_text(text[: len(text) // 2] if damage == "truncated" else "[1, 2]")
+    assert main(argv) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert all(not st["skipped"] for st in second["stages"])
+    assert _artifact_digests(second) == _artifact_digests(first)
+    assert json.loads(state.read_text()) == json.loads(text)
+    assert not (out / "checkpoints.json.tmp").exists()
+
+
+def _artifact_digests(manifest: dict) -> dict:
+    return {a["path"]: a["sha256"] for st in manifest["stages"] for a in st["artifacts"]}
 
 
 def test_missing_input_file_is_a_stage_failure(tmp_path):

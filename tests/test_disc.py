@@ -210,3 +210,129 @@ def test_predict_corpus_matrix_matches_sequence_list(rows):
     from_matrix = disc.predict_corpus(Corpus.from_arrays(vocab, corpus.ids, corpus.lengths))
     assert np.array_equal(from_matrix, disc.predict_corpus(list(corpus)))
     assert np.array_equal(disc.predict_corpus(corpus), disc.predict_corpus(list(corpus)))
+
+
+# The window-matrix kernels the projected-table kernels replaced, kept as the
+# reference they must agree with.
+def _reference_forward(disc, ids, lengths):
+    p = disc.params
+    emb = p["embed"][ids]  # (B, L, de)
+    b, l, de = emb.shape
+    pooled, cache = [], {"ids": ids, "emb": emb, "banks": {}}
+    for w, k in disc.banks:
+        positions = l - w + 1
+        if positions < 1:
+            pooled.append(np.zeros((b, k)))
+            cache["banks"][w] = None
+            continue
+        x = np.concatenate([emb[:, i: i + positions, :] for i in range(w)], axis=2)
+        pre = x @ p[f"conv{w}_w"] + p[f"conv{w}_b"]
+        act = np.maximum(pre, 0.0)
+        valid = (np.arange(positions)[None, :] + w) <= lengths[:, None]
+        masked = np.where(valid[:, :, None], act, -np.inf)
+        pool = masked.max(axis=1)
+        arg = masked.argmax(axis=1)
+        any_valid = valid.any(axis=1)
+        pool = np.where(any_valid[:, None], pool, 0.0)
+        pooled.append(pool)
+        cache["banks"][w] = (x, pre, arg, any_valid, positions)
+    feats = np.concatenate(pooled, axis=1)
+    logits = feats @ p["out_w"] + p["out_b"][0]
+    cache["feats"] = feats
+    return logits, cache
+
+
+def _reference_backward(disc, cache, dlogits):
+    p = disc.params
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    feats = cache["feats"]
+    grads["out_w"] += feats.T @ dlogits
+    grads["out_b"][0] += dlogits.sum()
+    dfeats = dlogits[:, None] * p["out_w"][None, :]
+    demb = np.zeros_like(cache["emb"])
+    offset = 0
+    for w, k in disc.banks:
+        dpool = dfeats[:, offset: offset + k]
+        offset += k
+        bank = cache["banks"][w]
+        if bank is None:
+            continue
+        x, pre, arg, any_valid, positions = bank
+        b = pre.shape[0]
+        dact = np.zeros_like(pre)
+        rows = np.repeat(np.arange(b), k)
+        cols = np.tile(np.arange(k), b)
+        dval = (dpool * any_valid[:, None]).ravel()
+        dact[rows, arg.ravel(), cols] = dval
+        dpre = dact * (pre > 0.0)
+        grads[f"conv{w}_w"] += np.einsum("bpi,bpk->ik", x, dpre)
+        grads[f"conv{w}_b"] += dpre.sum(axis=(0, 1))
+        dx = dpre @ p[f"conv{w}_w"].T
+        de = demb.shape[2]
+        for i in range(w):
+            demb[:, i: i + positions, :] += dx[:, :, i * de: (i + 1) * de]
+    if not disc.embed_frozen:
+        np.add.at(grads["embed"], cache["ids"], demb)
+    return grads
+
+
+def _random_batch(rng, vocab_size, rows, max_len, extra_pad):
+    lengths = rng.integers(1, max_len + 1, size=rows)
+    lengths[0], lengths[-1] = 1, max_len
+    # a few symbols only, so windows and tokens repeat within and across rows
+    symbols = rng.choice(np.arange(4, vocab_size), size=min(3, vocab_size - 4),
+                         replace=False)
+    ids = np.full((rows, int(lengths.max()) + extra_pad), fg.data.PAD)
+    for r, n in enumerate(lengths):
+        ids[r, :n] = rng.choice(symbols, size=n)
+    return ids, lengths
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
+    rng = np.random.default_rng(100 + seed)
+    vocab = fg.build_vocab(["a b c d e f g h"], max_size=14)
+    cfg = DiscConfig(embed_dim=5, kernels2=4, kernels3=6, seed=seed)
+    embeddings = rng.standard_normal((len(vocab), 5)) if frozen else None
+    disc = TextCNN(vocab, cfg, np.random.default_rng(seed), embeddings=embeddings)
+    # nonzero biases, so some kernels pool a positive value from a mix of windows
+    for w, k in disc.banks:
+        disc.params[f"conv{w}_b"] = rng.standard_normal(k) * 0.1
+    batches = [
+        # mixed lengths, two extra PAD columns, rows of length 1 and 2 (a
+        # window-3 bank with no valid position in them)
+        _random_batch(rng, len(vocab), rows=17, max_len=7, extra_pad=2),
+        # every row shorter than 3: no valid window-3 position anywhere
+        _random_batch(rng, len(vocab), rows=9, max_len=2, extra_pad=0),
+        # one column: narrower than either window
+        _random_batch(rng, len(vocab), rows=5, max_len=1, extra_pad=0),
+        # one long row that repeats a single token
+        (np.full((1, 6), 4 + seed % 4), np.array([6])),
+    ]
+    for ids, lengths in batches:
+        logits, cache = disc._forward(ids, lengths)
+        ref_logits, ref_cache = _reference_forward(disc, ids, lengths)
+        assert np.allclose(logits, ref_logits, rtol=0.0, atol=1e-12)
+        dlogits = rng.standard_normal(len(lengths))
+        grads = disc._backward(cache, dlogits)
+        ref = _reference_backward(disc, ref_cache, dlogits)
+        assert grads.keys() == ref.keys()
+        for name in ref:
+            scale = max(np.abs(ref[name]).max(), 1e-300)
+            assert np.abs(grads[name] - ref[name]).max() <= 1e-10 * scale, name
+        if frozen:
+            assert not grads["embed"].any()
+        # and through the public batch call
+        labels = (rng.random(len(lengths)) < 0.5).astype(np.float64)
+        seqs = [Sequence(tuple(int(t) for t in row[:n])) for row, n in zip(ids, lengths)]
+        loss, grads = disc.loss_and_grads(seqs, labels)
+        ids2, lengths2 = fg.data.corpus_to_arrays(seqs, fg.data.PAD)
+        ref_logits, ref_cache = _reference_forward(disc, ids2, lengths2)
+        ref_loss = float(np.mean(np.logaddexp(0.0, ref_logits) - labels * ref_logits))
+        assert abs(loss - ref_loss) <= 1e-12
+        dref = (fg.disc._sigmoid(ref_logits) - labels) / len(labels)
+        ref = _reference_backward(disc, ref_cache, dref)
+        for name in ref:
+            scale = max(np.abs(ref[name]).max(), 1e-300)
+            assert np.abs(grads[name] - ref[name]).max() <= 1e-10 * scale, name
