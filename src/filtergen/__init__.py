@@ -12,7 +12,7 @@ from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
                         FilterStats, accept, acceptance_probability,
                         estimate_boundary, sample_filtered)
 from .genmodel import (MarkovModel, NeuralConfig, NeuralLM, NGramConfig, NGramLM,
-                       SamplerConfig, perplexity, sample, seq_logprob, train_mle)
+                       SamplerConfig, perplexity, train_mle)
 from .metrics import (BleuConfig, EmbeddingModel, SweepReport, bleu, embed, fed,
                       fit_ppmi_svd, from_neural_lm, lm_score, reverse_lm_score,
                       self_bleu, temperature_sweep)

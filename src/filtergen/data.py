@@ -125,7 +125,7 @@ class Corpus:
         seqs = tuple(sequences)
         if not seqs:
             raise InputError("a corpus must contain at least one sequence")
-        ids, lengths = _pack(seqs, PAD)
+        ids, lengths = _pack([s.ids for s in seqs], PAD)
         _check_ids(ids, len(vocab))
         _init_corpus(self, vocab, ids, lengths, split, seqs)
 
@@ -246,14 +246,43 @@ def _new_corpus(vocab, ids, lengths, split, seqs=None) -> Corpus:
     return corpus
 
 
-def _pack(seqs, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+def _pack(rows, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Id matrix padded with ``pad_id`` plus lengths, from a list of id lists."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     width = int(lengths.max(initial=0))
-    ids = np.full((len(seqs), width), pad_id, dtype=np.int64)
+    ids = np.full((len(rows), width), pad_id, dtype=np.int64)
     ids[_valid_mask(lengths, width)] = np.fromiter(
-        itertools.chain.from_iterable(s.ids for s in seqs), dtype=np.int64,
-        count=int(lengths.sum()))
+        itertools.chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     return ids, lengths
+
+
+def _gram_ranks(ids: np.ndarray, lengths: np.ndarray, max_order: int):
+    """Dense integer ids of the k-grams of an id matrix, for k = 1..max_order.
+
+    Yields one ``(ranks, count)`` pair per order k: ``ranks`` has shape
+    ``(n, width - k + 1)`` and ``ranks[r, p]`` numbers the gram
+    ``ids[r, p:p+k]`` when it ends within the row's length, and is -1
+    otherwise. Equal grams get equal numbers, the numbers run over
+    ``0..count-1`` and follow the lexicographic order of the grams.
+    Order k keys a gram as ``rank_{k-1} * count_1 + rank_1`` of its last
+    token, so no key exceeds ``n * width * count_1``.
+    """
+    n, width = ids.shape
+    valid = _valid_mask(lengths, width)
+    tokens = np.full((n, width), -1, dtype=np.int64)
+    uniq, inverse = np.unique(ids[valid], return_inverse=True)
+    tokens[valid] = inverse
+    base = len(uniq)
+    ranks = tokens
+    yield ranks, base
+    for k in range(2, max_order + 1):
+        last = tokens[:, k - 1:]
+        ok = last >= 0
+        uniq, inverse = np.unique(ranks[:, : last.shape[1]][ok] * base + last[ok],
+                                  return_inverse=True)
+        ranks = np.full(last.shape, -1, dtype=np.int64)
+        ranks[ok] = inverse
+        yield ranks, len(uniq)
 
 
 def build_vocab(lines, max_size: int) -> Vocab:
@@ -292,10 +321,16 @@ def decode(seq: Sequence, vocab: Vocab) -> str:
 
 def encode_corpus(lines, vocab: Vocab, split: str = "",
                   max_len: int = DEFAULT_MAX_LEN) -> Corpus:
-    seqs = [encode(line, vocab, max_len) for line in lines if line.strip()]
-    if not seqs:
+    """Corpus of the non-blank lines, each encoded as by ``encode``."""
+    id_of = vocab._ids.get
+    rows = [[id_of(tok, UNK) for tok in toks[:max_len]]
+            for toks in map(str.split, lines) if toks]
+    if not rows:
         raise InputError("no non-empty lines to encode")
-    return Corpus(vocab, tuple(seqs), split)
+    ids, lengths = _pack(rows, PAD)
+    if lengths.min() < 1:
+        raise InputError("a sequence must contain at least one token")
+    return _new_corpus(vocab, ids, lengths, split)
 
 
 def split_tail(corpus: Corpus, n: int) -> tuple[Corpus, Corpus]:
@@ -331,7 +366,7 @@ def corpus_to_arrays(corpus_or_seqs, pad_id: int = PAD) -> tuple[np.ndarray, np.
         if pad_id != PAD:
             ids = np.where(_valid_mask(lengths, ids.shape[1]), ids, pad_id)
         return ids, lengths
-    return _pack(list(corpus_or_seqs), pad_id)
+    return _pack([s.ids for s in corpus_or_seqs], pad_id)
 
 
 _STOCHASTIC_TOL = 1e-9

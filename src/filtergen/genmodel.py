@@ -9,13 +9,18 @@ Three interchangeable model kinds:
 * ``MarkovModel`` -- an exact wrapper around a ``MarkovSource``, used as
   analytic ground truth.
 
-All models share one contract: ``seq_logprob``, ``sample_corpus`` /
-``sample`` (temperature-controlled ancestral sampling), a ``vocab``, and a
+All models share one contract: ``seq_logprob`` / ``seq_logprobs`` (one
+sequence, or every row of a corpus), ``sample_corpus`` / ``sample``
+(temperature-controlled ancestral sampling), a ``vocab``, and a
 ``fixed_length`` attribute (``None`` means variable length with an EOS
 event). In fixed-length mode the per-step distribution is supported on the
 content tokens only, so the model is a proper distribution over the
 enumerable domain V^L; in variable-length mode EOS and UNK join the
 support.
+
+The n-gram model works on the corpus id matrix: every context gets a dense
+integer key (``data._gram_ranks``), so fitting is one ``bincount`` and
+scoring gathers each distinct context's log-probabilities once.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (BOS, DEFAULT_MAX_LEN, EOS, NUM_RESERVED, UNK, Corpus, MarkovSource,
-                   Sequence, corpus_to_arrays, split_tail)
+                   Sequence, _gram_ranks, corpus_to_arrays, split_tail)
 from .errors import InputError
 
 
@@ -80,6 +85,17 @@ def _draw_from_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(hits, cum_rows.shape[1] - 1)
 
 
+def libm_map(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.log`` or ``math.exp``) of each value, once per distinct value.
+
+    numpy's vectorised ``log``/``exp`` may differ from the C library's in
+    the last bit, so batched scores use the same function as ``math``.
+    """
+    uniq, inverse = np.unique(values.ravel(), return_inverse=True)
+    return np.array([fn(v) for v in uniq.tolist()], dtype=np.float64)[inverse].reshape(
+        values.shape)
+
+
 class NGramLM:
     """Order-n language model with additive delta-smoothing.
 
@@ -109,30 +125,50 @@ class NGramLM:
     def fit(self, corpus: Corpus) -> "NGramLM":
         if corpus.vocab != self.vocab:
             raise InputError("corpus vocabulary does not match the model")
-        for seq in corpus:
-            for ctx, tok in self._events(seq):
-                row = self._counts.get(ctx)
-                if row is None:
-                    row = np.zeros(len(self.support), dtype=np.float64)
-                    self._counts[ctx] = row
-                row[self._event_index(tok)] += 1.0
+        contexts, ctx, sup, _ = self._events(corpus)
+        s = len(self.support)
+        counts = np.bincount(ctx * s + sup, minlength=len(contexts) * s)
+        for context, row in zip(contexts, counts.reshape(-1, s).astype(np.float64)):
+            seen = self._counts.get(context)
+            if seen is None:
+                self._counts[context] = row
+            else:
+                seen += row
         self._row_cache.clear()
         return self
 
-    def _events(self, seq: Sequence):
-        ids = seq.ids
-        ctx_len = self.order - 1
-        padded = (BOS,) * ctx_len + ids
-        for t, tok in enumerate(ids):
-            yield padded[t: t + ctx_len], tok
-        if self.fixed_length is None:
-            yield padded[len(ids): len(ids) + ctx_len], EOS
+    def _events(self, corpus: Corpus):
+        """Every (context, next token) event of a corpus, in row-major order.
 
-    def _event_index(self, token_id: int) -> int:
-        idx = self._sup_index[token_id]
-        if idx < 0:
-            raise InputError(f"token id {token_id} is outside the model support")
-        return int(idx)
+        Returns ``(contexts, ctx, sup, mask)``: the distinct context tuples,
+        each event's index into them, each event's support index, and the
+        ``(n, width + 1)`` mask of event positions. Event t of a row has
+        context ``(BOS,) * (order - 1) + ids`` at ``[t, t + order - 1)``; a
+        variable-length row ends with an EOS event at t = length.
+        """
+        ids, lengths = corpus.ids, corpus.lengths
+        n, width = ids.shape
+        targets = np.empty((n, width + 1), dtype=np.int64)
+        targets[:, :width] = ids
+        targets[np.arange(n), lengths] = EOS
+        n_events = lengths + (self.fixed_length is None)
+        mask = np.arange(width + 1)[None, :] < n_events[:, None]
+        tokens = targets[mask]
+        sup = self._sup_index[tokens]
+        outside = sup < 0
+        if outside.any():
+            raise InputError(
+                f"token id {int(tokens[outside][0])} is outside the model support")
+        ctx_len = self.order - 1
+        if ctx_len == 0:
+            return [()], np.zeros(len(sup), dtype=np.int64), sup, mask
+        padded = np.full((n, ctx_len + width), BOS, dtype=np.int64)
+        padded[:, ctx_len:] = ids
+        *_, (ranks, _) = _gram_ranks(padded, lengths + ctx_len, ctx_len)
+        _, first, ctx = np.unique(ranks[mask], return_index=True, return_inverse=True)
+        rows, cols = np.nonzero(mask)
+        windows = padded[rows[first, None], cols[first, None] + np.arange(ctx_len)]
+        return list(map(tuple, windows.tolist())), ctx, sup, mask
 
     # -- probabilities ----------------------------------------------------
 
@@ -150,15 +186,29 @@ class NGramLM:
             self._row_cache[context] = row
         return row
 
-    def _context_at(self, ids: tuple[int, ...], t: int) -> tuple[int, ...]:
-        ctx_len = self.order - 1
-        padded = (BOS,) * ctx_len + ids
-        return padded[t: t + ctx_len]
-
     def seq_logprob(self, seq: Sequence) -> float:
+        """Log-probability of one sequence, event by event."""
+        ctx_len = self.order - 1
+        padded = (BOS,) * ctx_len + seq.ids
+        events = seq.ids + ((EOS,) if self.fixed_length is None else ())
         total = 0.0
-        for ctx, tok in self._events(seq):
-            total += math.log(self.cond_probs(ctx)[self._event_index(tok)])
+        for t, tok in enumerate(events):
+            idx = self._sup_index[tok]
+            if idx < 0:
+                raise InputError(f"token id {tok} is outside the model support")
+            total += math.log(self.cond_probs(padded[t: t + ctx_len])[idx])
+        return total
+
+    def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
+        """``seq_logprob`` of every row: each distinct context's log row is
+        looked up once, and each row's terms are summed left to right."""
+        contexts, ctx, sup, mask = self._events(corpus)
+        table = libm_map(math.log, np.array([self.cond_probs(c) for c in contexts]))
+        terms = np.zeros(mask.shape)
+        terms[mask] = table[ctx, sup]
+        total = np.zeros(len(terms))
+        for column in terms.T:
+            total += column
         return total
 
     # -- sampling ---------------------------------------------------------
@@ -179,12 +229,20 @@ class NGramLM:
             u = rng.random(n)
             if not active.any():
                 continue
-            keys = contexts[:, :ctx_len] if ctx_len else np.zeros((n, 0), dtype=np.int64)
-            uniq, inverse = np.unique(keys[active], axis=0, return_inverse=True)
-            rows = np.empty((len(uniq), len(self.support)))
-            for i, row_key in enumerate(uniq):
-                rows[i] = _apply_temperature(
-                    self.cond_probs(tuple(int(v) for v in row_key)), cfg.temperature)
+            keys = contexts[active, :ctx_len]
+            if ctx_len:
+                lengths = np.full(len(keys), ctx_len)
+                *_, (ranks, n_keys) = _gram_ranks(keys, lengths, ctx_len)
+                inverse = ranks[:, 0]
+            else:
+                inverse, n_keys = np.zeros(len(keys), dtype=np.int64), 1
+            # one row holding each key, to read the context tuple from
+            holder = np.empty(n_keys, dtype=np.int64)
+            holder[inverse] = np.arange(len(keys))
+            rows = np.empty((n_keys, len(self.support)))
+            for i, row_key in enumerate(keys[holder].tolist()):
+                rows[i] = _apply_temperature(self.cond_probs(tuple(row_key)),
+                                             cfg.temperature)
             if t == 0 and eos_sup >= 0:
                 rows[:, eos_sup] = 0.0
                 rows /= rows.sum(axis=1, keepdims=True)
@@ -225,6 +283,24 @@ class MarkovModel:
 
         p = exact_prob(self.source, seq)
         return math.log(p) if p > 0 else -math.inf
+
+    def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
+        """``seq_logprob`` of every row: the chain product, then its log."""
+        source = self.source
+        n, width = corpus.ids.shape
+        valid = np.arange(width)[None, :] < corpus.lengths[:, None]
+        states = corpus.ids - NUM_RESERVED
+        if ((states < 0) | (states >= len(source.tokens)))[valid].any():
+            raise InputError("sequence contains tokens outside the source alphabet")
+        states = np.where(valid, states, 0)
+        probs = source.initial[states[:, 0]]
+        for t in range(1, width):
+            step = probs * source.transition[states[:, t - 1], states[:, t]]
+            probs = np.where(valid[:, t], step, probs)
+        logs = np.full(n, -np.inf)
+        possible = probs > 0
+        logs[possible] = libm_map(math.log, probs[possible])
+        return logs
 
     def sample_corpus(self, n: int, cfg: SamplerConfig, rng=None,
                       split: str = "") -> Corpus:
@@ -419,6 +495,9 @@ class NeuralLM:
         inputs, mask = self._step_stack(targets, events)
         return -self._batch_nll(inputs, targets, mask)
 
+    def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
+        return np.array([self.seq_logprob(seq) for seq in corpus], dtype=np.float64)
+
     # -- training ---------------------------------------------------------
 
     def fit(self, train: Corpus, valid: Corpus) -> "NeuralLM":
@@ -514,18 +593,12 @@ def train_mle(train: Corpus, valid: Corpus | None, config) -> "NGramLM | NeuralL
     raise InputError(f"unknown generator config: {type(config).__name__}")
 
 
-def seq_logprob(model, seq: Sequence) -> float:
-    return model.seq_logprob(seq)
-
-
-def sample(model, cfg: SamplerConfig, rng=None) -> Sequence:
-    return model.sample(cfg, rng)
+def nll_rates(model, corpus: Corpus) -> np.ndarray:
+    """Per-row NLL per event: -log p(x) / (len(x) + 1 if EOS is an event)."""
+    extra = 0 if model.fixed_length is not None else 1
+    return -model.seq_logprobs(corpus) / (corpus.lengths + extra)
 
 
 def perplexity(model, corpus: Corpus) -> float:
     """exp(mean per-token NLL), averaged per sequence then over the corpus."""
-    if len(corpus) == 0:
-        raise InputError("corpus is empty")
-    extra = 0 if model.fixed_length is not None else 1
-    rates = [-model.seq_logprob(s) / (len(s) + extra) for s in corpus]
-    return float(np.exp(np.mean(rates)))
+    return float(np.exp(np.mean(nll_rates(model, corpus))))

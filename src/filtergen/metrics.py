@@ -7,18 +7,17 @@ and rejected sample streams.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus
+from .data import BOS, EOS, Corpus, _gram_ranks
 from .disc import DiscConfig, error_rate, train_discriminator_corpora
 from .errors import InputError
 from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
                         estimate_boundary, sample_filtered)
-from .genmodel import NeuralLM, NGramConfig, NGramLM, SamplerConfig, train_mle
+from .genmodel import (NeuralLM, NGramConfig, NGramLM, SamplerConfig, libm_map,
+                       nll_rates, train_mle)
 from .seeding import derive_seed
 
 # ---------------------------------------------------------------------------
@@ -36,43 +35,43 @@ class BleuConfig:
             raise InputError("BLEU order must be >= 1")
 
 
-def _ngram_counts(ids: tuple, order: int) -> Counter:
-    return Counter(ids[i: i + order] for i in range(len(ids) - order + 1))
+def _row_gram_counts(ranks: np.ndarray, count: int):
+    """(row, gram, count) for every distinct gram of every row at one order."""
+    rows, cols = np.nonzero(ranks >= 0)
+    keys, counts = np.unique(rows * count + ranks[rows, cols], return_counts=True)
+    return keys // count, keys % count, counts
 
 
-def _closest_length(sorted_lengths: list, target: int) -> int:
-    # nearest reference length; ties favor the shorter one
-    pos = bisect_left(sorted_lengths, target)
-    best = None
-    for cand in (sorted_lengths[pos - 1] if pos else None,
-                 sorted_lengths[pos] if pos < len(sorted_lengths) else None):
-        if cand is None:
-            continue
-        if best is None or abs(cand - target) < abs(best - target) or (
-                abs(cand - target) == abs(best - target) and cand < best):
-            best = cand
-    return best
+def _closest_length(distinct: np.ndarray, below: np.ndarray, above: np.ndarray,
+                    target: np.ndarray) -> np.ndarray:
+    """The nearer of ``distinct[below]`` and ``distinct[above]`` to ``target``;
+    ties favor the shorter. An index outside ``distinct`` is no candidate."""
+    size = len(distinct)
+    lo = distinct[np.clip(below, 0, size - 1)]
+    hi = distinct[np.clip(above, 0, size - 1)]
+    take_lo = (below >= 0) & ((above >= size) | (target - lo <= hi - target))
+    return np.where(take_lo, lo, hi)
 
 
-def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
-    if hyp_len >= ref_len:
-        return 1.0
-    return math.exp(1.0 - ref_len / hyp_len)
+def _mean_bleu(matches, lengths: np.ndarray, ref_lengths: np.ndarray,
+               cfg: BleuConfig) -> float:
+    """Mean sentence BLEU from each row's clipped matches per order.
 
-
-def _sentence_bleu(ids, max_counts_per_order, ref_len, cfg: BleuConfig) -> float:
-    log_sum, orders = 0.0, 0
-    for k in range(1, cfg.max_order + 1):
-        possible = len(ids) - k + 1
-        if possible < 1:
-            continue
-        counts = _ngram_counts(ids, k)
-        matches = sum(min(c, max_counts_per_order[k](g)) for g, c in counts.items())
-        numerator = matches if matches > 0 else cfg.epsilon
-        log_sum += math.log(numerator / possible)
-        orders += 1
-    score = math.exp(log_sum / orders)
-    return _brevity_penalty(len(ids), ref_len) * score
+    Per row: the geometric mean of modified precisions over the orders that
+    fit in the row, times the brevity penalty against ``ref_lengths``.
+    """
+    log_sum = np.zeros(len(lengths))
+    orders = np.zeros(len(lengths), dtype=np.int64)
+    for k, matched in enumerate(matches, start=1):
+        possible = lengths - k + 1
+        fits = possible >= 1
+        numerator = np.where(matched > 0, matched, cfg.epsilon)
+        log_sum[fits] += libm_map(math.log, numerator[fits] / possible[fits])
+        orders += fits
+    penalty = np.ones(len(lengths))
+    short = lengths < ref_lengths
+    penalty[short] = libm_map(math.exp, 1.0 - ref_lengths[short] / lengths[short])
+    return float(np.mean(penalty * libm_map(math.exp, log_sum / orders)))
 
 
 def bleu(hypotheses: Corpus, references: Corpus, cfg: BleuConfig | None = None) -> float:
@@ -80,25 +79,27 @@ def bleu(hypotheses: Corpus, references: Corpus, cfg: BleuConfig | None = None) 
 
     Geometric mean of modified n-gram precisions (orders with no possible
     n-grams are skipped) times the brevity penalty against the closest
-    reference length.
+    reference length. The n-grams of both corpora get shared integer keys,
+    so each order is counted with one ``np.unique`` over (row, gram) keys.
     """
     cfg = cfg or BleuConfig()
     if len(hypotheses) == 0 or len(references) == 0:
         raise InputError("hypotheses and references must be non-empty")
-    max_counts = {}
-    for k in range(1, cfg.max_order + 1):
-        table: dict = {}
-        for ref in references:
-            for g, c in _ngram_counts(ref.ids, k).items():
-                if c > table.get(g, 0):
-                    table[g] = c
-        max_counts[k] = lambda g, t=table: t.get(g, 0)
-    ref_lengths = sorted(len(r) for r in references)
-    scores = [
-        _sentence_bleu(h.ids, max_counts, _closest_length(ref_lengths, len(h)), cfg)
-        for h in hypotheses
-    ]
-    return float(np.mean(scores))
+    both = Corpus.concat([hypotheses, references])
+    n_hyp = len(hypotheses)
+    matches = []
+    for ranks, count in _gram_ranks(both.ids, both.lengths, cfg.max_order):
+        row, gram, counts = _row_gram_counts(ranks, count)
+        ref = row >= n_hyp
+        ref_max = np.zeros(count, dtype=np.int64)
+        np.maximum.at(ref_max, gram[ref], counts[ref])
+        hyp = ~ref
+        clipped = np.minimum(counts[hyp], ref_max[gram[hyp]])
+        matches.append(np.bincount(row[hyp], weights=clipped, minlength=n_hyp))
+    distinct = np.unique(references.lengths)
+    pos = np.searchsorted(distinct, hypotheses.lengths)
+    ref_len = _closest_length(distinct, pos - 1, pos, hypotheses.lengths)
+    return _mean_bleu(matches, hypotheses.lengths, ref_len, cfg)
 
 
 def self_bleu(samples: Corpus, cfg: BleuConfig | None = None) -> float:
@@ -106,42 +107,31 @@ def self_bleu(samples: Corpus, cfg: BleuConfig | None = None) -> float:
     cfg = cfg or BleuConfig()
     if len(samples) < 2:
         raise InputError("self-BLEU needs at least two samples")
-    seqs = samples.sequences
-    # per order: gram -> (best count, owner, runner-up count), so the
-    # leave-one-out maximum is an O(1) lookup
-    tables = {}
-    for k in range(1, cfg.max_order + 1):
-        table: dict = {}
-        for i, seq in enumerate(seqs):
-            for g, c in _ngram_counts(seq.ids, k).items():
-                best, owner, second = table.get(g, (0, -1, 0))
-                if c > best:
-                    best, owner, second = c, i, best
-                elif c > second:
-                    second = c
-                table[g] = (best, owner, second)
-        tables[k] = table
-    lengths = sorted(len(s) for s in seqs)
-    length_count = Counter(len(s) for s in seqs)
-    scores = []
-    for i, seq in enumerate(seqs):
-        max_counts = {}
-        for k in range(1, cfg.max_order + 1):
-            table = tables[k]
-
-            def loo(g, t=table, me=i):
-                best, owner, second = t.get(g, (0, -1, 0))
-                return best if owner != me else second
-
-            max_counts[k] = loo
-        own = len(seq)
-        if length_count[own] > 1:
-            ref_len = own
-        else:
-            remaining = [l for l in lengths if l != own]
-            ref_len = _closest_length(remaining, own)
-        scores.append(_sentence_bleu(seq.ids, max_counts, ref_len, cfg))
-    return float(np.mean(scores))
+    n = len(samples)
+    matches = []
+    for ranks, count in _gram_ranks(samples.ids, samples.lengths, cfg.max_order):
+        row, gram, counts = _row_gram_counts(ranks, count)
+        # per gram: its best count, a row holding it, and the runner-up, so
+        # the leave-one-out maximum is best unless the row is that holder
+        order = np.lexsort((-counts, gram))
+        g, c, r = gram[order], counts[order], row[order]
+        head = np.flatnonzero(np.diff(g, prepend=-1))
+        best = np.zeros(count, dtype=np.int64)
+        owner = np.full(count, -1, dtype=np.int64)
+        second = np.zeros(count, dtype=np.int64)
+        best[g[head]], owner[g[head]] = c[head], r[head]
+        runner = head[np.append(g[1:] == g[:-1], False)[head]]
+        second[g[runner]] = c[runner + 1]
+        loo = np.where(owner[gram] != row, best[gram], second[gram])
+        matches.append(np.bincount(row, weights=np.minimum(counts, loo), minlength=n))
+    # reference length: the row's own when another row shares it, else the
+    # nearest other length
+    lengths = samples.lengths
+    distinct, inverse, per_length = np.unique(lengths, return_inverse=True,
+                                              return_counts=True)
+    nearest = _closest_length(distinct, inverse - 1, inverse + 1, lengths)
+    ref_len = np.where(per_length[inverse] > 1, lengths, nearest)
+    return _mean_bleu(matches, lengths, ref_len, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +144,7 @@ def lm_score(oracle_lm, samples: Corpus) -> float:
 
     By construction equals log(perplexity(oracle_lm, samples)).
     """
-    if len(samples) == 0:
-        raise InputError("samples must be non-empty")
-    extra = 0 if oracle_lm.fixed_length is not None else 1
-    rates = [-oracle_lm.seq_logprob(s) / (len(s) + extra) for s in samples]
-    return float(np.mean(rates))
+    return float(np.mean(nll_rates(oracle_lm, samples)))
 
 
 def reverse_lm_score(samples: Corpus, real_test: Corpus, lm_config,
@@ -207,6 +193,34 @@ class EmbeddingModel:
         return self.vectors.shape[1]
 
 
+def _cooccurrences(corpus: Corpus, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The token ids seen (plus BOS and EOS) and their co-occurrence counts.
+
+    ``cooc[i, j]`` counts the positions of ``seen[j]`` within ``window`` of a
+    ``seen[i]`` in one row framed as BOS, its tokens, EOS; both directions
+    of every pair go into one ``bincount``.
+    """
+    ids, lengths = corpus.ids, corpus.lengths
+    n, width = ids.shape
+    valid = np.arange(width)[None, :] < lengths[:, None]
+    seen = np.union1d(ids[valid], [BOS, EOS])
+    k = len(seen)
+    index = np.zeros(len(corpus.vocab), dtype=np.int64)
+    index[seen] = np.arange(k)
+    framed = np.full((n, width + 2), EOS, dtype=np.int64)
+    framed[:, 0] = BOS
+    framed[:, 1:-1] = np.where(valid, ids, EOS)
+    local = index[framed]
+    keys = [np.zeros(0, dtype=np.int64)]
+    for d in range(1, window + 1):
+        # pairs (p, p + d) with p + d at or before the row's EOS
+        pair = np.arange(width + 2 - d)[None, :] + d < lengths[:, None] + 2
+        a, b = local[:, : width + 2 - d][pair], local[:, d:][pair]
+        keys += [a * k + b, b * k + a]
+    cooc = np.bincount(np.concatenate(keys), minlength=k * k)
+    return seen, cooc.reshape(k, k).astype(np.float64)
+
+
 def fit_ppmi_svd(corpus: Corpus, dim: int = 64, window: int = 2) -> EmbeddingModel:
     """Token vectors from a PPMI-weighted co-occurrence factorization.
 
@@ -215,19 +229,8 @@ def fit_ppmi_svd(corpus: Corpus, dim: int = 64, window: int = 2) -> EmbeddingMod
     embed); the dimension is capped by the number of distinct tokens
     observed.
     """
-    from .data import BOS, EOS
-
-    seen = sorted({i for seq in corpus for i in seq.ids} | {BOS, EOS})
-    index = {tok: j for j, tok in enumerate(seen)}
+    seen, cooc = _cooccurrences(corpus, window)
     k = len(seen)
-    cooc = np.zeros((k, k))
-    for seq in corpus:
-        ids = (BOS,) + seq.ids + (EOS,)
-        for a, tok in enumerate(ids):
-            lo, hi = max(0, a - window), min(len(ids), a + window + 1)
-            for b in range(lo, hi):
-                if b != a:
-                    cooc[index[tok], index[ids[b]]] += 1.0
     total = cooc.sum()
     if total == 0:
         raise InputError("corpus has no co-occurrences")
@@ -253,11 +256,16 @@ def from_neural_lm(model: NeuralLM) -> EmbeddingModel:
 
 
 def embed(samples: Corpus, em: EmbeddingModel) -> np.ndarray:
-    """One vector per sequence: the mean of its token embeddings."""
-    out = np.empty((len(samples), em.dim))
-    for i, seq in enumerate(samples):
-        out[i] = em.vectors[list(seq.ids)].mean(axis=0)
-    return out
+    """One vector per sequence: the mean of its token embeddings.
+
+    Token vectors are added position by position, then divided by the
+    row's length.
+    """
+    lengths = samples.lengths
+    total = np.zeros((len(samples), em.dim))
+    for t, column in enumerate(samples.ids.T):
+        total += np.where((lengths > t)[:, None], em.vectors[column], 0.0)
+    return total / lengths[:, None]
 
 
 def fed(real_emb: np.ndarray, gen_emb: np.ndarray, reg: float = 1e-6) -> float:

@@ -91,6 +91,7 @@ def enumerate_distribution(model_or_source, vocab: Vocab, length: int) -> ExactD
     if isinstance(model_or_source, MarkovSource):
         probs = _markov_probs(model_or_source, vocab, length)
     else:
+        # one sequence at a time, independently of the batched seq_logprobs
         probs = np.array(
             [math.exp(model_or_source.seq_logprob(s)) for s in domain])
     return ExactDistribution(vocab, length, domain, probs)

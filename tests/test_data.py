@@ -249,3 +249,23 @@ def test_corpus_is_read_only():
     for part in (corpus[:1], corpus[np.array([1])]):
         with pytest.raises(ValueError):
             part.ids[0, 0] = 4
+
+
+
+_LINE = st.builds(lambda toks, sep, end: sep.join(toks) + end,
+                  st.lists(st.sampled_from(["a", "b", "c", "zz", "<pad>"]), max_size=8),
+                  st.sampled_from([" ", "\t", "  "]), st.sampled_from(["", "\n", " \n"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_LINE, max_size=10), st.integers(0, 5))
+def test_encode_corpus_matches_line_by_line_encode(lines, max_len):
+    # blank lines skipped, unknown tokens to UNK, rows truncated at max_len
+    vocab = build_vocab(["a b c"], max_size=10)
+    kept = [line for line in lines if line.strip()]
+    if not kept or max_len == 0:
+        with pytest.raises(InputError):
+            encode_corpus(lines, vocab, "x", max_len)
+        return
+    corpus = encode_corpus(lines, vocab, "x", max_len)
+    assert corpus == Corpus(vocab, [encode(line, vocab, max_len) for line in kept], "x")

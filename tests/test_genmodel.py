@@ -247,3 +247,93 @@ def test_checkpoint_roundtrip(tmp_path, kind):
     assert again.seq_logprob(seq) == pytest.approx(model.seq_logprob(seq), abs=1e-12)
     cfg = SamplerConfig(seed=4)
     assert again.sample(cfg).ids == model.sample(cfg).ids
+
+
+# ---------------------------------------------------------------------------
+# Corpus-wide fitting and scoring against per-event loops
+# ---------------------------------------------------------------------------
+
+
+def _ref_events(model, ids):
+    """The (context, token) events of one sequence, one at a time."""
+    ctx_len = model.order - 1
+    padded = (fg.BOS,) * ctx_len + ids
+    for t, tok in enumerate(ids):
+        yield padded[t: t + ctx_len], tok
+    if model.fixed_length is None:
+        yield padded[len(ids): len(ids) + ctx_len], EOS
+
+
+def _ref_counts(model, *corpora):
+    counts = {}
+    for corpus in corpora:
+        for seq in corpus:
+            for ctx, tok in _ref_events(model, seq.ids):
+                row = counts.setdefault(ctx, np.zeros(len(model.support)))
+                row[model._sup_index[tok]] += 1.0
+    return counts
+
+
+@st.composite
+def _ngram_case(draw):
+    """Order 1-3, fixed or variable length, and two random corpora."""
+    k = draw(st.integers(1, 5))
+    vocab = fg.Vocab(tuple("abcde"[:k]))
+    fixed = draw(st.sampled_from([None, 1, 2, 4]))
+    content = st.integers(4, 3 + k)
+    if fixed is None:
+        row = st.lists(st.one_of(content, st.just(fg.UNK)), min_size=1, max_size=7)
+    else:
+        row = st.lists(content, min_size=fixed, max_size=fixed)
+    first, second = (Corpus(vocab, [Sequence(tuple(r)) for r in rows])
+                     for rows in (draw(st.lists(row, min_size=1, max_size=12)),
+                                  draw(st.lists(row, min_size=1, max_size=12))))
+    return draw(st.integers(1, 3)), fixed, first, second
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ngram_case())
+def test_ngram_fit_and_seq_logprobs_match_per_event_loops(case):
+    order, fixed, train, test = case
+    model = NGramLM(train.vocab, order, 0.05, fixed).fit(train)
+    twice = NGramLM(train.vocab, order, 0.05, fixed).fit(train).fit(test)
+    for fitted, corpora in ((model, (train,)), (twice, (train, test))):
+        want = _ref_counts(fitted, *corpora)
+        assert fitted._counts.keys() == want.keys()
+        for ctx, row in want.items():
+            assert np.array_equal(fitted._counts[ctx], row)
+    got = model.seq_logprobs(test)
+    assert got.shape == (len(test),) and got.dtype == np.float64
+    np.testing.assert_allclose(got, [model.seq_logprob(s) for s in test],
+                               rtol=1e-12, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6),
+                min_size=1, max_size=10))
+def test_markov_seq_logprobs_match_exact_prob(k, seed, rows):
+    # entries below 0.15 are zeroed, so some sequences have probability 0
+    rng = np.random.default_rng(seed)
+    initial = rng.dirichlet(np.full(k, 0.5))
+    transition = rng.dirichlet(np.full(k, 0.5), size=k)
+    for table in (initial, transition):
+        table[table < 0.15] = 0.0
+    source = fg.MarkovSource(tuple("abcd"[:k]), initial / initial.sum(),
+                             transition / transition.sum(axis=1, keepdims=True), 3)
+    model = MarkovModel(source)
+    corpus = Corpus(source.vocab, [Sequence(tuple(4 + s % k for s in r)) for r in rows])
+    want = [model.seq_logprob(s) for s in corpus]
+    np.testing.assert_allclose(model.seq_logprobs(corpus), want, rtol=1e-12, atol=0)
+    with pytest.raises(InputError):
+        model.seq_logprobs(Corpus(source.vocab, [Sequence((4, fg.UNK))]))
+
+
+@pytest.mark.parametrize("fixed_length", [None, 3])
+def test_neural_seq_logprobs_match_seq_logprob(fixed_length):
+    vocab, model = _toy_neural(fixed_length=fixed_length, seed=4)
+    lengths = (3,) if fixed_length else (1, 2, 3, 4)
+    corpus = Corpus(vocab, [Sequence(ids) for n in lengths
+                            for ids in itertools.product((4, 5, 6), repeat=n)])
+    want = [model.seq_logprob(s) for s in corpus]
+    np.testing.assert_allclose(model.seq_logprobs(corpus), want, rtol=1e-12, atol=0)

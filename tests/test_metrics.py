@@ -1,4 +1,6 @@
 import math
+from bisect import bisect_left
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from filtergen import (BleuConfig, Corpus, InputError, MarkovModel, NGramConfig,
                        SamplerConfig, Sequence, bleu, build_vocab, embed,
                        encode_corpus, fed, fit_ppmi_svd, lm_score, perplexity,
                        reverse_lm_score, self_bleu, synth_markov)
-from filtergen.metrics import SWEEP_COLUMNS, temperature_sweep
+from filtergen.metrics import SWEEP_COLUMNS, _cooccurrences, temperature_sweep
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,160 @@ def test_self_bleu_sampling_stability():
     assert self_bleu(a) == pytest.approx(self_bleu(b), abs=0.02)
 
 
+# Reference BLEU / self-BLEU: the per-sequence dict/Counter implementation
+# that the matrix code replaced, kept as the reference it must reproduce.
+
+
+def _ref_ngram_counts(ids: tuple, order: int) -> Counter:
+    return Counter(ids[i: i + order] for i in range(len(ids) - order + 1))
+
+
+def _ref_closest_length(sorted_lengths: list, target: int) -> int:
+    # nearest reference length; ties favor the shorter one
+    pos = bisect_left(sorted_lengths, target)
+    best = None
+    for cand in (sorted_lengths[pos - 1] if pos else None,
+                 sorted_lengths[pos] if pos < len(sorted_lengths) else None):
+        if cand is None:
+            continue
+        if best is None or abs(cand - target) < abs(best - target) or (
+                abs(cand - target) == abs(best - target) and cand < best):
+            best = cand
+    return best
+
+
+def _ref_brevity_penalty(hyp_len: int, ref_len: int) -> float:
+    if hyp_len >= ref_len:
+        return 1.0
+    return math.exp(1.0 - ref_len / hyp_len)
+
+
+def _ref_sentence_bleu(ids, max_counts_per_order, ref_len, cfg: BleuConfig) -> float:
+    log_sum, orders = 0.0, 0
+    for k in range(1, cfg.max_order + 1):
+        possible = len(ids) - k + 1
+        if possible < 1:
+            continue
+        counts = _ref_ngram_counts(ids, k)
+        matches = sum(min(c, max_counts_per_order[k](g)) for g, c in counts.items())
+        numerator = matches if matches > 0 else cfg.epsilon
+        log_sum += math.log(numerator / possible)
+        orders += 1
+    score = math.exp(log_sum / orders)
+    return _ref_brevity_penalty(len(ids), ref_len) * score
+
+
+def _ref_bleu(hypotheses, references, cfg: BleuConfig) -> float:
+    max_counts = {}
+    for k in range(1, cfg.max_order + 1):
+        table: dict = {}
+        for ref in references:
+            for g, c in _ref_ngram_counts(ref.ids, k).items():
+                if c > table.get(g, 0):
+                    table[g] = c
+        max_counts[k] = lambda g, t=table: t.get(g, 0)
+    ref_lengths = sorted(len(r) for r in references)
+    scores = [
+        _ref_sentence_bleu(h.ids, max_counts, _ref_closest_length(ref_lengths, len(h)), cfg)
+        for h in hypotheses
+    ]
+    return float(np.mean(scores))
+
+
+def _ref_self_bleu(samples, cfg: BleuConfig) -> float:
+    seqs = samples.sequences
+    # per order: gram -> (best count, owner, runner-up count), so the
+    # leave-one-out maximum is an O(1) lookup
+    tables = {}
+    for k in range(1, cfg.max_order + 1):
+        table: dict = {}
+        for i, seq in enumerate(seqs):
+            for g, c in _ref_ngram_counts(seq.ids, k).items():
+                best, owner, second = table.get(g, (0, -1, 0))
+                if c > best:
+                    best, owner, second = c, i, best
+                elif c > second:
+                    second = c
+                table[g] = (best, owner, second)
+        tables[k] = table
+    lengths = sorted(len(s) for s in seqs)
+    length_count = Counter(len(s) for s in seqs)
+    scores = []
+    for i, seq in enumerate(seqs):
+        max_counts = {}
+        for k in range(1, cfg.max_order + 1):
+            table = tables[k]
+
+            def loo(g, t=table, me=i):
+                best, owner, second = t.get(g, (0, -1, 0))
+                return best if owner != me else second
+
+            max_counts[k] = loo
+        own = len(seq)
+        if length_count[own] > 1:
+            ref_len = own
+        else:
+            remaining = [n for n in lengths if n != own]
+            ref_len = _ref_closest_length(remaining, own)
+        scores.append(_ref_sentence_bleu(seq.ids, max_counts, ref_len, cfg))
+    return float(np.mean(scores))
+
+
+@st.composite
+def _random_corpus(draw, min_rows=1, n_tokens=None):
+    """Rows of 1-9 tokens over 1-6 content tokens, some repeated verbatim."""
+    if n_tokens is None:
+        n_tokens = draw(st.integers(1, 6))
+    vocab = fg.Vocab(tuple("abcdef"[:n_tokens]))
+    row = st.lists(st.integers(4, 3 + n_tokens), min_size=1, max_size=9)
+    rows = draw(st.lists(row, min_size=min_rows, max_size=14))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+    rows += [rows[i] for i in repeats]
+    return Corpus(vocab, [Sequence(tuple(r)) for r in rows], "x")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 5))
+def test_bleu_matches_per_sequence_reference(data, max_order):
+    n_tokens = data.draw(st.integers(1, 6))
+    hyps = data.draw(_random_corpus(n_tokens=n_tokens))
+    refs = hyps
+    if data.draw(st.booleans()):
+        refs = data.draw(_random_corpus(n_tokens=n_tokens))
+    cfg = BleuConfig(max_order=max_order)
+    assert bleu(hyps, refs, cfg) == pytest.approx(_ref_bleu(hyps, refs, cfg),
+                                                  rel=1e-12, abs=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_corpus(min_rows=2), st.integers(1, 5))
+def test_self_bleu_matches_per_sequence_reference(samples, max_order):
+    cfg = BleuConfig(max_order=max_order)
+    assert self_bleu(samples, cfg) == pytest.approx(_ref_self_bleu(samples, cfg),
+                                                    rel=1e-12, abs=0)
+
+
+def test_bleu_reference_equivalence_edge_cases(vocab):
+    # two rows, rows shorter than the order, duplicates, and a hypothesis
+    # length equidistant from two reference lengths (tie to the shorter)
+    cases = [
+        (["a b"], ["a b c", "a"]),
+        (["a b c"], ["a", "a b c d e"]),
+        (["a", "b"], ["a b c d e"]),
+        (["a b a b", "a b a b"], ["a b", "a b a b a b"]),
+    ]
+    for hyp_lines, ref_lines in cases:
+        hyps, refs = _corpus(vocab, hyp_lines), _corpus(vocab, ref_lines)
+        for order in (1, 3, 5):
+            cfg = BleuConfig(max_order=order)
+            assert bleu(hyps, refs, cfg) == pytest.approx(
+                _ref_bleu(hyps, refs, cfg), rel=1e-12, abs=0)
+            for samples in (hyps, refs, _corpus(vocab, hyp_lines + ref_lines)):
+                if len(samples) > 1:
+                    assert self_bleu(samples, cfg) == pytest.approx(
+                        _ref_self_bleu(samples, cfg), rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # LM scores
 # ---------------------------------------------------------------------------
@@ -137,6 +293,17 @@ def test_lm_score_deterministic_chain():
     model = MarkovModel(source)
     seq = model.sample(SamplerConfig(seed=0))
     assert lm_score(model, Corpus(model.vocab, (seq,), "t")) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lm_score_rejects_tokens_outside_the_support(vocab):
+    fixed = fg.train_mle(_corpus(vocab, ["a b c"] * 20), None,
+                         NGramConfig(order=2, fixed_length=3))
+    with pytest.raises(InputError):
+        lm_score(fixed, _corpus(vocab, ["a b c", "a zz c"]))  # UNK, not content
+    variable = fg.train_mle(_corpus(vocab, ["a b c"] * 20), None, NGramConfig(order=3))
+    with_pad = Corpus(vocab, (Sequence((4, 5)), Sequence((4, fg.PAD))), "x")
+    with pytest.raises(InputError):
+        lm_score(variable, with_pad)
 
 
 def test_reverse_lm_identity_with_training_data(s2):
@@ -210,6 +377,39 @@ def test_embedding_from_neural_lm(vocab):
     tok = vocab.id_of("a")
     single = embed(Corpus(vocab, (Sequence((tok,)),), "x"), em)
     assert np.allclose(single[0], lm.params["embed"][tok])
+
+
+def _ref_embed(samples, em):
+    out = np.empty((len(samples), em.dim))
+    for i, seq in enumerate(samples):
+        out[i] = em.vectors[list(seq.ids)].mean(axis=0)
+    return out
+
+
+def _ref_cooccurrences(corpus, window):
+    seen = sorted({i for seq in corpus for i in seq.ids} | {fg.BOS, fg.EOS})
+    index = {tok: j for j, tok in enumerate(seen)}
+    cooc = np.zeros((len(seen), len(seen)))
+    for seq in corpus:
+        ids = (fg.BOS,) + seq.ids + (fg.EOS,)
+        for a, tok in enumerate(ids):
+            for b in range(max(0, a - window), min(len(ids), a + window + 1)):
+                if b != a:
+                    cooc[index[tok], index[ids[b]]] += 1.0
+    return np.array(seen), cooc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_corpus(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_embed_and_cooccurrences_match_per_sequence_loops(corpus, window, seed):
+    seen, cooc = _cooccurrences(corpus, window)
+    ref_seen, ref_cooc = _ref_cooccurrences(corpus, window)
+    assert np.array_equal(seen, ref_seen)
+    assert np.array_equal(cooc, ref_cooc)
+    em = fg.EmbeddingModel(np.random.default_rng(seed).standard_normal(
+        (len(corpus.vocab), 5)), "random")
+    got, ref = embed(corpus, em), _ref_embed(corpus, em)
+    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def _exact_gaussian_rows(mean, var):
