@@ -200,12 +200,18 @@ class NGramLM:
         return total
 
     def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
-        """``seq_logprob`` of every row: each distinct context's log row is
-        looked up once, and each row's terms are summed left to right."""
+        """``seq_logprob`` of every row: each distinct context's row is looked
+        up once, only the events' entries are gathered from it and logged,
+        and each row's terms are summed left to right."""
         contexts, ctx, sup, mask = self._events(corpus)
-        table = libm_map(math.log, np.array([self.cond_probs(c) for c in contexts]))
+        by_ctx = np.argsort(ctx, kind="stable")
+        bounds = np.searchsorted(ctx[by_ctx], np.arange(len(contexts) + 1))
+        probs = np.empty(len(ctx))
+        for u, context in enumerate(contexts):
+            events = by_ctx[bounds[u]: bounds[u + 1]]
+            probs[events] = self.cond_probs(context)[sup[events]]
         terms = np.zeros(mask.shape)
-        terms[mask] = table[ctx, sup]
+        terms[mask] = libm_map(math.log, probs)
         total = np.zeros(len(terms))
         for column in terms.T:
             total += column
@@ -285,22 +291,7 @@ class MarkovModel:
         return math.log(p) if p > 0 else -math.inf
 
     def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
-        """``seq_logprob`` of every row: the chain product, then its log."""
-        source = self.source
-        n, width = corpus.ids.shape
-        valid = np.arange(width)[None, :] < corpus.lengths[:, None]
-        states = corpus.ids - NUM_RESERVED
-        if ((states < 0) | (states >= len(source.tokens)))[valid].any():
-            raise InputError("sequence contains tokens outside the source alphabet")
-        states = np.where(valid, states, 0)
-        probs = source.initial[states[:, 0]]
-        for t in range(1, width):
-            step = probs * source.transition[states[:, t - 1], states[:, t]]
-            probs = np.where(valid[:, t], step, probs)
-        logs = np.full(n, -np.inf)
-        possible = probs > 0
-        logs[possible] = libm_map(math.log, probs[possible])
-        return logs
+        return np.array([self.seq_logprob(seq) for seq in corpus], dtype=np.float64)
 
     def sample_corpus(self, n: int, cfg: SamplerConfig, rng=None,
                       split: str = "") -> Corpus:

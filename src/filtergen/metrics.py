@@ -80,7 +80,9 @@ def bleu(hypotheses: Corpus, references: Corpus, cfg: BleuConfig | None = None) 
     Geometric mean of modified n-gram precisions (orders with no possible
     n-grams are skipped) times the brevity penalty against the closest
     reference length. The n-grams of both corpora get shared integer keys,
-    so each order is counted with one ``np.unique`` over (row, gram) keys.
+    so each order is counted with one ``np.unique`` over (row, gram) keys;
+    the hypotheses and references must therefore share one vocabulary
+    (``InputError`` otherwise).
     """
     cfg = cfg or BleuConfig()
     if len(hypotheses) == 0 or len(references) == 0:

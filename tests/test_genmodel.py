@@ -308,6 +308,28 @@ def test_ngram_fit_and_seq_logprobs_match_per_event_loops(case):
                                rtol=1e-12, atol=0)
 
 
+def test_ngram_seq_logprobs_memory_scales_with_events_not_vocabulary():
+    # 400 distinct contexts over a 6,000-word support: a stacked table of
+    # their rows would be 19 MB, the events themselves a few kB
+    import tracemalloc
+
+    words = [f"w{i}" for i in range(6000)]
+    vocab = fg.Vocab(tuple(words))
+    rng = np.random.default_rng(23)
+    lines = [" ".join(rng.choice(words, size=rng.integers(1, 6))) for _ in range(400)]
+    corpus = encode_corpus(lines, vocab, "test")
+    model = train_mle(corpus, None, NGramConfig(order=2))
+    want = [model.seq_logprob(s) for s in corpus]  # fills the row cache
+    tracemalloc.start()
+    try:
+        got = model.seq_logprobs(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    assert peak < 2_000_000
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1),
        st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6),

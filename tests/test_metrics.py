@@ -72,6 +72,9 @@ def test_bleu_range_and_validation(vocab):
     assert 0.0 <= bleu(hyps, refs) <= 1.0
     with pytest.raises(InputError):
         BleuConfig(max_order=0)
+    other = build_vocab(["a b c x"], max_size=10)
+    with pytest.raises(InputError, match="different vocabularies"):
+        bleu(hyps, _corpus(other, ["a c b"]))
 
 
 def test_self_bleu_degenerate_cases(vocab):
