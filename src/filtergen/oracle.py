@@ -32,7 +32,7 @@ class ExactDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)  # a copy, so the caller's stays writable
         if len(probs) != len(self.domain):
             raise InputError("probability vector does not match the domain")
         if (probs < 0).any():
@@ -154,22 +154,24 @@ class ExactDiscriminator:
         return self.scores[sequence_indices(corpus, self._base, self.length)]
 
 
+def _acceptance(p_model: ExactDistribution, scores: np.ndarray, ratio: float,
+                boundary: float) -> tuple[float, np.ndarray]:
+    """Exact acceptance ratio and the per-sequence accepted mass S(x)p(x)."""
+    mass = raw_acceptance_probability(scores, ratio, boundary) * p_model.probs
+    return float(np.sum(mass)), mass
+
+
 def exact_filtered_distribution(p_model: ExactDistribution, scores, ratio: float,
                                 boundary: float) -> tuple[ExactDistribution, float]:
     """Filtered law S(x)p(x)/c_exact and the exact acceptance ratio c_exact."""
-    scores = _score_vector(scores, p_model)
-    accept = raw_acceptance_probability(scores, ratio, boundary)
-    c_exact = float(np.sum(accept * p_model.probs))
+    c_exact, mass = _acceptance(p_model, _score_vector(scores, p_model), ratio, boundary)
     if c_exact <= 0.0:
         raise DegenerateError("filter accepts nothing: zero acceptance mass")
-    return p_model.renormalized(accept * p_model.probs / c_exact), c_exact
+    return p_model.renormalized(mass / c_exact), c_exact
 
 
-def exact_acceptance(p_model: ExactDistribution, scores, ratio: float,
-                     boundary: float) -> float:
-    scores = _score_vector(scores, p_model)
-    accept = raw_acceptance_probability(scores, ratio, boundary)
-    return float(np.sum(accept * p_model.probs))
+def exact_acceptance(p_model: ExactDistribution, scores, ratio: float, boundary: float) -> float:
+    return _acceptance(p_model, _score_vector(scores, p_model), ratio, boundary)[0]
 
 
 @dataclass(frozen=True)
@@ -182,41 +184,37 @@ class BoundarySolution:
     achievable: bool
 
 
-def exact_boundary(p_model: ExactDistribution, scores, ratio: float,
-                   grid_step: float = 1e-4, refine_tol: float = 1e-12) -> BoundarySolution:
+def exact_boundary(p_model: ExactDistribution, scores, ratio: float) -> BoundarySolution:
     """Smallest boundary whose exact acceptance is <= ratio (and closest to it).
 
-    Acceptance is piecewise constant in the boundary, so a grid scan picks
-    the best plateau and bisection then walks to the plateau's lower edge.
-    If even a boundary of 1.0 accepts more than ``ratio``, the floor is
-    reported with ``achievable=False`` instead of failing.
+    Acceptance is a step function of the boundary b (a score >= b passes
+    outright), so one sort of the distinct scores u_1 < ... < u_m gives each
+    plateau [0, u_1], (u_1, u_2], ..., (u_m, 1] its acceptance as cumulative
+    sums of p_model weight. It never rises with b, so the first plateau within
+    ratio + 1e-12 is the closest; its boundary is 0.0 or min(u_k + 1e-12,
+    u_{k+1}), as at b = u_k the u_k sequences would pass outright. The
+    acceptance reported is ``exact_acceptance``'s direct sum; if its rounding
+    exceeds the limit, the next plateau is taken. If even a boundary of 1.0
+    accepts more than ``ratio``, the floor is reported with
+    ``achievable=False`` instead of failing.
     """
     if not 0.0 < ratio <= 1.0:
         raise InputError("acceptance ratio must be in (0, 1]")
     scores = _score_vector(scores, p_model)
-
-    def acceptance(boundary: float) -> float:
-        accept = raw_acceptance_probability(scores, ratio, boundary)
-        return float(np.sum(accept * p_model.probs))
-
-    floor = acceptance(1.0)
-    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    values = np.array([acceptance(u) for u in grid])
-    feasible = values <= ratio + 1e-12
-    if not feasible.any():
-        return BoundarySolution(1.0, floor, floor, False)
-    errors = np.where(feasible, np.abs(values - ratio), np.inf)
-    best = int(np.argmin(errors))  # first minimum == smallest boundary
-    best_err = errors[best]
-    lo, hi = max(grid[best] - grid_step, 0.0), float(grid[best])
-    while hi - lo > refine_tol:
-        mid = 0.5 * (lo + hi)
-        a = acceptance(mid)
-        if a <= ratio + 1e-12 and abs(a - ratio) <= best_err + 1e-15:
-            hi = mid
-        else:
-            lo = mid
-    return BoundarySolution(hi, acceptance(hi), floor, True)
+    values, inverse = np.unique(scores, return_inverse=True)
+    weight = np.bincount(inverse, weights=p_model.probs, minlength=len(values))
+    clip = raw_acceptance_probability(values, ratio, np.inf)  # nothing passes outright
+    # plateau k passes values[k:] outright; (u_m, 1] exists only if u_m < 1
+    outright = np.append(np.cumsum((weight * (1.0 - clip))[::-1])[::-1], 0.0)
+    approx = (np.sum(weight * clip) + outright)[:len(values) + int(values[-1] < 1.0)]
+    starts = np.append(0.0, np.minimum(values + 1e-12, np.append(values[1:], 1.0)))
+    floor = _acceptance(p_model, scores, ratio, 1.0)[0]
+    # rounding is monotone, so approx never rises and the feasible plateaus are a suffix
+    for boundary in starts[np.count_nonzero(approx > ratio + 1e-12):len(approx)]:
+        acceptance = _acceptance(p_model, scores, ratio, float(boundary))[0]
+        if acceptance <= ratio + 1e-12:
+            return BoundarySolution(float(boundary), acceptance, floor, True)
+    return BoundarySolution(1.0, floor, floor, False)
 
 
 def tv_distance(p: ExactDistribution, q: ExactDistribution) -> float:
@@ -251,12 +249,14 @@ def _check_same_domain(p: ExactDistribution, q: ExactDistribution) -> None:
 
 def _score_vector(scores, p_model: ExactDistribution) -> np.ndarray:
     if isinstance(scores, ExactDiscriminator):
-        return scores.scores
-    if isinstance(scores, dict):
-        return np.array([scores[s] for s in p_model.domain], dtype=np.float64)
-    if hasattr(scores, "predict_corpus"):
-        return np.asarray(scores.predict_corpus(p_model.domain), dtype=np.float64)
+        scores = scores.scores
+    elif isinstance(scores, dict):
+        scores = [scores[s] for s in p_model.domain]
+    elif hasattr(scores, "predict_corpus"):
+        scores = scores.predict_corpus(p_model.domain)
     arr = np.asarray(scores, dtype=np.float64)
     if arr.shape != (len(p_model),):
         raise InputError("score vector does not match the domain")
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both comparisons
+        raise InputError("scores must be finite and lie in [0, 1]")
     return arr

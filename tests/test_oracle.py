@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filtergen as fg
 from filtergen import (DegenerateError, InputError, MarkovSource, Sequence,
@@ -126,6 +128,119 @@ def test_exact_boundary_reports_unachievable_floor():
     assert not sol.achievable
     assert sol.boundary == 1.0
     assert sol.floor_acceptance > 0.1
+
+
+def _reference_boundary(p_model, scores, ratio):
+    """(plateau, boundary) of the first plateau whose direct acceptance is
+    within ratio + 1e-12, probing 0 and the next float above each distinct
+    score; a plateau is numbered by how many distinct scores lie below it."""
+    values = np.unique(scores)
+    probes = [0.0] + [np.nextafter(u, 2.0) for u in values if u < 1.0]
+    for probe in probes:
+        if exact_acceptance(p_model, scores, ratio, probe) <= ratio + 1e-12:
+            return int(np.searchsorted(values, probe)), probe
+    return None, None
+
+
+@st.composite
+def _boundary_case(draw):
+    k, length = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transition = rng.dirichlet(np.full(k, 0.5), size=k)
+    if draw(st.booleans()):  # sequences of zero model probability
+        transition[:, 0] = 0.0
+        transition /= transition.sum(axis=1, keepdims=True)
+    source = MarkovSource(tuple("abc"[:k]), rng.dirichlet(np.ones(k)), transition, length)
+    p_model = enumerate_distribution(source, source.vocab, length)
+    # ties, both endpoints, and gaps narrower than the old 1e-4 grid, down to one ulp
+    base = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    pool = sorted({0.0, 1.0, *base, *(np.nextafter(b, 2.0) for b in base if b < 1.0),
+                   *(min(b + gap, 1.0) for b in base for gap in (1e-13, 3e-5))})
+    scores = np.array(draw(st.lists(st.sampled_from(pool), min_size=len(p_model),
+                                    max_size=len(p_model))))
+    return p_model, scores, draw(st.floats(1e-4, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boundary_case())
+def test_exact_boundary_matches_brute_force_plateau(case):
+    p_model, scores, ratio = case
+    sol = exact_boundary(p_model, scores, ratio)
+    floor = exact_acceptance(p_model, scores, ratio, 1.0)
+    assert sol.floor_acceptance == floor
+    plateau, probe = _reference_boundary(p_model, scores, ratio)
+    if plateau is None:
+        assert not sol.achievable
+        assert (sol.boundary, sol.acceptance) == (1.0, floor)
+        return
+    values = np.unique(scores)
+    assert sol.achievable
+    assert int(np.searchsorted(values, sol.boundary)) == plateau
+    assert sol.acceptance == exact_acceptance(p_model, scores, ratio, probe)
+    assert sol.acceptance == exact_acceptance(p_model, scores, ratio, sol.boundary)
+    if plateau == 0:
+        assert sol.boundary == 0.0
+    else:
+        upper = values[plateau] if plateau < len(values) else 1.0
+        assert values[plateau - 1] < sol.boundary <= upper
+
+
+def test_exact_boundary_finds_plateau_narrower_than_old_grid():
+    source = _uniform_source(2, 1)
+    base = enumerate_distribution(source, source.vocab, 1)
+    lo, hi = 0.20002, 0.20008
+    odds = np.array([lo, hi]) / (1 - np.array([lo, hi]))
+    # no multiple of 1e-4 lies in (lo, hi], so a 1e-4 grid scan went from
+    # acceptance 1.0 at 0.2 straight to the (hi, 1] plateau at 0.2001
+    assert math.floor(hi * 1e4) == math.floor(lo * 1e4)
+    sol = exact_boundary(base, np.array([lo, hi]), 0.8)
+    assert sol.achievable
+    assert lo < sol.boundary <= hi
+    assert sol.acceptance == pytest.approx(0.5 + 0.4 * odds[0], abs=1e-15)
+    above_hi = exact_acceptance(base, np.array([lo, hi]), 0.8, 0.2001)
+    assert above_hi == pytest.approx(0.4 * odds.sum(), abs=1e-15)
+    assert abs(sol.acceptance - 0.8) < abs(above_hi - 0.8)
+
+
+def test_exact_boundary_reports_only_directly_feasible_acceptance():
+    # at ratio ~1 every score here passes with probability 1, so each plateau
+    # accepts the whole mass: 1 - 2**-53 when summed in score order, 1.0 as
+    # exact_acceptance sums it, with ratio + 1e-12 in between
+    source = _uniform_source(3, 2)
+    base = enumerate_distribution(source, source.vocab, 2)
+    p_model = base.renormalized(np.array([float.fromhex(h) for h in (
+        "0x1.aeb720eb3ee13p-12", "0x1.8ff33f6764519p-2", "0x1.feb002c6d8b94p-13",
+        "0x1.033df954006b1p-4", "0x1.fdf86f4aeff4fp-5", "0x1.bd8be35a8af8ep-2",
+        "0x1.523249259196fp-5", "0x1.1e5ba229d02b3p-8", "0x1.438ac4e2bed9fp-9")]))
+    scores = np.array([float.fromhex(h) for h in (
+        "0x1.94362bb597043p-1", "0x1.e4d01c3b002cap-1", "0x1.edb5b60f607c6p-1",
+        "0x1.7aa500e4a789ep-1", "0x1.a552b525e79cdp-1", "0x1.73788b97a37acp-1",
+        "0x1.a9dead2e4d1cap-1", "0x1.76ac92b3f4151p-1", "0x1.816602eb03689p-1")])
+    ratio = float.fromhex("0x1.fffffffffdcd0p-1")
+    assert np.sum(p_model.probs[np.argsort(scores)]) <= ratio + 1e-12
+    assert exact_acceptance(p_model, scores, ratio, 0.0) == 1.0 > ratio + 1e-12
+    sol = exact_boundary(p_model, scores, ratio)
+    assert (sol.boundary, sol.acceptance, sol.achievable) == (1.0, 1.0, False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1, "all-nan"])
+def test_scores_must_be_finite_and_in_unit_interval(s1, bad):
+    scores = np.full(2, np.nan) if bad == "all-nan" else np.array([0.3, bad])
+    with pytest.raises(InputError):
+        exact_boundary(s1.p_model, scores, 0.5)
+    with pytest.raises(InputError):
+        exact_acceptance(s1.p_model, scores, 0.5, 0.5)
+    with pytest.raises(InputError):
+        exact_filtered_distribution(s1.p_model, scores, 0.5, 0.5)
+
+
+def test_distribution_does_not_freeze_callers_array(s1):
+    probs = np.array([0.25, 0.75])
+    dist = s1.p_model.renormalized(probs)
+    assert probs.flags.writeable
+    assert not dist.probs.flags.writeable
+    probs[0] = 0.5
+    assert dist.probs.tolist() == [0.25, 0.75]
 
 
 def test_acceptance_non_increasing_in_boundary(s2):
