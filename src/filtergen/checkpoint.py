@@ -8,6 +8,7 @@ rebuild the model. Reserved tokens are implicit at ids 0..3.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -76,17 +77,7 @@ _NEURAL_ARRAYS = ("embed", "w_xh", "w_hh", "b_h", "w_hy", "b_y")
 
 def _write_neural(model: NeuralLM) -> dict:
     out = {name: model.params[name].tolist() for name in _NEURAL_ARRAYS}
-    out["config"] = {
-        "embed_dim": model.cfg.embed_dim,
-        "hidden_dim": model.cfg.hidden_dim,
-        "lr": model.cfg.lr,
-        "momentum": model.cfg.momentum,
-        "batch_size": model.cfg.batch_size,
-        "max_epochs": model.cfg.max_epochs,
-        "patience": model.cfg.patience,
-        "fixed_length": model.cfg.fixed_length,
-        "seed": model.cfg.seed,
-    }
+    out["config"] = dataclasses.asdict(model.cfg)
     return out
 
 
@@ -122,18 +113,9 @@ def _read_markov(vocab: Vocab, params: dict) -> MarkovModel:
 
 def _write_textcnn(model: TextCNN) -> dict:
     out = {name: arr.tolist() for name, arr in model.params.items()}
-    out["config"] = {
-        "embed_dim": model.params["embed"].shape[1],
-        "kernels2": model.cfg.kernels2,
-        "kernels3": model.cfg.kernels3,
-        "lr": model.cfg.lr,
-        "momentum": model.cfg.momentum,
-        "batch_size": model.cfg.batch_size,
-        "max_epochs": model.cfg.max_epochs,
-        "patience": model.cfg.patience,
-        "temperature": model.cfg.temperature,
-        "seed": model.cfg.seed,
-    }
+    # copied embeddings may be wider or narrower than cfg.embed_dim
+    out["config"] = {**dataclasses.asdict(model.cfg),
+                     "embed_dim": model.params["embed"].shape[1]}
     out["embed_frozen"] = model.embed_frozen
     return out
 

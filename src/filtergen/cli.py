@@ -32,8 +32,9 @@ from .errors import BudgetError, ConfigError, FiltergenError, InputError
 from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
                         estimate_boundary, sample_filtered)
 from .genmodel import NeuralConfig, NGramConfig, SamplerConfig, train_mle
-from .metrics import (KNOWN_METRICS, SWEEP_COLUMNS, BleuConfig, SweepReport,
-                      compute_metric_row, embed, fit_ppmi_svd)
+from .metrics import (KNOWN_METRICS, RLM_MIN_SAMPLES, SWEEP_COLUMNS, BleuConfig,
+                      MetricScorer, SweepReport, grid_baseline, grid_boundary,
+                      grid_sampler, grid_streams)
 from .oracle import exact_boundary, exact_filtered_distribution, tv_distance
 from .scenarios import SCENARIO_NAMES, build_scenario, load_spec
 from .seeding import derive_seed
@@ -42,8 +43,7 @@ from .seeding import derive_seed
 # Experiment configuration (strict schema: unknown keys are errors).
 # ---------------------------------------------------------------------------
 
-_EVAL_DEFAULTS = {"n_samples": 2000, "bleu_order": 5, "embed_dim": 64,
-                  "rlm_min_samples": 1000, "max_len": 64}
+_EVAL_DEFAULTS = {"n_samples": 2000, "bleu_order": 5, "embed_dim": 64, "max_len": 64}
 
 
 @dataclass
@@ -162,8 +162,8 @@ def validate_config(path) -> ExperimentConfig:
     eval_doc = dict(_EVAL_DEFAULTS)
     _check_keys(problems, doc.get("eval"), set(_EVAL_DEFAULTS), "eval")
     eval_doc.update(doc.get("eval") or {})
-    if "rlm" in metrics and eval_doc["n_samples"] < eval_doc["rlm_min_samples"]:
-        problems.append("eval.n_samples must be >= eval.rlm_min_samples when 'rlm' is requested")
+    if "rlm" in metrics and eval_doc["n_samples"] < RLM_MIN_SAMPLES:
+        problems.append(f"eval.n_samples must be >= {RLM_MIN_SAMPLES} when 'rlm' is requested")
 
     uc_doc = doc.get("uc") or {}
     _check_keys(problems, uc_doc, _UC_KEYS, "uc")
@@ -394,42 +394,36 @@ class _Pipeline:
             "converged": report.converged,
         }))
 
-    def _sampler(self, temp: float) -> SamplerConfig:
-        return SamplerConfig(temperature=temp, max_len=self.cfg.eval["max_len"],
-                             seed=derive_seed(self.cfg.seed, "sample", temp))
+    def _models(self):
+        return load_model(self.out / "gen.json"), load_model(self.out / "disc.json")
+
+    def _sampler(self, temp) -> SamplerConfig:
+        return grid_sampler(self.cfg.seed, temp, self.cfg.eval["max_len"])
 
     def _stage_uc(self) -> None:
-        gen = load_model(self.out / "gen.json")
-        disc = load_model(self.out / "disc.json")
+        gen, disc = self._models()
         for temp in self.cfg.temperatures:
             for ratio in self.cfg.filter_ratios:
-                if ratio == 1.0:
-                    doc = {"c": 1.0, "u_c": 0.0, "trace": []}
-                else:
-                    rng = np.random.default_rng(
-                        derive_seed(self.cfg.seed, "uc", temp, ratio))
-                    boundary, trace = estimate_boundary(
-                        gen, disc, ratio, self.cfg.uc, self._sampler(temp), rng)
-                    doc = {"c": ratio, "u_c": boundary, "trace": trace}
+                boundary, trace = grid_boundary(gen, disc, self.cfg.seed, temp, ratio,
+                                                self.cfg.uc, self._sampler(temp))
+                # float: a config may list the identity ratio as the integer 1
+                doc = {"c": float(ratio), "u_c": boundary, "trace": trace}
                 (self.out / self._uc_name(temp, ratio)).write_text(json.dumps(doc))
 
     def _stage_sample(self) -> None:
         cfg = self.cfg
-        gen = load_model(self.out / "gen.json")
-        disc = load_model(self.out / "disc.json")
+        gen, disc = self._models()
         n = cfg.eval["n_samples"]
         for temp in cfg.temperatures:
             sampler = self._sampler(temp)
-            baseline = gen.sample_corpus(n, sampler, np.random.default_rng(sampler.seed))
-            save_corpus(baseline, self.out / self._sample_name(temp, None, "baseline"))
+            save_corpus(grid_baseline(gen, n, sampler),
+                        self.out / self._sample_name(temp, None, "baseline"))
             for ratio in cfg.filter_ratios:
                 uc_doc = json.loads((self.out / self._uc_name(temp, ratio)).read_text())
-                params = FilterParams(ratio, uc_doc["u_c"] if ratio < 1.0 else 0.0)
-                fg = FilteredGenerator(gen, disc, params, cfg.max_attempts_per_sample)
-                accepted, stats = sample_filtered(
-                    fg, n, sampler, np.random.default_rng(sampler.seed))
+                accepted, rejected, stats = grid_streams(
+                    gen, disc, ratio, uc_doc["u_c"], n, sampler,
+                    cfg.max_attempts_per_sample)
                 save_corpus(accepted, self.out / self._sample_name(temp, ratio, "accepted"))
-                rejected = stats.rejected_corpus(gen.vocab)
                 rej_path = self.out / self._sample_name(temp, ratio, "rejected")
                 if rejected is not None:
                     save_corpus(rejected, rej_path)
@@ -441,44 +435,25 @@ class _Pipeline:
     def _stage_evaluate(self) -> None:
         cfg = self.cfg
         corpora = self._corpora()
-        vocab = corpora["train"].vocab
         gen = load_model(self.out / "gen.json")
         oracle_cfg = NGramConfig(order=2, delta=0.01, fixed_length=gen.fixed_length)
-        oracle_lm = train_mle(corpora["train"], None, oracle_cfg)
-        bleu_cfg = BleuConfig(max_order=cfg.eval["bleu_order"])
-        embedding = real_emb = None
-        if "fed" in cfg.metrics:
-            embedding = fit_ppmi_svd(corpora["train"], dim=cfg.eval["embed_dim"])
-            real_emb = embed(corpora["test"], embedding)
-
-        def metrics_for(samples, seed_parts):
-            return compute_metric_row(
-                samples, cfg.metrics, real_train=corpora["train"],
-                real_test=corpora["test"], oracle_lm=oracle_lm,
-                rlm_config=oracle_cfg, embedding=embedding, real_test_emb=real_emb,
-                bleu_cfg=bleu_cfg, disc_cfg=cfg.discriminator,
-                seed=derive_seed(cfg.seed, "err", *seed_parts))
-
+        scorer = MetricScorer(
+            cfg.metrics, real_train=corpora["train"], real_test=corpora["test"],
+            oracle_lm=train_mle(corpora["train"], None, oracle_cfg), seed=cfg.seed,
+            rlm_config=oracle_cfg, bleu_cfg=BleuConfig(max_order=cfg.eval["bleu_order"]),
+            disc_cfg=cfg.discriminator, embed_dim=cfg.eval["embed_dim"])
+        vocab, max_len = corpora["train"].vocab, cfg.eval["max_len"]
+        points = [(1.0, "baseline")] + [(c, stream) for c in cfg.filter_ratios
+                                        for stream in ("accepted", "rejected")]
         rows = []
-        max_len = cfg.eval["max_len"]
         for temp in cfg.temperatures:
-            baseline = load_corpus(self.out / self._sample_name(temp, None, "baseline"),
-                                   vocab, "baseline", max_len)
-            rows.append({"temperature": temp, "c": 1.0, "stream": "baseline",
-                         **metrics_for(baseline, (temp, "baseline"))})
-            for ratio in cfg.filter_ratios:
-                accepted = load_corpus(
-                    self.out / self._sample_name(temp, ratio, "accepted"),
-                    vocab, "accepted", max_len)
-                rows.append({"temperature": temp, "c": ratio, "stream": "accepted",
-                             **metrics_for(accepted, (temp, ratio, "a"))})
-                rej_path = self.out / self._sample_name(temp, ratio, "rejected")
-                if rej_path.read_text().strip():
-                    rejected = load_corpus(rej_path, vocab, "rejected", max_len)
-                    if len(rejected) > cfg.eval["n_samples"]:
-                        rejected = rejected[:cfg.eval["n_samples"]]
-                    rows.append({"temperature": temp, "c": ratio, "stream": "rejected",
-                                 **metrics_for(rejected, (temp, ratio, "r"))})
+            for ratio, stream in points:
+                path = self.out / self._sample_name(temp, ratio, stream)
+                # an empty rejected file means nothing was rejected: no row
+                if stream == "rejected" and not path.read_text().strip():
+                    continue
+                rows.append(scorer.row(temp, ratio, stream,
+                                       load_corpus(path, vocab, stream, max_len)))
         report = SweepReport(rows)
         report.to_csv(self.out / "sweep.csv")
         (self.out / "report.json").write_text(json.dumps(
@@ -633,14 +608,8 @@ def _cmd_evaluate(args) -> int:
     unknown = set(metric_names) - set(KNOWN_METRICS)
     if unknown:
         raise ConfigError([f"unknown metric '{m}'" for m in sorted(unknown)])
-    embedding = real_emb = None
-    if "fed" in metric_names:
-        embedding = fit_ppmi_svd(real)
-        real_emb = embed(real, embedding)
-    row = compute_metric_row(samples, metric_names, real_train=real,
-                             real_test=real, oracle_lm=gen,
-                             embedding=embedding, real_test_emb=real_emb,
-                             seed=args.seed)
+    scorer = MetricScorer(metric_names, real_train=real, real_test=real, oracle_lm=gen)
+    row = scorer.cells(samples, args.seed)
     if args.disc:
         disc = load_model(args.disc)
         row["disc_error_rate"] = error_rate(disc, real, samples)

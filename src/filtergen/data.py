@@ -383,8 +383,9 @@ class MarkovSource:
     vocab: Vocab = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        initial = np.asarray(self.initial, dtype=np.float64)
-        transition = np.asarray(self.transition, dtype=np.float64)
+        # copies, so freezing them leaves the caller's arrays writable
+        initial = np.array(self.initial, dtype=np.float64)
+        transition = np.array(self.transition, dtype=np.float64)
         k = len(self.tokens)
         if initial.shape != (k,) or transition.shape != (k, k):
             raise InputError("initial/transition shapes do not match token count")
@@ -425,12 +426,6 @@ class MarkovSource:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
 
-    def states_of(self, seq: Sequence) -> np.ndarray:
-        states = np.array(seq.ids, dtype=np.int64) - NUM_RESERVED
-        if states.min() < 0 or states.max() >= len(self.tokens):
-            raise InputError("sequence contains tokens outside the source alphabet")
-        return states
-
 
 def synth_markov(source: MarkovSource, n: int, rng, split: str = "") -> Corpus:
     """Draw ``n`` i.i.d. length-L sequences from the chain."""
@@ -455,7 +450,9 @@ def _sample_chain(source: MarkovSource, n: int, length: int, rng) -> np.ndarray:
 
 def exact_prob(source: MarkovSource, seq: Sequence) -> float:
     """Exact chain probability: initial[x1] * prod transition[x_{t-1}, x_t]."""
-    states = source.states_of(seq)
+    states = np.array(seq.ids, dtype=np.int64) - NUM_RESERVED
+    if states.min() < 0 or states.max() >= len(source.tokens):
+        raise InputError("sequence contains tokens outside the source alphabet")
     p = source.initial[states[0]]
     for prev, cur in zip(states[:-1], states[1:]):
         p *= source.transition[prev, cur]

@@ -455,39 +455,34 @@ class NeuralLM:
             dh_next = dz @ p["w_hh"].T
         return loss, grads
 
-    def mean_nll(self, corpus: Corpus) -> float:
-        total, events = 0.0, 0
-        for start in range(0, len(corpus), 256):
-            batch = corpus[start: start + 256]
-            targets, ev = self._targets(batch)
-            inputs, mask = self._step_stack(targets, ev)
-            nll = self._batch_nll(inputs, targets, mask)
-            total += nll
-            events += int(mask.sum())
-        return total / events
-
-    def _batch_nll(self, inputs, targets, mask) -> float:
+    def seq_logprobs(self, corpus) -> np.ndarray:
+        """Log probability of every row, 256 rows per forward pass."""
         p = self.params
-        n, width = targets.shape
-        h = np.zeros((n, p["w_hh"].shape[0]))
-        loss = 0.0
-        for t in range(width):
-            x = p["embed"][inputs[:, t]]
-            h = np.tanh(x @ p["w_xh"] + h @ p["w_hh"] + p["b_h"])
-            logits = h @ p["w_hy"] + p["b_y"]
-            logits -= logits.max(axis=1, keepdims=True)
-            logz = np.log(np.exp(logits).sum(axis=1))
-            picked = logits[np.arange(n), targets[:, t]] - logz
-            loss -= float((picked * mask[:, t]).sum())
-        return loss
+        out = []
+        for start in range(0, len(corpus), 256):
+            targets, events = self._targets(corpus[start: start + 256])
+            inputs, mask = self._step_stack(targets, events)
+            n, width = targets.shape
+            h = np.zeros((n, p["w_hh"].shape[0]))
+            logp = np.zeros(n)
+            for t in range(width):
+                x = p["embed"][inputs[:, t]]
+                h = np.tanh(x @ p["w_xh"] + h @ p["w_hh"] + p["b_h"])
+                logits = h @ p["w_hy"] + p["b_y"]
+                logits -= logits.max(axis=1, keepdims=True)
+                logz = np.log(np.exp(logits).sum(axis=1))
+                picked = logits[np.arange(n), targets[:, t]] - logz
+                logp += np.where(mask[:, t], picked, 0.0)
+            out.append(logp)
+        return np.concatenate(out) if out else np.zeros(0)
 
     def seq_logprob(self, seq: Sequence) -> float:
-        targets, events = self._targets([seq])
-        inputs, mask = self._step_stack(targets, events)
-        return -self._batch_nll(inputs, targets, mask)
+        return float(self.seq_logprobs([seq])[0])
 
-    def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
-        return np.array([self.seq_logprob(seq) for seq in corpus], dtype=np.float64)
+    def mean_nll(self, corpus: Corpus) -> float:
+        """Mean NLL per event over the corpus."""
+        extra = 0 if self.fixed_length is not None else 1
+        return float(-self.seq_logprobs(corpus).sum() / (corpus.lengths + extra).sum())
 
     # -- training ---------------------------------------------------------
 

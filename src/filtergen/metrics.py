@@ -149,17 +149,19 @@ def lm_score(oracle_lm, samples: Corpus) -> float:
     return float(np.mean(nll_rates(oracle_lm, samples)))
 
 
-def reverse_lm_score(samples: Corpus, real_test: Corpus, lm_config,
-                     min_samples: int = 1000) -> float:
+RLM_MIN_SAMPLES = 1000  # fewest samples the reverse LM is trained on
+
+
+def reverse_lm_score(samples: Corpus, real_test: Corpus, lm_config) -> float:
     """NLL of real held-out text under an LM trained on the samples.
 
     Detects mode collapse: a degenerate sample set trains an LM that
     explains real text poorly. Refuses to train on fewer than
-    ``min_samples`` sequences.
+    ``RLM_MIN_SAMPLES`` sequences.
     """
-    if len(samples) < min_samples:
+    if len(samples) < RLM_MIN_SAMPLES:
         raise InputError(
-            f"reverse LM needs >= {min_samples} samples, got {len(samples)}")
+            f"reverse LM needs >= {RLM_MIN_SAMPLES} samples, got {len(samples)}")
     model = train_mle(samples, None, lm_config)
     return lm_score(model, real_test)
 
@@ -336,35 +338,65 @@ class SweepReport:
             fh.write(self.csv_text())
 
 
-def compute_metric_row(samples: Corpus, metric_names, *, real_train: Corpus,
-                       real_test: Corpus, oracle_lm, rlm_config=None,
-                       embedding=None, real_test_emb=None,
-                       bleu_cfg: BleuConfig | None = None,
-                       disc_cfg: DiscConfig | None = None,
-                       seed: int = 0) -> dict:
-    """The metric cells shared by sweep rows and evaluation reports."""
-    unknown = set(metric_names) - set(KNOWN_METRICS)
-    if unknown:
-        raise InputError(f"unknown metrics: {sorted(unknown)}")
-    bleu_cfg = bleu_cfg or BleuConfig()
-    row: dict = {}
-    if "bleu" in metric_names:
-        row["bleu5"] = bleu(samples, real_test, bleu_cfg)
-    if "selfbleu" in metric_names:
-        row["self_bleu5"] = self_bleu(samples, bleu_cfg)
-    if "lm" in metric_names:
-        row["lm_score"] = lm_score(oracle_lm, samples)
-    if "rlm" in metric_names:
-        cfg = rlm_config or generator_config_of(oracle_lm)
-        row["rev_lm_score"] = reverse_lm_score(samples, real_test, cfg)
-    if "fed" in metric_names:
-        if embedding is None or real_test_emb is None:
-            raise InputError("fed requested without a fitted embedding model")
-        row["fed"] = fed(real_test_emb, embed(samples, embedding))
-    if "err" in metric_names:
-        row["error_rate"] = classification_error(
-            real_train, real_test, samples, disc_cfg or DiscConfig(), seed)
-    return row
+class MetricScorer:
+    """Scores sample corpora against real data with one set of metrics.
+
+    Built once per grid: the FED embedding is fitted here on ``real_train``
+    and reused for every row. ``seed`` is the master seed the rows'
+    classification-error seeds derive from.
+    """
+
+    def __init__(self, metric_names, *, real_train: Corpus, real_test: Corpus,
+                 oracle_lm, seed: int = 0, rlm_config=None,
+                 bleu_cfg: BleuConfig | None = None,
+                 disc_cfg: DiscConfig | None = None, embed_dim: int = 64):
+        unknown = set(metric_names) - set(KNOWN_METRICS)
+        if unknown:
+            raise InputError(f"unknown metrics: {sorted(unknown)}")
+        self.metric_names = tuple(metric_names)
+        self.real_train, self.real_test = real_train, real_test
+        self.oracle_lm, self.seed = oracle_lm, seed
+        self.rlm_config = rlm_config or generator_config_of(oracle_lm)
+        self.bleu_cfg = bleu_cfg or BleuConfig()
+        self.disc_cfg = disc_cfg or DiscConfig()
+        self.embedding = self.real_emb = None
+        if "fed" in self.metric_names:
+            self.embedding = fit_ppmi_svd(real_train, dim=embed_dim)
+            self.real_emb = embed(real_test, self.embedding)
+
+    def cells(self, samples: Corpus, seed: int, metric_names=None) -> dict:
+        """The requested metric cells of one corpus; ``seed`` seeds the error rate."""
+        names = self.metric_names if metric_names is None else metric_names
+        row: dict = {}
+        if "bleu" in names:
+            row["bleu5"] = bleu(samples, self.real_test, self.bleu_cfg)
+        if "selfbleu" in names:
+            row["self_bleu5"] = self_bleu(samples, self.bleu_cfg)
+        if "lm" in names:
+            row["lm_score"] = lm_score(self.oracle_lm, samples)
+        if "rlm" in names:
+            row["rev_lm_score"] = reverse_lm_score(samples, self.real_test,
+                                                   self.rlm_config)
+        if "fed" in names:
+            row["fed"] = fed(self.real_emb, embed(samples, self.embedding))
+        if "err" in names:
+            row["error_rate"] = classification_error(
+                self.real_train, self.real_test, samples, self.disc_cfg, seed)
+        return row
+
+    def row(self, temp, ratio, stream: str, samples: Corpus) -> dict:
+        """The sweep row of one grid stream.
+
+        The error-rate seed derives from (temperature, "baseline") or from
+        (temperature, ratio, "a" or "r") for the accepted or rejected
+        stream. A stream too short for the reverse LM leaves that cell empty.
+        """
+        key = (temp, "baseline") if stream == "baseline" else (temp, ratio, stream[0])
+        names = self.metric_names
+        if len(samples) < RLM_MIN_SAMPLES:
+            names = tuple(m for m in names if m != "rlm")
+        return {"temperature": temp, "c": ratio, "stream": stream,
+                **self.cells(samples, derive_seed(self.seed, "err", *key), names)}
 
 
 def classification_error(real_train: Corpus, real_test: Corpus, samples: Corpus,
@@ -382,6 +414,46 @@ def classification_error(real_train: Corpus, real_test: Corpus, samples: Corpus,
     rng = np.random.default_rng(seed)
     disc, _ = train_discriminator_corpora(real_train, train_part, cfg, rng)
     return error_rate(disc, real_test, eval_part)
+
+
+# One (temperature, ratio) grid point, shared by ``temperature_sweep`` and
+# the pipeline's estimate-uc, sample and evaluate stages.
+
+
+def grid_sampler(seed: int, temp, max_len: int) -> SamplerConfig:
+    """The sampler of one temperature's streams."""
+    return SamplerConfig(temperature=temp, max_len=max_len,
+                         seed=derive_seed(seed, "sample", temp))
+
+
+def grid_baseline(gen, n: int, sampler: SamplerConfig) -> Corpus:
+    """The unfiltered stream of one temperature."""
+    return gen.sample_corpus(n, sampler, np.random.default_rng(sampler.seed),
+                             split="baseline")
+
+
+def grid_boundary(gen, disc, seed: int, temp, ratio, uc_cfg,
+                  sampler: SamplerConfig) -> tuple[float, list]:
+    """``(u_c, trace)`` of one grid point; ratio 1 is the identity filter at 0."""
+    if ratio == 1.0:
+        return 0.0, []
+    return estimate_boundary(gen, disc, ratio, uc_cfg, sampler,
+                             np.random.default_rng(derive_seed(seed, "uc", temp, ratio)))
+
+
+def grid_streams(gen, disc, ratio, boundary: float, n: int, sampler: SamplerConfig,
+                 max_attempts_per_sample: int = 10_000):
+    """``(accepted, rejected, stats)`` of one grid point.
+
+    The rejected stream is cut to its first ``n`` rows, or is None when
+    nothing was rejected.
+    """
+    fg = FilteredGenerator(gen, disc, FilterParams(ratio, boundary),
+                           max_attempts_per_sample)
+    accepted, stats = sample_filtered(fg, n, sampler,
+                                      np.random.default_rng(sampler.seed))
+    rejected = stats.rejected_corpus(gen.vocab)
+    return accepted, rejected if rejected is None else rejected[:n], stats
 
 
 def temperature_sweep(gen, real_train: Corpus, real_test: Corpus, temps,
@@ -402,43 +474,21 @@ def temperature_sweep(gen, real_train: Corpus, real_test: Corpus, temps,
         raise InputError("temperatures must be a non-empty list of positives")
     if c_values and disc is None:
         raise InputError("filtered streams need a discriminator")
-    oracle_lm = oracle_lm if oracle_lm is not None else gen
-    embedding = real_emb = None
-    if "fed" in metric_names:
-        embedding = fit_ppmi_svd(real_train, dim=embed_dim)
-        real_emb = embed(real_test, embedding)
-
-    def metrics_for(samples, stream_seed):
-        return compute_metric_row(
-            samples, metric_names, real_train=real_train, real_test=real_test,
-            oracle_lm=oracle_lm, rlm_config=rlm_config, embedding=embedding,
-            real_test_emb=real_emb, bleu_cfg=bleu_cfg, disc_cfg=disc_cfg,
-            seed=stream_seed)
-
+    scorer = MetricScorer(
+        metric_names, real_train=real_train, real_test=real_test,
+        oracle_lm=oracle_lm if oracle_lm is not None else gen, seed=seed,
+        rlm_config=rlm_config, bleu_cfg=bleu_cfg, disc_cfg=disc_cfg,
+        embed_dim=embed_dim)
     rows = []
     for temp in temps:
-        sampler = SamplerConfig(temperature=temp, max_len=max_len,
-                                seed=derive_seed(seed, "sample", temp))
-        base_rng = np.random.default_rng(sampler.seed)
-        baseline = gen.sample_corpus(n_per_point, sampler, base_rng, split="baseline")
-        rows.append({"temperature": temp, "c": 1.0, "stream": "baseline",
-                     **metrics_for(baseline, derive_seed(seed, "err", temp, "baseline"))})
+        sampler = grid_sampler(seed, temp, max_len)
+        rows.append(scorer.row(temp, 1.0, "baseline",
+                               grid_baseline(gen, n_per_point, sampler)))
         for ratio in c_values:
-            if ratio == 1.0:
-                boundary = 0.0
-            else:
-                boundary, _ = estimate_boundary(
-                    gen, disc, ratio, uc_cfg, sampler,
-                    np.random.default_rng(derive_seed(seed, "uc", temp, ratio)))
-            fg = FilteredGenerator(gen, disc, FilterParams(ratio, boundary))
-            accepted, stats = sample_filtered(
-                fg, n_per_point, sampler, np.random.default_rng(sampler.seed))
-            rows.append({"temperature": temp, "c": ratio, "stream": "accepted",
-                         **metrics_for(accepted, derive_seed(seed, "err", temp, ratio, "a"))})
-            rejected = stats.rejected_corpus(gen.vocab)
+            boundary, _ = grid_boundary(gen, disc, seed, temp, ratio, uc_cfg, sampler)
+            accepted, rejected, _ = grid_streams(gen, disc, ratio, boundary,
+                                                 n_per_point, sampler)
+            rows.append(scorer.row(temp, ratio, "accepted", accepted))
             if rejected is not None:
-                if len(rejected) > n_per_point:
-                    rejected = rejected[:n_per_point]
-                rows.append({"temperature": temp, "c": ratio, "stream": "rejected",
-                             **metrics_for(rejected, derive_seed(seed, "err", temp, ratio, "r"))})
+                rows.append(scorer.row(temp, ratio, "rejected", rejected))
     return SweepReport(rows)

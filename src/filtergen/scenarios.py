@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Corpus, MarkovSource, synth_markov
 from .errors import InputError
-from .genmodel import MarkovModel, NGramConfig, SamplerConfig, train_mle
+from .genmodel import MarkovModel, NGramConfig, train_mle
 from .oracle import (ExactDiscriminator, ExactDistribution, enumerate_distribution,
                      optimal_discriminator, tv_distance)
 from .seeding import derive_seed
@@ -131,9 +131,3 @@ def _build_generator(gen_spec: dict, source: MarkovSource, seq_len: int, seed: i
         return train_mle(gen_train, None, cfg)
     raise InputError(f"unknown generator kind '{kind}'")
 
-
-def default_sampler(spec_or_scenario, temperature: float = 1.0,
-                    seed: int = 0) -> SamplerConfig:
-    length = (spec_or_scenario.length if isinstance(spec_or_scenario, Scenario)
-              else spec_or_scenario["length"])
-    return SamplerConfig(temperature=temperature, max_len=length, seed=seed)

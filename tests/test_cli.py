@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import filtergen as fg
+from filtergen.checkpoint import load_model
 from filtergen.cli import main, oracle_check, run_pipeline, validate_config
 from filtergen.errors import ConfigError
+from filtergen.metrics import temperature_sweep
 
 
 def _write_config(tmp_path, **overrides):
@@ -42,6 +44,16 @@ def test_validate_config_collects_all_problems(tmp_path):
     assert "unknown metric 'nope'" in text
     assert "unknown key 'mystery'" in text
     assert "filter.c entries" in text
+
+
+def test_reverse_lm_minimum_is_one_constant(tmp_path):
+    with pytest.raises(ConfigError, match="unknown key 'eval.rlm_min_samples'"):
+        validate_config(_write_config(tmp_path, eval={"n_samples": 999,
+                                                      "rlm_min_samples": 500}))
+    with pytest.raises(ConfigError, match="n_samples must be >= 1000"):
+        validate_config(_write_config(tmp_path, metrics=["rlm"],
+                                      eval={"n_samples": 999}))
+    validate_config(_write_config(tmp_path, metrics=["rlm"], eval={"n_samples": 1000}))
 
 
 def test_validate_config_requires_one_source(tmp_path):
@@ -216,3 +228,74 @@ def test_missing_input_file_is_a_stage_failure(tmp_path):
     code = main(["train-gen", "--train", str(tmp_path / "nope.txt"),
                  "--config", str(cfg), "--out", str(tmp_path / "gen.json")])
     assert code == 3
+
+
+def _s2_config(tmp_path, **overrides):
+    return _write_config(tmp_path, **{
+        "scenario": "s2",
+        "discriminator": {"lr": 0.05, "batch_size": 256, "max_epochs": 4, "patience": 8},
+        "filter": {"c": [1.0, 0.5]},
+        "eval": {"n_samples": 1000},
+        "uc": {"samples_per_round": 200, "rounds": 40},
+        **overrides})
+
+
+def test_pipeline_sweep_equals_temperature_sweep_on_its_artifacts(tmp_path):
+    # seed 8 rejects at least n_samples rows at every point, so the reverse
+    # LM scores every row
+    cfg = validate_config(_s2_config(
+        tmp_path, seed=8, temperatures=[0.9, 1.2],
+        metrics=["bleu", "selfbleu", "lm", "rlm", "fed", "err"]))
+    out = tmp_path / "run"
+    run_pipeline(cfg, out)
+    vocab = fg.Vocab.load(out / "vocab.json")
+    train, test = (fg.load_corpus(out / f"{name}.txt", vocab, name, cfg.eval["max_len"])
+                   for name in ("train", "test"))
+    gen, disc = load_model(out / "gen.json"), load_model(out / "disc.json")
+    oracle_cfg = fg.NGramConfig(order=2, delta=0.01, fixed_length=gen.fixed_length)
+    report = temperature_sweep(
+        gen, train, test, cfg.temperatures, cfg.metrics, cfg.eval["n_samples"],
+        cfg.seed, disc=disc, c_values=cfg.filter_ratios,
+        bleu_cfg=fg.BleuConfig(max_order=cfg.eval["bleu_order"]),
+        embed_dim=cfg.eval["embed_dim"], rlm_config=oracle_cfg,
+        oracle_lm=fg.train_mle(train, None, oracle_cfg), uc_cfg=cfg.uc,
+        disc_cfg=cfg.discriminator, max_len=cfg.eval["max_len"])
+    assert len(report.rows) == 2 * 4
+    assert report.csv_text() == (out / "sweep.csv").read_text()
+
+
+def test_short_rejected_stream_leaves_the_reverse_lm_cell_empty(tmp_path):
+    # seed 3 rejects 913 of the 1000 rows the reverse LM needs
+    path = _s2_config(tmp_path, seed=3, filter={"c": [0.5]}, metrics=["bleu", "rlm"])
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert len((out / "samples_T1_c0.5_rejected.txt").read_text().splitlines()) < 1000
+    with open(out / "sweep.csv") as fh:
+        rows = {r["stream"]: r for r in csv.DictReader(fh)}
+    assert rows["rejected"]["rev_lm_score"] == "" and rows["rejected"]["bleu5"] != ""
+    assert rows["baseline"]["rev_lm_score"] != "" and rows["accepted"]["rev_lm_score"] != ""
+    # the evaluate subcommand stays strict about the minimum
+    code = main(["evaluate", "--real", str(out / "test.txt"),
+                 "--samples", str(out / "samples_T1_c0.5_rejected.txt"),
+                 "--gen", str(out / "gen.json"), "--metrics", "rlm",
+                 "--out", str(tmp_path / "rlm.json")])
+    assert code == 3
+
+
+def test_rejected_artifact_is_the_scored_prefix(tmp_path):
+    # seed 1 rejects more rows than n_samples; the artifact keeps the first n
+    cfg = validate_config(_s2_config(tmp_path, seed=1, filter={"c": [0.5]},
+                                     metrics=["bleu"]))
+    out = tmp_path / "run"
+    run_pipeline(cfg, out)
+    vocab = fg.Vocab.load(out / "vocab.json")
+    gen, disc = load_model(out / "gen.json"), load_model(out / "disc.json")
+    u_c = json.loads((out / "uc_T1_c0.5.json").read_text())["u_c"]
+    sampler = fg.SamplerConfig(temperature=1.0, max_len=cfg.eval["max_len"],
+                               seed=fg.seeding.derive_seed(1, "sample", 1.0))
+    _, stats = fg.sample_filtered(
+        fg.FilteredGenerator(gen, disc, fg.FilterParams(0.5, u_c)), 1000, sampler,
+        np.random.default_rng(sampler.seed))
+    assert len(stats.rejected_sequences) > 1000
+    written = fg.load_corpus(out / "samples_T1_c0.5_rejected.txt", vocab)
+    assert written.sequences == stats.rejected_sequences[:1000].sequences

@@ -120,6 +120,21 @@ def test_invalid_stochastic_matrix_rejected():
                      np.array([[0.9, 0.2], [0.5, 0.5]]), 2)
 
 
+def test_markov_source_leaves_the_callers_arrays_writable():
+    initial, transition = np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.5, 0.5]])
+    source = MarkovSource(("a", "b"), initial, transition, 2)
+    assert initial.flags.writeable and transition.flags.writeable
+    assert not source.initial.flags.writeable and not source.transition.flags.writeable
+    initial[0] = 1.0
+    assert source.initial[0] == 0.5
+
+
+def test_exact_prob_rejects_tokens_outside_the_alphabet():
+    source = _uniform_source(3, 2)
+    with pytest.raises(InputError, match="outside the source alphabet"):
+        exact_prob(source, Sequence((4, 7)))
+
+
 def test_synth_markov_deterministic_given_seed():
     source = _uniform_source(4, 3)
     a = synth_markov(source, 50, np.random.default_rng(7))

@@ -1,4 +1,5 @@
-"""The demos that call the exact boundary solver run to completion."""
+"""The demos that call the exact boundary solver or the temperature sweep
+run to completion."""
 
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_exact_correction.py", "02_boundary_search.py"])
+@pytest.mark.parametrize("demo", ["01_exact_correction.py", "02_boundary_search.py",
+                                  "05_temperature_sweep.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

@@ -359,3 +359,40 @@ def test_neural_seq_logprobs_match_seq_logprob(fixed_length):
                             for ids in itertools.product((4, 5, 6), repeat=n)])
     want = [model.seq_logprob(s) for s in corpus]
     np.testing.assert_allclose(model.seq_logprobs(corpus), want, rtol=1e-12, atol=0)
+
+
+def _ref_neural_nll(model, seqs) -> float:
+    """Summed NLL of ``seqs``: the step loop that scored one batch (or one
+    sequence) before ``seq_logprobs`` became the batched kernel."""
+    p = model.params
+    targets, events = model._targets(seqs)
+    inputs, mask = model._step_stack(targets, events)
+    n, width = targets.shape
+    h = np.zeros((n, p["w_hh"].shape[0]))
+    loss = 0.0
+    for t in range(width):
+        x = p["embed"][inputs[:, t]]
+        h = np.tanh(x @ p["w_xh"] + h @ p["w_hh"] + p["b_h"])
+        logits = h @ p["w_hy"] + p["b_y"]
+        logits -= logits.max(axis=1, keepdims=True)
+        logz = np.log(np.exp(logits).sum(axis=1))
+        picked = logits[np.arange(n), targets[:, t]] - logz
+        loss -= float((picked * mask[:, t]).sum())
+    return loss
+
+
+@pytest.mark.parametrize("fixed_length", [None, 4])
+def test_neural_batched_kernel_matches_the_scalar_path(fixed_length):
+    vocab, model = _toy_neural(fixed_length=fixed_length, seed=6)
+    rng = np.random.default_rng(6)
+    # 300 rows: one full 256-row forward pass and a partial one
+    lengths = np.full(300, 4) if fixed_length else rng.integers(1, 9, 300)
+    corpus = Corpus(vocab, [Sequence(tuple(rng.integers(4, 7, n))) for n in lengths])
+    want = np.array([-_ref_neural_nll(model, [s]) for s in corpus])
+    np.testing.assert_allclose(model.seq_logprobs(corpus), want, rtol=1e-12, atol=0)
+    assert [model.seq_logprob(s) for s in corpus[:20]] == pytest.approx(
+        want[:20], rel=1e-12, abs=0)
+    # the old mean_nll: scalar-path sums over 256-row batches, per event
+    total = sum(_ref_neural_nll(model, corpus[i: i + 256]) for i in range(0, 300, 256))
+    events = int((lengths + (0 if fixed_length else 1)).sum())
+    assert model.mean_nll(corpus) == pytest.approx(total / events, rel=1e-12, abs=0)
