@@ -109,7 +109,7 @@ def validate_config(path) -> ExperimentConfig:
     if (scenario is None) == (data is None):
         problems.append("exactly one of 'scenario' or 'data' is required")
     _check_keys(problems, data, _DATA_KEYS, "data")
-    if data is not None:
+    if isinstance(data, dict):
         for key in ("train", "valid", "test"):
             if key not in data:
                 problems.append(f"data.{key} required")
@@ -122,7 +122,7 @@ def validate_config(path) -> ExperimentConfig:
 
     generator = doc.get("generator")
     _check_keys(problems, generator, _GEN_KEYS, "generator")
-    if generator is not None and generator.get("kind") not in ("ngram", "neural", "markov"):
+    if isinstance(generator, dict) and generator.get("kind") not in ("ngram", "neural", "markov"):
         problems.append("generator.kind must be one of ngram|neural|markov")
     if generator is None and scenario is None:
         problems.append("generator section required in data mode")
@@ -137,6 +137,8 @@ def validate_config(path) -> ExperimentConfig:
 
     filt = doc.get("filter") or {"c": [0.5]}
     _check_keys(problems, filt, _FILTER_KEYS, "filter")
+    if not isinstance(filt, dict):
+        filt = {}
     ratios = filt.get("c", [0.5])
     if not isinstance(ratios, list) or not ratios:
         problems.append("filter.c must be a non-empty list")
@@ -145,6 +147,10 @@ def validate_config(path) -> ExperimentConfig:
         if not isinstance(c, (int, float)) or not 0.0 < c <= 1.0:
             problems.append(f"filter.c entries must lie in (0, 1], got {c!r}")
     max_attempts = filt.get("max_attempts_per_sample", 10_000)
+    if not _positive_int(max_attempts):
+        problems.append("filter.max_attempts_per_sample must be a positive integer, "
+                        f"got {max_attempts!r}")
+        max_attempts = 10_000
 
     temps = doc.get("temperatures", [1.0])
     if not isinstance(temps, list) or not temps:
@@ -161,7 +167,12 @@ def validate_config(path) -> ExperimentConfig:
 
     eval_doc = dict(_EVAL_DEFAULTS)
     _check_keys(problems, doc.get("eval"), set(_EVAL_DEFAULTS), "eval")
-    eval_doc.update(doc.get("eval") or {})
+    if isinstance(doc.get("eval"), dict):
+        eval_doc.update(doc["eval"])
+    for key, default in _EVAL_DEFAULTS.items():
+        if not _positive_int(eval_doc[key]):
+            problems.append(f"eval.{key} must be a positive integer, got {eval_doc[key]!r}")
+            eval_doc[key] = default
     if "rlm" in metrics and eval_doc["n_samples"] < RLM_MIN_SAMPLES:
         problems.append(f"eval.n_samples must be >= {RLM_MIN_SAMPLES} when 'rlm' is requested")
 
@@ -178,9 +189,13 @@ def validate_config(path) -> ExperimentConfig:
     return ExperimentConfig(seed=seed, scenario=scenario, data=data,
                             data_sizes=data_sizes, generator=generator,
                             discriminator=disc_cfg, filter_ratios=list(ratios),
-                            max_attempts_per_sample=int(max_attempts),
+                            max_attempts_per_sample=max_attempts,
                             temperatures=list(temps), metrics=list(metrics),
                             eval=eval_doc, uc=uc_cfg, raw=doc)
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _check_keys(problems, section, allowed, name) -> None:
@@ -392,6 +407,7 @@ class _Pipeline:
             "best_epoch": report.best_epoch,
             "final_valid_accuracy": report.final_valid_accuracy,
             "converged": report.converged,
+            "stop_reason": report.stop_reason,
         }))
 
     def _models(self):
@@ -561,7 +577,7 @@ def _cmd_train_disc(args) -> int:
                                        np.random.default_rng(args.seed))
     save_model(disc, args.out)
     print(f"wrote {args.out} (valid accuracy {report.final_valid_accuracy:.4f}, "
-          f"converged={report.converged})")
+          f"converged={report.converged}, stop_reason={report.stop_reason})")
     return 0
 
 

@@ -17,6 +17,15 @@ each (row, kernel)'s first maximising window: per offset ``i``, a
 ``bincount`` of that gradient over the token at ``argmax + i`` gives
 ``G_i`` of shape ``(U, k)``, and then ``dW_i = embed[tokens].T @ G_i`` and
 ``dembed[tokens] = sum_i G_i @ W_i.T``.
+
+A sequence's score depends on that sequence alone, bit for bit, whatever
+else is in the batch. A matrix-matrix product's rows can round differently
+with the number of rows, so every token's row of all the ``T_i`` comes from
+its own vector-matrix product and each logit from its own dot product
+(stacked ``@`` with one row per stack); pooling, masking and the sigmoid
+are elementwise. ``predict_corpus`` relies on this: it runs the forward pass
+once per distinct (ids, length) row and gathers the scores back, which is
+bit-identical to scoring every row on its own.
 """
 
 from __future__ import annotations
@@ -51,13 +60,22 @@ class DiscConfig:
 
 @dataclass
 class DiscTrainReport:
-    """Per-epoch training trace and the convergence verdict."""
+    """Per-epoch training trace and why training stopped.
+
+    ``stop_reason`` is ``"patience"`` when validation accuracy stopped
+    improving for ``patience`` epochs (converged) and ``"max_epochs"`` when
+    the epoch budget ran out first.
+    """
 
     train_loss: list
     valid_accuracy: list
     best_epoch: int
     final_valid_accuracy: float
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "patience"
 
     @property
     def epochs(self) -> int:
@@ -123,18 +141,23 @@ class TextCNN:
                 pooled.append(np.zeros((b, k)))
                 cache["banks"][w] = None
                 continue
-            # tables[i] = emb @ W_i: every token's term as a window's i-th token
-            tables = emb @ p[f"conv{w}_w"].reshape(w, de, k)  # (w, U, k)
-            pre = p[f"conv{w}_b"] + np.take(tables[0], local[:, :positions], axis=0)
+            # tables[:, i] = emb @ W_i: every token's term as a window's i-th
+            # token, one vector-matrix product per (token, i) so that a
+            # token's row does not depend on the other tokens
+            weight = p[f"conv{w}_w"].reshape(w, de, k)
+            tables = (emb[:, None, None, :] @ weight)[:, :, 0]  # (U, w, k)
+            pre = p[f"conv{w}_b"] + np.take(tables[:, 0], local[:, :positions], axis=0)
             for i in range(1, w):
-                pre += np.take(tables[i], local[:, i:i + positions], axis=0)
+                pre += np.take(tables[:, i], local[:, i:i + positions], axis=0)
             valid = np.arange(positions) < (lengths - w + 1)[:, None]
             pre[~valid] = -np.inf
             top = pre.max(axis=1)  # (B, k); -inf for a row with no valid window
             pooled.append(np.maximum(top, 0.0))  # relu after the pool
             cache["banks"][w] = (pre, top)
         feats = np.concatenate(pooled, axis=1)
-        logits = feats @ p["out_w"] + p["out_b"][0]
+        # one dot product per row: a matrix-vector product's rows can round
+        # differently with the number of rows
+        logits = (feats[:, None, :] @ p["out_w"])[:, 0] + p["out_b"][0]
         cache["feats"] = feats
         return logits, cache
 
@@ -196,9 +219,17 @@ class TextCNN:
         return float(self.predict_corpus([seq])[0])
 
     def predict_corpus(self, corpus, chunk: int = 1024) -> np.ndarray:
+        """Scores in (0, 1), one per row, each as if the row were scored alone.
+
+        Only the distinct (ids, length) rows go through the forward pass;
+        a score depends on its row alone, so gathering them back is
+        bit-identical to scoring every row.
+        """
+        ids, lengths = corpus_to_arrays(corpus, PAD)
+        distinct, inverse = _distinct_rows(ids, lengths)
+        ids, lengths = ids[distinct], lengths[distinct]  # sorted by length first
         # 1024-row chunks keep a bank's (rows, positions, kernels) block in
         # cache on short sequences; 8192 rows ran at half the speed
-        ids, lengths = corpus_to_arrays(corpus, PAD)
         out = np.empty(len(lengths))
         for start in range(0, len(lengths), chunk):
             rows = slice(start, start + chunk)
@@ -206,7 +237,25 @@ class TextCNN:
             width = int(lengths[rows].max())
             logits, _ = self._forward(ids[rows, :width], lengths[rows])
             out[rows] = _sigmoid(logits)
-        return np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)
+        return np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)[inverse]
+
+
+def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of one row per distinct (ids, length), and each row's group.
+
+    ``ids[distinct][inverse]`` rebuilds ``ids``. One lexsort over the id
+    columns and the lengths, then a comparison of neighbours; no packing of
+    a row into one integer, so no width or vocabulary size can overflow.
+    """
+    n = len(lengths)
+    order = np.lexsort(np.vstack([ids.T, lengths[None, :]]))
+    sorted_ids, sorted_len = ids[order], lengths[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = ((sorted_ids[1:] != sorted_ids[:-1]).any(axis=1)
+                 | (sorted_len[1:] != sorted_len[:-1]))
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -290,7 +339,7 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
     best_params = {k: v.copy() for k, v in disc.params.items()}
     best_acc, best_epoch, stale = -1.0, -1, 0
     losses, accs = [], []
-    converged = False
+    stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
         pos, neg = pair_provider(epoch)
         assert len(pos) == len(neg)  # balanced classes by construction
@@ -320,10 +369,10 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
         else:
             stale += 1
         if stale >= cfg.patience:
-            converged = True
+            stop_reason = "patience"
             break
     disc.params = best_params
-    return DiscTrainReport(losses, accs, best_epoch, best_acc, converged)
+    return DiscTrainReport(losses, accs, best_epoch, best_acc, stop_reason)
 
 
 def _accuracy(disc: TextCNN, real_val, fake_val) -> float:

@@ -70,11 +70,19 @@ class FilterParams:
 
 
 def accept(seq, disc, params: FilterParams, rng) -> bool:
-    """Single accept/reject decision; always consumes one uniform draw."""
-    score = disc.predict(seq)
+    """Single accept/reject decision; always consumes one uniform draw.
+
+    Plain float arithmetic, in the order of ``raw_acceptance_probability``,
+    so the decision equals the vectorized one without a numpy round trip.
+    """
+    score = float(disc.predict(seq))
     z = rng.random()
-    s = acceptance_probability(score, params.acceptance_ratio, params.boundary)
-    return bool(score >= params.boundary or z <= s)
+    if score <= 0.0 or score >= 1.0:
+        raise InputError("discriminator score must lie strictly in (0, 1)")
+    if score >= params.boundary:
+        return True
+    odds = min(score / (1.0 - score), RATIO_CAP)
+    return z <= min(params.acceptance_ratio * odds, 1.0)
 
 
 def _accept_mask(scores: np.ndarray, ratio: float, boundary: float, rng) -> np.ndarray:

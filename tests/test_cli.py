@@ -56,6 +56,27 @@ def test_reverse_lm_minimum_is_one_constant(tmp_path):
     validate_config(_write_config(tmp_path, metrics=["rlm"], eval={"n_samples": 1000}))
 
 
+@pytest.mark.parametrize("overrides,problem", [
+    ({"metrics": ["rlm"], "eval": {"n_samples": "many"}},
+     "eval.n_samples must be a positive integer, got 'many'"),
+    ({"eval": {"bleu_order": 2.5}}, "eval.bleu_order must be a positive integer, got 2.5"),
+    ({"filter": {"c": [0.5], "max_attempts_per_sample": "lots"}},
+     "filter.max_attempts_per_sample must be a positive integer, got 'lots'"),
+    ({"filter": {"c": [0.5], "max_attempts_per_sample": 0}},
+     "filter.max_attempts_per_sample must be a positive integer, got 0"),
+    ({"filter": [0.5]}, "filter must be an object"),
+    ({"eval": [500]}, "eval must be an object"),
+    ({"generator": ["ngram"]}, "generator must be an object"),
+    ({"scenario": None, "data": 5}, "data must be an object"),
+])
+def test_mistyped_config_values_are_config_errors(tmp_path, overrides, problem):
+    path = _write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError) as err:
+        validate_config(path)
+    assert problem in err.value.problems
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "run")]) == 2
+
+
 def test_validate_config_requires_one_source(tmp_path):
     path = tmp_path / "none.json"
     path.write_text(json.dumps({"seed": 1}))
@@ -181,6 +202,9 @@ def test_pipeline_identity_ratio_matches_baseline(tmp_path):
         assert base[col] == acc[col]
     # identity ratio: no rejected stream row at all
     assert all(r["stream"] != "rejected" for r in rows)
+    report = json.loads((tmp_path / "run" / "disc_report.json").read_text())
+    assert report["stop_reason"] in ("patience", "max_epochs")
+    assert report["converged"] == (report["stop_reason"] == "patience")
 
 
 def test_pipeline_resume_recomputes_only_final_stage(tmp_path):

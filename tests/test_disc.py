@@ -212,6 +212,119 @@ def test_predict_corpus_matrix_matches_sequence_list(rows):
     assert np.array_equal(disc.predict_corpus(corpus), disc.predict_corpus(list(corpus)))
 
 
+def _bias_disc(seed=15):
+    # the default widths, where a matrix product's rows round differently
+    # with the number of rows; nonzero biases, so pooled values come from a
+    # mix of windows; negative logits of a few units, where the sigmoid
+    # passes an ulp of the logit on to the score instead of rounding it away
+    vocab = fg.build_vocab(["a b c d e f g h i"], max_size=14)
+    disc = TextCNN(vocab, DiscConfig(seed=seed), np.random.default_rng(seed))
+    bias_rng = np.random.default_rng(seed + 1)
+    for w, k in disc.banks:
+        disc.params[f"conv{w}_b"] = bias_rng.standard_normal(k) * 0.1
+    disc.params["out_w"] = -30.0 * np.abs(disc.params["out_w"])
+    return disc
+
+
+_DISC = _bias_disc()
+_ALONE: dict = {}
+
+
+def _scored_alone(row: tuple) -> float:
+    # the reference: the row as a corpus of its own (memoized; the
+    # classifier never changes)
+    if row not in _ALONE:
+        _ALONE[row] = _DISC.predict_corpus(Corpus(_DISC.vocab, (Sequence(row),)))[0]
+    return _ALONE[row]
+
+
+def _random_distinct_rows(n, seed=16):
+    # n distinct rows of lengths 1-6 over five tokens
+    rng = np.random.default_rng(seed)
+    rows = {}
+    while len(rows) < n:
+        rows.setdefault(tuple(int(t) for t in rng.integers(4, 9, size=rng.integers(1, 7))))
+    return list(rows)
+
+
+_MANY = _random_distinct_rows(1100)  # more distinct rows than one 1,024-row chunk
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool=st.lists(st.lists(st.integers(4, 12), min_size=1, max_size=9).map(tuple),
+                     min_size=1, max_size=12),
+       picks=st.lists(st.integers(0, 11), max_size=60),
+       many=st.integers(0, 3),
+       chunk=st.sampled_from([1, 3, 1024]),
+       order=st.randoms(use_true_random=False))
+def test_predict_corpus_scores_every_row_as_if_alone(pool, picks, many, chunk, order):
+    # duplicates (picks repeat pool rows), mixed lengths, rows shorter than
+    # either window (length 1) or than the window-3 bank (length 2), and,
+    # one draw in four, 1,100 more distinct rows across the chunk boundary
+    rows = [pool[i % len(pool)] for i in picks]
+    if many == 0:
+        rows += _MANY + rows
+        order.shuffle(rows)
+    expected = np.array([_scored_alone(r) for r in rows])
+    seqs = [Sequence(r) for r in rows]
+    assert np.array_equal(_DISC.predict_corpus(seqs, chunk=chunk), expected)
+    assert np.array_equal(_DISC.predict_corpus(seqs), expected)
+    if rows:
+        corpus = Corpus(_DISC.vocab, seqs)
+        assert np.array_equal(_DISC.predict_corpus(corpus), expected)
+        assert np.array_equal(_DISC.predict_corpus(corpus[len(rows) // 2:]),
+                              expected[len(rows) // 2:])
+    else:
+        assert _DISC.predict_corpus(seqs).shape == (0,)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pool=st.lists(st.lists(st.integers(4, 12), min_size=1, max_size=9).map(tuple),
+                     min_size=1, max_size=20),
+       extra_pad=st.integers(0, 4))
+def test_logits_do_not_depend_on_the_batch_or_on_padding(pool, extra_pad):
+    # the property the deduplication rests on, at the forward pass: a row's
+    # logit is bit-identical whatever rows and PAD columns surround it
+    ids, lengths = fg.data.corpus_to_arrays([Sequence(r) for r in pool], fg.data.PAD)
+    padded = np.concatenate([ids, np.full((len(pool), extra_pad), fg.data.PAD)], axis=1)
+    batch, _ = _DISC._forward(padded, lengths)
+    for i, row in enumerate(pool):
+        alone, _ = _DISC._forward(np.array([row]), np.array([len(row)]))
+        assert batch[i] == alone[0]
+
+
+def test_domain_scores_equal_their_scores_inside_a_sampled_batch(s3, s3_disc):
+    # exact_boundary scores the domain once; the filter scores sampled
+    # batches. Equal bits make the boundary's plateau the filter's decisions.
+    disc, _ = s3_disc
+    domain = s3.p_model.domain
+    by_domain = disc.predict_corpus(domain)
+    assert np.array_equal(by_domain, [disc.predict(seq) for seq in domain])
+    index = {seq.ids: i for i, seq in enumerate(domain)}
+    batch = s3.generator.sample_corpus(5000, SamplerConfig(max_len=s3.length, seed=17),
+                                       np.random.default_rng(17))
+    assert len(set(batch)) > 1  # the batch repeats sequences and mixes them
+    assert np.array_equal(disc.predict_corpus(batch),
+                          by_domain[[index[seq.ids] for seq in batch]])
+
+
+def test_stop_reason_records_patience_and_max_epochs():
+    real_src, fake_src = _start_token_sources()
+    real = fg.synth_markov(real_src, 200, np.random.default_rng(18), "train")
+    gen = MarkovModel(fake_src)
+    # lr 0 never moves the parameters, so validation accuracy only ties
+    # and patience ends training after 1 + patience epochs
+    still = DiscConfig(embed_dim=4, kernels2=2, kernels3=2, lr=0.0, batch_size=64,
+                       max_epochs=50, patience=2, seed=18)
+    _, report = train_discriminator(real, gen, still, np.random.default_rng(18))
+    assert (report.stop_reason, report.converged, report.epochs) == ("patience", True, 3)
+    # patience longer than the epoch budget: the budget ends training
+    short = DiscConfig(embed_dim=4, kernels2=2, kernels3=2, lr=0.1, batch_size=64,
+                       max_epochs=2, patience=10, seed=18)
+    _, report = train_discriminator(real, gen, short, np.random.default_rng(18))
+    assert (report.stop_reason, report.converged, report.epochs) == ("max_epochs", False, 2)
+
+
 # The window-matrix kernels the projected-table kernels replaced, kept as the
 # reference they must agree with.
 def _reference_forward(disc, ids, lengths):
