@@ -18,19 +18,21 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .checkpoint import load_model, save_model
-from .data import (Vocab, build_vocab, load_corpus, save_corpus,
+from .data import (DEFAULT_MAX_LEN, Vocab, build_vocab, load_corpus, save_corpus,
                    synth_markov)
 from .disc import DiscConfig, error_rate, train_discriminator
-from .errors import BudgetError, ConfigError, FiltergenError, InputError
-from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
-                        estimate_boundary, sample_filtered)
+from .errors import BudgetError, ConfigError, FiltergenError, InputError, integer
+from .filtering import BoundaryEstimateConfig, estimate_boundary
+# unused here since `sample` runs metrics.grid_streams, but perfbench's tracer
+# test still expects this module to bind it
+from .filtering import sample_filtered  # noqa: F401
 from .genmodel import NeuralConfig, NGramConfig, SamplerConfig, train_mle
 from .metrics import (KNOWN_METRICS, RLM_MIN_SAMPLES, SWEEP_COLUMNS, BleuConfig,
                       MetricScorer, SweepReport, grid_baseline, grid_boundary,
@@ -43,7 +45,11 @@ from .seeding import derive_seed
 # Experiment configuration (strict schema: unknown keys are errors).
 # ---------------------------------------------------------------------------
 
-_EVAL_DEFAULTS = {"n_samples": 2000, "bleu_order": 5, "embed_dim": 64, "max_len": 64}
+_EVAL_DEFAULTS = {"n_samples": 2000, "bleu_order": 5, "embed_dim": 64, "max_len": DEFAULT_MAX_LEN}
+# corpus limits of the data section and of train-gen's config
+_CORPUS_DEFAULTS = {"vocab_size": 10_000, "max_len": DEFAULT_MAX_LEN}
+_GENERATORS = {"ngram": NGramConfig, "neural": NeuralConfig}
+_is_positive_int, _ = integer(1)
 
 
 @dataclass
@@ -52,7 +58,7 @@ class ExperimentConfig:
     scenario: str | None
     data: dict | None
     data_sizes: dict | None
-    generator: dict | None
+    generator: NGramConfig | NeuralConfig | None
     discriminator: DiscConfig
     filter_ratios: list
     max_attempts_per_sample: int
@@ -71,15 +77,7 @@ _SCHEMA_SECTIONS = {
     "seed", "scenario", "data", "data_sizes", "generator", "discriminator",
     "filter", "temperatures", "metrics", "eval", "uc",
 }
-_DATA_KEYS = {"train", "valid", "test", "vocab_size", "max_len"}
-_SIZE_KEYS = {"train", "valid", "test"}
-_GEN_KEYS = {"kind", "order", "delta", "fixed_length", "embed_dim", "hidden_dim",
-             "lr", "momentum", "batch_size", "max_epochs", "patience", "train_n",
-             "initial", "transition"}
-_DISC_KEYS = {"embed_dim", "kernels2", "kernels3", "lr", "momentum", "batch_size",
-              "max_epochs", "patience", "temperature"}
-_FILTER_KEYS = {"c", "max_attempts_per_sample"}
-_UC_KEYS = {"samples_per_round", "rounds", "step", "init", "tail"}
+_SPLITS = ("train", "valid", "test")
 
 
 def validate_config(path) -> ExperimentConfig:
@@ -102,43 +100,37 @@ def validate_config(path) -> ExperimentConfig:
         problems.append("seed required (integer)")
         seed = 0
 
-    scenario = doc.get("scenario")
-    data = doc.get("data")
+    scenario, data = doc.get("scenario"), doc.get("data")
+    data_sizes, generator = doc.get("data_sizes"), doc.get("generator")
     if scenario is not None and scenario not in SCENARIO_NAMES:
         problems.append(f"unknown scenario '{scenario}'")
     if (scenario is None) == (data is None):
         problems.append("exactly one of 'scenario' or 'data' is required")
-    _check_keys(problems, data, _DATA_KEYS, "data")
     if isinstance(data, dict):
-        for key in ("train", "valid", "test"):
+        for key in _SPLITS:
             if key not in data:
                 problems.append(f"data.{key} required")
-            elif not Path(data[key]).exists():
+            elif not isinstance(data[key], str) or not Path(data[key]).exists():
                 problems.append(f"data.{key}: file not found: {data[key]}")
-    data_sizes = doc.get("data_sizes")
-    _check_keys(problems, data_sizes, _SIZE_KEYS, "data_sizes")
-    if data_sizes is not None and scenario is None:
-        problems.append("data_sizes only applies to scenario mode")
-
-    generator = doc.get("generator")
-    _check_keys(problems, generator, _GEN_KEYS, "generator")
-    if isinstance(generator, dict) and generator.get("kind") not in ("ngram", "neural", "markov"):
-        problems.append("generator.kind must be one of ngram|neural|markov")
+    if data is not None:
+        data = _positive_ints(problems, data, "data", _CORPUS_DEFAULTS, extra=_SPLITS)
+    if data_sizes is not None:
+        if scenario is None:
+            problems.append("data_sizes only applies to scenario mode")
+        data_sizes = _positive_ints(problems, data_sizes, "data_sizes",
+                                    dict.fromkeys(_SPLITS))
     if generator is None and scenario is None:
         problems.append("generator section required in data mode")
+    if generator is not None:
+        if scenario is not None:
+            problems.append("generator only applies to data mode")
+        generator = _generator_section(problems, generator, derive_seed(seed, "train-gen"))
 
-    disc_doc = doc.get("discriminator") or {}
-    _check_keys(problems, disc_doc, _DISC_KEYS, "discriminator")
-    try:
-        disc_cfg = DiscConfig(**disc_doc, seed=seed)
-    except (TypeError, InputError) as exc:
-        problems.append(f"discriminator: {exc}")
-        disc_cfg = DiscConfig(seed=seed)
+    disc_cfg = _section(problems, doc.get("discriminator"), "discriminator", DiscConfig,
+                        seed=seed)
 
-    filt = doc.get("filter") or {"c": [0.5]}
-    _check_keys(problems, filt, _FILTER_KEYS, "filter")
-    if not isinstance(filt, dict):
-        filt = {}
+    filt = _positive_ints(problems, doc.get("filter"), "filter",
+                 {"max_attempts_per_sample": 10_000}, extra=("c",))
     ratios = filt.get("c", [0.5])
     if not isinstance(ratios, list) or not ratios:
         problems.append("filter.c must be a non-empty list")
@@ -146,11 +138,6 @@ def validate_config(path) -> ExperimentConfig:
     for c in ratios:
         if not isinstance(c, (int, float)) or not 0.0 < c <= 1.0:
             problems.append(f"filter.c entries must lie in (0, 1], got {c!r}")
-    max_attempts = filt.get("max_attempts_per_sample", 10_000)
-    if not _positive_int(max_attempts):
-        problems.append("filter.max_attempts_per_sample must be a positive integer, "
-                        f"got {max_attempts!r}")
-        max_attempts = 10_000
 
     temps = doc.get("temperatures", [1.0])
     if not isinstance(temps, list) or not temps:
@@ -161,73 +148,81 @@ def validate_config(path) -> ExperimentConfig:
             problems.append(f"temperature must be > 0, got {t!r}")
 
     metrics = doc.get("metrics", ["bleu", "selfbleu", "lm", "fed"])
+    if not isinstance(metrics, list):
+        problems.append(f"metrics must be a list, got {metrics!r}")
+        metrics = []
     for m in metrics:
         if m not in KNOWN_METRICS:
             problems.append(f"unknown metric '{m}' (known: {', '.join(KNOWN_METRICS)})")
 
-    eval_doc = dict(_EVAL_DEFAULTS)
-    _check_keys(problems, doc.get("eval"), set(_EVAL_DEFAULTS), "eval")
-    if isinstance(doc.get("eval"), dict):
-        eval_doc.update(doc["eval"])
-    for key, default in _EVAL_DEFAULTS.items():
-        if not _positive_int(eval_doc[key]):
-            problems.append(f"eval.{key} must be a positive integer, got {eval_doc[key]!r}")
-            eval_doc[key] = default
+    eval_doc = _positive_ints(problems, doc.get("eval"), "eval", _EVAL_DEFAULTS)
     if "rlm" in metrics and eval_doc["n_samples"] < RLM_MIN_SAMPLES:
         problems.append(f"eval.n_samples must be >= {RLM_MIN_SAMPLES} when 'rlm' is requested")
 
-    uc_doc = doc.get("uc") or {}
-    _check_keys(problems, uc_doc, _UC_KEYS, "uc")
-    try:
-        uc_cfg = BoundaryEstimateConfig(**uc_doc)
-    except (TypeError, InputError) as exc:
-        problems.append(f"uc: {exc}")
-        uc_cfg = BoundaryEstimateConfig()
+    uc_cfg = _section(problems, doc.get("uc"), "uc", BoundaryEstimateConfig)
 
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(seed=seed, scenario=scenario, data=data,
                             data_sizes=data_sizes, generator=generator,
                             discriminator=disc_cfg, filter_ratios=list(ratios),
-                            max_attempts_per_sample=max_attempts,
+                            max_attempts_per_sample=filt["max_attempts_per_sample"],
                             temperatures=list(temps), metrics=list(metrics),
                             eval=eval_doc, uc=uc_cfg, raw=doc)
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _check_keys(problems, section, allowed, name) -> None:
-    if section is None:
-        return
-    if not isinstance(section, dict):
+def _object(problems, doc, name: str, allowed) -> dict | None:
+    """The ``allowed`` keys of section ``doc`` ({} when absent); None if not an object."""
+    if doc is None:
+        return {}
+    if not isinstance(doc, dict):
         problems.append(f"{name} must be an object")
-        return
-    for key in section:
-        if key not in allowed:
-            problems.append(f"unknown key '{name}.{key}'")
+        return None
+    problems.extend(f"unknown key '{name}.{key}'" for key in doc if key not in allowed)
+    return {key: value for key, value in doc.items() if key in allowed}
 
 
-def _generator_config(gen_doc: dict, fixed_length, seed: int):
-    kind = gen_doc.get("kind", "ngram")
-    if kind == "ngram":
-        return NGramConfig(order=gen_doc.get("order", 2),
-                           delta=gen_doc.get("delta", 0.01),
-                           fixed_length=gen_doc.get("fixed_length", fixed_length),
-                           seed=seed)
-    if kind == "neural":
-        return NeuralConfig(
-            embed_dim=gen_doc.get("embed_dim", 32),
-            hidden_dim=gen_doc.get("hidden_dim", 64),
-            lr=gen_doc.get("lr", 0.1),
-            momentum=gen_doc.get("momentum", 0.9),
-            batch_size=gen_doc.get("batch_size", 32),
-            max_epochs=gen_doc.get("max_epochs", 50),
-            patience=gen_doc.get("patience", 3),
-            fixed_length=gen_doc.get("fixed_length", fixed_length),
-            seed=seed)
-    raise ConfigError([f"generator.kind '{kind}' not trainable from corpora"])
+def _positive_ints(problems, doc, name: str, defaults: dict, extra=()) -> dict:
+    """Section ``doc`` over ``defaults``, whose keys take positive integers.
+
+    ``extra`` names the section's other keys; a None default means required.
+    """
+    section = _object(problems, doc, name, {*defaults, *extra})
+    if section is None:
+        return dict(defaults)
+    values = {**defaults, **section}
+    for key, default in defaults.items():
+        value = values[key]
+        if not _is_positive_int(value):
+            problems.append(f"{name}.{key} required" if value is None and default is None else
+                            f"{name}.{key} must be a positive integer, got {value!r}")
+            values[key] = default
+    return values
+
+
+def _section(problems, doc, name: str, cls, **fixed):
+    """Config dataclass ``cls`` built from section ``doc``, or None on a problem.
+
+    The section's keys are the fields of ``cls`` other than those in ``fixed``.
+    """
+    doc = _object(problems, doc, name, {f.name for f in fields(cls)} - set(fixed))
+    try:
+        return None if doc is None else cls(**doc, **fixed)
+    except (TypeError, InputError) as exc:
+        problems.append(f"{name}: {exc}")
+        return None
+
+
+def _generator_section(problems, doc, seed: int):
+    """The seeded config of the generator ``kind`` names (default ``ngram``)."""
+    kind = doc.get("kind", "ngram") if isinstance(doc, dict) else "ngram"
+    if not isinstance(kind, str) or kind not in _GENERATORS:
+        problems.append(f"generator.kind must be one of {'|'.join(_GENERATORS)}, "
+                        f"got {kind!r}")
+        return None
+    if isinstance(doc, dict):
+        doc = {key: value for key, value in doc.items() if key != "kind"}
+    return _section(problems, doc, "generator", _GENERATORS[kind], seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +358,7 @@ class _Pipeline:
                         s.source, cfg.data_sizes[name],
                         np.random.default_rng(derive_seed(spec_seed, name, s.length)),
                         name)
-                    for name in ("train", "valid", "test")
+                    for name in _SPLITS
                 }
             for name, corpus in corpora.items():
                 save_corpus(corpus, self.out / f"{name}.txt")
@@ -371,27 +366,24 @@ class _Pipeline:
         else:
             with open(cfg.data["train"], encoding="utf-8") as fh:
                 lines = fh.readlines()
-            vocab = build_vocab(lines, cfg.data.get("vocab_size", 10_000))
+            vocab = build_vocab(lines, cfg.data["vocab_size"])
             vocab.save(self.out / "vocab.json")
-            max_len = cfg.data.get("max_len", 64)
-            for name in ("train", "valid", "test"):
-                corpus = load_corpus(cfg.data[name], vocab, name, max_len)
+            for name in _SPLITS:
+                corpus = load_corpus(cfg.data[name], vocab, name, cfg.data["max_len"])
                 save_corpus(corpus, self.out / f"{name}.txt")
 
     def _corpora(self):
         vocab = Vocab.load(self.out / "vocab.json")
         max_len = self.cfg.eval["max_len"]
         return {name: load_corpus(self.out / f"{name}.txt", vocab, name, max_len)
-                for name in ("train", "valid", "test")}
+                for name in _SPLITS}
 
     def _stage_train_gen(self) -> None:
         if self.scenario is not None:
             save_model(self.scenario.generator, self.out / "gen.json")
             return
         corpora = self._corpora()
-        gen_cfg = _generator_config(self.cfg.generator, None,
-                                    derive_seed(self.cfg.seed, "train-gen"))
-        model = train_mle(corpora["train"], corpora["valid"], gen_cfg)
+        model = train_mle(corpora["train"], corpora["valid"], self.cfg.generator)
         save_model(model, self.out / "gen.json")
 
     def _stage_train_disc(self) -> None:
@@ -440,11 +432,7 @@ class _Pipeline:
                     gen, disc, ratio, uc_doc["u_c"], n, sampler,
                     cfg.max_attempts_per_sample)
                 save_corpus(accepted, self.out / self._sample_name(temp, ratio, "accepted"))
-                rej_path = self.out / self._sample_name(temp, ratio, "rejected")
-                if rejected is not None:
-                    save_corpus(rejected, rej_path)
-                else:
-                    rej_path.write_text("")
+                _save_rejected(rejected, self.out / self._sample_name(temp, ratio, "rejected"))
                 (self.out / self._sample_name(temp, ratio, "stats")).write_text(
                     json.dumps(stats.to_dict()))
 
@@ -477,6 +465,14 @@ class _Pipeline:
         if self.scenario is not None:
             doc = oracle_check(self.scenario, self.cfg.filter_ratios[0])
             (self.out / "oracle_report.json").write_text(json.dumps(doc, sort_keys=True))
+
+
+def _save_rejected(rejected, path) -> None:
+    # an empty file means nothing was rejected
+    if rejected is not None:
+        save_corpus(rejected, path)
+    else:
+        Path(path).write_text("")
 
 
 def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
@@ -547,18 +543,21 @@ def _load_json(path) -> dict:
 
 
 def _cmd_train_gen(args) -> int:
-    gen_doc = _load_json(args.config)
-    allowed = _GEN_KEYS | {"vocab_size", "max_len"}
-    unknown = set(gen_doc) - allowed
-    if unknown:
-        raise ConfigError([f"unknown generator config key '{k}'" for k in sorted(unknown)])
+    # the generator section's keys plus the data section's corpus limits
+    doc, problems = _load_json(args.config), []
+    if not isinstance(doc, dict):
+        raise ConfigError(["generator must be an object"])
+    limits = {k: v for k, v in doc.items() if k in _CORPUS_DEFAULTS}
+    cfg = _generator_section(problems, {k: v for k, v in doc.items() if k not in limits},
+                             args.seed)
+    limits = _positive_ints(problems, limits, "generator", _CORPUS_DEFAULTS)
+    if problems:
+        raise ConfigError(problems)
     with open(args.train, encoding="utf-8") as fh:
         lines = fh.readlines()
-    vocab = build_vocab(lines, gen_doc.get("vocab_size", 10_000))
-    max_len = gen_doc.get("max_len", 64)
-    train = load_corpus(args.train, vocab, "train", max_len)
-    valid = load_corpus(args.valid, vocab, "valid", max_len) if args.valid else None
-    cfg = _generator_config(gen_doc, gen_doc.get("fixed_length"), args.seed)
+    vocab = build_vocab(lines, limits["vocab_size"])
+    train = load_corpus(args.train, vocab, "train", limits["max_len"])
+    valid = load_corpus(args.valid, vocab, "valid", limits["max_len"]) if args.valid else None
     model = train_mle(train, valid, cfg)
     save_model(model, args.out)
     print(f"wrote {args.out}")
@@ -566,12 +565,12 @@ def _cmd_train_gen(args) -> int:
 
 
 def _cmd_train_disc(args) -> int:
+    problems = []
+    cfg = _section(problems, _load_json(args.config) if args.config else None,
+                   "discriminator", DiscConfig, seed=args.seed)
+    if problems:
+        raise ConfigError(problems)
     gen = load_model(args.gen_model)
-    disc_doc = _load_json(args.config) if args.config else {}
-    unknown = set(disc_doc) - _DISC_KEYS
-    if unknown:
-        raise ConfigError([f"unknown discriminator config key '{k}'" for k in sorted(unknown)])
-    cfg = DiscConfig(**disc_doc, seed=args.seed)
     real = load_corpus(args.real, gen.vocab, "train")
     disc, report = train_discriminator(real, gen, cfg,
                                        np.random.default_rng(args.seed))
@@ -595,19 +594,13 @@ def _cmd_estimate_uc(args) -> int:
 
 def _cmd_sample(args) -> int:
     gen = load_model(args.gen)
-    disc = load_model(args.disc)
-    params = FilterParams(args.c, args.u_c if args.c < 1.0 else 0.0)
-    fg = FilteredGenerator(gen, disc, params, args.max_attempts)
     sampler = SamplerConfig(temperature=args.temperature, seed=args.seed)
-    corpus, stats = sample_filtered(fg, args.n, sampler,
-                                    np.random.default_rng(args.seed))
+    corpus, rejected, stats = grid_streams(
+        gen, load_model(args.disc), args.c, args.u_c if args.c < 1.0 else 0.0, args.n,
+        sampler, args.max_attempts)
     save_corpus(corpus, args.out)
     if args.rejected_out:
-        rejected = stats.rejected_corpus(gen.vocab)
-        if rejected is not None:
-            save_corpus(rejected, args.rejected_out)
-        else:
-            Path(args.rejected_out).write_text("")
+        _save_rejected(rejected, args.rejected_out)
     stats_path = args.stats_out or f"{args.out}.stats.json"
     with open(stats_path, "w", encoding="utf-8") as fh:
         json.dump(stats.to_dict(), fh)
@@ -671,12 +664,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtergen",
         description="Discriminator-guided rejection sampling for sequence generators")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed")
-    common.add_argument("--out-dir", default=None, help="artifact directory")
+    # --seed only where a subcommand draws randomness outside a config file,
+    # --out-dir only where it writes a pipeline's artifact set
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="random seed")
+    staged = argparse.ArgumentParser(add_help=False)
+    staged.add_argument("--out-dir", default=None, help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-gen", parents=[common],
+    p = sub.add_parser("train-gen", parents=[seeded],
                        help="fit a generator by maximum likelihood")
     p.add_argument("--train", required=True)
     p.add_argument("--valid")
@@ -684,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_gen)
 
-    p = sub.add_parser("train-disc", parents=[common],
+    p = sub.add_parser("train-disc", parents=[seeded],
                        help="train the real-vs-generated classifier to convergence")
     p.add_argument("--real", required=True)
     p.add_argument("--gen-model", required=True)
@@ -692,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_disc)
 
-    p = sub.add_parser("estimate-uc", parents=[common],
+    p = sub.add_parser("estimate-uc", parents=[seeded],
                        help="search the sampling boundary for a target acceptance ratio")
     p.add_argument("--gen", required=True)
     p.add_argument("--disc", required=True)
@@ -701,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate_uc)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample", parents=[seeded],
                        help="draw filtered samples (accepted plus optional rejected)")
     p.add_argument("--gen", required=True)
     p.add_argument("--disc", required=True)
@@ -716,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attempt budget per emitted sample")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[seeded],
                        help="score a sample corpus against real data")
     p.add_argument("--real", required=True)
     p.add_argument("--samples", required=True)
@@ -726,20 +722,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[staged],
                        help="run the pipeline and emit the temperature-sweep CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("oracle-check", parents=[common],
+    p = sub.add_parser("oracle-check",
                        help="exact-filter invariant report for a bundled scenario")
     p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle_check)
 
-    p = sub.add_parser("pipeline", parents=[common],
+    p = sub.add_parser("pipeline", parents=[staged],
                        help="end-to-end staged run: data, models, boundary, samples, metrics")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_pipeline)

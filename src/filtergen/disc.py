@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PAD, Corpus, corpus_to_arrays, split_tail
-from .errors import InputError
+from .errors import InputError, check_fields, integer, number
 from .genmodel import SamplerConfig
 
 _PROB_CLIP = 1e-12
@@ -56,6 +56,12 @@ class DiscConfig:
     patience: int = 5
     temperature: float = 1.0  # generator temperature for fresh negatives
     seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self, embed_dim=integer(1), kernels2=integer(1), kernels3=integer(1),
+                     lr=number("[0, inf)"), momentum=number("[0, 1)"),
+                     batch_size=integer(1), max_epochs=integer(1), patience=integer(1),
+                     temperature=number("(0, inf)"), seed=integer())
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Corpus
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, check_fields, integer, number
 from .genmodel import SamplerConfig
 
 RATIO_CAP = 1e9  # keeps d/(1-d) finite as d approaches 1
@@ -103,12 +103,8 @@ class BoundaryEstimateConfig:
     tail: int = 10  # rounds averaged into the returned boundary
 
     def __post_init__(self):
-        if self.samples_per_round < 1 or self.rounds < 1:
-            raise InputError("samples_per_round and rounds must be >= 1")
-        if not 0.0 < self.step < 1.0:
-            raise InputError("step must be in (0, 1)")
-        if not 0.0 <= self.init <= 1.0:
-            raise InputError("init must be in [0, 1]")
+        check_fields(self, samples_per_round=integer(1), rounds=integer(1),
+                     step=number("(0, 1)"), init=number("[0, 1]"), tail=integer(1))
 
 
 def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | None = None,

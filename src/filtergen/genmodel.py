@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import (BOS, DEFAULT_MAX_LEN, EOS, NUM_RESERVED, UNK, Corpus, MarkovSource,
                    Sequence, _gram_ranks, corpus_to_arrays, split_tail)
-from .errors import InputError
+from .errors import InputError, check_fields, integer, number
 
 
 @dataclass(frozen=True)
@@ -334,6 +334,10 @@ class NGramConfig:
     fixed_length: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        check_fields(self, order=integer(1), delta=number("(0, inf)"),
+                     fixed_length=integer(1, optional=True), seed=integer())
+
 
 @dataclass(frozen=True)
 class NeuralConfig:
@@ -346,6 +350,12 @@ class NeuralConfig:
     patience: int = 3
     fixed_length: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self, embed_dim=integer(1), hidden_dim=integer(1),
+                     lr=number("[0, inf)"), momentum=number("[0, 1)"),
+                     batch_size=integer(1), max_epochs=integer(1), patience=integer(1),
+                     fixed_length=integer(1, optional=True), seed=integer())
 
 
 @dataclass

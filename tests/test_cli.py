@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,11 @@ from filtergen.checkpoint import load_model
 from filtergen.cli import main, oracle_check, run_pipeline, validate_config
 from filtergen.errors import ConfigError
 from filtergen.metrics import temperature_sweep
+
+# gen.json of a bigram with delta 0.01 on _natural_corpus_files' train
+# split, from the pipeline or from train-gen: its counts are integers, so the
+# bytes are the same on every machine
+GEN_JSON_SHA256 = "b6ef561eb435c33b3c0ae8964582452d5e4b7b6e2b69bbb6bce34b60c02f100f"
 
 
 def _write_config(tmp_path, **overrides):
@@ -68,6 +74,17 @@ def test_reverse_lm_minimum_is_one_constant(tmp_path):
     ({"eval": [500]}, "eval must be an object"),
     ({"generator": ["ngram"]}, "generator must be an object"),
     ({"scenario": None, "data": 5}, "data must be an object"),
+    ({"discriminator": {"lr": "fast"}},
+     "discriminator: lr must be a number in [0, inf), got 'fast'"),
+    ({"discriminator": {"batch_size": 0}},
+     "discriminator: batch_size must be an integer >= 1, got 0"),
+    ({"uc": {"rounds": 2.5}}, "uc: rounds must be an integer >= 1, got 2.5"),
+    ({"uc": {"tail": 0}}, "uc: tail must be an integer >= 1, got 0"),
+    ({"metrics": "bleu"}, "metrics must be a list, got 'bleu'"),
+    ({"data_sizes": {"train": 100}}, "data_sizes.valid required"),
+    ({"data_sizes": {"train": 100, "valid": 0, "test": 50}},
+     "data_sizes.valid must be a positive integer, got 0"),
+    ({"generator": {"kind": "neural", "order": 7}}, "generator only applies to data mode"),
 ])
 def test_mistyped_config_values_are_config_errors(tmp_path, overrides, problem):
     path = _write_config(tmp_path, **overrides)
@@ -118,6 +135,80 @@ def _natural_corpus_files(tmp_path):
     return train, valid, test
 
 
+def _data_config(tmp_path, generator, data=(), **overrides):
+    train, valid, test = _natural_corpus_files(tmp_path)
+    return _write_config(tmp_path, scenario=None, generator=generator, data={
+        "train": str(train), "valid": str(valid), "test": str(test), **dict(data)},
+        **overrides)
+
+
+@pytest.mark.parametrize("generator,data,problem", [
+    ({"kind": "markov"}, {}, "generator.kind must be one of ngram|neural, got 'markov'"),
+    ({"kind": "ngram", "train_n": 100}, {}, "unknown key 'generator.train_n'"),
+    ({"order": "2"}, {}, "generator: order must be an integer >= 1, got '2'"),
+    ({}, {"max_len": "x"}, "data.max_len must be a positive integer, got 'x'"),
+    ({}, {"train": 5}, "data.train: file not found: 5"),
+])
+def test_data_mode_config_errors_exit_before_any_stage(tmp_path, generator, data, problem):
+    path = _data_config(tmp_path, generator, data)
+    with pytest.raises(ConfigError) as err:
+        validate_config(path)
+    assert problem in err.value.problems
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_data_mode_ngram_generator_artifact_is_pinned(tmp_path):
+    # no kind means ngram; the digest was recorded with an explicit kind,
+    # before the generator section was built from NGramConfig
+    cfg = validate_config(_data_config(tmp_path, {"order": 2}, filter={"c": [1.0]},
+                                       metrics=["bleu"], eval={"n_samples": 100}))
+    seed = fg.seeding.derive_seed(5, "train-gen")
+    assert cfg.generator == fg.NGramConfig(order=2, seed=seed)
+    run_pipeline(cfg, tmp_path / "run")
+    digest = hashlib.sha256((tmp_path / "run" / "gen.json").read_bytes()).hexdigest()
+    assert digest == GEN_JSON_SHA256
+
+
+@pytest.mark.parametrize("command,doc,problem", [
+    ("train-gen", {"order": "2"}, "generator: order must be an integer >= 1, got '2'"),
+    ("train-gen", {"kind": "markov"},
+     "generator.kind must be one of ngram|neural, got 'markov'"),
+    ("train-gen", {"max_len": "x"}, "generator.max_len must be a positive integer, got 'x'"),
+    ("train-gen", [2], "generator must be an object"),
+    ("train-disc", {"lr": "fast"},
+     "discriminator: lr must be a number in [0, inf), got 'fast'"),
+    ("train-disc", {"batch_size": 0},
+     "discriminator: batch_size must be an integer >= 1, got 0"),
+    ("train-disc", {"seed": 3}, "unknown key 'discriminator.seed'"),
+])
+def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, doc, problem):
+    train, _, _ = _natural_corpus_files(tmp_path)
+    cfg = tmp_path / "stage.cfg"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "model.json"
+    inputs = (["--train", str(train)] if command == "train-gen" else
+              ["--real", str(train), "--gen-model", str(tmp_path / "gen.json")])
+    assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {problem}" in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--config", "c.json", "--seed", "3"],
+    ["sweep", "--config", "c.json", "--out", "s.csv", "--seed", "3"],
+    ["oracle-check", "--scenario", "s1", "--out", "o.json", "--seed", "3"],
+    ["train-gen", "--train", "t.txt", "--config", "g.json", "--out", "g", "--out-dir", "x"],
+    ["evaluate", "--real", "r", "--samples", "s", "--gen", "g", "--out", "o",
+     "--out-dir", "x"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_train_sample_evaluate_roundtrip(tmp_path, capsys):
     train, valid, test = _natural_corpus_files(tmp_path)
     gen_cfg = tmp_path / "gen.json.cfg"
@@ -148,6 +239,20 @@ def test_cli_train_sample_evaluate_roundtrip(tmp_path, capsys):
                  "--rejected-out", str(rejected), "--seed", "4"]) == 0
     stats = json.loads((tmp_path / "samples.txt.stats.json").read_text())
     assert stats["acceptances"] == 200
+    assert hashlib.sha256(gen_path.read_bytes()).hexdigest() == GEN_JSON_SHA256
+
+    # --rejected-out holds the first --n rejected rows, as the pipeline writes
+    assert main(["sample", "--gen", str(gen_path), "--disc", str(disc_path),
+                 "--c", "0.2", "--u-c", "1.0", "--n", "50", "--out", str(samples),
+                 "--rejected-out", str(rejected), "--seed", "4"]) == 0
+    gen, disc = load_model(gen_path), load_model(disc_path)
+    accepted, full = fg.sample_filtered(
+        fg.FilteredGenerator(gen, disc, fg.FilterParams(0.2, 1.0)), 50,
+        fg.SamplerConfig(seed=4), np.random.default_rng(4))
+    assert len(full.rejected_sequences) > 50
+    assert fg.load_corpus(samples, gen.vocab).sequences == accepted.sequences
+    written = fg.load_corpus(rejected, gen.vocab)
+    assert written.sequences == full.rejected_sequences[:50].sequences
 
     report = tmp_path / "report.json"
     assert main(["evaluate", "--real", str(test), "--samples", str(samples),

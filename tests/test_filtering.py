@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,38 @@ def test_acceptance_probability_validation():
         acceptance_probability(0.5, 0.0, 0.5)
     with pytest.raises(InputError):
         acceptance_probability(0.5, 0.5, 1.5)
+
+
+VALID_EDGES = {"rounds": 1, "tail": 1, "init": 0, "lr": 0.0, "momentum": 0.0,
+               "order": np.int64(1), "fixed_length": None, "seed": -3,
+               "hidden_dim": np.int32(2)}
+
+
+@pytest.mark.parametrize("cls,kwargs,problem", [
+    (fg.BoundaryEstimateConfig, {"rounds": 2.5}, "rounds must be an integer >= 1, got 2.5"),
+    (fg.BoundaryEstimateConfig, {"tail": 0}, "tail must be an integer >= 1, got 0"),
+    (fg.BoundaryEstimateConfig, {"step": 1.0}, "step must be a number in (0, 1), got 1.0"),
+    (fg.BoundaryEstimateConfig, {"init": "0.5"}, "init must be a number in [0, 1], got '0.5'"),
+    (fg.DiscConfig, {"lr": "fast"}, "lr must be a number in [0, inf), got 'fast'"),
+    (fg.DiscConfig, {"batch_size": 0}, "batch_size must be an integer >= 1, got 0"),
+    (fg.DiscConfig, {"momentum": 1.0}, "momentum must be a number in [0, 1), got 1.0"),
+    (fg.DiscConfig, {"patience": True}, "patience must be an integer >= 1, got True"),
+    (fg.NGramConfig, {"order": "2"}, "order must be an integer >= 1, got '2'"),
+    (fg.NGramConfig, {"delta": 0.0}, "delta must be a number in (0, inf), got 0.0"),
+    (fg.NGramConfig, {"fixed_length": 0},
+     "fixed_length must be null or an integer >= 1, got 0"),
+    (fg.NeuralConfig, {"hidden_dim": 6.0}, "hidden_dim must be an integer >= 1, got 6.0"),
+    (fg.NeuralConfig, {"lr": float("nan")}, "lr must be a number in [0, inf), got nan"),
+    (fg.NeuralConfig, {"seed": "1"}, "seed must be an integer, got '1'"),
+])
+def test_config_dataclasses_check_their_values(cls, kwargs, problem):
+    with pytest.raises(InputError) as err:
+        cls(**kwargs)
+    assert str(err.value) == problem
+    # the edges that stay valid, numpy integers included
+    edges = {f.name: VALID_EDGES[f.name] for f in dataclasses.fields(cls)
+             if f.name in VALID_EDGES}
+    cls(**edges)
 
 
 @settings(max_examples=200)
