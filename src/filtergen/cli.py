@@ -28,7 +28,7 @@ from .checkpoint import load_model, save_model
 from .data import (DEFAULT_MAX_LEN, Vocab, build_vocab, load_corpus, save_corpus,
                    synth_markov)
 from .disc import DiscConfig, error_rate, train_discriminator
-from .errors import BudgetError, ConfigError, FiltergenError, InputError, integer
+from .errors import BudgetError, ConfigError, FiltergenError, InputError, integer, number
 from .filtering import BoundaryEstimateConfig, estimate_boundary
 # unused here since `sample` runs metrics.grid_streams, but perfbench's tracer
 # test still expects this module to bind it
@@ -50,6 +50,9 @@ _EVAL_DEFAULTS = {"n_samples": 2000, "bleu_order": 5, "embed_dim": 64, "max_len"
 _CORPUS_DEFAULTS = {"vocab_size": 10_000, "max_len": DEFAULT_MAX_LEN}
 _GENERATORS = {"ngram": NGramConfig, "neural": NeuralConfig}
 _is_positive_int, _ = integer(1)
+_is_seed, _ = integer(0)
+_is_ratio, _ = number("(0, 1]")
+_is_temperature, _ = number("(0, inf)")
 
 
 @dataclass
@@ -96,8 +99,9 @@ def validate_config(path) -> ExperimentConfig:
             problems.append(f"unknown key '{key}'")
 
     seed = doc.get("seed")
-    if not isinstance(seed, int):
-        problems.append("seed required (integer)")
+    if not _is_seed(seed):
+        problems.append("seed required (integer >= 0)" if seed is None else
+                        f"seed must be an integer >= 0, got {seed!r}")
         seed = 0
 
     scenario, data = doc.get("scenario"), doc.get("data")
@@ -136,7 +140,7 @@ def validate_config(path) -> ExperimentConfig:
         problems.append("filter.c must be a non-empty list")
         ratios = [0.5]
     for c in ratios:
-        if not isinstance(c, (int, float)) or not 0.0 < c <= 1.0:
+        if not _is_ratio(c):
             problems.append(f"filter.c entries must lie in (0, 1], got {c!r}")
 
     temps = doc.get("temperatures", [1.0])
@@ -144,7 +148,7 @@ def validate_config(path) -> ExperimentConfig:
         problems.append("temperatures must be a non-empty list")
         temps = [1.0]
     for t in temps:
-        if not isinstance(t, (int, float)) or t <= 0:
+        if not _is_temperature(t):
             problems.append(f"temperature must be > 0, got {t!r}")
 
     metrics = doc.get("metrics", ["bleu", "selfbleu", "lm", "fed"])
@@ -660,6 +664,13 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+def _seed_arg(text: str) -> int:
+    """The value of ``--seed``: an integer >= 0, as numpy's generators need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtergen",
@@ -667,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --seed only where a subcommand draws randomness outside a config file,
     # --out-dir only where it writes a pipeline's artifact set
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="random seed")
+    seeded.add_argument("--seed", type=_seed_arg, default=0, help="random seed (>= 0)")
     staged = argparse.ArgumentParser(add_help=False)
     staged.add_argument("--out-dir", default=None, help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,11 +12,19 @@ table ``T_i = embed[tokens] @ W_i`` holds every token's term as a window's
 i-th token, over only the ``tokens`` that occur in the batch, and a
 window's pre-activation at position p is ``b + sum_i T_i[local[:, p + i]]``
 (``local`` indexes ``tokens``). The relu is applied after the pool, which
-gives the same value. In the backward the pool's gradient reaches only
-each (row, kernel)'s first maximising window: per offset ``i``, a
-``bincount`` of that gradient over the token at ``argmax + i`` gives
-``G_i`` of shape ``(U, k)``, and then ``dW_i = embed[tokens].T @ G_i`` and
-``dembed[tokens] = sum_i G_i @ W_i.T``.
+gives the same value. A bank's pre-activations are one position-major
+``(P, B, k)`` block, gathered with ``np.take`` on ``local.T``: the pool is
+a max over the leading axis, one contiguous ``(B, k)`` slab per position,
+and padding is masked only when some row is shorter than the batch.
+
+In the backward the pool's gradient reaches only each (row, kernel)'s
+first maximising window. Its position is the number of leading positions
+whose value is not the maximum: a ``behind`` flag that stays true until
+the first maximum is and-ed with ``pre[q] != top`` and added up, position
+by position. Per offset ``i``, a ``bincount`` of that gradient over the
+token at ``argmax + i`` gives ``G_i`` of shape ``(U, k)``, and then
+``dW_i = embed[tokens].T @ G_i`` and ``dembed[tokens] = sum_i G_i @ W_i.T``
+(skipped for frozen embeddings, whose gradient is zero).
 
 A sequence's score depends on that sequence alone, bit for bit, whatever
 else is in the batch. A matrix-matrix product's rows can round differently
@@ -61,7 +69,7 @@ class DiscConfig:
         check_fields(self, embed_dim=integer(1), kernels2=integer(1), kernels3=integer(1),
                      lr=number("[0, inf)"), momentum=number("[0, 1)"),
                      batch_size=integer(1), max_epochs=integer(1), patience=integer(1),
-                     temperature=number("(0, inf)"), seed=integer())
+                     temperature=number("(0, inf)"), seed=integer(0))
 
 
 @dataclass
@@ -135,9 +143,16 @@ class TextCNN:
         p = self.params
         b, l = ids.shape
         # the tokens that occur, ascending, and each position's index into
-        # them; sorting bounds the cost by the batch, not the vocabulary
-        tokens, local = np.unique(ids, return_inverse=True)
-        local = local.reshape(ids.shape)
+        # them: the same as np.unique(ids, return_inverse=True), by a mark
+        # per vocabulary entry instead of a sort
+        present = np.zeros(len(p["embed"]), dtype=bool)
+        present[ids] = True
+        tokens = np.flatnonzero(present)
+        index = np.empty(len(present), dtype=np.intp)
+        index[tokens] = np.arange(len(tokens))
+        local = index[ids]  # (B, L)
+        by_position = np.ascontiguousarray(local.T)  # (L, B)
+        ragged = (lengths < l).any()  # else no window reaches padding
         emb = p["embed"][tokens]  # (U, de)
         de = emb.shape[1]
         pooled, cache = [], {"tokens": tokens, "local": local, "emb": emb, "banks": {}}
@@ -152,12 +167,15 @@ class TextCNN:
             # token's row does not depend on the other tokens
             weight = p[f"conv{w}_w"].reshape(w, de, k)
             tables = (emb[:, None, None, :] @ weight)[:, :, 0]  # (U, w, k)
-            pre = p[f"conv{w}_b"] + np.take(tables[:, 0], local[:, :positions], axis=0)
+            # position-major (P, B, k), so the pool and the backward's scans
+            # read one contiguous (B, k) slab per window position
+            pre = np.take(tables[:, 0], by_position[:positions], axis=0)
+            pre += p[f"conv{w}_b"]
             for i in range(1, w):
-                pre += np.take(tables[:, i], local[:, i:i + positions], axis=0)
-            valid = np.arange(positions) < (lengths - w + 1)[:, None]
-            pre[~valid] = -np.inf
-            top = pre.max(axis=1)  # (B, k); -inf for a row with no valid window
+                pre += np.take(tables[:, i], by_position[i:i + positions], axis=0)
+            if ragged:
+                pre[np.arange(positions)[:, None] > lengths - w] = -np.inf
+            top = pre.max(axis=0)  # (B, k); -inf for a row with no valid window
             pooled.append(np.maximum(top, 0.0))  # relu after the pool
             cache["banks"][w] = (pre, top)
         feats = np.concatenate(pooled, axis=1)
@@ -169,42 +187,46 @@ class TextCNN:
 
     def _backward(self, cache, dlogits: np.ndarray) -> dict:
         p = self.params
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
         feats = cache["feats"]
-        grads["out_w"] += feats.T @ dlogits
-        grads["out_b"][0] += dlogits.sum()
-        dfeats = dlogits[:, None] * p["out_w"][None, :]
+        grads = {"out_w": feats.T @ dlogits, "out_b": np.array([dlogits.sum()])}
         local, emb = cache["local"], cache["emb"]
         (b, l), (u, de) = local.shape, emb.shape
         demb = np.zeros_like(emb)
         offset = 0
         for w, k in self.banks:
-            dpool = dfeats[:, offset: offset + k]
+            dpool = dlogits[:, None] * p["out_w"][offset: offset + k]  # (B, k)
             offset += k
             bank = cache["banks"][w]
+            weight = p[f"conv{w}_w"]
             if bank is None:
+                grads[f"conv{w}_w"], grads[f"conv{w}_b"] = np.zeros_like(weight), np.zeros(k)
                 continue
             pre, top = bank
             # the pool passes its gradient to one window per (row, kernel),
             # and the relu after it only where the pooled value is positive
-            dpre = np.where(top > 0.0, dpool, 0.0)  # (B, k)
-            grads[f"conv{w}_b"] += dpre.sum(axis=0)
-            # the first maximising window; a pass per position costs less
-            # than argmax over the short middle axis, which works row by row
-            arg = np.zeros((b, k), dtype=np.intp)
-            for q in range(pre.shape[1] - 1, 0, -1):
-                arg[pre[:, q] == top] = q
-            first = arg + np.arange(0, b * l, l)[:, None]  # flat index into local
+            dpre = np.where(top > 0.0, dpool, 0.0)
+            grads[f"conv{w}_b"] = dpre.sum(axis=0)
+            # the first maximising window, as a flat index into local: the
+            # row's offset plus the number of leading positions that are not
+            # the maximum (at most the last position)
+            first = np.arange(0, b * l, l).repeat(k).reshape(b, k)
+            behind = np.ones((b, k), dtype=bool)
+            for q in range(len(pre) - 1):
+                behind &= pre[q] != top
+                first += behind
             local_k = local.ravel() * k
-            weight = p[f"conv{w}_w"]
+            dweight = np.empty_like(weight)
             for i in range(w):
                 # G_i[t, j]: dpre summed over the argmax windows whose i-th token is t
-                slot = np.take(local_k[i:], first) + np.arange(k)
+                slot = local_k[i:].take(first) + np.arange(k)
                 g = np.bincount(slot.ravel(), weights=dpre.ravel(),
                                 minlength=u * k).reshape(u, k)
                 rows = slice(i * de, (i + 1) * de)
-                grads[f"conv{w}_w"][rows] = emb.T @ g
-                demb += g @ weight[rows].T
+                dweight[rows] = emb.T @ g
+                if not self.embed_frozen:
+                    demb += g @ weight[rows].T
+            grads[f"conv{w}_w"] = dweight
+        grads["embed"] = np.zeros_like(p["embed"])  # stays zero when frozen
         if not self.embed_frozen:
             grads["embed"][cache["tokens"]] = demb
         return grads
@@ -265,12 +287,10 @@ def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp of a non-positive argument only: 1 / (1 + e^-x) for x >= 0 and
+    # e^x / (1 + e^x) below
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +360,8 @@ def _generator_embeddings(gen_model):
 
 def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
          rng) -> DiscTrainReport:
-    velocity = {k: np.zeros_like(v) for k, v in disc.params.items()}
     trainable = disc.trainable()
+    velocity = {k: np.zeros_like(disc.params[k]) for k in trainable}
     best_params = {k: v.copy() for k, v in disc.params.items()}
     best_acc, best_epoch, stale = -1.0, -1, 0
     losses, accs = [], []
@@ -357,8 +377,10 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
             take = order[start: start + cfg.batch_size]
             loss, grads = disc.loss_and_grads(seqs[take], labels[take])
             for name in trainable:
-                velocity[name] = cfg.momentum * velocity[name] - cfg.lr * grads[name]
-                disc.params[name] += velocity[name]
+                v = velocity[name]
+                v *= cfg.momentum
+                v -= cfg.lr * grads[name]
+                disc.params[name] += v
             total_loss += loss * len(take)
             seen += len(take)
         losses.append(total_loss / seen)

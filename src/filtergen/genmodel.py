@@ -48,6 +48,7 @@ class SamplerConfig:
             raise InputError("temperature must be > 0")
         if self.max_len < 1:
             raise InputError("max_len must be >= 1")
+        check_fields(self, seed=integer(0))
 
 
 def support_ids(vocab, fixed_length) -> np.ndarray:
@@ -336,7 +337,7 @@ class NGramConfig:
 
     def __post_init__(self):
         check_fields(self, order=integer(1), delta=number("(0, inf)"),
-                     fixed_length=integer(1, optional=True), seed=integer())
+                     fixed_length=integer(1, optional=True), seed=integer(0))
 
 
 @dataclass(frozen=True)
@@ -355,7 +356,7 @@ class NeuralConfig:
         check_fields(self, embed_dim=integer(1), hidden_dim=integer(1),
                      lr=number("[0, inf)"), momentum=number("[0, 1)"),
                      batch_size=integer(1), max_epochs=integer(1), patience=integer(1),
-                     fixed_length=integer(1, optional=True), seed=integer())
+                     fixed_length=integer(1, optional=True), seed=integer(0))
 
 
 @dataclass

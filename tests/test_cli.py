@@ -85,6 +85,11 @@ def test_reverse_lm_minimum_is_one_constant(tmp_path):
     ({"data_sizes": {"train": 100, "valid": 0, "test": 50}},
      "data_sizes.valid must be a positive integer, got 0"),
     ({"generator": {"kind": "neural", "order": 7}}, "generator only applies to data mode"),
+    # JSON booleans are not numbers
+    ({"temperatures": [True]}, "temperature must be > 0, got True"),
+    ({"filter": {"c": [True]}}, "filter.c entries must lie in (0, 1], got True"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
 ])
 def test_mistyped_config_values_are_config_errors(tmp_path, overrides, problem):
     path = _write_config(tmp_path, **overrides)
@@ -207,6 +212,24 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-gen", "--train", "t.txt", "--config", "g.json", "--out", "g"],
+    ["train-disc", "--real", "r", "--gen-model", "g", "--out", "d"],
+    ["estimate-uc", "--gen", "g", "--disc", "d", "--c", "0.5", "--out", "u"],
+    ["sample", "--gen", "g", "--disc", "d", "--c", "0.5", "--u-c", "0.1", "--n", "5",
+     "--out", "s"],
+    ["evaluate", "--real", "r", "--samples", "s", "--gen", "g", "--out", "o"],
+])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seeds_numpy_cannot_take_are_usage_errors(capsys, argv, seed):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be an integer >= 0, got '{seed}'" in err
+    assert "Traceback" not in err
 
 
 def test_cli_train_sample_evaluate_roundtrip(tmp_path, capsys):

@@ -401,6 +401,92 @@ def _random_batch(rng, vocab_size, rows, max_len, extra_pad):
     return ids, lengths
 
 
+# The projected-table kernels on a batch-major (B, P, k) block, with the
+# boolean-scatter argmax and the two-branch sigmoid, as they were before the
+# position-major layout. The current kernels must agree with them exactly.
+def _batch_major_forward(disc, ids, lengths):
+    p = disc.params
+    b, l = ids.shape
+    tokens, local = np.unique(ids, return_inverse=True)
+    local = local.reshape(ids.shape)
+    emb = p["embed"][tokens]  # (U, de)
+    de = emb.shape[1]
+    pooled, cache = [], {"tokens": tokens, "local": local, "emb": emb, "banks": {}}
+    for w, k in disc.banks:
+        positions = l - w + 1
+        if positions < 1:
+            pooled.append(np.zeros((b, k)))
+            cache["banks"][w] = None
+            continue
+        weight = p[f"conv{w}_w"].reshape(w, de, k)
+        tables = (emb[:, None, None, :] @ weight)[:, :, 0]  # (U, w, k)
+        pre = p[f"conv{w}_b"] + np.take(tables[:, 0], local[:, :positions], axis=0)
+        for i in range(1, w):
+            pre += np.take(tables[:, i], local[:, i:i + positions], axis=0)
+        valid = np.arange(positions) < (lengths - w + 1)[:, None]
+        pre[~valid] = -np.inf
+        top = pre.max(axis=1)
+        pooled.append(np.maximum(top, 0.0))
+        cache["banks"][w] = (pre, top)
+    feats = np.concatenate(pooled, axis=1)
+    logits = (feats[:, None, :] @ p["out_w"])[:, 0] + p["out_b"][0]
+    cache["feats"] = feats
+    return logits, cache
+
+
+def _batch_major_backward(disc, cache, dlogits):
+    p = disc.params
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    feats = cache["feats"]
+    grads["out_w"] += feats.T @ dlogits
+    grads["out_b"][0] += dlogits.sum()
+    dfeats = dlogits[:, None] * p["out_w"][None, :]
+    local, emb = cache["local"], cache["emb"]
+    (b, l), (u, de) = local.shape, emb.shape
+    demb = np.zeros_like(emb)
+    offset = 0
+    for w, k in disc.banks:
+        dpool = dfeats[:, offset: offset + k]
+        offset += k
+        bank = cache["banks"][w]
+        if bank is None:
+            continue
+        pre, top = bank
+        dpre = np.where(top > 0.0, dpool, 0.0)
+        grads[f"conv{w}_b"] += dpre.sum(axis=0)
+        arg = np.zeros((b, k), dtype=np.intp)
+        for q in range(pre.shape[1] - 1, 0, -1):
+            arg[pre[:, q] == top] = q
+        first = arg + np.arange(0, b * l, l)[:, None]
+        local_k = local.ravel() * k
+        weight = p[f"conv{w}_w"]
+        for i in range(w):
+            slot = np.take(local_k[i:], first) + np.arange(k)
+            g = np.bincount(slot.ravel(), weights=dpre.ravel(),
+                            minlength=u * k).reshape(u, k)
+            rows = slice(i * de, (i + 1) * de)
+            grads[f"conv{w}_w"][rows] = emb.T @ g
+            demb += g @ weight[rows].T
+    if not disc.embed_frozen:
+        grads["embed"][cache["tokens"]] = demb
+    return grads
+
+
+def _two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _full_width_batch(rng, vocab_size, rows, width):
+    # every row as long as the batch is wide: no PAD, so no window is masked
+    symbols = rng.choice(np.arange(4, vocab_size), size=3, replace=False)
+    return rng.choice(symbols, size=(rows, width)), np.full(rows, width)
+
+
 @pytest.mark.parametrize("frozen", [False, True])
 @pytest.mark.parametrize("seed", range(6))
 def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
@@ -423,10 +509,16 @@ def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
         # one long row that repeats a single token
         (np.full((1, 6), 4 + seed % 4), np.array([6])),
     ]
+    # every row as wide as the batch, no PAD: the forward masks nothing
+    full_rng = np.random.default_rng(300 + seed)
+    batches += [_full_width_batch(full_rng, len(vocab), rows=23, width=5),
+                _full_width_batch(full_rng, len(vocab), rows=11, width=3)]
     for ids, lengths in batches:
         logits, cache = disc._forward(ids, lengths)
         ref_logits, ref_cache = _reference_forward(disc, ids, lengths)
         assert np.allclose(logits, ref_logits, rtol=0.0, atol=1e-12)
+        exact_logits, exact_cache = _batch_major_forward(disc, ids, lengths)
+        assert np.array_equal(logits, exact_logits)
         dlogits = rng.standard_normal(len(lengths))
         grads = disc._backward(cache, dlogits)
         ref = _reference_backward(disc, ref_cache, dlogits)
@@ -434,6 +526,10 @@ def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
         for name in ref:
             scale = max(np.abs(ref[name]).max(), 1e-300)
             assert np.abs(grads[name] - ref[name]).max() <= 1e-10 * scale, name
+        exact = _batch_major_backward(disc, exact_cache, dlogits)
+        assert grads.keys() == exact.keys()
+        for name in exact:
+            assert np.array_equal(grads[name], exact[name]), name
         if frozen:
             assert not grads["embed"].any()
         # and through the public batch call
@@ -449,3 +545,52 @@ def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
         for name in ref:
             scale = max(np.abs(ref[name]).max(), 1e-300)
             assert np.abs(grads[name] - ref[name]).max() <= 1e-10 * scale, name
+
+
+def test_sigmoid_equals_the_two_branch_sigmoid_bit_for_bit():
+    rng = np.random.default_rng(19)
+    x = np.concatenate([rng.standard_normal(5000) * 8, rng.standard_normal(5000) * 1e-8,
+                        [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 40.0, -40.0,
+                         700.0, -700.0, 746.0, -746.0, np.inf, -np.inf]])
+    assert np.array_equal(fg.disc._sigmoid(x), _two_branch_sigmoid(x))
+    for n in range(1, 20):  # every length modulo the vector width
+        assert np.array_equal(fg.disc._sigmoid(x[:n]), _two_branch_sigmoid(x[:n]))
+
+
+def _ragged_corpus(vocab, n, low, seed):
+    # rows of 1-8 tokens drawn from ids low..8
+    rng = np.random.default_rng(seed)
+    return Corpus(vocab, tuple(Sequence(tuple(int(t) for t in rng.integers(low, 9, size=m)))
+                               for m in rng.integers(1, 9, size=n)), "train")
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_training_equals_training_on_batch_major_kernels_bit_for_bit(frozen, monkeypatch):
+    # two epochs of the real training loop, once as written and once on the
+    # batch-major kernels: every loss and every trained parameter agree.
+    # Real rows and the bigram generator's samples have ragged lengths, so
+    # batches mix masked and unmasked rows.
+    vocab = fg.build_vocab(["a b c d e"], max_size=10)
+    real = _ragged_corpus(vocab, 600, 4, seed=20)
+    gen = fg.train_mle(_ragged_corpus(vocab, 300, 5, seed=21), None, fg.NGramConfig())
+    cfg = DiscConfig(embed_dim=6, kernels2=5, kernels3=7, lr=0.1, batch_size=64,
+                     max_epochs=2, patience=3, seed=20)
+    if frozen:
+        gen_embed = np.random.default_rng(22).standard_normal((len(vocab), 6))
+        monkeypatch.setattr(fg.disc, "_generator_embeddings", lambda _gen: gen_embed.copy())
+
+    def train():
+        return train_discriminator(real, gen, cfg, np.random.default_rng(20))
+
+    disc, report = train()
+    monkeypatch.setattr(TextCNN, "_forward", _batch_major_forward)
+    monkeypatch.setattr(TextCNN, "_backward", _batch_major_backward)
+    monkeypatch.setattr(fg.disc, "_sigmoid", _two_branch_sigmoid)
+    ref_disc, ref_report = train()
+    assert disc.embed_frozen == frozen
+    assert report.epochs == 2
+    assert report.train_loss == ref_report.train_loss
+    assert report.valid_accuracy == ref_report.valid_accuracy
+    assert disc.params.keys() == ref_disc.params.keys()
+    for name in ref_disc.params:
+        assert np.array_equal(disc.params[name], ref_disc.params[name]), name

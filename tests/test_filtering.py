@@ -40,7 +40,7 @@ def test_acceptance_probability_validation():
 
 
 VALID_EDGES = {"rounds": 1, "tail": 1, "init": 0, "lr": 0.0, "momentum": 0.0,
-               "order": np.int64(1), "fixed_length": None, "seed": -3,
+               "order": np.int64(1), "fixed_length": None, "seed": 0,
                "hidden_dim": np.int32(2)}
 
 
@@ -59,7 +59,7 @@ VALID_EDGES = {"rounds": 1, "tail": 1, "init": 0, "lr": 0.0, "momentum": 0.0,
      "fixed_length must be null or an integer >= 1, got 0"),
     (fg.NeuralConfig, {"hidden_dim": 6.0}, "hidden_dim must be an integer >= 1, got 6.0"),
     (fg.NeuralConfig, {"lr": float("nan")}, "lr must be a number in [0, inf), got nan"),
-    (fg.NeuralConfig, {"seed": "1"}, "seed must be an integer, got '1'"),
+    (fg.NeuralConfig, {"seed": "1"}, "seed must be an integer >= 0, got '1'"),
 ])
 def test_config_dataclasses_check_their_values(cls, kwargs, problem):
     with pytest.raises(InputError) as err:
@@ -69,6 +69,16 @@ def test_config_dataclasses_check_their_values(cls, kwargs, problem):
     edges = {f.name: VALID_EDGES[f.name] for f in dataclasses.fields(cls)
              if f.name in VALID_EDGES}
     cls(**edges)
+
+
+@pytest.mark.parametrize("cls", [fg.DiscConfig, fg.NGramConfig, fg.NeuralConfig,
+                                 fg.SamplerConfig])
+def test_config_dataclasses_reject_seeds_numpy_cannot_take(cls):
+    # numpy's generators take integers >= 0 only
+    for seed in (-1, True):
+        with pytest.raises(InputError, match=f"seed must be an integer >= 0, got {seed}"):
+            cls(seed=seed)
+    cls(seed=np.int64(0))
 
 
 @settings(max_examples=200)
