@@ -437,15 +437,24 @@ def synth_markov(source: MarkovSource, n: int, rng, split: str = "") -> Corpus:
 
 
 def _sample_chain(source: MarkovSource, n: int, length: int, rng) -> np.ndarray:
-    k = len(source.tokens)
     out = np.empty((n, length), dtype=np.int64)
-    cum_init = np.cumsum(source.initial)
-    out[:, 0] = np.minimum((cum_init < rng.random(n)[:, None]).sum(axis=1), k - 1)
+    out[:, 0] = _draw_from_cdf(np.cumsum(source.initial)[:, None], rng.random(n))
     cum_rows = np.cumsum(source.transition, axis=1)
     for t in range(1, length):
-        rows = cum_rows[out[:, t - 1]]
-        out[:, t] = np.minimum((rows < rng.random(n)[:, None]).sum(axis=1), k - 1)
+        out[:, t] = _draw_from_cdf(cum_rows[out[:, t - 1]].T, rng.random(n))
     return out
+
+
+def _draw_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: for each column j, how many entries of ``cdf[:, j]``
+    are below ``u[j]``, clamped to the last index.
+
+    ``cdf`` is position-major, ``(S, n)``, or ``(S, 1)`` when every draw
+    shares one CDF. The count is exact; the clamp keeps a draw whose u lies
+    above a last entry that rounded below 1 inside the support. Every
+    sampler draws through this function.
+    """
+    return np.minimum((cdf < u).sum(axis=0), len(cdf) - 1)
 
 
 def exact_prob(source: MarkovSource, seq: Sequence) -> float:

@@ -20,7 +20,11 @@ support.
 
 The n-gram model works on the corpus id matrix: every context gets a dense
 integer key (``data._gram_ranks``), so fitting is one ``bincount`` and
-scoring gathers each distinct context's log-probabilities once.
+scoring gathers each distinct context's log-probabilities once. Sampling
+reads a per-temperature table that holds each reached context's tempered
+CDF, computed once, and the row each (context, token) step leads to, so a
+warm step is a gather, an exact count of CDF entries below u, and a gather
+of successor rows. Every cache of a model is held under ``_CACHE_BYTES``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (BOS, DEFAULT_MAX_LEN, EOS, NUM_RESERVED, UNK, Corpus, MarkovSource,
-                   Sequence, _gram_ranks, corpus_to_arrays, split_tail)
+                   Sequence, _draw_from_cdf, _gram_ranks, corpus_to_arrays, split_tail)
 from .errors import InputError, check_fields, integer, number
+
+# Byte cap of each NGramLM cache: its ``cond_probs`` rows, and its sampling
+# tables of every temperature together.
+_CACHE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -81,11 +89,6 @@ def _apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
     return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
-def _draw_from_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    hits = (cum_rows < u[:, None]).sum(axis=1)
-    return np.minimum(hits, cum_rows.shape[1] - 1)
-
-
 def libm_map(fn, values: np.ndarray) -> np.ndarray:
     """``fn`` (``math.log`` or ``math.exp``) of each value, once per distinct value.
 
@@ -101,7 +104,9 @@ class NGramLM:
     """Order-n language model with additive delta-smoothing.
 
     Every conditional is strictly positive and sums to one over the
-    support, so sequence log-probabilities are always finite.
+    support, so sequence log-probabilities are always finite. Scoring and
+    sampling fill the model's caches, so one model is not for concurrent use
+    from several threads.
     """
 
     kind = "ngram"
@@ -120,6 +125,7 @@ class NGramLM:
         self._sup_index = _support_index(vocab, self.support)
         self._counts: dict[tuple[int, ...], np.ndarray] = {}
         self._row_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._tables: dict[float, _CdfTable] = {}
 
     # -- training ---------------------------------------------------------
 
@@ -136,6 +142,7 @@ class NGramLM:
             else:
                 seen += row
         self._row_cache.clear()
+        self._tables.clear()
         return self
 
     def _events(self, corpus: Corpus):
@@ -174,18 +181,22 @@ class NGramLM:
     # -- probabilities ----------------------------------------------------
 
     def cond_probs(self, context: tuple[int, ...]) -> np.ndarray:
-        """Smoothed next-token distribution over ``self.support``."""
+        """Smoothed next-token distribution over ``self.support`` (read-only)."""
         row = self._row_cache.get(context)
         if row is None:
-            counts = self._counts.get(context)
-            s = len(self.support)
-            if counts is None:
-                row = np.full(s, 1.0 / s)
-            else:
-                row = (counts + self.delta) / (counts.sum() + self.delta * s)
+            row = self._smoothed(context)
             row.setflags(write=False)
+            if (len(self._row_cache) + 1) * row.nbytes > _CACHE_BYTES:
+                self._row_cache.clear()
             self._row_cache[context] = row
         return row
+
+    def _smoothed(self, context: tuple[int, ...]) -> np.ndarray:
+        counts = self._counts.get(context)
+        s = len(self.support)
+        if counts is None:
+            return np.full(s, 1.0 / s)
+        return (counts + self.delta) / (counts.sum() + self.delta * s)
 
     def seq_logprob(self, seq: Sequence) -> float:
         """Log-probability of one sequence, event by event."""
@@ -227,48 +238,91 @@ class NGramLM:
         rng = _resolve_rng(rng, cfg)
         length_cap = (min(self.fixed_length, cfg.max_len)
                       if self.fixed_length is not None else cfg.max_len)
-        ctx_len = self.order - 1
-        contexts = np.full((n, max(ctx_len, 1)), BOS, dtype=np.int64)
-        tokens = np.full((n, length_cap), -1, dtype=np.int64)
-        active = np.ones(n, dtype=bool)
         eos_sup = int(self._sup_index[EOS]) if self.fixed_length is None else -1
+        table = self._tables.get(cfg.temperature)
+        if table is None:
+            table = self._tables[cfg.temperature] = _CdfTable(len(self.support))
+        # idx: the output rows still growing; rows: their contexts' table rows
+        idx = np.arange(n)
+        start = self._table_rows(table, cfg.temperature, [None])
+        if start is None:
+            start = self._rebuilt_rows(table, cfg.temperature, [None])
+        rows = np.full(n, start[0])
+        tokens = np.full((n, length_cap), -1, dtype=np.int64)
         for t in range(length_cap):
             u = rng.random(n)
-            if not active.any():
+            if not len(idx):
                 continue
-            keys = contexts[active, :ctx_len]
-            if ctx_len:
-                lengths = np.full(len(keys), ctx_len)
-                *_, (ranks, n_keys) = _gram_ranks(keys, lengths, ctx_len)
-                inverse = ranks[:, 0]
-            else:
-                inverse, n_keys = np.zeros(len(keys), dtype=np.int64), 1
-            # one row holding each key, to read the context tuple from
-            holder = np.empty(n_keys, dtype=np.int64)
-            holder[inverse] = np.arange(len(keys))
-            rows = np.empty((n_keys, len(self.support)))
-            for i, row_key in enumerate(keys[holder].tolist()):
-                rows[i] = _apply_temperature(self.cond_probs(tuple(row_key)),
-                                             cfg.temperature)
-            if t == 0 and eos_sup >= 0:
-                rows[:, eos_sup] = 0.0
-                rows /= rows.sum(axis=1, keepdims=True)
-            cum = np.cumsum(rows, axis=1)
-            picks = _draw_from_rows(cum[inverse], u[active])
-            if self.fixed_length is None:
-                ended = picks == eos_sup
-            else:
-                ended = np.zeros(len(picks), dtype=bool)
-            emitted = self.support[picks]
-            idx = np.flatnonzero(active)
-            keep = ~ended
-            tokens[idx[keep], t] = emitted[keep]
-            if ctx_len:
-                new_ctx = np.concatenate(
-                    [contexts[idx[keep], 1:ctx_len], emitted[keep, None]], axis=1)
-                contexts[idx[keep], :ctx_len] = new_ctx
-            active[idx[ended]] = False
+            picks = _draw_from_cdf(np.take(table.cdf, rows, axis=1), u[idx])
+            if eos_sup >= 0:
+                keep = picks != eos_sup
+                idx, rows, picks = idx[keep], rows[keep], picks[keep]
+            tokens[idx, t] = self.support[picks]
+            if t + 1 < length_cap:
+                rows = self._successors(table, cfg.temperature, rows, picks)
         return _token_corpus(self.vocab, tokens, split)
+
+    def _successors(self, table: _CdfTable, temperature: float, rows: np.ndarray,
+                    picks: np.ndarray) -> np.ndarray:
+        """Table row of each context after ``support[picks]`` is emitted from ``rows``."""
+        s = len(self.support)
+        steps = rows * s + picks
+        nxt = table.succ.take(steps)
+        unknown = nxt < 0
+        if not unknown.any():
+            return nxt
+        pairs, inverse = np.unique(steps[unknown], return_inverse=True)
+        ids = self._table_rows(table, temperature, self._next_contexts(table, pairs))
+        if ids is None:
+            pairs, inverse = np.unique(steps, return_inverse=True)
+            return self._rebuilt_rows(table, temperature,
+                                      self._next_contexts(table, pairs))[inverse]
+        np.put(table.succ, pairs, ids)
+        nxt[unknown] = ids[inverse]
+        return nxt
+
+    def _next_contexts(self, table: _CdfTable, pairs: np.ndarray) -> list:
+        """Context reached by each ``row * len(support) + pick`` in ``pairs``."""
+        rows, picks = np.divmod(pairs, len(self.support))
+        return [(self._context(table.keys[r]) + (tok,))[1:]
+                for r, tok in zip(rows.tolist(), self.support[picks].tolist())]
+
+    def _table_rows(self, table: _CdfTable, temperature: float, keys: list):
+        """Row ids of ``keys`` in ``table``, adding the missing rows; ``None``
+        when they would take this model's tables past ``_CACHE_BYTES``."""
+        missing = [k for k in dict.fromkeys(keys) if k not in table.row_of]
+        need = len(table.keys) + len(missing)
+        if need > table.capacity:
+            others = sum(t.nbytes for t in self._tables.values() if t is not table)
+            room = (_CACHE_BYTES - others) // table.row_bytes
+            if need > room:
+                return None
+            # a fitted model's contexts are the rows sampling usually reaches
+            table.grow(min(max(2 * need, len(self._counts) + 1), room))
+        if missing:
+            table.extend(missing, np.array([self._tempered_cdf(k, temperature)
+                                            for k in missing]))
+        return np.array([table.row_of[k] for k in keys], dtype=np.int64)
+
+    def _rebuilt_rows(self, table: _CdfTable, temperature: float, keys: list) -> np.ndarray:
+        """Drop this model's other tables and rebuild ``table`` from ``keys``,
+        the contexts in flight, whatever the cap; returns their row ids. The
+        rows are recomputed with the same formula, so the draws do not change."""
+        self._tables = {temperature: table}
+        table.reset()
+        table.grow(len(set(keys)))
+        return self._table_rows(table, temperature, keys)
+
+    def _context(self, key) -> tuple[int, ...]:
+        return (BOS,) * (self.order - 1) if key is None else key
+
+    def _tempered_cdf(self, key, temperature: float) -> np.ndarray:
+        """CDF of a table row: the first step's row drops EOS and renormalises."""
+        row = _apply_temperature(self._smoothed(self._context(key)), temperature)
+        if key is None and self.fixed_length is None:
+            row[self._sup_index[EOS]] = 0.0  # _smoothed returned a fresh array
+            row /= row.sum()
+        return np.cumsum(row)
 
     def sample(self, cfg: SamplerConfig, rng=None) -> Sequence:
         return self.sample_corpus(1, cfg, rng).sequences[0]
@@ -316,6 +370,55 @@ class MarkovModel:
 
     def sample(self, cfg: SamplerConfig, rng=None) -> Sequence:
         return self.sample_corpus(1, cfg, rng).sequences[0]
+
+
+class _CdfTable:
+    """One temperature's tempered next-token CDFs, one row per context reached.
+
+    ``cdf[:, r]`` is row r's CDF, stored position-major so that a sampling
+    step gathers its active rows with one ``np.take`` along axis 1.
+    ``succ[r, p]`` is the row reached from row r by emitting ``support[p]``,
+    or -1 until a step first needs it. ``keys[r]`` is row r's context, or
+    ``None`` for the first step's row; ``row_of`` inverts ``keys``.
+    """
+
+    def __init__(self, n_support: int):
+        self.n_support = n_support
+        self.reset()
+
+    def reset(self) -> None:
+        self.cdf = np.empty((self.n_support, 0))
+        self.succ = np.empty((0, self.n_support), dtype=np.int32)
+        self.keys: list = []
+        self.row_of: dict = {}
+
+    @property
+    def capacity(self) -> int:
+        return len(self.succ)
+
+    @property
+    def row_bytes(self) -> int:
+        return self.n_support * (self.cdf.itemsize + self.succ.itemsize)
+
+    @property
+    def nbytes(self) -> int:
+        return self.capacity * self.row_bytes
+
+    def grow(self, capacity: int) -> None:
+        r = len(self.keys)
+        cdf = np.empty((self.n_support, capacity))
+        cdf[:, :r] = self.cdf[:, :r]
+        succ = np.empty((capacity, self.n_support), dtype=np.int32)
+        succ[:r] = self.succ[:r]
+        self.cdf, self.succ = cdf, succ
+
+    def extend(self, keys: list, cdfs: np.ndarray) -> None:
+        """Append a row per key; ``cdfs`` holds their CDFs, one per row."""
+        r, m = len(self.keys), len(keys)
+        self.cdf[:, r: r + m] = cdfs.T
+        self.succ[r: r + m] = -1
+        self.row_of.update(zip(keys, range(r, r + m)))
+        self.keys.extend(keys)
 
 
 def _token_corpus(vocab, tokens: np.ndarray, split: str) -> Corpus:
@@ -557,7 +660,7 @@ class NeuralLM:
             logits -= logits.max(axis=1, keepdims=True)
             e = np.exp(logits)
             rows = e / e.sum(axis=1, keepdims=True)
-            picks = _draw_from_rows(np.cumsum(rows, axis=1), u)
+            picks = _draw_from_cdf(np.cumsum(rows, axis=1).T, u)
             emitted = self.support[picks]
             ended = (picks == eos_sup) & active
             live = active & ~ended

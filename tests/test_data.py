@@ -10,7 +10,7 @@ from filtergen import (BOS, EOS, PAD, UNK, Corpus, InputError, MarkovSource,
                        Sequence, Vocab, build_vocab, decode, encode,
                        encode_corpus, exact_prob, load_corpus, save_corpus,
                        split_tail, synth_markov)
-from filtergen.data import corpus_to_arrays
+from filtergen.data import _draw_from_cdf, corpus_to_arrays
 
 
 def test_build_vocab_frequency_then_first_occurrence():
@@ -140,6 +140,42 @@ def test_synth_markov_deterministic_given_seed():
     a = synth_markov(source, 50, np.random.default_rng(7))
     b = synth_markov(source, 50, np.random.default_rng(7))
     assert [s.ids for s in a] == [s.ids for s in b]
+
+
+def _ref_sample_chain(source, n, length, rng):
+    """The chain sampler before the shared draw: row-major CDF rows, each
+    counted along its own axis."""
+    k = len(source.tokens)
+    out = np.empty((n, length), dtype=np.int64)
+    cum_init = np.cumsum(source.initial)
+    out[:, 0] = np.minimum((cum_init < rng.random(n)[:, None]).sum(axis=1), k - 1)
+    cum_rows = np.cumsum(source.transition, axis=1)
+    for t in range(1, length):
+        rows = cum_rows[out[:, t - 1]]
+        out[:, t] = np.minimum((rows < rng.random(n)[:, None]).sum(axis=1), k - 1)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_synth_markov_draws_match_the_row_major_sampler(k, length, n, seed):
+    rng = np.random.default_rng(seed)
+    initial = rng.dirichlet(np.full(k, 0.5))
+    transition = rng.dirichlet(np.full(k, 0.5), size=k)
+    initial[initial < 0.1] = 0.0  # zero entries tie CDF steps
+    source = MarkovSource(tuple("abcdef"[:k]), initial / initial.sum(), transition, length)
+    got = synth_markov(source, n, np.random.default_rng(seed + 1))
+    want = _ref_sample_chain(source, n, length, np.random.default_rng(seed + 1))
+    assert np.array_equal(got.ids, want + 4)
+
+
+def test_draw_from_cdf_counts_entries_below_u_and_clamps():
+    # the last entry rounds below 1, so u above it must still stay in range
+    cdf = np.array([[0.25, 0.0], [0.5, 0.5], [1.0 - 2**-53, 0.5]])
+    u = np.array([0.25, 1.0 - 2**-54])
+    assert _draw_from_cdf(cdf, u).tolist() == [0, 2]
+    assert _draw_from_cdf(cdf[:, :1], np.array([0.0, 0.3, 0.9, 0.99999999])).tolist() == [
+        0, 1, 2, 2]
 
 
 def test_split_tail_disjoint_and_covering():

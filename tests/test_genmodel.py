@@ -396,3 +396,123 @@ def test_neural_batched_kernel_matches_the_scalar_path(fixed_length):
     total = sum(_ref_neural_nll(model, corpus[i: i + 256]) for i in range(0, 300, 256))
     events = int((lengths + (0 if fixed_length else 1)).sum())
     assert model.mean_nll(corpus) == pytest.approx(total / events, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# The n-gram sampler's CDF table against the per-step sampler it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_sample_corpus(model, n, cfg, rng):
+    """``NGramLM.sample_corpus`` before the CDF table: every step ranks the
+    active contexts, rebuilds and tempers each distinct context's row, and
+    counts each gathered CDF row's entries below u."""
+    from filtergen.data import _gram_ranks
+    from filtergen.genmodel import _apply_temperature, _token_corpus
+
+    length_cap = (min(model.fixed_length, cfg.max_len)
+                  if model.fixed_length is not None else cfg.max_len)
+    ctx_len = model.order - 1
+    contexts = np.full((n, max(ctx_len, 1)), fg.BOS, dtype=np.int64)
+    tokens = np.full((n, length_cap), -1, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    eos_sup = int(model._sup_index[EOS]) if model.fixed_length is None else -1
+    for t in range(length_cap):
+        u = rng.random(n)
+        if not active.any():
+            continue
+        keys = contexts[active, :ctx_len]
+        if ctx_len:
+            lengths = np.full(len(keys), ctx_len)
+            *_, (ranks, n_keys) = _gram_ranks(keys, lengths, ctx_len)
+            inverse = ranks[:, 0]
+        else:
+            inverse, n_keys = np.zeros(len(keys), dtype=np.int64), 1
+        holder = np.empty(n_keys, dtype=np.int64)
+        holder[inverse] = np.arange(len(keys))
+        rows = np.empty((n_keys, len(model.support)))
+        for i, row_key in enumerate(keys[holder].tolist()):
+            rows[i] = _apply_temperature(model.cond_probs(tuple(row_key)), cfg.temperature)
+        if t == 0 and eos_sup >= 0:
+            rows[:, eos_sup] = 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        cum = np.cumsum(rows, axis=1)[inverse]
+        picks = np.minimum((cum < u[active][:, None]).sum(axis=1), cum.shape[1] - 1)
+        ended = picks == eos_sup if model.fixed_length is None else np.zeros(len(picks), bool)
+        emitted = model.support[picks]
+        idx = np.flatnonzero(active)
+        keep = ~ended
+        tokens[idx[keep], t] = emitted[keep]
+        if ctx_len:
+            contexts[idx[keep], :ctx_len] = np.concatenate(
+                [contexts[idx[keep], 1:ctx_len], emitted[keep, None]], axis=1)
+        active[idx[ended]] = False
+    return _token_corpus(model.vocab, tokens, "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ngram_case(), st.integers(1, 2000), st.integers(1, 6),
+       st.lists(st.one_of(st.just(1.0), st.floats(0.05, 5.0)), min_size=1, max_size=3),
+       st.sampled_from(["default", "tiny", "full"]), st.integers(0, 2**32 - 1))
+def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatures, cap,
+                                                    seed):
+    # The temperatures alternate twice on one model, so later calls read warm
+    # tables, and a refit must drop them. A "tiny" byte cap rebuilds a table
+    # whenever it would grow; a "full" one freezes the tables the small first
+    # call built, so a later call rebuilds them around successors already known.
+    order, fixed, train, test = case
+    model = NGramLM(train.vocab, order, 0.05, fixed).fit(train)
+    with pytest.MonkeyPatch.context() as mp:
+        if cap == "tiny":
+            mp.setattr(fg.genmodel, "_CACHE_BYTES", 1)
+        for call, temperature in enumerate(temperatures * 2 + [temperatures[0]]):
+            if call == 1 and cap == "full":
+                mp.setattr(fg.genmodel, "_CACHE_BYTES",
+                           sum(t.nbytes for t in model._tables.values()))
+            if call == 2 * len(temperatures):
+                model.fit(test)
+            size = n if call else 1 + n // 100
+            cfg = SamplerConfig(temperature=temperature, max_len=max_len, seed=seed)
+            got = model.sample_corpus(size, cfg, np.random.default_rng(seed + call))
+            want = _ref_sample_corpus(model, size, cfg, np.random.default_rng(seed + call))
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.lengths, want.lengths)
+            if cap == "tiny":
+                assert len(model._tables) == 1
+
+
+def test_cond_probs_cache_is_held_under_the_byte_cap(monkeypatch):
+    source = _uniform_source(3, 4)
+    train = synth_markov(source, 200, np.random.default_rng(3), "train")
+    model = NGramLM(train.vocab, 3, 0.01, 4).fit(train)
+    contexts = list(itertools.product((fg.BOS, 4, 5, 6), repeat=2))
+    row_bytes = 8 * len(model.support)
+    monkeypatch.setattr(fg.genmodel, "_CACHE_BYTES", 3 * row_bytes)
+    for _ in range(2):
+        for context in contexts:
+            row = model.cond_probs(context)
+            assert not row.flags.writeable
+            assert np.array_equal(row, model._smoothed(context))
+            assert 1 <= len(model._row_cache) <= 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_ngram_sample_frequencies_match_seq_logprobs(order, k, length, seed):
+    # a fitted fixed-length model at T = 1 against its own exact distribution;
+    # Bernstein's bound per sequence, failing by chance with p < 1e-9 each
+    rng = np.random.default_rng(seed)
+    source = fg.MarkovSource(tuple("abc"[:k]), rng.dirichlet(np.ones(k)),
+                             rng.dirichlet(np.ones(k), size=k), length)
+    train = synth_markov(source, 60, rng, "train")
+    model = NGramLM(train.vocab, order, 0.1, length).fit(train)
+    dist = enumerate_distribution(model, train.vocab, length)
+    np.testing.assert_allclose(dist.probs, np.exp(model.seq_logprobs(Corpus(
+        train.vocab, dist.domain))), rtol=1e-12)
+    n = 20_000
+    samples = model.sample_corpus(n, SamplerConfig(max_len=length, seed=seed),
+                                  np.random.default_rng(seed))
+    freq = fg.oracle.empirical_distribution(samples, dist).probs
+    x = math.log(2e9)
+    bound = np.sqrt(2 * dist.probs * (1 - dist.probs) * x / n) + 2 * x / (3 * n)
+    assert (np.abs(freq - dist.probs) <= bound).all()

@@ -1,0 +1,30 @@
+"""The n-gram scale probe runs end to end at a small vocabulary."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_ngram_probe_smoke():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(ROOT / "tools" / "ngram_probe.py"), "--vocab", "50",
+           "--rows", "500", "--samples", "200", "--seed", "3"]
+    runs = [subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+            for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    first, again = (json.loads(proc.stdout.strip().splitlines()[-1]) for proc in runs)
+    assert (first["vocab"], first["rows"], first["samples"], first["seed"]) == (50, 500, 200, 3)
+    assert 1 <= first["contexts"] <= 51
+    # at least the first step's row, each a float64 CDF entry and an int32 successor
+    # per support symbol (EOS, UNK and the 50 words)
+    assert first["table_bytes"] >= 52 * 12
+    assert min(first["fit_s"], first["sample_cold_s"], first["sample_warm_s"]) >= 0.0
+    assert first["peak_rss_mb"] > 0
+    assert first["samples_sha256"] == again["samples_sha256"]

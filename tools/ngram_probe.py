@@ -1,0 +1,80 @@
+"""Scale probe for the n-gram generator on a synthetic Zipf corpus.
+
+Builds a corpus from a seed, with no download: row lengths uniform in
+1..30 and word ranks Zipf-distributed (p(r) proportional to 1/r) over a
+vocabulary of V words. It fits a bigram over it (the CLI's default
+generator) and prints one JSON line with the fit time, the cold and warm
+``sample_corpus`` times, the bytes held by the model's sampling tables, a
+SHA-256 of the sampled ids and the process's peak RSS. Times are CPU
+seconds of this process.
+
+    PYTHONPATH=src python tools/ngram_probe.py --vocab 2000 --seed 0
+
+Dense counts take V * (V + 2) * 8 bytes, so keep V small: about 32 MB at
+V = 2,000 and 800 MB at V = 10,000.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import resource
+import time
+
+import numpy as np
+
+import filtergen as fg
+from filtergen.data import NUM_RESERVED
+
+
+def zipf_corpus(vocab_size: int, rows: int, seed: int) -> fg.Corpus:
+    rng = np.random.default_rng(seed)
+    vocab = fg.Vocab(tuple(f"w{i}" for i in range(vocab_size)))
+    weights = 1.0 / np.arange(1, vocab_size + 1)
+    lengths = rng.integers(1, 31, rows)
+    ids = rng.choice(vocab_size, size=(rows, 30), p=weights / weights.sum())
+    return fg.Corpus.from_arrays(vocab, ids + NUM_RESERVED, lengths, "train")
+
+
+def probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
+    corpus = zipf_corpus(vocab_size, rows, seed)
+    start = time.process_time()
+    model = fg.train_mle(corpus, None, fg.NGramConfig(order=2))
+    fit_s = time.process_time() - start
+    digest = hashlib.sha256()
+    times = []
+    for call in range(2):  # cold, then warm
+        cfg = fg.SamplerConfig(seed=seed + call)
+        start = time.process_time()
+        sampled = model.sample_corpus(samples, cfg)
+        times.append(time.process_time() - start)
+        digest.update(np.ascontiguousarray(sampled.ids, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(sampled.lengths, dtype="<i8").tobytes())
+    return {
+        "vocab": vocab_size,
+        "rows": rows,
+        "samples": samples,
+        "seed": seed,
+        "contexts": len(model._counts),
+        "fit_s": fit_s,
+        "sample_cold_s": times[0],
+        "sample_warm_s": times[1],
+        "table_bytes": sum(t.nbytes for t in model._tables.values()),
+        "samples_sha256": digest.hexdigest(),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--vocab", type=int, default=2000, help="vocabulary size V")
+    parser.add_argument("--rows", type=int, default=20_000, help="training rows")
+    parser.add_argument("--samples", type=int, default=1000, help="rows per sample call")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    print(json.dumps(probe(args.vocab, args.rows, args.samples, args.seed)))
+
+
+if __name__ == "__main__":
+    main()
