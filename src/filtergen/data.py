@@ -438,23 +438,38 @@ def synth_markov(source: MarkovSource, n: int, rng, split: str = "") -> Corpus:
 
 def _sample_chain(source: MarkovSource, n: int, length: int, rng) -> np.ndarray:
     out = np.empty((n, length), dtype=np.int64)
-    out[:, 0] = _draw_from_cdf(np.cumsum(source.initial)[:, None], rng.random(n))
+    out[:, 0] = _draw_from_cdf(np.cumsum(source.initial)[None, :], rng.random(n))
     cum_rows = np.cumsum(source.transition, axis=1)
     for t in range(1, length):
-        out[:, t] = _draw_from_cdf(cum_rows[out[:, t - 1]].T, rng.random(n))
+        out[:, t] = _draw_from_cdf(cum_rows[out[:, t - 1]], rng.random(n))
     return out
 
 
-def _draw_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: for each column j, how many entries of ``cdf[:, j]``
-    are below ``u[j]``, clamped to the last index.
+def _draw_from_cdf(cdf: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-CDF draws: for each draw j, how many entries of CDF row
+    ``rows[j]`` of ``cdf`` are below ``u[j]``, clamped to the last index.
 
-    ``cdf`` is position-major, ``(S, n)``, or ``(S, 1)`` when every draw
-    shares one CDF. The count is exact; the clamp keeps a draw whose u lies
-    above a last entry that rounded below 1 inside the support. Every
-    sampler draws through this function.
+    ``cdf`` is a C-ordered ``(R, S)`` block of nondecreasing rows. ``rows``
+    defaults to row j for draw j, or to row 0 for every draw when ``cdf``
+    has one row. The count is exact: a binary search over each row's first
+    S - 1 entries finds the same index as counting them all and clamping,
+    in ceil(log2 S) gathers of one entry per draw. The clamp keeps a draw
+    whose u lies above a last entry that rounded below 1 inside the support.
+    Every sampler draws through this function.
     """
-    return np.minimum((cdf < u).sum(axis=0), len(cdf) - 1)
+    r, s = cdf.shape
+    if rows is None:
+        rows = np.arange(len(u)) if r > 1 else np.zeros(len(u), dtype=np.int64)
+    flat = cdf.reshape(-1)
+    # the draw lies in [lo, lo + span); pos is the flat index of entry lo - 1
+    start = rows * s
+    pos = start - 1
+    span = s
+    while span > 1:
+        half = span // 2
+        pos += (flat.take(pos + half) < u) * half
+        span -= half
+    return pos - start + 1
 
 
 def exact_prob(source: MarkovSource, seq: Sequence) -> float:

@@ -23,8 +23,9 @@ integer key (``data._gram_ranks``), so fitting is one ``bincount`` and
 scoring gathers each distinct context's log-probabilities once. Sampling
 reads a per-temperature table that holds each reached context's tempered
 CDF, computed once, and the row each (context, token) step leads to, so a
-warm step is a gather, an exact count of CDF entries below u, and a gather
-of successor rows. Every cache of a model is held under ``_CACHE_BYTES``.
+warm step is an exact binary search for the number of CDF entries below u
+(O(log S) per sequence) and a gather of successor rows. A model's caches
+together are held under ``_CACHE_BYTES``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .data import (BOS, DEFAULT_MAX_LEN, EOS, NUM_RESERVED, UNK, Corpus, MarkovS
                    Sequence, _draw_from_cdf, _gram_ranks, corpus_to_arrays, split_tail)
 from .errors import InputError, check_fields, integer, number
 
-# Byte cap of each NGramLM cache: its ``cond_probs`` rows, and its sampling
-# tables of every temperature together.
+# Byte cap of one NGramLM's caches together: its ``cond_probs`` rows and its
+# sampling tables of every temperature. A table may pass it only when the
+# contexts in flight alone need more, or while it grows and holds both blocks.
 _CACHE_BYTES = 256 * 2**20
 
 
@@ -186,10 +188,15 @@ class NGramLM:
         if row is None:
             row = self._smoothed(context)
             row.setflags(write=False)
-            if (len(self._row_cache) + 1) * row.nbytes > _CACHE_BYTES:
+            if self._cache_bytes() + row.nbytes > _CACHE_BYTES:
                 self._row_cache.clear()
-            self._row_cache[context] = row
+            if self._cache_bytes() + row.nbytes <= _CACHE_BYTES:
+                self._row_cache[context] = row
         return row
+
+    def _cache_bytes(self) -> int:
+        rows = len(self._row_cache) * len(self.support) * 8
+        return rows + sum(t.nbytes for t in self._tables.values())
 
     def _smoothed(self, context: tuple[int, ...]) -> np.ndarray:
         counts = self._counts.get(context)
@@ -253,7 +260,7 @@ class NGramLM:
             u = rng.random(n)
             if not len(idx):
                 continue
-            picks = _draw_from_cdf(np.take(table.cdf, rows, axis=1), u[idx])
+            picks = _draw_from_cdf(table.cdf, u[idx], rows)
             if eos_sup >= 0:
                 keep = picks != eos_sup
                 idx, rows, picks = idx[keep], rows[keep], picks[keep]
@@ -289,28 +296,29 @@ class NGramLM:
 
     def _table_rows(self, table: _CdfTable, temperature: float, keys: list):
         """Row ids of ``keys`` in ``table``, adding the missing rows; ``None``
-        when they would take this model's tables past ``_CACHE_BYTES``."""
+        when they would take this model's caches past ``_CACHE_BYTES``."""
         missing = [k for k in dict.fromkeys(keys) if k not in table.row_of]
         need = len(table.keys) + len(missing)
         if need > table.capacity:
-            others = sum(t.nbytes for t in self._tables.values() if t is not table)
-            room = (_CACHE_BYTES - others) // table.row_bytes
+            room = (_CACHE_BYTES - self._cache_bytes() + table.nbytes) // table.row_bytes
             if need > room:
                 return None
-            # a fitted model's contexts are the rows sampling usually reaches
-            table.grow(min(max(2 * need, len(self._counts) + 1), room))
-        if missing:
-            table.extend(missing, np.array([self._tempered_cdf(k, temperature)
-                                            for k in missing]))
+            table.grow(min(2 * need, room))
+        for r, key in zip(table.extend(missing), missing):
+            table.cdf[r] = self._tempered_cdf(key, temperature)
         return np.array([table.row_of[k] for k in keys], dtype=np.int64)
 
     def _rebuilt_rows(self, table: _CdfTable, temperature: float, keys: list) -> np.ndarray:
-        """Drop this model's other tables and rebuild ``table`` from ``keys``,
+        """Drop this model's other caches and rebuild ``table`` from ``keys``,
         the contexts in flight, whatever the cap; returns their row ids. The
-        rows are recomputed with the same formula, so the draws do not change."""
+        rows are recomputed with the same formula, so the draws do not change.
+        Within the cap the table keeps its blocks, or twice the room the
+        contexts in flight need, so the next steps do not regrow it at once."""
         self._tables = {temperature: table}
-        table.reset()
-        table.grow(len(set(keys)))
+        self._row_cache.clear()
+        need = len(set(keys))
+        room = _CACHE_BYTES // table.row_bytes
+        table.reset(max(need, min(max(2 * need, table.capacity), room)))
         return self._table_rows(table, temperature, keys)
 
     def _context(self, key) -> tuple[int, ...]:
@@ -375,8 +383,7 @@ class MarkovModel:
 class _CdfTable:
     """One temperature's tempered next-token CDFs, one row per context reached.
 
-    ``cdf[:, r]`` is row r's CDF, stored position-major so that a sampling
-    step gathers its active rows with one ``np.take`` along axis 1.
+    ``cdf[r]`` is row r's CDF, the block ``data._draw_from_cdf`` searches.
     ``succ[r, p]`` is the row reached from row r by emitting ``support[p]``,
     or -1 until a step first needs it. ``keys[r]`` is row r's context, or
     ``None`` for the first step's row; ``row_of`` inverts ``keys``.
@@ -384,13 +391,19 @@ class _CdfTable:
 
     def __init__(self, n_support: int):
         self.n_support = n_support
-        self.reset()
-
-    def reset(self) -> None:
-        self.cdf = np.empty((self.n_support, 0))
-        self.succ = np.empty((0, self.n_support), dtype=np.int32)
+        self.cdf = np.empty((0, n_support))
+        self.succ = np.empty((0, n_support), dtype=np.int32)
         self.keys: list = []
         self.row_of: dict = {}
+
+    def reset(self, capacity: int) -> None:
+        """Forget every row and hold room for ``capacity``, reusing the blocks
+        when they already have that size."""
+        if capacity != self.capacity:
+            self.cdf = np.empty((capacity, self.n_support))
+            self.succ = np.empty((capacity, self.n_support), dtype=np.int32)
+        self.keys = []
+        self.row_of = {}
 
     @property
     def capacity(self) -> int:
@@ -406,19 +419,20 @@ class _CdfTable:
 
     def grow(self, capacity: int) -> None:
         r = len(self.keys)
-        cdf = np.empty((self.n_support, capacity))
-        cdf[:, :r] = self.cdf[:, :r]
+        cdf = np.empty((capacity, self.n_support))
+        cdf[:r] = self.cdf[:r]
         succ = np.empty((capacity, self.n_support), dtype=np.int32)
         succ[:r] = self.succ[:r]
         self.cdf, self.succ = cdf, succ
 
-    def extend(self, keys: list, cdfs: np.ndarray) -> None:
-        """Append a row per key; ``cdfs`` holds their CDFs, one per row."""
-        r, m = len(self.keys), len(keys)
-        self.cdf[:, r: r + m] = cdfs.T
-        self.succ[r: r + m] = -1
-        self.row_of.update(zip(keys, range(r, r + m)))
+    def extend(self, keys: list) -> range:
+        """Append a row per key, with unknown successors; returns the new row
+        ids, whose CDFs the caller writes."""
+        new = range(len(self.keys), len(self.keys) + len(keys))
+        self.succ[new.start: new.stop] = -1
+        self.row_of.update(zip(keys, new))
         self.keys.extend(keys)
+        return new
 
 
 def _token_corpus(vocab, tokens: np.ndarray, split: str) -> Corpus:
@@ -660,7 +674,7 @@ class NeuralLM:
             logits -= logits.max(axis=1, keepdims=True)
             e = np.exp(logits)
             rows = e / e.sum(axis=1, keepdims=True)
-            picks = _draw_from_cdf(np.cumsum(rows, axis=1).T, u)
+            picks = _draw_from_cdf(np.cumsum(rows, axis=1), u)
             emitted = self.support[picks]
             ended = (picks == eos_sup) & active
             live = active & ~ended

@@ -171,11 +171,29 @@ def test_synth_markov_draws_match_the_row_major_sampler(k, length, n, seed):
 
 def test_draw_from_cdf_counts_entries_below_u_and_clamps():
     # the last entry rounds below 1, so u above it must still stay in range
-    cdf = np.array([[0.25, 0.0], [0.5, 0.5], [1.0 - 2**-53, 0.5]])
+    cdf = np.array([[0.25, 0.5, 1.0 - 2**-53], [0.0, 0.5, 0.5]])
     u = np.array([0.25, 1.0 - 2**-54])
     assert _draw_from_cdf(cdf, u).tolist() == [0, 2]
-    assert _draw_from_cdf(cdf[:, :1], np.array([0.0, 0.3, 0.9, 0.99999999])).tolist() == [
+    assert _draw_from_cdf(cdf[:1], np.array([0.0, 0.3, 0.9, 0.99999999])).tolist() == [
         0, 1, 2, 2]
+    assert _draw_from_cdf(cdf, np.array([0.6, 0.5, 0.3]), np.array([1, 0, 1])).tolist() == [
+        2, 1, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 5), st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_draw_from_cdf_matches_counting_every_entry(s, r, n, seed):
+    # nondecreasing rows with ties (zero steps) and a last entry that may
+    # end below or above 1; u includes exact entry values
+    rng = np.random.default_rng(seed)
+    steps = rng.random((r, s)) * (rng.random((r, s)) < 0.7)
+    cdf = np.cumsum(steps, axis=1) / steps.sum(axis=1, keepdims=True).clip(1e-300) * (
+        rng.random((r, 1)) * 0.2 + 0.9)
+    rows = rng.integers(0, r, n)
+    u = rng.random(n)
+    u[::3] = cdf[rows[::3], rng.integers(0, s, len(u[::3]))]
+    want = np.minimum((cdf[rows] < u[:, None]).sum(axis=1), s - 1)
+    assert np.array_equal(_draw_from_cdf(cdf, u, rows), want)
 
 
 def test_split_tail_disjoint_and_covering():

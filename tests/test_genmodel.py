@@ -481,19 +481,26 @@ def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatur
                 assert len(model._tables) == 1
 
 
-def test_cond_probs_cache_is_held_under_the_byte_cap(monkeypatch):
+def test_caches_are_held_under_one_byte_cap(monkeypatch):
+    # cond_probs rows and sampling tables share the cap; two sequences in
+    # flight need at most two table rows, which always fit
     source = _uniform_source(3, 4)
     train = synth_markov(source, 200, np.random.default_rng(3), "train")
     model = NGramLM(train.vocab, 3, 0.01, 4).fit(train)
     contexts = list(itertools.product((fg.BOS, 4, 5, 6), repeat=2))
     row_bytes = 8 * len(model.support)
-    monkeypatch.setattr(fg.genmodel, "_CACHE_BYTES", 3 * row_bytes)
-    for _ in range(2):
+    cap = 6 * row_bytes
+    monkeypatch.setattr(fg.genmodel, "_CACHE_BYTES", cap)
+    for seed in range(3):
         for context in contexts:
             row = model.cond_probs(context)
             assert not row.flags.writeable
             assert np.array_equal(row, model._smoothed(context))
-            assert 1 <= len(model._row_cache) <= 3
+            assert model._cache_bytes() <= cap
+        assert len(model._row_cache) >= 1 or model._cache_bytes() + row_bytes > cap
+        for temperature, max_len in itertools.product((1.0, 0.5), (1, 4)):
+            model.sample_corpus(2, SamplerConfig(temperature, max_len, seed))
+            assert model._cache_bytes() <= cap
 
 
 @settings(max_examples=25, deadline=None)
