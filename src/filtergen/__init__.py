@@ -9,7 +9,7 @@ from .disc import (DiscConfig, DiscTrainReport, TextCNN, error_rate,
 from .errors import (BudgetError, ConfigError, DegenerateError, FiltergenError,
                      InputError)
 from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
-                        FilterStats, accept, acceptance_probability,
+                        FilterStats, acceptance_probability,
                         estimate_boundary, sample_filtered)
 from .genmodel import (MarkovModel, NeuralConfig, NeuralLM, NGramConfig, NGramLM,
                        SamplerConfig, perplexity, train_mle)

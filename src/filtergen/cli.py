@@ -248,6 +248,21 @@ class RunManifest:
         return {a["path"]: a["sha256"] for st in self.stages for a in st["artifacts"]}
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and ``os.replace``.
+
+    A failure leaves the old file (or none) and no temp file, never a
+    partial artifact.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -280,10 +295,7 @@ class _Pipeline:
         return {"config_hash": self.hash, "stages": {}}
 
     def _save_state(self) -> None:
-        # write then rename, so a crash mid-write leaves the old state whole
-        tmp = self.state_path.with_name(self.state_path.name + ".tmp")
-        tmp.write_text(json.dumps(self.state, indent=1, sort_keys=True))
-        os.replace(tmp, self.state_path)
+        _write_atomic(self.state_path, json.dumps(self.state, indent=1, sort_keys=True))
 
     def _stage(self, name: str, artifacts: list[str], runner) -> None:
         paths = [self.out / a for a in artifacts]
@@ -337,8 +349,8 @@ class _Pipeline:
         manifest = RunManifest(self.hash,
                                {"filtergen": __version__, "numpy": np.__version__},
                                self.stages)
-        (self.out / "manifest.json").write_text(
-            json.dumps(manifest.to_dict(), indent=1, sort_keys=True))
+        _write_atomic(self.out / "manifest.json",
+                      json.dumps(manifest.to_dict(), indent=1, sort_keys=True))
         return manifest
 
     def _uc_name(self, temp, ratio) -> str:
@@ -397,7 +409,7 @@ class _Pipeline:
         disc, report = train_discriminator(corpora["train"], gen,
                                            self.cfg.discriminator, rng)
         save_model(disc, self.out / "disc.json")
-        (self.out / "disc_report.json").write_text(json.dumps({
+        _write_atomic(self.out / "disc_report.json", json.dumps({
             "train_loss": report.train_loss,
             "valid_accuracy": report.valid_accuracy,
             "best_epoch": report.best_epoch,
@@ -420,7 +432,7 @@ class _Pipeline:
                                                 self.cfg.uc, self._sampler(temp))
                 # float: a config may list the identity ratio as the integer 1
                 doc = {"c": float(ratio), "u_c": boundary, "trace": trace}
-                (self.out / self._uc_name(temp, ratio)).write_text(json.dumps(doc))
+                _write_atomic(self.out / self._uc_name(temp, ratio), json.dumps(doc))
 
     def _stage_sample(self) -> None:
         cfg = self.cfg
@@ -437,8 +449,8 @@ class _Pipeline:
                     cfg.max_attempts_per_sample)
                 save_corpus(accepted, self.out / self._sample_name(temp, ratio, "accepted"))
                 _save_rejected(rejected, self.out / self._sample_name(temp, ratio, "rejected"))
-                (self.out / self._sample_name(temp, ratio, "stats")).write_text(
-                    json.dumps(stats.to_dict()))
+                _write_atomic(self.out / self._sample_name(temp, ratio, "stats"),
+                              json.dumps(stats.to_dict()))
 
     def _stage_evaluate(self) -> None:
         cfg = self.cfg
@@ -464,11 +476,11 @@ class _Pipeline:
                                        load_corpus(path, vocab, stream, max_len)))
         report = SweepReport(rows)
         report.to_csv(self.out / "sweep.csv")
-        (self.out / "report.json").write_text(json.dumps(
+        _write_atomic(self.out / "report.json", json.dumps(
             {"rows": rows, "columns": list(SWEEP_COLUMNS)}, sort_keys=True))
         if self.scenario is not None:
             doc = oracle_check(self.scenario, self.cfg.filter_ratios[0])
-            (self.out / "oracle_report.json").write_text(json.dumps(doc, sort_keys=True))
+            _write_atomic(self.out / "oracle_report.json", json.dumps(doc, sort_keys=True))
 
 
 def _save_rejected(rejected, path) -> None:
@@ -476,7 +488,7 @@ def _save_rejected(rejected, path) -> None:
     if rejected is not None:
         save_corpus(rejected, path)
     else:
-        Path(path).write_text("")
+        _write_atomic(Path(path), "")
 
 
 def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:

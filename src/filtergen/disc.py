@@ -48,6 +48,7 @@ from .errors import InputError, check_fields, integer, number
 from .genmodel import SamplerConfig
 
 _PROB_CLIP = 1e-12
+_KEY_MAX = np.iinfo(np.int64).max  # the largest packed row key
 
 
 @dataclass(frozen=True)
@@ -243,13 +244,11 @@ class TextCNN:
 
     # -- inference --------------------------------------------------------
 
-    def predict(self, seq) -> float:
-        return float(self.predict_corpus([seq])[0])
-
     def predict_corpus(self, corpus, chunk: int = 1024) -> np.ndarray:
         """Scores in (0, 1), one per row, each as if the row were scored alone.
 
-        Only the distinct (ids, length) rows go through the forward pass;
+        Only the distinct (ids, length) rows go through the forward pass,
+        found by sorting one packed int64 key per row (``_distinct_rows``);
         a score depends on its row alone, so gathering them back is
         bit-identical to scoring every row.
         """
@@ -271,16 +270,32 @@ class TextCNN:
 def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of one row per distinct (ids, length), and each row's group.
 
-    ``ids[distinct][inverse]`` rebuilds ``ids``. One lexsort over the id
-    columns and the lengths, then a comparison of neighbours; no packing of
-    a row into one integer, so no width or vocabulary size can overflow.
+    ``ids[distinct][inverse]`` rebuilds ``ids``, and the distinct rows come
+    out ordered by length first, then by ``ids[:, L-1]``, ..., ``ids[:, 0]``
+    (``predict_corpus``'s chunks rely on the length order). Each row is
+    packed into one int64 key whose digits, most significant first, are the
+    length and then the ids from the last column to the first, in base
+    ``max id + 1`` (ids are non-negative); one argsort of the keys and a
+    comparison of neighbours give the groups. Before a digit could push a
+    key past 2**63 - 1, the keys are re-ranked to their dense ranks below n,
+    which keep their order, so no width or vocabulary size can overflow.
     """
-    n = len(lengths)
-    order = np.lexsort(np.vstack([ids.T, lengths[None, :]]))
-    sorted_ids, sorted_len = ids[order], lengths[order]
+    n, width = ids.shape
+    base = int(ids.max(initial=0)) + 1
+    key = lengths.astype(np.int64)
+    top = int(lengths.max(initial=0))  # a bound on every key
+    for j in range(width - 1, -1, -1):
+        if top * base + base - 1 > _KEY_MAX:
+            values, key = np.unique(key, return_inverse=True)
+            top = len(values) - 1
+        key *= base
+        key += ids[:, j]
+        top = top * base + base - 1
+    # any row of a group stands for it, so the sort need not be stable
+    order = np.argsort(key)
+    sorted_key = key[order]
     first = np.ones(n, dtype=bool)
-    first[1:] = ((sorted_ids[1:] != sorted_ids[:-1]).any(axis=1)
-                 | (sorted_len[1:] != sorted_len[:-1]))
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return order[first], inverse

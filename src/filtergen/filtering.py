@@ -69,24 +69,8 @@ class FilterParams:
             raise InputError("ratio 1.0 is the identity filter; boundary must be 0")
 
 
-def accept(seq, disc, params: FilterParams, rng) -> bool:
-    """Single accept/reject decision; always consumes one uniform draw.
-
-    Plain float arithmetic, in the order of ``raw_acceptance_probability``,
-    so the decision equals the vectorized one without a numpy round trip.
-    """
-    score = float(disc.predict(seq))
-    z = rng.random()
-    if score <= 0.0 or score >= 1.0:
-        raise InputError("discriminator score must lie strictly in (0, 1)")
-    if score >= params.boundary:
-        return True
-    odds = min(score / (1.0 - score), RATIO_CAP)
-    return z <= min(params.acceptance_ratio * odds, 1.0)
-
-
 def _accept_mask(scores: np.ndarray, ratio: float, boundary: float, rng) -> np.ndarray:
-    """Vectorized ``accept``: one uniform draw per score."""
+    """One accept/reject decision per score, with one uniform draw each."""
     z = rng.random(len(scores))
     s = raw_acceptance_probability(scores, ratio, boundary)
     return (scores >= boundary) | (z <= s)
@@ -181,16 +165,6 @@ class FilterStats:
     def mean_score_rejected(self) -> float:
         n = self.attempts - self.acceptances
         return self.sum_score_rejected / n if n else math.nan
-
-    def merge(self, other: "FilterStats") -> "FilterStats":
-        """Associative combination of stats from independent streams."""
-        return FilterStats(
-            self.attempts + other.attempts,
-            self.acceptances + other.acceptances,
-            self.sum_score_accepted + other.sum_score_accepted,
-            self.sum_score_rejected + other.sum_score_rejected,
-            self.rejected_blocks + other.rejected_blocks,
-        )
 
     def rejected_corpus(self, vocab) -> Corpus | None:
         if not self.rejected_blocks:

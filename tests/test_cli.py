@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +374,45 @@ def test_corrupt_state_file_recomputes_every_stage(tmp_path, capsys, damage):
 
 def _artifact_digests(manifest: dict) -> dict:
     return {a["path"]: a["sha256"] for st in manifest["stages"] for a in st["artifacts"]}
+
+
+@pytest.fixture(scope="module")
+def clean_run_digests(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("clean")
+    return run_pipeline(validate_config(_write_config(tmp)), tmp / "run").artifact_digests()
+
+
+@pytest.mark.parametrize("target", [
+    "disc_report.json", "uc_T1_c0.4.json", "samples_T1_c1_rejected.txt",
+    "samples_T1_c0.4_stats.json", "report.json", "oracle_report.json",
+    "checkpoints.json", "manifest.json",
+])
+def test_failed_artifact_write_exits_cleanly_and_a_rerun_completes(
+        tmp_path, capsys, monkeypatch, clean_run_digests, target):
+    # the rename of one artifact fails, after the stage has written others
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == target:
+            raise OSError(f"cannot replace {dst}")
+        real_replace(src, dst)
+
+    path = _write_config(tmp_path)
+    out = tmp_path / "run"
+    argv = ["pipeline", "--config", str(path), "--out-dir", str(out)]
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / target).exists()
+    assert not list(out.glob("*.tmp"))
+    monkeypatch.undo()
+    assert main(argv) == 0
+    manifest = json.loads(capsys.readouterr().out)
+    assert not list(out.glob("*.tmp"))
+    assert _artifact_digests(manifest) == clean_run_digests
+    for name in ("manifest.json", "checkpoints.json", *clean_run_digests):
+        if name.endswith(".json"):
+            json.loads((out / name).read_text())  # every JSON artifact is whole
 
 
 def test_missing_input_file_is_a_stage_failure(tmp_path):

@@ -7,6 +7,7 @@ import filtergen as fg
 from filtergen import (Corpus, DiscConfig, InputError, MarkovModel, MarkovSource,
                        SamplerConfig, Sequence, TextCNN, error_rate,
                        train_discriminator, train_discriminator_corpora)
+from filtergen.disc import _distinct_rows
 
 FAST = DiscConfig(embed_dim=8, kernels2=8, kernels3=8, lr=0.1, batch_size=128,
                   max_epochs=60, patience=5, seed=0)
@@ -106,7 +107,7 @@ def test_padding_never_changes_predictions():
     rng = np.random.default_rng(6)
     disc = TextCNN(vocab, DiscConfig(embed_dim=8, seed=6), rng)
     seqs = [Sequence((4, 5, 6)), Sequence((5,)), Sequence((6, 7, 8, 4, 5))]
-    singly = np.array([disc.predict(s) for s in seqs])
+    singly = np.array([disc.predict_corpus([s])[0] for s in seqs])
     batched = disc.predict_corpus(seqs)  # pads to the longest in the batch
     assert np.abs(singly - batched).max() <= 1e-6
     # explicit extra padding columns
@@ -121,7 +122,7 @@ def test_padding_never_changes_predictions():
 def test_prediction_strictly_inside_unit_interval():
     vocab = fg.build_vocab(["a"], max_size=4)
     disc = TextCNN(vocab, DiscConfig(embed_dim=4, seed=7), np.random.default_rng(7))
-    p = disc.predict(Sequence((4, 4)))
+    p = disc.predict_corpus([Sequence((4, 4))])[0]
     assert 0.0 < p < 1.0
 
 
@@ -293,13 +294,109 @@ def test_logits_do_not_depend_on_the_batch_or_on_padding(pool, extra_pad):
         assert batch[i] == alone[0]
 
 
+
+def _lexsort_distinct_rows(ids, lengths):
+    # the reference: one lexsort over the id columns and the lengths, then a
+    # comparison of neighbouring rows
+    n = len(lengths)
+    order = np.lexsort(np.vstack([ids.T, lengths[None, :]]))
+    sorted_ids, sorted_len = ids[order], lengths[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = ((sorted_ids[1:] != sorted_ids[:-1]).any(axis=1)
+                 | (sorted_len[1:] != sorted_len[:-1]))
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
+
+
+def _check_distinct_rows(ids, lengths):
+    distinct, inverse = _distinct_rows(ids, lengths)
+    ref_distinct, ref_inverse = _lexsort_distinct_rows(ids, lengths)
+    assert np.array_equal(ids[distinct], ids[ref_distinct])
+    assert np.array_equal(lengths[distinct], lengths[ref_distinct])
+    assert np.array_equal(inverse, ref_inverse)
+    assert (np.diff(lengths[distinct]) >= 0).all()  # length first, for the chunks
+    assert np.array_equal(ids[distinct][inverse], ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(0, 6), vocab=st.sampled_from([1, 3, 5, 10_004]), data=st.data())
+def test_distinct_rows_equal_the_lexsort_reference(width, vocab, data):
+    # rows drawn from a small pool, so they repeat; PAD and any other id may
+    # sit anywhere, and lengths are free in [0, width]; at V = 10,004 and
+    # width 5 or 6 the packed key is re-ranked on the way
+    row = st.tuples(st.lists(st.integers(0, vocab - 1), min_size=width, max_size=width),
+                    st.integers(0, width))
+    pool = data.draw(st.lists(row, min_size=1, max_size=8))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
+    ids = np.array([pool[i][0] for i in picks], dtype=np.int64).reshape(len(picks), width)
+    lengths = np.array([pool[i][1] for i in picks], dtype=np.int64)
+    _check_distinct_rows(ids, lengths)
+
+
+@pytest.mark.parametrize("ids,lengths", [
+    (np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64)),  # n = 0
+    (np.array([[4, 5, 2]]), np.array([2])),  # n = 1
+    (np.full((7, 3), 5), np.full(7, 3)),  # all rows equal
+    (np.array([[4, 5, 6], [4, 2, 2], [4, 5, 2], [4, 2, 2], [6, 5, 6]]),
+     np.array([3, 1, 2, 1, 3])),  # ragged
+    # the same id-matrix row with the PAD id inside it: only the length
+    # separates the two groups
+    (np.array([[4, 2], [4, 2], [4, 2]]), np.array([2, 1, 2])),
+])
+def test_distinct_rows_edge_cases(ids, lengths):
+    _check_distinct_rows(ids, lengths)
+
+
+def test_distinct_rows_re_rank_a_key_before_it_overflows(monkeypatch):
+    # V = 10,004 at width 64: 64 id digits in base 10,004 need about 850 bits,
+    # so the key is re-ranked many times; rows share long stretches of PAD
+    # and repeat, so the groups are neither all equal nor all distinct
+    rng = np.random.default_rng(21)
+    width, vocab = 64, 10_004
+    lengths = rng.integers(1, width + 1, size=300)
+    pool = np.where(np.arange(width) < lengths[:, None],
+                    rng.integers(4, vocab, size=(300, width)), fg.data.PAD)
+    picks = rng.integers(0, 300, size=5000)
+    ids, lengths = pool[picks], lengths[picks]
+    ids[0, 0] = vocab - 1  # the largest id occurs, so the base is 10,004
+    _check_distinct_rows(ids, lengths)
+    # every key handed to np.unique (a re-rank) or np.argsort (the final sort)
+    seen = []
+    real_unique, real_argsort = np.unique, np.argsort
+
+    def unique(a, **kw):
+        seen.append(np.array(a))
+        return real_unique(a, **kw)
+
+    def argsort(a, **kw):
+        seen.append(np.array(a))
+        return real_argsort(a, **kw)
+
+    monkeypatch.setattr(np, "unique", unique)
+    monkeypatch.setattr(np, "argsort", argsort)
+    _distinct_rows(ids, lengths)
+    monkeypatch.undo()
+    # replay the packing in exact integers: each key equals its exact value,
+    # which stays below 2**63 (a key past it would wrap and break the order)
+    *reranked, final = seen
+    exact = lengths.astype(object)
+    for j in range(width - 1, -1, -1):
+        if reranked and (exact == reranked[0]).all():
+            exact = real_unique(reranked.pop(0), return_inverse=True)[1].astype(object)
+        exact = exact * vocab + ids[:, j].astype(object)
+        assert max(exact) < 2**63
+    assert not reranked  # every re-rank was matched, in order
+    assert (exact == final).all()
+    assert len(seen) > 2  # at least one re-rank besides the final sort
+
 def test_domain_scores_equal_their_scores_inside_a_sampled_batch(s3, s3_disc):
     # exact_boundary scores the domain once; the filter scores sampled
     # batches. Equal bits make the boundary's plateau the filter's decisions.
     disc, _ = s3_disc
     domain = s3.p_model.domain
     by_domain = disc.predict_corpus(domain)
-    assert np.array_equal(by_domain, [disc.predict(seq) for seq in domain])
+    assert np.array_equal(by_domain, [disc.predict_corpus([seq])[0] for seq in domain])
     index = {seq.ids: i for i, seq in enumerate(domain)}
     batch = s3.generator.sample_corpus(5000, SamplerConfig(max_len=s3.length, seed=17),
                                        np.random.default_rng(17))

@@ -6,18 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtergen as fg
-from filtergen import (BudgetError, FilteredGenerator, FilterParams, FilterStats,
-                       InputError, SamplerConfig, accept, acceptance_probability,
+from filtergen import (BudgetError, FilteredGenerator, FilterParams,
+                       InputError, SamplerConfig, acceptance_probability,
                        estimate_boundary, sample_filtered)
+from filtergen.filtering import _accept_mask
 from filtergen.oracle import empirical_distribution, exact_acceptance, exact_boundary
 
 
 class ConstantDisc:
     def __init__(self, score):
         self.score = score
-
-    def predict(self, seq):
-        return self.score
 
     def predict_corpus(self, corpus):
         return np.full(len(list(corpus)), self.score)
@@ -107,29 +105,23 @@ def test_filter_params_validation():
         FilterParams(0.5, -0.1)
 
 
-def test_accept_zero_boundary_always_accepts(s1):
-    params = FilterParams(0.4, 0.0)
+def test_accept_zero_boundary_always_accepts():
     rng = np.random.default_rng(0)
-    seq = s1.p_real.domain[0]
-    assert all(accept(seq, ConstantDisc(0.3), params, rng) for _ in range(100))
+    assert _accept_mask(np.full(100, 0.3), 0.4, 0.0, rng).all()
 
 
 def test_accept_never_when_probability_vanishes():
     # score ~ 0 below the boundary: acceptance probability ~ 1e-13
-    params = FilterParams(0.5, 0.9)
     rng = np.random.default_rng(1)
-    disc = ConstantDisc(1e-13)
-    assert not any(accept(None, disc, params, rng) for _ in range(1000))
+    assert not _accept_mask(np.full(1000, 1e-13), 0.5, 0.9, rng).any()
 
 
 @pytest.mark.parametrize("score,ratio,boundary", [
     (0.2, 0.5, 0.6), (0.35, 0.3, 0.9), (0.7, 0.5, 0.6), (0.45, 0.9, 0.5),
 ])
 def test_acceptance_frequency_matches_closed_form(score, ratio, boundary):
-    params = FilterParams(ratio, boundary)
     rng = np.random.default_rng(42)
-    disc = ConstantDisc(score)
-    hits = sum(accept(None, disc, params, rng) for _ in range(100_000))
+    hits = int(_accept_mask(np.full(100_000, score), ratio, boundary, rng).sum())
     expected = acceptance_probability(score, ratio, boundary)
     assert hits / 100_000 == pytest.approx(expected, abs=0.01)
 
@@ -207,15 +199,3 @@ def test_budget_error_carries_partial_results(s1):
         sample_filtered(fgen, 50, cfg, np.random.default_rng(19))
     assert err.value.stats.attempts == 150
     assert err.value.partial is None or len(err.value.partial) < 50
-
-
-def test_stats_merge_is_associative():
-    a = FilterStats(10, 4, 2.0, 1.0, [])
-    b = FilterStats(20, 10, 6.0, 2.5, [])
-    c = FilterStats(5, 5, 3.0, 0.0, [])
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert left.attempts == right.attempts == 35
-    assert left.acceptances == right.acceptances == 19
-    assert left.acceptance_rate == pytest.approx(right.acceptance_rate)
-    assert left.mean_score_accepted == pytest.approx(right.mean_score_accepted)
