@@ -14,7 +14,7 @@ from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
 from .genmodel import (MarkovModel, NeuralConfig, NeuralLM, NGramConfig, NGramLM,
                        SamplerConfig, perplexity, train_mle)
 from .metrics import (BleuConfig, EmbeddingModel, SweepReport, bleu, embed, fed,
-                      fit_ppmi_svd, from_neural_lm, lm_score, reverse_lm_score,
+                      fit_ppmi_svd, lm_score, reverse_lm_score,
                       self_bleu, temperature_sweep)
 from .oracle import (BoundarySolution, ExactDiscriminator, ExactDistribution,
                      empirical_distribution, enumerate_distribution,

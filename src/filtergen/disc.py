@@ -34,6 +34,17 @@ its own vector-matrix product and each logit from its own dot product
 are elementwise. ``predict_corpus`` relies on this: it runs the forward pass
 once per distinct (ids, length) row and gathers the scores back, which is
 bit-identical to scoring every row on its own.
+
+Training does the same for the half of its step that each row computes on
+its own: ``loss_and_grads`` runs the forward pass, and the backward finds
+each pool's first maximising window and its tokens, once per distinct row
+of the batch. What sums across rows stays per batch row and in batch
+order: the per-row values are gathered back, and ``feats.T @ dlogits``,
+the bias sums and every ``bincount`` run over all the batch's rows as if
+none repeated. So the loss and every gradient are bit-identical to the
+full-batch step's. ``_fit`` keeps the trainable parameters as views of one
+flat buffer while it trains, so that a momentum step is three elementwise
+operations.
 """
 
 from __future__ import annotations
@@ -163,17 +174,17 @@ class TextCNN:
                 pooled.append(np.zeros((b, k)))
                 cache["banks"][w] = None
                 continue
-            # tables[:, i] = emb @ W_i: every token's term as a window's i-th
-            # token, one vector-matrix product per (token, i) so that a
+            # tables[i] = emb @ W_i: every token's term as a window's i-th
+            # token, one vector-matrix product per (i, token) so that a
             # token's row does not depend on the other tokens
-            weight = p[f"conv{w}_w"].reshape(w, de, k)
-            tables = (emb[:, None, None, :] @ weight)[:, :, 0]  # (U, w, k)
+            weight = p[f"conv{w}_w"].reshape(w, 1, de, k)
+            tables = (emb[:, None, :] @ weight)[:, :, 0]  # (w, U, k), each T_i contiguous
             # position-major (P, B, k), so the pool and the backward's scans
             # read one contiguous (B, k) slab per window position
-            pre = np.take(tables[:, 0], by_position[:positions], axis=0)
+            pre = np.take(tables[0], by_position[:positions], axis=0)
             pre += p[f"conv{w}_b"]
             for i in range(1, w):
-                pre += np.take(tables[:, i], by_position[i:i + positions], axis=0)
+                pre += np.take(tables[i], by_position[i:i + positions], axis=0)
             if ragged:
                 pre[np.arange(positions)[:, None] > lengths - w] = -np.inf
             top = pre.max(axis=0)  # (B, k); -inf for a row with no valid window
@@ -186,16 +197,26 @@ class TextCNN:
         cache["feats"] = feats
         return logits, cache
 
-    def _backward(self, cache, dlogits: np.ndarray) -> dict:
+    def _backward(self, cache, dlogits: np.ndarray, inverse: np.ndarray) -> dict:
+        """Parameter gradients of a batch whose forward ran on its distinct rows.
+
+        ``cache`` is ``_forward``'s on the distinct rows, ``inverse`` maps each
+        batch row to its distinct row and ``dlogits`` holds one entry per
+        batch row. Per-row values are gathered to the batch, so every sum
+        over rows adds the batch's rows in order.
+        """
         p = self.params
-        feats = cache["feats"]
+        feats = cache["feats"][inverse]  # (B, K)
         grads = {"out_w": feats.T @ dlogits, "out_b": np.array([dlogits.sum()])}
+        # the pool passes its gradient to one window per (row, kernel), and
+        # the relu after it only where the pooled value is positive
+        dpres = np.where(feats > 0.0, dlogits[:, None] * p["out_w"], 0.0)  # (B, K)
         local, emb = cache["local"], cache["emb"]
-        (b, l), (u, de) = local.shape, emb.shape
+        (d, l), (u, de) = local.shape, emb.shape
         demb = np.zeros_like(emb)
         offset = 0
         for w, k in self.banks:
-            dpool = dlogits[:, None] * p["out_w"][offset: offset + k]  # (B, k)
+            dpre = dpres[:, offset: offset + k]
             offset += k
             bank = cache["banks"][w]
             weight = p[f"conv{w}_w"]
@@ -203,24 +224,26 @@ class TextCNN:
                 grads[f"conv{w}_w"], grads[f"conv{w}_b"] = np.zeros_like(weight), np.zeros(k)
                 continue
             pre, top = bank
-            # the pool passes its gradient to one window per (row, kernel),
-            # and the relu after it only where the pooled value is positive
-            dpre = np.where(top > 0.0, dpool, 0.0)
             grads[f"conv{w}_b"] = dpre.sum(axis=0)
-            # the first maximising window, as a flat index into local: the
-            # row's offset plus the number of leading positions that are not
-            # the maximum (at most the last position)
-            first = np.arange(0, b * l, l).repeat(k).reshape(b, k)
-            behind = np.ones((b, k), dtype=bool)
+            # each distinct row's first maximising window, as a flat index
+            # into local: the row's offset plus the number of leading
+            # positions that are not the maximum (at most the last position)
+            first = np.arange(0, d * l, l).repeat(k).reshape(d, k)
+            behind = np.ones((d, k), dtype=bool)
             for q in range(len(pre) - 1):
                 behind &= pre[q] != top
                 first += behind
-            local_k = local.ravel() * k
+            # slots[i, r, j] = t * k + j, t the i-th token of batch row r's
+            # window for kernel j: found per distinct row, then gathered
+            slots = (local.ravel() * k).take(first + np.arange(w)[:, None, None])
+            slots += np.arange(k)
+            slots = slots.take(inverse, axis=1)  # (w, B, k)
+            weights = dpre.ravel()
             dweight = np.empty_like(weight)
             for i in range(w):
-                # G_i[t, j]: dpre summed over the argmax windows whose i-th token is t
-                slot = local_k[i:].take(first) + np.arange(k)
-                g = np.bincount(slot.ravel(), weights=dpre.ravel(),
+                # G_i[t, j]: dpre summed over the argmax windows whose i-th
+                # token is t, one batch row after another
+                g = np.bincount(slots[i].ravel(), weights=weights,
                                 minlength=u * k).reshape(u, k)
                 rows = slice(i * de, (i + 1) * de)
                 dweight[rows] = emb.T @ g
@@ -233,14 +256,21 @@ class TextCNN:
         return grads
 
     def loss_and_grads(self, seqs, labels) -> tuple[float, dict]:
-        """Mean binary cross-entropy of a batch plus parameter gradients."""
+        """Mean binary cross-entropy of a batch plus parameter gradients.
+
+        The forward pass and the pool's argmax run once per distinct (ids,
+        length) row, at the batch's width; a row's logit depends on that row
+        alone, so the loss and every gradient are those of the whole batch.
+        """
         ids, lengths = corpus_to_arrays(seqs, PAD)
         labels = np.asarray(labels, dtype=np.float64)
-        logits, cache = self._forward(ids, lengths)
+        distinct, inverse = _distinct_rows(ids, lengths)
+        logits, cache = self._forward(ids[distinct], lengths[distinct])
+        logits = logits[inverse]
         # stable BCE-with-logits: softplus(logit) - y * logit
         loss = float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
         dlogits = (_sigmoid(logits) - labels) / len(labels)
-        return loss, self._backward(cache, dlogits)
+        return loss, self._backward(cache, dlogits, inverse)
 
     # -- inference --------------------------------------------------------
 
@@ -270,35 +300,51 @@ class TextCNN:
 def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of one row per distinct (ids, length), and each row's group.
 
-    ``ids[distinct][inverse]`` rebuilds ``ids``, and the distinct rows come
-    out ordered by length first, then by ``ids[:, L-1]``, ..., ``ids[:, 0]``
-    (``predict_corpus``'s chunks rely on the length order). Each row is
-    packed into one int64 key whose digits, most significant first, are the
-    length and then the ids from the last column to the first, in base
-    ``max id + 1`` (ids are non-negative); one argsort of the keys and a
-    comparison of neighbours give the groups. Before a digit could push a
-    key past 2**63 - 1, the keys are re-ranked to their dense ranks below n,
-    which keep their order, so no width or vocabulary size can overflow.
+    ``ids[distinct][inverse]`` rebuilds ``ids``. ``predict_corpus`` and the
+    training step both run their forward pass on the distinct rows; the
+    rows come out ordered by length first, then by ``ids[:, L-1]``, ...,
+    ``ids[:, 0]``, and only ``predict_corpus``'s chunks need the length
+    order. Each row is packed into one int64 key whose digits, most
+    significant first, are the length and then the ids from the last column
+    to the first, in base ``max id + 1`` (ids are non-negative); one argsort
+    of the keys and a comparison of neighbours give the groups. Columns are
+    appended a run at a time, by one integer matrix-vector product with the
+    powers of the base. Before a digit could push a key past 2**63 - 1, the
+    keys are re-ranked the same way to their dense ranks below n, which
+    keep their order, so no width or vocabulary size can overflow.
     """
-    n, width = ids.shape
     base = int(ids.max(initial=0)) + 1
     key = lengths.astype(np.int64)
     top = int(lengths.max(initial=0))  # a bound on every key
-    for j in range(width - 1, -1, -1):
-        if top * base + base - 1 > _KEY_MAX:
-            values, key = np.unique(key, return_inverse=True)
-            top = len(values) - 1
-        key *= base
-        key += ids[:, j]
-        top = top * base + base - 1
-    # any row of a group stands for it, so the sort need not be stable
+    end = ids.shape[1]  # columns end, end + 1, ... are in the key
+    while end:
+        # append columns start..end-1 at once, as many as keep the bound,
+        # and so base ** (end - start), below 2**63 - 1
+        start, bound = end, top
+        while start and (bound + 1) * base <= _KEY_MAX:
+            start, bound = start - 1, (bound + 1) * base - 1
+        if start == end:
+            _, first, key = _dense_ranks(key)
+            top = int(first.sum()) - 1
+            continue
+        powers = base ** np.arange(end - start, dtype=np.int64)
+        key = key * base ** (end - start) + ids[:, start:end] @ powers
+        top, end = bound, start
+    order, first, inverse = _dense_ranks(key)
+    return order[first], inverse
+
+
+def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An order that sorts ``key``, where a new value starts in it, and each
+    entry's rank among the distinct values (equal keys, equal ranks)."""
+    # any entry of a group stands for it, so the sort need not be stable
     order = np.argsort(key)
     sorted_key = key[order]
-    first = np.ones(n, dtype=bool)
+    first = np.ones(len(key), dtype=bool)
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return order[first], inverse
+    ranks = np.empty(len(key), dtype=np.intp)
+    ranks[order] = np.cumsum(first) - 1
+    return order, first, ranks
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -376,7 +422,15 @@ def _generator_embeddings(gen_model):
 def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
          rng) -> DiscTrainReport:
     trainable = disc.trainable()
-    velocity = {k: np.zeros_like(disc.params[k]) for k in trainable}
+    # the trainable parameters become views of one flat buffer, so a
+    # momentum step is three elementwise operations on all of them at once
+    flat = np.concatenate([disc.params[k].ravel() for k in trainable])
+    at = 0
+    for k in trainable:
+        size, shape = disc.params[k].size, disc.params[k].shape
+        disc.params[k] = flat[at: at + size].reshape(shape)
+        at += size
+    velocity = np.zeros_like(flat)
     best_params = {k: v.copy() for k, v in disc.params.items()}
     best_acc, best_epoch, stale = -1.0, -1, 0
     losses, accs = [], []
@@ -386,18 +440,19 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
         assert len(pos) == len(neg)  # balanced classes by construction
         seqs = Corpus.concat([pos, neg])
         labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+        # shuffled once per epoch, so that each batch is a slice
         order = rng.permutation(len(seqs))
+        seqs, labels = seqs[order], labels[order]
         total_loss, seen = 0.0, 0
         for start in range(0, len(seqs), cfg.batch_size):
-            take = order[start: start + cfg.batch_size]
-            loss, grads = disc.loss_and_grads(seqs[take], labels[take])
-            for name in trainable:
-                v = velocity[name]
-                v *= cfg.momentum
-                v -= cfg.lr * grads[name]
-                disc.params[name] += v
-            total_loss += loss * len(take)
-            seen += len(take)
+            batch = slice(start, start + cfg.batch_size)
+            batch_labels = labels[batch]
+            loss, grads = disc.loss_and_grads(seqs[batch], batch_labels)
+            velocity *= cfg.momentum
+            velocity -= cfg.lr * np.concatenate([grads[k].ravel() for k in trainable])
+            flat += velocity
+            total_loss += loss * len(batch_labels)
+            seen += len(batch_labels)
         losses.append(total_loss / seen)
         accs.append(_accuracy(disc, real_val, fake_val))
         if accs[-1] >= best_acc:
@@ -414,7 +469,7 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
         if stale >= cfg.patience:
             stop_reason = "patience"
             break
-    disc.params = best_params
+    disc.params = best_params  # copies, so no parameter is a view of flat
     return DiscTrainReport(losses, accs, best_epoch, best_acc, stop_reason)
 
 

@@ -255,10 +255,6 @@ def fit_ppmi_svd(corpus: Corpus, dim: int = 64, window: int = 2) -> EmbeddingMod
     return EmbeddingModel(table, "ppmi-svd")
 
 
-def from_neural_lm(model: NeuralLM) -> EmbeddingModel:
-    return EmbeddingModel(model.params["embed"].copy(), "neural-lm-mean")
-
-
 def embed(samples: Corpus, em: EmbeddingModel) -> np.ndarray:
     """One vector per sequence: the mean of its token embeddings.
 

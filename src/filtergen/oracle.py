@@ -147,9 +147,6 @@ class ExactDiscriminator:
         self.scores = np.clip(np.asarray(scores, dtype=np.float64), clip, 1.0 - clip)
         self.scores.setflags(write=False)
 
-    def predict(self, seq: Sequence) -> float:
-        return float(self.scores[sequence_index(seq, self._base, self.length)])
-
     def predict_corpus(self, corpus) -> np.ndarray:
         return self.scores[sequence_indices(corpus, self._base, self.length)]
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -361,19 +363,14 @@ def test_distinct_rows_re_rank_a_key_before_it_overflows(monkeypatch):
     ids, lengths = pool[picks], lengths[picks]
     ids[0, 0] = vocab - 1  # the largest id occurs, so the base is 10,004
     _check_distinct_rows(ids, lengths)
-    # every key handed to np.unique (a re-rank) or np.argsort (the final sort)
+    # every key handed to np.argsort: the re-ranks, then the final sort
     seen = []
     real_unique, real_argsort = np.unique, np.argsort
-
-    def unique(a, **kw):
-        seen.append(np.array(a))
-        return real_unique(a, **kw)
 
     def argsort(a, **kw):
         seen.append(np.array(a))
         return real_argsort(a, **kw)
 
-    monkeypatch.setattr(np, "unique", unique)
     monkeypatch.setattr(np, "argsort", argsort)
     _distinct_rows(ids, lengths)
     monkeypatch.undo()
@@ -569,6 +566,16 @@ def _batch_major_backward(disc, cache, dlogits):
     return grads
 
 
+def _batch_major_loss_and_grads(disc, seqs, labels):
+    # the training step on every row of the batch, on the batch-major kernels
+    ids, lengths = fg.data.corpus_to_arrays(seqs, fg.data.PAD)
+    labels = np.asarray(labels, dtype=np.float64)
+    logits, cache = _batch_major_forward(disc, ids, lengths)
+    loss = float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
+    dlogits = (_two_branch_sigmoid(logits) - labels) / len(labels)
+    return loss, _batch_major_backward(disc, cache, dlogits)
+
+
 def _two_branch_sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -617,7 +624,7 @@ def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
         exact_logits, exact_cache = _batch_major_forward(disc, ids, lengths)
         assert np.array_equal(logits, exact_logits)
         dlogits = rng.standard_normal(len(lengths))
-        grads = disc._backward(cache, dlogits)
+        grads = disc._backward(cache, dlogits, np.arange(len(lengths)))
         ref = _reference_backward(disc, ref_cache, dlogits)
         assert grads.keys() == ref.keys()
         for name in ref:
@@ -642,6 +649,56 @@ def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
         for name in ref:
             scale = max(np.abs(ref[name]).max(), 1e-300)
             assert np.abs(grads[name] - ref[name]).max() <= 1e-10 * scale, name
+
+
+def _step_disc(vocab, frozen, seed):
+    # the default widths and nonzero biases, so pooled values mix windows
+    rng = np.random.default_rng(seed)
+    embeddings = rng.standard_normal((len(vocab), 32)) * 0.1 if frozen else None
+    disc = TextCNN(vocab, DiscConfig(seed=seed), rng, embeddings=embeddings)
+    for w, k in disc.banks:
+        disc.params[f"conv{w}_b"] = rng.standard_normal(k) * 0.1
+    return disc
+
+
+def _step_batches(s3):
+    vocab = fg.build_vocab(["a b c d e f g h"], max_size=14)
+    rng = np.random.default_rng(24)
+    sampled = s3.generator.sample_corpus(128, SamplerConfig(max_len=s3.length, seed=24), rng)
+    return {
+        # a training batch of the s3 workload: real rows and samples, many repeated
+        "s3": Corpus.concat([s3.train[:128], sampled]),
+        "identical": Corpus(vocab, (Sequence((4, 5, 6, 5)),) * 40),
+        "distinct": Corpus(vocab, tuple(Sequence(r) for r in _random_distinct_rows(60, 25))),
+        # one id-matrix row, [4, PAD, PAD], at lengths 3, 1 and 2
+        "length-only": Corpus.from_arrays(vocab, [[4, 2, 2], [4, 2, 2], [5, 4, 6], [4, 2, 2],
+                                                  [4, 2, 2], [5, 4, 6]], [3, 1, 3, 2, 1, 3]),
+        # no row reaches the window-3 bank
+        "short": Corpus(vocab, tuple(Sequence(r) for r in
+                                     [(4,), (5, 6), (4,), (6, 6), (5, 6), (7, 4), (8,)])),
+    }
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_loss_and_grads_equal_the_full_batch_kernels_bit_for_bit(s3, frozen):
+    batches = _step_batches(s3)
+    ids, lengths = fg.data.corpus_to_arrays(batches["s3"], fg.data.PAD)
+    assert len(_distinct_rows(ids, lengths)[0]) <= len(lengths) // 3
+    ids, lengths = fg.data.corpus_to_arrays(batches["length-only"], fg.data.PAD)
+    assert (ids == ids[0]).all(axis=1).sum() == 4 and len(set(lengths)) == 3
+    ids, lengths = fg.data.corpus_to_arrays(batches["short"], fg.data.PAD)
+    _, cache = _step_disc(batches["short"].vocab, frozen, 0)._forward(ids, lengths)
+    assert cache["banks"][3] is None
+    for n, (name, batch) in enumerate(batches.items()):
+        disc = _step_disc(batch.vocab, frozen, 30 + n)
+        labels = (np.random.default_rng(n).random(len(batch)) < 0.5).astype(np.float64)
+        loss, grads = disc.loss_and_grads(batch, labels)
+        ref_loss, ref = _batch_major_loss_and_grads(disc, batch, labels)
+        assert loss == ref_loss, name
+        assert grads.keys() == ref.keys(), name
+        for key in ref:  # bytes, so that even the sign of a zero must agree
+            assert grads[key].tobytes() == ref[key].tobytes(), (name, key)
+        assert grads["embed"].any() != frozen, name
 
 
 def test_sigmoid_equals_the_two_branch_sigmoid_bit_for_bit():
@@ -680,8 +737,10 @@ def test_training_equals_training_on_batch_major_kernels_bit_for_bit(frozen, mon
         return train_discriminator(real, gen, cfg, np.random.default_rng(20))
 
     disc, report = train()
+    # the reference scores on the batch-major forward and trains on every
+    # row of each batch, not on its distinct rows
     monkeypatch.setattr(TextCNN, "_forward", _batch_major_forward)
-    monkeypatch.setattr(TextCNN, "_backward", _batch_major_backward)
+    monkeypatch.setattr(TextCNN, "loss_and_grads", _batch_major_loss_and_grads)
     monkeypatch.setattr(fg.disc, "_sigmoid", _two_branch_sigmoid)
     ref_disc, ref_report = train()
     assert disc.embed_frozen == frozen
@@ -691,3 +750,6 @@ def test_training_equals_training_on_batch_major_kernels_bit_for_bit(frozen, mon
     assert disc.params.keys() == ref_disc.params.keys()
     for name in ref_disc.params:
         assert np.array_equal(disc.params[name], ref_disc.params[name]), name
+    # training updates views of one flat buffer; none is left behind
+    for a, b in itertools.combinations(disc.params.values(), 2):
+        assert not np.shares_memory(a, b)

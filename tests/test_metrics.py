@@ -372,16 +372,6 @@ def test_embedding_singleton_mean_is_token_row(s2):
     assert np.allclose(single[0], em.vectors[tok])
 
 
-def test_embedding_from_neural_lm(vocab):
-    lm = fg.NeuralLM(vocab, fg.NeuralConfig(embed_dim=6, hidden_dim=4, seed=2))
-    em = fg.from_neural_lm(lm)
-    assert em.provenance == "neural-lm-mean"
-    assert em.dim == 6
-    tok = vocab.id_of("a")
-    single = embed(Corpus(vocab, (Sequence((tok,)),), "x"), em)
-    assert np.allclose(single[0], lm.params["embed"][tok])
-
-
 def _ref_embed(samples, em):
     out = np.empty((len(samples), em.dim))
     for i, seq in enumerate(samples):

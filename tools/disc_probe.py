@@ -1,0 +1,65 @@
+"""Scale probe for TextCNN training on user-sized rows.
+
+Builds two synthetic Zipf corpora from a seed with ``ngram_probe.zipf_corpus``
+(row lengths uniform in 1..30, word ranks Zipf-distributed over V words),
+labels one real and the other generated, and trains the classifier on them
+for exactly two epochs with ``train_discriminator_corpora``. Such rows
+rarely repeat, unlike the bundled scenarios' batches. It prints one JSON
+line with the training time, a SHA-256 of the trained parameters and the
+process's peak RSS. Times are CPU seconds of this process, with BLAS held
+to one thread (unless the environment already sets its thread count) so
+that they are not a sum over BLAS threads.
+
+    PYTHONPATH=src python tools/disc_probe.py --vocab 2000 --seed 0
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import time
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")  # before numpy loads BLAS
+
+import numpy as np  # noqa: E402
+
+import filtergen as fg  # noqa: E402
+from ngram_probe import zipf_corpus  # noqa: E402
+
+
+def probe(vocab_size: int, rows: int, seed: int) -> dict:
+    real = zipf_corpus(vocab_size, rows, seed)
+    fake = zipf_corpus(vocab_size, rows, seed + 1)
+    cfg = fg.DiscConfig(lr=0.05, batch_size=256, max_epochs=2, patience=3, seed=seed)
+    start = time.process_time()
+    disc, report = fg.train_discriminator_corpora(real, fake, cfg)
+    train_s = time.process_time() - start
+    digest = hashlib.sha256()
+    for name in sorted(disc.params):
+        digest.update(np.ascontiguousarray(disc.params[name], dtype="<f8").tobytes())
+    return {
+        "vocab": vocab_size,
+        "rows": rows,
+        "seed": seed,
+        "epochs": report.epochs,
+        "train_s": train_s,
+        "params_sha256": digest.hexdigest(),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--vocab", type=int, default=2000, help="vocabulary size V")
+    parser.add_argument("--rows", type=int, default=5000, help="rows per corpus")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    print(json.dumps(probe(args.vocab, args.rows, args.seed)))
+
+
+if __name__ == "__main__":
+    main()
