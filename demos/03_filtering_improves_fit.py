@@ -31,7 +31,7 @@ sampler = fg.SamplerConfig(max_len=s3.length, seed=77)
 n = 100_000
 base = s3.generator.sample_corpus(n, sampler, np.random.default_rng(101))
 accepted, stats = fg.sample_filtered(fgen, n, sampler, np.random.default_rng(202))
-rejected = stats.rejected_corpus(s3.vocab)
+rejected = stats.rejected_sequences
 
 tv_base = tv_distance(empirical_distribution(base, s3.p_real), s3.p_real)
 tv_acc = tv_distance(empirical_distribution(accepted, s3.p_real), s3.p_real)

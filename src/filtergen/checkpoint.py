@@ -66,7 +66,7 @@ def _write_ngram(model: NGramLM) -> dict:
 def _read_ngram(vocab: Vocab, params: dict) -> NGramLM:
     model = NGramLM(vocab, params["order"], params["delta"], params["fixed_length"])
     for ctx, row in zip(params["contexts"], params["rows"]):
-        model._counts[tuple(int(t) for t in ctx)] = np.array(row, dtype=np.float64)
+        model._add_counts(tuple(int(t) for t in ctx), np.array(row, dtype=np.float64))
     return model
 
 

@@ -7,7 +7,10 @@ oracle-check, pipeline. Exit codes: 0 success, 2 configuration error,
 The pipeline persists one artifact set per stage under the output
 directory, keyed by a hash of the configuration, so deleting a late
 artifact and re-running recomputes only that stage. With a single worker
-every run is bit-reproducible for a given (config, seed).
+every run is bit-reproducible for a given (config, seed) and BLAS thread
+count: TextCNN training's matrix products can round differently when BLAS
+splits them over more threads, so set ``OPENBLAS_NUM_THREADS=1`` (as
+perfbench does) for results that match across machines.
 """
 
 from __future__ import annotations

@@ -166,13 +166,6 @@ class FilterStats:
         n = self.attempts - self.acceptances
         return self.sum_score_rejected / n if n else math.nan
 
-    def rejected_corpus(self, vocab) -> Corpus | None:
-        if not self.rejected_blocks:
-            return None
-        if vocab != self.rejected_blocks[0].vocab:
-            raise InputError("vocabulary does not match the rejected stream")
-        return self.rejected_sequences
-
     def to_dict(self) -> dict:
         return {
             "attempts": self.attempts,

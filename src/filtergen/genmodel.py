@@ -19,13 +19,14 @@ enumerable domain V^L; in variable-length mode EOS and UNK join the
 support.
 
 The n-gram model works on the corpus id matrix: every context gets a dense
-integer key (``data._gram_ranks``), so fitting is one ``bincount`` and
-scoring gathers each distinct context's log-probabilities once. Sampling
-reads a per-temperature table that holds each reached context's tempered
-CDF, computed once, and the row each (context, token) step leads to, so a
-warm step is an exact binary search for the number of CDF entries below u
-(O(log S) per sequence) and a gather of successor rows. A model's caches
-together are held under ``_CACHE_BYTES``.
+integer key (``data._gram_ranks``), so fitting is one ``bincount``. Scoring
+computes each event's probability from its context's counts and their
+stored total, and caches nothing. Sampling reads a per-temperature table
+that holds each reached context's tempered CDF, computed once, and the row
+each (context, token) step leads to, so a warm step is an exact binary
+search for the number of CDF entries below u (O(log S) per sequence) and a
+gather of successor rows. A model's sampling tables, of every temperature,
+are held together under ``_CACHE_BYTES``.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .data import (BOS, DEFAULT_MAX_LEN, EOS, NUM_RESERVED, UNK, Corpus, MarkovS
                    Sequence, _draw_from_cdf, _gram_ranks, corpus_to_arrays, split_tail)
 from .errors import InputError, check_fields, integer, number
 
-# Byte cap of one NGramLM's caches together: its ``cond_probs`` rows and its
-# sampling tables of every temperature. A table may pass it only when the
-# contexts in flight alone need more, or while it grows and holds both blocks.
+# Byte cap of one NGramLM's sampling tables of every temperature together. A
+# table may pass it only when the contexts in flight alone need more, or while
+# it grows and holds both blocks.
 _CACHE_BYTES = 256 * 2**20
 
 
@@ -106,9 +107,9 @@ class NGramLM:
     """Order-n language model with additive delta-smoothing.
 
     Every conditional is strictly positive and sums to one over the
-    support, so sequence log-probabilities are always finite. Scoring and
-    sampling fill the model's caches, so one model is not for concurrent use
-    from several threads.
+    support, so sequence log-probabilities are always finite. Sampling
+    fills the model's tables, so one model is not for concurrent use from
+    several threads.
     """
 
     kind = "ngram"
@@ -126,7 +127,7 @@ class NGramLM:
         self.support = support_ids(vocab, fixed_length)
         self._sup_index = _support_index(vocab, self.support)
         self._counts: dict[tuple[int, ...], np.ndarray] = {}
-        self._row_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._totals: dict[tuple[int, ...], float] = {}  # each counts row's sum
         self._tables: dict[float, _CdfTable] = {}
 
     # -- training ---------------------------------------------------------
@@ -138,14 +139,18 @@ class NGramLM:
         s = len(self.support)
         counts = np.bincount(ctx * s + sup, minlength=len(contexts) * s)
         for context, row in zip(contexts, counts.reshape(-1, s).astype(np.float64)):
-            seen = self._counts.get(context)
-            if seen is None:
-                self._counts[context] = row
-            else:
-                seen += row
-        self._row_cache.clear()
+            self._add_counts(context, row)
         self._tables.clear()
         return self
+
+    def _add_counts(self, context: tuple[int, ...], row: np.ndarray) -> None:
+        """Add a support-length row of counts to ``context``'s, and its total."""
+        seen = self._counts.get(context)
+        if seen is None:
+            self._counts[context] = seen = row
+        else:
+            seen += row
+        self._totals[context] = float(seen.sum())
 
     def _events(self, corpus: Corpus):
         """Every (context, next token) event of a corpus, in row-major order.
@@ -182,28 +187,17 @@ class NGramLM:
 
     # -- probabilities ----------------------------------------------------
 
-    def cond_probs(self, context: tuple[int, ...]) -> np.ndarray:
-        """Smoothed next-token distribution over ``self.support`` (read-only)."""
-        row = self._row_cache.get(context)
-        if row is None:
-            row = self._smoothed(context)
-            row.setflags(write=False)
-            if self._cache_bytes() + row.nbytes > _CACHE_BYTES:
-                self._row_cache.clear()
-            if self._cache_bytes() + row.nbytes <= _CACHE_BYTES:
-                self._row_cache[context] = row
-        return row
-
-    def _cache_bytes(self) -> int:
-        rows = len(self._row_cache) * len(self.support) * 8
-        return rows + sum(t.nbytes for t in self._tables.values())
-
-    def _smoothed(self, context: tuple[int, ...]) -> np.ndarray:
-        counts = self._counts.get(context)
+    def cond_probs(self, context: tuple[int, ...], sup=slice(None)):
+        """Smoothed probabilities of the support indices ``sup`` after
+        ``context``, by default the whole next-token distribution over
+        ``self.support`` as a fresh array: (c + delta) / (N + delta * S) from
+        the context's counts c and their total N, or 1 / S after a context
+        never seen."""
         s = len(self.support)
+        counts = self._counts.get(context)
         if counts is None:
-            return np.full(s, 1.0 / s)
-        return (counts + self.delta) / (counts.sum() + self.delta * s)
+            return np.full(s, 1.0 / s)[sup]
+        return (counts[sup] + self.delta) / (self._totals[context] + self.delta * s)
 
     def seq_logprob(self, seq: Sequence) -> float:
         """Log-probability of one sequence, event by event."""
@@ -215,20 +209,20 @@ class NGramLM:
             idx = self._sup_index[tok]
             if idx < 0:
                 raise InputError(f"token id {tok} is outside the model support")
-            total += math.log(self.cond_probs(padded[t: t + ctx_len])[idx])
+            total += math.log(self.cond_probs(padded[t: t + ctx_len], idx))
         return total
 
     def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
-        """``seq_logprob`` of every row: each distinct context's row is looked
-        up once, only the events' entries are gathered from it and logged,
-        and each row's terms are summed left to right."""
+        """``seq_logprob`` of every row: each distinct context's events are
+        scored together from its counts, logged, and each row's terms are
+        summed left to right."""
         contexts, ctx, sup, mask = self._events(corpus)
         by_ctx = np.argsort(ctx, kind="stable")
         bounds = np.searchsorted(ctx[by_ctx], np.arange(len(contexts) + 1))
         probs = np.empty(len(ctx))
         for u, context in enumerate(contexts):
             events = by_ctx[bounds[u]: bounds[u + 1]]
-            probs[events] = self.cond_probs(context)[sup[events]]
+            probs[events] = self.cond_probs(context, sup[events])
         terms = np.zeros(mask.shape)
         terms[mask] = libm_map(math.log, probs)
         total = np.zeros(len(terms))
@@ -296,11 +290,12 @@ class NGramLM:
 
     def _table_rows(self, table: _CdfTable, temperature: float, keys: list):
         """Row ids of ``keys`` in ``table``, adding the missing rows; ``None``
-        when they would take this model's caches past ``_CACHE_BYTES``."""
+        when they would take this model's tables past ``_CACHE_BYTES``."""
         missing = [k for k in dict.fromkeys(keys) if k not in table.row_of]
         need = len(table.keys) + len(missing)
         if need > table.capacity:
-            room = (_CACHE_BYTES - self._cache_bytes() + table.nbytes) // table.row_bytes
+            held = sum(t.nbytes for t in self._tables.values())
+            room = (_CACHE_BYTES - held + table.nbytes) // table.row_bytes
             if need > room:
                 return None
             table.grow(min(2 * need, room))
@@ -309,13 +304,12 @@ class NGramLM:
         return np.array([table.row_of[k] for k in keys], dtype=np.int64)
 
     def _rebuilt_rows(self, table: _CdfTable, temperature: float, keys: list) -> np.ndarray:
-        """Drop this model's other caches and rebuild ``table`` from ``keys``,
+        """Drop this model's other tables and rebuild ``table`` from ``keys``,
         the contexts in flight, whatever the cap; returns their row ids. The
         rows are recomputed with the same formula, so the draws do not change.
         Within the cap the table keeps its blocks, or twice the room the
         contexts in flight need, so the next steps do not regrow it at once."""
         self._tables = {temperature: table}
-        self._row_cache.clear()
         need = len(set(keys))
         room = _CACHE_BYTES // table.row_bytes
         table.reset(max(need, min(max(2 * need, table.capacity), room)))
@@ -326,9 +320,9 @@ class NGramLM:
 
     def _tempered_cdf(self, key, temperature: float) -> np.ndarray:
         """CDF of a table row: the first step's row drops EOS and renormalises."""
-        row = _apply_temperature(self._smoothed(self._context(key)), temperature)
+        row = _apply_temperature(self.cond_probs(self._context(key)), temperature)
         if key is None and self.fixed_length is None:
-            row[self._sup_index[EOS]] = 0.0  # _smoothed returned a fresh array
+            row[self._sup_index[EOS]] = 0.0  # cond_probs returned a fresh array
             row /= row.sum()
         return np.cumsum(row)
 
@@ -542,6 +536,14 @@ class NeuralLM:
         mask = np.arange(width)[None, :] < events[:, None]
         return inputs, mask
 
+    def _step(self, ids: np.ndarray, h: np.ndarray):
+        """One recurrence step from token ids and the previous hidden state;
+        returns the step's embeddings, its hidden state and its logits."""
+        p = self.params
+        x = p["embed"][ids]
+        h = np.tanh(x @ p["w_xh"] + h @ p["w_hh"] + p["b_h"])
+        return x, h, h @ p["w_hy"] + p["b_y"]
+
     def nll_and_grads(self, seqs) -> tuple[float, dict]:
         """Mean per-event NLL of a batch plus gradients for every parameter."""
         p = self.params
@@ -555,14 +557,11 @@ class NeuralLM:
         total_events = float(mask.sum())
         loss = 0.0
         for t in range(width):
-            x = p["embed"][inputs[:, t]]
-            h = np.tanh(x @ p["w_xh"] + hs[t] @ p["w_hh"] + p["b_h"])
-            logits = h @ p["w_hy"] + p["b_y"]
+            xs[t], hs[t + 1], logits = self._step(inputs[:, t], hs[t])
             logits -= logits.max(axis=1, keepdims=True)
             e = np.exp(logits)
-            prob = e / e.sum(axis=1, keepdims=True)
-            xs[t], hs[t + 1], probs[t] = x, h, prob
-            picked = prob[np.arange(n), targets[:, t]]
+            probs[t] = e / e.sum(axis=1, keepdims=True)
+            picked = probs[t, np.arange(n), targets[:, t]]
             loss -= float((np.log(picked) * mask[:, t]).sum())
         loss /= total_events
 
@@ -585,18 +584,15 @@ class NeuralLM:
 
     def seq_logprobs(self, corpus) -> np.ndarray:
         """Log probability of every row, 256 rows per forward pass."""
-        p = self.params
         out = []
         for start in range(0, len(corpus), 256):
             targets, events = self._targets(corpus[start: start + 256])
             inputs, mask = self._step_stack(targets, events)
             n, width = targets.shape
-            h = np.zeros((n, p["w_hh"].shape[0]))
+            h = np.zeros((n, self.params["w_hh"].shape[0]))
             logp = np.zeros(n)
             for t in range(width):
-                x = p["embed"][inputs[:, t]]
-                h = np.tanh(x @ p["w_xh"] + h @ p["w_hh"] + p["b_h"])
-                logits = h @ p["w_hy"] + p["b_y"]
+                _, h, logits = self._step(inputs[:, t], h)
                 logits -= logits.max(axis=1, keepdims=True)
                 logz = np.log(np.exp(logits).sum(axis=1))
                 picked = logits[np.arange(n), targets[:, t]] - logz
@@ -654,10 +650,9 @@ class NeuralLM:
                       split: str = "") -> Corpus:
         """Ancestral sampling; the first step never emits EOS."""
         rng = _resolve_rng(rng, cfg)
-        p = self.params
         length_cap = (min(self.fixed_length, cfg.max_len)
                       if self.fixed_length is not None else cfg.max_len)
-        h = np.zeros((n, p["w_hh"].shape[0]))
+        h = np.zeros((n, self.params["w_hh"].shape[0]))
         current = np.full(n, BOS, dtype=np.int64)
         tokens = np.full((n, length_cap), -1, dtype=np.int64)
         active = np.ones(n, dtype=bool)
@@ -666,9 +661,8 @@ class NeuralLM:
             u = rng.random(n)
             if not active.any():
                 continue
-            x = p["embed"][current]
-            h = np.tanh(x @ p["w_xh"] + h @ p["w_hh"] + p["b_h"])
-            logits = (h @ p["w_hy"] + p["b_y"]) / cfg.temperature
+            _, h, logits = self._step(current, h)
+            logits /= cfg.temperature
             if t == 0 and eos_sup >= 0:
                 logits[:, eos_sup] = -np.inf
             logits -= logits.max(axis=1, keepdims=True)

@@ -448,8 +448,8 @@ def grid_streams(gen, disc, ratio, boundary: float, n: int, sampler: SamplerConf
                            max_attempts_per_sample)
     accepted, stats = sample_filtered(fg, n, sampler,
                                       np.random.default_rng(sampler.seed))
-    rejected = stats.rejected_corpus(gen.vocab)
-    return accepted, rejected if rejected is None else rejected[:n], stats
+    rejected = stats.rejected_sequences
+    return accepted, rejected[:n] if len(rejected) else None, stats
 
 
 def temperature_sweep(gen, real_train: Corpus, real_test: Corpus, temps,

@@ -43,31 +43,13 @@ class ExactDistribution:
     def __len__(self):
         return len(self.domain)
 
-    def index_of(self, seq: Sequence) -> int:
-        return int(sequence_index(seq, self.vocab.content_size, self.length))
-
-    def prob_of(self, seq: Sequence) -> float:
-        return float(self.probs[self.index_of(seq)])
-
     def renormalized(self, probs: np.ndarray) -> "ExactDistribution":
         return ExactDistribution(self.vocab, self.length, self.domain, probs)
 
 
-def sequence_index(seq: Sequence, base: int, length: int) -> int:
-    """Position of a sequence in the lexicographic enumeration of V^L."""
-    if len(seq) != length:
-        raise InputError(f"expected a length-{length} sequence")
-    idx = 0
-    for token_id in seq.ids:
-        state = token_id - NUM_RESERVED
-        if not 0 <= state < base:
-            raise InputError("sequence contains tokens outside the domain alphabet")
-        idx = idx * base + state
-    return idx
-
-
 def sequence_indices(corpus: Corpus, base: int, length: int) -> np.ndarray:
-    """Vectorized ``sequence_index`` over a corpus of equal-length sequences."""
+    """Position of each sequence of a corpus in the lexicographic enumeration
+    of V^L, where V has ``base`` content tokens."""
     ids, lengths = corpus_to_arrays(corpus)
     if (lengths != length).any():
         raise InputError(f"expected length-{length} sequences")
@@ -247,8 +229,6 @@ def _check_same_domain(p: ExactDistribution, q: ExactDistribution) -> None:
 def _score_vector(scores, p_model: ExactDistribution) -> np.ndarray:
     if isinstance(scores, ExactDiscriminator):
         scores = scores.scores
-    elif isinstance(scores, dict):
-        scores = [scores[s] for s in p_model.domain]
     elif hasattr(scores, "predict_corpus"):
         scores = scores.predict_corpus(p_model.domain)
     arr = np.asarray(scores, dtype=np.float64)

@@ -135,7 +135,7 @@ def test_criterion_4_distribution_correction_with_trained_disc(
         base = s.generator.sample_corpus(200_000, sampler, np.random.default_rng(101))
         accepted, stats = fg.sample_filtered(fgen, 200_000, sampler,
                                              np.random.default_rng(202))
-        rejected = stats.rejected_corpus(s.vocab)
+        rejected = stats.rejected_sequences
         tv_base = tv_distance(empirical_distribution(base, s.p_real), s.p_real)
         tv_acc = tv_distance(empirical_distribution(accepted, s.p_real), s.p_real)
         tv_rej = tv_distance(empirical_distribution(rejected, s.p_real), s.p_real)

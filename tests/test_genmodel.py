@@ -247,6 +247,9 @@ def test_checkpoint_roundtrip(tmp_path, kind):
     assert again.seq_logprob(seq) == pytest.approx(model.seq_logprob(seq), abs=1e-12)
     cfg = SamplerConfig(seed=4)
     assert again.sample(cfg).ids == model.sample(cfg).ids
+    if kind == "ngram":  # the stored totals are rebuilt from the counts read
+        assert again._totals == model._totals
+        assert np.array_equal(again.seq_logprobs(train), model.seq_logprobs(train))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +302,10 @@ def test_ngram_fit_and_seq_logprobs_match_per_event_loops(case):
     twice = NGramLM(train.vocab, order, 0.05, fixed).fit(train).fit(test)
     for fitted, corpora in ((model, (train,)), (twice, (train, test))):
         want = _ref_counts(fitted, *corpora)
-        assert fitted._counts.keys() == want.keys()
+        assert fitted._counts.keys() == want.keys() == fitted._totals.keys()
         for ctx, row in want.items():
             assert np.array_equal(fitted._counts[ctx], row)
+            assert fitted._totals[ctx] == row.sum()
     got = model.seq_logprobs(test)
     assert got.shape == (len(test),) and got.dtype == np.float64
     np.testing.assert_allclose(got, [model.seq_logprob(s) for s in test],
@@ -319,7 +323,7 @@ def test_ngram_seq_logprobs_memory_scales_with_events_not_vocabulary():
     lines = [" ".join(rng.choice(words, size=rng.integers(1, 6))) for _ in range(400)]
     corpus = encode_corpus(lines, vocab, "test")
     model = train_mle(corpus, None, NGramConfig(order=2))
-    want = [model.seq_logprob(s) for s in corpus]  # fills the row cache
+    want = [model.seq_logprob(s) for s in corpus]  # one event at a time
     tracemalloc.start()
     try:
         got = model.seq_logprobs(corpus)
@@ -481,26 +485,41 @@ def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatur
                 assert len(model._tables) == 1
 
 
+def _table_state(model):
+    return [(temperature, table, table.cdf.tobytes(), table.succ.tobytes(), list(table.keys))
+            for temperature, table in model._tables.items()]
+
+
 def test_caches_are_held_under_one_byte_cap(monkeypatch):
-    # cond_probs rows and sampling tables share the cap; two sequences in
-    # flight need at most two table rows, which always fit
+    # only the sampling tables count against the cap: scoring computes from the
+    # counts, caches nothing and leaves the tables as they are; two sequences
+    # in flight need at most two table rows, which always fit
     source = _uniform_source(3, 4)
-    train = synth_markov(source, 200, np.random.default_rng(3), "train")
+    rng = np.random.default_rng(3)
+    train = synth_markov(source, 200, rng, "train")
+    test = synth_markov(source, 50, rng, "test")
     model = NGramLM(train.vocab, 3, 0.01, 4).fit(train)
+    counts = _ref_counts(model, train)
+    s = len(model.support)
     contexts = list(itertools.product((fg.BOS, 4, 5, 6), repeat=2))
-    row_bytes = 8 * len(model.support)
-    cap = 6 * row_bytes
+    row_bytes = s * (8 + 4)  # a float64 CDF entry and an int32 successor per symbol
+    cap = 4 * row_bytes
     monkeypatch.setattr(fg.genmodel, "_CACHE_BYTES", cap)
     for seed in range(3):
+        before = _table_state(model)
         for context in contexts:
             row = model.cond_probs(context)
-            assert not row.flags.writeable
-            assert np.array_equal(row, model._smoothed(context))
-            assert model._cache_bytes() <= cap
-        assert len(model._row_cache) >= 1 or model._cache_bytes() + row_bytes > cap
+            c = counts.get(context)
+            want = np.full(s, 1.0 / s) if c is None else (c + 0.01) / (c.sum() + 0.01 * s)
+            assert np.array_equal(row, want)
+            row[:] = 0.0  # a fresh array each call
+            assert np.array_equal(model.cond_probs(context), want)
+        scores = model.seq_logprobs(test)
+        assert np.array_equal(scores, model.seq_logprobs(test))
+        assert _table_state(model) == before
         for temperature, max_len in itertools.product((1.0, 0.5), (1, 4)):
             model.sample_corpus(2, SamplerConfig(temperature, max_len, seed))
-            assert model._cache_bytes() <= cap
+            assert 0 < sum(t.nbytes for t in model._tables.values()) <= cap
 
 
 @settings(max_examples=25, deadline=None)

@@ -47,7 +47,7 @@ def test_filtered_sampling_golden_on_s3(s3):
     accepted, stats = fg.sample_filtered(gen, N_ACCEPTED, sampler,
                                          np.random.default_rng(SEED))
     base, length = s3.vocab.content_size, s3.length
-    rejected = stats.rejected_corpus(s3.vocab)
+    rejected = stats.rejected_sequences
     got = {
         "attempts": stats.attempts,
         "acceptances": stats.acceptances,

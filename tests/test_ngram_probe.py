@@ -1,4 +1,4 @@
-"""The n-gram scale probe runs end to end at a small vocabulary."""
+"""The n-gram scale probe runs end to end at a small vocabulary, and its digests repeat."""
 
 import json
 import os
@@ -20,11 +20,14 @@ def test_ngram_probe_smoke():
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     first, again = (json.loads(proc.stdout.strip().splitlines()[-1]) for proc in runs)
-    assert (first["vocab"], first["rows"], first["samples"], first["seed"]) == (50, 500, 200, 3)
+    assert ((first["vocab"], first["rows"], first["test_rows"], first["samples"], first["seed"])
+            == (50, 500, 100, 200, 3))
     assert 1 <= first["contexts"] <= 51
     # at least the first step's row, each a float64 CDF entry and an int32 successor
     # per support symbol (EOS, UNK and the 50 words)
     assert first["table_bytes"] >= 52 * 12
-    assert min(first["fit_s"], first["sample_cold_s"], first["sample_warm_s"]) >= 0.0
+    assert min(first[k] for k in ("fit_s", "score_cold_s", "score_warm_s",
+                                  "sample_cold_s", "sample_warm_s")) >= 0.0
     assert first["peak_rss_mb"] > 0
+    assert first["scores_sha256"] == again["scores_sha256"]
     assert first["samples_sha256"] == again["samples_sha256"]

@@ -3,10 +3,12 @@
 Builds a corpus from a seed, with no download: row lengths uniform in
 1..30 and word ranks Zipf-distributed (p(r) proportional to 1/r) over a
 vocabulary of V words. It fits a bigram over it (the CLI's default
-generator) and prints one JSON line with the fit time, the cold and warm
-``sample_corpus`` times, the bytes held by the model's sampling tables, a
-SHA-256 of the sampled ids and the process's peak RSS. Times are CPU
-seconds of this process.
+generator), scores a held-out split of rows // 5 rows, built the same way
+from the next seed, twice with ``seq_logprobs``, then samples twice with
+``sample_corpus``. It prints one JSON line with the fit time, the cold and
+warm scoring and sampling times, the bytes held by the model's sampling
+tables, SHA-256 digests of the scores and of the sampled ids, and the
+process's peak RSS. Times are CPU seconds of this process.
 
     PYTHONPATH=src python tools/ngram_probe.py --vocab 2000 --seed 0
 
@@ -38,10 +40,19 @@ def zipf_corpus(vocab_size: int, rows: int, seed: int) -> fg.Corpus:
 
 
 def probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
+    test_rows = rows // 5
     corpus = zipf_corpus(vocab_size, rows, seed)
+    held_out = zipf_corpus(vocab_size, test_rows, seed + 1)
     start = time.process_time()
     model = fg.train_mle(corpus, None, fg.NGramConfig(order=2))
     fit_s = time.process_time() - start
+    score_digest = hashlib.sha256()
+    score_times = []
+    for _ in range(2):  # cold, then warm
+        start = time.process_time()
+        scores = model.seq_logprobs(held_out)
+        score_times.append(time.process_time() - start)
+        score_digest.update(np.ascontiguousarray(scores, dtype="<f8").tobytes())
     digest = hashlib.sha256()
     times = []
     for call in range(2):  # cold, then warm
@@ -54,10 +65,14 @@ def probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
     return {
         "vocab": vocab_size,
         "rows": rows,
+        "test_rows": test_rows,
         "samples": samples,
         "seed": seed,
         "contexts": len(model._counts),
         "fit_s": fit_s,
+        "score_cold_s": score_times[0],
+        "score_warm_s": score_times[1],
+        "scores_sha256": score_digest.hexdigest(),
         "sample_cold_s": times[0],
         "sample_warm_s": times[1],
         "table_bytes": sum(t.nbytes for t in model._tables.values()),
