@@ -2,7 +2,7 @@
 generators, with exact brute-force verification on enumerable domains."""
 
 from .data import (BOS, EOS, PAD, UNK, Corpus, MarkovSource, Sequence, Vocab,
-                   build_vocab, decode, encode, encode_corpus, exact_prob,
+                   build_vocab, encode, encode_corpus, exact_prob,
                    load_corpus, save_corpus, split_tail, synth_markov)
 from .disc import (DiscConfig, DiscTrainReport, TextCNN, error_rate,
                    train_discriminator, train_discriminator_corpora)
@@ -20,7 +20,7 @@ from .oracle import (BoundarySolution, ExactDiscriminator, ExactDistribution,
                      empirical_distribution, enumerate_distribution,
                      exact_boundary, exact_filtered_distribution,
                      js_divergence, optimal_discriminator, tv_distance)
-from .scenarios import Scenario, build_scenario, bucket_lengths, list_scenarios
+from .scenarios import Scenario, build_scenario, bucket_lengths
 
 __version__ = "0.1.0"
 

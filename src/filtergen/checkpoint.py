@@ -37,16 +37,42 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The model a checkpoint file holds.
+
+    A file that is not UTF-8 JSON, or not a checkpoint of a known format
+    and kind whose arrays fit its model, raises InputError naming ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return _read_model(doc)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"{path}: malformed checkpoint: missing key {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise InputError(f"{path}: malformed checkpoint: {exc}") from exc
+
+
+def _read_model(doc):
+    if not isinstance(doc, dict):
+        raise InputError("malformed checkpoint: not a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
-        raise InputError(f"{path}: unsupported checkpoint format")
+        raise InputError("unsupported checkpoint format")
     kind = doc.get("kind")
     reader = _READERS.get(kind)
     if reader is None:
-        raise InputError(f"{path}: unknown model kind {kind!r}")
-    vocab = Vocab(doc["vocab"]["tokens"])
-    return reader(vocab, doc["params"])
+        raise InputError(f"unknown model kind {kind!r}")
+    return reader(Vocab(doc["vocab"]["tokens"]), doc["params"])
+
+
+def _array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float64 array, which must have ``shape``."""
+    arr = np.array(value, dtype=np.float64)
+    if arr.shape != shape:
+        raise InputError(f"malformed checkpoint: {name} has shape {arr.shape}, "
+                         f"expected {shape}")
+    return arr
 
 
 # -- ngram ------------------------------------------------------------------
@@ -65,8 +91,13 @@ def _write_ngram(model: NGramLM) -> dict:
 
 def _read_ngram(vocab: Vocab, params: dict) -> NGramLM:
     model = NGramLM(vocab, params["order"], params["delta"], params["fixed_length"])
-    for ctx, row in zip(params["contexts"], params["rows"]):
-        model._add_counts(tuple(int(t) for t in ctx), np.array(row, dtype=np.float64))
+    shape = (len(model.support),)
+    for ctx, row in zip(params["contexts"], params["rows"], strict=True):
+        ctx = tuple(int(t) for t in ctx)
+        if len(ctx) != model.order - 1:
+            raise InputError(f"malformed checkpoint: context {ctx} of an order-"
+                             f"{model.order} model")
+        model._add_counts(ctx, _array(row, "a counts row", shape))
     return model
 
 
@@ -85,7 +116,7 @@ def _read_neural(vocab: Vocab, params: dict) -> NeuralLM:
     cfg = NeuralConfig(**params["config"])
     model = NeuralLM(vocab, cfg)
     for name in _NEURAL_ARRAYS:
-        model.params[name] = np.array(params[name], dtype=np.float64)
+        model.params[name] = _array(params[name], name, model.params[name].shape)
     return model
 
 
@@ -125,7 +156,7 @@ def _read_textcnn(vocab: Vocab, params: dict) -> TextCNN:
     model = TextCNN(vocab, cfg)
     model.embed_frozen = bool(params.get("embed_frozen", False))
     for name in list(model.params):
-        model.params[name] = np.array(params[name], dtype=np.float64)
+        model.params[name] = _array(params[name], name, model.params[name].shape)
     return model
 
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_model, save_model
-from .data import (DEFAULT_MAX_LEN, Vocab, build_vocab, load_corpus, save_corpus,
-                   synth_markov)
+from .data import (DEFAULT_MAX_LEN, Vocab, build_vocab, load_corpus, read_lines,
+                   save_corpus, synth_markov)
 from .disc import DiscConfig, error_rate, train_discriminator
 from .errors import BudgetError, ConfigError, FiltergenError, InputError, integer, number
 from .filtering import BoundaryEstimateConfig, estimate_boundary
@@ -92,7 +92,7 @@ def validate_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError([f"cannot read config: {exc}"])
     if not isinstance(doc, dict):
         raise ConfigError(["config must be a JSON object"])
@@ -247,19 +247,17 @@ class RunManifest:
         return {"config_hash": self.config_hash, "versions": self.versions,
                 "stages": self.stages}
 
-    def artifact_digests(self) -> dict:
-        return {a["path"]: a["sha256"] for st in self.stages for a in st["artifacts"]}
 
-
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file and ``os.replace``.
 
     A failure leaves the old file (or none) and no temp file, never a
     partial artifact.
     """
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8", newline="\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -383,9 +381,7 @@ class _Pipeline:
                 save_corpus(corpus, self.out / f"{name}.txt")
             s.vocab.save(self.out / "vocab.json")
         else:
-            with open(cfg.data["train"], encoding="utf-8") as fh:
-                lines = fh.readlines()
-            vocab = build_vocab(lines, cfg.data["vocab_size"])
+            vocab = build_vocab(read_lines(cfg.data["train"]), cfg.data["vocab_size"])
             vocab.save(self.out / "vocab.json")
             for name in _SPLITS:
                 corpus = load_corpus(cfg.data[name], vocab, name, cfg.data["max_len"])
@@ -477,8 +473,7 @@ class _Pipeline:
                     continue
                 rows.append(scorer.row(temp, ratio, stream,
                                        load_corpus(path, vocab, stream, max_len)))
-        report = SweepReport(rows)
-        report.to_csv(self.out / "sweep.csv")
+        _write_atomic(self.out / "sweep.csv", SweepReport(rows).csv_text())
         _write_atomic(self.out / "report.json", json.dumps(
             {"rows": rows, "columns": list(SWEEP_COLUMNS)}, sort_keys=True))
         if self.scenario is not None:
@@ -491,7 +486,7 @@ def _save_rejected(rejected, path) -> None:
     if rejected is not None:
         save_corpus(rejected, path)
     else:
-        _write_atomic(Path(path), "")
+        _write_atomic(path, "")
 
 
 def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
@@ -557,8 +552,27 @@ def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError([f"cannot read {path}: {exc}"])
+
+
+_GENERATOR_KINDS = ("ngram", "neural", "markov")
+
+
+def _load_kind(path, *kinds):
+    """The model of checkpoint ``path``, which must be of one of ``kinds``."""
+    model = load_model(path)
+    if model.kind not in kinds:
+        raise InputError(f"{path}: a {model.kind} checkpoint, expected {' or '.join(kinds)}")
+    return model
+
+
+def _load_classifier(path, gen):
+    """The classifier of checkpoint ``path``, over the vocabulary of ``gen``."""
+    disc = _load_kind(path, "textcnn")
+    if disc.vocab != gen.vocab:
+        raise InputError(f"{path}: the classifier's vocabulary is not the generator's")
+    return disc
 
 
 def _cmd_train_gen(args) -> int:
@@ -572,9 +586,7 @@ def _cmd_train_gen(args) -> int:
     limits = _positive_ints(problems, limits, "generator", _CORPUS_DEFAULTS)
     if problems:
         raise ConfigError(problems)
-    with open(args.train, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    vocab = build_vocab(lines, limits["vocab_size"])
+    vocab = build_vocab(read_lines(args.train), limits["vocab_size"])
     train = load_corpus(args.train, vocab, "train", limits["max_len"])
     valid = load_corpus(args.valid, vocab, "valid", limits["max_len"]) if args.valid else None
     model = train_mle(train, valid, cfg)
@@ -589,7 +601,7 @@ def _cmd_train_disc(args) -> int:
                    "discriminator", DiscConfig, seed=args.seed)
     if problems:
         raise ConfigError(problems)
-    gen = load_model(args.gen_model)
+    gen = _load_kind(args.gen_model, *_GENERATOR_KINDS)
     real = load_corpus(args.real, gen.vocab, "train")
     disc, report = train_discriminator(real, gen, cfg,
                                        np.random.default_rng(args.seed))
@@ -600,36 +612,35 @@ def _cmd_train_disc(args) -> int:
 
 
 def _cmd_estimate_uc(args) -> int:
-    gen = load_model(args.gen)
-    disc = load_model(args.disc)
+    gen = _load_kind(args.gen, *_GENERATOR_KINDS)
+    disc = _load_classifier(args.disc, gen)
     sampler = SamplerConfig(temperature=args.temperature, seed=args.seed)
     boundary, trace = estimate_boundary(gen, disc, args.c, None, sampler,
                                         np.random.default_rng(args.seed))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"c": args.c, "u_c": boundary, "trace": trace}, fh)
+    _write_atomic(args.out, json.dumps({"c": args.c, "u_c": boundary, "trace": trace}))
     print(f"u_c = {boundary:.4f} (written to {args.out})")
     return 0
 
 
 def _cmd_sample(args) -> int:
-    gen = load_model(args.gen)
+    gen = _load_kind(args.gen, *_GENERATOR_KINDS)
+    disc = _load_classifier(args.disc, gen)
     sampler = SamplerConfig(temperature=args.temperature, seed=args.seed)
     corpus, rejected, stats = grid_streams(
-        gen, load_model(args.disc), args.c, args.u_c if args.c < 1.0 else 0.0, args.n,
-        sampler, args.max_attempts)
+        gen, disc, args.c, args.u_c if args.c < 1.0 else 0.0, args.n, sampler,
+        args.max_attempts)
     save_corpus(corpus, args.out)
     if args.rejected_out:
         _save_rejected(rejected, args.rejected_out)
     stats_path = args.stats_out or f"{args.out}.stats.json"
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        json.dump(stats.to_dict(), fh)
+    _write_atomic(stats_path, json.dumps(stats.to_dict()))
     print(f"accepted {stats.acceptances}/{stats.attempts} "
           f"(rate {stats.acceptance_rate:.4f})")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    gen = load_model(args.gen)
+    gen = _load_kind(args.gen, *_GENERATOR_KINDS)
     real = load_corpus(args.real, gen.vocab, "real")
     samples = load_corpus(args.samples, gen.vocab, "samples")
     metric_names = [m for m in args.metrics.split(",") if m]
@@ -639,10 +650,9 @@ def _cmd_evaluate(args) -> int:
     scorer = MetricScorer(metric_names, real_train=real, real_test=real, oracle_lm=gen)
     row = scorer.cells(samples, args.seed)
     if args.disc:
-        disc = load_model(args.disc)
+        disc = _load_classifier(args.disc, gen)
         row["disc_error_rate"] = error_rate(disc, real, samples)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(row, fh, sort_keys=True)
+    _write_atomic(args.out, json.dumps(row, sort_keys=True))
     print(json.dumps(row, sort_keys=True))
     return 0
 
@@ -653,7 +663,7 @@ def _cmd_sweep(args) -> int:
     manifest = run_pipeline(config, out_dir)
     sweep_path = out_dir / "sweep.csv"
     if Path(args.out) != sweep_path:
-        Path(args.out).write_text(sweep_path.read_text())
+        _write_atomic(args.out, sweep_path.read_text())
     print(f"wrote {args.out} ({len(manifest.stages)} stages)")
     return 0
 
@@ -661,8 +671,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle_check(args) -> int:
     scenario = build_scenario(args.scenario)
     doc = oracle_check(scenario, args.c)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+    _write_atomic(args.out, json.dumps(doc, sort_keys=True, indent=1))
     status = "PASS" if doc["pass"] else "FAIL"
     for name, ok in doc["checks"].items():
         print(f"{'ok ' if ok else 'FAIL'} {name}")

@@ -67,9 +67,6 @@ class Vocab:
         """Id of ``token``, or UNK for out-of-vocabulary tokens."""
         return self._ids.get(token, UNK)
 
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"tokens": list(self.tokens[NUM_RESERVED:])}, fh)
@@ -125,7 +122,7 @@ class Corpus:
         seqs = tuple(sequences)
         if not seqs:
             raise InputError("a corpus must contain at least one sequence")
-        ids, lengths = _pack([s.ids for s in seqs], PAD)
+        ids, lengths = _pack([s.ids for s in seqs])
         _check_ids(ids, len(vocab))
         _init_corpus(self, vocab, ids, lengths, split, seqs)
 
@@ -246,11 +243,11 @@ def _new_corpus(vocab, ids, lengths, split, seqs=None) -> Corpus:
     return corpus
 
 
-def _pack(rows, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Id matrix padded with ``pad_id`` plus lengths, from a list of id lists."""
+def _pack(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Id matrix padded with PAD plus lengths, from a list of id lists."""
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     width = int(lengths.max(initial=0))
-    ids = np.full((len(rows), width), pad_id, dtype=np.int64)
+    ids = np.full((len(rows), width), PAD, dtype=np.int64)
     ids[_valid_mask(lengths, width)] = np.fromiter(
         itertools.chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     return ids, lengths
@@ -315,10 +312,6 @@ def encode(line: str, vocab: Vocab, max_len: int = DEFAULT_MAX_LEN) -> Sequence:
     return Sequence(tuple(ids[:max_len]))
 
 
-def decode(seq: Sequence, vocab: Vocab) -> str:
-    return " ".join(vocab.token_of(i) for i in seq.ids)
-
-
 def encode_corpus(lines, vocab: Vocab, split: str = "",
                   max_len: int = DEFAULT_MAX_LEN) -> Corpus:
     """Corpus of the non-blank lines, each encoded as by ``encode``."""
@@ -327,7 +320,7 @@ def encode_corpus(lines, vocab: Vocab, split: str = "",
             for toks in map(str.split, lines) if toks]
     if not rows:
         raise InputError("no non-empty lines to encode")
-    ids, lengths = _pack(rows, PAD)
+    ids, lengths = _pack(rows)
     if lengths.min() < 1:
         raise InputError("a sequence must contain at least one token")
     return _new_corpus(vocab, ids, lengths, split)
@@ -348,25 +341,29 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write("\n")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; InputError if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
 def load_corpus(path, vocab: Vocab, split: str = "",
                 max_len: int = DEFAULT_MAX_LEN) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    return encode_corpus(lines, vocab, split=split, max_len=max_len)
+    return encode_corpus(read_lines(path), vocab, split=split, max_len=max_len)
 
 
-def corpus_to_arrays(corpus_or_seqs, pad_id: int = PAD) -> tuple[np.ndarray, np.ndarray]:
-    """A (N, Lmax) id matrix padded with ``pad_id`` plus a length vector.
+def corpus_to_arrays(corpus_or_seqs) -> tuple[np.ndarray, np.ndarray]:
+    """A (N, Lmax) id matrix padded with PAD plus a length vector.
 
-    A Corpus hands out its own read-only arrays (re-padded only when
-    ``pad_id`` is not PAD); any other sequence of ``Sequence`` is packed.
+    A Corpus hands out its own read-only arrays; any other sequence of
+    ``Sequence`` is packed.
     """
     if isinstance(corpus_or_seqs, Corpus):
-        ids, lengths = corpus_or_seqs.ids, corpus_or_seqs.lengths
-        if pad_id != PAD:
-            ids = np.where(_valid_mask(lengths, ids.shape[1]), ids, pad_id)
-        return ids, lengths
-    return _pack([s.ids for s in corpus_or_seqs], pad_id)
+        return corpus_or_seqs.ids, corpus_or_seqs.lengths
+    return _pack([s.ids for s in corpus_or_seqs])
 
 
 _STOCHASTIC_TOL = 1e-9
@@ -403,28 +400,6 @@ class MarkovSource:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "vocab", Vocab(self.tokens))
-
-    @classmethod
-    def load(cls, path) -> "MarkovSource":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for key in ("initial", "transition", "length"):
-            if key not in doc:
-                raise InputError(f"{path}: missing '{key}'")
-        k = len(doc["initial"])
-        tokens = doc.get("tokens", [f"w{i}" for i in range(k)])
-        return cls(tuple(tokens), np.array(doc["initial"]),
-                   np.array(doc["transition"]), int(doc["length"]))
-
-    def save(self, path) -> None:
-        doc = {
-            "initial": self.initial.tolist(),
-            "transition": self.transition.tolist(),
-            "length": self.length,
-            "tokens": list(self.tokens),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
 
 
 def synth_markov(source: MarkovSource, n: int, rng, split: str = "") -> Corpus:

@@ -49,12 +49,11 @@ operations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PAD, Corpus, corpus_to_arrays, split_tail
+from .data import Corpus, corpus_to_arrays, split_tail
 from .errors import InputError, check_fields, integer, number
 from .genmodel import SamplerConfig
 
@@ -107,13 +106,6 @@ class DiscTrainReport:
     def epochs(self) -> int:
         return len(self.train_loss)
 
-    def running_best(self) -> list:
-        best, out = -math.inf, []
-        for acc in self.valid_accuracy:
-            best = max(best, acc)
-            out.append(best)
-        return out
-
 
 class TextCNN:
     """Convolutional sequence scorer mapping a sequence to (0, 1)."""
@@ -140,10 +132,6 @@ class TextCNN:
         total = sum(k for _, k in self.banks)
         self.params["out_w"] = rng.standard_normal(total) * 0.1
         self.params["out_b"] = np.zeros(1)
-
-    @property
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.params.values()))
 
     def trainable(self) -> list[str]:
         names = [k for k in self.params if k != "embed" or not self.embed_frozen]
@@ -262,7 +250,7 @@ class TextCNN:
         length) row, at the batch's width; a row's logit depends on that row
         alone, so the loss and every gradient are those of the whole batch.
         """
-        ids, lengths = corpus_to_arrays(seqs, PAD)
+        ids, lengths = corpus_to_arrays(seqs)
         labels = np.asarray(labels, dtype=np.float64)
         distinct, inverse = _distinct_rows(ids, lengths)
         logits, cache = self._forward(ids[distinct], lengths[distinct])
@@ -282,7 +270,7 @@ class TextCNN:
         a score depends on its row alone, so gathering them back is
         bit-identical to scoring every row.
         """
-        ids, lengths = corpus_to_arrays(corpus, PAD)
+        ids, lengths = corpus_to_arrays(corpus)
         distinct, inverse = _distinct_rows(ids, lengths)
         ids, lengths = ids[distinct], lengths[distinct]  # sorted by length first
         # 1024-row chunks keep a bank's (rows, positions, kernels) block in

@@ -167,13 +167,18 @@ class FilterStats:
         return self.sum_score_rejected / n if n else math.nan
 
     def to_dict(self) -> dict:
+        """The counts and means, with None (JSON null) for an undefined mean."""
         return {
             "attempts": self.attempts,
             "acceptances": self.acceptances,
             "acceptance_rate": self.acceptance_rate,
-            "mean_score_accepted": self.mean_score_accepted,
-            "mean_score_rejected": self.mean_score_rejected,
+            "mean_score_accepted": _defined(self.mean_score_accepted),
+            "mean_score_rejected": _defined(self.mean_score_rejected),
         }
+
+
+def _defined(mean: float) -> float | None:
+    return None if math.isnan(mean) else mean
 
 
 @dataclass(frozen=True)
@@ -197,9 +202,6 @@ class FilteredGenerator:
                       split: str = "") -> Corpus:
         corpus, _ = sample_filtered(self, n, cfg, rng, split=split)
         return corpus
-
-    def sample(self, cfg: SamplerConfig, rng=None):
-        return self.sample_corpus(1, cfg, rng).sequences[0]
 
 
 def sample_filtered(fg: FilteredGenerator, n: int, cfg: SamplerConfig, rng=None,

@@ -10,8 +10,8 @@ Three interchangeable model kinds:
   analytic ground truth.
 
 All models share one contract: ``seq_logprob`` / ``seq_logprobs`` (one
-sequence, or every row of a corpus), ``sample_corpus`` / ``sample``
-(temperature-controlled ancestral sampling), a ``vocab``, and a
+sequence, or every row of a corpus), ``sample_corpus`` (n sequences by
+temperature-controlled ancestral sampling), a ``vocab``, and a
 ``fixed_length`` attribute (``None`` means variable length with an EOS
 event). In fixed-length mode the per-step distribution is supported on the
 content tokens only, so the model is a proper distribution over the
@@ -326,9 +326,6 @@ class NGramLM:
             row /= row.sum()
         return np.cumsum(row)
 
-    def sample(self, cfg: SamplerConfig, rng=None) -> Sequence:
-        return self.sample_corpus(1, cfg, rng).sequences[0]
-
 
 class MarkovModel:
     """Exact generator view of a MarkovSource (fixed length, no smoothing)."""
@@ -369,9 +366,6 @@ class MarkovModel:
             states = _sample_chain(src, n, length, rng)
         return Corpus.from_arrays(self.vocab, states + NUM_RESERVED, np.full(n, length),
                                   split)
-
-    def sample(self, cfg: SamplerConfig, rng=None) -> Sequence:
-        return self.sample_corpus(1, cfg, rng).sequences[0]
 
 
 class _CdfTable:
@@ -506,10 +500,6 @@ class NeuralLM:
             "b_y": np.zeros(s),
         }
         self.train_report: TrainReport | None = None
-
-    @property
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.params.values()))
 
     # -- batching ---------------------------------------------------------
 
@@ -676,9 +666,6 @@ class NeuralLM:
             current = np.where(live, emitted, current)
             active = live
         return _token_corpus(self.vocab, tokens, split)
-
-    def sample(self, cfg: SamplerConfig, rng=None) -> Sequence:
-        return self.sample_corpus(1, cfg, rng).sequences[0]
 
 
 # ---------------------------------------------------------------------------

@@ -184,13 +184,12 @@ def generator_config_of(model):
 class EmbeddingModel:
     """Sentence embedding = mean of per-token vectors."""
 
-    def __init__(self, vectors: np.ndarray, provenance: str):
+    def __init__(self, vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float64)
         if not np.isfinite(vectors).all():
             raise InputError("embedding vectors must be finite")
         vectors.setflags(write=False)
         self.vectors = vectors
-        self.provenance = provenance
 
     @property
     def dim(self) -> int:
@@ -252,7 +251,7 @@ def fit_ppmi_svd(corpus: Corpus, dim: int = 64, window: int = 2) -> EmbeddingMod
     vocab_size = len(corpus.vocab)
     table = np.zeros((vocab_size, d))
     table[seen] = vecs
-    return EmbeddingModel(table, "ppmi-svd")
+    return EmbeddingModel(table)
 
 
 def embed(samples: Corpus, em: EmbeddingModel) -> np.ndarray:
@@ -328,10 +327,6 @@ class SweepReport:
                     cells.append(f"{val:.6f}")
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.csv_text())
 
 
 class MetricScorer:

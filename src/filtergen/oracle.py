@@ -209,11 +209,6 @@ def js_divergence(p: ExactDistribution, q: ExactDistribution) -> float:
     return float(0.5 * _kl(p.probs, m) + 0.5 * _kl(q.probs, m))
 
 
-def kl_divergence(p: ExactDistribution, q: ExactDistribution) -> float:
-    _check_same_domain(p, q)
-    return _kl(p.probs, q.probs)
-
-
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
     nz = p > 0
     if (q[nz] <= 0).any():
@@ -227,9 +222,7 @@ def _check_same_domain(p: ExactDistribution, q: ExactDistribution) -> None:
 
 
 def _score_vector(scores, p_model: ExactDistribution) -> np.ndarray:
-    if isinstance(scores, ExactDiscriminator):
-        scores = scores.scores
-    elif hasattr(scores, "predict_corpus"):
+    if hasattr(scores, "predict_corpus"):
         scores = scores.predict_corpus(p_model.domain)
     arr = np.asarray(scores, dtype=np.float64)
     if arr.shape != (len(p_model),):

@@ -26,10 +26,6 @@ from .seeding import derive_seed
 SCENARIO_NAMES = ("s1", "s2", "s3", "s4")
 
 
-def list_scenarios() -> tuple[str, ...]:
-    return SCENARIO_NAMES
-
-
 def load_spec(name: str) -> dict:
     if name not in SCENARIO_NAMES:
         raise InputError(f"unknown scenario '{name}'; available: {SCENARIO_NAMES}")

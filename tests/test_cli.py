@@ -332,6 +332,10 @@ def test_pipeline_identity_ratio_matches_baseline(tmp_path):
         assert base[col] == acc[col]
     # identity ratio: no rejected stream row at all
     assert all(r["stream"] != "rejected" for r in rows)
+    # nothing rejected, so no mean rejected score: null, as strict JSON has no NaN
+    stats = json.loads((tmp_path / "run" / "samples_T1_c1_stats.json").read_text(),
+                       parse_constant=_no_json_constant)
+    assert stats["acceptance_rate"] == 1.0 and stats["mean_score_rejected"] is None
     report = json.loads((tmp_path / "run" / "disc_report.json").read_text())
     assert report["stop_reason"] in ("patience", "max_epochs")
     assert report["converged"] == (report["stop_reason"] == "patience")
@@ -350,7 +354,7 @@ def test_pipeline_resume_recomputes_only_final_stage(tmp_path):
     assert not by_name["evaluate"]["skipped"]
     for name in ("data", "train-gen", "train-disc", "estimate-uc", "sample"):
         assert by_name[name]["skipped"]
-    assert first.artifact_digests() == second.artifact_digests()
+    assert _artifact_digests(first.to_dict()) == _artifact_digests(second.to_dict())
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not-an-object"])
@@ -379,12 +383,13 @@ def _artifact_digests(manifest: dict) -> dict:
 @pytest.fixture(scope="module")
 def clean_run_digests(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("clean")
-    return run_pipeline(validate_config(_write_config(tmp)), tmp / "run").artifact_digests()
+    return _artifact_digests(
+        run_pipeline(validate_config(_write_config(tmp)), tmp / "run").to_dict())
 
 
 @pytest.mark.parametrize("target", [
     "disc_report.json", "uc_T1_c0.4.json", "samples_T1_c1_rejected.txt",
-    "samples_T1_c0.4_stats.json", "report.json", "oracle_report.json",
+    "samples_T1_c0.4_stats.json", "sweep.csv", "report.json", "oracle_report.json",
     "checkpoints.json", "manifest.json",
 ])
 def test_failed_artifact_write_exits_cleanly_and_a_rerun_completes(
@@ -413,6 +418,10 @@ def test_failed_artifact_write_exits_cleanly_and_a_rerun_completes(
     for name in ("manifest.json", "checkpoints.json", *clean_run_digests):
         if name.endswith(".json"):
             json.loads((out / name).read_text())  # every JSON artifact is whole
+
+
+def _no_json_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
 
 
 def test_missing_input_file_is_a_stage_failure(tmp_path):
@@ -492,3 +501,106 @@ def test_rejected_artifact_is_the_scored_prefix(tmp_path):
     assert len(stats.rejected_sequences) > 1000
     written = fg.load_corpus(out / "samples_T1_c0.5_rejected.txt", vocab)
     assert written.sequences == stats.rejected_sequences[:1000].sequences
+
+
+# malformed checkpoint files: each must end in exit 3, not in a traceback
+_BAD_CHECKPOINTS = {
+    "not-json": b"{not json",
+    "not-an-object": b"[1,2]",
+    "ngram-without-params": json.dumps({"format_version": 1, "kind": "ngram",
+                                        "vocab": {"tokens": ["a"]}, "params": {}}).encode(),
+    "not-utf8": b"\xff\xfe",
+}
+
+
+def _one_error_line(capsys, path) -> bool:
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("bad", list(_BAD_CHECKPOINTS))
+@pytest.mark.parametrize("command", ["train-disc", "estimate-uc", "sample", "evaluate"])
+def test_malformed_checkpoint_exits_3_with_one_error_line(tmp_path, capsys, command, bad):
+    ckpt = tmp_path / "model.json"
+    ckpt.write_bytes(_BAD_CHECKPOINTS[bad])
+    unread = str(tmp_path / "unread")  # the checkpoint is read first
+    inputs = {
+        "train-disc": ["--real", unread, "--gen-model", str(ckpt)],
+        "estimate-uc": ["--gen", str(ckpt), "--disc", unread, "--c", "0.5"],
+        "sample": ["--gen", str(ckpt), "--disc", unread, "--c", "0.5", "--u-c", "0.5",
+                   "--n", "5"],
+        "evaluate": ["--real", unread, "--samples", unread, "--gen", str(ckpt)],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *inputs, "--out", str(out)]) == 3
+    assert _one_error_line(capsys, ckpt)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """Good and bad inputs: _natural_corpus_files' text, a bigram and a
+    classifier checkpoint over it, a train-gen config, non-UTF-8 text, and a
+    bigram over other words."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    train, _, test = _natural_corpus_files(tmp)
+    vocab = fg.build_vocab(train.read_text().splitlines(), 100)
+    gen = fg.train_mle(fg.load_corpus(train, vocab), None, fg.NGramConfig())
+    disc, _ = fg.train_discriminator(fg.load_corpus(train, vocab), gen,
+                                     fg.DiscConfig(max_epochs=1, batch_size=64))
+    files = {"train": train, "test": test, "gen": tmp / "gen.json",
+             "disc": tmp / "disc.json", "gen-cfg": tmp / "gen.cfg",
+             "not-utf8": tmp / "not-utf8.txt"}
+    fg.checkpoint.save_model(gen, files["gen"])
+    fg.checkpoint.save_model(disc, files["disc"])
+    other = fg.encode_corpus(["one two three", "three two"], fg.build_vocab(["one two three"], 10))
+    files["other-gen"] = tmp / "other-gen.json"
+    fg.checkpoint.save_model(fg.train_mle(other, None, fg.NGramConfig()), files["other-gen"])
+    files["gen-cfg"].write_text(json.dumps({"kind": "ngram"}))
+    files["not-utf8"].write_bytes(b"the cat\n\xff\xfe\n")
+    return files
+
+
+# each case names the flag whose file is bad: text that is not UTF-8, a
+# checkpoint of the wrong kind, or a classifier over another vocabulary
+@pytest.mark.parametrize("command,inputs,culprit", [
+    ("train-gen", {"--train": "not-utf8", "--config": "gen-cfg"}, "--train"),
+    ("train-disc", {"--real": "not-utf8", "--gen-model": "gen"}, "--real"),
+    ("train-disc", {"--real": "train", "--gen-model": "disc"}, "--gen-model"),
+    ("estimate-uc", {"--gen": "gen", "--disc": "not-utf8", "--c": "0.5"}, "--disc"),
+    ("estimate-uc", {"--gen": "disc", "--disc": "disc", "--c": "0.5"}, "--gen"),
+    ("estimate-uc", {"--gen": "gen", "--disc": "gen", "--c": "0.5"}, "--disc"),
+    ("sample", {"--gen": "gen", "--disc": "not-utf8", "--c": "0.5", "--u-c": "0.5",
+                "--n": "5"}, "--disc"),
+    ("sample", {"--gen": "gen", "--disc": "gen", "--c": "0.5", "--u-c": "0.5",
+                "--n": "5"}, "--disc"),
+    ("evaluate", {"--real": "not-utf8", "--samples": "test", "--gen": "gen"}, "--real"),
+    ("evaluate", {"--real": "test", "--samples": "not-utf8", "--gen": "gen"}, "--samples"),
+    ("evaluate", {"--real": "test", "--samples": "test", "--gen": "gen",
+                  "--disc": "not-utf8"}, "--disc"),
+    ("evaluate", {"--real": "test", "--samples": "test", "--gen": "disc"}, "--gen"),
+    ("estimate-uc", {"--gen": "other-gen", "--disc": "disc", "--c": "0.5"}, "--disc"),
+    ("sample", {"--gen": "other-gen", "--disc": "disc", "--c": "0.5", "--u-c": "0.5",
+                "--n": "5"}, "--disc"),
+    ("evaluate", {"--real": "test", "--samples": "test", "--gen": "other-gen",
+                  "--disc": "disc", "--metrics": "bleu"}, "--disc"),
+])
+def test_bad_input_file_exits_3_with_one_error_line(tmp_path, capsys, input_files,
+                                                    command, inputs, culprit):
+    argv = [command]
+    for flag, name in inputs.items():
+        argv += [flag, str(input_files.get(name, name))]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert _one_error_line(capsys, input_files[inputs[culprit]])
+    assert not out.exists()
+
+
+def test_failed_output_write_leaves_no_file(tmp_path, monkeypatch):
+    def replace(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", replace)
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--scenario", "s1", "--c", "0.4", "--out", str(out)]) == 3
+    assert not out.exists() and not list(tmp_path.iterdir())

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtergen import (BOS, EOS, PAD, UNK, Corpus, InputError, MarkovSource,
-                       Sequence, Vocab, build_vocab, decode, encode,
-                       encode_corpus, exact_prob, load_corpus, save_corpus,
-                       split_tail, synth_markov)
+from filtergen import (UNK, Corpus, InputError, MarkovSource, Sequence, Vocab,
+                       build_vocab, encode, encode_corpus, exact_prob, load_corpus,
+                       save_corpus, split_tail, synth_markov)
 from filtergen.data import _draw_from_cdf, corpus_to_arrays
 
 
@@ -48,9 +47,16 @@ def test_vocab_bijection_invariant():
         assert vocab.id_of(tok) == i
 
 
-def test_encode_decode_roundtrip_and_truncation():
+def _decoded(corpus, path) -> list[str]:
+    # save_corpus is the program's one way from ids back to text
+    save_corpus(corpus, path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def test_encode_decode_roundtrip_and_truncation(tmp_path):
     vocab = build_vocab(["a b c"], max_size=10)
-    assert decode(encode("a b", vocab), vocab) == "a b"
+    corpus = Corpus(vocab, (encode("a b", vocab),))
+    assert _decoded(corpus, tmp_path / "decoded.txt") == ["a b"]
     assert len(encode("a b c a b c", vocab, max_len=4)) == 4
     with pytest.raises(InputError):
         encode("", vocab)
@@ -61,11 +67,11 @@ def test_encode_decode_roundtrip_and_truncation():
 @settings(max_examples=50)
 @given(st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=8),
                 min_size=1, max_size=20))
-def test_roundtrip_property(lines):
+def test_roundtrip_property(tmp_path_factory, lines):
     text = [" ".join(line) for line in lines]
     vocab = build_vocab(text, max_size=100)
-    for line in text:
-        assert decode(encode(line, vocab), vocab) == line
+    corpus = Corpus(vocab, [encode(line, vocab) for line in text])
+    assert _decoded(corpus, tmp_path_factory.mktemp("decoded") / "corpus.txt") == text
 
 
 def _uniform_source(k=3, length=2):
@@ -227,14 +233,12 @@ def test_corpus_and_vocab_file_roundtrip(tmp_path):
     assert Vocab.load(vpath) == vocab
 
 
-def test_markov_source_file_roundtrip(tmp_path):
-    source = _uniform_source(3, 2)
-    path = tmp_path / "source.json"
-    source.save(path)
-    again = MarkovSource.load(path)
-    assert again.tokens == source.tokens
-    assert np.allclose(again.transition, source.transition)
-    assert again.length == source.length
+def test_non_utf8_corpus_is_an_input_error(tmp_path):
+    vocab = build_vocab(["a b"], max_size=10)
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"a b\n\xff\xfe\n")
+    with pytest.raises(InputError, match="corpus.txt: not UTF-8 text"):
+        load_corpus(path, vocab)
 
 
 # -- the id-matrix Corpus --------------------------------------------------

@@ -114,7 +114,7 @@ def test_padding_never_changes_predictions():
     assert np.abs(singly - batched).max() <= 1e-6
     # explicit extra padding columns
     from filtergen.data import PAD, corpus_to_arrays
-    ids, lengths = corpus_to_arrays(seqs, PAD)
+    ids, lengths = corpus_to_arrays(seqs)
     padded = np.concatenate([ids, np.full((3, 4), PAD)], axis=1)
     logits_a, _ = disc._forward(ids, lengths)
     logits_b, _ = disc._forward(padded, lengths)
@@ -184,7 +184,7 @@ def test_error_rate_perfect_and_constant():
 
 def test_report_running_best_non_decreasing(s2_disc):
     _, report = s2_disc
-    best = report.running_best()
+    best = np.maximum.accumulate(report.valid_accuracy)
     assert all(a <= b for a, b in zip(best, best[1:]))
     assert report.final_valid_accuracy == best[-1]
     assert report.converged
@@ -288,7 +288,7 @@ def test_predict_corpus_scores_every_row_as_if_alone(pool, picks, many, chunk, o
 def test_logits_do_not_depend_on_the_batch_or_on_padding(pool, extra_pad):
     # the property the deduplication rests on, at the forward pass: a row's
     # logit is bit-identical whatever rows and PAD columns surround it
-    ids, lengths = fg.data.corpus_to_arrays([Sequence(r) for r in pool], fg.data.PAD)
+    ids, lengths = fg.data.corpus_to_arrays([Sequence(r) for r in pool])
     padded = np.concatenate([ids, np.full((len(pool), extra_pad), fg.data.PAD)], axis=1)
     batch, _ = _DISC._forward(padded, lengths)
     for i, row in enumerate(pool):
@@ -568,7 +568,7 @@ def _batch_major_backward(disc, cache, dlogits):
 
 def _batch_major_loss_and_grads(disc, seqs, labels):
     # the training step on every row of the batch, on the batch-major kernels
-    ids, lengths = fg.data.corpus_to_arrays(seqs, fg.data.PAD)
+    ids, lengths = fg.data.corpus_to_arrays(seqs)
     labels = np.asarray(labels, dtype=np.float64)
     logits, cache = _batch_major_forward(disc, ids, lengths)
     loss = float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
@@ -640,7 +640,7 @@ def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
         labels = (rng.random(len(lengths)) < 0.5).astype(np.float64)
         seqs = [Sequence(tuple(int(t) for t in row[:n])) for row, n in zip(ids, lengths)]
         loss, grads = disc.loss_and_grads(seqs, labels)
-        ids2, lengths2 = fg.data.corpus_to_arrays(seqs, fg.data.PAD)
+        ids2, lengths2 = fg.data.corpus_to_arrays(seqs)
         ref_logits, ref_cache = _reference_forward(disc, ids2, lengths2)
         ref_loss = float(np.mean(np.logaddexp(0.0, ref_logits) - labels * ref_logits))
         assert abs(loss - ref_loss) <= 1e-12
@@ -682,11 +682,11 @@ def _step_batches(s3):
 @pytest.mark.parametrize("frozen", [False, True])
 def test_loss_and_grads_equal_the_full_batch_kernels_bit_for_bit(s3, frozen):
     batches = _step_batches(s3)
-    ids, lengths = fg.data.corpus_to_arrays(batches["s3"], fg.data.PAD)
+    ids, lengths = fg.data.corpus_to_arrays(batches["s3"])
     assert len(_distinct_rows(ids, lengths)[0]) <= len(lengths) // 3
-    ids, lengths = fg.data.corpus_to_arrays(batches["length-only"], fg.data.PAD)
+    ids, lengths = fg.data.corpus_to_arrays(batches["length-only"])
     assert (ids == ids[0]).all(axis=1).sum() == 4 and len(set(lengths)) == 3
-    ids, lengths = fg.data.corpus_to_arrays(batches["short"], fg.data.PAD)
+    ids, lengths = fg.data.corpus_to_arrays(batches["short"])
     _, cache = _step_disc(batches["short"].vocab, frozen, 0)._forward(ids, lengths)
     assert cache["banks"][3] is None
     for n, (name, batch) in enumerate(batches.items()):

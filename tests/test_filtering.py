@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -188,6 +189,18 @@ def test_mean_scores_and_stats(s2, s2_disc):
     assert len(accepted) == 5000
     assert stats.mean_score_accepted > stats.mean_score_rejected
     assert 0.0 < stats.acceptance_rate <= 1.0
+
+
+def test_stats_json_writes_null_for_an_undefined_mean():
+    # nothing rejected, as at ratio 1: strict JSON has no NaN for the mean
+    stats = fg.FilterStats(attempts=4, acceptances=4, sum_score_accepted=2.0)
+    assert np.isnan(stats.mean_score_rejected)
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not valid JSON")
+
+    doc = json.loads(json.dumps(stats.to_dict()), parse_constant=no_constant)
+    assert doc["mean_score_accepted"] == 0.5 and doc["mean_score_rejected"] is None
 
 
 def test_budget_error_carries_partial_results(s1):

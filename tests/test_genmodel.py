@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_seq_logprob_deterministic_chain():
     source = fg.MarkovSource(("a", "b"), np.array([1.0, 0.0]),
                              np.array([[0.0, 1.0], [1.0, 0.0]]), 3)
     model = MarkovModel(source)
-    seq = model.sample(SamplerConfig(seed=0))
+    seq = model.sample_corpus(1, SamplerConfig(seed=0))[0]
     assert model.seq_logprob(seq) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -86,7 +87,7 @@ def test_sampling_greedy_limit_and_determinism():
     train = synth_markov(source, 2000, np.random.default_rng(8), "train")
     model = train_mle(train, None, NGramConfig(order=2, delta=0.01, fixed_length=4))
     greedy = SamplerConfig(temperature=1e-6, max_len=4, seed=1)
-    out = {model.sample(greedy, np.random.default_rng(s)).ids for s in range(20)}
+    out = {model.sample_corpus(1, greedy, np.random.default_rng(s))[0].ids for s in range(20)}
     assert len(out) == 1  # argmax decoding regardless of the stream
     # independent greedy decode: follow the per-step argmax by hand
     expected, ctx = [], (fg.BOS,)
@@ -96,7 +97,7 @@ def test_sampling_greedy_limit_and_determinism():
         ctx = (tok,)
     assert next(iter(out)) == tuple(expected)
     cfg = SamplerConfig(seed=9)
-    assert model.sample(cfg).ids == model.sample(cfg).ids
+    assert model.sample_corpus(1, cfg) == model.sample_corpus(1, cfg)
 
 
 def test_temperature_preserves_argmax():
@@ -128,8 +129,8 @@ def test_perplexity_uniform_and_deterministic():
     assert perplexity(uniform, corpus) == pytest.approx(3.0, abs=1e-6)
     chain = MarkovModel(fg.MarkovSource(("a", "b"), np.array([1.0, 0.0]),
                                         np.array([[0.0, 1.0], [1.0, 0.0]]), 3))
-    seq = chain.sample(SamplerConfig(seed=0))
-    assert perplexity(chain, Corpus(chain.vocab, (seq,), "t")) == pytest.approx(1.0, abs=1e-9)
+    sample = chain.sample_corpus(1, SamplerConfig(seed=0))
+    assert perplexity(chain, sample) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_heldout_perplexity_at_least_training(s2):
@@ -220,8 +221,12 @@ def test_neural_stepwise_distributions_normalize():
 def test_neural_sampling_deterministic_and_param_count():
     _, model = _toy_neural(fixed_length=2, seed=3)
     cfg = SamplerConfig(seed=5, max_len=2)
-    assert model.sample(cfg).ids == model.sample(cfg).ids
-    assert model.param_count == sum(p.size for p in model.params.values())
+    assert model.sample_corpus(1, cfg) == model.sample_corpus(1, cfg)
+    # embedding, input, recurrent, bias, output and output-bias weights
+    v, s = len(model.vocab), len(model.support)
+    de, dh = model.cfg.embed_dim, model.cfg.hidden_dim
+    assert sum(p.size for p in model.params.values()) == (
+        v * de + de * dh + dh * dh + dh + dh * s + s)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +251,26 @@ def test_checkpoint_roundtrip(tmp_path, kind):
     seq = train.sequences[0]
     assert again.seq_logprob(seq) == pytest.approx(model.seq_logprob(seq), abs=1e-12)
     cfg = SamplerConfig(seed=4)
-    assert again.sample(cfg).ids == model.sample(cfg).ids
+    assert again.sample_corpus(1, cfg) == model.sample_corpus(1, cfg)
     if kind == "ngram":  # the stored totals are rebuilt from the counts read
         assert again._totals == model._totals
         assert np.array_equal(again.seq_logprobs(train), model.seq_logprobs(train))
+
+
+@pytest.mark.parametrize("kind,name", [("ngram", "rows"), ("neural", "b_h")])
+def test_checkpoint_with_a_misshapen_array_is_an_input_error(tmp_path, kind, name):
+    source = _uniform_source(3, 3)
+    train = synth_markov(source, 50, np.random.default_rng(17), "train")
+    cfg = (NGramConfig(fixed_length=3) if kind == "ngram" else
+           NeuralConfig(embed_dim=4, hidden_dim=6, max_epochs=1, fixed_length=3))
+    path = tmp_path / "model.json"
+    save_model(train_mle(train, train, cfg), path)
+    doc = json.loads(path.read_text())
+    array = doc["params"][name]
+    (array[-1] if kind == "ngram" else array).pop()  # a count short, or a bias
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=r"model\.json: malformed checkpoint: .* has shape"):
+        load_model(path)
 
 
 # ---------------------------------------------------------------------------

@@ -294,8 +294,8 @@ def test_lm_score_deterministic_chain():
     source = fg.MarkovSource(("a", "b"), np.array([1.0, 0.0]),
                              np.array([[0.0, 1.0], [1.0, 0.0]]), 4)
     model = MarkovModel(source)
-    seq = model.sample(SamplerConfig(seed=0))
-    assert lm_score(model, Corpus(model.vocab, (seq,), "t")) == pytest.approx(0.0, abs=1e-12)
+    sample = model.sample_corpus(1, SamplerConfig(seed=0))
+    assert lm_score(model, sample) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lm_score_rejects_tokens_outside_the_support(vocab):
@@ -400,7 +400,7 @@ def test_embed_and_cooccurrences_match_per_sequence_loops(corpus, window, seed):
     assert np.array_equal(seen, ref_seen)
     assert np.array_equal(cooc, ref_cooc)
     em = fg.EmbeddingModel(np.random.default_rng(seed).standard_normal(
-        (len(corpus.vocab), 5)), "random")
+        (len(corpus.vocab), 5)))
     got, ref = embed(corpus, em), _ref_embed(corpus, em)
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 

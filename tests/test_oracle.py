@@ -10,8 +10,7 @@ from filtergen import (DegenerateError, InputError, MarkovSource, Sequence,
                        enumerate_distribution, exact_boundary,
                        exact_filtered_distribution, js_divergence,
                        optimal_discriminator, tv_distance)
-from filtergen.oracle import (ExactDistribution, exact_acceptance, kl_divergence,
-                              sequence_indices)
+from filtergen.oracle import exact_acceptance, sequence_indices
 
 
 def _uniform_source(k=3, length=2):
@@ -45,11 +44,6 @@ def test_enumerate_rejects_oversized_domain():
 def test_model_enumeration_normalizes(s2):
     assert s2.p_model.probs.sum() == pytest.approx(1.0, abs=1e-6)
     assert s2.p_real.probs.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_kl_nonnegative(s2, s3):
-    for s in (s2, s3):
-        assert kl_divergence(s.p_real, s.p_model) >= 0.0
 
 
 def test_optimal_discriminator_pointwise():
@@ -277,7 +271,8 @@ def test_tv_and_js_basics(s1):
     assert js_divergence(s1.p_real, s1.p_real) == pytest.approx(0.0, abs=1e-15)
     assert js_divergence(s1.p_model, s1.p_real) == pytest.approx(
         js_divergence(s1.p_real, s1.p_model), abs=1e-12)
-    assert js_divergence(s1.p_model, s1.p_real) <= math.log(2)
+    # both KL terms are nonnegative, and positive for different laws
+    assert 0.0 < js_divergence(s1.p_model, s1.p_real) <= math.log(2)
 
 
 def test_domain_mismatch_rejected(s1, s2):
