@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .data import NUM_RESERVED, MarkovSource, Vocab
+from .data import NUM_RESERVED, MarkovSource, Vocab, atomic_open
 from .disc import DiscConfig, TextCNN
 from .errors import InputError
 from .genmodel import MarkovModel, NeuralConfig, NeuralLM, NGramLM
@@ -32,7 +32,7 @@ def save_model(model, path) -> None:
         "vocab": {"tokens": list(model.vocab.tokens[NUM_RESERVED:])},
         "params": writer(model),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh)
 
 

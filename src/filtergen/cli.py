@@ -5,8 +5,9 @@ oracle-check, pipeline. Exit codes: 0 success, 2 configuration error,
 3 stage failure, 4 attempt budget exhausted.
 
 The pipeline persists one artifact set per stage under the output
-directory, keyed by a hash of the configuration, so deleting a late
-artifact and re-running recomputes only that stage. With a single worker
+directory and records the run in ``manifest.json``: a rerun recomputes the
+first stage whose config, code, inputs or artifacts changed, and every
+later stage. With a single worker
 every run is bit-reproducible for a given (config, seed) and BLAS thread
 count: TextCNN training's matrix products can round differently when BLAS
 splits them over more threads, so set ``OPENBLAS_NUM_THREADS=1`` (as
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_model, save_model
-from .data import (DEFAULT_MAX_LEN, Vocab, build_vocab, load_corpus, read_lines,
-                   save_corpus, synth_markov)
+from .data import (DEFAULT_MAX_LEN, Vocab, atomic_open, build_vocab, load_corpus,
+                   read_lines, save_corpus, synth_markov)
 from .disc import DiscConfig, error_rate, train_discriminator
 from .errors import BudgetError, ConfigError, FiltergenError, InputError, integer, number
 from .filtering import BoundaryEstimateConfig, estimate_boundary
@@ -138,21 +138,10 @@ def validate_config(path) -> ExperimentConfig:
 
     filt = _positive_ints(problems, doc.get("filter"), "filter",
                  {"max_attempts_per_sample": 10_000}, extra=("c",))
-    ratios = filt.get("c", [0.5])
-    if not isinstance(ratios, list) or not ratios:
-        problems.append("filter.c must be a non-empty list")
-        ratios = [0.5]
-    for c in ratios:
-        if not _is_ratio(c):
-            problems.append(f"filter.c entries must lie in (0, 1], got {c!r}")
-
-    temps = doc.get("temperatures", [1.0])
-    if not isinstance(temps, list) or not temps:
-        problems.append("temperatures must be a non-empty list")
-        temps = [1.0]
-    for t in temps:
-        if not _is_temperature(t):
-            problems.append(f"temperature must be > 0, got {t!r}")
+    ratios = _grid_values(problems, filt.get("c", [0.5]), "filter.c", _is_ratio,
+                          "filter.c entries must lie in (0, 1], got {!r}")
+    temps = _grid_values(problems, doc.get("temperatures", [1.0]), "temperatures",
+                         _is_temperature, "temperature must be > 0, got {!r}")
 
     metrics = doc.get("metrics", ["bleu", "selfbleu", "lm", "fed"])
     if not isinstance(metrics, list):
@@ -176,6 +165,20 @@ def validate_config(path) -> ExperimentConfig:
                             max_attempts_per_sample=filt["max_attempts_per_sample"],
                             temperatures=list(temps), metrics=list(metrics),
                             eval=eval_doc, uc=uc_cfg, raw=doc)
+
+
+def _grid_values(problems, values, name: str, is_valid, bad: str) -> list:
+    """The grid list ``values``: non-empty, each entry valid, and no two
+    entries sharing an artifact name (the value formatted ``{:g}``)."""
+    if not isinstance(values, list) or not values:
+        problems.append(f"{name} must be a non-empty list")
+        return [1.0]
+    problems.extend(bad.format(v) for v in values if not is_valid(v))
+    labels = [f"{v:g}" for v in values if is_valid(v)]
+    if len(set(labels)) < len(labels):
+        problems.append(f"{name} entries must differ in their {{:g}} artifact names, "
+                        f"got {values!r}")
+    return values
 
 
 def _object(problems, doc, name: str, allowed) -> dict | None:
@@ -237,34 +240,12 @@ def _generator_section(problems, doc, seed: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    versions: dict
-    stages: list
-
-    def to_dict(self) -> dict:
-        return {"config_hash": self.config_hash, "versions": self.versions,
-                "stages": self.stages}
+def _write_json(path, doc, **dump_args) -> None:
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, **dump_args)
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and ``os.replace``.
-
-    A failure leaves the old file (or none) and no temp file, never a
-    partial artifact.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8", newline="\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _sha256(path: Path) -> str:
+def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -277,56 +258,56 @@ class _Pipeline:
         self.cfg = config
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.hash = config.config_hash()
-        self.state_path = self.out / "checkpoints.json"
-        self.state = self._load_state()
-        self.stages: list[dict] = []
+        self.manifest = {
+            "config_hash": config.config_hash(),
+            "versions": {"filtergen": __version__, "numpy": np.__version__},
+            "inputs": ({name: _sha256(config.data[name]) for name in _SPLITS}
+                       if config.data is not None else {}),
+            "stages": [],
+        }
+        # the previous run's stages, if it had this config, code and inputs
+        try:
+            previous = json.loads((self.out / "manifest.json").read_text())
+        except (OSError, ValueError):  # missing or corrupt: every stage reruns
+            previous = None
+        same = isinstance(previous, dict) and all(
+            previous.get(key) == self.manifest[key]
+            for key in ("config_hash", "versions", "inputs"))
+        self.previous = previous.get("stages") if same else None
         self.scenario = build_scenario(config.scenario) if config.scenario else None
 
-    def _load_state(self) -> dict:
-        # a missing, unreadable or corrupt state file records nothing, so
-        # every stage recomputes
-        try:
-            state = json.loads(self.state_path.read_text())
-        except (OSError, ValueError):
-            state = None
-        if (isinstance(state, dict) and state.get("config_hash") == self.hash
-                and isinstance(state.get("stages"), dict)):
-            return state
-        return {"config_hash": self.hash, "stages": {}}
-
-    def _save_state(self) -> None:
-        _write_atomic(self.state_path, json.dumps(self.state, indent=1, sort_keys=True))
+    def _digests(self, artifacts: list[str]) -> list[dict]:
+        return [{"path": a, "sha256": _sha256(self.out / a)} for a in artifacts]
 
     def _stage(self, name: str, artifacts: list[str], runner) -> None:
-        paths = [self.out / a for a in artifacts]
-        recorded = self.state["stages"].get(name)
-        if isinstance(recorded, dict) and all(p.exists() for p in paths):
-            digests = {a: _sha256(p) for a, p in zip(artifacts, paths)}
-            if digests == recorded.get("artifacts"):
-                self.stages.append({"name": name, "skipped": True, "wall_clock_s": 0.0,
-                                    "artifacts": [{"path": a, "sha256": d}
-                                                  for a, d in digests.items()]})
-                return
-        t0 = time.perf_counter()
+        # skip a stage only while no earlier stage has run, and only if the
+        # previous run recorded it here with the artifacts' current digests
+        stages = self.manifest["stages"]
         try:
-            runner()
-        except FiltergenError:
-            raise
-        except Exception as exc:  # surface the failing stage
-            raise FiltergenError(f"stage '{name}' failed: {exc}") from exc
-        elapsed = time.perf_counter() - t0
-        digests = {a: _sha256(p) for a, p in zip(artifacts, paths)}
-        self.state["stages"][name] = {"artifacts": digests}
-        self._save_state()
-        self.stages.append({"name": name, "skipped": False,
-                            "wall_clock_s": round(elapsed, 3),
-                            "artifacts": [{"path": a, "sha256": d}
-                                          for a, d in digests.items()]})
+            recorded, digests = self.previous[len(stages)], self._digests(artifacts)
+            skipped = recorded["name"] == name and recorded["artifacts"] == digests
+        except (LookupError, TypeError, OSError):  # no or a corrupt record, a missing file
+            skipped = False
+        elapsed = 0.0
+        if not skipped:
+            self.previous = None  # every later stage reruns too
+            t0 = time.perf_counter()
+            try:
+                runner()
+            except FiltergenError:
+                raise
+            except Exception as exc:  # surface the failing stage
+                raise FiltergenError(f"stage '{name}' failed: {exc}") from exc
+            elapsed = round(time.perf_counter() - t0, 3)
+            digests = self._digests(artifacts)
+        stages.append({"name": name, "skipped": skipped, "wall_clock_s": elapsed,
+                       "artifacts": digests})
+        # rewritten after every stage, so a crash keeps the finished stages
+        _write_json(self.out / "manifest.json", self.manifest, indent=1, sort_keys=True)
 
     # -- stage bodies -----------------------------------------------------
 
-    def run(self) -> RunManifest:
+    def run(self) -> dict:
         cfg = self.cfg
         self._stage("data", ["train.txt", "valid.txt", "test.txt", "vocab.json"],
                     self._stage_data)
@@ -347,12 +328,7 @@ class _Pipeline:
         if self.scenario is not None:
             final.append("oracle_report.json")
         self._stage("evaluate", final, self._stage_evaluate)
-        manifest = RunManifest(self.hash,
-                               {"filtergen": __version__, "numpy": np.__version__},
-                               self.stages)
-        _write_atomic(self.out / "manifest.json",
-                      json.dumps(manifest.to_dict(), indent=1, sort_keys=True))
-        return manifest
+        return self.manifest
 
     def _uc_name(self, temp, ratio) -> str:
         return f"uc_T{temp:g}_c{ratio:g}.json"
@@ -408,14 +384,14 @@ class _Pipeline:
         disc, report = train_discriminator(corpora["train"], gen,
                                            self.cfg.discriminator, rng)
         save_model(disc, self.out / "disc.json")
-        _write_atomic(self.out / "disc_report.json", json.dumps({
+        _write_json(self.out / "disc_report.json", {
             "train_loss": report.train_loss,
             "valid_accuracy": report.valid_accuracy,
             "best_epoch": report.best_epoch,
             "final_valid_accuracy": report.final_valid_accuracy,
             "converged": report.converged,
             "stop_reason": report.stop_reason,
-        }))
+        })
 
     def _models(self):
         return load_model(self.out / "gen.json"), load_model(self.out / "disc.json")
@@ -431,7 +407,7 @@ class _Pipeline:
                                                 self.cfg.uc, self._sampler(temp))
                 # float: a config may list the identity ratio as the integer 1
                 doc = {"c": float(ratio), "u_c": boundary, "trace": trace}
-                _write_atomic(self.out / self._uc_name(temp, ratio), json.dumps(doc))
+                _write_json(self.out / self._uc_name(temp, ratio), doc)
 
     def _stage_sample(self) -> None:
         cfg = self.cfg
@@ -448,8 +424,8 @@ class _Pipeline:
                     cfg.max_attempts_per_sample)
                 save_corpus(accepted, self.out / self._sample_name(temp, ratio, "accepted"))
                 _save_rejected(rejected, self.out / self._sample_name(temp, ratio, "rejected"))
-                _write_atomic(self.out / self._sample_name(temp, ratio, "stats"),
-                              json.dumps(stats.to_dict()))
+                _write_json(self.out / self._sample_name(temp, ratio, "stats"),
+                            stats.to_dict())
 
     def _stage_evaluate(self) -> None:
         cfg = self.cfg
@@ -473,12 +449,14 @@ class _Pipeline:
                     continue
                 rows.append(scorer.row(temp, ratio, stream,
                                        load_corpus(path, vocab, stream, max_len)))
-        _write_atomic(self.out / "sweep.csv", SweepReport(rows).csv_text())
-        _write_atomic(self.out / "report.json", json.dumps(
-            {"rows": rows, "columns": list(SWEEP_COLUMNS)}, sort_keys=True))
+        with atomic_open(self.out / "sweep.csv") as fh:
+            fh.write(SweepReport(rows).csv_text())
+        _write_json(self.out / "report.json", {"rows": rows, "columns": list(SWEEP_COLUMNS)},
+                    sort_keys=True)
         if self.scenario is not None:
-            doc = oracle_check(self.scenario, self.cfg.filter_ratios[0])
-            _write_atomic(self.out / "oracle_report.json", json.dumps(doc, sort_keys=True))
+            # the smallest ratio: the identity ratio 1 checks no filter at all
+            doc = oracle_check(self.scenario, min(cfg.filter_ratios))
+            _write_json(self.out / "oracle_report.json", doc, sort_keys=True)
 
 
 def _save_rejected(rejected, path) -> None:
@@ -486,10 +464,11 @@ def _save_rejected(rejected, path) -> None:
     if rejected is not None:
         save_corpus(rejected, path)
     else:
-        _write_atomic(path, "")
+        with atomic_open(path):
+            pass
 
 
-def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
+def run_pipeline(config: ExperimentConfig, out_dir) -> dict:
     return _Pipeline(config, Path(out_dir)).run()
 
 
@@ -617,7 +596,7 @@ def _cmd_estimate_uc(args) -> int:
     sampler = SamplerConfig(temperature=args.temperature, seed=args.seed)
     boundary, trace = estimate_boundary(gen, disc, args.c, None, sampler,
                                         np.random.default_rng(args.seed))
-    _write_atomic(args.out, json.dumps({"c": args.c, "u_c": boundary, "trace": trace}))
+    _write_json(args.out, {"c": args.c, "u_c": boundary, "trace": trace})
     print(f"u_c = {boundary:.4f} (written to {args.out})")
     return 0
 
@@ -633,7 +612,7 @@ def _cmd_sample(args) -> int:
     if args.rejected_out:
         _save_rejected(rejected, args.rejected_out)
     stats_path = args.stats_out or f"{args.out}.stats.json"
-    _write_atomic(stats_path, json.dumps(stats.to_dict()))
+    _write_json(stats_path, stats.to_dict())
     print(f"accepted {stats.acceptances}/{stats.attempts} "
           f"(rate {stats.acceptance_rate:.4f})")
     return 0
@@ -652,7 +631,7 @@ def _cmd_evaluate(args) -> int:
     if args.disc:
         disc = _load_classifier(args.disc, gen)
         row["disc_error_rate"] = error_rate(disc, real, samples)
-    _write_atomic(args.out, json.dumps(row, sort_keys=True))
+    _write_json(args.out, row, sort_keys=True)
     print(json.dumps(row, sort_keys=True))
     return 0
 
@@ -663,15 +642,16 @@ def _cmd_sweep(args) -> int:
     manifest = run_pipeline(config, out_dir)
     sweep_path = out_dir / "sweep.csv"
     if Path(args.out) != sweep_path:
-        _write_atomic(args.out, sweep_path.read_text())
-    print(f"wrote {args.out} ({len(manifest.stages)} stages)")
+        with atomic_open(args.out) as fh:
+            fh.write(sweep_path.read_text())
+    print(f"wrote {args.out} ({len(manifest['stages'])} stages)")
     return 0
 
 
 def _cmd_oracle_check(args) -> int:
     scenario = build_scenario(args.scenario)
     doc = oracle_check(scenario, args.c)
-    _write_atomic(args.out, json.dumps(doc, sort_keys=True, indent=1))
+    _write_json(args.out, doc, sort_keys=True, indent=1)
     status = "PASS" if doc["pass"] else "FAIL"
     for name, ok in doc["checks"].items():
         print(f"{'ok ' if ok else 'FAIL'} {name}")
@@ -684,7 +664,7 @@ def _cmd_pipeline(args) -> int:
     config = validate_config(args.config)
     out_dir = args.out_dir or "runs"
     manifest = run_pipeline(config, out_dir)
-    print(json.dumps(manifest.to_dict(), indent=1, sort_keys=True))
+    print(json.dumps(manifest, indent=1, sort_keys=True))
     return 0
 
 

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -68,7 +71,7 @@ class Vocab:
         return self._ids.get(token, UNK)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump({"tokens": list(self.tokens[NUM_RESERVED:])}, fh)
 
     @classmethod
@@ -335,10 +338,25 @@ def split_tail(corpus: Corpus, n: int) -> tuple[Corpus, Corpus]:
 
 def save_corpus(corpus: Corpus, path) -> None:
     tokens = corpus.vocab.tokens
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for row, n in zip(corpus.ids.tolist(), corpus.lengths.tolist()):
             fh.write(" ".join([tokens[i] for i in row[:n]]))
             fh.write("\n")
+
+
+@contextmanager
+def atomic_open(path):
+    """A text handle on a temp file that replaces ``path`` when the block
+    ends; a failure leaves the old file (or none), never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_lines(path) -> list[str]:

@@ -92,6 +92,9 @@ def test_reverse_lm_minimum_is_one_constant(tmp_path):
     ({"filter": {"c": [True]}}, "filter.c entries must lie in (0, 1], got True"),
     ({"seed": True}, "seed must be an integer >= 0, got True"),
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    # both would write the T1 artifacts
+    ({"temperatures": [1.0, 1.0000001]},
+     "temperatures entries must differ in their {:g} artifact names, got [1.0, 1.0000001]"),
 ])
 def test_mistyped_config_values_are_config_errors(tmp_path, overrides, problem):
     path = _write_config(tmp_path, **overrides)
@@ -345,16 +348,64 @@ def test_pipeline_resume_recomputes_only_final_stage(tmp_path):
     cfg = validate_config(_write_config(tmp_path))
     out = tmp_path / "run"
     first = run_pipeline(cfg, out)
-    assert all(not st["skipped"] for st in first.stages)
+    assert all(not st["skipped"] for st in first["stages"])
     (out / "sweep.csv").unlink()
     (out / "report.json").unlink()
     (out / "oracle_report.json").unlink()
     second = run_pipeline(cfg, out)
-    by_name = {st["name"]: st for st in second.stages}
+    by_name = {st["name"]: st for st in second["stages"]}
     assert not by_name["evaluate"]["skipped"]
     for name in ("data", "train-gen", "train-disc", "estimate-uc", "sample"):
         assert by_name[name]["skipped"]
-    assert _artifact_digests(first.to_dict()) == _artifact_digests(second.to_dict())
+    assert _artifact_digests(first) == _artifact_digests(second)
+
+
+_STAGES = ["data", "train-gen", "train-disc", "estimate-uc", "sample", "evaluate"]
+
+
+@pytest.mark.parametrize("change,first_rerun", [
+    ("version", "data"), ("delete gen.json", "train-gen")])
+def test_a_rerun_recomputes_every_stage_from_the_first_changed_one(
+        tmp_path, monkeypatch, change, first_rerun):
+    cfg = validate_config(_write_config(tmp_path))
+    out = tmp_path / "run"
+    first = run_pipeline(cfg, out)
+    if change == "version":
+        monkeypatch.setattr("filtergen.cli.__version__", "0.0.0+other")
+    else:
+        (out / "gen.json").unlink()
+    second = run_pipeline(cfg, out)
+    skipped = [st["name"] for st in second["stages"] if st["skipped"]]
+    assert skipped == _STAGES[:_STAGES.index(first_rerun)]
+    assert _artifact_digests(second) == _artifact_digests(first)
+    assert json.loads((out / "manifest.json").read_text()) == second
+
+
+def test_a_changed_input_file_recomputes_every_stage(tmp_path):
+    path = _data_config(tmp_path, {"order": 2}, filter={"c": [1.0, 0.5]},
+                        metrics=["bleu", "lm"], eval={"n_samples": 100},
+                        discriminator={"batch_size": 64, "max_epochs": 3},
+                        uc={"samples_per_round": 200, "rounds": 20})
+    cfg, out = validate_config(path), tmp_path / "run"
+    run_pipeline(cfg, out)
+    train = Path(cfg.data["train"])
+    train.write_text("".join(train.read_text().splitlines(keepends=True)[:200]))
+    second = run_pipeline(cfg, out)
+    assert not any(st["skipped"] for st in second["stages"])
+    digest = hashlib.sha256(train.read_bytes()).hexdigest()
+    assert second["inputs"]["train"] == digest
+    clean = run_pipeline(cfg, tmp_path / "clean")
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "clean" / "sweep.csv").read_bytes()
+    assert _artifact_digests(second) == _artifact_digests(clean)
+
+
+def test_oracle_report_checks_the_smallest_ratio(tmp_path):
+    cfg = validate_config(_write_config(tmp_path, filter={"c": [1.0, 0.4, 0.6]},
+                                        metrics=["bleu"]))
+    run_pipeline(cfg, tmp_path / "run")
+    doc = json.loads((tmp_path / "run" / "oracle_report.json").read_text())
+    assert doc["c"] == 0.4 and doc["pass"]
+    assert doc["tv_after"] < doc["tv_before"]
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not-an-object"])
@@ -364,16 +415,16 @@ def test_corrupt_state_file_recomputes_every_stage(tmp_path, capsys, damage):
     argv = ["pipeline", "--config", str(path), "--out-dir", str(out)]
     assert main(argv) == 0
     first = json.loads(capsys.readouterr().out)
-    state = out / "checkpoints.json"
-    text = state.read_text()
+    manifest = out / "manifest.json"
+    text = manifest.read_text()
     # a truncated file is what a crash in the middle of a plain write leaves
-    state.write_text(text[: len(text) // 2] if damage == "truncated" else "[1, 2]")
+    manifest.write_text(text[: len(text) // 2] if damage == "truncated" else "[1, 2]")
     assert main(argv) == 0
     second = json.loads(capsys.readouterr().out)
     assert all(not st["skipped"] for st in second["stages"])
     assert _artifact_digests(second) == _artifact_digests(first)
-    assert json.loads(state.read_text()) == json.loads(text)
-    assert not (out / "checkpoints.json.tmp").exists()
+    assert json.loads(manifest.read_text()) == second
+    assert not (out / "manifest.json.tmp").exists()
 
 
 def _artifact_digests(manifest: dict) -> dict:
@@ -384,13 +435,14 @@ def _artifact_digests(manifest: dict) -> dict:
 def clean_run_digests(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("clean")
     return _artifact_digests(
-        run_pipeline(validate_config(_write_config(tmp)), tmp / "run").to_dict())
+        run_pipeline(validate_config(_write_config(tmp)), tmp / "run"))
 
 
 @pytest.mark.parametrize("target", [
-    "disc_report.json", "uc_T1_c0.4.json", "samples_T1_c1_rejected.txt",
+    "train.txt", "vocab.json", "gen.json", "disc.json", "disc_report.json",
+    "uc_T1_c0.4.json", "samples_T1_c0.4_accepted.txt", "samples_T1_c1_rejected.txt",
     "samples_T1_c0.4_stats.json", "sweep.csv", "report.json", "oracle_report.json",
-    "checkpoints.json", "manifest.json",
+    "manifest.json",
 ])
 def test_failed_artifact_write_exits_cleanly_and_a_rerun_completes(
         tmp_path, capsys, monkeypatch, clean_run_digests, target):
@@ -415,7 +467,7 @@ def test_failed_artifact_write_exits_cleanly_and_a_rerun_completes(
     manifest = json.loads(capsys.readouterr().out)
     assert not list(out.glob("*.tmp"))
     assert _artifact_digests(manifest) == clean_run_digests
-    for name in ("manifest.json", "checkpoints.json", *clean_run_digests):
+    for name in ("manifest.json", *clean_run_digests):
         if name.endswith(".json"):
             json.loads((out / name).read_text())  # every JSON artifact is whole
 
