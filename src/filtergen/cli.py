@@ -1,8 +1,13 @@
 """Command-line interface and experiment pipeline.
 
-Subcommands: train-gen, train-disc, estimate-uc, sample, evaluate, sweep,
+Subcommands: train-gen, train-disc, estimate-uc, sample, evaluate,
 oracle-check, pipeline. Exit codes: 0 success, 2 configuration error,
 3 stage failure, 4 attempt budget exhausted.
+
+Each stage subcommand makes its pipeline stage's calls with the stage's
+seed derivation and default sections: run with the pipeline's seed on its
+files, they reproduce its artifacts and its ``sweep.csv`` cells, apart from
+``error_rate``, which the pipeline seeds per grid point.
 
 The pipeline persists one artifact set per stage under the output
 directory and records the run in ``manifest.json``: a rerun recomputes the
@@ -32,10 +37,10 @@ from .data import (DEFAULT_MAX_LEN, Vocab, atomic_open, build_vocab, load_corpus
                    read_lines, save_corpus, synth_markov)
 from .disc import DiscConfig, error_rate, train_discriminator
 from .errors import BudgetError, ConfigError, FiltergenError, InputError, integer, number
-from .filtering import BoundaryEstimateConfig, estimate_boundary
-# unused here since `sample` runs metrics.grid_streams, but perfbench's tracer
-# test still expects this module to bind it
-from .filtering import sample_filtered  # noqa: F401
+from .filtering import BoundaryEstimateConfig
+# unused here since the subcommands run metrics.grid_boundary and grid_streams,
+# but perfbench's tracer test still expects this module to bind them
+from .filtering import estimate_boundary, sample_filtered  # noqa: F401
 from .genmodel import NeuralConfig, NGramConfig, SamplerConfig, train_mle
 from .metrics import (KNOWN_METRICS, RLM_MIN_SAMPLES, SWEEP_COLUMNS, BleuConfig,
                       MetricScorer, SweepReport, grid_baseline, grid_boundary,
@@ -430,13 +435,9 @@ class _Pipeline:
     def _stage_evaluate(self) -> None:
         cfg = self.cfg
         corpora = self._corpora()
-        gen = load_model(self.out / "gen.json")
-        oracle_cfg = NGramConfig(order=2, delta=0.01, fixed_length=gen.fixed_length)
-        scorer = MetricScorer(
-            cfg.metrics, real_train=corpora["train"], real_test=corpora["test"],
-            oracle_lm=train_mle(corpora["train"], None, oracle_cfg), seed=cfg.seed,
-            rlm_config=oracle_cfg, bleu_cfg=BleuConfig(max_order=cfg.eval["bleu_order"]),
-            disc_cfg=cfg.discriminator, embed_dim=cfg.eval["embed_dim"])
+        gen_cfg = self.scenario.generator if self.scenario is not None else cfg.generator
+        scorer = _scorer(cfg.metrics, corpora["train"], corpora["test"], cfg.seed,
+                         gen_cfg.fixed_length, cfg.eval, cfg.discriminator)
         vocab, max_len = corpora["train"].vocab, cfg.eval["max_len"]
         points = [(1.0, "baseline")] + [(c, stream) for c in cfg.filter_ratios
                                         for stream in ("accepted", "rejected")]
@@ -457,6 +458,21 @@ class _Pipeline:
             # the smallest ratio: the identity ratio 1 checks no filter at all
             doc = oracle_check(self.scenario, min(cfg.filter_ratios))
             _write_json(self.out / "oracle_report.json", doc, sort_keys=True)
+
+
+def _scorer(metric_names, train, test, seed: int, fixed_length, eval_cfg: dict,
+            disc_cfg: DiscConfig | None = None) -> MetricScorer:
+    """The scorer of the evaluate stage and subcommand.
+
+    The oracle LM is a bigram with delta 0.01 fitted on ``train``, and its
+    config also fits the reverse LM; the FED embedding is fitted on ``train``.
+    """
+    oracle_cfg = NGramConfig(order=2, delta=0.01, fixed_length=fixed_length)
+    return MetricScorer(
+        metric_names, real_train=train, real_test=test,
+        oracle_lm=train_mle(train, None, oracle_cfg), seed=seed, rlm_config=oracle_cfg,
+        bleu_cfg=BleuConfig(max_order=eval_cfg["bleu_order"]), disc_cfg=disc_cfg,
+        embed_dim=eval_cfg["embed_dim"])
 
 
 def _save_rejected(rejected, path) -> None:
@@ -561,7 +577,7 @@ def _cmd_train_gen(args) -> int:
         raise ConfigError(["generator must be an object"])
     limits = {k: v for k, v in doc.items() if k in _CORPUS_DEFAULTS}
     cfg = _generator_section(problems, {k: v for k, v in doc.items() if k not in limits},
-                             args.seed)
+                             derive_seed(args.seed, "train-gen"))
     limits = _positive_ints(problems, limits, "generator", _CORPUS_DEFAULTS)
     if problems:
         raise ConfigError(problems)
@@ -582,8 +598,8 @@ def _cmd_train_disc(args) -> int:
         raise ConfigError(problems)
     gen = _load_kind(args.gen_model, *_GENERATOR_KINDS)
     real = load_corpus(args.real, gen.vocab, "train")
-    disc, report = train_discriminator(real, gen, cfg,
-                                       np.random.default_rng(args.seed))
+    disc, report = train_discriminator(
+        real, gen, cfg, np.random.default_rng(derive_seed(args.seed, "train-disc")))
     save_model(disc, args.out)
     print(f"wrote {args.out} (valid accuracy {report.final_valid_accuracy:.4f}, "
           f"converged={report.converged}, stop_reason={report.stop_reason})")
@@ -593,9 +609,9 @@ def _cmd_train_disc(args) -> int:
 def _cmd_estimate_uc(args) -> int:
     gen = _load_kind(args.gen, *_GENERATOR_KINDS)
     disc = _load_classifier(args.disc, gen)
-    sampler = SamplerConfig(temperature=args.temperature, seed=args.seed)
-    boundary, trace = estimate_boundary(gen, disc, args.c, None, sampler,
-                                        np.random.default_rng(args.seed))
+    boundary, trace = grid_boundary(
+        gen, disc, args.seed, args.temperature, args.c, BoundaryEstimateConfig(),
+        grid_sampler(args.seed, args.temperature, DEFAULT_MAX_LEN))
     _write_json(args.out, {"c": args.c, "u_c": boundary, "trace": trace})
     print(f"u_c = {boundary:.4f} (written to {args.out})")
     return 0
@@ -604,10 +620,9 @@ def _cmd_estimate_uc(args) -> int:
 def _cmd_sample(args) -> int:
     gen = _load_kind(args.gen, *_GENERATOR_KINDS)
     disc = _load_classifier(args.disc, gen)
-    sampler = SamplerConfig(temperature=args.temperature, seed=args.seed)
     corpus, rejected, stats = grid_streams(
-        gen, disc, args.c, args.u_c if args.c < 1.0 else 0.0, args.n, sampler,
-        args.max_attempts)
+        gen, disc, args.c, args.u_c if args.c < 1.0 else 0.0, args.n,
+        grid_sampler(args.seed, args.temperature, DEFAULT_MAX_LEN), args.max_attempts)
     save_corpus(corpus, args.out)
     if args.rejected_out:
         _save_rejected(rejected, args.rejected_out)
@@ -620,31 +635,20 @@ def _cmd_sample(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     gen = _load_kind(args.gen, *_GENERATOR_KINDS)
+    disc = _load_classifier(args.disc, gen) if args.disc else None
+    train = load_corpus(args.train, gen.vocab, "train")
     real = load_corpus(args.real, gen.vocab, "real")
     samples = load_corpus(args.samples, gen.vocab, "samples")
     metric_names = [m for m in args.metrics.split(",") if m]
     unknown = set(metric_names) - set(KNOWN_METRICS)
     if unknown:
         raise ConfigError([f"unknown metric '{m}'" for m in sorted(unknown)])
-    scorer = MetricScorer(metric_names, real_train=real, real_test=real, oracle_lm=gen)
+    scorer = _scorer(metric_names, train, real, args.seed, gen.fixed_length, _EVAL_DEFAULTS)
     row = scorer.cells(samples, args.seed)
-    if args.disc:
-        disc = _load_classifier(args.disc, gen)
+    if disc is not None:
         row["disc_error_rate"] = error_rate(disc, real, samples)
     _write_json(args.out, row, sort_keys=True)
     print(json.dumps(row, sort_keys=True))
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    config = validate_config(args.config)
-    out_dir = Path(args.out_dir or Path(args.out).parent or ".")
-    manifest = run_pipeline(config, out_dir)
-    sweep_path = out_dir / "sweep.csv"
-    if Path(args.out) != sweep_path:
-        with atomic_open(args.out) as fh:
-            fh.write(sweep_path.read_text())
-    print(f"wrote {args.out} ({len(manifest['stages'])} stages)")
     return 0
 
 
@@ -662,8 +666,7 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = validate_config(args.config)
-    out_dir = args.out_dir or "runs"
-    manifest = run_pipeline(config, out_dir)
+    manifest = run_pipeline(config, args.out_dir)
     print(json.dumps(manifest, indent=1, sort_keys=True))
     return 0
 
@@ -679,12 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtergen",
         description="Discriminator-guided rejection sampling for sequence generators")
-    # --seed only where a subcommand draws randomness outside a config file,
-    # --out-dir only where it writes a pipeline's artifact set
+    # --seed only where a subcommand draws randomness outside a config file
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_seed_arg, default=0, help="random seed (>= 0)")
-    staged = argparse.ArgumentParser(add_help=False)
-    staged.add_argument("--out-dir", default=None, help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-gen", parents=[seeded],
@@ -729,6 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", parents=[seeded],
                        help="score a sample corpus against real data")
+    p.add_argument("--train", required=True,
+                   help="corpus the oracle LM and the FED embedding are fitted on")
     p.add_argument("--real", required=True)
     p.add_argument("--samples", required=True)
     p.add_argument("--gen", required=True)
@@ -737,12 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("sweep", parents=[staged],
-                       help="run the pipeline and emit the temperature-sweep CSV")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep)
-
     p = sub.add_parser("oracle-check",
                        help="exact-filter invariant report for a bundled scenario")
     p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
@@ -750,9 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle_check)
 
-    p = sub.add_parser("pipeline", parents=[staged],
+    p = sub.add_parser("pipeline",
                        help="end-to-end staged run: data, models, boundary, samples, metrics")
     p.add_argument("--config", required=True)
+    p.add_argument("--out-dir", default="runs", help="artifact directory")
     p.set_defaults(func=_cmd_pipeline)
     return parser
 

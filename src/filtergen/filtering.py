@@ -190,6 +190,9 @@ class FilteredGenerator:
     params: FilterParams
     max_attempts_per_sample: int = 10_000
 
+    def __post_init__(self):
+        check_fields(self, max_attempts_per_sample=integer(1))
+
     @property
     def vocab(self):
         return self.gen.vocab

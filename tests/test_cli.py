@@ -180,6 +180,19 @@ def test_data_mode_ngram_generator_artifact_is_pinned(tmp_path):
     assert digest == GEN_JSON_SHA256
 
 
+def test_train_gen_reproduces_the_pipelines_neural_generator(tmp_path):
+    generator = {"kind": "neural", "embed_dim": 4, "hidden_dim": 8, "max_epochs": 2}
+    path = _data_config(tmp_path, generator, filter={"c": [1.0]}, metrics=["bleu"],
+                        eval={"n_samples": 100})
+    cfg = validate_config(path)
+    run_pipeline(cfg, tmp_path / "run")
+    gen_cfg, out = tmp_path / "gen.cfg", tmp_path / "gen.json"
+    gen_cfg.write_text(json.dumps(generator))
+    assert main(["train-gen", "--train", cfg.data["train"], "--valid", cfg.data["valid"],
+                 "--config", str(gen_cfg), "--out", str(out), "--seed", "5"]) == 0
+    assert out.read_bytes() == (tmp_path / "run" / "gen.json").read_bytes()
+
+
 @pytest.mark.parametrize("command,doc,problem", [
     ("train-gen", {"order": "2"}, "generator: order must be an integer >= 1, got '2'"),
     ("train-gen", {"kind": "markov"},
@@ -206,11 +219,10 @@ def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, doc, problem
 
 @pytest.mark.parametrize("argv", [
     ["pipeline", "--config", "c.json", "--seed", "3"],
-    ["sweep", "--config", "c.json", "--out", "s.csv", "--seed", "3"],
     ["oracle-check", "--scenario", "s1", "--out", "o.json", "--seed", "3"],
     ["train-gen", "--train", "t.txt", "--config", "g.json", "--out", "g", "--out-dir", "x"],
-    ["evaluate", "--real", "r", "--samples", "s", "--gen", "g", "--out", "o",
-     "--out-dir", "x"],
+    ["evaluate", "--train", "t", "--real", "r", "--samples", "s", "--gen", "g",
+     "--out", "o", "--out-dir", "x"],
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -225,7 +237,8 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     ["estimate-uc", "--gen", "g", "--disc", "d", "--c", "0.5", "--out", "u"],
     ["sample", "--gen", "g", "--disc", "d", "--c", "0.5", "--u-c", "0.1", "--n", "5",
      "--out", "s"],
-    ["evaluate", "--real", "r", "--samples", "s", "--gen", "g", "--out", "o"],
+    ["evaluate", "--train", "t", "--real", "r", "--samples", "s", "--gen", "g",
+     "--out", "o"],
 ])
 @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
 def test_seeds_numpy_cannot_take_are_usage_errors(capsys, argv, seed):
@@ -258,6 +271,10 @@ def test_cli_train_sample_evaluate_roundtrip(tmp_path, capsys):
     uc_doc = json.loads(uc_path.read_text())
     assert 0.0 <= uc_doc["u_c"] <= 1.0
     assert len(uc_doc["trace"]) == 100
+    # the identity ratio searches nothing, as in the pipeline
+    assert main(["estimate-uc", "--gen", str(gen_path), "--disc", str(disc_path),
+                 "--c", "1", "--out", str(uc_path)]) == 0
+    assert json.loads(uc_path.read_text()) == {"c": 1.0, "u_c": 0.0, "trace": []}
 
     samples = tmp_path / "samples.txt"
     rejected = tmp_path / "rejected.txt"
@@ -276,15 +293,17 @@ def test_cli_train_sample_evaluate_roundtrip(tmp_path, capsys):
     gen, disc = load_model(gen_path), load_model(disc_path)
     accepted, full = fg.sample_filtered(
         fg.FilteredGenerator(gen, disc, fg.FilterParams(0.2, 1.0)), 50,
-        fg.SamplerConfig(seed=4), np.random.default_rng(4))
+        fg.SamplerConfig(seed=fg.seeding.derive_seed(4, "sample", 1.0)),
+        np.random.default_rng(fg.seeding.derive_seed(4, "sample", 1.0)))
     assert len(full.rejected_sequences) > 50
     assert fg.load_corpus(samples, gen.vocab).sequences == accepted.sequences
     written = fg.load_corpus(rejected, gen.vocab)
     assert written.sequences == full.rejected_sequences[:50].sequences
 
     report = tmp_path / "report.json"
-    assert main(["evaluate", "--real", str(test), "--samples", str(samples),
-                 "--gen", str(gen_path), "--metrics", "bleu,selfbleu,lm",
+    assert main(["evaluate", "--train", str(train), "--real", str(test),
+                 "--samples", str(samples), "--gen", str(gen_path),
+                 "--metrics", "bleu,selfbleu,lm",
                  "--out", str(report), "--seed", "5"]) == 0
     doc = json.loads(report.read_text())
     assert set(doc) == {"bleu5", "self_bleu5", "lm_score"}
@@ -529,11 +548,58 @@ def test_short_rejected_stream_leaves_the_reverse_lm_cell_empty(tmp_path):
     assert rows["rejected"]["rev_lm_score"] == "" and rows["rejected"]["bleu5"] != ""
     assert rows["baseline"]["rev_lm_score"] != "" and rows["accepted"]["rev_lm_score"] != ""
     # the evaluate subcommand stays strict about the minimum
-    code = main(["evaluate", "--real", str(out / "test.txt"),
+    code = main(["evaluate", "--train", str(out / "train.txt"),
+                 "--real", str(out / "test.txt"),
                  "--samples", str(out / "samples_T1_c0.5_rejected.txt"),
                  "--gen", str(out / "gen.json"), "--metrics", "rlm",
                  "--out", str(tmp_path / "rlm.json")])
     assert code == 3
+
+
+def test_stage_subcommands_reproduce_the_pipeline_on_its_files(tmp_path):
+    path = _s2_config(tmp_path, filter={"c": [0.5]}, uc={},
+                      metrics=["bleu", "selfbleu", "lm", "rlm", "fed"])
+    run, sub = tmp_path / "run", tmp_path / "sub"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(run)]) == 0
+    sub.mkdir()
+    disc_cfg = tmp_path / "disc.cfg"
+    disc_cfg.write_text(json.dumps(json.loads(path.read_text())["discriminator"]))
+    seed, gen, disc = ["--seed", "5"], str(run / "gen.json"), str(run / "disc.json")
+    train, test = str(run / "train.txt"), str(run / "test.txt")
+    assert main(["train-disc", "--real", train, "--gen-model", gen, "--config", str(disc_cfg),
+                 "--out", str(sub / "disc.json"), *seed]) == 0
+    uc_path = sub / "uc_T1_c0.5.json"
+    assert main(["estimate-uc", "--gen", gen, "--disc", disc, "--c", "0.5",
+                 "--out", str(uc_path), *seed]) == 0
+    u_c = json.loads(uc_path.read_text())["u_c"]
+    assert main(["sample", "--gen", gen, "--disc", disc, "--c", "0.5", "--u-c", repr(u_c),
+                 "--n", "1000", "--out", str(sub / "samples_T1_c0.5_accepted.txt"),
+                 "--rejected-out", str(sub / "samples_T1_c0.5_rejected.txt"), *seed]) == 0
+    for name in ("disc.json", "uc_T1_c0.5.json", "samples_T1_c0.5_accepted.txt",
+                 "samples_T1_c0.5_rejected.txt"):
+        assert (sub / name).read_bytes() == (run / name).read_bytes(), name
+    sweep = (run / "sweep.csv").read_text().splitlines()
+    for line, ratio, stream, samples in ((1, 1.0, "baseline", "samples_T1_baseline.txt"),
+                                         (2, 0.5, "accepted", "samples_T1_c0.5_accepted.txt")):
+        out = sub / f"{stream}.json"
+        assert main(["evaluate", "--train", train, "--real", test,
+                     "--samples", str(run / samples), "--gen", gen,
+                     "--metrics", "bleu,selfbleu,lm,rlm,fed", "--out", str(out), *seed]) == 0
+        row = {"temperature": 1.0, "c": ratio, "stream": stream, **json.loads(out.read_text())}
+        assert fg.SweepReport([row]).csv_text().splitlines()[1] == sweep[line]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--max-attempts", "0"), ("--max-attempts", "-1"), ("--n", "0"), ("--c", "2")])
+def test_out_of_range_sample_flags_exit_3_with_one_error_line(tmp_path, capsys, input_files,
+                                                             flag, value):
+    args = {"--gen": str(input_files["gen"]), "--disc": str(input_files["disc"]),
+            "--c": "0.5", "--u-c": "0.5", "--n": "5", "--out": str(tmp_path / "s.txt"),
+            "--rejected-out": str(tmp_path / "r.txt"), flag: value}
+    assert main(["sample", *[part for item in args.items() for part in item]]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_rejected_artifact_is_the_scored_prefix(tmp_path):
@@ -581,7 +647,8 @@ def test_malformed_checkpoint_exits_3_with_one_error_line(tmp_path, capsys, comm
         "estimate-uc": ["--gen", str(ckpt), "--disc", unread, "--c", "0.5"],
         "sample": ["--gen", str(ckpt), "--disc", unread, "--c", "0.5", "--u-c", "0.5",
                    "--n", "5"],
-        "evaluate": ["--real", unread, "--samples", unread, "--gen", str(ckpt)],
+        "evaluate": ["--train", unread, "--real", unread, "--samples", unread,
+                     "--gen", str(ckpt)],
     }[command]
     out = tmp_path / "out"
     assert main([command, *inputs, "--out", str(out)]) == 3
@@ -626,16 +693,21 @@ def input_files(tmp_path_factory):
                 "--n": "5"}, "--disc"),
     ("sample", {"--gen": "gen", "--disc": "gen", "--c": "0.5", "--u-c": "0.5",
                 "--n": "5"}, "--disc"),
-    ("evaluate", {"--real": "not-utf8", "--samples": "test", "--gen": "gen"}, "--real"),
-    ("evaluate", {"--real": "test", "--samples": "not-utf8", "--gen": "gen"}, "--samples"),
-    ("evaluate", {"--real": "test", "--samples": "test", "--gen": "gen",
+    ("evaluate", {"--train": "train", "--real": "not-utf8", "--samples": "test",
+                  "--gen": "gen"}, "--real"),
+    ("evaluate", {"--train": "train", "--real": "test", "--samples": "not-utf8",
+                  "--gen": "gen"}, "--samples"),
+    ("evaluate", {"--train": "train", "--real": "test", "--samples": "test", "--gen": "gen",
                   "--disc": "not-utf8"}, "--disc"),
-    ("evaluate", {"--real": "test", "--samples": "test", "--gen": "disc"}, "--gen"),
+    ("evaluate", {"--train": "train", "--real": "test", "--samples": "test",
+                  "--gen": "disc"}, "--gen"),
     ("estimate-uc", {"--gen": "other-gen", "--disc": "disc", "--c": "0.5"}, "--disc"),
     ("sample", {"--gen": "other-gen", "--disc": "disc", "--c": "0.5", "--u-c": "0.5",
                 "--n": "5"}, "--disc"),
-    ("evaluate", {"--real": "test", "--samples": "test", "--gen": "other-gen",
-                  "--disc": "disc", "--metrics": "bleu"}, "--disc"),
+    ("evaluate", {"--train": "train", "--real": "test", "--samples": "test",
+                  "--gen": "other-gen", "--disc": "disc", "--metrics": "bleu"}, "--disc"),
+    ("evaluate", {"--train": "not-utf8", "--real": "test", "--samples": "test",
+                  "--gen": "gen"}, "--train"),
 ])
 def test_bad_input_file_exits_3_with_one_error_line(tmp_path, capsys, input_files,
                                                     command, inputs, culprit):
