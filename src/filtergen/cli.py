@@ -173,17 +173,19 @@ def validate_config(path) -> ExperimentConfig:
 
 
 def _grid_values(problems, values, name: str, is_valid, bad: str) -> list:
-    """The grid list ``values``: non-empty, each entry valid, and no two
-    entries sharing an artifact name (the value formatted ``{:g}``)."""
+    """The valid entries of the grid list ``values`` as floats, so that ``1``
+    seeds the streams ``1.0`` does; the list must be non-empty, each entry
+    valid, and no two entries may share an artifact name (the value
+    formatted ``{:g}``)."""
     if not isinstance(values, list) or not values:
         problems.append(f"{name} must be a non-empty list")
         return [1.0]
     problems.extend(bad.format(v) for v in values if not is_valid(v))
-    labels = [f"{v:g}" for v in values if is_valid(v)]
-    if len(set(labels)) < len(labels):
+    valid = [float(v) for v in values if is_valid(v)]
+    if len({f"{v:g}" for v in valid}) < len(valid):
         problems.append(f"{name} entries must differ in their {{:g}} artifact names, "
                         f"got {values!r}")
-    return values
+    return valid
 
 
 def _object(problems, doc, name: str, allowed) -> dict | None:

@@ -116,7 +116,9 @@ class Corpus:
     the longest row. ``Sequence`` views of the rows are built on the first
     use of ``sequences`` (or iteration) and cached. Indexing with an int
     gives one ``Sequence``; with a slice, index array or mask it gives the
-    corpus of those rows, trimmed to their longest row.
+    corpus of those rows, trimmed to their longest row. A slice's rows are
+    views of this corpus's arrays; an index array's rows, or a mask's as
+    ``np.flatnonzero`` indices, are gathered with ``take`` into new arrays.
     """
 
     __slots__ = ("vocab", "ids", "lengths", "split", "_sequences")
@@ -189,16 +191,27 @@ class Corpus:
     def __getitem__(self, rows):
         if isinstance(rows, (int, np.integer)):
             return self.sequences[rows]
-        lengths = self.lengths[rows]
+        seqs = None
+        if isinstance(rows, slice):
+            ids, lengths = self.ids[rows], self.lengths[rows]
+            if self._sequences is not None:
+                seqs = self._sequences[rows]
+        else:
+            # take with indices gathers rows faster than fancy indexing
+            rows = np.asarray(rows)
+            if rows.dtype == bool:
+                if rows.shape != self.lengths.shape:
+                    raise IndexError(f"a mask of shape {rows.shape} does not match "
+                                     f"{len(self)} rows")
+                rows = np.flatnonzero(rows)
+            elif not rows.size:
+                rows = rows.astype(np.intp)  # [] is a float array
+            ids, lengths = self.ids.take(rows, axis=0), self.lengths.take(rows)
         if len(lengths) == 0:
             raise InputError("a corpus must contain at least one sequence")
-        ids = self.ids[rows]
         width = int(lengths.max())
         if width < ids.shape[1]:
             ids = ids[:, :width]
-        seqs = None
-        if isinstance(rows, slice) and self._sequences is not None:
-            seqs = self._sequences[rows]
         return _new_corpus(self.vocab, ids, lengths, self.split, seqs)
 
     def __eq__(self, other):

@@ -27,6 +27,15 @@ each (context, token) step leads to, so a warm step is an exact binary
 search for the number of CDF entries below u (O(log S) per sequence) and a
 gather of successor rows. A model's sampling tables, of every temperature,
 are held together under ``_CACHE_BYTES``.
+
+Both trained samplers draw one uniform per row at every step, whether or not
+rows have ended, so a call leaves its rng where the same call always did.
+They keep each row's support-index picks and its length (the step that drew
+EOS, or the cap), and at the end map the picks through the support once,
+with PAD past each length, into a Corpus trimmed to its longest row. The ids
+come from the model's own support, so the Corpus is built without a check
+or a recount. Until some row ends, the n-gram sampler draws for every row
+and gathers no growing-row subset; with a fixed length that is every step.
 """
 
 from __future__ import annotations
@@ -36,8 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (BOS, DEFAULT_MAX_LEN, EOS, NUM_RESERVED, UNK, Corpus, MarkovSource,
-                   Sequence, _draw_from_cdf, _gram_ranks, corpus_to_arrays, split_tail)
+from .data import (BOS, DEFAULT_MAX_LEN, EOS, NUM_RESERVED, PAD, UNK, Corpus, MarkovSource,
+                   Sequence, _draw_from_cdf, _gram_ranks, _new_corpus, corpus_to_arrays,
+                   split_tail)
 from .errors import InputError, check_fields, integer, number
 
 # Byte cap of one NGramLM's sampling tables of every temperature together. A
@@ -243,25 +253,35 @@ class NGramLM:
         table = self._tables.get(cfg.temperature)
         if table is None:
             table = self._tables[cfg.temperature] = _CdfTable(len(self.support))
-        # idx: the output rows still growing; rows: their contexts' table rows
-        idx = np.arange(n)
         start = self._table_rows(table, cfg.temperature, [None])
         if start is None:
             start = self._rebuilt_rows(table, cfg.temperature, [None])
+        # rows: the growing rows' table rows; idx: the output rows still
+        # growing, None until some row ends (then every row grows)
         rows = np.full(n, start[0])
-        tokens = np.full((n, length_cap), -1, dtype=np.int64)
+        idx = None
+        picks_at, lengths = _pick_matrix(n, length_cap, len(self.support))
         for t in range(length_cap):
-            u = rng.random(n)
-            if not len(idx):
-                continue
-            picks = _draw_from_cdf(table.cdf, u[idx], rows)
+            u = rng.random(n)  # drawn at every step, so later draws keep their stream
+            if idx is not None:
+                if not len(idx):
+                    continue
+                u = u[idx]
+            picks = _draw_from_cdf(table.cdf, u, rows)
             if eos_sup >= 0:
-                keep = picks != eos_sup
-                idx, rows, picks = idx[keep], rows[keep], picks[keep]
-            tokens[idx, t] = self.support[picks]
+                ended = picks == eos_sup
+                if ended.any():
+                    growing = np.arange(n) if idx is None else idx
+                    lengths[growing[ended]] = t
+                    keep = ~ended
+                    idx, rows, picks = growing[keep], rows[keep], picks[keep]
+            if idx is None:
+                picks_at[t] = picks
+            else:
+                picks_at[t, idx] = picks
             if t + 1 < length_cap:
                 rows = self._successors(table, cfg.temperature, rows, picks)
-        return _token_corpus(self.vocab, tokens, split)
+        return _sampled_corpus(self.vocab, self.support, picks_at, lengths, split)
 
     def _successors(self, table: _CdfTable, temperature: float, rows: np.ndarray,
                     picks: np.ndarray) -> np.ndarray:
@@ -423,9 +443,24 @@ class _CdfTable:
         return new
 
 
-def _token_corpus(vocab, tokens: np.ndarray, split: str) -> Corpus:
-    # sampled rows are filled left to right, -1 past the end
-    return Corpus.from_arrays(vocab, tokens, (tokens >= 0).sum(axis=1), split)
+def _pick_matrix(n: int, length_cap: int, n_support: int):
+    """A sampler's ``(length_cap, n)`` support-index picks, step-major and
+    ``n_support`` until drawn, and its ``n`` row lengths, ``length_cap``
+    until a row ends."""
+    return (np.full((length_cap, n), n_support, dtype=np.intp),
+            np.full(n, length_cap, dtype=np.int64))
+
+
+def _sampled_corpus(vocab, support: np.ndarray, picks_at: np.ndarray, lengths: np.ndarray,
+                    split: str) -> Corpus:
+    """The Corpus of sampled rows from ``_pick_matrix``'s arrays: the picks
+    map through ``support`` once, ``n_support`` (past a row's end) to PAD,
+    and the matrix is trimmed to the longest row. The ids come from the
+    model's own support, so nothing is checked or recounted."""
+    if not len(lengths):
+        raise InputError("a corpus must contain at least one sequence")
+    ids = np.append(support, PAD).take(picks_at[: int(lengths.max())].T)
+    return _new_corpus(vocab, ids, lengths, split)
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +679,12 @@ class NeuralLM:
                       if self.fixed_length is not None else cfg.max_len)
         h = np.zeros((n, self.params["w_hh"].shape[0]))
         current = np.full(n, BOS, dtype=np.int64)
-        tokens = np.full((n, length_cap), -1, dtype=np.int64)
+        picks_at, lengths = _pick_matrix(n, length_cap, len(self.support))
+        ids_of = np.append(self.support, PAD)  # a pick's id, PAD past a row's end
         active = np.ones(n, dtype=bool)
         eos_sup = int(self._sup_index[EOS]) if self.fixed_length is None else -1
         for t in range(length_cap):
-            u = rng.random(n)
+            u = rng.random(n)  # drawn at every step, so later draws keep their stream
             if not active.any():
                 continue
             _, h, logits = self._step(current, h)
@@ -659,13 +695,14 @@ class NeuralLM:
             e = np.exp(logits)
             rows = e / e.sum(axis=1, keepdims=True)
             picks = _draw_from_cdf(np.cumsum(rows, axis=1), u)
-            emitted = self.support[picks]
-            ended = (picks == eos_sup) & active
-            live = active & ~ended
-            tokens[live, t] = emitted[live]
-            current = np.where(live, emitted, current)
-            active = live
-        return _token_corpus(self.vocab, tokens, split)
+            if eos_sup >= 0:
+                ended = (picks == eos_sup) & active
+                lengths[ended] = t
+                active &= ~ended
+                picks[~active] = len(self.support)
+            picks_at[t] = picks
+            current = np.where(active, ids_of[picks], current)
+        return _sampled_corpus(self.vocab, self.support, picks_at, lengths, split)
 
 
 # ---------------------------------------------------------------------------

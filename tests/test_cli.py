@@ -363,6 +363,22 @@ def test_pipeline_identity_ratio_matches_baseline(tmp_path):
     assert report["converged"] == (report["stop_reason"] == "patience")
 
 
+def test_integer_grid_values_write_the_samples_of_their_floats(tmp_path):
+    # seeds are derived from each grid value's str(), so 1 must become 1.0
+    for name, value in (("int", 1), ("float", 1.0)):
+        (tmp_path / name).mkdir()
+        cfg = validate_config(_write_config(tmp_path / name, filter={"c": [value]},
+                                            temperatures=[value]))
+        assert cfg.temperatures == [1.0] and cfg.filter_ratios == [1.0]
+        run_pipeline(cfg, tmp_path / name / "run")
+    names = sorted(p.name for p in (tmp_path / "float" / "run").glob("samples_*.txt"))
+    assert names == ["samples_T1_baseline.txt", "samples_T1_c1_accepted.txt",
+                     "samples_T1_c1_rejected.txt"]
+    for sample_file in names:
+        assert ((tmp_path / "int" / "run" / sample_file).read_bytes()
+                == (tmp_path / "float" / "run" / sample_file).read_bytes())
+
+
 def test_pipeline_resume_recomputes_only_final_stage(tmp_path):
     cfg = validate_config(_write_config(tmp_path))
     out = tmp_path / "run"

@@ -289,6 +289,42 @@ def test_split_tail_halves_concatenate_to_the_original(case, data):
     assert fresh_head.sequences + fresh_tail.sequences == seqs
 
 
+@settings(max_examples=100, deadline=None)
+@given(_corpora(), st.data())
+def test_corpus_rows_equal_plain_fancy_indexing(case, data):
+    # masks, index arrays (repeated and negative), slices and numpy scalars
+    # select what numpy's fancy indexing of ids and lengths selects, trimmed
+    # to the longest selected row
+    vocab, seqs = case
+    n = len(seqs)
+    index = st.integers(-n, n - 1)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    picks = data.draw(st.lists(index, max_size=30))
+    step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
+    part = slice(data.draw(st.none() | index), data.draw(st.none() | index), step)
+    for corpus in (Corpus(vocab, seqs, "train"),
+                   Corpus.from_arrays(vocab, *corpus_to_arrays(seqs), "train")):
+        for rows in (mask, np.array(picks, dtype=np.int64), picks, part):
+            want = corpus.lengths[rows]
+            if not len(want):
+                with pytest.raises(InputError):
+                    corpus[rows]
+                continue
+            got = corpus[rows]
+            assert np.array_equal(got.lengths, want)
+            assert np.array_equal(got.ids, corpus.ids[rows][:, : want.max()])
+            assert (got.vocab, got.split) == (vocab, "train")
+            assert got.sequences == tuple(seqs[i] for i in np.arange(n)[rows])
+        i = data.draw(index)
+        assert corpus[np.int64(i)] == corpus[np.int32(i)] == seqs[i]
+        with pytest.raises(IndexError):
+            corpus[np.array([n])]
+        with pytest.raises(IndexError):
+            corpus[np.array([-n - 1, 0])]
+        with pytest.raises(IndexError):
+            corpus[np.ones(n + 1, dtype=bool)]
+
+
 def test_corpus_matrix_validation():
     vocab = build_vocab(["a b"], max_size=4)
     good = np.array([[4, 5], [5, 2]])

@@ -387,6 +387,57 @@ def test_distinct_rows_re_rank_a_key_before_it_overflows(monkeypatch):
     assert (exact == final).all()
     assert len(seen) > 2  # at least one re-rank besides the final sort
 
+def _pooled_rows(vocab, width, seed=22):
+    # 3,000 rows drawn from a pool of 400 PAD-padded rows of lengths 1..width,
+    # with ids below vocab, the largest of them present
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, width + 1, size=400)
+    pool = np.where(np.arange(width) < lengths[:, None],
+                    rng.integers(4, vocab, size=(400, width)), fg.data.PAD)
+    picks = rng.integers(0, 400, size=3000)
+    ids, lengths = pool[picks], lengths[picks]
+    ids[0, :] = vocab - 1
+    lengths[0] = width
+    return ids, lengths
+
+
+def _sorts(monkeypatch, ids, lengths) -> bool:
+    # whether _distinct_rows hands any key to np.argsort
+    calls = []
+    real_argsort = np.argsort
+
+    def argsort(a, **kw):
+        calls.append(len(a))
+        return real_argsort(a, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "argsort", argsort)
+        _distinct_rows(ids, lengths)
+    return bool(calls)
+
+
+@pytest.mark.parametrize("vocab,width,sorts", [
+    (9, 3, False),  # keys below 4 * 9**3
+    (50, 2, False),  # below 3 * 50**2
+    (10_004, 3, True),  # up to 4 * 10,004**3
+    (6, 8, True),  # up to 9 * 6**8
+])
+def test_distinct_rows_mark_small_keys_and_sort_large_ones(monkeypatch, vocab, width, sorts):
+    ids, lengths = _pooled_rows(vocab, width)
+    assert _sorts(monkeypatch, ids, lengths) == sorts
+    _check_distinct_rows(ids, lengths)
+
+
+def test_distinct_rows_switch_paths_at_the_key_bound(monkeypatch):
+    # at V = 9 and width 3 the largest key is 3 * 9**3 + 728 = 2,915: a bound
+    # above it marks, a bound at it sorts, and both equal the reference
+    ids, lengths = _pooled_rows(9, 3)
+    for bound, sorts in ((2916, False), (2915, True)):
+        monkeypatch.setattr(fg.disc, "_MARK_KEYS_BELOW", bound)
+        assert _sorts(monkeypatch, ids, lengths) == sorts
+        _check_distinct_rows(ids, lengths)
+
+
 def test_domain_scores_equal_their_scores_inside_a_sampled_batch(s3, s3_disc):
     # exact_boundary scores the domain once; the filter scores sampled
     # batches. Equal bits make the boundary's plateau the filter's decisions.

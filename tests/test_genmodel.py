@@ -433,7 +433,7 @@ def _ref_sample_corpus(model, n, cfg, rng):
     active contexts, rebuilds and tempers each distinct context's row, and
     counts each gathered CDF row's entries below u."""
     from filtergen.data import _gram_ranks
-    from filtergen.genmodel import _apply_temperature, _token_corpus
+    from filtergen.genmodel import _apply_temperature
 
     length_cap = (min(model.fixed_length, cfg.max_len)
                   if model.fixed_length is not None else cfg.max_len)
@@ -472,7 +472,8 @@ def _ref_sample_corpus(model, n, cfg, rng):
             contexts[idx[keep], :ctx_len] = np.concatenate(
                 [contexts[idx[keep], 1:ctx_len], emitted[keep, None]], axis=1)
         active[idx[ended]] = False
-    return _token_corpus(model.vocab, tokens, "")
+    # rows are filled left to right, -1 past the end
+    return Corpus.from_arrays(model.vocab, tokens, (tokens >= 0).sum(axis=1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -504,6 +505,37 @@ def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatur
             assert np.array_equal(got.lengths, want.lengths)
             if cap == "tiny":
                 assert len(model._tables) == 1
+
+
+@pytest.mark.parametrize("mode", ["fixed", "eos", "eos-short"])
+@pytest.mark.parametrize("kind", ["ngram", "neural"])
+def test_sampled_corpus_holds_the_validated_matrix(kind, mode):
+    # the samplers build their Corpus without Corpus.from_arrays, so they must
+    # hand out what it would: int64, C-ordered and read-only, PAD past each
+    # length, as wide as the longest row; "eos-short" rows all end before the cap
+    vocab = build_vocab(["a b c"], max_size=10)
+    lines = ["a"] * 200 if mode == "eos-short" else ["a b c", "b c", "c a b a", "a"] * 50
+    fixed, cap = (3 if mode == "fixed" else None), 8
+    if kind == "ngram":
+        model = NGramLM(vocab, 2, 0.01, fixed).fit(encode_corpus(lines, vocab, "train"))
+    else:
+        model = NeuralLM(vocab, NeuralConfig(embed_dim=4, hidden_dim=5, fixed_length=fixed,
+                                             seed=1))
+        if mode == "eos-short":
+            model.params["b_y"][model._sup_index[EOS]] = 50.0  # EOS after the first step
+    corpus = model.sample_corpus(300, SamplerConfig(max_len=cap, seed=4), split="gen")
+    ids, lengths = corpus.ids, corpus.lengths
+    assert ids.dtype == lengths.dtype == np.int64
+    assert ids.flags.c_contiguous
+    assert not ids.flags.writeable and not lengths.flags.writeable
+    assert ids.shape == (300, lengths.max())
+    valid = np.arange(ids.shape[1]) < lengths[:, None]
+    assert (ids[~valid] == fg.data.PAD).all()
+    assert np.isin(ids[valid], model.support).all() and not (ids[valid] == EOS).any()
+    assert corpus == Corpus.from_arrays(vocab, ids, lengths, "gen")
+    assert lengths.min() >= 1
+    assert {"fixed": lengths.max() == lengths.min() == 3, "eos": lengths.max() == cap,
+            "eos-short": lengths.max() < cap}[mode]
 
 
 def _table_state(model):

@@ -1,10 +1,13 @@
-"""Golden digests of ``NGramLM.sample_corpus`` at fixed seeds.
+"""Golden digests of ``NGramLM.sample_corpus`` and ``NeuralLM.sample_corpus``
+at fixed seeds.
 
 Each model is fitted on a fixed corpus and sampled at a fixed seed; the
-SHA-256 of the sampled id matrix and its row lengths is pinned for orders
-1-3, with a fixed length and with an EOS event, at temperatures 1 and 0.7.
-Any change to the random draws, their order, the context lookup or the
-fitted counts moves these digests.
+SHA-256 of the sampled id matrix and its row lengths is pinned for n-gram
+orders 1-3 and for a small recurrent LM, with a fixed length and with an
+EOS event, at temperatures 1 and 0.7. Any change to the random draws,
+their order, the context lookup or the fitted counts moves these digests.
+The recurrent LM's draws also go through float64 matrix products, so its
+digests assume the same BLAS rounding as the machine that pinned them.
 """
 
 import hashlib
@@ -34,19 +37,30 @@ GOLDEN = {
 }
 
 
-def _fitted(order: int, fixed: bool) -> fg.NGramLM:
+NEURAL_GOLDEN = {
+    "neural/fixed/T1": "934086bc10ef531f371b1a0c47f9e80f19dd1c972d45aa77e3f377225a49f54d",
+    "neural/fixed/T0.7": "14b990d75c678b90205abdca0e4ddf1afd4fe69d8d55eb18226076becf1c10ec",
+    "neural/eos/T1": "3589aac39ce95cc815e4617e4a1406361067c186da2cdd965a5d3b88d4433197",
+    "neural/eos/T0.7": "effaca229af240beca36790dbdc6bb9c11858c19e2e4423fcc4f57e7f9623b0e",
+}
+
+
+def _train_corpus(fixed: bool) -> fg.Corpus:
     if fixed:
         rng = np.random.default_rng(12)
         k = len(TOKENS)
         source = fg.MarkovSource(TOKENS, rng.dirichlet(np.ones(k)),
                                  rng.dirichlet(np.ones(k), size=k), FIXED_LENGTH)
-        corpus = fg.synth_markov(source, 400, np.random.default_rng(13), "train")
-        return fg.NGramLM(corpus.vocab, order, 0.01, FIXED_LENGTH).fit(corpus)
+        return fg.synth_markov(source, 400, np.random.default_rng(13), "train")
     rng = np.random.default_rng(11)
     lines = [" ".join(TOKENS[i] for i in rng.integers(0, len(TOKENS), rng.integers(1, 8)))
              for _ in range(400)]
-    vocab = fg.Vocab(TOKENS)
-    return fg.NGramLM(vocab, order, 0.01, None).fit(fg.encode_corpus(lines, vocab, "train"))
+    return fg.encode_corpus(lines, fg.Vocab(TOKENS), "train")
+
+
+def _fitted(order: int, fixed: bool) -> fg.NGramLM:
+    corpus = _train_corpus(fixed)
+    return fg.NGramLM(corpus.vocab, order, 0.01, FIXED_LENGTH if fixed else None).fit(corpus)
 
 
 def _sha(corpus) -> str:
@@ -66,3 +80,16 @@ def test_ngram_sample_corpus_golden(order, fixed):
         corpus = model.sample_corpus(N_SAMPLES, cfg, np.random.default_rng(seed))
         key = f"order{order}/{'fixed' if fixed else 'eos'}/T{temperature:g}"
         assert _sha(corpus) == GOLDEN[key], key
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "eos"])
+def test_neural_sample_corpus_golden(fixed):
+    cfg = fg.NeuralConfig(embed_dim=6, hidden_dim=8, batch_size=50, max_epochs=2,
+                          fixed_length=FIXED_LENGTH if fixed else None, seed=7)
+    model = fg.train_mle(_train_corpus(fixed), None, cfg)
+    for temperature in (1.0, 0.7):
+        seed = 500 + 10 * fixed + int(temperature * 10)
+        sampler = fg.SamplerConfig(temperature=temperature, max_len=8, seed=seed)
+        corpus = model.sample_corpus(N_SAMPLES // 3, sampler, np.random.default_rng(seed))
+        key = f"neural/{'fixed' if fixed else 'eos'}/T{temperature:g}"
+        assert _sha(corpus) == NEURAL_GOLDEN[key], key
