@@ -33,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_model, save_model
-from .data import (DEFAULT_MAX_LEN, Vocab, atomic_open, build_vocab, load_corpus,
-                   read_lines, save_corpus, synth_markov)
+from .data import (DEFAULT_MAX_LEN, Vocab, atomic_open, build_vocab, encode_corpus,
+                   load_corpus, read_lines, save_corpus, synth_markov)
 from .disc import DiscConfig, error_rate, train_discriminator
 from .errors import BudgetError, ConfigError, FiltergenError, InputError, integer, number
 from .filtering import BoundaryEstimateConfig
@@ -370,25 +370,26 @@ class _Pipeline:
                 corpus = load_corpus(cfg.data[name], vocab, name, cfg.data["max_len"])
                 save_corpus(corpus, self.out / f"{name}.txt")
 
-    def _corpora(self):
+    def _corpora(self, *names):
+        """The named splits of the data stage, encoded with its vocabulary."""
         vocab = Vocab.load(self.out / "vocab.json")
         max_len = self.cfg.eval["max_len"]
         return {name: load_corpus(self.out / f"{name}.txt", vocab, name, max_len)
-                for name in _SPLITS}
+                for name in names}
 
     def _stage_train_gen(self) -> None:
         if self.scenario is not None:
             save_model(self.scenario.generator, self.out / "gen.json")
             return
-        corpora = self._corpora()
+        corpora = self._corpora("train", "valid")
         model = train_mle(corpora["train"], corpora["valid"], self.cfg.generator)
         save_model(model, self.out / "gen.json")
 
     def _stage_train_disc(self) -> None:
-        corpora = self._corpora()
+        train = self._corpora("train")["train"]
         gen = load_model(self.out / "gen.json")
         rng = np.random.default_rng(derive_seed(self.cfg.seed, "train-disc"))
-        disc, report = train_discriminator(corpora["train"], gen,
+        disc, report = train_discriminator(train, gen,
                                            self.cfg.discriminator, rng)
         save_model(disc, self.out / "disc.json")
         _write_json(self.out / "disc_report.json", {
@@ -436,7 +437,7 @@ class _Pipeline:
 
     def _stage_evaluate(self) -> None:
         cfg = self.cfg
-        corpora = self._corpora()
+        corpora = self._corpora("train", "test")
         gen_cfg = self.scenario.generator if self.scenario is not None else cfg.generator
         scorer = _scorer(cfg.metrics, corpora["train"], corpora["test"], cfg.seed,
                          gen_cfg.fixed_length, cfg.eval, cfg.discriminator)
@@ -446,12 +447,12 @@ class _Pipeline:
         rows = []
         for temp in cfg.temperatures:
             for ratio, stream in points:
-                path = self.out / self._sample_name(temp, ratio, stream)
-                # an empty rejected file means nothing was rejected: no row
-                if stream == "rejected" and not path.read_text().strip():
+                lines = read_lines(self.out / self._sample_name(temp, ratio, stream))
+                # a blank rejected file means nothing was rejected: no row
+                if stream == "rejected" and not any(map(str.split, lines)):
                     continue
                 rows.append(scorer.row(temp, ratio, stream,
-                                       load_corpus(path, vocab, stream, max_len)))
+                                       encode_corpus(lines, vocab, stream, max_len)))
         with atomic_open(self.out / "sweep.csv") as fh:
             fh.write(SweepReport(rows).csv_text())
         _write_json(self.out / "report.json", {"rows": rows, "columns": list(SWEEP_COLUMNS)},

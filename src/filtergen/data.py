@@ -13,12 +13,12 @@ across threads.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -262,11 +262,16 @@ def _new_corpus(vocab, ids, lengths, split, seqs=None) -> Corpus:
 def _pack(rows) -> tuple[np.ndarray, np.ndarray]:
     """Id matrix padded with PAD plus lengths, from a list of id lists."""
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    return _padded(flat, lengths), lengths
+
+
+def _padded(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The rows' ids, given one after another in ``flat``, padded with PAD."""
     width = int(lengths.max(initial=0))
-    ids = np.full((len(rows), width), PAD, dtype=np.int64)
-    ids[_valid_mask(lengths, width)] = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
-    return ids, lengths
+    ids = np.full((len(lengths), width), PAD, dtype=np.int64)
+    ids[_valid_mask(lengths, width)] = flat
+    return ids
 
 
 def _gram_ranks(ids: np.ndarray, lengths: np.ndarray, max_order: int):
@@ -306,18 +311,13 @@ def build_vocab(lines, max_size: int) -> Vocab:
     """
     if max_size < 1:
         raise InputError("max_size must be >= 1")
-    counts: Counter = Counter()
-    first_seen: dict[str, int] = {}
-    for line in lines:
-        for tok in line.split():
-            counts[tok] += 1
-            first_seen.setdefault(tok, len(first_seen))
+    counts = Counter(chain.from_iterable(map(str.split, lines)))
     for tok in RESERVED_TOKENS:
         counts.pop(tok, None)
     if not counts:
         raise InputError("corpus is empty: no tokens found")
-    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
-    return Vocab(ranked[:max_size])
+    # a Counter keeps first-occurrence order and most_common sorts stably
+    return Vocab(tok for tok, _ in counts.most_common(max_size))
 
 
 def encode(line: str, vocab: Vocab, max_len: int = DEFAULT_MAX_LEN) -> Sequence:
@@ -331,15 +331,20 @@ def encode(line: str, vocab: Vocab, max_len: int = DEFAULT_MAX_LEN) -> Sequence:
 def encode_corpus(lines, vocab: Vocab, split: str = "",
                   max_len: int = DEFAULT_MAX_LEN) -> Corpus:
     """Corpus of the non-blank lines, each encoded as by ``encode``."""
-    id_of = vocab._ids.get
-    rows = [[id_of(tok, UNK) for tok in toks[:max_len]]
-            for toks in map(str.split, lines) if toks]
+    rows = list(filter(None, map(str.split, lines)))  # the non-blank lines' tokens
     if not rows:
         raise InputError("no non-empty lines to encode")
-    ids, lengths = _pack(rows)
-    if lengths.min() < 1:
+    if max_len < 1:
         raise InputError("a sequence must contain at least one token")
-    return _new_corpus(vocab, ids, lengths, split)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.fromiter(map(vocab._ids.get, chain.from_iterable(rows), repeat(UNK)),
+                       dtype=np.int64, count=int(lengths.sum()))
+    if lengths.max() > max_len:
+        # each token's position in its row: the flat index minus the row's start
+        starts = np.cumsum(lengths) - lengths
+        flat = flat[np.arange(len(flat)) - np.repeat(starts, lengths) < max_len]
+        lengths = np.minimum(lengths, max_len)
+    return _new_corpus(vocab, _padded(flat, lengths), lengths, split)
 
 
 def split_tail(corpus: Corpus, n: int) -> tuple[Corpus, Corpus]:
@@ -350,11 +355,16 @@ def split_tail(corpus: Corpus, n: int) -> tuple[Corpus, Corpus]:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    tokens = corpus.vocab.tokens
+    """One line per row: its tokens joined by single spaces."""
+    ids, lengths = corpus.ids, corpus.lengths
+    words = np.array(corpus.vocab.tokens, dtype=object).take(
+        ids[_valid_mask(lengths, ids.shape[1])])
+    # each word, then " " or, at a row's last word, "\n"
+    text = np.full(2 * len(words), " ", dtype=object)
+    text[0::2] = words
+    text[2 * np.cumsum(lengths) - 1] = "\n"
     with atomic_open(path) as fh:
-        for row, n in zip(corpus.ids.tolist(), corpus.lengths.tolist()):
-            fh.write(" ".join([tokens[i] for i in row[:n]]))
-            fh.write("\n")
+        fh.write("".join(text.tolist()))
 
 
 @contextmanager

@@ -20,6 +20,10 @@ from .errors import BudgetError, InputError, check_fields, integer, number
 from .genmodel import SamplerConfig
 
 RATIO_CAP = 1e9  # keeps d/(1-d) finite as d approaches 1
+# Rows the boundary search scores per classifier call: 16 rounds of the
+# default 1000 samples. Scoring all 100 rounds at once grew the README
+# pipeline's peak RSS by a fifth.
+_BLOCK_ROWS = 16_384
 
 
 def raw_acceptance_probability(scores, ratio, boundary):
@@ -29,10 +33,15 @@ def raw_acceptance_probability(scores, ratio, boundary):
     exact oracle can evaluate it on ideal score vectors.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    return np.where(scores >= boundary, 1.0, _clipped_odds(scores, ratio))
+
+
+def _clipped_odds(scores: np.ndarray, ratio) -> np.ndarray:
+    """min(1, ratio * d / (1 - d)) per float64 score d: the acceptance
+    probability below the boundary, which does not depend on the boundary."""
     with np.errstate(divide="ignore", invalid="ignore"):
         odds = np.where(scores < 1.0, scores / (1.0 - scores), RATIO_CAP)
-    clipped = np.minimum(ratio * np.minimum(odds, RATIO_CAP), 1.0)
-    return np.where(scores >= boundary, 1.0, clipped)
+    return np.minimum(ratio * np.minimum(odds, RATIO_CAP), 1.0)
 
 
 def acceptance_probability(score, ratio: float, boundary: float):
@@ -72,8 +81,7 @@ class FilterParams:
 def _accept_mask(scores: np.ndarray, ratio: float, boundary: float, rng) -> np.ndarray:
     """One accept/reject decision per score, with one uniform draw each."""
     z = rng.random(len(scores))
-    s = raw_acceptance_probability(scores, ratio, boundary)
-    return (scores >= boundary) | (z <= s)
+    return (scores >= boundary) | (z <= _clipped_odds(scores, ratio))
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,14 @@ def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | Non
     construction, so the returned boundary averages the last ``cfg.tail``
     rounds. Returns the boundary plus the full per-round trace.
 
+    A round's batch and its uniforms do not depend on the boundary, so
+    they are drawn from ``rng`` as one round at a time would draw them (the
+    batch, then one uniform per row), a block of consecutive rounds of at
+    most ``_BLOCK_ROWS`` rows (and at least one round) ahead. Each block is
+    scored with one ``disc.predict_corpus`` call; a score depends on its
+    row alone, so the scores, the trace and the rng state after the search
+    are those of scoring round by round.
+
     A fixed point only exists when some boundary attains the target ratio:
     with a sharply bimodal score distribution the achievable acceptance
     set has gaps, the iterate oscillates across a gap, and no boundary is
@@ -115,19 +131,27 @@ def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | Non
     cfg = cfg or BoundaryEstimateConfig()
     sampler = sampler or SamplerConfig()
     rng = np.random.default_rng(sampler.seed) if rng is None else rng
+    n = cfg.samples_per_round
+    per_block = max(1, _BLOCK_ROWS // n)
     boundary = cfg.init
     trace = []
     history = []
-    for round_idx in range(cfg.rounds):
-        batch = gen.sample_corpus(cfg.samples_per_round, sampler, rng)
-        scores = np.asarray(disc.predict_corpus(batch), dtype=np.float64)
-        accepted = _accept_mask(scores, ratio, boundary, rng)
-        acc = float(accepted.mean())
-        trace.append({"round": round_idx, "u_c": boundary, "acceptance": acc})
-        history.append(boundary)
-        # ties move down so the ratio-1 target settles at boundary 0
-        boundary = boundary - cfg.step if acc <= ratio else boundary + cfg.step
-        boundary = min(max(boundary, 0.0), 1.0)
+    for first in range(0, cfg.rounds, per_block):
+        batches, uniforms = [], []
+        for _ in range(min(per_block, cfg.rounds - first)):
+            batches.append(gen.sample_corpus(n, sampler, rng))
+            uniforms.append(rng.random(n))
+        scores = np.asarray(disc.predict_corpus(Corpus.concat(batches)), dtype=np.float64)
+        scores = scores.reshape(len(batches), n)
+        # the part of _accept_mask's decision the boundary does not enter
+        below_odds = np.stack(uniforms) <= _clipped_odds(scores, ratio)
+        for round_idx, (s, z_ok) in enumerate(zip(scores, below_odds), first):
+            acc = int(np.count_nonzero((s >= boundary) | z_ok)) / n
+            trace.append({"round": round_idx, "u_c": boundary, "acceptance": acc})
+            history.append(boundary)
+            # ties move down so the ratio-1 target settles at boundary 0
+            boundary = boundary - cfg.step if acc <= ratio else boundary + cfg.step
+            boundary = min(max(boundary, 0.0), 1.0)
     final = float(np.mean(history[-cfg.tail:]))
     return final, trace
 
@@ -136,8 +160,8 @@ def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | Non
 class FilterStats:
     """Bookkeeping of one filtered-sampling run.
 
-    The rejected stream is kept as a list of ``Corpus`` blocks, one per
-    batch that rejected anything.
+    The kept prefix of the rejected stream is a list of ``Corpus`` blocks,
+    one per batch that rejected anything while the keep limit had room.
     """
 
     attempts: int = 0
@@ -203,17 +227,20 @@ class FilteredGenerator:
 
     def sample_corpus(self, n: int, cfg: SamplerConfig, rng=None,
                       split: str = "") -> Corpus:
-        corpus, _ = sample_filtered(self, n, cfg, rng, split=split)
+        corpus, _ = sample_filtered(self, n, cfg, rng, split=split, keep_rejected=0)
         return corpus
 
 
 def sample_filtered(fg: FilteredGenerator, n: int, cfg: SamplerConfig, rng=None,
-                    split: str = "accepted") -> tuple[Corpus, FilterStats]:
+                    split: str = "accepted", keep_rejected: int | None = None,
+                    ) -> tuple[Corpus, FilterStats]:
     """Draw until ``n`` candidates are accepted; returns them plus stats.
 
     Generation and accept/reject decisions use two independent streams
     spawned from one rng, so with ratio 1 the accepted stream reproduces
-    the base generator's output for the same seed bit for bit. Raises
+    the base generator's output for the same seed bit for bit. The stats
+    keep the first ``keep_rejected`` rejected sequences, or all of them when
+    it is None; the counts and mean scores cover every rejection. Raises
     ``BudgetError`` (carrying partial results) if the attempt budget
     ``max_attempts_per_sample * n`` runs out.
     """
@@ -224,6 +251,8 @@ def sample_filtered(fg: FilteredGenerator, n: int, cfg: SamplerConfig, rng=None,
     stats = FilterStats()
     accepted: list = []  # Corpus blocks, one per batch that accepted anything
     budget = fg.max_attempts_per_sample * n
+    # no run rejects more than its budget of attempts
+    room = budget if keep_rejected is None else keep_rejected
     while stats.acceptances < n:
         want = n - stats.acceptances
         batch_size = min(want, budget - stats.attempts)
@@ -243,6 +272,8 @@ def sample_filtered(fg: FilteredGenerator, n: int, cfg: SamplerConfig, rng=None,
         stats.sum_score_rejected += float(scores[~mask].sum())
         if n_ok:
             accepted.append(batch[mask])
-        if n_ok < batch_size:
-            stats.rejected_blocks.append(batch[~mask])
+        if n_ok < batch_size and room > 0:
+            rows = np.flatnonzero(~mask)[:room]
+            stats.rejected_blocks.append(batch[rows])
+            room -= len(rows)
     return Corpus.concat(accepted, split), stats

@@ -441,10 +441,10 @@ def grid_streams(gen, disc, ratio, boundary: float, n: int, sampler: SamplerConf
     """
     fg = FilteredGenerator(gen, disc, FilterParams(ratio, boundary),
                            max_attempts_per_sample)
-    accepted, stats = sample_filtered(fg, n, sampler,
-                                      np.random.default_rng(sampler.seed))
+    accepted, stats = sample_filtered(fg, n, sampler, np.random.default_rng(sampler.seed),
+                                      keep_rejected=n)
     rejected = stats.rejected_sequences
-    return accepted, rejected[:n] if len(rejected) else None, stats
+    return accepted, rejected if len(rejected) else None, stats
 
 
 def temperature_sweep(gen, real_train: Corpus, real_test: Corpus, temps,

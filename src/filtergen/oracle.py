@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import NUM_RESERVED, Corpus, MarkovSource, Sequence, Vocab, corpus_to_arrays
 from .errors import DegenerateError, InputError
-from .filtering import raw_acceptance_probability
+from .filtering import _clipped_odds, raw_acceptance_probability
 
 MAX_DOMAIN = 10**6
 
@@ -182,7 +182,7 @@ def exact_boundary(p_model: ExactDistribution, scores, ratio: float) -> Boundary
     scores = _score_vector(scores, p_model)
     values, inverse = np.unique(scores, return_inverse=True)
     weight = np.bincount(inverse, weights=p_model.probs, minlength=len(values))
-    clip = raw_acceptance_probability(values, ratio, np.inf)  # nothing passes outright
+    clip = _clipped_odds(values, ratio)  # the acceptance below the boundary
     # plateau k passes values[k:] outright; (u_m, 1] exists only if u_m < 1
     outright = np.append(np.cumsum((weight * (1.0 - clip))[::-1])[::-1], 0.0)
     approx = (np.sum(weight * clip) + outright)[:len(values) + int(values[-1] < 1.0)]

@@ -637,6 +637,44 @@ def test_rejected_artifact_is_the_scored_prefix(tmp_path):
     assert written.sequences == stats.rejected_sequences[:1000].sequences
 
 
+@pytest.mark.parametrize("content, code", [(b" \n\t\n\n", 0), (b"the\n\xff\xfe\n", 3)])
+def test_evaluate_skips_a_blank_rejected_file_and_fails_on_non_utf8(tmp_path, monkeypatch, content, code):
+    # a blank rejected file means nothing was rejected: no row; one that is
+    # not UTF-8 is a stage failure
+    path = _write_config(tmp_path, filter={"c": [1.0]}, metrics=["bleu"])
+    sample = fg.cli._Pipeline._stage_sample
+
+    def sample_then_overwrite(self):
+        sample(self)
+        (self.out / "samples_T1_c1_rejected.txt").write_bytes(content)
+
+    monkeypatch.setattr(fg.cli._Pipeline, "_stage_sample", sample_then_overwrite)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == code
+    if code == 0:
+        with open(out / "sweep.csv") as fh:
+            assert [r["stream"] for r in csv.DictReader(fh)] == ["baseline", "accepted"]
+
+
+def test_stages_load_only_the_splits_they_read(tmp_path, monkeypatch):
+    loaded = []
+    load_corpus = fg.cli.load_corpus
+
+    def recording(path, *args, **kwargs):
+        if Path(path).parent.name == "run":
+            loaded.append(Path(path).name)
+        return load_corpus(path, *args, **kwargs)
+
+    monkeypatch.setattr(fg.cli, "load_corpus", recording)
+    path = _data_config(tmp_path, {"order": 2}, filter={"c": [1.0, 0.5]},
+                        metrics=["bleu"], eval={"n_samples": 100},
+                        discriminator={"batch_size": 64, "max_epochs": 3},
+                        uc={"samples_per_round": 200, "rounds": 20})
+    run_pipeline(validate_config(path), tmp_path / "run")
+    # train-gen, then train-disc, then evaluate
+    assert loaded == ["train.txt", "valid.txt", "train.txt", "train.txt", "test.txt"]
+
+
 # malformed checkpoint files: each must end in exit 3, not in a traceback
 _BAD_CHECKPOINTS = {
     "not-json": b"{not json",

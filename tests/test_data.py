@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filtergen import (UNK, Corpus, InputError, MarkovSource, Sequence, Vocab,
@@ -361,13 +361,16 @@ def test_corpus_is_read_only():
 
 
 
+# str.split separates tokens at every Unicode whitespace character
+_SEPARATORS = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"]
 _LINE = st.builds(lambda toks, sep, end: sep.join(toks) + end,
-                  st.lists(st.sampled_from(["a", "b", "c", "zz", "<pad>"]), max_size=8),
-                  st.sampled_from([" ", "\t", "  "]), st.sampled_from(["", "\n", " \n"]))
+                  st.lists(st.sampled_from(["a", "b", "c", "zz", "<pad>"]), max_size=12),
+                  st.sampled_from(_SEPARATORS), st.sampled_from(["", "\n", " \n"]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_LINE, max_size=10), st.integers(0, 5))
+@example(["a b c a b c a", "b\n", "c c c c c c\n"], 3)  # rows longer than max_len
 def test_encode_corpus_matches_line_by_line_encode(lines, max_len):
     # blank lines skipped, unknown tokens to UNK, rows truncated at max_len
     vocab = build_vocab(["a b c"], max_size=10)
@@ -378,3 +381,60 @@ def test_encode_corpus_matches_line_by_line_encode(lines, max_len):
         return
     corpus = encode_corpus(lines, vocab, "x", max_len)
     assert corpus == Corpus(vocab, [encode(line, vocab, max_len) for line in kept], "x")
+
+
+def test_load_corpus_reads_crlf_lines(tmp_path):
+    # universal newlines: a \r\n file encodes as its \n twin
+    vocab = build_vocab(["a b c"], max_size=10)
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"a b\r\nc\r\n\r\nb a c\r\n")
+    assert load_corpus(path, vocab, "x") == encode_corpus(["a b", "c", "b a c"], vocab, "x")
+
+
+def _per_token_vocab(lines, max_size):
+    """build_vocab as a count per token, ties broken by first occurrence."""
+    counts, first_seen = {}, {}
+    for line in lines:
+        for tok in line.split():
+            counts[tok] = counts.get(tok, 0) + 1
+            first_seen.setdefault(tok, len(first_seen))
+    for tok in ("<bos>", "<eos>", "<pad>", "<unk>"):
+        counts.pop(tok, None)
+    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    return Vocab(ranked[:max_size])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "<unk>", "<pad>", "<eos>"]),
+                         max_size=6).map(" ".join), max_size=8),
+       st.integers(1, 5))
+@example(["a a a"], 1)  # a single type
+@example(["b a", "a b", "c"], 2)  # a tie at the cap
+def test_build_vocab_matches_a_per_token_count(lines, max_size):
+    if not any(tok not in ("<unk>", "<pad>", "<eos>") for line in lines
+               for tok in line.split()):
+        with pytest.raises(InputError):
+            build_vocab(lines, max_size)
+        return
+    assert build_vocab(lines, max_size) == _per_token_vocab(lines, max_size)
+
+
+def _per_row_save(corpus, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for seq in corpus:
+            fh.write(" ".join(corpus.vocab.tokens[i] for i in seq.ids) + "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=7), min_size=1,
+                max_size=15))
+@example([[4]])
+@example([[5], [9, 8, 7, 6, 5, 4, 3], [2, 2]])
+def test_save_corpus_writes_the_per_row_text(tmp_path_factory, rows):
+    # non-ASCII tokens, rows of length 1 and mixed widths, reserved ids too
+    vocab = Vocab(["x", "é", "日本", "ß", "ñandú", "z"])
+    corpus = Corpus(vocab, [Sequence(tuple(row)) for row in rows])
+    tmp = tmp_path_factory.mktemp("save")
+    save_corpus(corpus, tmp / "bulk.txt")
+    _per_row_save(corpus, tmp / "rows.txt")
+    assert (tmp / "bulk.txt").read_bytes() == (tmp / "rows.txt").read_bytes()

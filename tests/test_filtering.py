@@ -3,14 +3,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import filtergen as fg
 from filtergen import (BudgetError, FilteredGenerator, FilterParams,
                        InputError, SamplerConfig, acceptance_probability,
                        estimate_boundary, sample_filtered)
-from filtergen.filtering import _accept_mask
+from filtergen.filtering import _BLOCK_ROWS, _accept_mask, raw_acceptance_probability
 from filtergen.oracle import empirical_distribution, exact_acceptance, exact_boundary
 
 
@@ -153,6 +153,67 @@ def test_estimate_boundary_monotone_over_targets(s2):
     assert high >= low
 
 
+def _per_round_estimate_boundary(gen, disc, ratio, cfg, sampler, rng):
+    """The boundary search as one sample, score and decision per round."""
+    boundary, trace, history = cfg.init, [], []
+    for round_idx in range(cfg.rounds):
+        batch = gen.sample_corpus(cfg.samples_per_round, sampler, rng)
+        scores = np.asarray(disc.predict_corpus(batch), dtype=np.float64)
+        z = rng.random(len(scores))
+        accepted = (scores >= boundary) | (z <= raw_acceptance_probability(
+            scores, ratio, boundary))
+        acc = float(accepted.mean())
+        trace.append({"round": round_idx, "u_c": boundary, "acceptance": acc})
+        history.append(boundary)
+        boundary = boundary - cfg.step if acc <= ratio else boundary + cfg.step
+        boundary = min(max(boundary, 0.0), 1.0)
+    return float(np.mean(history[-cfg.tail:])), trace
+
+
+@pytest.fixture(scope="module")
+def search_cases(s2):
+    """(generator, scorer, max_len) pairs over s2's vocabulary."""
+    fixed = s2.generator  # a fixed-length bigram
+    eos = fg.train_mle(s2.train, None, fg.NGramConfig(order=2, delta=0.5))
+    cnn = fg.TextCNN(s2.vocab, fg.DiscConfig(seed=3))
+    return {"fixed-textcnn": (fixed, cnn, s2.length), "eos-textcnn": (eos, cnn, 8),
+            "fixed-exact": (fixed, s2.exact_disc, s2.length)}
+
+
+# more rows per round than one scoring block holds
+_OVER_BUDGET = _BLOCK_ROWS + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(["fixed-textcnn", "eos-textcnn", "fixed-exact"]),
+       per_round=st.sampled_from([1, 7, 1000, _OVER_BUDGET]) | st.integers(1, 60),
+       rounds=st.integers(1, 40), ratio=st.just(1.0) | st.floats(0.01, 1.0),
+       init=st.floats(0.0, 1.0), step=st.floats(0.001, 0.3), tail=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+@example(case="fixed-textcnn", per_round=1000, rounds=37, ratio=0.5, init=0.5,
+         step=0.01, tail=10, seed=1)
+@example(case="eos-textcnn", per_round=7, rounds=40, ratio=1.0, init=0.5, step=0.01,
+         tail=10, seed=2)
+@example(case="fixed-exact", per_round=_OVER_BUDGET, rounds=2, ratio=0.3, init=0.9,
+         step=0.05, tail=3, seed=3)
+@example(case="fixed-exact", per_round=1, rounds=33, ratio=0.2, init=0.1, step=0.02,
+         tail=5, seed=4)
+def test_estimate_boundary_equals_the_per_round_search(
+        search_cases, case, per_round, rounds, ratio, init, step, tail, seed):
+    # block scoring gives the per-round search's boundary, trace and rng state
+    gen, disc, max_len = search_cases[case]
+    if per_round > _BLOCK_ROWS:
+        rounds = rounds % 3 + 1  # a few blocks of one round each
+    cfg = fg.BoundaryEstimateConfig(samples_per_round=per_round, rounds=rounds,
+                                    step=step, init=init, tail=tail)
+    sampler = SamplerConfig(max_len=max_len, seed=seed)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = estimate_boundary(gen, disc, ratio, cfg, sampler, rng)
+    assert got == _per_round_estimate_boundary(gen, disc, ratio, cfg, sampler, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert all(type(row["acceptance"]) is float for row in got[1])
+
+
 def test_estimate_boundary_rejects_bad_ratio(s1):
     with pytest.raises(InputError):
         estimate_boundary(s1.generator, s1.exact_disc, 0.0)
@@ -178,6 +239,22 @@ def test_filtered_sampling_matches_exact_distribution(s1):
     emp = empirical_distribution(accepted, s1.p_real)
     assert fg.tv_distance(emp, exact_dist) <= 0.01
     assert stats.acceptance_rate == pytest.approx(0.4, abs=0.01)
+
+
+def test_keep_limit_keeps_the_first_rejected_rows(s2):
+    # at ratio 0.05 about 19 rows are rejected per row accepted
+    fgen = FilteredGenerator(s2.generator, s2.exact_disc, FilterParams(0.05, 1.0))
+    cfg = SamplerConfig(max_len=s2.length, seed=23)
+    runs = {keep: sample_filtered(fgen, 300, cfg, np.random.default_rng(23),
+                                  keep_rejected=keep) for keep in (None, 300, 0)}
+    full, capped, none = (runs[k][1] for k in (None, 300, 0))
+    assert len(full.rejected_sequences) > 10 * 300
+    assert len(capped.rejected_sequences) == 300
+    assert capped.rejected_sequences == full.rejected_sequences[:300]
+    assert none.rejected_sequences == ()
+    for accepted, stats in runs.values():
+        assert accepted == runs[None][0]
+        assert stats.to_dict() == full.to_dict()
 
 
 def test_mean_scores_and_stats(s2, s2_disc):
