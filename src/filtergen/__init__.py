@@ -13,8 +13,8 @@ from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
                         estimate_boundary, sample_filtered)
 from .genmodel import (MarkovModel, NeuralConfig, NeuralLM, NGramConfig, NGramLM,
                        SamplerConfig, perplexity, train_mle)
-from .metrics import (BleuConfig, EmbeddingModel, SweepReport, bleu, embed, fed,
-                      fit_ppmi_svd, lm_score, reverse_lm_score,
+from .metrics import (BleuConfig, EmbeddingModel, MetricScorer, SweepReport, bleu,
+                      embed, fed, fit_ppmi_svd, lm_score, reverse_lm_score,
                       self_bleu, temperature_sweep)
 from .oracle import (BoundarySolution, ExactDiscriminator, ExactDistribution,
                      empirical_distribution, enumerate_distribution,

@@ -63,6 +63,8 @@ def _read_model(doc):
     reader = _READERS.get(kind)
     if reader is None:
         raise InputError(f"unknown model kind {kind!r}")
+    if not isinstance(doc["vocab"]["tokens"], list):
+        raise InputError("malformed checkpoint: vocab tokens are not a JSON list")
     return reader(Vocab(doc["vocab"]["tokens"]), doc["params"])
 
 

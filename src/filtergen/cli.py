@@ -439,8 +439,11 @@ class _Pipeline:
         cfg = self.cfg
         corpora = self._corpora("train", "test")
         gen_cfg = self.scenario.generator if self.scenario is not None else cfg.generator
-        scorer = _scorer(cfg.metrics, corpora["train"], corpora["test"], cfg.seed,
-                         gen_cfg.fixed_length, cfg.eval, cfg.discriminator)
+        scorer = MetricScorer(
+            cfg.metrics, real_train=corpora["train"], real_test=corpora["test"],
+            fixed_length=gen_cfg.fixed_length, seed=cfg.seed,
+            bleu_cfg=BleuConfig(max_order=cfg.eval["bleu_order"]),
+            disc_cfg=cfg.discriminator, embed_dim=cfg.eval["embed_dim"])
         vocab, max_len = corpora["train"].vocab, cfg.eval["max_len"]
         points = [(1.0, "baseline")] + [(c, stream) for c in cfg.filter_ratios
                                         for stream in ("accepted", "rejected")]
@@ -461,21 +464,6 @@ class _Pipeline:
             # the smallest ratio: the identity ratio 1 checks no filter at all
             doc = oracle_check(self.scenario, min(cfg.filter_ratios))
             _write_json(self.out / "oracle_report.json", doc, sort_keys=True)
-
-
-def _scorer(metric_names, train, test, seed: int, fixed_length, eval_cfg: dict,
-            disc_cfg: DiscConfig | None = None) -> MetricScorer:
-    """The scorer of the evaluate stage and subcommand.
-
-    The oracle LM is a bigram with delta 0.01 fitted on ``train``, and its
-    config also fits the reverse LM; the FED embedding is fitted on ``train``.
-    """
-    oracle_cfg = NGramConfig(order=2, delta=0.01, fixed_length=fixed_length)
-    return MetricScorer(
-        metric_names, real_train=train, real_test=test,
-        oracle_lm=train_mle(train, None, oracle_cfg), seed=seed, rlm_config=oracle_cfg,
-        bleu_cfg=BleuConfig(max_order=eval_cfg["bleu_order"]), disc_cfg=disc_cfg,
-        embed_dim=eval_cfg["embed_dim"])
 
 
 def _save_rejected(rejected, path) -> None:
@@ -646,7 +634,10 @@ def _cmd_evaluate(args) -> int:
     unknown = set(metric_names) - set(KNOWN_METRICS)
     if unknown:
         raise ConfigError([f"unknown metric '{m}'" for m in sorted(unknown)])
-    scorer = _scorer(metric_names, train, real, args.seed, gen.fixed_length, _EVAL_DEFAULTS)
+    scorer = MetricScorer(metric_names, real_train=train, real_test=real,
+                          fixed_length=gen.fixed_length, seed=args.seed,
+                          bleu_cfg=BleuConfig(max_order=_EVAL_DEFAULTS["bleu_order"]),
+                          embed_dim=_EVAL_DEFAULTS["embed_dim"])
     row = scorer.cells(samples, args.seed)
     if disc is not None:
         row["disc_error_rate"] = error_rate(disc, real, samples)

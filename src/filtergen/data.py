@@ -33,12 +33,15 @@ DEFAULT_MAX_LEN = 64
 
 
 class Vocab:
-    """Bijective token <-> id map with reserved ids 0..3 (BOS, EOS, PAD, UNK)."""
+    """Bijective token <-> id map with reserved ids 0..3 (BOS, EOS, PAD, UNK);
+    content tokens are non-empty strings without whitespace."""
 
     __slots__ = ("tokens", "_ids")
 
     def __init__(self, content_tokens):
         content = tuple(content_tokens)
+        if any(not isinstance(t, str) or t.split() != [t] for t in content):
+            raise InputError("vocabulary tokens must be non-empty strings without whitespace")
         if len(set(content)) != len(content):
             raise InputError("vocabulary tokens must be distinct")
         if any(t in RESERVED_TOKENS for t in content):
@@ -78,7 +81,7 @@ class Vocab:
     def load(cls, path) -> "Vocab":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict) or "tokens" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("tokens"), list):
             raise InputError(f"{path}: expected a JSON object with a 'tokens' list")
         return cls(doc["tokens"])
 

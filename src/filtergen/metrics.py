@@ -16,9 +16,12 @@ from .disc import DiscConfig, error_rate, train_discriminator_corpora
 from .errors import InputError
 from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
                         estimate_boundary, sample_filtered)
-from .genmodel import (NeuralLM, NGramConfig, NGramLM, SamplerConfig, libm_map,
-                       nll_rates, train_mle)
+from .genmodel import NGramConfig, SamplerConfig, libm_map, nll_rates, train_mle
 from .seeding import derive_seed
+
+_EPSILON = 1e-9  # BLEU's floor for zero precision numerators
+_WINDOW = 2  # co-occurrence half-width of the PPMI embedding
+_FED_REG = 1e-6  # ridge FED adds to both covariances
 
 # ---------------------------------------------------------------------------
 # BLEU / self-BLEU
@@ -28,7 +31,6 @@ from .seeding import derive_seed
 @dataclass(frozen=True)
 class BleuConfig:
     max_order: int = 5
-    epsilon: float = 1e-9  # floor for zero precision numerators
 
     def __post_init__(self):
         if self.max_order < 1:
@@ -65,7 +67,7 @@ def _mean_bleu(matches, lengths: np.ndarray, ref_lengths: np.ndarray,
     for k, matched in enumerate(matches, start=1):
         possible = lengths - k + 1
         fits = possible >= 1
-        numerator = np.where(matched > 0, matched, cfg.epsilon)
+        numerator = np.where(matched > 0, matched, _EPSILON)
         log_sum[fits] += libm_map(math.log, numerator[fits] / possible[fits])
         orders += fits
     penalty = np.ones(len(lengths))
@@ -166,16 +168,6 @@ def reverse_lm_score(samples: Corpus, real_test: Corpus, lm_config) -> float:
     return lm_score(model, real_test)
 
 
-def generator_config_of(model):
-    """A training config matching a fitted generator's architecture."""
-    if isinstance(model, NGramLM):
-        return NGramConfig(model.order, model.delta, model.fixed_length)
-    if isinstance(model, NeuralLM):
-        return model.cfg
-    # exact sources and other generators default to a smoothed bigram
-    return NGramConfig(order=2, delta=0.01, fixed_length=model.fixed_length)
-
-
 # ---------------------------------------------------------------------------
 # Sentence embeddings and Frechet distance
 # ---------------------------------------------------------------------------
@@ -224,7 +216,7 @@ def _cooccurrences(corpus: Corpus, window: int) -> tuple[np.ndarray, np.ndarray]
     return seen, cooc.reshape(k, k).astype(np.float64)
 
 
-def fit_ppmi_svd(corpus: Corpus, dim: int = 64, window: int = 2) -> EmbeddingModel:
+def fit_ppmi_svd(corpus: Corpus, dim: int = 64) -> EmbeddingModel:
     """Token vectors from a PPMI-weighted co-occurrence factorization.
 
     Co-occurrence is counted within a symmetric in-sentence window that
@@ -232,7 +224,7 @@ def fit_ppmi_svd(corpus: Corpus, dim: int = 64, window: int = 2) -> EmbeddingMod
     embed); the dimension is capped by the number of distinct tokens
     observed.
     """
-    seen, cooc = _cooccurrences(corpus, window)
+    seen, cooc = _cooccurrences(corpus, _WINDOW)
     k = len(seen)
     total = cooc.sum()
     if total == 0:
@@ -267,10 +259,10 @@ def embed(samples: Corpus, em: EmbeddingModel) -> np.ndarray:
     return total / lengths[:, None]
 
 
-def fed(real_emb: np.ndarray, gen_emb: np.ndarray, reg: float = 1e-6) -> float:
+def fed(real_emb: np.ndarray, gen_emb: np.ndarray) -> float:
     """Frechet distance between Gaussians fitted to two embedding sets.
 
-    Covariances get ``reg * I`` added before use; the matrix square root
+    Covariances get ``_FED_REG * I`` added before use; the matrix square root
     comes from a symmetric eigendecomposition with negative eigenvalues
     (roundoff) clipped at zero.
     """
@@ -282,8 +274,8 @@ def fed(real_emb: np.ndarray, gen_emb: np.ndarray, reg: float = 1e-6) -> float:
     if len(real_emb) < d + 1 or len(gen_emb) < d + 1:
         raise InputError(f"need at least {d + 1} rows per set for a {d}-dim FED")
     mu_r, mu_g = real_emb.mean(axis=0), gen_emb.mean(axis=0)
-    cov_r = np.atleast_2d(np.cov(real_emb, rowvar=False)) + reg * np.eye(d)
-    cov_g = np.atleast_2d(np.cov(gen_emb, rowvar=False)) + reg * np.eye(d)
+    cov_r = np.atleast_2d(np.cov(real_emb, rowvar=False)) + _FED_REG * np.eye(d)
+    cov_g = np.atleast_2d(np.cov(gen_emb, rowvar=False)) + _FED_REG * np.eye(d)
     root_r = _sym_sqrt(cov_r)
     inner = root_r @ cov_g @ root_r
     eigs = np.linalg.eigvalsh(0.5 * (inner + inner.T))
@@ -332,22 +324,24 @@ class SweepReport:
 class MetricScorer:
     """Scores sample corpora against real data with one set of metrics.
 
-    Built once per grid: the FED embedding is fitted here on ``real_train``
-    and reused for every row. ``seed`` is the master seed the rows'
-    classification-error seeds derive from.
+    Built once per grid, with one evaluation policy: the oracle LM is a
+    bigram with delta 0.01 fitted on ``real_train``, whose config (of
+    sequence length ``fixed_length``) also fits each reverse LM, and the FED
+    embedding is fitted on ``real_train`` too. ``seed`` is the master seed of
+    the rows' classification-error seeds and of ``temperature_sweep``'s grid.
     """
 
     def __init__(self, metric_names, *, real_train: Corpus, real_test: Corpus,
-                 oracle_lm, seed: int = 0, rlm_config=None,
+                 fixed_length: int | None, seed: int = 0,
                  bleu_cfg: BleuConfig | None = None,
                  disc_cfg: DiscConfig | None = None, embed_dim: int = 64):
         unknown = set(metric_names) - set(KNOWN_METRICS)
         if unknown:
             raise InputError(f"unknown metrics: {sorted(unknown)}")
         self.metric_names = tuple(metric_names)
-        self.real_train, self.real_test = real_train, real_test
-        self.oracle_lm, self.seed = oracle_lm, seed
-        self.rlm_config = rlm_config or generator_config_of(oracle_lm)
+        self.real_train, self.real_test, self.seed = real_train, real_test, seed
+        self.lm_config = NGramConfig(order=2, delta=0.01, fixed_length=fixed_length)
+        self.oracle_lm = train_mle(real_train, None, self.lm_config)
         self.bleu_cfg = bleu_cfg or BleuConfig()
         self.disc_cfg = disc_cfg or DiscConfig()
         self.embedding = self.real_emb = None
@@ -367,7 +361,7 @@ class MetricScorer:
             row["lm_score"] = lm_score(self.oracle_lm, samples)
         if "rlm" in names:
             row["rev_lm_score"] = reverse_lm_score(samples, self.real_test,
-                                                   self.rlm_config)
+                                                   self.lm_config)
         if "fed" in names:
             row["fed"] = fed(self.real_emb, embed(samples, self.embedding))
         if "err" in names:
@@ -447,29 +441,24 @@ def grid_streams(gen, disc, ratio, boundary: float, n: int, sampler: SamplerConf
     return accepted, rejected if len(rejected) else None, stats
 
 
-def temperature_sweep(gen, real_train: Corpus, real_test: Corpus, temps,
-                      metric_names, n_per_point: int, seed: int, *,
-                      disc=None, c_values=(), bleu_cfg: BleuConfig | None = None,
-                      embed_dim: int = 64, rlm_config=None, oracle_lm=None,
+def temperature_sweep(gen, scorer: MetricScorer, temps, n_per_point: int, *,
+                      disc=None, c_values=(),
                       uc_cfg: BoundaryEstimateConfig | None = None,
-                      disc_cfg: DiscConfig | None = None,
                       max_len: int = 64) -> SweepReport:
     """Metric grid over softmax temperatures for up to three streams.
 
     For every temperature: the unfiltered baseline, then per acceptance
-    ratio the accepted and rejected streams. The boundary is re-estimated
-    at each temperature because the proposal distribution changes with it.
+    ratio the accepted and rejected streams, each scored by ``scorer``.
+    The boundary is re-estimated at each temperature because the proposal
+    distribution changes with it. The grid's streams and boundaries are
+    seeded with ``scorer.seed``, as the pipeline seeds them with its own.
     """
     temps = list(temps)
     if not temps or any(t <= 0 for t in temps):
         raise InputError("temperatures must be a non-empty list of positives")
     if c_values and disc is None:
         raise InputError("filtered streams need a discriminator")
-    scorer = MetricScorer(
-        metric_names, real_train=real_train, real_test=real_test,
-        oracle_lm=oracle_lm if oracle_lm is not None else gen, seed=seed,
-        rlm_config=rlm_config, bleu_cfg=bleu_cfg, disc_cfg=disc_cfg,
-        embed_dim=embed_dim)
+    seed = scorer.seed
     rows = []
     for temp in temps:
         sampler = grid_sampler(seed, temp, max_len)

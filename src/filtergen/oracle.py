@@ -20,6 +20,7 @@ from .errors import DegenerateError, InputError
 from .filtering import _clipped_odds, raw_acceptance_probability
 
 MAX_DOMAIN = 10**6
+_CLIP = 1e-12  # ExactDiscriminator clips its scores to [_CLIP, 1 - _CLIP]
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class ExactDistribution:
         probs = np.array(self.probs, dtype=np.float64)  # a copy, so the caller's stays writable
         if len(probs) != len(self.domain):
             raise InputError("probability vector does not match the domain")
-        if (probs < 0).any():
-            raise InputError("probabilities must be non-negative")
+        if not ((probs >= 0) & (probs < np.inf)).all():  # NaN fails both
+            raise InputError("probabilities must be finite and non-negative")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -119,14 +120,13 @@ class ExactDiscriminator:
     arithmetic never sees the degenerate endpoints.
     """
 
-    def __init__(self, dist: ExactDistribution, scores: np.ndarray,
-                 clip: float = 1e-12):
+    def __init__(self, dist: ExactDistribution, scores: np.ndarray):
         if len(scores) != len(dist):
             raise InputError("score vector does not match the domain")
         self.vocab = dist.vocab
         self.length = dist.length
         self._base = dist.vocab.content_size
-        self.scores = np.clip(np.asarray(scores, dtype=np.float64), clip, 1.0 - clip)
+        self.scores = np.clip(np.asarray(scores, dtype=np.float64), _CLIP, 1.0 - _CLIP)
         self.scores.setflags(write=False)
 
     def predict_corpus(self, corpus) -> np.ndarray:

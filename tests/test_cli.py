@@ -11,7 +11,7 @@ import filtergen as fg
 from filtergen.checkpoint import load_model
 from filtergen.cli import main, oracle_check, run_pipeline, validate_config
 from filtergen.errors import ConfigError
-from filtergen.metrics import temperature_sweep
+from filtergen.metrics import MetricScorer, temperature_sweep
 
 # gen.json of a bigram with delta 0.01 on _natural_corpus_files' train
 # split, from the pipeline or from train-gen: its counts are integers, so the
@@ -541,14 +541,14 @@ def test_pipeline_sweep_equals_temperature_sweep_on_its_artifacts(tmp_path):
     train, test = (fg.load_corpus(out / f"{name}.txt", vocab, name, cfg.eval["max_len"])
                    for name in ("train", "test"))
     gen, disc = load_model(out / "gen.json"), load_model(out / "disc.json")
-    oracle_cfg = fg.NGramConfig(order=2, delta=0.01, fixed_length=gen.fixed_length)
-    report = temperature_sweep(
-        gen, train, test, cfg.temperatures, cfg.metrics, cfg.eval["n_samples"],
-        cfg.seed, disc=disc, c_values=cfg.filter_ratios,
-        bleu_cfg=fg.BleuConfig(max_order=cfg.eval["bleu_order"]),
-        embed_dim=cfg.eval["embed_dim"], rlm_config=oracle_cfg,
-        oracle_lm=fg.train_mle(train, None, oracle_cfg), uc_cfg=cfg.uc,
-        disc_cfg=cfg.discriminator, max_len=cfg.eval["max_len"])
+    # the evaluate stage's scorer
+    scorer = MetricScorer(cfg.metrics, real_train=train, real_test=test,
+                          fixed_length=gen.fixed_length, seed=cfg.seed,
+                          bleu_cfg=fg.BleuConfig(max_order=cfg.eval["bleu_order"]),
+                          disc_cfg=cfg.discriminator, embed_dim=cfg.eval["embed_dim"])
+    report = temperature_sweep(gen, scorer, cfg.temperatures, cfg.eval["n_samples"],
+                               disc=disc, c_values=cfg.filter_ratios, uc_cfg=cfg.uc,
+                               max_len=cfg.eval["max_len"])
     assert len(report.rows) == 2 * 4
     assert report.csv_text() == (out / "sweep.csv").read_text()
 
@@ -706,6 +706,24 @@ def test_malformed_checkpoint_exits_3_with_one_error_line(tmp_path, capsys, comm
     }[command]
     out = tmp_path / "out"
     assert main([command, *inputs, "--out", str(out)]) == 3
+    assert _one_error_line(capsys, ckpt)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tokens", [[7, 8, 9], ["a b", "c", "d"], ["", "c", "d"], "abc"])
+def test_checkpoint_with_bad_vocab_tokens_exits_3(tmp_path, capsys, tokens):
+    # a bigram whose tokens would not survive a saved corpus (or, as a
+    # string, would load as its characters)
+    vocab = fg.build_vocab(["a b c"], 10)
+    ckpt = tmp_path / "gen.json"
+    fg.checkpoint.save_model(fg.train_mle(fg.encode_corpus(["a b c", "c b"], vocab),
+                                          None, fg.NGramConfig()), ckpt)
+    doc = json.loads(ckpt.read_text())
+    doc["vocab"]["tokens"] = tokens
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "out.txt"
+    assert main(["sample", "--gen", str(ckpt), "--disc", str(tmp_path / "unread"),
+                 "--c", "0.5", "--u-c", "0.5", "--n", "5", "--out", str(out)]) == 3
     assert _one_error_line(capsys, ckpt)
     assert not out.exists()
 

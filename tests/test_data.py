@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -39,6 +40,19 @@ def test_reserved_spellings_never_collide():
     assert vocab.id_of("<unk>") == UNK
     with pytest.raises(InputError):
         Vocab(["a", "<bos>"])
+
+
+@pytest.mark.parametrize("tokens", [[7, 8, 9], ["a b", "c"], ["", "c"], ["a\n"]])
+def test_vocab_tokens_must_be_strings_without_whitespace(tokens):
+    with pytest.raises(InputError, match="vocabulary tokens must be"):
+        Vocab(tokens)
+
+
+def test_vocab_file_tokens_must_be_a_list(tmp_path):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({"tokens": "abc"}))
+    with pytest.raises(InputError, match="'tokens' list"):
+        Vocab.load(path)
 
 
 def test_vocab_bijection_invariant():

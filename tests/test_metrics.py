@@ -12,7 +12,8 @@ from filtergen import (BleuConfig, Corpus, InputError, MarkovModel, NGramConfig,
                        SamplerConfig, Sequence, bleu, build_vocab, embed,
                        encode_corpus, fed, fit_ppmi_svd, lm_score, perplexity,
                        reverse_lm_score, self_bleu, synth_markov)
-from filtergen.metrics import SWEEP_COLUMNS, _cooccurrences, temperature_sweep
+from filtergen.metrics import (_EPSILON, SWEEP_COLUMNS, MetricScorer, _cooccurrences,
+                               temperature_sweep)
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +151,7 @@ def _ref_sentence_bleu(ids, max_counts_per_order, ref_len, cfg: BleuConfig) -> f
             continue
         counts = _ref_ngram_counts(ids, k)
         matches = sum(min(c, max_counts_per_order[k](g)) for g, c in counts.items())
-        numerator = matches if matches > 0 else cfg.epsilon
+        numerator = matches if matches > 0 else _EPSILON
         log_sum += math.log(numerator / possible)
         orders += 1
     score = math.exp(log_sum / orders)
@@ -464,26 +465,36 @@ def test_fed_matches_scalar_closed_form(xs, ys):
 # ---------------------------------------------------------------------------
 
 
+def _scorer(s2, metric_names, seed):
+    return MetricScorer(metric_names, real_train=s2.train, real_test=s2.test,
+                        fixed_length=s2.length, seed=seed)
+
+
 def test_sweep_degenerate_single_point_matches_direct_calls(s2):
     report = temperature_sweep(
-        s2.generator, s2.train, s2.test, [1.0], ("bleu", "selfbleu", "lm"),
-        n_per_point=300, seed=99, max_len=s2.length)
+        s2.generator, _scorer(s2, ("bleu", "selfbleu", "lm", "rlm"), 99), [1.0],
+        n_per_point=1000, max_len=s2.length)
     assert len(report.rows) == 1
     row = report.rows[0]
     sampler = SamplerConfig(temperature=1.0, max_len=s2.length,
                             seed=fg.seeding.derive_seed(99, "sample", 1.0))
-    samples = s2.generator.sample_corpus(300, sampler,
+    samples = s2.generator.sample_corpus(1000, sampler,
                                          np.random.default_rng(sampler.seed))
     assert row["bleu5"] == pytest.approx(bleu(samples, s2.test))
     assert row["self_bleu5"] == pytest.approx(self_bleu(samples))
-    assert row["lm_score"] == pytest.approx(lm_score(s2.generator, samples))
+    # the scores are under the delta 0.01 bigram of the real train split,
+    # not under the generator
+    oracle_cfg = NGramConfig(order=2, delta=0.01, fixed_length=s2.length)
+    assert row["lm_score"] == lm_score(fg.train_mle(s2.train, None, oracle_cfg), samples)
+    assert row["rev_lm_score"] == reverse_lm_score(samples, s2.test, oracle_cfg)
+    assert row["lm_score"] != pytest.approx(lm_score(s2.generator, samples))
 
 
 def test_sweep_grid_rows_and_streams(s2, s2_disc):
     disc, _ = s2_disc
     report = temperature_sweep(
-        s2.generator, s2.train, s2.test, [0.9, 1.0, 1.1, 1.2], ("bleu", "selfbleu"),
-        n_per_point=400, seed=7, disc=disc, c_values=(0.5,), max_len=s2.length)
+        s2.generator, _scorer(s2, ("bleu", "selfbleu"), 7), [0.9, 1.0, 1.1, 1.2],
+        n_per_point=400, disc=disc, c_values=(0.5,), max_len=s2.length)
     assert len(report.rows) == 4 * 3  # baseline, accepted, rejected per temperature
     streams = {(r["temperature"], r["stream"]) for r in report.rows}
     for t in (0.9, 1.0, 1.1, 1.2):
@@ -499,8 +510,8 @@ def test_sweep_accepted_not_dominated_by_baseline(s2, s2_disc):
     # on this scenario it should actually improve the quality axis
     disc, _ = s2_disc
     report = temperature_sweep(
-        s2.generator, s2.train, s2.test, [1.0], ("bleu", "selfbleu"),
-        n_per_point=2000, seed=11, disc=disc, c_values=(0.5,), max_len=s2.length)
+        s2.generator, _scorer(s2, ("bleu", "selfbleu"), 11), [1.0],
+        n_per_point=2000, disc=disc, c_values=(0.5,), max_len=s2.length)
     rows = {r["stream"]: r for r in report.rows}
     base, acc = rows["baseline"], rows["accepted"]
     assert not (base["bleu5"] > acc["bleu5"] and base["self_bleu5"] < acc["self_bleu5"])

@@ -224,6 +224,10 @@ def test_scores_must_be_finite_and_in_unit_interval(s1, bad):
         exact_acceptance(s1.p_model, scores, 0.5, 0.5)
     with pytest.raises(InputError):
         exact_filtered_distribution(s1.p_model, scores, 0.5, 0.5)
+    # the same vectors as probabilities: only 1.1 is a valid (unnormalized) weight
+    if bad != 1.1:
+        with pytest.raises(InputError):
+            s1.p_model.renormalized(scores)
 
 
 def test_distribution_does_not_freeze_callers_array(s1):
