@@ -32,8 +32,9 @@ def save_model(model, path) -> None:
         "vocab": {"tokens": list(model.vocab.tokens[NUM_RESERVED:])},
         "params": writer(model),
     }
+    # one json.dumps: it runs the C encoder, which json.dump never does
     with atomic_open(path) as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_model(path):

@@ -249,7 +249,7 @@ def _generator_section(problems, doc, seed: int):
 
 def _write_json(path, doc, **dump_args) -> None:
     with atomic_open(path) as fh:
-        json.dump(doc, fh, **dump_args)
+        fh.write(json.dumps(doc, **dump_args))
 
 
 def _sha256(path) -> str:

@@ -33,11 +33,9 @@ its own vector-matrix product and each logit from its own dot product
 (stacked ``@`` with one row per stack); pooling, masking and the sigmoid
 are elementwise. ``predict_corpus`` relies on this: it runs the forward pass
 once per distinct (ids, length) row and gathers the scores back, which is
-bit-identical to scoring every row on its own. It finds those rows by
-packing each into one integer key and marking the keys in a flag array
-when they are small (as on the small-vocabulary scenarios), or sorting
-them otherwise; either way the distinct rows come out in ascending key
-order.
+bit-identical to scoring every row on its own. ``data._distinct_rows``
+finds those rows, the helper the n-gram LM and the metrics use too; it
+lists them by length first, in ascending order of a packed integer key.
 
 Training does the same for the half of its step that each row computes on
 its own: ``loss_and_grads`` runs the forward pass, and the backward finds
@@ -57,18 +55,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, corpus_to_arrays, split_tail
+from .data import Corpus, _distinct_rows, corpus_to_arrays, split_tail
 from .errors import InputError, check_fields, integer, number
 from .genmodel import SamplerConfig
 
 _PROB_CLIP = 1e-12
-_KEY_MAX = np.iinfo(np.int64).max  # the largest packed row key
-# Below this bound on the packed row keys, _distinct_rows marks the keys in a
-# flag array instead of sorting them. Marking costs about the bound, sorting
-# about n log n. On a 2-vCPU Xeon VM, marking keys below 2**14 beat sorting
-# from 64 rows up, marking keys below 2**16 lost up to 1,000 rows, and at
-# 100k rows marking keys below 2**16 was 4-6x faster.
-_MARK_KEYS_BELOW = 2**15
 
 
 @dataclass(frozen=True)
@@ -293,74 +284,6 @@ class TextCNN:
             logits, _ = self._forward(ids[rows, :width], lengths[rows])
             out[rows] = _sigmoid(logits)
         return np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)[inverse]
-
-
-def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of one row per distinct (ids, length), and each row's group.
-
-    ``ids[distinct][inverse]`` rebuilds ``ids``. ``predict_corpus`` and the
-    training step both run their forward pass on the distinct rows; the
-    rows come out ordered by length first, then by ``ids[:, L-1]``, ...,
-    ``ids[:, 0]``, and only ``predict_corpus``'s chunks need the length
-    order. Each row is packed into one int64 key whose digits, most
-    significant first, are the length and then the ids from the last column
-    to the first, in base ``max id + 1`` (ids are non-negative). Columns are
-    appended a run at a time, by one integer matrix-vector product with the
-    powers of the base. Before a digit could push a key past 2**63 - 1, the
-    keys are re-ranked to their dense ranks below n, which keep their order,
-    so no width or vocabulary size can overflow.
-
-    When every key is below ``_MARK_KEYS_BELOW``, the keys are marked in a
-    flag array, the flagged keys ascending give the groups, and each group
-    keeps one of its rows; otherwise (and for the re-ranks) one argsort of
-    the keys and a comparison of neighbours give them. Both list the groups
-    in ascending key order, so the training step's cache and gradients do
-    not depend on which ran.
-    """
-    base = int(ids.max(initial=0)) + 1
-    key = lengths.astype(np.int64)
-    top = int(lengths.max(initial=0))  # a bound on every key
-    end = ids.shape[1]  # columns end, end + 1, ... are in the key
-    while end:
-        # append columns start..end-1 at once, as many as keep the bound,
-        # and so base ** (end - start), below 2**63 - 1
-        start, bound = end, top
-        while start and (bound + 1) * base <= _KEY_MAX:
-            start, bound = start - 1, (bound + 1) * base - 1
-        if start == end:
-            _, first, key = _dense_ranks(key)
-            top = int(first.sum()) - 1
-            continue
-        powers = base ** np.arange(end - start, dtype=np.int64)
-        key = key * base ** (end - start) + ids[:, start:end] @ powers
-        top, end = bound, start
-    if top < _MARK_KEYS_BELOW:
-        # the scheme _forward uses for tokens: a flag per possible key, the
-        # flagged keys ascending, each key's rank, and a row per rank
-        present = np.zeros(top + 1, dtype=bool)
-        present[key] = True
-        values = np.flatnonzero(present)
-        rank = np.empty(top + 1, dtype=np.intp)
-        rank[values] = np.arange(len(values))
-        inverse = rank[key]
-        distinct = np.empty(len(values), dtype=np.intp)
-        distinct[inverse] = np.arange(len(key))
-        return distinct, inverse
-    order, first, inverse = _dense_ranks(key)
-    return order[first], inverse
-
-
-def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An order that sorts ``key``, where a new value starts in it, and each
-    entry's rank among the distinct values (equal keys, equal ranks)."""
-    # any entry of a group stands for it, so the sort need not be stable
-    order = np.argsort(key)
-    sorted_key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-    ranks = np.empty(len(key), dtype=np.intp)
-    ranks[order] = np.cumsum(first) - 1
-    return order, first, ranks
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

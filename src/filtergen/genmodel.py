@@ -21,12 +21,15 @@ support.
 The n-gram model works on the corpus id matrix: every context gets a dense
 integer key (``data._gram_ranks``), so fitting is one ``bincount``. Scoring
 computes each event's probability from its context's counts and their
-stored total, and caches nothing. Sampling reads a per-temperature table
-that holds each reached context's tempered CDF, computed once, and the row
-each (context, token) step leads to, so a warm step is an exact binary
-search for the number of CDF entries below u (O(log S) per sequence) and a
-gather of successor rows. A model's sampling tables, of every temperature,
-are held together under ``_CACHE_BYTES``.
+stored total, and caches nothing. Both find the events of each distinct row
+once (``data._distinct_rows``): fitting weighs them by the row's
+multiplicity, and scoring gathers each row's score back to its copies.
+Sampling reads a per-temperature table that holds each reached context's
+tempered CDF, computed once, and the row each (context, token) step leads
+to, so a warm step is an exact binary search for the number of CDF entries
+below u (O(log S) per sequence) and a gather of successor rows. A model's
+sampling tables, of every temperature, are held together under
+``_CACHE_BYTES``.
 
 Both trained samplers draw one uniform per row at every step, whether or not
 rows have ended, so a call leaves its rng where the same call always did.
@@ -46,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (BOS, DEFAULT_MAX_LEN, EOS, NUM_RESERVED, PAD, UNK, Corpus, MarkovSource,
-                   Sequence, _draw_from_cdf, _gram_ranks, _new_corpus, corpus_to_arrays,
-                   split_tail)
+                   Sequence, _distinct_rows, _draw_from_cdf, _gram_ranks, _new_corpus,
+                   corpus_to_arrays, split_tail)
 from .errors import InputError, check_fields, integer, number
 
 # Byte cap of one NGramLM's sampling tables of every temperature together. A
@@ -117,9 +120,11 @@ class NGramLM:
     """Order-n language model with additive delta-smoothing.
 
     Every conditional is strictly positive and sums to one over the
-    support, so sequence log-probabilities are always finite. Sampling
-    fills the model's tables, so one model is not for concurrent use from
-    several threads.
+    support, so sequence log-probabilities are always finite. ``fit`` and
+    ``seq_logprobs`` find each distinct row's events once, and their counts
+    and scores equal the row-by-row ones bit for bit. Sampling fills the
+    model's tables, so one model is not for concurrent use from several
+    threads.
     """
 
     kind = "ngram"
@@ -143,12 +148,17 @@ class NGramLM:
     # -- training ---------------------------------------------------------
 
     def fit(self, corpus: Corpus) -> "NGramLM":
+        """Add the corpus's event counts. Each distinct row's events are
+        found once and counted with the row's multiplicity; the counts are
+        integers, so their float sums are exact."""
         if corpus.vocab != self.vocab:
             raise InputError("corpus vocabulary does not match the model")
-        contexts, ctx, sup, _ = self._events(corpus)
+        rows, inverse = _distinct_rows(corpus.ids, corpus.lengths)
+        contexts, ctx, sup, mask = self._events(corpus[rows])
+        copies = np.repeat(np.bincount(inverse), mask.sum(axis=1))
         s = len(self.support)
-        counts = np.bincount(ctx * s + sup, minlength=len(contexts) * s)
-        for context, row in zip(contexts, counts.reshape(-1, s).astype(np.float64)):
+        counts = np.bincount(ctx * s + sup, weights=copies, minlength=len(contexts) * s)
+        for context, row in zip(contexts, counts.reshape(-1, s)):
             self._add_counts(context, row)
         self._tables.clear()
         return self
@@ -223,10 +233,12 @@ class NGramLM:
         return total
 
     def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
-        """``seq_logprob`` of every row: each distinct context's events are
-        scored together from its counts, logged, and each row's terms are
-        summed left to right."""
-        contexts, ctx, sup, mask = self._events(corpus)
+        """``seq_logprob`` of every row. Each distinct row is scored once:
+        each distinct context's events are scored together from its counts,
+        logged, and each row's terms are summed left to right; the scores
+        are gathered back to every row."""
+        rows, inverse = _distinct_rows(corpus.ids, corpus.lengths)
+        contexts, ctx, sup, mask = self._events(corpus[rows])
         by_ctx = np.argsort(ctx, kind="stable")
         bounds = np.searchsorted(ctx[by_ctx], np.arange(len(contexts) + 1))
         probs = np.empty(len(ctx))
@@ -238,7 +250,7 @@ class NGramLM:
         total = np.zeros(len(terms))
         for column in terms.T:
             total += column
-        return total
+        return total[inverse]
 
     # -- sampling ---------------------------------------------------------
 

@@ -2,6 +2,13 @@
 language-model scores, Frechet embedding distance, and the temperature
 sweep harness that traces quality-diversity curves for baseline, accepted,
 and rejected sample streams.
+
+Samples repeat rows, often: a small domain holds few distinct sequences.
+BLEU, self-BLEU, the sentence embeddings and the n-gram LM scores do each
+row's work once per distinct row (``data._distinct_rows``) and gather it
+back, while every mean and covariance across rows still runs over all
+rows in their order, so each metric is bit-identical to its row-by-row
+value.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BOS, EOS, Corpus, _gram_ranks
+from .data import BOS, EOS, Corpus, _distinct_rows, _gram_ranks
 from .disc import DiscConfig, error_rate, train_discriminator_corpora
 from .errors import InputError
 from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
@@ -55,12 +62,12 @@ def _closest_length(distinct: np.ndarray, below: np.ndarray, above: np.ndarray,
     return np.where(take_lo, lo, hi)
 
 
-def _mean_bleu(matches, lengths: np.ndarray, ref_lengths: np.ndarray,
-               cfg: BleuConfig) -> float:
-    """Mean sentence BLEU from each row's clipped matches per order.
+def _sentence_bleu(matches, lengths: np.ndarray, ref_lengths: np.ndarray) -> np.ndarray:
+    """Each row's sentence BLEU from its clipped matches per order.
 
     Per row: the geometric mean of modified precisions over the orders that
-    fit in the row, times the brevity penalty against ``ref_lengths``.
+    fit in the row, times the brevity penalty against ``ref_lengths``. A
+    row's value depends on its own entries alone.
     """
     log_sum = np.zeros(len(lengths))
     orders = np.zeros(len(lengths), dtype=np.int64)
@@ -73,7 +80,7 @@ def _mean_bleu(matches, lengths: np.ndarray, ref_lengths: np.ndarray,
     penalty = np.ones(len(lengths))
     short = lengths < ref_lengths
     penalty[short] = libm_map(math.exp, 1.0 - ref_lengths[short] / lengths[short])
-    return float(np.mean(penalty * libm_map(math.exp, log_sum / orders)))
+    return penalty * libm_map(math.exp, log_sum / orders)
 
 
 def bleu(hypotheses: Corpus, references: Corpus, cfg: BleuConfig | None = None) -> float:
@@ -81,16 +88,22 @@ def bleu(hypotheses: Corpus, references: Corpus, cfg: BleuConfig | None = None) 
 
     Geometric mean of modified n-gram precisions (orders with no possible
     n-grams are skipped) times the brevity penalty against the closest
-    reference length. The n-grams of both corpora get shared integer keys,
-    so each order is counted with one ``np.unique`` over (row, gram) keys;
-    the hypotheses and references must therefore share one vocabulary
+    reference length. A sentence's BLEU depends on its own row and on the
+    set of reference rows, so it is computed once per distinct hypothesis
+    row against the distinct reference rows, and the mean runs over every
+    hypothesis row. The n-grams of both get shared integer keys, so each
+    order is counted with one ``np.unique`` over (row, gram) keys; the
+    hypotheses and references must therefore share one vocabulary
     (``InputError`` otherwise).
     """
     cfg = cfg or BleuConfig()
     if len(hypotheses) == 0 or len(references) == 0:
         raise InputError("hypotheses and references must be non-empty")
-    both = Corpus.concat([hypotheses, references])
-    n_hyp = len(hypotheses)
+    rows, inverse = _distinct_rows(hypotheses.ids, hypotheses.lengths)
+    hyps = hypotheses[rows]
+    refs = references[_distinct_rows(references.ids, references.lengths)[0]]
+    both = Corpus.concat([hyps, refs])
+    n_hyp = len(hyps)
     matches = []
     for ranks, count in _gram_ranks(both.ids, both.lengths, cfg.max_order):
         row, gram, counts = _row_gram_counts(ranks, count)
@@ -100,23 +113,32 @@ def bleu(hypotheses: Corpus, references: Corpus, cfg: BleuConfig | None = None) 
         hyp = ~ref
         clipped = np.minimum(counts[hyp], ref_max[gram[hyp]])
         matches.append(np.bincount(row[hyp], weights=clipped, minlength=n_hyp))
-    distinct = np.unique(references.lengths)
-    pos = np.searchsorted(distinct, hypotheses.lengths)
-    ref_len = _closest_length(distinct, pos - 1, pos, hypotheses.lengths)
-    return _mean_bleu(matches, hypotheses.lengths, ref_len, cfg)
+    distinct = np.unique(refs.lengths)
+    pos = np.searchsorted(distinct, hyps.lengths)
+    ref_len = _closest_length(distinct, pos - 1, pos, hyps.lengths)
+    return float(np.mean(_sentence_bleu(matches, hyps.lengths, ref_len)[inverse]))
 
 
 def self_bleu(samples: Corpus, cfg: BleuConfig | None = None) -> float:
-    """Mean BLEU of each sample against all the others (lower = more diverse)."""
+    """Mean BLEU of each sample against all the others (lower = more diverse).
+
+    A sample's BLEU depends on its row and on the multiset of the other
+    rows, so it is computed once per distinct row, with each distinct row's
+    multiplicity standing in for its copies, and the mean runs over every
+    row.
+    """
     cfg = cfg or BleuConfig()
     if len(samples) < 2:
         raise InputError("self-BLEU needs at least two samples")
-    n = len(samples)
+    rows, inverse = _distinct_rows(samples.ids, samples.lengths)
+    copies = np.bincount(inverse)
+    unique = samples[rows]
     matches = []
-    for ranks, count in _gram_ranks(samples.ids, samples.lengths, cfg.max_order):
+    for ranks, count in _gram_ranks(unique.ids, unique.lengths, cfg.max_order):
         row, gram, counts = _row_gram_counts(ranks, count)
-        # per gram: its best count, a row holding it, and the runner-up, so
-        # the leave-one-out maximum is best unless the row is that holder
+        # per gram: its best count, a distinct row holding it, and the
+        # runner-up among the others; the leave-one-out maximum is the best
+        # unless the row is the one sample that holds it
         order = np.lexsort((-counts, gram))
         g, c, r = gram[order], counts[order], row[order]
         head = np.flatnonzero(np.diff(g, prepend=-1))
@@ -126,16 +148,19 @@ def self_bleu(samples: Corpus, cfg: BleuConfig | None = None) -> float:
         best[g[head]], owner[g[head]] = c[head], r[head]
         runner = head[np.append(g[1:] == g[:-1], False)[head]]
         second[g[runner]] = c[runner + 1]
-        loo = np.where(owner[gram] != row, best[gram], second[gram])
-        matches.append(np.bincount(row, weights=np.minimum(counts, loo), minlength=n))
+        alone = (owner[gram] == row) & (copies[row] == 1)
+        loo = np.where(alone, second[gram], best[gram])
+        matches.append(np.bincount(row, weights=np.minimum(counts, loo),
+                                   minlength=len(rows)))
     # reference length: the row's own when another row shares it, else the
     # nearest other length
     lengths = samples.lengths
-    distinct, inverse, per_length = np.unique(lengths, return_inverse=True,
-                                              return_counts=True)
-    nearest = _closest_length(distinct, inverse - 1, inverse + 1, lengths)
-    ref_len = np.where(per_length[inverse] > 1, lengths, nearest)
-    return _mean_bleu(matches, lengths, ref_len, cfg)
+    distinct, length_of, per_length = np.unique(lengths, return_inverse=True,
+                                                return_counts=True)
+    nearest = _closest_length(distinct, length_of - 1, length_of + 1, lengths)
+    ref_len = np.where(per_length[length_of] > 1, lengths, nearest)
+    return float(np.mean(
+        _sentence_bleu(matches, lengths[rows], ref_len[rows])[inverse]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +275,15 @@ def embed(samples: Corpus, em: EmbeddingModel) -> np.ndarray:
     """One vector per sequence: the mean of its token embeddings.
 
     Token vectors are added position by position, then divided by the
-    row's length.
+    row's length, once per distinct row; the vectors are gathered back to
+    every row.
     """
-    lengths = samples.lengths
-    total = np.zeros((len(samples), em.dim))
-    for t, column in enumerate(samples.ids.T):
+    rows, inverse = _distinct_rows(samples.ids, samples.lengths)
+    ids, lengths = samples.ids[rows], samples.lengths[rows]
+    total = np.zeros((len(rows), em.dim))
+    for t, column in enumerate(ids.T):
         total += np.where((lengths > t)[:, None], em.vectors[column], 0.0)
-    return total / lengths[:, None]
+    return (total / lengths[:, None])[inverse]
 
 
 def fed(real_emb: np.ndarray, gen_emb: np.ndarray) -> float:
@@ -327,7 +354,9 @@ class MetricScorer:
     Built once per grid, with one evaluation policy: the oracle LM is a
     bigram with delta 0.01 fitted on ``real_train``, whose config (of
     sequence length ``fixed_length``) also fits each reverse LM, and the FED
-    embedding is fitted on ``real_train`` too. ``seed`` is the master seed of
+    embedding is fitted on ``real_train`` too. The oracle LM and the
+    embedding are fitted only when ``lm`` or ``fed`` is requested, and
+    ``cells`` scores only requested metrics. ``seed`` is the master seed of
     the rows' classification-error seeds and of ``temperature_sweep``'s grid.
     """
 
@@ -341,7 +370,9 @@ class MetricScorer:
         self.metric_names = tuple(metric_names)
         self.real_train, self.real_test, self.seed = real_train, real_test, seed
         self.lm_config = NGramConfig(order=2, delta=0.01, fixed_length=fixed_length)
-        self.oracle_lm = train_mle(real_train, None, self.lm_config)
+        self.oracle_lm = None
+        if "lm" in self.metric_names:
+            self.oracle_lm = train_mle(real_train, None, self.lm_config)
         self.bleu_cfg = bleu_cfg or BleuConfig()
         self.disc_cfg = disc_cfg or DiscConfig()
         self.embedding = self.real_emb = None
@@ -350,8 +381,12 @@ class MetricScorer:
             self.real_emb = embed(real_test, self.embedding)
 
     def cells(self, samples: Corpus, seed: int, metric_names=None) -> dict:
-        """The requested metric cells of one corpus; ``seed`` seeds the error rate."""
+        """The cells of one corpus for ``metric_names``, some of the scorer's
+        metrics (all of them by default); ``seed`` seeds the error rate."""
         names = self.metric_names if metric_names is None else metric_names
+        if not set(names) <= set(self.metric_names):
+            raise InputError(f"metrics not requested of this scorer: "
+                             f"{sorted(set(names) - set(self.metric_names))}")
         row: dict = {}
         if "bleu" in names:
             row["bleu5"] = bleu(samples, self.real_test, self.bleu_cfg)

@@ -9,7 +9,7 @@ import filtergen as fg
 from filtergen import (Corpus, DiscConfig, InputError, MarkovModel, MarkovSource,
                        SamplerConfig, Sequence, TextCNN, error_rate,
                        train_discriminator, train_discriminator_corpora)
-from filtergen.disc import _distinct_rows
+from filtergen.data import _distinct_rows
 
 FAST = DiscConfig(embed_dim=8, kernels2=8, kernels3=8, lr=0.1, batch_size=128,
                   max_epochs=60, patience=5, seed=0)
@@ -433,7 +433,7 @@ def test_distinct_rows_switch_paths_at_the_key_bound(monkeypatch):
     # above it marks, a bound at it sorts, and both equal the reference
     ids, lengths = _pooled_rows(9, 3)
     for bound, sorts in ((2916, False), (2915, True)):
-        monkeypatch.setattr(fg.disc, "_MARK_KEYS_BELOW", bound)
+        monkeypatch.setattr(fg.data, "_MARK_KEYS_BELOW", bound)
         assert _sorts(monkeypatch, ids, lengths) == sorts
         _check_distinct_rows(ids, lengths)
 

@@ -516,3 +516,23 @@ def test_sweep_accepted_not_dominated_by_baseline(s2, s2_disc):
     base, acc = rows["baseline"], rows["accepted"]
     assert not (base["bleu5"] > acc["bleu5"] and base["self_bleu5"] < acc["self_bleu5"])
     assert acc["bleu5"] >= base["bleu5"]
+
+
+def test_scorer_fits_the_oracle_lm_only_for_lm(s2, monkeypatch):
+    # a scorer without "lm" fits no oracle LM, and its cells are the ones a
+    # scorer of every metric gives, less lm_score; asking it for lm fails
+    samples = s2.generator.sample_corpus(1000, SamplerConfig(max_len=s2.length),
+                                         np.random.default_rng(4))
+    everything = _scorer(s2, ("bleu", "selfbleu", "lm", "rlm", "fed"), 5)
+    want = everything.cells(samples, 3)
+    assert want.pop("lm_score") == lm_score(everything.oracle_lm, samples)
+    fits = []
+    monkeypatch.setattr(fg.metrics, "train_mle",
+                        lambda *a: fits.append(a) or fg.train_mle(*a))
+    without = _scorer(s2, ("bleu", "selfbleu", "rlm", "fed"), 5)
+    assert without.oracle_lm is None and not fits
+    assert without.cells(samples, 3) == want
+    assert len(fits) == 1  # the reverse LM's, with the oracle LM's config
+    assert fits[0][2] == everything.lm_config == without.lm_config
+    with pytest.raises(InputError, match="not requested"):
+        without.cells(samples, 3, ("lm",))
