@@ -37,16 +37,25 @@ bit-identical to scoring every row on its own. ``data._distinct_rows``
 finds those rows, the helper the n-gram LM and the metrics use too; it
 lists them by length first, in ascending order of a packed integer key.
 
-Training does the same for the half of its step that each row computes on
-its own: ``loss_and_grads`` runs the forward pass, and the backward finds
-each pool's first maximising window and its tokens, once per distinct row
-of the batch. What sums across rows stays per batch row and in batch
-order: the per-row values are gathered back, and ``feats.T @ dlogits``,
-the bias sums and every ``bincount`` run over all the batch's rows as if
-none repeated. So the loss and every gradient are bit-identical to the
-full-batch step's. ``_fit`` keeps the trainable parameters as views of one
-flat buffer while it trains, so that a momentum step is three elementwise
-operations.
+Training runs the whole step once per distinct row of the batch. Rows that
+repeat have the same logit, so their gradients differ only through
+``dlogits``, and the backward is linear in it: ``loss_and_grads`` adds up
+each distinct row's ``dlogits`` in batch order (one ``bincount``), and
+``_backward`` runs on the distinct rows with those sums. The loss is
+bit-identical to the full-batch step's and the gradients equal its up to
+rounding; their bits depend on which rows repeat and on the batch's order.
+
+No sum in the step depends on the BLAS thread count. ``dW_i`` is the one
+product that reduces over many terms, the batch's distinct tokens, and
+OpenBLAS splits such a product between threads in a way that rounds
+differently at one and two threads. ``_token_sum`` computes it in blocks
+of tokens, each block one product too small for OpenBLAS to thread, and
+adds the blocks in token order. The other two products gave the same bits
+at one and two threads at V = 2,000 and 10,000: ``feats.T @ dlogits`` is a
+matrix-vector product, whose outputs OpenBLAS divides between threads,
+and ``G_i @ W_i.T`` reduces over a bank's k kernels only. ``_fit`` keeps
+the trainable parameters as views of one flat buffer while it trains, so
+that a momentum step is three elementwise operations.
 """
 
 from __future__ import annotations
@@ -186,20 +195,19 @@ class TextCNN:
         cache["feats"] = feats
         return logits, cache
 
-    def _backward(self, cache, dlogits: np.ndarray, inverse: np.ndarray) -> dict:
-        """Parameter gradients of a batch whose forward ran on its distinct rows.
+    def _backward(self, cache, dlogits: np.ndarray) -> dict:
+        """Parameter gradients of the rows ``_forward`` ran on.
 
-        ``cache`` is ``_forward``'s on the distinct rows, ``inverse`` maps each
-        batch row to its distinct row and ``dlogits`` holds one entry per
-        batch row. Per-row values are gathered to the batch, so every sum
-        over rows adds the batch's rows in order.
+        ``cache`` is ``_forward``'s and ``dlogits`` holds one entry per row
+        of it: in training, each distinct row's ``dlogits`` summed over the
+        batch rows it stands for.
         """
         p = self.params
-        feats = cache["feats"][inverse]  # (B, K)
+        feats = cache["feats"]  # (D, K)
         grads = {"out_w": feats.T @ dlogits, "out_b": np.array([dlogits.sum()])}
         # the pool passes its gradient to one window per (row, kernel), and
         # the relu after it only where the pooled value is positive
-        dpres = np.where(feats > 0.0, dlogits[:, None] * p["out_w"], 0.0)  # (B, K)
+        dpres = np.where(feats > 0.0, dlogits[:, None] * p["out_w"], 0.0)  # (D, K)
         local, emb = cache["local"], cache["emb"]
         (d, l), (u, de) = local.shape, emb.shape
         demb = np.zeros_like(emb)
@@ -214,28 +222,27 @@ class TextCNN:
                 continue
             pre, top = bank
             grads[f"conv{w}_b"] = dpre.sum(axis=0)
-            # each distinct row's first maximising window, as a flat index
-            # into local: the row's offset plus the number of leading
-            # positions that are not the maximum (at most the last position)
+            # each row's first maximising window, as a flat index into
+            # local: the row's offset plus the number of leading positions
+            # that are not the maximum (at most the last position)
             first = np.arange(0, d * l, l).repeat(k).reshape(d, k)
             behind = np.ones((d, k), dtype=bool)
             for q in range(len(pre) - 1):
                 behind &= pre[q] != top
                 first += behind
-            # slots[i, r, j] = t * k + j, t the i-th token of batch row r's
-            # window for kernel j: found per distinct row, then gathered
+            # slots[i, r, j] = t * k + j, t the i-th token of row r's window
+            # for kernel j
             slots = (local.ravel() * k).take(first + np.arange(w)[:, None, None])
             slots += np.arange(k)
-            slots = slots.take(inverse, axis=1)  # (w, B, k)
             weights = dpre.ravel()
             dweight = np.empty_like(weight)
             for i in range(w):
                 # G_i[t, j]: dpre summed over the argmax windows whose i-th
-                # token is t, one batch row after another
+                # token is t, one row after another
                 g = np.bincount(slots[i].ravel(), weights=weights,
                                 minlength=u * k).reshape(u, k)
                 rows = slice(i * de, (i + 1) * de)
-                dweight[rows] = emb.T @ g
+                dweight[rows] = _token_sum(emb, g)
                 if not self.embed_frozen:
                     demb += g @ weight[rows].T
             grads[f"conv{w}_w"] = dweight
@@ -247,19 +254,26 @@ class TextCNN:
     def loss_and_grads(self, seqs, labels) -> tuple[float, dict]:
         """Mean binary cross-entropy of a batch plus parameter gradients.
 
-        The forward pass and the pool's argmax run once per distinct (ids,
-        length) row, at the batch's width; a row's logit depends on that row
-        alone, so the loss and every gradient are those of the whole batch.
+        ``labels`` holds one number in [0, 1] per row. The forward pass and
+        the backward run once per distinct (ids, length) row: a row's logit
+        depends on that row alone, so its softplus and sigmoid are gathered
+        back to the batch unchanged, and the backward takes each distinct
+        row's ``dlogits`` summed in batch order. The gradients are the whole
+        batch's up to rounding.
         """
         ids, lengths = corpus_to_arrays(seqs)
         labels = np.asarray(labels, dtype=np.float64)
+        # NaN fails both comparisons, and so is rejected with the rest
+        if labels.shape != lengths.shape or not ((labels >= 0.0) & (labels <= 1.0)).all():
+            raise InputError(f"labels must hold one number in [0, 1] per row: "
+                             f"{len(lengths)} rows, labels of shape {labels.shape}")
         distinct, inverse = _distinct_rows(ids, lengths)
         logits, cache = self._forward(ids[distinct], lengths[distinct])
-        logits = logits[inverse]
         # stable BCE-with-logits: softplus(logit) - y * logit
-        loss = float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
-        dlogits = (_sigmoid(logits) - labels) / len(labels)
-        return loss, self._backward(cache, dlogits, inverse)
+        loss = float(np.mean(np.logaddexp(0.0, logits)[inverse] - labels * logits[inverse]))
+        dlogits = (_sigmoid(logits)[inverse] - labels) / len(labels)
+        summed = np.bincount(inverse, weights=dlogits, minlength=len(distinct))
+        return loss, self._backward(cache, summed)
 
     # -- inference --------------------------------------------------------
 
@@ -284,6 +298,27 @@ class TextCNN:
             logits, _ = self._forward(ids[rows, :width], lengths[rows])
             out[rows] = _sigmoid(logits)
         return np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)[inverse]
+
+
+# As many tokens per block as keep a block's product at 2**16 multiply-adds:
+# OpenBLAS runs a gemm of m * n * k <= 65536 * GEMM_MULTITHREAD_THRESHOLD
+# (a build constant, at least 1) on the calling thread alone.
+_BLOCK_MULADDS = 2**16
+
+
+def _token_sum(emb: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``emb.T @ g`` over the tokens, in a fixed order whatever the threads.
+
+    The tokens go in blocks of ``_BLOCK_MULADDS // (de * k)`` (at least one),
+    each block one product that BLAS does not split between threads, and
+    the blocks' products are added in token order. A one-token block is an
+    outer product, which sums nothing.
+    """
+    block = max(1, _BLOCK_MULADDS // (emb.shape[1] * g.shape[1]))
+    out = emb[:block].T @ g[:block]
+    for start in range(block, len(emb), block):
+        out += emb[start:start + block].T @ g[start:start + block]
+    return out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -548,7 +548,8 @@ def _random_batch(rng, vocab_size, rows, max_len, extra_pad):
 
 # The projected-table kernels on a batch-major (B, P, k) block, with the
 # boolean-scatter argmax and the two-branch sigmoid, as they were before the
-# position-major layout. The current kernels must agree with them exactly.
+# position-major layout, and with the kernels' fixed-order token sum. On the
+# same rows the current kernels must agree with them exactly.
 def _batch_major_forward(disc, ids, lengths):
     p = disc.params
     b, l = ids.shape
@@ -610,21 +611,36 @@ def _batch_major_backward(disc, cache, dlogits):
             g = np.bincount(slot.ravel(), weights=dpre.ravel(),
                             minlength=u * k).reshape(u, k)
             rows = slice(i * de, (i + 1) * de)
-            grads[f"conv{w}_w"][rows] = emb.T @ g
+            grads[f"conv{w}_w"][rows] = fg.disc._token_sum(emb, g)
             demb += g @ weight[rows].T
     if not disc.embed_frozen:
         grads["embed"][cache["tokens"]] = demb
     return grads
 
 
-def _batch_major_loss_and_grads(disc, seqs, labels):
-    # the training step on every row of the batch, on the batch-major kernels
-    ids, lengths = fg.data.corpus_to_arrays(seqs)
-    labels = np.asarray(labels, dtype=np.float64)
+def _per_row_loss_and_grads(disc, ids, lengths, labels):
+    # the training step on every row of the batch, none grouped, on the
+    # batch-major kernels; also returns the forward's cache and dlogits
     logits, cache = _batch_major_forward(disc, ids, lengths)
     loss = float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
     dlogits = (_two_branch_sigmoid(logits) - labels) / len(labels)
-    return loss, _batch_major_backward(disc, cache, dlogits)
+    return loss, _batch_major_backward(disc, cache, dlogits), cache, dlogits
+
+
+def _grouped_loss_and_grads(disc, seqs, labels):
+    # the training step on the batch-major kernels with the batch's rows
+    # grouped by the lexsort reference: the loss over every row, and the
+    # backward on one row per group, with the group's dlogits added up one
+    # batch row after another
+    ids, lengths = fg.data.corpus_to_arrays(seqs)
+    labels = np.asarray(labels, dtype=np.float64)
+    loss, _, _, dlogits = _per_row_loss_and_grads(disc, ids, lengths, labels)
+    rows, groups = _lexsort_distinct_rows(ids, lengths)
+    summed = np.zeros(len(rows))
+    for row, group in enumerate(groups):
+        summed[group] += dlogits[row]
+    _, cache = _batch_major_forward(disc, ids[rows], lengths[rows])
+    return loss, _batch_major_backward(disc, cache, summed)
 
 
 def _two_branch_sigmoid(x):
@@ -675,7 +691,7 @@ def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
         exact_logits, exact_cache = _batch_major_forward(disc, ids, lengths)
         assert np.array_equal(logits, exact_logits)
         dlogits = rng.standard_normal(len(lengths))
-        grads = disc._backward(cache, dlogits, np.arange(len(lengths)))
+        grads = disc._backward(cache, dlogits)
         ref = _reference_backward(disc, ref_cache, dlogits)
         assert grads.keys() == ref.keys()
         for name in ref:
@@ -716,6 +732,9 @@ def _step_batches(s3):
     vocab = fg.build_vocab(["a b c d e f g h"], max_size=14)
     rng = np.random.default_rng(24)
     sampled = s3.generator.sample_corpus(128, SamplerConfig(max_len=s3.length, seed=24), rng)
+    wide = fg.build_vocab([" ".join(f"w{i}" for i in range(300))], max_size=300)
+    wide_rows = [tuple(int(t) for t in rng.integers(4, len(wide), size=m))
+                 for m in rng.integers(1, 9, size=90)]
     return {
         # a training batch of the s3 workload: real rows and samples, many repeated
         "s3": Corpus.concat([s3.train[:128], sampled]),
@@ -727,6 +746,9 @@ def _step_batches(s3):
         # no row reaches the window-3 bank
         "short": Corpus(vocab, tuple(Sequence(r) for r in
                                      [(4,), (5, 6), (4,), (6, 6), (5, 6), (7, 4), (8,)])),
+        # more distinct tokens than one block of the token sum, and some
+        # rows twice
+        "many-tokens": Corpus(wide, tuple(Sequence(r) for r in wide_rows + wide_rows[::3])),
     }
 
 
@@ -740,11 +762,13 @@ def test_loss_and_grads_equal_the_full_batch_kernels_bit_for_bit(s3, frozen):
     ids, lengths = fg.data.corpus_to_arrays(batches["short"])
     _, cache = _step_disc(batches["short"].vocab, frozen, 0)._forward(ids, lengths)
     assert cache["banks"][3] is None
+    ids, _ = fg.data.corpus_to_arrays(batches["many-tokens"])
+    assert len(np.unique(ids)) > fg.disc._BLOCK_MULADDS // (32 * 16)  # a block at k = 16
     for n, (name, batch) in enumerate(batches.items()):
         disc = _step_disc(batch.vocab, frozen, 30 + n)
         labels = (np.random.default_rng(n).random(len(batch)) < 0.5).astype(np.float64)
         loss, grads = disc.loss_and_grads(batch, labels)
-        ref_loss, ref = _batch_major_loss_and_grads(disc, batch, labels)
+        ref_loss, ref = _grouped_loss_and_grads(disc, batch, labels)
         assert loss == ref_loss, name
         assert grads.keys() == ref.keys(), name
         for key in ref:  # bytes, so that even the sign of a zero must agree
@@ -788,10 +812,10 @@ def test_training_equals_training_on_batch_major_kernels_bit_for_bit(frozen, mon
         return train_discriminator(real, gen, cfg, np.random.default_rng(20))
 
     disc, report = train()
-    # the reference scores on the batch-major forward and trains on every
-    # row of each batch, not on its distinct rows
+    # the reference scores on the batch-major forward and trains on the
+    # grouped batch-major step
     monkeypatch.setattr(TextCNN, "_forward", _batch_major_forward)
-    monkeypatch.setattr(TextCNN, "loss_and_grads", _batch_major_loss_and_grads)
+    monkeypatch.setattr(TextCNN, "loss_and_grads", _grouped_loss_and_grads)
     monkeypatch.setattr(fg.disc, "_sigmoid", _two_branch_sigmoid)
     ref_disc, ref_report = train()
     assert disc.embed_frozen == frozen
@@ -804,3 +828,90 @@ def test_training_equals_training_on_batch_major_kernels_bit_for_bit(frozen, mon
     # training updates views of one flat buffer; none is left behind
     for a, b in itertools.combinations(disc.params.values(), 2):
         assert not np.shares_memory(a, b)
+
+
+def _cancelling_labels(disc, row):
+    # two labels for two copies of row whose dlogits add up to exactly 0:
+    # with s its score, (s - 1) + (s - (2s - 1)) for s >= 1/2 and
+    # (s - 0) + (s - 2s) below, each step exact by Sterbenz's lemma
+    logit, _ = disc._forward(np.array([row]), np.array([len(row)]))
+    s = float(fg.disc._sigmoid(logit)[0])
+    return (1.0, 2.0 * s - 1.0) if s >= 0.5 else (0.0, 2.0 * s)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["distinct", "repeated", "cancel", "short"]), data=st.data())
+def test_grouped_step_equals_the_per_row_step(frozen, case, data):
+    # the training step on the distinct rows against the backward on every
+    # batch row, none grouped. Grouping only adds a row's terms in another
+    # order, so each gradient agrees to 1e-12 of its largest entry with
+    # every dlogit taken positive: that bounds the magnitude of every term,
+    # where the plain largest entry of a sum that cancels (the output bias
+    # of a balanced batch) does not. Rows are 1 to max_len tokens long, so
+    # every case's batches are ragged.
+    vocab = fg.build_vocab(["a b c d e f"], max_size=10)
+    max_len = 2 if case == "short" else 6  # "short": no window-3 position anywhere
+    row = st.lists(st.integers(4, len(vocab) - 1), min_size=1, max_size=max_len).map(tuple)
+    if case == "distinct":
+        rows = data.draw(st.lists(row, min_size=1, max_size=30, unique=True))
+    else:
+        pool = data.draw(st.lists(row, min_size=1, max_size=6))
+        rows = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                                    min_size=1, max_size=40))]
+    labels = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(rows),
+                                max_size=len(rows)))
+    disc = _step_disc(vocab, frozen, data.draw(st.integers(0, 2**16)))
+    if case == "cancel":  # one row repeated whose summed dlogits are 0
+        rows += [rows[0]] * 2
+        labels += _cancelling_labels(disc, rows[0])
+    batch = Corpus(vocab, tuple(Sequence(r) for r in rows))
+    labels = np.array(labels)
+    loss, grads = disc.loss_and_grads(batch, labels)
+    ids, lengths = fg.data.corpus_to_arrays(batch)
+    ref_loss, ref, cache, dlogits = _per_row_loss_and_grads(disc, ids, lengths, labels)
+    magnitudes = _batch_major_backward(disc, cache, np.abs(dlogits))
+    assert loss == ref_loss  # softplus per distinct row, gathered back
+    assert grads.keys() == ref.keys()
+    for key in ref:
+        scale = max(np.abs(ref[key]).max(), np.abs(magnitudes[key]).max())
+        assert np.abs(grads[key] - ref[key]).max() <= 1e-12 * scale, key
+    if case == "short":
+        assert not grads["conv3_w"].any() and not grads["conv3_b"].any()
+    if frozen:
+        assert not grads["embed"].any()
+
+
+@pytest.mark.parametrize("de,k,tokens", [(5, 3, 1), (32, 16, 128), (32, 16, 300),
+                                         (32, 32, 64), (32, 32, 65), (7, 11, 2000),
+                                         (300, 300, 5)])  # the last: one-token blocks
+def test_token_sum_adds_fixed_blocks_in_order(de, k, tokens):
+    rng = np.random.default_rng(de + k + tokens)
+    emb, g = rng.standard_normal((tokens, de)), rng.standard_normal((tokens, k))
+    out = fg.disc._token_sum(emb, g)
+    assert out.shape == (de, k)
+    assert np.allclose(out, emb.T @ g, rtol=0.0, atol=1e-12 * np.abs(emb).sum(0).max()
+                       * np.abs(g).max())
+    block = max(1, fg.disc._BLOCK_MULADDS // (de * k))
+    ref = emb[:block].T @ g[:block]
+    for start in range(block, tokens, block):
+        ref = ref + emb[start:start + block].T @ g[start:start + block]
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("labels", [
+    np.ones(9),  # one short
+    np.ones(11),  # one long
+    np.ones((10, 1)),  # not one number per row
+    np.full(10, 2.0),  # above 1
+    np.full(10, -0.5),  # below 0
+    np.r_[np.ones(9), np.nan],
+    np.r_[np.zeros(9), np.inf],
+])
+def test_loss_and_grads_rejects_bad_labels(labels):
+    vocab = fg.build_vocab(["a b c"], max_size=10)
+    disc = TextCNN(vocab, FAST, np.random.default_rng(9))
+    batch = Corpus(vocab, tuple(Sequence((4 + i % 3, 5)) for i in range(10)))
+    with pytest.raises(InputError, match="labels"):
+        disc.loss_and_grads(batch, labels)
+    disc.loss_and_grads(batch, np.linspace(0.0, 1.0, 10))  # the bounds are allowed
