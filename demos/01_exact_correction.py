@@ -36,6 +36,6 @@ fgen = fg.FilteredGenerator(s1.generator, s1.exact_disc,
                             fg.FilterParams(ratio, sol.boundary))
 cfg = fg.SamplerConfig(max_len=1, seed=0)
 accepted, stats = fg.sample_filtered(fgen, 100_000, cfg, np.random.default_rng(0))
-counts = np.bincount([seq.ids[0] - 4 for seq in accepted], minlength=2)
+counts = np.bincount(accepted.ids[:, 0] - 4, minlength=2)
 print(f"\nsampled 100k accepted sequences: empirical law {counts / counts.sum()}")
 print(f"empirical acceptance rate: {stats.acceptance_rate:.4f}")

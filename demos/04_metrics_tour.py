@@ -45,5 +45,5 @@ shuffled = fg.MarkovSource(source.tokens, np.full(3, 1 / 3), np.full((3, 3), 1 /
 evaluate("structure destroyed", fg.synth_markov(shuffled, 1500,
                                                 np.random.default_rng(3), "uniform"))
 
-collapsed = fg.Corpus(train.vocab, (train.sequences[0],) * 1500, "collapsed")
+collapsed = train[[0] * 1500]
 evaluate("mode collapsed", collapsed)

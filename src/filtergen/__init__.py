@@ -1,9 +1,8 @@
 """Discriminator-guided rejection sampling for autoregressive sequence
 generators, with exact brute-force verification on enumerable domains."""
 
-from .data import (BOS, EOS, PAD, UNK, Corpus, MarkovSource, Sequence, Vocab,
-                   build_vocab, encode, encode_corpus, exact_prob,
-                   load_corpus, save_corpus, split_tail, synth_markov)
+from .data import (BOS, EOS, PAD, UNK, Corpus, MarkovSource, Vocab, build_vocab,
+                   encode_corpus, load_corpus, save_corpus, split_tail, synth_markov)
 from .disc import (DiscConfig, DiscTrainReport, TextCNN, error_rate,
                    train_discriminator, train_discriminator_corpora)
 from .errors import (BudgetError, ConfigError, DegenerateError, FiltergenError,

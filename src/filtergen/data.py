@@ -1,9 +1,11 @@
 """Corpora, vocabularies, and synthetic Markov sources.
 
-A ``Corpus`` is one padded id matrix plus a length vector. Samplers,
-the classifier and the oracle pass that matrix along; ``Sequence``
-objects (one tuple of ids each) are views built only when a caller
-iterates a corpus or asks for ``corpus.sequences``, once, and cached.
+A ``Corpus`` is one padded id matrix plus a length vector, and it is the
+only representation of a corpus: samplers, the classifier, the metrics and
+the oracle all pass that matrix along. There is no per-row object; a row is
+a tuple of ids (``corpus.sequences``), and ``corpus[i:i+1]`` is the corpus
+of row i. ``chain_probs`` gives a Markov source's exact probability of
+every row of an id matrix.
 
 Tokenization is whitespace splitting over pre-tokenized text; any
 pre-processing (lowercasing etc.) is the caller's responsibility.
@@ -86,53 +88,34 @@ class Vocab:
         return cls(doc["tokens"])
 
 
-@dataclass(frozen=True)
-class Sequence:
-    """A non-empty list of token ids."""
-
-    ids: tuple[int, ...]
-
-    def __post_init__(self):
-        ids = tuple(int(i) for i in self.ids)
-        if len(ids) == 0:
-            raise InputError("a sequence must contain at least one token")
-        if any(i < 0 for i in ids):
-            raise InputError("token ids must be non-negative")
-        object.__setattr__(self, "ids", ids)
-
-    def __len__(self):
-        return len(self.ids)
-
-
-def _trusted_sequence(ids: tuple) -> Sequence:
-    # rows of a validated Corpus matrix: skip the per-token checks
-    seq = object.__new__(Sequence)
-    object.__setattr__(seq, "ids", ids)
-    return seq
-
-
 class Corpus:
-    """Sequences sharing one vocabulary, tagged with a split name.
+    """Rows of token ids sharing one vocabulary, tagged with a split name.
 
     The corpus is a read-only ``(n, Lmax)`` id matrix ``ids``, padded with
     PAD past each row's end, plus the row lengths ``lengths``; ``Lmax`` is
-    the longest row. ``Sequence`` views of the rows are built on the first
-    use of ``sequences`` (or iteration) and cached. Indexing with an int
-    gives one ``Sequence``; with a slice, index array or mask it gives the
-    corpus of those rows, trimmed to their longest row. A slice's rows are
-    views of this corpus's arrays; an index array's rows, or a mask's as
-    ``np.flatnonzero`` indices, are gathered with ``take`` into new arrays.
+    the longest row. There is no per-row object: ``sequences`` gives the
+    rows as tuples of ids, built anew on each use, and a corpus is neither
+    iterable nor indexed by an int. Indexing with a slice, index array or
+    mask gives the corpus of those rows (``corpus[i:i+1]`` for row i),
+    trimmed to their longest row. A slice's rows are views of this corpus's
+    arrays; an index array's rows, or a mask's as ``np.flatnonzero``
+    indices, are gathered with ``take`` into new arrays.
+
+    ``Corpus(vocab, rows, split)`` builds a corpus from rows of integer ids
+    (any sequences of ints) with the checks of ``from_arrays``.
     """
 
-    __slots__ = ("vocab", "ids", "lengths", "split", "_sequences")
+    __slots__ = ("vocab", "ids", "lengths", "split")
 
-    def __init__(self, vocab: Vocab, sequences, split: str = ""):
-        seqs = tuple(sequences)
-        if not seqs:
-            raise InputError("a corpus must contain at least one sequence")
-        ids, lengths = _pack([s.ids for s in seqs])
-        _check_ids(ids, len(vocab))
-        _init_corpus(self, vocab, ids, lengths, split, seqs)
+    def __init__(self, vocab: Vocab, rows, split: str = ""):
+        rows = tuple(rows)
+        tokens = list(chain.from_iterable(rows))
+        # the types are checked before any cast: 4.7, "5" and True are no ids
+        if not all(map(_is_id_type, set(map(type, tokens)))):
+            raise InputError("token ids must be integers")
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        ids = _padded(np.array(tokens, dtype=np.int64), lengths)
+        _init_corpus(self, vocab, *_checked_arrays(vocab, ids, lengths), split)
 
     @classmethod
     def from_arrays(cls, vocab: Vocab, ids, lengths, split: str = "") -> "Corpus":
@@ -147,17 +130,7 @@ class Corpus:
             raise InputError("expected an (n, L) id matrix and n lengths")
         if not np.issubdtype(ids.dtype, np.integer):
             raise InputError("token ids must be integers")
-        if len(ids) == 0:
-            raise InputError("a corpus must contain at least one sequence")
-        if lengths.min() < 1:
-            raise InputError("a sequence must contain at least one token")
-        width = int(lengths.max())
-        if width > ids.shape[1]:
-            raise InputError("a row length exceeds the id matrix width")
-        ids = np.where(_valid_mask(lengths, width), ids[:, :width], PAD).astype(
-            np.int64, copy=False)
-        _check_ids(ids, len(vocab))
-        return _new_corpus(vocab, ids, lengths, split)
+        return _new_corpus(vocab, *_checked_arrays(vocab, ids, lengths), split)
 
     @classmethod
     def concat(cls, parts, split: str = "") -> "Corpus":
@@ -177,31 +150,21 @@ class Corpus:
         return _new_corpus(vocab, ids, np.concatenate([p.lengths for p in parts]), split)
 
     @property
-    def sequences(self) -> tuple[Sequence, ...]:
-        seqs = self._sequences
-        if seqs is None:
-            seqs = tuple(_trusted_sequence(tuple(row[:n]))
-                         for row, n in zip(self.ids.tolist(), self.lengths.tolist()))
-            object.__setattr__(self, "_sequences", seqs)
-        return seqs
+    def sequences(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of ids."""
+        return tuple(tuple(row[:n]) for row, n in zip(self.ids.tolist(), self.lengths.tolist()))
 
     def __len__(self):
         return len(self.lengths)
 
-    def __iter__(self):
-        return iter(self.sequences)
-
     def __getitem__(self, rows):
-        if isinstance(rows, (int, np.integer)):
-            return self.sequences[rows]
-        seqs = None
         if isinstance(rows, slice):
             ids, lengths = self.ids[rows], self.lengths[rows]
-            if self._sequences is not None:
-                seqs = self._sequences[rows]
         else:
             # take with indices gathers rows faster than fancy indexing
             rows = np.asarray(rows)
+            if rows.ndim != 1:
+                raise TypeError("a Corpus is indexed by a slice, an index array or a mask")
             if rows.dtype == bool:
                 if rows.shape != self.lengths.shape:
                     raise IndexError(f"a mask of shape {rows.shape} does not match "
@@ -215,7 +178,7 @@ class Corpus:
         width = int(lengths.max())
         if width < ids.shape[1]:
             ids = ids[:, :width]
-        return _new_corpus(self.vocab, ids, lengths, self.split, seqs)
+        return _new_corpus(self.vocab, ids, lengths, self.split)
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):
@@ -247,26 +210,39 @@ def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
         raise InputError("sequence contains ids outside the vocabulary")
 
 
-def _init_corpus(corpus, vocab, ids, lengths, split, seqs=None) -> None:
+def _is_id_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+
+
+def _checked_arrays(vocab, ids, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``lengths[i]`` ids of each row of an integer matrix, as a
+    new int64 matrix padded with PAD and trimmed to the longest row."""
+    if len(ids) == 0:
+        raise InputError("a corpus must contain at least one sequence")
+    if lengths.min() < 1:
+        raise InputError("a sequence must contain at least one token")
+    width = int(lengths.max())
+    if width > ids.shape[1]:
+        raise InputError("a row length exceeds the id matrix width")
+    ids = np.where(_valid_mask(lengths, width), ids[:, :width], PAD).astype(
+        np.int64, copy=False)
+    _check_ids(ids, len(vocab))
+    return ids, lengths
+
+
+def _init_corpus(corpus, vocab, ids, lengths, split) -> None:
     ids.flags.writeable = False
     lengths.flags.writeable = False
     for name, value in (("vocab", vocab), ("ids", ids), ("lengths", lengths),
-                        ("split", split), ("_sequences", seqs)):
+                        ("split", split)):
         object.__setattr__(corpus, name, value)
 
 
-def _new_corpus(vocab, ids, lengths, split, seqs=None) -> Corpus:
+def _new_corpus(vocab, ids, lengths, split) -> Corpus:
     """A Corpus over arrays that are already valid, without a copy."""
     corpus = object.__new__(Corpus)
-    _init_corpus(corpus, vocab, ids, lengths, split, seqs)
+    _init_corpus(corpus, vocab, ids, lengths, split)
     return corpus
-
-
-def _pack(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Id matrix padded with PAD plus lengths, from a list of id lists."""
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
-    return _padded(flat, lengths), lengths
 
 
 def _padded(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -402,17 +378,10 @@ def build_vocab(lines, max_size: int) -> Vocab:
     return Vocab(tok for tok, _ in counts.most_common(max_size))
 
 
-def encode(line: str, vocab: Vocab, max_len: int = DEFAULT_MAX_LEN) -> Sequence:
-    """Encode a whitespace-tokenized line, truncating at ``max_len``."""
-    ids = [vocab.id_of(tok) for tok in line.split()]
-    if not ids:
-        raise InputError("cannot encode an empty line")
-    return Sequence(tuple(ids[:max_len]))
-
-
 def encode_corpus(lines, vocab: Vocab, split: str = "",
                   max_len: int = DEFAULT_MAX_LEN) -> Corpus:
-    """Corpus of the non-blank lines, each encoded as by ``encode``."""
+    """Corpus of the non-blank lines: each line's whitespace-separated tokens
+    as ids (UNK outside the vocabulary), truncated at ``max_len``."""
     rows = list(filter(None, map(str.split, lines)))  # the non-blank lines' tokens
     if not rows:
         raise InputError("no non-empty lines to encode")
@@ -478,15 +447,12 @@ def load_corpus(path, vocab: Vocab, split: str = "",
     return encode_corpus(read_lines(path), vocab, split=split, max_len=max_len)
 
 
-def corpus_to_arrays(corpus_or_seqs) -> tuple[np.ndarray, np.ndarray]:
-    """A (N, Lmax) id matrix padded with PAD plus a length vector.
-
-    A Corpus hands out its own read-only arrays; any other sequence of
-    ``Sequence`` is packed.
-    """
-    if isinstance(corpus_or_seqs, Corpus):
-        return corpus_or_seqs.ids, corpus_or_seqs.lengths
-    return _pack([s.ids for s in corpus_or_seqs])
+def corpus_to_arrays(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """The corpus's read-only (N, Lmax) id matrix, padded with PAD, and its
+    length vector."""
+    if not isinstance(corpus, Corpus):
+        raise TypeError(f"expected a Corpus, got {type(corpus).__name__}")
+    return corpus.ids, corpus.lengths
 
 
 _STOCHASTIC_TOL = 1e-9
@@ -527,20 +493,42 @@ class MarkovSource:
 
 def synth_markov(source: MarkovSource, n: int, rng, split: str = "") -> Corpus:
     """Draw ``n`` i.i.d. length-L sequences from the chain."""
+    return _sample_chain(source, n, source.length, rng, split)
+
+
+def _sample_chain(source: MarkovSource, n: int, length: int, rng, split: str = "") -> Corpus:
+    """``n`` rows of ``length`` states drawn from the chain. Every state is a
+    content token, so the Corpus is built without a check, as the trained
+    samplers build theirs."""
     if n < 1:
         raise InputError("n must be >= 1")
-    states = _sample_chain(source, n, source.length, rng)
-    return Corpus.from_arrays(source.vocab, states + NUM_RESERVED,
-                              np.full(n, source.length), split)
-
-
-def _sample_chain(source: MarkovSource, n: int, length: int, rng) -> np.ndarray:
     out = np.empty((n, length), dtype=np.int64)
     out[:, 0] = _draw_from_cdf(np.cumsum(source.initial)[None, :], rng.random(n))
     cum_rows = np.cumsum(source.transition, axis=1)
     for t in range(1, length):
         out[:, t] = _draw_from_cdf(cum_rows[out[:, t - 1]], rng.random(n))
-    return out
+    return _new_corpus(source.vocab, out + NUM_RESERVED, np.full(n, length), split)
+
+
+def chain_probs(source: MarkovSource, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Exact chain probability of each row of a corpus's id matrix and
+    lengths: initial[x1] * transition[x1, x2] * ... over the row's ids.
+
+    Each row's factors are multiplied left to right, one column at a time,
+    and a factor of 1.0 stands past a row's end, so ragged rows get the
+    same products as rows scored one by one.
+    """
+    valid = _valid_mask(lengths, ids.shape[1])
+    states = ids - NUM_RESERVED
+    used = states[valid]
+    if used.min() < 0 or used.max() >= len(source.tokens):
+        raise InputError("sequence contains tokens outside the source alphabet")
+    states = np.where(valid, states, 0)
+    probs = source.initial[states[:, 0]]
+    for t in range(1, ids.shape[1]):
+        factors = source.transition[states[:, t - 1], states[:, t]]
+        probs *= np.where(valid[:, t], factors, 1.0)
+    return probs
 
 
 def _draw_from_cdf(cdf: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -568,14 +556,3 @@ def _draw_from_cdf(cdf: np.ndarray, u: np.ndarray, rows: np.ndarray | None = Non
         pos += (flat.take(pos + half) < u) * half
         span -= half
     return pos - start + 1
-
-
-def exact_prob(source: MarkovSource, seq: Sequence) -> float:
-    """Exact chain probability: initial[x1] * prod transition[x_{t-1}, x_t]."""
-    states = np.array(seq.ids, dtype=np.int64) - NUM_RESERVED
-    if states.min() < 0 or states.max() >= len(source.tokens):
-        raise InputError("sequence contains tokens outside the source alphabet")
-    p = source.initial[states[0]]
-    for prev, cur in zip(states[:-1], states[1:]):
-        p *= source.transition[prev, cur]
-    return float(p)

@@ -10,7 +10,7 @@ Three interchangeable model kinds:
   analytic ground truth.
 
 All models share one contract: ``seq_logprob`` / ``seq_logprobs`` (one
-sequence, or every row of a corpus), ``sample_corpus`` (n sequences by
+row of ids, or every row of a corpus), ``sample_corpus`` (n sequences by
 temperature-controlled ancestral sampling), a ``vocab``, and a
 ``fixed_length`` attribute (``None`` means variable length with an EOS
 event). In fixed-length mode the per-step distribution is supported on the
@@ -48,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (BOS, DEFAULT_MAX_LEN, EOS, NUM_RESERVED, PAD, UNK, Corpus, MarkovSource,
-                   Sequence, _distinct_rows, _draw_from_cdf, _gram_ranks, _new_corpus,
-                   corpus_to_arrays, split_tail)
+from .data import (BOS, DEFAULT_MAX_LEN, EOS, PAD, UNK, Corpus, MarkovSource,
+                   _distinct_rows, _draw_from_cdf, _gram_ranks, _new_corpus, _sample_chain,
+                   chain_probs, corpus_to_arrays, split_tail)
 from .errors import InputError, check_fields, integer, number
 
 # Byte cap of one NGramLM's sampling tables of every temperature together. A
@@ -219,11 +219,12 @@ class NGramLM:
             return np.full(s, 1.0 / s)[sup]
         return (counts[sup] + self.delta) / (self._totals[context] + self.delta * s)
 
-    def seq_logprob(self, seq: Sequence) -> float:
-        """Log-probability of one sequence, event by event."""
+    def seq_logprob(self, ids) -> float:
+        """Log-probability of one row of ids, event by event."""
+        ids = tuple(ids)
         ctx_len = self.order - 1
-        padded = (BOS,) * ctx_len + seq.ids
-        events = seq.ids + ((EOS,) if self.fixed_length is None else ())
+        padded = (BOS,) * ctx_len + ids
+        events = ids + ((EOS,) if self.fixed_length is None else ())
         total = 0.0
         for t, tok in enumerate(events):
             idx = self._sup_index[tok]
@@ -370,34 +371,30 @@ class MarkovModel:
         self.fixed_length = source.length
         self.support = support_ids(self.vocab, self.fixed_length)
 
-    def seq_logprob(self, seq: Sequence) -> float:
-        from .data import exact_prob
-
-        p = exact_prob(self.source, seq)
-        return math.log(p) if p > 0 else -math.inf
+    def seq_logprob(self, ids) -> float:
+        return float(self.seq_logprobs(Corpus(self.vocab, [ids]))[0])
 
     def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
-        return np.array([self.seq_logprob(seq) for seq in corpus], dtype=np.float64)
+        """The log of each row's exact chain probability, -inf where it is 0."""
+        probs = chain_probs(self.source, corpus.ids, corpus.lengths)
+        out = np.full(len(probs), -np.inf)
+        live = probs > 0
+        out[live] = libm_map(math.log, probs[live])
+        return out
 
     def sample_corpus(self, n: int, cfg: SamplerConfig, rng=None,
                       split: str = "") -> Corpus:
-        from .data import _sample_chain
-
         rng = _resolve_rng(rng, cfg)
         length = min(self.fixed_length, cfg.max_len)
         if cfg.temperature == 1.0:
-            states = _sample_chain(self.source, n, length, rng)
-        else:
-            src = MarkovSource(
-                self.source.tokens,
-                _apply_temperature(self.source.initial, cfg.temperature),
-                np.apply_along_axis(
-                    _apply_temperature, 1, self.source.transition, cfg.temperature),
-                length,
-            )
-            states = _sample_chain(src, n, length, rng)
-        return Corpus.from_arrays(self.vocab, states + NUM_RESERVED, np.full(n, length),
-                                  split)
+            return _sample_chain(self.source, n, length, rng, split)
+        src = MarkovSource(
+            self.source.tokens,
+            _apply_temperature(self.source.initial, cfg.temperature),
+            np.apply_along_axis(_apply_temperature, 1, self.source.transition, cfg.temperature),
+            length,
+        )
+        return _sample_chain(src, n, length, rng, split)
 
 
 class _CdfTable:
@@ -550,9 +547,9 @@ class NeuralLM:
 
     # -- batching ---------------------------------------------------------
 
-    def _targets(self, seqs) -> tuple[np.ndarray, np.ndarray]:
+    def _targets(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
         """Target-event matrix (support indices) and per-sequence event counts."""
-        ids, lengths = corpus_to_arrays(seqs)
+        ids, lengths = corpus_to_arrays(corpus)
         extra = 0 if self.fixed_length is not None else 1
         events = lengths + extra
         idx = self._sup_index[ids]
@@ -581,10 +578,10 @@ class NeuralLM:
         h = np.tanh(x @ p["w_xh"] + h @ p["w_hh"] + p["b_h"])
         return x, h, h @ p["w_hy"] + p["b_y"]
 
-    def nll_and_grads(self, seqs) -> tuple[float, dict]:
+    def nll_and_grads(self, corpus: Corpus) -> tuple[float, dict]:
         """Mean per-event NLL of a batch plus gradients for every parameter."""
         p = self.params
-        targets, events = self._targets(seqs)
+        targets, events = self._targets(corpus)
         inputs, mask = self._step_stack(targets, events)
         n, width = targets.shape
         dh_dim = p["w_hh"].shape[0]
@@ -619,7 +616,7 @@ class NeuralLM:
             dh_next = dz @ p["w_hh"].T
         return loss, grads
 
-    def seq_logprobs(self, corpus) -> np.ndarray:
+    def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
         """Log probability of every row, 256 rows per forward pass."""
         out = []
         for start in range(0, len(corpus), 256):
@@ -635,10 +632,10 @@ class NeuralLM:
                 picked = logits[np.arange(n), targets[:, t]] - logz
                 logp += np.where(mask[:, t], picked, 0.0)
             out.append(logp)
-        return np.concatenate(out) if out else np.zeros(0)
+        return np.concatenate(out)
 
-    def seq_logprob(self, seq: Sequence) -> float:
-        return float(self.seq_logprobs([seq])[0])
+    def seq_logprob(self, ids) -> float:
+        return float(self.seq_logprobs(Corpus(self.vocab, [ids]))[0])
 
     def mean_nll(self, corpus: Corpus) -> float:
         """Mean NLL per event over the corpus."""

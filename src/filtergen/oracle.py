@@ -9,13 +9,13 @@ against these quantities.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUM_RESERVED, Corpus, MarkovSource, Sequence, Vocab, corpus_to_arrays
+from .data import (NUM_RESERVED, Corpus, MarkovSource, Vocab, _new_corpus, chain_probs,
+                   corpus_to_arrays)
 from .errors import DegenerateError, InputError
 from .filtering import _clipped_odds, raw_acceptance_probability
 
@@ -25,11 +25,12 @@ _CLIP = 1e-12  # ExactDiscriminator clips its scores to [_CLIP, 1 - _CLIP]
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """All |V|^L sequences of a domain with an aligned probability vector."""
+    """All |V|^L sequences of a domain, as one Corpus in lexicographic
+    order, with an aligned probability vector."""
 
     vocab: Vocab
     length: int
-    domain: tuple[Sequence, ...]
+    domain: Corpus
     probs: np.ndarray
 
     def __post_init__(self):
@@ -61,34 +62,35 @@ def sequence_indices(corpus: Corpus, base: int, length: int) -> np.ndarray:
     return states @ weights
 
 
-def enumerate_domain(vocab: Vocab, length: int) -> tuple[Sequence, ...]:
-    content = list(vocab.content_ids)
-    if len(content) ** length > MAX_DOMAIN:
+def enumerate_domain(vocab: Vocab, length: int) -> Corpus:
+    """Every length-L sequence over the content tokens, in lexicographic
+    order, as the rows of one Corpus built from an index grid."""
+    k = vocab.content_size
+    if length < 1:
+        raise InputError("sequence length must be >= 1")
+    if k == 0:
+        raise InputError("vocabulary has no content tokens")
+    if k ** length > MAX_DOMAIN:
         raise InputError("domain too large to enumerate")
-    return tuple(Sequence(ids) for ids in itertools.product(content, repeat=length))
+    # row r holds the base-k digits of r, most significant first
+    grid = np.indices((k,) * length, dtype=np.int64).reshape(length, -1)
+    ids = np.ascontiguousarray(grid.T) + NUM_RESERVED
+    return _new_corpus(vocab, ids, np.full(len(ids), length), "")
 
 
 def enumerate_distribution(model_or_source, vocab: Vocab, length: int) -> ExactDistribution:
     """Exhaustive probability table of a model or Markov source over V^L."""
     domain = enumerate_domain(vocab, length)
     if isinstance(model_or_source, MarkovSource):
-        probs = _markov_probs(model_or_source, vocab, length)
+        if vocab != model_or_source.vocab:
+            raise InputError("vocabulary does not match the source")
+        probs = chain_probs(model_or_source, domain.ids, domain.lengths)
     else:
-        # one sequence at a time, independently of the batched seq_logprobs
+        # one row at a time through seq_logprob; only NGramLM's is a
+        # per-event loop independent of its batched seq_logprobs
         probs = np.array(
-            [math.exp(model_or_source.seq_logprob(s)) for s in domain])
+            [math.exp(model_or_source.seq_logprob(ids)) for ids in domain.sequences])
     return ExactDistribution(vocab, length, domain, probs)
-
-
-def _markov_probs(source: MarkovSource, vocab: Vocab, length: int) -> np.ndarray:
-    if vocab != source.vocab:
-        raise InputError("vocabulary does not match the source")
-    k = len(source.tokens)
-    grid = np.array(list(itertools.product(range(k), repeat=length)), dtype=np.int64)
-    probs = source.initial[grid[:, 0]].copy()
-    for t in range(1, length):
-        probs *= source.transition[grid[:, t - 1], grid[:, t]]
-    return probs
 
 
 def empirical_distribution(corpus: Corpus, template: ExactDistribution) -> ExactDistribution:

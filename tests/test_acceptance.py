@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import filtergen as fg
-from filtergen import (DiscConfig, FilteredGenerator, FilterParams, SamplerConfig,
-                       Sequence, TextCNN)
+from filtergen import DiscConfig, FilteredGenerator, FilterParams, SamplerConfig, TextCNN
 from filtergen.cli import run_pipeline, validate_config
 from filtergen.data import synth_markov
 from filtergen.metrics import bleu, fed, self_bleu, BleuConfig
@@ -223,7 +222,7 @@ def test_criterion_8_numerical_suites(s2):
     vocab = fg.build_vocab(["a b c"], max_size=10)
     disc = TextCNN(vocab, DiscConfig(embed_dim=3, kernels2=2, kernels3=2, seed=8),
                    np.random.default_rng(8))
-    batch = [Sequence((4, 5, 6, 4)), Sequence((5, 6)), Sequence((6, 4, 5))]
+    batch = fg.Corpus(vocab, [(4, 5, 6, 4), (5, 6), (6, 4, 5)])
     labels = np.array([1.0, 0.0, 1.0])
     _, grads = disc.loss_and_grads(batch, labels)
     worst = 0.0
@@ -243,15 +242,16 @@ def test_criterion_8_numerical_suites(s2):
 
     # recurrent LM gradients on a 3-token toy batch
     lm = fg.NeuralLM(vocab, fg.NeuralConfig(embed_dim=4, hidden_dim=5, seed=0))
-    _, lg = lm.nll_and_grads([Sequence((4, 5, 6))])
+    toy = fg.Corpus(vocab, [(4, 5, 6)])
+    _, lg = lm.nll_and_grads(toy)
     worst_lm = 0.0
     for name, param in lm.params.items():
         for idx in np.ndindex(param.shape):
             orig = param[idx]
             param[idx] = orig + 1e-4
-            up, _ = lm.nll_and_grads([Sequence((4, 5, 6))])
+            up, _ = lm.nll_and_grads(toy)
             param[idx] = orig - 1e-4
-            down, _ = lm.nll_and_grads([Sequence((4, 5, 6))])
+            down, _ = lm.nll_and_grads(toy)
             param[idx] = orig
             numeric = (up - down) / 2e-4
             denom = max(abs(numeric), abs(lg[name][idx]), 1e-8)

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from filtergen import (UNK, Corpus, InputError, MarkovSource, Sequence, Vocab,
-                       build_vocab, encode, encode_corpus, exact_prob, load_corpus,
-                       save_corpus, split_tail, synth_markov)
-from filtergen.data import _draw_from_cdf, corpus_to_arrays
+from filtergen import (PAD, UNK, Corpus, InputError, MarkovSource, Vocab, build_vocab,
+                       encode_corpus, load_corpus, save_corpus, split_tail, synth_markov)
+from filtergen.data import _draw_from_cdf, chain_probs, corpus_to_arrays
 
 
 def test_build_vocab_frequency_then_first_occurrence():
@@ -31,7 +30,7 @@ def test_build_vocab_single_type_and_cap():
 
 def test_unknown_token_maps_to_unk():
     vocab = build_vocab(["a b"], max_size=10)
-    assert encode("a z b", vocab).ids == (4, UNK, 5)
+    assert encode_corpus(["a z b"], vocab).sequences == ((4, UNK, 5),)
 
 
 def test_reserved_spellings_never_collide():
@@ -69,13 +68,12 @@ def _decoded(corpus, path) -> list[str]:
 
 def test_encode_decode_roundtrip_and_truncation(tmp_path):
     vocab = build_vocab(["a b c"], max_size=10)
-    corpus = Corpus(vocab, (encode("a b", vocab),))
+    corpus = encode_corpus(["a b"], vocab)
     assert _decoded(corpus, tmp_path / "decoded.txt") == ["a b"]
-    assert len(encode("a b c a b c", vocab, max_len=4)) == 4
-    with pytest.raises(InputError):
-        encode("", vocab)
-    with pytest.raises(InputError):
-        Sequence(())
+    assert encode_corpus(["a b c a b c"], vocab, max_len=4).sequences == ((4, 5, 6, 4),)
+    for blank in ([""], ["", " \t\n"]):
+        with pytest.raises(InputError):
+            encode_corpus(blank, vocab)
 
 
 @settings(max_examples=50)
@@ -84,7 +82,7 @@ def test_encode_decode_roundtrip_and_truncation(tmp_path):
 def test_roundtrip_property(tmp_path_factory, lines):
     text = [" ".join(line) for line in lines]
     vocab = build_vocab(text, max_size=100)
-    corpus = Corpus(vocab, [encode(line, vocab) for line in text])
+    corpus = encode_corpus(text, vocab)
     assert _decoded(corpus, tmp_path_factory.mktemp("decoded") / "corpus.txt") == text
 
 
@@ -96,8 +94,7 @@ def _uniform_source(k=3, length=2):
 def test_exact_prob_uniform():
     source = _uniform_source(3, 2)
     corpus = synth_markov(source, 5, np.random.default_rng(0))
-    for seq in corpus:
-        assert exact_prob(source, seq) == pytest.approx(1 / 9)
+    assert chain_probs(source, corpus.ids, corpus.lengths) == pytest.approx(np.full(5, 1 / 9))
 
 
 def test_exact_prob_deterministic_chain():
@@ -107,12 +104,19 @@ def test_exact_prob_deterministic_chain():
                                     [1.0, 0.0, 0.0],
                                     [0.0, 0.0, 1.0]]), 3)
     vocab = source.vocab
-    aba = Sequence((vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("a")))
-    abb = Sequence((vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("b")))
-    assert exact_prob(source, aba) == pytest.approx(1.0)
-    assert exact_prob(source, abb) == 0.0
+    aba = (vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("a"))
+    abb = (vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("b"))
+    rows = Corpus(vocab, [aba, abb])
+    assert chain_probs(source, rows.ids, rows.lengths).tolist() == [pytest.approx(1.0), 0.0]
     corpus = synth_markov(source, 10, np.random.default_rng(1))
-    assert all(seq.ids == aba.ids for seq in corpus)
+    assert corpus.sequences == (aba,) * 10
+
+
+def _brute_chain_prob(source, states):
+    p = source.initial[states[0]]
+    for prev, cur in zip(states, states[1:]):
+        p *= source.transition[prev, cur]
+    return p
 
 
 def test_exact_prob_sums_to_one_by_enumeration():
@@ -120,16 +124,25 @@ def test_exact_prob_sums_to_one_by_enumeration():
     source = MarkovSource(
         ("a", "b", "c"), np.array([0.5, 0.25, 0.25]),
         np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]), 4)
-    total = 0.0
-    for states in itertools.product(range(3), repeat=4):
-        p = source.initial[states[0]]
-        for prev, cur in zip(states, states[1:]):
-            p *= source.transition[prev, cur]
-        total += p
-    assert total == pytest.approx(1.0, abs=1e-9)
-    seqs = [Sequence(tuple(s + 4 for s in states))
-            for states in itertools.product(range(3), repeat=4)]
-    assert math.fsum(exact_prob(source, s) for s in seqs) == pytest.approx(1.0, abs=1e-9)
+    tuples = list(itertools.product(range(3), repeat=4))
+    brute = [_brute_chain_prob(source, states) for states in tuples]
+    assert math.fsum(brute) == pytest.approx(1.0, abs=1e-9)
+    domain = Corpus(source.vocab, [tuple(s + 4 for s in states) for states in tuples])
+    probs = chain_probs(source, domain.ids, domain.lengths)
+    assert np.array_equal(probs, brute)  # the same products, left to right
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_chain_probs_match_brute_force_with_zeros_and_ragged_rows():
+    source = MarkovSource(
+        ("a", "b", "c"), np.array([0.5, 0.0, 0.5]),
+        np.array([[0.6, 0.0, 0.4], [0.2, 0.5, 0.3], [0.0, 1.0, 0.0]]), 4)
+    # rows of every length 1..4 in one matrix: PAD columns add nothing
+    ragged = [states for n in range(1, 5) for states in itertools.product(range(3), repeat=n)]
+    brute = [_brute_chain_prob(source, states) for states in ragged]
+    assert 0.0 in brute
+    rows = Corpus(source.vocab, [tuple(s + 4 for s in states) for states in ragged])
+    assert np.array_equal(chain_probs(source, rows.ids, rows.lengths), brute)
 
 
 def test_invalid_stochastic_matrix_rejected():
@@ -152,14 +165,16 @@ def test_markov_source_leaves_the_callers_arrays_writable():
 def test_exact_prob_rejects_tokens_outside_the_alphabet():
     source = _uniform_source(3, 2)
     with pytest.raises(InputError, match="outside the source alphabet"):
-        exact_prob(source, Sequence((4, 7)))
+        chain_probs(source, np.array([[4, 7]]), np.array([2]))
+    with pytest.raises(InputError, match="outside the source alphabet"):
+        chain_probs(source, np.array([[4, 5], [UNK, PAD]]), np.array([2, 1]))
 
 
 def test_synth_markov_deterministic_given_seed():
     source = _uniform_source(4, 3)
     a = synth_markov(source, 50, np.random.default_rng(7))
     b = synth_markov(source, 50, np.random.default_rng(7))
-    assert [s.ids for s in a] == [s.ids for s in b]
+    assert a.sequences == b.sequences
 
 
 def _ref_sample_chain(source, n, length, rng):
@@ -218,8 +233,7 @@ def test_draw_from_cdf_matches_counting_every_entry(s, r, n, seed):
 
 def test_split_tail_disjoint_and_covering():
     vocab = build_vocab(["a"], max_size=4)
-    seqs = tuple(Sequence((4,)) for _ in range(10))
-    corpus = Corpus(vocab, seqs, "train")
+    corpus = Corpus(vocab, [(4,)] * 10, "train")
     head, tail = split_tail(corpus, 3)
     assert len(head) == 7 and len(tail) == 3
     assert head.sequences + tail.sequences == corpus.sequences
@@ -232,7 +246,9 @@ def test_corpus_validation():
     with pytest.raises(InputError):
         Corpus(vocab, (), "train")
     with pytest.raises(InputError):
-        Corpus(vocab, (Sequence((99,)),), "train")
+        Corpus(vocab, [(99,)], "train")
+    with pytest.raises(InputError):
+        Corpus(vocab, [(4,), (-1,)], "train")
 
 
 def test_corpus_and_vocab_file_roundtrip(tmp_path):
@@ -241,7 +257,7 @@ def test_corpus_and_vocab_file_roundtrip(tmp_path):
     path = tmp_path / "corpus.txt"
     save_corpus(corpus, path)
     again = load_corpus(path, vocab, "train")
-    assert [s.ids for s in again] == [s.ids for s in corpus]
+    assert again.sequences == corpus.sequences
     vpath = tmp_path / "vocab.json"
     vocab.save(vpath)
     assert Vocab.load(vpath) == vocab
@@ -264,7 +280,15 @@ def _corpora(draw):
     vocab = Vocab([f"w{i}" for i in range(k)])
     rows = draw(st.lists(st.lists(st.integers(0, len(vocab) - 1), min_size=1, max_size=8),
                          min_size=1, max_size=20))
-    return vocab, tuple(Sequence(tuple(row)) for row in rows)
+    return vocab, tuple(map(tuple, rows))
+
+
+def _padded_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The rows as an id matrix padded with PAD, one row at a time."""
+    ids = np.full((len(rows), max(map(len, rows))), PAD, dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+    return ids, np.array([len(row) for row in rows])
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,10 +299,9 @@ def test_corpus_matrix_roundtrips_its_sequences(case):
     assert corpus.sequences == seqs
     assert len(corpus) == len(seqs)
     ids, lengths = corpus_to_arrays(corpus)
-    packed_ids, packed_lengths = corpus_to_arrays(list(corpus))
-    assert np.array_equal(ids, packed_ids) and np.array_equal(lengths, packed_lengths)
-    assert ids.shape == (len(seqs), max(len(s) for s in seqs))
-    # the matrix constructor rebuilds the same corpus, and its views are fresh
+    want_ids, want_lengths = _padded_rows(seqs)
+    assert np.array_equal(ids, want_ids) and np.array_equal(lengths, want_lengths)
+    # the matrix constructor rebuilds the same corpus and the same rows
     again = Corpus.from_arrays(vocab, ids, lengths, "train")
     assert again == corpus
     assert again.sequences == seqs
@@ -297,7 +320,7 @@ def test_split_tail_halves_concatenate_to_the_original(case, data):
     assert Corpus.concat([head, tail], "train") == corpus
     for part in (head, tail):
         assert part.ids.shape[1] == part.lengths.max()
-    # halves of a corpus whose views were never built give the same rows
+    # halves of a matrix-built corpus give the same rows
     fresh_head, fresh_tail = split_tail(Corpus.from_arrays(vocab, corpus.ids,
                                                            corpus.lengths), n)
     assert fresh_head.sequences + fresh_tail.sequences == seqs
@@ -317,7 +340,7 @@ def test_corpus_rows_equal_plain_fancy_indexing(case, data):
     step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
     part = slice(data.draw(st.none() | index), data.draw(st.none() | index), step)
     for corpus in (Corpus(vocab, seqs, "train"),
-                   Corpus.from_arrays(vocab, *corpus_to_arrays(seqs), "train")):
+                   Corpus.from_arrays(vocab, *_padded_rows(seqs), "train")):
         for rows in (mask, np.array(picks, dtype=np.int64), picks, part):
             want = corpus.lengths[rows]
             if not len(want):
@@ -330,7 +353,10 @@ def test_corpus_rows_equal_plain_fancy_indexing(case, data):
             assert (got.vocab, got.split) == (vocab, "train")
             assert got.sequences == tuple(seqs[i] for i in np.arange(n)[rows])
         i = data.draw(index)
-        assert corpus[np.int64(i)] == corpus[np.int32(i)] == seqs[i]
+        assert corpus[[i]].sequences == corpus[np.array([i])].sequences == (seqs[i],)
+        for scalar in (i, np.int64(i), np.int32(i)):
+            with pytest.raises(TypeError):
+                corpus[scalar]
         with pytest.raises(IndexError):
             corpus[np.array([n])]
         with pytest.raises(IndexError):
@@ -354,7 +380,7 @@ def test_corpus_matrix_validation():
         Corpus.from_arrays(vocab, good, [2, 3])
     # entries past a row's length are ignored, whatever they hold
     corpus = Corpus.from_arrays(vocab, np.array([[4, -7], [5, 4]]), [1, 2])
-    assert [s.ids for s in corpus] == [(4,), (5, 4)]
+    assert corpus.sequences == ((4,), (5, 4))
 
 
 def test_corpus_is_read_only():
@@ -368,11 +394,51 @@ def test_corpus_is_read_only():
     with pytest.raises(AttributeError):
         corpus.split = "test"
     buffer[0, 0] = 5  # the caller's buffer was copied, not frozen
-    assert corpus.sequences[0].ids == (4, 5)
+    assert corpus.sequences[0] == (4, 5)
     for part in (corpus[:1], corpus[np.array([1])]):
         with pytest.raises(ValueError):
             part.ids[0, 0] = 4
 
+
+
+@pytest.mark.parametrize("bad", [4.7, "5", True, np.float64(4.0), np.True_],
+                         ids=["float", "str", "bool", "np-float", "np-bool"])
+def test_both_constructors_reject_non_integer_ids(bad):
+    # checked before any cast: none of these may become a token id
+    vocab = build_vocab(["a b"], max_size=4)
+    for rows in ([(bad,)], [(4, 5), (5, bad)]):
+        with pytest.raises(InputError, match="token ids must be integers"):
+            Corpus(vocab, rows)
+    with pytest.raises(InputError, match="token ids must be integers"):
+        Corpus.from_arrays(vocab, np.array([[bad]]), [1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpora(), st.data())
+def test_rows_rebuild_every_corpus_and_no_row_is_an_object(case, data):
+    # Corpus(vocab, rows, split) is the one row constructor, and a corpus's
+    # rows (of a ragged corpus or of its slice, index-array and mask
+    # sub-corpora) rebuild it; a corpus has no int index and no iteration
+    vocab, seqs = case
+    corpus = Corpus(vocab, seqs, "train")
+    n = len(corpus)
+    start = data.draw(st.integers(0, n - 1))
+    picks = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30)))
+    mask = np.zeros(n, dtype=bool)
+    mask[picks] = True
+    for part in (corpus, corpus[start:], corpus[::-1], corpus[picks], corpus[mask]):
+        assert Corpus(part.vocab, part.sequences, part.split) == part
+    with pytest.raises(TypeError):
+        corpus[0]
+    with pytest.raises(TypeError):
+        next(iter(corpus))
+    with pytest.raises(TypeError):
+        corpus_to_arrays(corpus.sequences)
+    with pytest.raises(InputError, match="at least one token"):
+        Corpus(vocab, [()])
+    with pytest.raises(InputError, match="at least one sequence"):
+        Corpus(vocab, [])
+    assert Corpus(vocab, [np.array([0, 1]), [np.int32(2)]]).sequences == ((0, 1), (2,))
 
 
 # str.split separates tokens at every Unicode whitespace character
@@ -394,7 +460,8 @@ def test_encode_corpus_matches_line_by_line_encode(lines, max_len):
             encode_corpus(lines, vocab, "x", max_len)
         return
     corpus = encode_corpus(lines, vocab, "x", max_len)
-    assert corpus == Corpus(vocab, [encode(line, vocab, max_len) for line in kept], "x")
+    rows = [tuple(vocab.id_of(tok) for tok in line.split())[:max_len] for line in kept]
+    assert corpus == Corpus(vocab, rows, "x")
 
 
 def test_load_corpus_reads_crlf_lines(tmp_path):
@@ -435,8 +502,8 @@ def test_build_vocab_matches_a_per_token_count(lines, max_size):
 
 def _per_row_save(corpus, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for seq in corpus:
-            fh.write(" ".join(corpus.vocab.tokens[i] for i in seq.ids) + "\n")
+        for row in corpus.sequences:
+            fh.write(" ".join(corpus.vocab.tokens[i] for i in row) + "\n")
 
 
 @settings(max_examples=100, deadline=None)
@@ -447,7 +514,7 @@ def _per_row_save(corpus, path):
 def test_save_corpus_writes_the_per_row_text(tmp_path_factory, rows):
     # non-ASCII tokens, rows of length 1 and mixed widths, reserved ids too
     vocab = Vocab(["x", "é", "日本", "ß", "ñandú", "z"])
-    corpus = Corpus(vocab, [Sequence(tuple(row)) for row in rows])
+    corpus = Corpus(vocab, rows)
     tmp = tmp_path_factory.mktemp("save")
     save_corpus(corpus, tmp / "bulk.txt")
     _per_row_save(corpus, tmp / "rows.txt")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import filtergen as fg
 from filtergen import (Corpus, DiscConfig, InputError, MarkovModel, MarkovSource,
-                       SamplerConfig, Sequence, TextCNN, error_rate,
+                       SamplerConfig, TextCNN, error_rate,
                        train_discriminator, train_discriminator_corpora)
 from filtergen.data import _distinct_rows
 
@@ -40,7 +40,7 @@ def test_separable_classes_reach_high_accuracy():
     assert report.final_valid_accuracy >= 0.99
     fake_samples = MarkovModel(fake_src).sample_corpus(
         200, SamplerConfig(max_len=4, seed=2), np.random.default_rng(2))
-    p_real = disc.predict_corpus(real.sequences[:200])
+    p_real = disc.predict_corpus(real[:200])
     p_fake = disc.predict_corpus(fake_samples)
     assert p_real.min() > 0.9
     assert p_fake.max() < 0.1
@@ -96,7 +96,7 @@ def test_vocab_mismatch_rejected():
 def test_embeddings_copied_from_neural_generator_and_frozen():
     vocab = fg.build_vocab(["a b c"], max_size=10)
     gen = fg.NeuralLM(vocab, fg.NeuralConfig(embed_dim=6, hidden_dim=4, seed=0))
-    real = Corpus(vocab, tuple(Sequence((4, 5, 6)) for _ in range(40)), "train")
+    real = Corpus(vocab, [(4, 5, 6)] * 40, "train")
     cfg = DiscConfig(max_epochs=2, patience=1, lr=0.1, batch_size=16, seed=0)
     disc, _ = train_discriminator(real, gen, cfg, np.random.default_rng(0))
     assert disc.embed_frozen
@@ -108,8 +108,8 @@ def test_padding_never_changes_predictions():
     vocab = fg.build_vocab(["a b c d e"], max_size=10)
     rng = np.random.default_rng(6)
     disc = TextCNN(vocab, DiscConfig(embed_dim=8, seed=6), rng)
-    seqs = [Sequence((4, 5, 6)), Sequence((5,)), Sequence((6, 7, 8, 4, 5))]
-    singly = np.array([disc.predict_corpus([s])[0] for s in seqs])
+    seqs = Corpus(vocab, [(4, 5, 6), (5,), (6, 7, 8, 4, 5)])
+    singly = np.array([disc.predict_corpus(seqs[i:i + 1])[0] for i in range(3)])
     batched = disc.predict_corpus(seqs)  # pads to the longest in the batch
     assert np.abs(singly - batched).max() <= 1e-6
     # explicit extra padding columns
@@ -124,7 +124,7 @@ def test_padding_never_changes_predictions():
 def test_prediction_strictly_inside_unit_interval():
     vocab = fg.build_vocab(["a"], max_size=4)
     disc = TextCNN(vocab, DiscConfig(embed_dim=4, seed=7), np.random.default_rng(7))
-    p = disc.predict_corpus([Sequence((4, 4))])[0]
+    p = disc.predict_corpus(Corpus(vocab, [(4, 4)]))[0]
     assert 0.0 < p < 1.0
 
 
@@ -132,7 +132,7 @@ def test_gradients_match_finite_differences():
     vocab = fg.build_vocab(["a b c"], max_size=10)
     rng = np.random.default_rng(8)
     disc = TextCNN(vocab, DiscConfig(embed_dim=4, kernels2=3, kernels3=2, seed=8), rng)
-    batch = [Sequence((4, 5, 6, 4)), Sequence((5, 6)), Sequence((6, 4, 5))]
+    batch = Corpus(vocab, [(4, 5, 6, 4), (5, 6), (6, 4, 5)])
     labels = np.array([1.0, 0.0, 1.0])
     _, grads = disc.loss_and_grads(batch, labels)
     eps = 1e-5
@@ -168,7 +168,7 @@ class FixedDisc:
         self.fn = fn
 
     def predict_corpus(self, corpus):
-        return np.array([self.fn(s) for s in corpus])
+        return np.array([self.fn(row) for row in corpus.sequences])
 
 
 def test_error_rate_perfect_and_constant():
@@ -176,7 +176,7 @@ def test_error_rate_perfect_and_constant():
     real = fg.synth_markov(real_src, 300, np.random.default_rng(9), "test")
     fake = fg.synth_markov(fake_src, 300, np.random.default_rng(10), "gen")
     a_id = real_src.vocab.id_of("a")
-    perfect = FixedDisc(lambda s: 0.99 if s.ids[0] == a_id else 0.01)
+    perfect = FixedDisc(lambda row: 0.99 if row[0] == a_id else 0.01)
     assert error_rate(perfect, real, fake) == 0.0
     for const in (0.2, 0.5, 0.9):
         assert error_rate(FixedDisc(lambda s: const), real, fake) == 0.5
@@ -209,10 +209,13 @@ def test_predict_corpus_matrix_matches_sequence_list(rows):
     vocab = fg.build_vocab(["a b c d e"], max_size=10)
     disc = TextCNN(vocab, DiscConfig(embed_dim=4, kernels2=3, kernels3=2, seed=9),
                    np.random.default_rng(9))
-    corpus = Corpus(vocab, tuple(Sequence(tuple(r)) for r in rows))
-    from_matrix = disc.predict_corpus(Corpus.from_arrays(vocab, corpus.ids, corpus.lengths))
-    assert np.array_equal(from_matrix, disc.predict_corpus(list(corpus)))
-    assert np.array_equal(disc.predict_corpus(corpus), disc.predict_corpus(list(corpus)))
+    corpus = Corpus(vocab, rows)
+    # a wider matrix whose entries past each row's end are arbitrary ids
+    junk = np.random.default_rng(len(rows)).integers(0, len(vocab), (len(rows), 12))
+    for i, row in enumerate(rows):
+        junk[i, : len(row)] = row
+    from_matrix = disc.predict_corpus(Corpus.from_arrays(vocab, junk, corpus.lengths))
+    assert np.array_equal(from_matrix, disc.predict_corpus(corpus))
 
 
 def _bias_disc(seed=15):
@@ -237,7 +240,7 @@ def _scored_alone(row: tuple) -> float:
     # the reference: the row as a corpus of its own (memoized; the
     # classifier never changes)
     if row not in _ALONE:
-        _ALONE[row] = _DISC.predict_corpus(Corpus(_DISC.vocab, (Sequence(row),)))[0]
+        _ALONE[row] = _DISC.predict_corpus(Corpus(_DISC.vocab, [row]))[0]
     return _ALONE[row]
 
 
@@ -268,17 +271,16 @@ def test_predict_corpus_scores_every_row_as_if_alone(pool, picks, many, chunk, o
     if many == 0:
         rows += _MANY + rows
         order.shuffle(rows)
+    if not rows:
+        with pytest.raises(InputError):
+            _DISC.predict_corpus(Corpus(_DISC.vocab, rows))
+        return
     expected = np.array([_scored_alone(r) for r in rows])
-    seqs = [Sequence(r) for r in rows]
-    assert np.array_equal(_DISC.predict_corpus(seqs, chunk=chunk), expected)
-    assert np.array_equal(_DISC.predict_corpus(seqs), expected)
-    if rows:
-        corpus = Corpus(_DISC.vocab, seqs)
-        assert np.array_equal(_DISC.predict_corpus(corpus), expected)
-        assert np.array_equal(_DISC.predict_corpus(corpus[len(rows) // 2:]),
-                              expected[len(rows) // 2:])
-    else:
-        assert _DISC.predict_corpus(seqs).shape == (0,)
+    corpus = Corpus(_DISC.vocab, rows)
+    assert np.array_equal(_DISC.predict_corpus(corpus, chunk=chunk), expected)
+    assert np.array_equal(_DISC.predict_corpus(corpus), expected)
+    assert np.array_equal(_DISC.predict_corpus(corpus[len(rows) // 2:]),
+                          expected[len(rows) // 2:])
 
 
 @settings(max_examples=30, deadline=None)
@@ -288,7 +290,7 @@ def test_predict_corpus_scores_every_row_as_if_alone(pool, picks, many, chunk, o
 def test_logits_do_not_depend_on_the_batch_or_on_padding(pool, extra_pad):
     # the property the deduplication rests on, at the forward pass: a row's
     # logit is bit-identical whatever rows and PAD columns surround it
-    ids, lengths = fg.data.corpus_to_arrays([Sequence(r) for r in pool])
+    ids, lengths = fg.data.corpus_to_arrays(Corpus(_DISC.vocab, pool))
     padded = np.concatenate([ids, np.full((len(pool), extra_pad), fg.data.PAD)], axis=1)
     batch, _ = _DISC._forward(padded, lengths)
     for i, row in enumerate(pool):
@@ -444,13 +446,14 @@ def test_domain_scores_equal_their_scores_inside_a_sampled_batch(s3, s3_disc):
     disc, _ = s3_disc
     domain = s3.p_model.domain
     by_domain = disc.predict_corpus(domain)
-    assert np.array_equal(by_domain, [disc.predict_corpus([seq])[0] for seq in domain])
-    index = {seq.ids: i for i, seq in enumerate(domain)}
+    assert np.array_equal(by_domain, [disc.predict_corpus(domain[i:i + 1])[0]
+                                      for i in range(len(domain))])
+    index = {row: i for i, row in enumerate(domain.sequences)}
     batch = s3.generator.sample_corpus(5000, SamplerConfig(max_len=s3.length, seed=17),
                                        np.random.default_rng(17))
-    assert len(set(batch)) > 1  # the batch repeats sequences and mixes them
-    assert np.array_equal(disc.predict_corpus(batch),
-                          by_domain[[index[seq.ids] for seq in batch]])
+    rows = batch.sequences
+    assert len(set(rows)) > 1  # the batch repeats sequences and mixes them
+    assert np.array_equal(disc.predict_corpus(batch), by_domain[[index[row] for row in rows]])
 
 
 def test_stop_reason_records_patience_and_max_epochs():
@@ -705,7 +708,7 @@ def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
             assert not grads["embed"].any()
         # and through the public batch call
         labels = (rng.random(len(lengths)) < 0.5).astype(np.float64)
-        seqs = [Sequence(tuple(int(t) for t in row[:n])) for row, n in zip(ids, lengths)]
+        seqs = Corpus.from_arrays(vocab, ids, lengths)
         loss, grads = disc.loss_and_grads(seqs, labels)
         ids2, lengths2 = fg.data.corpus_to_arrays(seqs)
         ref_logits, ref_cache = _reference_forward(disc, ids2, lengths2)
@@ -738,17 +741,16 @@ def _step_batches(s3):
     return {
         # a training batch of the s3 workload: real rows and samples, many repeated
         "s3": Corpus.concat([s3.train[:128], sampled]),
-        "identical": Corpus(vocab, (Sequence((4, 5, 6, 5)),) * 40),
-        "distinct": Corpus(vocab, tuple(Sequence(r) for r in _random_distinct_rows(60, 25))),
+        "identical": Corpus(vocab, [(4, 5, 6, 5)] * 40),
+        "distinct": Corpus(vocab, _random_distinct_rows(60, 25)),
         # one id-matrix row, [4, PAD, PAD], at lengths 3, 1 and 2
         "length-only": Corpus.from_arrays(vocab, [[4, 2, 2], [4, 2, 2], [5, 4, 6], [4, 2, 2],
                                                   [4, 2, 2], [5, 4, 6]], [3, 1, 3, 2, 1, 3]),
         # no row reaches the window-3 bank
-        "short": Corpus(vocab, tuple(Sequence(r) for r in
-                                     [(4,), (5, 6), (4,), (6, 6), (5, 6), (7, 4), (8,)])),
+        "short": Corpus(vocab, [(4,), (5, 6), (4,), (6, 6), (5, 6), (7, 4), (8,)]),
         # more distinct tokens than one block of the token sum, and some
         # rows twice
-        "many-tokens": Corpus(wide, tuple(Sequence(r) for r in wide_rows + wide_rows[::3])),
+        "many-tokens": Corpus(wide, wide_rows + wide_rows[::3]),
     }
 
 
@@ -789,8 +791,8 @@ def test_sigmoid_equals_the_two_branch_sigmoid_bit_for_bit():
 def _ragged_corpus(vocab, n, low, seed):
     # rows of 1-8 tokens drawn from ids low..8
     rng = np.random.default_rng(seed)
-    return Corpus(vocab, tuple(Sequence(tuple(int(t) for t in rng.integers(low, 9, size=m)))
-                               for m in rng.integers(1, 9, size=n)), "train")
+    return Corpus(vocab, [rng.integers(low, 9, size=m) for m in rng.integers(1, 9, size=n)],
+                  "train")
 
 
 @pytest.mark.parametrize("frozen", [False, True])
@@ -865,7 +867,7 @@ def test_grouped_step_equals_the_per_row_step(frozen, case, data):
     if case == "cancel":  # one row repeated whose summed dlogits are 0
         rows += [rows[0]] * 2
         labels += _cancelling_labels(disc, rows[0])
-    batch = Corpus(vocab, tuple(Sequence(r) for r in rows))
+    batch = Corpus(vocab, rows)
     labels = np.array(labels)
     loss, grads = disc.loss_and_grads(batch, labels)
     ids, lengths = fg.data.corpus_to_arrays(batch)
@@ -911,7 +913,7 @@ def test_token_sum_adds_fixed_blocks_in_order(de, k, tokens):
 def test_loss_and_grads_rejects_bad_labels(labels):
     vocab = fg.build_vocab(["a b c"], max_size=10)
     disc = TextCNN(vocab, FAST, np.random.default_rng(9))
-    batch = Corpus(vocab, tuple(Sequence((4 + i % 3, 5)) for i in range(10)))
+    batch = Corpus(vocab, [(4 + i % 3, 5) for i in range(10)])
     with pytest.raises(InputError, match="labels"):
         disc.loss_and_grads(batch, labels)
     disc.loss_and_grads(batch, np.linspace(0.0, 1.0, 10))  # the bounds are allowed

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 import filtergen as fg
 from filtergen import (EOS, Corpus, InputError, MarkovModel, NeuralConfig, NeuralLM,
-                       NGramConfig, NGramLM, SamplerConfig, Sequence,
+                       NGramConfig, NGramLM, SamplerConfig,
                        build_vocab, encode_corpus, perplexity, synth_markov,
                        train_mle)
 from filtergen.checkpoint import load_model, save_model
-from filtergen.oracle import enumerate_distribution
+from filtergen.oracle import enumerate_distribution, enumerate_domain
 
 
 def _uniform_source(k=3, length=4, seed=0):
@@ -51,14 +51,14 @@ def test_seq_logprob_deterministic_chain():
     source = fg.MarkovSource(("a", "b"), np.array([1.0, 0.0]),
                              np.array([[0.0, 1.0], [1.0, 0.0]]), 3)
     model = MarkovModel(source)
-    seq = model.sample_corpus(1, SamplerConfig(seed=0))[0]
+    seq = model.sample_corpus(1, SamplerConfig(seed=0)).sequences[0]
     assert model.seq_logprob(seq) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_seq_logprob_uniform_fixed_length():
     vocab = build_vocab(["a b c"], max_size=10)
     model = NGramLM(vocab, order=2, delta=0.01, fixed_length=2)  # untrained: uniform
-    seq = Sequence((vocab.id_of("a"), vocab.id_of("c")))
+    seq = (vocab.id_of("a"), vocab.id_of("c"))
     assert model.seq_logprob(seq) == pytest.approx(math.log(1 / 9), abs=1e-12)
 
 
@@ -68,7 +68,7 @@ def test_seq_logprob_matches_enumeration():
         np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]), 3)
     model = MarkovModel(source)
     dist = enumerate_distribution(source, source.vocab, 3)
-    for seq, p in zip(dist.domain, dist.probs):
+    for seq, p in zip(dist.domain.sequences, dist.probs):
         assert math.exp(model.seq_logprob(seq)) == pytest.approx(p, abs=1e-9)
 
 
@@ -87,7 +87,8 @@ def test_sampling_greedy_limit_and_determinism():
     train = synth_markov(source, 2000, np.random.default_rng(8), "train")
     model = train_mle(train, None, NGramConfig(order=2, delta=0.01, fixed_length=4))
     greedy = SamplerConfig(temperature=1e-6, max_len=4, seed=1)
-    out = {model.sample_corpus(1, greedy, np.random.default_rng(s))[0].ids for s in range(20)}
+    out = {model.sample_corpus(1, greedy, np.random.default_rng(s)).sequences[0]
+           for s in range(20)}
     assert len(out) == 1  # argmax decoding regardless of the stream
     # independent greedy decode: follow the per-step argmax by hand
     expected, ctx = [], (fg.BOS,)
@@ -116,7 +117,7 @@ def test_first_token_marginal_monte_carlo():
     first_row = model.cond_probs((fg.BOS,))
     samples = model.sample_corpus(100_000, SamplerConfig(seed=2),
                                   np.random.default_rng(2))
-    firsts = np.array([s.ids[0] for s in samples])
+    firsts = samples.ids[:, 0]
     for idx, token in enumerate(model.support):
         freq = float((firsts == token).mean())
         assert freq == pytest.approx(first_row[idx], abs=0.01)
@@ -125,7 +126,7 @@ def test_first_token_marginal_monte_carlo():
 def test_perplexity_uniform_and_deterministic():
     vocab = build_vocab(["a b c"], max_size=10)
     uniform = NGramLM(vocab, order=1, delta=0.01, fixed_length=3)
-    corpus = Corpus(vocab, (Sequence((4, 5, 6)), Sequence((6, 6, 4))), "test")
+    corpus = Corpus(vocab, [(4, 5, 6), (6, 6, 4)], "test")
     assert perplexity(uniform, corpus) == pytest.approx(3.0, abs=1e-6)
     chain = MarkovModel(fg.MarkovSource(("a", "b"), np.array([1.0, 0.0]),
                                         np.array([[0.0, 1.0], [1.0, 0.0]]), 3))
@@ -166,7 +167,7 @@ def _toy_neural(fixed_length=None, seed=0):
 
 def test_neural_gradients_match_finite_differences():
     vocab, model = _toy_neural()
-    batch = [Sequence((4, 5, 6)), Sequence((5, 5)), Sequence((6,))]
+    batch = Corpus(vocab, [(4, 5, 6), (5, 5), (6,)])
     _, grads = model.nll_and_grads(batch)
     eps = 1e-4
     worst = 0.0
@@ -189,14 +190,12 @@ def test_neural_gradients_match_finite_differences():
                 min_size=1, max_size=12))
 def test_neural_targets_match_a_per_sequence_loop(rows):
     vocab, model = _toy_neural()
-    batch = [Sequence(tuple(r)) for r in rows]
-    targets, events = model._targets(Corpus(vocab, batch))
+    targets, events = model._targets(Corpus(vocab, rows))
     eos = model._sup_index[EOS]
     assert events.tolist() == [len(r) + 1 for r in rows]
     for row, got in zip(rows, targets):
         want = [model._sup_index[i] for i in row] + [eos]
         assert got.tolist() == want + [0] * (targets.shape[1] - len(want))
-    assert model.nll_and_grads(Corpus(vocab, batch))[0] == model.nll_and_grads(batch)[0]
 
 
 def test_neural_training_nll_decreases_monotonically():
@@ -213,7 +212,7 @@ def test_neural_training_nll_decreases_monotonically():
 
 def test_neural_stepwise_distributions_normalize():
     _, model = _toy_neural(fixed_length=3)
-    probs = np.exp([model.seq_logprob(Sequence(ids))
+    probs = np.exp([model.seq_logprob(ids)
                     for ids in itertools.product((4, 5, 6), repeat=3)])
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -291,8 +290,8 @@ def _ref_events(model, ids):
 def _ref_counts(model, *corpora):
     counts = {}
     for corpus in corpora:
-        for seq in corpus:
-            for ctx, tok in _ref_events(model, seq.ids):
+        for row in corpus.sequences:
+            for ctx, tok in _ref_events(model, row):
                 row = counts.setdefault(ctx, np.zeros(len(model.support)))
                 row[model._sup_index[tok]] += 1.0
     return counts
@@ -309,7 +308,7 @@ def _ngram_case(draw):
         row = st.lists(st.one_of(content, st.just(fg.UNK)), min_size=1, max_size=7)
     else:
         row = st.lists(content, min_size=fixed, max_size=fixed)
-    first, second = (Corpus(vocab, [Sequence(tuple(r)) for r in rows])
+    first, second = (Corpus(vocab, rows)
                      for rows in (draw(st.lists(row, min_size=1, max_size=12)),
                                   draw(st.lists(row, min_size=1, max_size=12))))
     return draw(st.integers(1, 3)), fixed, first, second
@@ -329,7 +328,7 @@ def test_ngram_fit_and_seq_logprobs_match_per_event_loops(case):
             assert fitted._totals[ctx] == row.sum()
     got = model.seq_logprobs(test)
     assert got.shape == (len(test),) and got.dtype == np.float64
-    np.testing.assert_allclose(got, [model.seq_logprob(s) for s in test],
+    np.testing.assert_allclose(got, [model.seq_logprob(s) for s in test.sequences],
                                rtol=1e-12, atol=0)
 
 
@@ -344,7 +343,7 @@ def test_ngram_seq_logprobs_memory_scales_with_events_not_vocabulary():
     lines = [" ".join(rng.choice(words, size=rng.integers(1, 6))) for _ in range(400)]
     corpus = encode_corpus(lines, vocab, "test")
     model = train_mle(corpus, None, NGramConfig(order=2))
-    want = [model.seq_logprob(s) for s in corpus]  # one event at a time
+    want = [model.seq_logprob(s) for s in corpus.sequences]  # one event at a time
     tracemalloc.start()
     try:
         got = model.seq_logprobs(corpus)
@@ -369,20 +368,42 @@ def test_markov_seq_logprobs_match_exact_prob(k, seed, rows):
     source = fg.MarkovSource(tuple("abcd"[:k]), initial / initial.sum(),
                              transition / transition.sum(axis=1, keepdims=True), 3)
     model = MarkovModel(source)
-    corpus = Corpus(source.vocab, [Sequence(tuple(4 + s % k for s in r)) for r in rows])
-    want = [model.seq_logprob(s) for s in corpus]
+    corpus = Corpus(source.vocab, [tuple(4 + s % k for s in r) for r in rows])
+    want = [model.seq_logprob(s) for s in corpus.sequences]
     np.testing.assert_allclose(model.seq_logprobs(corpus), want, rtol=1e-12, atol=0)
     with pytest.raises(InputError):
-        model.seq_logprobs(Corpus(source.vocab, [Sequence((4, fg.UNK))]))
+        model.seq_logprobs(Corpus(source.vocab, [(4, fg.UNK)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_markov_model_and_oracle_share_one_chain_product(k, length, seed):
+    # the scorer over the enumerated domain and the oracle's probability
+    # table: the same products, so the logs agree bit for bit, with -inf
+    # exactly where p is 0 (entries below 0.15 are zeroed). The reference
+    # log is math.log, seq_logprob's; numpy's log may differ in the last bit.
+    rng = np.random.default_rng(seed)
+    initial = rng.dirichlet(np.full(k, 0.5))
+    transition = rng.dirichlet(np.full(k, 0.5), size=k)
+    for table in (initial, transition):
+        table[table < 0.15] = 0.0
+    source = fg.MarkovSource(tuple("abcd"[:k]), initial / initial.sum(),
+                             transition / transition.sum(axis=1, keepdims=True), length)
+    domain = enumerate_domain(source.vocab, length)
+    probs = enumerate_distribution(source, source.vocab, length).probs
+    want = np.array([math.log(p) if p > 0 else -math.inf for p in probs.tolist()])
+    got = MarkovModel(source).seq_logprobs(domain)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.isneginf(got), probs == 0)
 
 
 @pytest.mark.parametrize("fixed_length", [None, 3])
 def test_neural_seq_logprobs_match_seq_logprob(fixed_length):
     vocab, model = _toy_neural(fixed_length=fixed_length, seed=4)
     lengths = (3,) if fixed_length else (1, 2, 3, 4)
-    corpus = Corpus(vocab, [Sequence(ids) for n in lengths
+    corpus = Corpus(vocab, [ids for n in lengths
                             for ids in itertools.product((4, 5, 6), repeat=n)])
-    want = [model.seq_logprob(s) for s in corpus]
+    want = [model.seq_logprob(s) for s in corpus.sequences]
     np.testing.assert_allclose(model.seq_logprobs(corpus), want, rtol=1e-12, atol=0)
 
 
@@ -412,10 +433,10 @@ def test_neural_batched_kernel_matches_the_scalar_path(fixed_length):
     rng = np.random.default_rng(6)
     # 300 rows: one full 256-row forward pass and a partial one
     lengths = np.full(300, 4) if fixed_length else rng.integers(1, 9, 300)
-    corpus = Corpus(vocab, [Sequence(tuple(rng.integers(4, 7, n))) for n in lengths])
-    want = np.array([-_ref_neural_nll(model, [s]) for s in corpus])
+    corpus = Corpus(vocab, [rng.integers(4, 7, n) for n in lengths])
+    want = np.array([-_ref_neural_nll(model, corpus[i: i + 1]) for i in range(len(corpus))])
     np.testing.assert_allclose(model.seq_logprobs(corpus), want, rtol=1e-12, atol=0)
-    assert [model.seq_logprob(s) for s in corpus[:20]] == pytest.approx(
+    assert [model.seq_logprob(s) for s in corpus[:20].sequences] == pytest.approx(
         want[:20], rel=1e-12, abs=0)
     # the old mean_nll: scalar-path sums over 256-row batches, per event
     total = sum(_ref_neural_nll(model, corpus[i: i + 256]) for i in range(0, 300, 256))
@@ -586,8 +607,8 @@ def test_ngram_sample_frequencies_match_seq_logprobs(order, k, length, seed):
     train = synth_markov(source, 60, rng, "train")
     model = NGramLM(train.vocab, order, 0.1, length).fit(train)
     dist = enumerate_distribution(model, train.vocab, length)
-    np.testing.assert_allclose(dist.probs, np.exp(model.seq_logprobs(Corpus(
-        train.vocab, dist.domain))), rtol=1e-12)
+    np.testing.assert_allclose(dist.probs, np.exp(model.seq_logprobs(dist.domain)),
+                               rtol=1e-12)
     n = 20_000
     samples = model.sample_corpus(n, SamplerConfig(max_len=length, seed=seed),
                                   np.random.default_rng(seed))

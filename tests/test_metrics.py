@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import filtergen as fg
 from filtergen import (BleuConfig, Corpus, InputError, MarkovModel, NGramConfig,
-                       SamplerConfig, Sequence, bleu, build_vocab, embed,
+                       SamplerConfig, bleu, build_vocab, embed,
                        encode_corpus, fed, fit_ppmi_svd, lm_score, perplexity,
                        reverse_lm_score, self_bleu, synth_markov)
 from filtergen.metrics import (_EPSILON, SWEEP_COLUMNS, MetricScorer, _cooccurrences,
@@ -162,15 +162,15 @@ def _ref_bleu(hypotheses, references, cfg: BleuConfig) -> float:
     max_counts = {}
     for k in range(1, cfg.max_order + 1):
         table: dict = {}
-        for ref in references:
-            for g, c in _ref_ngram_counts(ref.ids, k).items():
+        for ref in references.sequences:
+            for g, c in _ref_ngram_counts(ref, k).items():
                 if c > table.get(g, 0):
                     table[g] = c
         max_counts[k] = lambda g, t=table: t.get(g, 0)
-    ref_lengths = sorted(len(r) for r in references)
+    ref_lengths = sorted(len(r) for r in references.sequences)
     scores = [
-        _ref_sentence_bleu(h.ids, max_counts, _ref_closest_length(ref_lengths, len(h)), cfg)
-        for h in hypotheses
+        _ref_sentence_bleu(h, max_counts, _ref_closest_length(ref_lengths, len(h)), cfg)
+        for h in hypotheses.sequences
     ]
     return float(np.mean(scores))
 
@@ -183,7 +183,7 @@ def _ref_self_bleu(samples, cfg: BleuConfig) -> float:
     for k in range(1, cfg.max_order + 1):
         table: dict = {}
         for i, seq in enumerate(seqs):
-            for g, c in _ref_ngram_counts(seq.ids, k).items():
+            for g, c in _ref_ngram_counts(seq, k).items():
                 best, owner, second = table.get(g, (0, -1, 0))
                 if c > best:
                     best, owner, second = c, i, best
@@ -210,7 +210,7 @@ def _ref_self_bleu(samples, cfg: BleuConfig) -> float:
         else:
             remaining = [n for n in lengths if n != own]
             ref_len = _ref_closest_length(remaining, own)
-        scores.append(_ref_sentence_bleu(seq.ids, max_counts, ref_len, cfg))
+        scores.append(_ref_sentence_bleu(seq, max_counts, ref_len, cfg))
     return float(np.mean(scores))
 
 
@@ -224,7 +224,7 @@ def _random_corpus(draw, min_rows=1, n_tokens=None):
     rows = draw(st.lists(row, min_size=min_rows, max_size=14))
     repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
     rows += [rows[i] for i in repeats]
-    return Corpus(vocab, [Sequence(tuple(r)) for r in rows], "x")
+    return Corpus(vocab, rows, "x")
 
 
 @settings(max_examples=300, deadline=None)
@@ -285,9 +285,8 @@ def test_lm_score_flags_random_tokens(s2):
     oracle = fg.train_mle(s2.train, None,
                           NGramConfig(order=2, delta=0.01, fixed_length=s2.length))
     rng = np.random.default_rng(5)
-    noise = Corpus(s2.vocab, tuple(
-        Sequence(tuple(rng.integers(4, 4 + s2.vocab.content_size, s2.length)))
-        for _ in range(500)), "noise")
+    noise = Corpus(s2.vocab, [rng.integers(4, 4 + s2.vocab.content_size, s2.length)
+                              for _ in range(500)], "noise")
     assert lm_score(oracle, noise) > lm_score(oracle, s2.test)
 
 
@@ -305,7 +304,7 @@ def test_lm_score_rejects_tokens_outside_the_support(vocab):
     with pytest.raises(InputError):
         lm_score(fixed, _corpus(vocab, ["a b c", "a zz c"]))  # UNK, not content
     variable = fg.train_mle(_corpus(vocab, ["a b c"] * 20), None, NGramConfig(order=3))
-    with_pad = Corpus(vocab, (Sequence((4, 5)), Sequence((4, fg.PAD))), "x")
+    with_pad = Corpus(vocab, [(4, 5), (4, fg.PAD)], "x")
     with pytest.raises(InputError):
         lm_score(variable, with_pad)
 
@@ -342,11 +341,12 @@ def test_lm_scores_invariant_under_shuffling(s2):
     cfg = NGramConfig(order=2, delta=0.01, fixed_length=s2.length)
     oracle = fg.train_mle(s2.train, None, cfg)
     rng = np.random.default_rng(3)
+    test_rows, train_rows = s2.test.sequences, s2.train.sequences
     shuffled = Corpus(s2.vocab, tuple(
-        s2.test.sequences[i] for i in rng.permutation(len(s2.test))), "test")
+        test_rows[i] for i in rng.permutation(len(test_rows))), "test")
     assert lm_score(oracle, shuffled) == pytest.approx(lm_score(oracle, s2.test), abs=1e-12)
     shuffled_train = Corpus(s2.vocab, tuple(
-        s2.train.sequences[i] for i in rng.permutation(len(s2.train))), "train")
+        train_rows[i] for i in rng.permutation(len(train_rows))), "train")
     assert reverse_lm_score(shuffled_train, s2.test, cfg) == pytest.approx(
         reverse_lm_score(s2.train, s2.test, cfg), abs=1e-12)
 
@@ -369,23 +369,23 @@ def test_embedding_shape_and_determinism(s2):
 def test_embedding_singleton_mean_is_token_row(s2):
     em = fit_ppmi_svd(s2.train, dim=8)
     tok = next(iter(s2.vocab.content_ids))
-    single = embed(Corpus(s2.vocab, (Sequence((tok,)),), "x"), em)
+    single = embed(Corpus(s2.vocab, [(tok,)], "x"), em)
     assert np.allclose(single[0], em.vectors[tok])
 
 
 def _ref_embed(samples, em):
     out = np.empty((len(samples), em.dim))
-    for i, seq in enumerate(samples):
-        out[i] = em.vectors[list(seq.ids)].mean(axis=0)
+    for i, seq in enumerate(samples.sequences):
+        out[i] = em.vectors[list(seq)].mean(axis=0)
     return out
 
 
 def _ref_cooccurrences(corpus, window):
-    seen = sorted({i for seq in corpus for i in seq.ids} | {fg.BOS, fg.EOS})
+    seen = sorted({i for seq in corpus.sequences for i in seq} | {fg.BOS, fg.EOS})
     index = {tok: j for j, tok in enumerate(seen)}
     cooc = np.zeros((len(seen), len(seen)))
-    for seq in corpus:
-        ids = (fg.BOS,) + seq.ids + (fg.EOS,)
+    for seq in corpus.sequences:
+        ids = (fg.BOS,) + seq + (fg.EOS,)
         for a, tok in enumerate(ids):
             for b in range(max(0, a - window), min(len(ids), a + window + 1)):
                 if b != a:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtergen as fg
-from filtergen import (DegenerateError, InputError, MarkovSource, Sequence,
-                       enumerate_distribution, exact_boundary,
+from filtergen import (DegenerateError, InputError, MarkovSource, enumerate_distribution, exact_boundary,
                        exact_filtered_distribution, js_divergence,
                        optimal_discriminator, tv_distance)
-from filtergen.oracle import exact_acceptance, sequence_indices
+from filtergen.oracle import enumerate_domain, exact_acceptance, sequence_indices
 
 
 def _uniform_source(k=3, length=2):
@@ -28,17 +28,27 @@ def test_enumerate_uniform():
 def test_enumeration_order_is_lexicographic():
     source = _uniform_source(3, 2)
     dist = enumerate_distribution(source, source.vocab, 2)
+    assert isinstance(dist.domain, fg.Corpus)
+    assert dist.domain.sequences == tuple(itertools.product((4, 5, 6), repeat=2))
     assert sequence_indices(dist.domain, 3, 2).tolist() == list(range(9))
-    matrix = fg.Corpus(source.vocab, dist.domain[::-1])
+    matrix = fg.Corpus(source.vocab, dist.domain.sequences[::-1])
     assert sequence_indices(matrix, 3, 2).tolist() == list(range(8, -1, -1))
     with pytest.raises(InputError):
-        sequence_indices(fg.Corpus(source.vocab, (Sequence((4,)), Sequence((4, 5)))), 3, 2)
+        sequence_indices(fg.Corpus(source.vocab, [(4,), (4, 5)]), 3, 2)
 
 
 def test_enumerate_rejects_oversized_domain():
     source = _uniform_source(5, 2)
     with pytest.raises(InputError):
         enumerate_distribution(source, source.vocab, 12)  # 5^12 > 1e6
+
+
+def test_enumerate_domain_rejects_an_empty_domain():
+    source = _uniform_source(3, 2)
+    with pytest.raises(InputError, match="length must be >= 1"):
+        enumerate_domain(source.vocab, 0)
+    with pytest.raises(InputError, match="no content tokens"):
+        enumerate_domain(fg.Vocab([]), 2)
 
 
 def test_model_enumeration_normalizes(s2):

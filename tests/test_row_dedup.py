@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtergen as fg
-from filtergen import BleuConfig, Corpus, NGramLM, Sequence, bleu, embed, self_bleu
+from filtergen import BleuConfig, Corpus, NGramLM, bleu, embed, self_bleu
 from filtergen.data import _gram_ranks
 from filtergen.genmodel import libm_map
 from filtergen.metrics import _EPSILON, _closest_length, _row_gram_counts
@@ -148,7 +148,7 @@ def _repeating_corpus(draw, vocab, fixed=None, unk=False):
     size = {"min_size": fixed or 1, "max_size": fixed or 5}
     pool = draw(st.lists(st.lists(token, **size), min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
-    return Corpus(vocab, [Sequence(tuple(pool[i])) for i in picks], "x")
+    return Corpus(vocab, [pool[i] for i in picks], "x")
 
 
 @settings(max_examples=300, deadline=None)
