@@ -23,7 +23,7 @@ scorer = MetricScorer(("bleu", "selfbleu", "lm"), real_train=s2.train,
                       real_test=s2.test, fixed_length=s2.length, seed=7)
 report = temperature_sweep(
     s2.generator, scorer, temps=[0.9, 1.0, 1.1, 1.2],
-    n_per_point=1500, disc=disc, c_values=(0.5,), max_len=s2.length)
+    n_per_point=1500, disc=disc, c_values=(0.5,))
 
 print(report.csv_text())
 print("rows per temperature: baseline, accepted, rejected -- compare bleu5")

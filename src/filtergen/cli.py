@@ -12,10 +12,13 @@ files, they reproduce its artifacts and its ``sweep.csv`` cells, apart from
 The pipeline persists one artifact set per stage under the output
 directory and records the run in ``manifest.json``: a rerun recomputes the
 first stage whose config, code, inputs or artifacts changed, and every
-later stage. With a single worker
-every run is bit-reproducible for a given (config, seed) and BLAS thread
-count: TextCNN training's matrix products can round differently when BLAS
-splits them over more threads, so set ``OPENBLAS_NUM_THREADS=1`` (as
+later stage. Every stage and subcommand reads, samples and scores rows
+of at most ``data.DEFAULT_MAX_LEN`` tokens, with BLEU of order 5 and a
+64-dimensional FED embedding. With a single worker every run is
+bit-reproducible for a given (config, seed) and BLAS thread count: the
+recurrent generator's matrix products and FED's LAPACK calls can round
+differently when BLAS splits them over more threads (TextCNN training sums
+in a fixed order and does not), so set ``OPENBLAS_NUM_THREADS=1`` (as
 perfbench does) for results that match across machines.
 """
 
@@ -33,18 +36,17 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_model, save_model
-from .data import (DEFAULT_MAX_LEN, Vocab, atomic_open, build_vocab, encode_corpus,
-                   load_corpus, read_lines, save_corpus, synth_markov)
+from .data import (Vocab, atomic_open, build_vocab, encode_corpus, load_corpus, read_lines,
+                   save_corpus)
 from .disc import DiscConfig, error_rate, train_discriminator
 from .errors import BudgetError, ConfigError, FiltergenError, InputError, integer, number
 from .filtering import BoundaryEstimateConfig
 # unused here since the subcommands run metrics.grid_boundary and grid_streams,
 # but perfbench's tracer test still expects this module to bind them
 from .filtering import estimate_boundary, sample_filtered  # noqa: F401
-from .genmodel import NeuralConfig, NGramConfig, SamplerConfig, train_mle
-from .metrics import (KNOWN_METRICS, RLM_MIN_SAMPLES, SWEEP_COLUMNS, BleuConfig,
-                      MetricScorer, SweepReport, grid_baseline, grid_boundary,
-                      grid_sampler, grid_streams)
+from .genmodel import NeuralConfig, NGramConfig, train_mle
+from .metrics import (KNOWN_METRICS, RLM_MIN_SAMPLES, SWEEP_COLUMNS, MetricScorer,
+                      SweepReport, grid_baseline, grid_boundary, grid_streams)
 from .oracle import exact_boundary, exact_filtered_distribution, tv_distance
 from .scenarios import SCENARIO_NAMES, build_scenario, load_spec
 from .seeding import derive_seed
@@ -53,9 +55,9 @@ from .seeding import derive_seed
 # Experiment configuration (strict schema: unknown keys are errors).
 # ---------------------------------------------------------------------------
 
-_EVAL_DEFAULTS = {"n_samples": 2000, "bleu_order": 5, "embed_dim": 64, "max_len": DEFAULT_MAX_LEN}
-# corpus limits of the data section and of train-gen's config
-_CORPUS_DEFAULTS = {"vocab_size": 10_000, "max_len": DEFAULT_MAX_LEN}
+_EVAL_DEFAULTS = {"n_samples": 2000}
+# the vocabulary limit of the data section and of train-gen's config
+_CORPUS_DEFAULTS = {"vocab_size": 10_000}
 _GENERATORS = {"ngram": NGramConfig, "neural": NeuralConfig}
 _is_positive_int, _ = integer(1)
 _is_seed, _ = integer(0)
@@ -94,11 +96,7 @@ _SPLITS = ("train", "valid", "test")
 def validate_config(path) -> ExperimentConfig:
     """Parse and validate; raises ConfigError carrying every problem found."""
     problems: list[str] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-        raise ConfigError([f"cannot read config: {exc}"])
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(["config must be a JSON object"])
 
@@ -281,7 +279,10 @@ class _Pipeline:
             previous.get(key) == self.manifest[key]
             for key in ("config_hash", "versions", "inputs"))
         self.previous = previous.get("stages") if same else None
-        self.scenario = build_scenario(config.scenario) if config.scenario else None
+        spec = load_spec(config.scenario) if config.scenario else None
+        if config.data_sizes:  # the scenario's splits, drawn at other sizes
+            spec["data_sizes"] = config.data_sizes
+        self.scenario = build_scenario(spec) if spec else None
 
     def _digests(self, artifacts: list[str]) -> list[dict]:
         return [{"path": a, "sha256": _sha256(self.out / a)} for a in artifacts]
@@ -349,33 +350,19 @@ class _Pipeline:
     def _stage_data(self) -> None:
         cfg = self.cfg
         if self.scenario is not None:
-            s = self.scenario
-            corpora = {"train": s.train, "valid": s.valid, "test": s.test}
-            if cfg.data_sizes:
-                spec_seed = load_spec(cfg.scenario)["seed"]
-                corpora = {
-                    name: synth_markov(
-                        s.source, cfg.data_sizes[name],
-                        np.random.default_rng(derive_seed(spec_seed, name, s.length)),
-                        name)
-                    for name in _SPLITS
-                }
-            for name, corpus in corpora.items():
-                save_corpus(corpus, self.out / f"{name}.txt")
-            s.vocab.save(self.out / "vocab.json")
+            for name in _SPLITS:
+                save_corpus(getattr(self.scenario, name), self.out / f"{name}.txt")
+            self.scenario.vocab.save(self.out / "vocab.json")
         else:
             vocab = build_vocab(read_lines(cfg.data["train"]), cfg.data["vocab_size"])
             vocab.save(self.out / "vocab.json")
             for name in _SPLITS:
-                corpus = load_corpus(cfg.data[name], vocab, name, cfg.data["max_len"])
-                save_corpus(corpus, self.out / f"{name}.txt")
+                save_corpus(load_corpus(cfg.data[name], vocab, name), self.out / f"{name}.txt")
 
     def _corpora(self, *names):
         """The named splits of the data stage, encoded with its vocabulary."""
         vocab = Vocab.load(self.out / "vocab.json")
-        max_len = self.cfg.eval["max_len"]
-        return {name: load_corpus(self.out / f"{name}.txt", vocab, name, max_len)
-                for name in names}
+        return {name: load_corpus(self.out / f"{name}.txt", vocab, name) for name in names}
 
     def _stage_train_gen(self) -> None:
         if self.scenario is not None:
@@ -404,36 +391,26 @@ class _Pipeline:
     def _models(self):
         return load_model(self.out / "gen.json"), load_model(self.out / "disc.json")
 
-    def _sampler(self, temp) -> SamplerConfig:
-        return grid_sampler(self.cfg.seed, temp, self.cfg.eval["max_len"])
-
     def _stage_uc(self) -> None:
         gen, disc = self._models()
         for temp in self.cfg.temperatures:
             for ratio in self.cfg.filter_ratios:
-                boundary, trace = grid_boundary(gen, disc, self.cfg.seed, temp, ratio,
-                                                self.cfg.uc, self._sampler(temp))
-                # float: a config may list the identity ratio as the integer 1
-                doc = {"c": float(ratio), "u_c": boundary, "trace": trace}
-                _write_json(self.out / self._uc_name(temp, ratio), doc)
+                _save_uc(self.out / self._uc_name(temp, ratio), ratio,
+                         *grid_boundary(gen, disc, self.cfg.seed, temp, ratio, self.cfg.uc))
 
     def _stage_sample(self) -> None:
         cfg = self.cfg
         gen, disc = self._models()
         n = cfg.eval["n_samples"]
         for temp in cfg.temperatures:
-            sampler = self._sampler(temp)
-            save_corpus(grid_baseline(gen, n, sampler),
+            save_corpus(grid_baseline(gen, cfg.seed, temp, n),
                         self.out / self._sample_name(temp, None, "baseline"))
             for ratio in cfg.filter_ratios:
                 uc_doc = json.loads((self.out / self._uc_name(temp, ratio)).read_text())
-                accepted, rejected, stats = grid_streams(
-                    gen, disc, ratio, uc_doc["u_c"], n, sampler,
-                    cfg.max_attempts_per_sample)
-                save_corpus(accepted, self.out / self._sample_name(temp, ratio, "accepted"))
-                _save_rejected(rejected, self.out / self._sample_name(temp, ratio, "rejected"))
-                _write_json(self.out / self._sample_name(temp, ratio, "stats"),
-                            stats.to_dict())
+                streams = grid_streams(gen, disc, cfg.seed, temp, ratio, uc_doc["u_c"], n,
+                                       cfg.max_attempts_per_sample)
+                _save_streams(streams, *(self.out / self._sample_name(temp, ratio, stream)
+                                         for stream in ("accepted", "rejected", "stats")))
 
     def _stage_evaluate(self) -> None:
         cfg = self.cfg
@@ -441,10 +418,8 @@ class _Pipeline:
         gen_cfg = self.scenario.generator if self.scenario is not None else cfg.generator
         scorer = MetricScorer(
             cfg.metrics, real_train=corpora["train"], real_test=corpora["test"],
-            fixed_length=gen_cfg.fixed_length, seed=cfg.seed,
-            bleu_cfg=BleuConfig(max_order=cfg.eval["bleu_order"]),
-            disc_cfg=cfg.discriminator, embed_dim=cfg.eval["embed_dim"])
-        vocab, max_len = corpora["train"].vocab, cfg.eval["max_len"]
+            fixed_length=gen_cfg.fixed_length, seed=cfg.seed, disc_cfg=cfg.discriminator)
+        vocab = corpora["train"].vocab
         points = [(1.0, "baseline")] + [(c, stream) for c in cfg.filter_ratios
                                         for stream in ("accepted", "rejected")]
         rows = []
@@ -455,7 +430,7 @@ class _Pipeline:
                 if stream == "rejected" and not any(map(str.split, lines)):
                     continue
                 rows.append(scorer.row(temp, ratio, stream,
-                                       encode_corpus(lines, vocab, stream, max_len)))
+                                       encode_corpus(lines, vocab, stream)))
         with atomic_open(self.out / "sweep.csv") as fh:
             fh.write(SweepReport(rows).csv_text())
         _write_json(self.out / "report.json", {"rows": rows, "columns": list(SWEEP_COLUMNS)},
@@ -466,13 +441,24 @@ class _Pipeline:
             _write_json(self.out / "oracle_report.json", doc, sort_keys=True)
 
 
-def _save_rejected(rejected, path) -> None:
-    # an empty file means nothing was rejected
-    if rejected is not None:
-        save_corpus(rejected, path)
-    else:
-        with atomic_open(path):
-            pass
+def _save_uc(path, ratio, boundary: float, trace: list) -> None:
+    """The boundary file of one grid point."""
+    # float: a config may list the identity ratio as the integer 1
+    _write_json(path, {"c": float(ratio), "u_c": boundary, "trace": trace})
+
+
+def _save_streams(streams, accepted_path, rejected_path, stats_path) -> None:
+    """The sample files of one grid point's ``grid_streams`` result; no
+    rejected file without ``rejected_path``."""
+    accepted, rejected, stats = streams
+    save_corpus(accepted, accepted_path)
+    if rejected_path:
+        if rejected is not None:
+            save_corpus(rejected, rejected_path)
+        else:  # an empty file means nothing was rejected
+            with atomic_open(rejected_path):
+                pass
+    _write_json(stats_path, stats.to_dict())
 
 
 def run_pipeline(config: ExperimentConfig, out_dir) -> dict:
@@ -573,8 +559,8 @@ def _cmd_train_gen(args) -> int:
     if problems:
         raise ConfigError(problems)
     vocab = build_vocab(read_lines(args.train), limits["vocab_size"])
-    train = load_corpus(args.train, vocab, "train", limits["max_len"])
-    valid = load_corpus(args.valid, vocab, "valid", limits["max_len"]) if args.valid else None
+    train = load_corpus(args.train, vocab, "train")
+    valid = load_corpus(args.valid, vocab, "valid") if args.valid else None
     model = train_mle(train, valid, cfg)
     save_model(model, args.out)
     print(f"wrote {args.out}")
@@ -600,10 +586,9 @@ def _cmd_train_disc(args) -> int:
 def _cmd_estimate_uc(args) -> int:
     gen = _load_kind(args.gen, *_GENERATOR_KINDS)
     disc = _load_classifier(args.disc, gen)
-    boundary, trace = grid_boundary(
-        gen, disc, args.seed, args.temperature, args.c, BoundaryEstimateConfig(),
-        grid_sampler(args.seed, args.temperature, DEFAULT_MAX_LEN))
-    _write_json(args.out, {"c": args.c, "u_c": boundary, "trace": trace})
+    boundary, trace = grid_boundary(gen, disc, args.seed, args.temperature, args.c,
+                                    BoundaryEstimateConfig())
+    _save_uc(args.out, args.c, boundary, trace)
     print(f"u_c = {boundary:.4f} (written to {args.out})")
     return 0
 
@@ -611,14 +596,11 @@ def _cmd_estimate_uc(args) -> int:
 def _cmd_sample(args) -> int:
     gen = _load_kind(args.gen, *_GENERATOR_KINDS)
     disc = _load_classifier(args.disc, gen)
-    corpus, rejected, stats = grid_streams(
-        gen, disc, args.c, args.u_c if args.c < 1.0 else 0.0, args.n,
-        grid_sampler(args.seed, args.temperature, DEFAULT_MAX_LEN), args.max_attempts)
-    save_corpus(corpus, args.out)
-    if args.rejected_out:
-        _save_rejected(rejected, args.rejected_out)
-    stats_path = args.stats_out or f"{args.out}.stats.json"
-    _write_json(stats_path, stats.to_dict())
+    streams = grid_streams(gen, disc, args.seed, args.temperature, args.c,
+                           args.u_c if args.c < 1.0 else 0.0, args.n, args.max_attempts)
+    _save_streams(streams, args.out, args.rejected_out,
+                  args.stats_out or f"{args.out}.stats.json")
+    stats = streams[2]
     print(f"accepted {stats.acceptances}/{stats.attempts} "
           f"(rate {stats.acceptance_rate:.4f})")
     return 0
@@ -635,9 +617,7 @@ def _cmd_evaluate(args) -> int:
     if unknown:
         raise ConfigError([f"unknown metric '{m}'" for m in sorted(unknown)])
     scorer = MetricScorer(metric_names, real_train=train, real_test=real,
-                          fixed_length=gen.fixed_length, seed=args.seed,
-                          bleu_cfg=BleuConfig(max_order=_EVAL_DEFAULTS["bleu_order"]),
-                          embed_dim=_EVAL_DEFAULTS["embed_dim"])
+                          fixed_length=gen.fixed_length, seed=args.seed)
     row = scorer.cells(samples, args.seed)
     if disc is not None:
         row["disc_error_rate"] = error_rate(disc, real, samples)

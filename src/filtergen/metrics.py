@@ -356,14 +356,15 @@ class MetricScorer:
     sequence length ``fixed_length``) also fits each reverse LM, and the FED
     embedding is fitted on ``real_train`` too. The oracle LM and the
     embedding are fitted only when ``lm`` or ``fed`` is requested, and
-    ``cells`` scores only requested metrics. ``seed`` is the master seed of
-    the rows' classification-error seeds and of ``temperature_sweep``'s grid.
+    ``cells`` scores only requested metrics. BLEU and self-BLEU are of order
+    5 and the embedding has 64 dimensions, the defaults of ``BleuConfig``
+    and ``fit_ppmi_svd``. ``seed`` is the master seed of the rows'
+    classification-error seeds and of ``temperature_sweep``'s grid.
     """
 
     def __init__(self, metric_names, *, real_train: Corpus, real_test: Corpus,
                  fixed_length: int | None, seed: int = 0,
-                 bleu_cfg: BleuConfig | None = None,
-                 disc_cfg: DiscConfig | None = None, embed_dim: int = 64):
+                 disc_cfg: DiscConfig | None = None):
         unknown = set(metric_names) - set(KNOWN_METRICS)
         if unknown:
             raise InputError(f"unknown metrics: {sorted(unknown)}")
@@ -373,11 +374,10 @@ class MetricScorer:
         self.oracle_lm = None
         if "lm" in self.metric_names:
             self.oracle_lm = train_mle(real_train, None, self.lm_config)
-        self.bleu_cfg = bleu_cfg or BleuConfig()
         self.disc_cfg = disc_cfg or DiscConfig()
         self.embedding = self.real_emb = None
         if "fed" in self.metric_names:
-            self.embedding = fit_ppmi_svd(real_train, dim=embed_dim)
+            self.embedding = fit_ppmi_svd(real_train)
             self.real_emb = embed(real_test, self.embedding)
 
     def cells(self, samples: Corpus, seed: int, metric_names=None) -> dict:
@@ -389,9 +389,9 @@ class MetricScorer:
                              f"{sorted(set(names) - set(self.metric_names))}")
         row: dict = {}
         if "bleu" in names:
-            row["bleu5"] = bleu(samples, self.real_test, self.bleu_cfg)
+            row["bleu5"] = bleu(samples, self.real_test)
         if "selfbleu" in names:
-            row["self_bleu5"] = self_bleu(samples, self.bleu_cfg)
+            row["self_bleu5"] = self_bleu(samples)
         if "lm" in names:
             row["lm_score"] = lm_score(self.oracle_lm, samples)
         if "rlm" in names:
@@ -440,34 +440,36 @@ def classification_error(real_train: Corpus, real_test: Corpus, samples: Corpus,
 # the pipeline's estimate-uc, sample and evaluate stages.
 
 
-def grid_sampler(seed: int, temp, max_len: int) -> SamplerConfig:
-    """The sampler of one temperature's streams."""
-    return SamplerConfig(temperature=temp, max_len=max_len,
-                         seed=derive_seed(seed, "sample", temp))
+def grid_sampler(seed: int, temp) -> SamplerConfig:
+    """The sampler of one temperature's streams; rows stop at
+    ``data.DEFAULT_MAX_LEN`` tokens."""
+    return SamplerConfig(temperature=temp, seed=derive_seed(seed, "sample", temp))
 
 
-def grid_baseline(gen, n: int, sampler: SamplerConfig) -> Corpus:
+def grid_baseline(gen, seed: int, temp, n: int) -> Corpus:
     """The unfiltered stream of one temperature."""
+    sampler = grid_sampler(seed, temp)
     return gen.sample_corpus(n, sampler, np.random.default_rng(sampler.seed),
                              split="baseline")
 
 
-def grid_boundary(gen, disc, seed: int, temp, ratio, uc_cfg,
-                  sampler: SamplerConfig) -> tuple[float, list]:
+def grid_boundary(gen, disc, seed: int, temp, ratio, uc_cfg) -> tuple[float, list]:
     """``(u_c, trace)`` of one grid point; ratio 1 is the identity filter at 0."""
+    sampler = grid_sampler(seed, temp)  # checks the temperature at every ratio
     if ratio == 1.0:
         return 0.0, []
     return estimate_boundary(gen, disc, ratio, uc_cfg, sampler,
                              np.random.default_rng(derive_seed(seed, "uc", temp, ratio)))
 
 
-def grid_streams(gen, disc, ratio, boundary: float, n: int, sampler: SamplerConfig,
+def grid_streams(gen, disc, seed: int, temp, ratio, boundary: float, n: int,
                  max_attempts_per_sample: int = 10_000):
     """``(accepted, rejected, stats)`` of one grid point.
 
     The rejected stream is cut to its first ``n`` rows, or is None when
     nothing was rejected.
     """
+    sampler = grid_sampler(seed, temp)
     fg = FilteredGenerator(gen, disc, FilterParams(ratio, boundary),
                            max_attempts_per_sample)
     accepted, stats = sample_filtered(fg, n, sampler, np.random.default_rng(sampler.seed),
@@ -478,8 +480,7 @@ def grid_streams(gen, disc, ratio, boundary: float, n: int, sampler: SamplerConf
 
 def temperature_sweep(gen, scorer: MetricScorer, temps, n_per_point: int, *,
                       disc=None, c_values=(),
-                      uc_cfg: BoundaryEstimateConfig | None = None,
-                      max_len: int = 64) -> SweepReport:
+                      uc_cfg: BoundaryEstimateConfig | None = None) -> SweepReport:
     """Metric grid over softmax temperatures for up to three streams.
 
     For every temperature: the unfiltered baseline, then per acceptance
@@ -496,13 +497,12 @@ def temperature_sweep(gen, scorer: MetricScorer, temps, n_per_point: int, *,
     seed = scorer.seed
     rows = []
     for temp in temps:
-        sampler = grid_sampler(seed, temp, max_len)
         rows.append(scorer.row(temp, 1.0, "baseline",
-                               grid_baseline(gen, n_per_point, sampler)))
+                               grid_baseline(gen, seed, temp, n_per_point)))
         for ratio in c_values:
-            boundary, _ = grid_boundary(gen, disc, seed, temp, ratio, uc_cfg, sampler)
-            accepted, rejected, _ = grid_streams(gen, disc, ratio, boundary,
-                                                 n_per_point, sampler)
+            boundary, _ = grid_boundary(gen, disc, seed, temp, ratio, uc_cfg)
+            accepted, rejected, _ = grid_streams(gen, disc, seed, temp, ratio, boundary,
+                                                 n_per_point)
             rows.append(scorer.row(temp, ratio, "accepted", accepted))
             if rejected is not None:
                 rows.append(scorer.row(temp, ratio, "rejected", rejected))

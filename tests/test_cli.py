@@ -67,7 +67,7 @@ def test_reverse_lm_minimum_is_one_constant(tmp_path):
 @pytest.mark.parametrize("overrides,problem", [
     ({"metrics": ["rlm"], "eval": {"n_samples": "many"}},
      "eval.n_samples must be a positive integer, got 'many'"),
-    ({"eval": {"bleu_order": 2.5}}, "eval.bleu_order must be a positive integer, got 2.5"),
+    ({"temperatures": []}, "temperatures must be a non-empty list"),
     ({"filter": {"c": [0.5], "max_attempts_per_sample": "lots"}},
      "filter.max_attempts_per_sample must be a positive integer, got 'lots'"),
     ({"filter": {"c": [0.5], "max_attempts_per_sample": 0}},
@@ -112,8 +112,8 @@ def test_validate_config_requires_one_source(tmp_path):
 
 
 def test_validate_config_fills_defaults(tmp_path):
-    cfg = validate_config(_write_config(tmp_path))
-    assert cfg.eval["bleu_order"] == 5
+    cfg = validate_config(_write_config(tmp_path, eval={}))
+    assert cfg.eval == {"n_samples": 2000}
     assert cfg.uc.rounds == 100
     assert cfg.discriminator.kernels3 == 32
 
@@ -156,7 +156,7 @@ def _data_config(tmp_path, generator, data=(), **overrides):
     ({"kind": "markov"}, {}, "generator.kind must be one of ngram|neural, got 'markov'"),
     ({"kind": "ngram", "train_n": 100}, {}, "unknown key 'generator.train_n'"),
     ({"order": "2"}, {}, "generator: order must be an integer >= 1, got '2'"),
-    ({}, {"max_len": "x"}, "data.max_len must be a positive integer, got 'x'"),
+    ({}, {"vocab_size": 0}, "data.vocab_size must be a positive integer, got 0"),
     ({}, {"train": 5}, "data.train: file not found: 5"),
 ])
 def test_data_mode_config_errors_exit_before_any_stage(tmp_path, generator, data, problem):
@@ -197,7 +197,7 @@ def test_train_gen_reproduces_the_pipelines_neural_generator(tmp_path):
     ("train-gen", {"order": "2"}, "generator: order must be an integer >= 1, got '2'"),
     ("train-gen", {"kind": "markov"},
      "generator.kind must be one of ngram|neural, got 'markov'"),
-    ("train-gen", {"max_len": "x"}, "generator.max_len must be a positive integer, got 'x'"),
+    ("train-gen", {"vocab_size": "x"}, "generator.vocab_size must be a positive integer, got 'x'"),
     ("train-gen", [2], "generator must be an object"),
     ("train-disc", {"lr": "fast"},
      "discriminator: lr must be a number in [0, inf), got 'fast'"),
@@ -215,6 +215,48 @@ def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, doc, problem
     assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"config error: {problem}" in capsys.readouterr().err.splitlines()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("data", "max_len", 64), ("eval", "max_len", 64), ("eval", "bleu_order", 5),
+    ("eval", "embed_dim", 64), ("train-gen", "max_len", 64)])
+def test_removed_keys_are_unknown_key_errors(tmp_path, capsys, section, key, value):
+    # the row-length limit, the BLEU order and the FED dimension are fixed:
+    # a config that still sets one, even to its fixed value, is refused
+    # before any stage runs
+    if section == "train-gen":
+        problem = f"unknown key 'generator.{key}'"
+        train, _, _ = _natural_corpus_files(tmp_path)
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "gen.json"
+        argv = ["train-gen", "--train", str(train), "--config", str(cfg), "--out", str(out)]
+    else:
+        problem = f"unknown key '{section}.{key}'"
+        path = (_data_config(tmp_path, {}, {key: value}) if section == "data" else
+                _write_config(tmp_path, eval={"n_samples": 500, key: value}))
+        with pytest.raises(ConfigError) as err:
+            validate_config(path)
+        assert err.value.problems == [problem]
+        out = tmp_path / "run"
+        argv = ["pipeline", "--config", str(path), "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert f"config error: {problem}" in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+def test_data_sizes_pipeline_writes_the_resized_scenario_splits(tmp_path):
+    sizes = {"train": 300, "valid": 40, "test": 120}
+    cfg = validate_config(_write_config(tmp_path, data_sizes=sizes, filter={"c": [1.0]},
+                                        metrics=["bleu"], eval={"n_samples": 100}))
+    run_pipeline(cfg, tmp_path / "run")
+    resized = fg.build_scenario({**fg.scenarios.load_spec("s1"), "data_sizes": sizes})
+    for name, size in sizes.items():
+        split = getattr(resized, name)
+        assert len(split) == size
+        fg.save_corpus(split, tmp_path / f"{name}.want")
+        written = (tmp_path / "run" / f"{name}.txt").read_bytes()
+        assert written == (tmp_path / f"{name}.want").read_bytes(), name
 
 
 @pytest.mark.parametrize("argv", [
@@ -538,17 +580,15 @@ def test_pipeline_sweep_equals_temperature_sweep_on_its_artifacts(tmp_path):
     out = tmp_path / "run"
     run_pipeline(cfg, out)
     vocab = fg.Vocab.load(out / "vocab.json")
-    train, test = (fg.load_corpus(out / f"{name}.txt", vocab, name, cfg.eval["max_len"])
+    train, test = (fg.load_corpus(out / f"{name}.txt", vocab, name)
                    for name in ("train", "test"))
     gen, disc = load_model(out / "gen.json"), load_model(out / "disc.json")
     # the evaluate stage's scorer
     scorer = MetricScorer(cfg.metrics, real_train=train, real_test=test,
                           fixed_length=gen.fixed_length, seed=cfg.seed,
-                          bleu_cfg=fg.BleuConfig(max_order=cfg.eval["bleu_order"]),
-                          disc_cfg=cfg.discriminator, embed_dim=cfg.eval["embed_dim"])
+                          disc_cfg=cfg.discriminator)
     report = temperature_sweep(gen, scorer, cfg.temperatures, cfg.eval["n_samples"],
-                               disc=disc, c_values=cfg.filter_ratios, uc_cfg=cfg.uc,
-                               max_len=cfg.eval["max_len"])
+                               disc=disc, c_values=cfg.filter_ratios, uc_cfg=cfg.uc)
     assert len(report.rows) == 2 * 4
     assert report.csv_text() == (out / "sweep.csv").read_text()
 
@@ -627,8 +667,7 @@ def test_rejected_artifact_is_the_scored_prefix(tmp_path):
     vocab = fg.Vocab.load(out / "vocab.json")
     gen, disc = load_model(out / "gen.json"), load_model(out / "disc.json")
     u_c = json.loads((out / "uc_T1_c0.5.json").read_text())["u_c"]
-    sampler = fg.SamplerConfig(temperature=1.0, max_len=cfg.eval["max_len"],
-                               seed=fg.seeding.derive_seed(1, "sample", 1.0))
+    sampler = fg.SamplerConfig(temperature=1.0, seed=fg.seeding.derive_seed(1, "sample", 1.0))
     _, stats = fg.sample_filtered(
         fg.FilteredGenerator(gen, disc, fg.FilterParams(0.5, u_c)), 1000, sampler,
         np.random.default_rng(sampler.seed))

@@ -473,7 +473,7 @@ def _scorer(s2, metric_names, seed):
 def test_sweep_degenerate_single_point_matches_direct_calls(s2):
     report = temperature_sweep(
         s2.generator, _scorer(s2, ("bleu", "selfbleu", "lm", "rlm"), 99), [1.0],
-        n_per_point=1000, max_len=s2.length)
+        n_per_point=1000)
     assert len(report.rows) == 1
     row = report.rows[0]
     sampler = SamplerConfig(temperature=1.0, max_len=s2.length,
@@ -494,7 +494,7 @@ def test_sweep_grid_rows_and_streams(s2, s2_disc):
     disc, _ = s2_disc
     report = temperature_sweep(
         s2.generator, _scorer(s2, ("bleu", "selfbleu"), 7), [0.9, 1.0, 1.1, 1.2],
-        n_per_point=400, disc=disc, c_values=(0.5,), max_len=s2.length)
+        n_per_point=400, disc=disc, c_values=(0.5,))
     assert len(report.rows) == 4 * 3  # baseline, accepted, rejected per temperature
     streams = {(r["temperature"], r["stream"]) for r in report.rows}
     for t in (0.9, 1.0, 1.1, 1.2):
@@ -511,7 +511,7 @@ def test_sweep_accepted_not_dominated_by_baseline(s2, s2_disc):
     disc, _ = s2_disc
     report = temperature_sweep(
         s2.generator, _scorer(s2, ("bleu", "selfbleu"), 11), [1.0],
-        n_per_point=2000, disc=disc, c_values=(0.5,), max_len=s2.length)
+        n_per_point=2000, disc=disc, c_values=(0.5,))
     rows = {r["stream"]: r for r in report.rows}
     base, acc = rows["baseline"], rows["accepted"]
     assert not (base["bleu5"] > acc["bleu5"] and base["self_bleu5"] < acc["self_bleu5"])
