@@ -493,20 +493,22 @@ class MarkovSource:
 
 def synth_markov(source: MarkovSource, n: int, rng, split: str = "") -> Corpus:
     """Draw ``n`` i.i.d. length-L sequences from the chain."""
-    return _sample_chain(source, n, source.length, rng, split)
-
-
-def _sample_chain(source: MarkovSource, n: int, length: int, rng, split: str = "") -> Corpus:
-    """``n`` rows of ``length`` states drawn from the chain. Every state is a
-    content token, so the Corpus is built without a check, as the trained
-    samplers build theirs."""
     if n < 1:
         raise InputError("n must be >= 1")
+    return _sample_chain(source, rng.random((source.length, n)), split)
+
+
+def _sample_chain(source: MarkovSource, u: np.ndarray, split: str = "") -> Corpus:
+    """The rows of states a ``(length, n)`` block of uniforms draws from the
+    chain: ``u[t, j]`` draws state t of row j, so the rows match drawing
+    ``rng.random(n)`` at each step. Every state is a content token, so the
+    Corpus is built without a check, as the trained samplers build theirs."""
+    length, n = u.shape
     out = np.empty((n, length), dtype=np.int64)
-    out[:, 0] = _draw_from_cdf(np.cumsum(source.initial)[None, :], rng.random(n))
+    out[:, 0] = _draw_from_cdf(np.cumsum(source.initial)[None, :], u[0])
     cum_rows = np.cumsum(source.transition, axis=1)
     for t in range(1, length):
-        out[:, t] = _draw_from_cdf(cum_rows[out[:, t - 1]], rng.random(n))
+        out[:, t] = _draw_from_cdf(cum_rows[out[:, t - 1]], u[t])
     return _new_corpus(source.vocab, out + NUM_RESERVED, np.full(n, length), split)
 
 
@@ -531,28 +533,36 @@ def chain_probs(source: MarkovSource, ids: np.ndarray, lengths: np.ndarray) -> n
     return probs
 
 
-def _draw_from_cdf(cdf: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Inverse-CDF draws: for each draw j, how many entries of CDF row
-    ``rows[j]`` of ``cdf`` are below ``u[j]``, clamped to the last index.
+def _draw_from_cdf(cdf: np.ndarray, u: np.ndarray, starts: np.ndarray | None = None,
+                   ) -> np.ndarray:
+    """Inverse-CDF draws: for each draw j, how many entries of its CDF row
+    are below ``u[j]``, clamped to the last index: its pick.
 
-    ``cdf`` is a C-ordered ``(R, S)`` block of nondecreasing rows. ``rows``
-    defaults to row j for draw j, or to row 0 for every draw when ``cdf``
-    has one row. The count is exact: a binary search over each row's first
-    S - 1 entries finds the same index as counting them all and clamping,
-    in ceil(log2 S) gathers of one entry per draw. The clamp keeps a draw
-    whose u lies above a last entry that rounded below 1 inside the support.
-    Every sampler draws through this function.
+    ``cdf`` is a C-ordered ``(R, S)`` block of nondecreasing rows. Without
+    ``starts``, draw j searches row j, or row 0 when ``cdf`` has one row,
+    and gets its pick. With ``starts``, draw j searches the row that begins
+    at flat index ``starts[j]`` of ``cdf.reshape(-1)`` (a multiple of S) and
+    gets the flat index of its entry, ``starts[j]`` plus the pick; the
+    n-gram sampler's rows carry these offsets from step to step. The count
+    is exact: a binary search over each row's first S - 1 entries finds the
+    same index as counting them all and clamping, in ceil(log2 S) gathers
+    of one entry per draw. The clamp keeps a draw whose u lies above a last
+    entry that rounded below 1 inside the support. Every sampler draws
+    through this function.
     """
     r, s = cdf.shape
-    if rows is None:
-        rows = np.arange(len(u)) if r > 1 else np.zeros(len(u), dtype=np.int64)
+    if starts is None and r > 1:
+        starts = np.arange(0, len(u) * s, s)
+        return _draw_from_cdf(cdf, u, starts) - starts
     flat = cdf.reshape(-1)
-    # the draw lies in [lo, lo + span); pos is the flat index of entry lo - 1
-    start = rows * s
-    pos = start - 1
+    # the draw's entry lies in [pos, pos + span) of flat; a step of one adds the bool
+    pos = np.zeros(len(u), dtype=np.intp) if starts is None else starts.astype(np.intp)
     span = s
     while span > 1:
         half = span // 2
-        pos += (flat.take(pos + half) < u) * half
+        if half == 1:
+            pos += flat.take(pos) < u
+        else:
+            pos += (flat.take(pos + (half - 1)) < u) * half
         span -= half
-    return pos - start + 1
+    return pos

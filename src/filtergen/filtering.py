@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Corpus
 from .errors import BudgetError, InputError, check_fields, integer, number
-from .genmodel import SamplerConfig
+from .genmodel import SamplerConfig, length_cap
 
 RATIO_CAP = 1e9  # keeps d/(1-d) finite as d approaches 1
 # Rows the boundary search scores per classifier call: 16 rounds of the
@@ -39,9 +39,11 @@ def raw_acceptance_probability(scores, ratio, boundary):
 def _clipped_odds(scores: np.ndarray, ratio) -> np.ndarray:
     """min(1, ratio * d / (1 - d)) per float64 score d: the acceptance
     probability below the boundary, which does not depend on the boundary."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        odds = np.where(scores < 1.0, scores / (1.0 - scores), RATIO_CAP)
-    return np.minimum(ratio * np.minimum(odds, RATIO_CAP), 1.0)
+    odds = np.divide(scores, 1.0 - scores, out=np.full(scores.shape, RATIO_CAP),
+                     where=scores < 1.0)
+    np.minimum(odds, RATIO_CAP, out=odds)
+    odds *= ratio
+    return np.minimum(odds, 1.0, out=odds)
 
 
 def acceptance_probability(score, ratio: float, boundary: float):
@@ -112,12 +114,15 @@ def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | Non
     rounds. Returns the boundary plus the full per-round trace.
 
     A round's batch and its uniforms do not depend on the boundary, so
-    they are drawn from ``rng`` as one round at a time would draw them (the
-    batch, then one uniform per row), a block of consecutive rounds of at
-    most ``_BLOCK_ROWS`` rows (and at least one round) ahead. Each block is
-    scored with one ``disc.predict_corpus`` call; a score depends on its
-    row alone, so the scores, the trace and the rng state after the search
-    are those of scoring round by round.
+    they are drawn a block of consecutive rounds of at most ``_BLOCK_ROWS``
+    rows (and at least one round) ahead, with one ``rng.random`` call that
+    lays them out as one round at a time would draw them: the generator's
+    ``length_cap`` steps of one uniform per row, then one accept uniform
+    per row. The generator samples the block with one ``gen.sample_block``
+    call and the classifier scores it with one ``disc.predict_corpus``
+    call; the rows equal those of one ``sample_corpus`` call per round and
+    a score depends on its row alone, so the scores, the trace and the rng
+    state after the search are those of sampling and scoring round by round.
 
     A fixed point only exists when some boundary attains the target ratio:
     with a sharply bimodal score distribution the achievable acceptance
@@ -132,19 +137,18 @@ def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | Non
     sampler = sampler or SamplerConfig()
     rng = np.random.default_rng(sampler.seed) if rng is None else rng
     n = cfg.samples_per_round
+    steps = length_cap(gen, sampler)
     per_block = max(1, _BLOCK_ROWS // n)
     boundary = cfg.init
     trace = []
     history = []
     for first in range(0, cfg.rounds, per_block):
-        batches, uniforms = [], []
-        for _ in range(min(per_block, cfg.rounds - first)):
-            batches.append(gen.sample_corpus(n, sampler, rng))
-            uniforms.append(rng.random(n))
-        scores = np.asarray(disc.predict_corpus(Corpus.concat(batches)), dtype=np.float64)
-        scores = scores.reshape(len(batches), n)
+        draws = rng.random((min(per_block, cfg.rounds - first), steps + 1, n))
+        batch = gen.sample_block(draws[:, :steps], sampler)
+        scores = np.asarray(disc.predict_corpus(batch), dtype=np.float64)
+        scores = scores.reshape(len(draws), n)
         # the part of _accept_mask's decision the boundary does not enter
-        below_odds = np.stack(uniforms) <= _clipped_odds(scores, ratio)
+        below_odds = draws[:, steps] <= _clipped_odds(scores, ratio)
         for round_idx, (s, z_ok) in enumerate(zip(scores, below_odds), first):
             acc = int(np.count_nonzero((s >= boundary) | z_ok)) / n
             trace.append({"round": round_idx, "u_c": boundary, "acceptance": acc})
@@ -265,15 +269,15 @@ def sample_filtered(fg: FilteredGenerator, n: int, cfg: SamplerConfig, rng=None,
         scores = np.asarray(fg.disc.predict_corpus(batch), dtype=np.float64)
         mask = _accept_mask(scores, fg.params.acceptance_ratio, fg.params.boundary,
                             accept_rng)
-        n_ok = int(mask.sum())
+        ok, rejected = np.flatnonzero(mask), np.flatnonzero(~mask)
         stats.attempts += batch_size
-        stats.acceptances += n_ok
-        stats.sum_score_accepted += float(scores[mask].sum())
-        stats.sum_score_rejected += float(scores[~mask].sum())
-        if n_ok:
-            accepted.append(batch[mask])
-        if n_ok < batch_size and room > 0:
-            rows = np.flatnonzero(~mask)[:room]
+        stats.acceptances += len(ok)
+        stats.sum_score_accepted += float(scores.take(ok).sum())
+        stats.sum_score_rejected += float(scores.take(rejected).sum())
+        if len(ok):
+            accepted.append(batch[ok])
+        if len(rejected) and room > 0:
+            rows = rejected[:room]
             stats.rejected_blocks.append(batch[rows])
             room -= len(rows)
     return Corpus.concat(accepted, split), stats

@@ -11,7 +11,8 @@ Three interchangeable model kinds:
 
 All models share one contract: ``seq_logprob`` / ``seq_logprobs`` (one
 row of ids, or every row of a corpus), ``sample_corpus`` (n sequences by
-temperature-controlled ancestral sampling), a ``vocab``, and a
+temperature-controlled ancestral sampling), ``sample_block`` (the rows of
+several such calls from their uniforms at once), a ``vocab``, and a
 ``fixed_length`` attribute (``None`` means variable length with an EOS
 event). In fixed-length mode the per-step distribution is supported on the
 content tokens only, so the model is a proper distribution over the
@@ -27,18 +28,28 @@ multiplicity, and scoring gathers each row's score back to its copies.
 Sampling reads a per-temperature table that holds each reached context's
 tempered CDF, computed once, and the row each (context, token) step leads
 to, so a warm step is an exact binary search for the number of CDF entries
-below u (O(log S) per sequence) and a gather of successor rows. A model's
-sampling tables, of every temperature, are held together under
-``_CACHE_BYTES``.
+below u (O(log S) per sequence) and a gather of successor rows. Each
+growing row carries the flat offset of its CDF row in the table, so the
+flat index the search ends on is also the (row, token) key of its successor
+and the step's pick is that index less the offset. A model's sampling
+tables, of every temperature, are held together under ``_CACHE_BYTES``.
 
-Both trained samplers draw one uniform per row at every step, whether or not
-rows have ended, so a call leaves its rng where the same call always did.
-They keep each row's support-index picks and its length (the step that drew
-EOS, or the cap), and at the end map the picks through the support once,
-with PAD past each length, into a Corpus trimmed to its longest row. The ids
-come from the model's own support, so the Corpus is built without a check
-or a recount. Until some row ends, the n-gram sampler draws for every row
-and gathers no growing-row subset; with a fixed length that is every step.
+Every sampler turns uniforms into rows. ``sample_corpus`` draws one
+``(length_cap, n)`` block with one ``rng.random`` call, which leaves the rng
+where drawing n uniforms at every step, whether or not rows have ended,
+leaves it, and hands it to ``sample_block`` as one round. ``sample_block``
+takes a ``(rounds, steps, n)`` block and returns the rounds' rows one round
+after another, equal to one ``sample_corpus`` call per round; so
+``filtering.estimate_boundary`` samples each block of rounds in one call.
+An n-gram or Markov row depends on its own uniforms alone, so those
+samplers draw a block's rows together; a NeuralLM samples it round by
+round, because its matrix products may round differently with the number
+of rows. The trained samplers write each step's ids into a row-major id
+matrix, PAD past each row's length (the step that drew EOS, or the cap),
+and trim it to its longest row. The ids come from the model's own support,
+so the Corpus is built without a check or a recount. Until some row ends,
+the n-gram sampler draws for every row and gathers no growing-row subset;
+with a fixed length that is every step.
 """
 
 from __future__ import annotations
@@ -68,11 +79,30 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise InputError("temperature must be > 0")
-        if self.max_len < 1:
-            raise InputError("max_len must be >= 1")
-        check_fields(self, seed=integer(0))
+        check_fields(self, temperature=number("(0, inf)"), max_len=integer(1),
+                     seed=integer(0))
+
+
+def length_cap(gen, cfg: SamplerConfig) -> int:
+    """Steps a sampler takes: ``cfg.max_len``, or the generator's fixed length
+    when that is shorter."""
+    return cfg.max_len if gen.fixed_length is None else min(gen.fixed_length, cfg.max_len)
+
+
+def _one_round(gen, n: int, cfg: SamplerConfig, rng) -> np.ndarray:
+    """The ``(1, length_cap, n)`` block of uniforms a ``sample_corpus`` call
+    draws, from ``rng`` or, when it is None, from ``cfg.seed``."""
+    if n < 1:
+        raise InputError("n must be >= 1")
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    return rng.random((1, length_cap(gen, cfg), n))
+
+
+def _check_block(gen, u: np.ndarray, cfg: SamplerConfig) -> None:
+    """Raise unless ``u`` is a ``(rounds, length_cap, n)`` block with rows."""
+    if u.ndim != 3 or u.shape[1] != length_cap(gen, cfg) or not u.shape[0] * u.shape[2]:
+        raise InputError(f"a block of uniforms must have shape (rounds, "
+                         f"{length_cap(gen, cfg)}, n) with rows, got {u.shape}")
 
 
 def support_ids(vocab, fixed_length) -> np.ndarray:
@@ -87,10 +117,6 @@ def _support_index(vocab, support) -> np.ndarray:
     index = np.full(len(vocab), -1, dtype=np.int64)
     index[support] = np.arange(len(support))
     return index
-
-
-def _resolve_rng(rng, cfg: SamplerConfig):
-    return np.random.default_rng(cfg.seed) if rng is None else rng
 
 
 def _apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
@@ -259,60 +285,73 @@ class NGramLM:
                       split: str = "") -> Corpus:
         """Ancestral sampling; the first step never emits EOS, so sequences
         are always non-empty."""
-        rng = _resolve_rng(rng, cfg)
-        length_cap = (min(self.fixed_length, cfg.max_len)
-                      if self.fixed_length is not None else cfg.max_len)
+        return self.sample_block(_one_round(self, n, cfg, rng), cfg, split)
+
+    def sample_block(self, u: np.ndarray, cfg: SamplerConfig, split: str = "") -> Corpus:
+        """The rows of a ``(rounds, length_cap, n)`` block of uniforms, round
+        after round; ``u[r, t, j]`` draws step t of round r's row j. A row
+        depends on its own uniforms alone, so every row is drawn together."""
+        _check_block(self, u, cfg)
+        rounds, steps, n = u.shape
+        total = rounds * n
+        s = len(self.support)
         eos_sup = int(self._sup_index[EOS]) if self.fixed_length is None else -1
         table = self._tables.get(cfg.temperature)
         if table is None:
-            table = self._tables[cfg.temperature] = _CdfTable(len(self.support))
-        start = self._table_rows(table, cfg.temperature, [None])
-        if start is None:
-            start = self._rebuilt_rows(table, cfg.temperature, [None])
-        # rows: the growing rows' table rows; idx: the output rows still
-        # growing, None until some row ends (then every row grows)
-        rows = np.full(n, start[0])
+            table = self._tables[cfg.temperature] = _CdfTable(s)
+        first = table.row_of.get(None)
+        if first is None:
+            rows = self._table_rows(table, cfg.temperature, [None])
+            if rows is None:
+                rows = self._rebuilt_rows(table, cfg.temperature, [None])
+            first = int(rows[0])
+        # offsets: the flat CDF offsets of the growing rows' table rows; idx:
+        # the output rows still growing, None until some row ends (then every
+        # row grows)
+        offsets = np.full(total, first * s, dtype=np.intp)
         idx = None
-        picks_at, lengths = _pick_matrix(n, length_cap, len(self.support))
-        for t in range(length_cap):
-            u = rng.random(n)  # drawn at every step, so later draws keep their stream
+        ids, lengths = _id_matrix(total, steps, self.fixed_length)
+        for t in range(steps):
+            ut = u[:, t].reshape(total)  # a view for one round
             if idx is not None:
                 if not len(idx):
-                    continue
-                u = u[idx]
-            picks = _draw_from_cdf(table.cdf, u, rows)
+                    break
+                ut = ut[idx]
+            drawn = _draw_from_cdf(table.cdf, ut, offsets)
+            picks = drawn - offsets
             if eos_sup >= 0:
                 ended = picks == eos_sup
                 if ended.any():
-                    growing = np.arange(n) if idx is None else idx
+                    growing = np.arange(total) if idx is None else idx
                     lengths[growing[ended]] = t
                     keep = ~ended
-                    idx, rows, picks = growing[keep], rows[keep], picks[keep]
+                    idx, drawn, picks = growing[keep], drawn[keep], picks[keep]
             if idx is None:
-                picks_at[t] = picks
+                ids[:, t] = self.support.take(picks)
             else:
-                picks_at[t, idx] = picks
-            if t + 1 < length_cap:
-                rows = self._successors(table, cfg.temperature, rows, picks)
-        return _sampled_corpus(self.vocab, self.support, picks_at, lengths, split)
+                ids[idx, t] = self.support.take(picks)
+            if t + 1 < steps:
+                offsets = self._successors(table, cfg.temperature, drawn)
+        return _sampled_corpus(self.vocab, ids, lengths, split)
 
-    def _successors(self, table: _CdfTable, temperature: float, rows: np.ndarray,
-                    picks: np.ndarray) -> np.ndarray:
-        """Table row of each context after ``support[picks]`` is emitted from ``rows``."""
+    def _successors(self, table: _CdfTable, temperature: float,
+                    drawn: np.ndarray) -> np.ndarray:
+        """Flat CDF offset of the table row reached by each drawn entry: the
+        flat index ``row * len(support) + pick`` emits ``support[pick]`` from
+        table row ``row``."""
         s = len(self.support)
-        steps = rows * s + picks
-        nxt = table.succ.take(steps)
+        nxt = table.succ.take(drawn)
         unknown = nxt < 0
         if not unknown.any():
             return nxt
-        pairs, inverse = np.unique(steps[unknown], return_inverse=True)
-        ids = self._table_rows(table, temperature, self._next_contexts(table, pairs))
-        if ids is None:
-            pairs, inverse = np.unique(steps, return_inverse=True)
+        pairs, inverse = np.unique(drawn[unknown], return_inverse=True)
+        rows = self._table_rows(table, temperature, self._next_contexts(table, pairs))
+        if rows is None:
+            pairs, inverse = np.unique(drawn, return_inverse=True)
             return self._rebuilt_rows(table, temperature,
-                                      self._next_contexts(table, pairs))[inverse]
-        np.put(table.succ, pairs, ids)
-        nxt[unknown] = ids[inverse]
+                                      self._next_contexts(table, pairs))[inverse] * s
+        np.put(table.succ, pairs, rows * s)
+        nxt[unknown] = rows[inverse] * s
         return nxt
 
     def _next_contexts(self, table: _CdfTable, pairs: np.ndarray) -> list:
@@ -384,41 +423,54 @@ class MarkovModel:
 
     def sample_corpus(self, n: int, cfg: SamplerConfig, rng=None,
                       split: str = "") -> Corpus:
-        rng = _resolve_rng(rng, cfg)
-        length = min(self.fixed_length, cfg.max_len)
+        return self.sample_block(_one_round(self, n, cfg, rng), cfg, split)
+
+    def sample_block(self, u: np.ndarray, cfg: SamplerConfig, split: str = "") -> Corpus:
+        """The chain's rows of a ``(rounds, length_cap, n)`` block of
+        uniforms, round after round, every row drawn together."""
+        _check_block(self, u, cfg)
+        rounds, steps, n = u.shape
+        u = u.transpose(1, 0, 2).reshape(steps, rounds * n)  # a view for one round
         if cfg.temperature == 1.0:
-            return _sample_chain(self.source, n, length, rng, split)
+            return _sample_chain(self.source, u, split)
         src = MarkovSource(
             self.source.tokens,
             _apply_temperature(self.source.initial, cfg.temperature),
             np.apply_along_axis(_apply_temperature, 1, self.source.transition, cfg.temperature),
-            length,
+            steps,
         )
-        return _sample_chain(src, n, length, rng, split)
+        return _sample_chain(src, u, split)
 
 
 class _CdfTable:
     """One temperature's tempered next-token CDFs, one row per context reached.
 
     ``cdf[r]`` is row r's CDF, the block ``data._draw_from_cdf`` searches.
-    ``succ[r, p]`` is the row reached from row r by emitting ``support[p]``,
-    or -1 until a step first needs it. ``keys[r]`` is row r's context, or
-    ``None`` for the first step's row; ``row_of`` inverts ``keys``.
+    ``succ[r, p]`` is the flat offset in ``cdf`` (its row id times S) of the
+    row reached from row r by emitting ``support[p]``, or -1 until a step
+    first needs it; it is an int32 unless the block holds 2**31 entries or
+    more, which only a table past the byte cap can. ``keys[r]`` is row r's
+    context, or ``None`` for the first step's row; ``row_of`` inverts
+    ``keys``.
     """
 
     def __init__(self, n_support: int):
         self.n_support = n_support
-        self.cdf = np.empty((0, n_support))
-        self.succ = np.empty((0, n_support), dtype=np.int32)
+        self.cdf, self.succ = self._blocks(0)
         self.keys: list = []
         self.row_of: dict = {}
+
+    def _blocks(self, capacity: int):
+        """Empty ``cdf`` and ``succ`` blocks of ``capacity`` rows."""
+        shape = (capacity, self.n_support)
+        return np.empty(shape), np.empty(shape, dtype=np.int32 if capacity * self.n_support
+                                         < 2**31 else np.int64)
 
     def reset(self, capacity: int) -> None:
         """Forget every row and hold room for ``capacity``, reusing the blocks
         when they already have that size."""
         if capacity != self.capacity:
-            self.cdf = np.empty((capacity, self.n_support))
-            self.succ = np.empty((capacity, self.n_support), dtype=np.int32)
+            self.cdf, self.succ = self._blocks(capacity)
         self.keys = []
         self.row_of = {}
 
@@ -436,9 +488,8 @@ class _CdfTable:
 
     def grow(self, capacity: int) -> None:
         r = len(self.keys)
-        cdf = np.empty((capacity, self.n_support))
+        cdf, succ = self._blocks(capacity)
         cdf[:r] = self.cdf[:r]
-        succ = np.empty((capacity, self.n_support), dtype=np.int32)
         succ[:r] = self.succ[:r]
         self.cdf, self.succ = cdf, succ
 
@@ -452,23 +503,23 @@ class _CdfTable:
         return new
 
 
-def _pick_matrix(n: int, length_cap: int, n_support: int):
-    """A sampler's ``(length_cap, n)`` support-index picks, step-major and
-    ``n_support`` until drawn, and its ``n`` row lengths, ``length_cap``
-    until a row ends."""
-    return (np.full((length_cap, n), n_support, dtype=np.intp),
-            np.full(n, length_cap, dtype=np.int64))
+def _id_matrix(n: int, steps: int, fixed_length) -> tuple[np.ndarray, np.ndarray]:
+    """A sampler's ``(n, steps)`` ids and its ``n`` row lengths, ``steps``
+    until a row ends. The ids are PAD until drawn; with a fixed length every
+    id is drawn, so they start unset."""
+    shape = (n, steps)
+    ids = (np.empty(shape, dtype=np.int64) if fixed_length is not None
+           else np.full(shape, PAD, dtype=np.int64))
+    return ids, np.full(n, steps, dtype=np.int64)
 
 
-def _sampled_corpus(vocab, support: np.ndarray, picks_at: np.ndarray, lengths: np.ndarray,
-                    split: str) -> Corpus:
-    """The Corpus of sampled rows from ``_pick_matrix``'s arrays: the picks
-    map through ``support`` once, ``n_support`` (past a row's end) to PAD,
-    and the matrix is trimmed to the longest row. The ids come from the
-    model's own support, so nothing is checked or recounted."""
-    if not len(lengths):
-        raise InputError("a corpus must contain at least one sequence")
-    ids = np.append(support, PAD).take(picks_at[: int(lengths.max())].T)
+def _sampled_corpus(vocab, ids: np.ndarray, lengths: np.ndarray, split: str) -> Corpus:
+    """The Corpus of ``_id_matrix``'s arrays once sampled, the matrix trimmed
+    to the longest row. The ids come from the model's own support, so
+    nothing is checked or recounted."""
+    width = int(lengths.max())
+    if width < ids.shape[1]:
+        ids = ids[:, :width].copy()
     return _new_corpus(vocab, ids, lengths, split)
 
 
@@ -533,6 +584,7 @@ class NeuralLM:
         self.fixed_length = cfg.fixed_length
         self.support = support_ids(vocab, cfg.fixed_length)
         self._sup_index = _support_index(vocab, self.support)
+        self._ids_of = np.append(self.support, PAD)  # a pick's id, PAD past a row's end
         rng = np.random.default_rng(cfg.seed) if rng is None else rng
         v, de, dh, s = len(vocab), cfg.embed_dim, cfg.hidden_dim, len(self.support)
         self.params = {
@@ -683,35 +735,44 @@ class NeuralLM:
     def sample_corpus(self, n: int, cfg: SamplerConfig, rng=None,
                       split: str = "") -> Corpus:
         """Ancestral sampling; the first step never emits EOS."""
-        rng = _resolve_rng(rng, cfg)
-        length_cap = (min(self.fixed_length, cfg.max_len)
-                      if self.fixed_length is not None else cfg.max_len)
+        return self.sample_block(_one_round(self, n, cfg, rng), cfg, split)
+
+    def sample_block(self, u: np.ndarray, cfg: SamplerConfig, split: str = "") -> Corpus:
+        """The rows of a ``(rounds, length_cap, n)`` block of uniforms, round
+        after round, each round sampled on its own: a batch's matrix
+        products may round differently with its number of rows."""
+        _check_block(self, u, cfg)
+        return Corpus.concat([self._sample_round(round_u, cfg.temperature) for round_u in u],
+                             split)
+
+    def _sample_round(self, u: np.ndarray, temperature: float) -> Corpus:
+        """The rows of one round's ``(length_cap, n)`` uniforms."""
+        steps, n = u.shape
         h = np.zeros((n, self.params["w_hh"].shape[0]))
         current = np.full(n, BOS, dtype=np.int64)
-        picks_at, lengths = _pick_matrix(n, length_cap, len(self.support))
-        ids_of = np.append(self.support, PAD)  # a pick's id, PAD past a row's end
+        ids, lengths = _id_matrix(n, steps, self.fixed_length)
         active = np.ones(n, dtype=bool)
         eos_sup = int(self._sup_index[EOS]) if self.fixed_length is None else -1
-        for t in range(length_cap):
-            u = rng.random(n)  # drawn at every step, so later draws keep their stream
+        for t in range(steps):
             if not active.any():
-                continue
+                break
             _, h, logits = self._step(current, h)
-            logits /= cfg.temperature
+            logits /= temperature
             if t == 0 and eos_sup >= 0:
                 logits[:, eos_sup] = -np.inf
             logits -= logits.max(axis=1, keepdims=True)
             e = np.exp(logits)
             rows = e / e.sum(axis=1, keepdims=True)
-            picks = _draw_from_cdf(np.cumsum(rows, axis=1), u)
+            picks = _draw_from_cdf(np.cumsum(rows, axis=1), u[t])
             if eos_sup >= 0:
                 ended = (picks == eos_sup) & active
                 lengths[ended] = t
                 active &= ~ended
                 picks[~active] = len(self.support)
-            picks_at[t] = picks
-            current = np.where(active, ids_of[picks], current)
-        return _sampled_corpus(self.vocab, self.support, picks_at, lengths, split)
+            tokens = self._ids_of.take(picks)
+            ids[:, t] = tokens
+            current = np.where(active, tokens, current)
+        return _sampled_corpus(self.vocab, ids, lengths, "")
 
 
 # ---------------------------------------------------------------------------

@@ -658,6 +658,21 @@ def test_out_of_range_sample_flags_exit_3_with_one_error_line(tmp_path, capsys, 
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("sample", ["--c", "0.5", "--u-c", "0.5", "--n", "5"]), ("estimate-uc", ["--c", "0.5"]),
+    ("estimate-uc", ["--c", "1"])])
+def test_infinite_temperature_exits_3_with_one_error_line(tmp_path, capsys, input_files,
+                                                          command, flags):
+    # T = inf would flatten every step to its support, zero-probability rows included
+    out = tmp_path / "out"
+    argv = [command, "--gen", str(input_files["gen"]), "--disc", str(input_files["disc"]),
+            *flags, "--temperature", "inf", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: temperature must be")
+    assert not list(tmp_path.iterdir())
+
+
 def test_rejected_artifact_is_the_scored_prefix(tmp_path):
     # seed 1 rejects more rows than n_samples; the artifact keeps the first n
     cfg = validate_config(_s2_config(tmp_path, seed=1, filter={"c": [0.5]},

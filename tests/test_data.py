@@ -211,8 +211,9 @@ def test_draw_from_cdf_counts_entries_below_u_and_clamps():
     assert _draw_from_cdf(cdf, u).tolist() == [0, 2]
     assert _draw_from_cdf(cdf[:1], np.array([0.0, 0.3, 0.9, 0.99999999])).tolist() == [
         0, 1, 2, 2]
-    assert _draw_from_cdf(cdf, np.array([0.6, 0.5, 0.3]), np.array([1, 0, 1])).tolist() == [
-        2, 1, 1]
+    # given each row's flat start, a draw gets its entry's flat index
+    assert _draw_from_cdf(cdf, np.array([0.6, 0.5, 0.3]), np.array([3, 0, 3])).tolist() == [
+        5, 1, 4]
 
 
 @settings(max_examples=200, deadline=None)
@@ -228,7 +229,8 @@ def test_draw_from_cdf_matches_counting_every_entry(s, r, n, seed):
     u = rng.random(n)
     u[::3] = cdf[rows[::3], rng.integers(0, s, len(u[::3]))]
     want = np.minimum((cdf[rows] < u[:, None]).sum(axis=1), s - 1)
-    assert np.array_equal(_draw_from_cdf(cdf, u, rows), want)
+    assert np.array_equal(_draw_from_cdf(cdf, u, rows * s), rows * s + want)
+    assert np.array_equal(_draw_from_cdf(cdf[rows], u), want)
 
 
 def test_split_tail_disjoint_and_covering():

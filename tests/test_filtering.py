@@ -172,44 +172,70 @@ def _per_round_estimate_boundary(gen, disc, ratio, cfg, sampler, rng):
 
 @pytest.fixture(scope="module")
 def search_cases(s2):
-    """(generator, scorer, max_len) pairs over s2's vocabulary."""
+    """(generator, scorer, max_len) triples over s2's vocabulary, one of each
+    generator kind; "tiny-cache" runs under a byte cap of 1, so its tables
+    rebuild within a block."""
     fixed = s2.generator  # a fixed-length bigram
     eos = fg.train_mle(s2.train, None, fg.NGramConfig(order=2, delta=0.5))
     cnn = fg.TextCNN(s2.vocab, fg.DiscConfig(seed=3))
+
+    def neural(fixed_length):
+        return fg.NeuralLM(s2.vocab, fg.NeuralConfig(embed_dim=4, hidden_dim=5,
+                                                     fixed_length=fixed_length, seed=2))
     return {"fixed-textcnn": (fixed, cnn, s2.length), "eos-textcnn": (eos, cnn, 8),
-            "fixed-exact": (fixed, s2.exact_disc, s2.length)}
+            "fixed-exact": (fixed, s2.exact_disc, s2.length),
+            "markov-textcnn": (fg.MarkovModel(s2.source), cnn, s2.length),
+            "neural-fixed-textcnn": (neural(s2.length), cnn, s2.length),
+            "neural-eos-textcnn": (neural(None), cnn, 8),
+            "tiny-cache-textcnn": (
+                fg.train_mle(s2.train, None, fg.NGramConfig(order=3, delta=0.5)), cnn, 8)}
 
 
 # more rows per round than one scoring block holds
 _OVER_BUDGET = _BLOCK_ROWS + 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=st.sampled_from(["fixed-textcnn", "eos-textcnn", "fixed-exact"]),
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["fixed-textcnn", "eos-textcnn", "fixed-exact", "markov-textcnn",
+                             "neural-fixed-textcnn", "neural-eos-textcnn",
+                             "tiny-cache-textcnn"]),
        per_round=st.sampled_from([1, 7, 1000, _OVER_BUDGET]) | st.integers(1, 60),
        rounds=st.integers(1, 40), ratio=st.just(1.0) | st.floats(0.01, 1.0),
        init=st.floats(0.0, 1.0), step=st.floats(0.001, 0.3), tail=st.integers(1, 12),
-       seed=st.integers(0, 2**32 - 1))
+       temperature=st.just(1.0) | st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
 @example(case="fixed-textcnn", per_round=1000, rounds=37, ratio=0.5, init=0.5,
-         step=0.01, tail=10, seed=1)
+         step=0.01, tail=10, temperature=1.0, seed=1)
 @example(case="eos-textcnn", per_round=7, rounds=40, ratio=1.0, init=0.5, step=0.01,
-         tail=10, seed=2)
+         tail=10, temperature=1.0, seed=2)
 @example(case="fixed-exact", per_round=_OVER_BUDGET, rounds=2, ratio=0.3, init=0.9,
-         step=0.05, tail=3, seed=3)
+         step=0.05, tail=3, temperature=1.0, seed=3)
 @example(case="fixed-exact", per_round=1, rounds=33, ratio=0.2, init=0.1, step=0.02,
-         tail=5, seed=4)
+         tail=5, temperature=1.0, seed=4)
+@example(case="markov-textcnn", per_round=600, rounds=40, ratio=0.4, init=0.5, step=0.01,
+         tail=10, temperature=0.7, seed=5)
+@example(case="neural-fixed-textcnn", per_round=300, rounds=40, ratio=0.5, init=0.5,
+         step=0.01, tail=10, temperature=1.0, seed=6)
+@example(case="neural-eos-textcnn", per_round=300, rounds=40, ratio=0.5, init=0.5,
+         step=0.01, tail=10, temperature=1.3, seed=7)
+@example(case="tiny-cache-textcnn", per_round=1000, rounds=40, ratio=0.5, init=0.5,
+         step=0.01, tail=10, temperature=1.0, seed=8)
 def test_estimate_boundary_equals_the_per_round_search(
-        search_cases, case, per_round, rounds, ratio, init, step, tail, seed):
-    # block scoring gives the per-round search's boundary, trace and rng state
+        search_cases, case, per_round, rounds, ratio, init, step, tail, temperature, seed):
+    # sampling and scoring each block at once gives the per-round search's
+    # boundary, trace and rng state, whatever the generator kind
     gen, disc, max_len = search_cases[case]
     if per_round > _BLOCK_ROWS:
         rounds = rounds % 3 + 1  # a few blocks of one round each
     cfg = fg.BoundaryEstimateConfig(samples_per_round=per_round, rounds=rounds,
                                     step=step, init=init, tail=tail)
-    sampler = SamplerConfig(max_len=max_len, seed=seed)
+    sampler = SamplerConfig(temperature=temperature, max_len=max_len, seed=seed)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = estimate_boundary(gen, disc, ratio, cfg, sampler, rng)
-    assert got == _per_round_estimate_boundary(gen, disc, ratio, cfg, sampler, ref_rng)
+    with pytest.MonkeyPatch.context() as mp:
+        if case.startswith("tiny-cache"):
+            mp.setattr(fg.genmodel, "_CACHE_BYTES", 1)
+        got = estimate_boundary(gen, disc, ratio, cfg, sampler, rng)
+        want = _per_round_estimate_boundary(gen, disc, ratio, cfg, sampler, ref_rng)
+    assert got == want
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert all(type(row["acceptance"]) is float for row in got[1])
 

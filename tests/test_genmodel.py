@@ -559,6 +559,71 @@ def test_sampled_corpus_holds_the_validated_matrix(kind, mode):
             "eos-short": lengths.max() < cap}[mode]
 
 
+def _sampler_cases():
+    """A model of each sampler kind and length mode over one small vocabulary;
+    the EOS models end most rows well before the cap."""
+    vocab = build_vocab(["a b c"], max_size=10)
+    fixed = encode_corpus(["a b c", "c b a", "b b a"] * 20, vocab, "train")
+    short = encode_corpus(["a", "b c", "c"] * 20, vocab, "train")
+    eos_neural = NeuralLM(vocab, NeuralConfig(embed_dim=4, hidden_dim=5, seed=1))
+    eos_neural.params["b_y"][eos_neural._sup_index[EOS]] = 3.0
+    chain = fg.MarkovSource(("a", "b", "c"), np.array([0.5, 0.3, 0.2]),
+                            np.full((3, 3), 1 / 3), 3)
+    return {"ngram-fixed": NGramLM(vocab, 2, 0.01, 3).fit(fixed),
+            "ngram-eos": NGramLM(vocab, 2, 0.01).fit(short),
+            "markov": MarkovModel(chain),
+            "neural-fixed": NeuralLM(vocab, NeuralConfig(embed_dim=4, hidden_dim=5,
+                                                         fixed_length=3, seed=1)),
+            "neural-eos": eos_neural}
+
+
+@pytest.mark.parametrize("kind", ["ngram-fixed", "ngram-eos", "markov", "neural-fixed",
+                                  "neural-eos"])
+def test_sample_corpus_draws_one_uniform_per_row_and_step(kind):
+    # the contract that lets estimate_boundary lay out a block's uniforms:
+    # a call leaves its rng where a (length_cap, n) draw leaves a twin,
+    # however early rows end, and sample_block of that draw gives its rows
+    model = _sampler_cases()[kind]
+    for max_len, n in ((6, 37), (2, 1)):
+        cfg = SamplerConfig(temperature=0.8, max_len=max_len, seed=0)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        corpus = model.sample_corpus(n, cfg, rng)
+        u = twin.random((fg.genmodel.length_cap(model, cfg), n))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert corpus == model.sample_block(u[None], cfg)
+        if kind.endswith("eos") and n > 1:
+            assert corpus.lengths.min() < max_len  # rows that end still drew at every step
+
+
+@pytest.mark.parametrize("kind", ["ngram-eos", "markov", "neural-eos"])
+def test_sample_block_is_one_sample_corpus_call_per_round(kind):
+    model = _sampler_cases()[kind]
+    cfg = SamplerConfig(max_len=5, seed=0)
+    steps = fg.genmodel.length_cap(model, cfg)
+    u = np.random.default_rng(3).random((4, steps, 25))
+    rounds = [model.sample_block(round_u[None], cfg) for round_u in u]
+    assert model.sample_block(u, cfg, "gen") == Corpus.concat(rounds, "gen")
+    for shape in ((4, steps + 1, 25), (steps, 25), (0, steps, 25), (4, steps, 0)):
+        with pytest.raises(InputError, match="block of uniforms"):
+            model.sample_block(np.zeros(shape), cfg)
+
+
+@pytest.mark.parametrize("fields", [
+    {"temperature": math.inf}, {"temperature": math.nan}, {"temperature": 0.0},
+    {"temperature": True}, {"max_len": 2.5}, {"max_len": 0}, {"max_len": np.float64(3)},
+    {"seed": -1}])
+def test_sampler_config_rejects_bad_values(fields):
+    with pytest.raises(InputError):
+        SamplerConfig(**fields)
+
+
+def test_sampler_config_accepts_numpy_integers():
+    # a scenario length or a parsed seed may be a numpy integer
+    cfg = SamplerConfig(temperature=np.float64(0.5), max_len=np.int64(3), seed=np.int64(2))
+    model = _sampler_cases()["markov"]
+    assert model.sample_corpus(4, cfg).ids.shape == (4, 3)
+
+
 def _table_state(model):
     return [(temperature, table, table.cdf.tobytes(), table.succ.tobytes(), list(table.keys))
             for temperature, table in model._tables.items()]

@@ -27,7 +27,7 @@ def test_ngram_probe_smoke():
     # per support symbol (EOS, UNK and the 50 words)
     assert first["table_bytes"] >= 52 * 12
     assert min(first[k] for k in ("fit_s", "score_cold_s", "score_warm_s",
-                                  "sample_cold_s", "sample_warm_s")) >= 0.0
+                                  "sample_cold_s", "sample_warm_s", "sample_small_s")) >= 0.0
     assert first["peak_rss_mb"] > 0
     assert first["scores_sha256"] == again["scores_sha256"]
     assert first["samples_sha256"] == again["samples_sha256"]

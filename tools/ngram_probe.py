@@ -5,10 +5,12 @@ Builds a corpus from a seed, with no download: row lengths uniform in
 vocabulary of V words. It fits a bigram over it (the CLI's default
 generator), scores a held-out split of rows // 5 rows, built the same way
 from the next seed, twice with ``seq_logprobs``, then samples twice with
-``sample_corpus``. It prints one JSON line with the fit time, the cold and
-warm scoring and sampling times, the bytes held by the model's sampling
-tables, SHA-256 digests of the scores and of the sampled ids, and the
-process's peak RSS. Times are CPU seconds of this process.
+``sample_corpus``, and then makes 200 warm ``sample_corpus`` calls of 10
+rows each, where the per-call cost shows. It prints one JSON line with the
+fit time, the cold and warm scoring and sampling times, the time of the
+small calls, the bytes held by the model's sampling tables, SHA-256 digests
+of the scores and of the two large samples' ids, and the process's peak
+RSS. Times are CPU seconds of this process.
 
     PYTHONPATH=src python tools/ngram_probe.py --vocab 2000 --seed 0
 
@@ -28,6 +30,8 @@ import numpy as np
 
 import filtergen as fg
 from filtergen.data import NUM_RESERVED
+
+SMALL_CALLS, SMALL_ROWS = 200, 10  # the small sample_corpus calls timed together
 
 
 def zipf_corpus(vocab_size: int, rows: int, seed: int) -> fg.Corpus:
@@ -62,6 +66,12 @@ def probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
         times.append(time.process_time() - start)
         digest.update(np.ascontiguousarray(sampled.ids, dtype="<i8").tobytes())
         digest.update(np.ascontiguousarray(sampled.lengths, dtype="<i8").tobytes())
+    small_cfg = fg.SamplerConfig(seed=seed + 2)
+    small_rng = np.random.default_rng(small_cfg.seed)
+    start = time.process_time()
+    for _ in range(SMALL_CALLS):
+        model.sample_corpus(SMALL_ROWS, small_cfg, small_rng)
+    small_s = time.process_time() - start
     return {
         "vocab": vocab_size,
         "rows": rows,
@@ -75,6 +85,7 @@ def probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
         "scores_sha256": score_digest.hexdigest(),
         "sample_cold_s": times[0],
         "sample_warm_s": times[1],
+        "sample_small_s": small_s,
         "table_bytes": sum(t.nbytes for t in model._tables.values()),
         "samples_sha256": digest.hexdigest(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
