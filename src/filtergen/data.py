@@ -4,8 +4,9 @@ A ``Corpus`` is one padded id matrix plus a length vector, and it is the
 only representation of a corpus: samplers, the classifier, the metrics and
 the oracle all pass that matrix along. There is no per-row object; a row is
 a tuple of ids (``corpus.sequences``), and ``corpus[i:i+1]`` is the corpus
-of row i. ``chain_probs`` gives a Markov source's exact probability of
-every row of an id matrix.
+of row i. ``row_groups`` gives a corpus's distinct rows and each row's
+group, found once per corpus and kept by it. ``chain_probs`` gives a
+Markov source's exact probability of every row of an id matrix.
 
 Tokenization is whitespace splitting over pre-tokenized text; any
 pre-processing (lowercasing etc.) is the caller's responsibility.
@@ -102,10 +103,12 @@ class Corpus:
     indices, are gathered with ``take`` into new arrays.
 
     ``Corpus(vocab, rows, split)`` builds a corpus from rows of integer ids
-    (any sequences of ints) with the checks of ``from_arrays``.
+    (any sequences of ints) with the checks of ``from_arrays``. A corpus
+    keeps its ``row_groups`` once they are found; they depend on its
+    read-only arrays alone.
     """
 
-    __slots__ = ("vocab", "ids", "lengths", "split")
+    __slots__ = ("vocab", "ids", "lengths", "split", "_groups")
 
     def __init__(self, vocab: Vocab, rows, split: str = ""):
         rows = tuple(rows)
@@ -234,7 +237,7 @@ def _init_corpus(corpus, vocab, ids, lengths, split) -> None:
     ids.flags.writeable = False
     lengths.flags.writeable = False
     for name, value in (("vocab", vocab), ("ids", ids), ("lengths", lengths),
-                        ("split", split)):
+                        ("split", split), ("_groups", None)):
         object.__setattr__(corpus, name, value)
 
 
@@ -297,7 +300,8 @@ def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np
     ``ids[distinct][inverse]`` rebuilds ``ids``. The TextCNN's
     ``predict_corpus`` and training step, the n-gram LM's fit and scores,
     BLEU, self-BLEU and the sentence embeddings do each row's work on the
-    distinct rows only; the rows come out ordered by length first, then by
+    distinct rows only, all but the fit through a corpus's kept
+    ``row_groups``; the rows come out ordered by length first, then by
     ``ids[:, L-1]``, ..., ``ids[:, 0]``, and only ``predict_corpus``'s
     chunks need the length order. Each row is packed into one int64 key
     whose digits, most significant first, are the length and then the ids
@@ -332,12 +336,19 @@ def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np
         powers = base ** np.arange(end - start, dtype=np.int64)
         key = key * base ** (end - start) + ids[:, start:end] @ powers
         top, end = bound, start
+    return _group_keys(key, top)
+
+
+def _group_keys(key: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_distinct_rows``'s result from each row's non-negative key, at most
+    ``top``: one row per distinct key and each row's group, the groups in
+    ascending key order."""
     if top < _MARK_KEYS_BELOW:
         # the scheme TextCNN._forward uses for tokens: a flag per possible
         # key, the flagged keys ascending, each key's rank, and a row per rank
         present = np.zeros(top + 1, dtype=bool)
         present[key] = True
-        values = np.flatnonzero(present)
+        values = present.nonzero()[0]
         rank = np.empty(top + 1, dtype=np.intp)
         rank[values] = np.arange(len(values))
         inverse = rank[key]
@@ -346,6 +357,38 @@ def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np
         return distinct, inverse
     order, first, inverse = _dense_ranks(key)
     return order[first], inverse
+
+
+def row_groups(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """``_distinct_rows`` of a corpus's arrays, computed once per corpus.
+
+    The corpus keeps the read-only result, so the classifier, the n-gram
+    LM's scores and the metrics group a corpus they all read only once.
+    Two threads that ask at once may both compute it, and get equal arrays.
+    """
+    if corpus._groups is None:
+        _keep_groups(corpus, _distinct_rows(corpus.ids, corpus.lengths))
+    return corpus._groups
+
+
+def _slice_with_groups(corpus: Corpus, rows: slice) -> Corpus:
+    """``corpus[rows]`` with its ``row_groups`` derived from the corpus's.
+
+    The slice's rows keep their groups' ranks, which order the groups by
+    key as ``_distinct_rows`` does, so grouping the ranks gives the groups
+    ``_distinct_rows`` would find on the slice's own arrays, in the same
+    order, without packing a key.
+    """
+    distinct, inverse = row_groups(corpus)
+    part = corpus[rows]
+    _keep_groups(part, _group_keys(inverse[rows], len(distinct) - 1))
+    return part
+
+
+def _keep_groups(corpus: Corpus, groups: tuple[np.ndarray, np.ndarray]) -> None:
+    for a in groups:
+        a.flags.writeable = False
+    object.__setattr__(corpus, "_groups", groups)
 
 
 def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

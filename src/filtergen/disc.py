@@ -11,11 +11,13 @@ is built. With ``W_i`` the rows ``i*de:(i+1)*de`` of a bank's weight, the
 table ``T_i = embed[tokens] @ W_i`` holds every token's term as a window's
 i-th token, over only the ``tokens`` that occur in the batch, and a
 window's pre-activation at position p is ``b + sum_i T_i[local[:, p + i]]``
-(``local`` indexes ``tokens``). The relu is applied after the pool, which
-gives the same value. A bank's pre-activations are one position-major
-``(P, B, k)`` block, gathered with ``np.take`` on ``local.T``: the pool is
-a max over the leading axis, one contiguous ``(B, k)`` slab per position,
-and padding is masked only when some row is shorter than the batch.
+(``local`` indexes ``tokens``); the bias is added to ``T_0``'s rows, once
+per token rather than once per window. The relu is applied after the pool,
+which gives the same value. A bank's pre-activations are one
+position-major ``(P, B, k)`` block, gathered with ``take`` on ``local.T``:
+the pool is a max over the leading axis, one contiguous ``(B, k)`` slab
+per position, and padding is masked only when some row is shorter than the
+batch. Both banks' relu'd pools are written into one ``(B, K)`` array.
 
 In the backward the pool's gradient reaches only each (row, kernel)'s
 first maximising window. Its position is the number of leading positions
@@ -33,9 +35,11 @@ its own vector-matrix product and each logit from its own dot product
 (stacked ``@`` with one row per stack); pooling, masking and the sigmoid
 are elementwise. ``predict_corpus`` relies on this: it runs the forward pass
 once per distinct (ids, length) row and gathers the scores back, which is
-bit-identical to scoring every row on its own. ``data._distinct_rows``
-finds those rows, the helper the n-gram LM and the metrics use too; it
-lists them by length first, in ascending order of a packed integer key.
+bit-identical to scoring every row on its own. ``data.row_groups`` finds
+those rows (``data._distinct_rows``, which the n-gram LM and the metrics
+use too, lists them by length first, in ascending order of a packed
+integer key) and the corpus keeps them, so a validation split scored after
+every epoch is grouped once.
 
 Training runs the whole step once per distinct row of the batch. Rows that
 repeat have the same logit, so their gradients differ only through
@@ -44,6 +48,10 @@ each distinct row's ``dlogits`` in batch order (one ``bincount``), and
 ``_backward`` runs on the distinct rows with those sums. The loss is
 bit-identical to the full-batch step's and the gradients equal its up to
 rounding; their bits depend on which rows repeat and on the batch's order.
+``_fit`` groups each shuffled epoch's rows once, and each batch, a slice of
+them, takes its groups from the epoch's ranks (``data._slice_with_groups``):
+the same groups, in the same order, as grouping the batch on its own, with
+no key packed per batch.
 
 No sum in the step depends on the BLAS thread count. ``dW_i`` is the one
 product that reduces over many terms, the batch's distinct tokens, and
@@ -54,8 +62,13 @@ adds the blocks in token order. The other two products gave the same bits
 at one and two threads at V = 2,000 and 10,000: ``feats.T @ dlogits`` is a
 matrix-vector product, whose outputs OpenBLAS divides between threads,
 and ``G_i @ W_i.T`` reduces over a bank's k kernels only. ``_fit`` keeps
-the trainable parameters as views of one flat buffer while it trains, so
-that a momentum step is three elementwise operations.
+the trainable parameters as views of one flat buffer while it trains, and
+``loss_and_grads`` writes their gradients into views of a second buffer
+of the same layout (``out``), allocated once per training, so that a
+momentum step is a few elementwise operations on two flat vectors and
+nothing is concatenated per step. Steps into one ``out`` also reuse the
+forward's pre-activation blocks, its largest arrays, which the allocator
+would otherwise return to the system and fault back in at every step.
 """
 
 from __future__ import annotations
@@ -64,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, _distinct_rows, corpus_to_arrays, split_tail
+from .data import Corpus, _slice_with_groups, corpus_to_arrays, row_groups, split_tail
 from .errors import InputError, check_fields, integer, number
 from .genmodel import SamplerConfig
 
@@ -142,6 +155,9 @@ class TextCNN:
         total = sum(k for _, k in self.banks)
         self.params["out_w"] = rng.standard_normal(total) * 0.1
         self.params["out_b"] = np.zeros(1)
+        # the last ``out`` buffer, its trainable views and the forward's work
+        # buffers, all reused by the next step into the same ``out``
+        self._step = None
 
     def trainable(self) -> list[str]:
         names = [k for k in self.params if k != "embed" or not self.embed_frozen]
@@ -149,7 +165,13 @@ class TextCNN:
 
     # -- forward ----------------------------------------------------------
 
-    def _forward(self, ids: np.ndarray, lengths: np.ndarray):
+    def _forward(self, ids: np.ndarray, lengths: np.ndarray, work: dict | None = None):
+        """Logits of the rows and the cache ``_backward`` reads.
+
+        With ``work``, a dict the caller keeps, the pre-activation blocks
+        are views of buffers kept in it, grown as needed and overwritten by
+        the next call with the same dict; without, they are new arrays.
+        """
         p = self.params
         b, l = ids.shape
         # the tokens that occur, ascending, and each position's index into
@@ -157,19 +179,23 @@ class TextCNN:
         # per vocabulary entry instead of a sort
         present = np.zeros(len(p["embed"]), dtype=bool)
         present[ids] = True
-        tokens = np.flatnonzero(present)
+        tokens = present.nonzero()[0]
         index = np.empty(len(present), dtype=np.intp)
         index[tokens] = np.arange(len(tokens))
         local = index[ids]  # (B, L)
         by_position = np.ascontiguousarray(local.T)  # (L, B)
-        ragged = (lengths < l).any()  # else no window reaches padding
+        ragged = lengths.min() < l  # else no window reaches padding
         emb = p["embed"][tokens]  # (U, de)
         de = emb.shape[1]
-        pooled, cache = [], {"tokens": tokens, "local": local, "emb": emb, "banks": {}}
+        feats = np.empty((b, len(p["out_w"])))  # each bank's relu'd pools
+        cache = {"tokens": tokens, "local": local, "emb": emb, "feats": feats, "banks": {}}
+        offset = 0
         for w, k in self.banks:
+            pooled = feats[:, offset: offset + k]
+            offset += k
             positions = l - w + 1
             if positions < 1:
-                pooled.append(np.zeros((b, k)))
+                pooled[...] = 0.0
                 cache["banks"][w] = None
                 continue
             # tables[i] = emb @ W_i: every token's term as a window's i-th
@@ -177,55 +203,92 @@ class TextCNN:
             # token's row does not depend on the other tokens
             weight = p[f"conv{w}_w"].reshape(w, 1, de, k)
             tables = (emb[:, None, :] @ weight)[:, :, 0]  # (w, U, k), each T_i contiguous
+            tables[0] += p[f"conv{w}_b"]  # the bias, once per token, not per window
             # position-major (P, B, k), so the pool and the backward's scans
             # read one contiguous (B, k) slab per window position
-            pre = np.take(tables[0], by_position[:positions], axis=0)
-            pre += p[f"conv{w}_b"]
+            pre, term = _blocks(work, w, (positions, b, k))
+            # the indices are valid: "clip" only spares the copy that "raise"
+            # makes of a result with an out array
+            tables[0].take(by_position[:positions], axis=0, out=pre, mode="clip")
             for i in range(1, w):
-                pre += np.take(tables[i], by_position[i:i + positions], axis=0)
+                tables[i].take(by_position[i:i + positions], axis=0, out=term, mode="clip")
+                pre += term
             if ragged:
                 pre[np.arange(positions)[:, None] > lengths - w] = -np.inf
             top = pre.max(axis=0)  # (B, k); -inf for a row with no valid window
-            pooled.append(np.maximum(top, 0.0))  # relu after the pool
+            np.maximum(top, 0.0, out=pooled)  # relu after the pool
             cache["banks"][w] = (pre, top)
-        feats = np.concatenate(pooled, axis=1)
         # one dot product per row: a matrix-vector product's rows can round
         # differently with the number of rows
         logits = (feats[:, None, :] @ p["out_w"])[:, 0] + p["out_b"][0]
-        cache["feats"] = feats
         return logits, cache
 
-    def _backward(self, cache, dlogits: np.ndarray) -> dict:
+    def _trainable_views(self, flat: np.ndarray) -> dict:
+        """Views of a flat float64 buffer shaped as the trainable parameters,
+        one after another in ``trainable()`` order."""
+        views, at = {}, 0
+        for k in self.trainable():
+            size, shape = self.params[k].size, self.params[k].shape
+            views[k] = flat[at: at + size].reshape(shape)
+            at += size
+        return views
+
+    def _kept(self, out: np.ndarray) -> tuple[dict, dict]:
+        """The trainable views of ``out`` and the forward's work dict, kept
+        from the last step into the same buffer or made anew."""
+        if self._step is None or self._step[0] is not out:
+            size = sum(self.params[k].size for k in self.trainable())
+            if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                    and out.shape == (size,) and out.flags.c_contiguous
+                    and out.flags.writeable):
+                raise InputError(f"out must be a writable, contiguous float64 vector "
+                                 f"of the {size} trainable parameters")
+            self._step = (out, self._trainable_views(out), {})
+        return self._step[1:]
+
+    def _backward(self, cache, dlogits: np.ndarray, out: np.ndarray | None = None) -> dict:
         """Parameter gradients of the rows ``_forward`` ran on.
 
         ``cache`` is ``_forward``'s and ``dlogits`` holds one entry per row
         of it: in training, each distinct row's ``dlogits`` summed over the
-        batch rows it stands for.
+        batch rows it stands for. The trainable parameters' gradients are
+        written to ``_trainable_views(out)``, of a new buffer when ``out``
+        is None.
         """
         p = self.params
+        if out is None:
+            grads = self._trainable_views(np.empty(sum(p[k].size for k in self.trainable())))
+        else:
+            grads = self._kept(out)[0]
+        if self.embed_frozen:
+            grads["embed"] = np.zeros_like(p["embed"])  # stays zero
         feats = cache["feats"]  # (D, K)
-        grads = {"out_w": feats.T @ dlogits, "out_b": np.array([dlogits.sum()])}
+        grads["out_w"][...] = feats.T @ dlogits
+        grads["out_b"][0] = dlogits.sum()
         # the pool passes its gradient to one window per (row, kernel), and
         # the relu after it only where the pooled value is positive
         dpres = np.where(feats > 0.0, dlogits[:, None] * p["out_w"], 0.0)  # (D, K)
+        bias = dpres.sum(axis=0)  # each column alone, row after row
         local, emb = cache["local"], cache["emb"]
         (d, l), (u, de) = local.shape, emb.shape
-        demb = np.zeros_like(emb)
+        row_starts = np.arange(0, d * l, l)[:, None]  # each row's offset into local
+        demb = np.zeros(emb.shape)
         offset = 0
         for w, k in self.banks:
             dpre = dpres[:, offset: offset + k]
+            grads[f"conv{w}_b"][...] = bias[offset: offset + k]
             offset += k
             bank = cache["banks"][w]
             weight = p[f"conv{w}_w"]
+            dweight = grads[f"conv{w}_w"]
             if bank is None:
-                grads[f"conv{w}_w"], grads[f"conv{w}_b"] = np.zeros_like(weight), np.zeros(k)
+                dweight[...] = 0.0
                 continue
             pre, top = bank
-            grads[f"conv{w}_b"] = dpre.sum(axis=0)
             # each row's first maximising window, as a flat index into
             # local: the row's offset plus the number of leading positions
             # that are not the maximum (at most the last position)
-            first = np.arange(0, d * l, l).repeat(k).reshape(d, k)
+            first = row_starts.repeat(k, axis=1)
             behind = np.ones((d, k), dtype=bool)
             for q in range(len(pre) - 1):
                 behind &= pre[q] != top
@@ -235,7 +298,6 @@ class TextCNN:
             slots = (local.ravel() * k).take(first + np.arange(w)[:, None, None])
             slots += np.arange(k)
             weights = dpre.ravel()
-            dweight = np.empty_like(weight)
             for i in range(w):
                 # G_i[t, j]: dpre summed over the argmax windows whose i-th
                 # token is t, one row after another
@@ -245,35 +307,45 @@ class TextCNN:
                 dweight[rows] = _token_sum(emb, g)
                 if not self.embed_frozen:
                     demb += g @ weight[rows].T
-            grads[f"conv{w}_w"] = dweight
-        grads["embed"] = np.zeros_like(p["embed"])  # stays zero when frozen
         if not self.embed_frozen:
+            grads["embed"][...] = 0.0
             grads["embed"][cache["tokens"]] = demb
         return grads
 
-    def loss_and_grads(self, seqs, labels) -> tuple[float, dict]:
+    def loss_and_grads(self, seqs, labels, out: np.ndarray | None = None,
+                       ) -> tuple[float, dict]:
         """Mean binary cross-entropy of a batch plus parameter gradients.
 
         ``labels`` holds one number in [0, 1] per row. The forward pass and
-        the backward run once per distinct (ids, length) row: a row's logit
-        depends on that row alone, so its softplus and sigmoid are gathered
-        back to the batch unchanged, and the backward takes each distinct
-        row's ``dlogits`` summed in batch order. The gradients are the whole
-        batch's up to rounding.
+        the backward run once per distinct (ids, length) row of the batch's
+        ``row_groups``: a row's logit depends on that row alone, so its
+        softplus and sigmoid are gathered back to the batch unchanged, and
+        the backward takes each distinct row's ``dlogits`` summed in batch
+        order. The gradients are the whole batch's up to rounding.
+
+        The trainable parameters' gradients are views of one flat float64
+        buffer, in ``trainable()`` order: ``out`` when given, which the
+        call overwrites, else a new one. A frozen embedding's gradient is
+        a separate array of zeros. Steps into the same ``out`` also reuse
+        the forward's pre-activation blocks, so that a training loop does
+        not ask the allocator for its largest arrays anew at every step.
         """
         ids, lengths = corpus_to_arrays(seqs)
         labels = np.asarray(labels, dtype=np.float64)
         # NaN fails both comparisons, and so is rejected with the rest
-        if labels.shape != lengths.shape or not ((labels >= 0.0) & (labels <= 1.0)).all():
+        if labels.shape != lengths.shape or not (labels.min() >= 0.0 and labels.max() <= 1.0):
             raise InputError(f"labels must hold one number in [0, 1] per row: "
                              f"{len(lengths)} rows, labels of shape {labels.shape}")
-        distinct, inverse = _distinct_rows(ids, lengths)
-        logits, cache = self._forward(ids[distinct], lengths[distinct])
+        distinct, inverse = row_groups(seqs)
+        work = None if out is None else self._kept(out)[1]
+        logits, cache = self._forward(ids[distinct], lengths[distinct], work)
         # stable BCE-with-logits: softplus(logit) - y * logit
-        loss = float(np.mean(np.logaddexp(0.0, logits)[inverse] - labels * logits[inverse]))
+        terms = np.logaddexp(0.0, logits)[inverse]
+        terms -= labels * logits[inverse]
+        loss = float(terms.sum() / len(terms))
         dlogits = (_sigmoid(logits)[inverse] - labels) / len(labels)
         summed = np.bincount(inverse, weights=dlogits, minlength=len(distinct))
-        return loss, self._backward(cache, summed)
+        return loss, self._backward(cache, summed, out)
 
     # -- inference --------------------------------------------------------
 
@@ -282,11 +354,11 @@ class TextCNN:
 
         Only the distinct (ids, length) rows go through the forward pass,
         found by marking or sorting one packed int64 key per row
-        (``_distinct_rows``); a score depends on its row alone, so gathering
-        them back is bit-identical to scoring every row.
+        (``row_groups``, once per corpus); a score depends on its row alone,
+        so gathering them back is bit-identical to scoring every row.
         """
         ids, lengths = corpus_to_arrays(corpus)
-        distinct, inverse = _distinct_rows(ids, lengths)
+        distinct, inverse = row_groups(corpus)
         ids, lengths = ids[distinct], lengths[distinct]  # sorted by length first
         # 1024-row chunks keep a bank's (rows, positions, kernels) block in
         # cache on short sequences; 8192 rows ran at half the speed
@@ -298,6 +370,18 @@ class TextCNN:
             logits, _ = self._forward(ids[rows, :width], lengths[rows])
             out[rows] = _sigmoid(logits)
         return np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)[inverse]
+
+
+def _blocks(work: dict | None, key, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Two float64 arrays of ``shape``: new, or views of the buffer ``work``
+    keeps under ``key``, grown when too small."""
+    size = shape[0] * shape[1] * shape[2]
+    buf = None if work is None else work.get(key)
+    if buf is None or len(buf) < 2 * size:
+        buf = np.empty(2 * size)
+        if work is not None:
+            work[key] = buf
+    return buf[:size].reshape(shape), buf[size: 2 * size].reshape(shape)
 
 
 # As many tokens per block as keep a block's product at 2**16 multiply-adds:
@@ -395,16 +479,13 @@ def _generator_embeddings(gen_model):
 
 def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
          rng) -> DiscTrainReport:
-    trainable = disc.trainable()
-    # the trainable parameters become views of one flat buffer, so a
-    # momentum step is three elementwise operations on all of them at once
-    flat = np.concatenate([disc.params[k].ravel() for k in trainable])
-    at = 0
-    for k in trainable:
-        size, shape = disc.params[k].size, disc.params[k].shape
-        disc.params[k] = flat[at: at + size].reshape(shape)
-        at += size
+    # the trainable parameters become views of one flat buffer, and each
+    # step writes their gradients into views of grad, so a momentum step is
+    # four elementwise operations on all of them at once
+    flat = np.concatenate([disc.params[k].ravel() for k in disc.trainable()])
+    disc.params.update(disc._trainable_views(flat))
     velocity = np.zeros_like(flat)
+    grad = np.empty_like(flat)
     best_params = {k: v.copy() for k, v in disc.params.items()}
     best_acc, best_epoch, stale = -1.0, -1, 0
     losses, accs = [], []
@@ -414,16 +495,19 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
         assert len(pos) == len(neg)  # balanced classes by construction
         seqs = Corpus.concat([pos, neg])
         labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-        # shuffled once per epoch, so that each batch is a slice
+        # shuffled once per epoch, so that each batch is a slice whose rows'
+        # groups come from the epoch's, found once
         order = rng.permutation(len(seqs))
         seqs, labels = seqs[order], labels[order]
         total_loss, seen = 0.0, 0
         for start in range(0, len(seqs), cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
             batch_labels = labels[batch]
-            loss, grads = disc.loss_and_grads(seqs[batch], batch_labels)
+            loss, _ = disc.loss_and_grads(_slice_with_groups(seqs, batch), batch_labels,
+                                          out=grad)
+            grad *= cfg.lr
             velocity *= cfg.momentum
-            velocity -= cfg.lr * np.concatenate([grads[k].ravel() for k in trainable])
+            velocity -= grad
             flat += velocity
             total_loss += loss * len(batch_labels)
             seen += len(batch_labels)
@@ -444,6 +528,7 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
             stop_reason = "patience"
             break
     disc.params = best_params  # copies, so no parameter is a view of flat
+    disc._step = None  # nor is any buffer of the steps kept
     return DiscTrainReport(losses, accs, best_epoch, best_acc, stop_reason)
 
 

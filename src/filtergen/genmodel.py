@@ -23,8 +23,9 @@ The n-gram model works on the corpus id matrix: every context gets a dense
 integer key (``data._gram_ranks``), so fitting is one ``bincount``. Scoring
 computes each event's probability from its context's counts and their
 stored total, and caches nothing. Both find the events of each distinct row
-once (``data._distinct_rows``): fitting weighs them by the row's
-multiplicity, and scoring gathers each row's score back to its copies.
+once (``data._distinct_rows``; scoring reads the corpus's kept
+``data.row_groups``): fitting weighs them by the row's multiplicity, and
+scoring gathers each row's score back to its copies.
 Sampling reads a per-temperature table that holds each reached context's
 tempered CDF, computed once, and the row each (context, token) step leads
 to, so a warm step is an exact binary search for the number of CDF entries
@@ -61,7 +62,7 @@ import numpy as np
 
 from .data import (BOS, DEFAULT_MAX_LEN, EOS, PAD, UNK, Corpus, MarkovSource,
                    _distinct_rows, _draw_from_cdf, _gram_ranks, _new_corpus, _sample_chain,
-                   chain_probs, corpus_to_arrays, split_tail)
+                   chain_probs, corpus_to_arrays, row_groups, split_tail)
 from .errors import InputError, check_fields, integer, number
 
 # Byte cap of one NGramLM's sampling tables of every temperature together. A
@@ -264,7 +265,7 @@ class NGramLM:
         each distinct context's events are scored together from its counts,
         logged, and each row's terms are summed left to right; the scores
         are gathered back to every row."""
-        rows, inverse = _distinct_rows(corpus.ids, corpus.lengths)
+        rows, inverse = row_groups(corpus)
         contexts, ctx, sup, mask = self._events(corpus[rows])
         by_ctx = np.argsort(ctx, kind="stable")
         bounds = np.searchsorted(ctx[by_ctx], np.arange(len(contexts) + 1))
@@ -409,6 +410,8 @@ class MarkovModel:
         self.vocab = source.vocab
         self.fixed_length = source.length
         self.support = support_ids(self.vocab, self.fixed_length)
+        # the tempered chain of each (temperature, steps) sampled at T != 1
+        self._tempered: dict[tuple[float, int], MarkovSource] = {}
 
     def seq_logprob(self, ids) -> float:
         return float(self.seq_logprobs(Corpus(self.vocab, [ids]))[0])
@@ -427,18 +430,23 @@ class MarkovModel:
 
     def sample_block(self, u: np.ndarray, cfg: SamplerConfig, split: str = "") -> Corpus:
         """The chain's rows of a ``(rounds, length_cap, n)`` block of
-        uniforms, round after round, every row drawn together."""
+        uniforms, round after round, every row drawn together. At T != 1 the
+        tempered chain is built once per (temperature, steps) and kept."""
         _check_block(self, u, cfg)
         rounds, steps, n = u.shape
         u = u.transpose(1, 0, 2).reshape(steps, rounds * n)  # a view for one round
         if cfg.temperature == 1.0:
             return _sample_chain(self.source, u, split)
-        src = MarkovSource(
-            self.source.tokens,
-            _apply_temperature(self.source.initial, cfg.temperature),
-            np.apply_along_axis(_apply_temperature, 1, self.source.transition, cfg.temperature),
-            steps,
-        )
+        key = (cfg.temperature, steps)
+        src = self._tempered.get(key)
+        if src is None:
+            src = self._tempered[key] = MarkovSource(
+                self.source.tokens,
+                _apply_temperature(self.source.initial, cfg.temperature),
+                np.apply_along_axis(_apply_temperature, 1, self.source.transition,
+                                    cfg.temperature),
+                steps,
+            )
         return _sample_chain(src, u, split)
 
 

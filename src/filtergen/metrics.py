@@ -5,10 +5,12 @@ and rejected sample streams.
 
 Samples repeat rows, often: a small domain holds few distinct sequences.
 BLEU, self-BLEU, the sentence embeddings and the n-gram LM scores do each
-row's work once per distinct row (``data._distinct_rows``) and gather it
-back, while every mean and covariance across rows still runs over all
-rows in their order, so each metric is bit-identical to its row-by-row
-value.
+row's work once per distinct row (``data.row_groups``) and gather it back,
+while every mean and covariance across rows still runs over all rows in
+their order, so each metric is bit-identical to its row-by-row value. A
+corpus keeps its groups, so a sample corpus scored by several metrics, or
+a ``MetricScorer``'s ``real_test`` scored against every sweep row, is
+grouped once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BOS, EOS, Corpus, _distinct_rows, _gram_ranks
+from .data import BOS, EOS, Corpus, _gram_ranks, row_groups
 from .disc import DiscConfig, error_rate, train_discriminator_corpora
 from .errors import InputError
 from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
@@ -99,9 +101,9 @@ def bleu(hypotheses: Corpus, references: Corpus, cfg: BleuConfig | None = None) 
     cfg = cfg or BleuConfig()
     if len(hypotheses) == 0 or len(references) == 0:
         raise InputError("hypotheses and references must be non-empty")
-    rows, inverse = _distinct_rows(hypotheses.ids, hypotheses.lengths)
+    rows, inverse = row_groups(hypotheses)
     hyps = hypotheses[rows]
-    refs = references[_distinct_rows(references.ids, references.lengths)[0]]
+    refs = references[row_groups(references)[0]]
     both = Corpus.concat([hyps, refs])
     n_hyp = len(hyps)
     matches = []
@@ -130,7 +132,7 @@ def self_bleu(samples: Corpus, cfg: BleuConfig | None = None) -> float:
     cfg = cfg or BleuConfig()
     if len(samples) < 2:
         raise InputError("self-BLEU needs at least two samples")
-    rows, inverse = _distinct_rows(samples.ids, samples.lengths)
+    rows, inverse = row_groups(samples)
     copies = np.bincount(inverse)
     unique = samples[rows]
     matches = []
@@ -278,7 +280,7 @@ def embed(samples: Corpus, em: EmbeddingModel) -> np.ndarray:
     row's length, once per distinct row; the vectors are gathered back to
     every row.
     """
-    rows, inverse = _distinct_rows(samples.ids, samples.lengths)
+    rows, inverse = row_groups(samples)
     ids, lengths = samples.ids[rows], samples.lengths[rows]
     total = np.zeros((len(rows), em.dim))
     for t, column in enumerate(ids.T):

@@ -440,6 +440,147 @@ def test_distinct_rows_switch_paths_at_the_key_bound(monkeypatch):
         _check_distinct_rows(ids, lengths)
 
 
+def _check_slice_groups(corpus, batch_size):
+    # every batch slice's groups, derived from the whole corpus's, equal
+    # _distinct_rows on the slice's own (trimmed) arrays
+    for start in range(0, len(corpus), batch_size):
+        part = fg.data._slice_with_groups(corpus, slice(start, start + batch_size))
+        assert part == corpus[start:start + batch_size]
+        distinct, inverse = fg.data.row_groups(part)
+        ref_distinct, ref_inverse = _distinct_rows(part.ids, part.lengths)
+        assert np.array_equal(part.ids[distinct], part.ids[ref_distinct])
+        assert np.array_equal(part.lengths[distinct], part.lengths[ref_distinct])
+        assert np.array_equal(inverse, ref_inverse)
+
+
+_WIDE_VOCAB = fg.data.Vocab(f"w{i}" for i in range(10_000))  # 10,004 ids
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 6), vocab=st.sampled_from([5, 9, 10_004]),
+       bound=st.sampled_from([0, 3, 2**15]), data=st.data())
+def test_a_slice_s_groups_equal_the_distinct_rows_of_its_own_arrays(width, vocab, bound,
+                                                                   data):
+    # ragged rows from a small pool, shuffled, cut into batches of any size;
+    # a bound of 0 sorts every key, 3 marks only when few groups occur, and
+    # 2**15 marks; at V = 10,004 and width 5 or 6 the whole corpus's key is
+    # re-ranked on the way
+    row = st.lists(st.integers(4, vocab - 1), min_size=1, max_size=width)
+    pool = data.draw(st.lists(row, min_size=1, max_size=8))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    words = _WIDE_VOCAB if vocab == 10_004 else fg.build_vocab(["a b c d e"], max_size=vocab - 4)
+    corpus = Corpus(words, [pool[i] for i in picks])
+    order = np.array(data.draw(st.permutations(range(len(picks)))), dtype=np.intp)
+    batch_size = data.draw(st.integers(1, len(picks) + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fg.data, "_MARK_KEYS_BELOW", bound)
+        _check_slice_groups(corpus[order], batch_size)
+
+
+def test_a_slice_s_groups_equal_distinct_rows_after_re_ranks():
+    # test_distinct_rows_re_rank_a_key_before_it_overflows's rows: V = 10,004
+    # at width 64, the key re-ranked many times; shuffled, in batches of 256
+    rng = np.random.default_rng(21)
+    width, vocab = 64, 10_004
+    lengths = rng.integers(1, width + 1, size=300)
+    pool = np.where(np.arange(width) < lengths[:, None],
+                    rng.integers(4, vocab, size=(300, width)), fg.data.PAD)
+    picks = rng.integers(0, 300, size=5000)
+    corpus = Corpus.from_arrays(_WIDE_VOCAB, pool[picks], lengths[picks])
+    _check_slice_groups(corpus[rng.permutation(len(corpus))], 256)
+
+
+def test_row_groups_are_found_once_per_corpus(monkeypatch):
+    calls = []
+    real_distinct_rows = fg.data._distinct_rows
+
+    def counting(ids, lengths):
+        calls.append(len(lengths))
+        return real_distinct_rows(ids, lengths)
+
+    monkeypatch.setattr(fg.data, "_distinct_rows", counting)
+    vocab = fg.build_vocab(["a b c"], max_size=5)
+    corpus = Corpus(vocab, [(4, 5), (6,), (4, 5), (5, 5, 6)])
+    first = fg.data.row_groups(corpus)
+    assert fg.data.row_groups(corpus) is first
+    assert calls == [4]
+    assert not any(a.flags.writeable for a in first)
+    fg.data.row_groups(corpus[1:])  # a slice is a new corpus with groups of its own
+    assert calls == [4, 3]
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_loss_and_grads_fill_out_with_the_bytes_of_a_fresh_call(s3, frozen):
+    batch = _step_batches(s3)["s3"]
+    disc = _step_disc(batch.vocab, frozen, 40)
+    labels = (np.random.default_rng(40).random(len(batch)) < 0.5).astype(np.float64)
+    loss, grads = disc.loss_and_grads(batch, labels)
+    trainable = disc.trainable()
+    buf = np.full(sum(disc.params[k].size for k in trainable), np.nan)
+    for _ in range(2):  # a second call into the same buffer overwrites it alike
+        out_loss, views = disc.loss_and_grads(batch, labels, out=buf)
+        assert out_loss == loss
+        assert views.keys() == grads.keys()
+        at = 0
+        for k in trainable:  # one after another in trainable() order
+            size = disc.params[k].size
+            assert np.shares_memory(views[k], buf)
+            assert views[k].shape == grads[k].shape
+            assert views[k].tobytes() == grads[k].tobytes() == buf[at:at + size].tobytes(), k
+            at += size
+        assert at == len(buf)
+        assert views["embed"].tobytes() == grads["embed"].tobytes()
+    for bad in (np.empty(len(buf) + 1), np.empty(len(buf), dtype=np.float32),
+                np.empty(2 * len(buf))[::2], list(buf)):
+        with pytest.raises(InputError):
+            disc.loss_and_grads(batch, labels, out=bad)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_loss_and_grads_without_out_never_overwrite_earlier_gradients(s3, frozen):
+    batches = _step_batches(s3)
+    disc = _step_disc(batches["s3"].vocab, frozen, 41)
+    ones = np.ones(len(batches["s3"]))
+    _, first = disc.loss_and_grads(batches["s3"], ones)
+    kept = {k: v.copy() for k, v in first.items()}
+    _, second = disc.loss_and_grads(batches["s3"], np.zeros(len(batches["s3"])))
+    size = sum(disc.params[k].size for k in disc.trainable())
+    disc.loss_and_grads(batches["s3"], ones, out=np.empty(size))
+    for k in kept:
+        assert first[k].tobytes() == kept[k].tobytes(), k
+        assert not np.shares_memory(first[k], second[k]), k
+    assert any(not np.array_equal(first[k], second[k]) for k in disc.trainable())
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_training_groups_each_epoch_once_and_each_validation_split_once(fixed,
+                                                                        monkeypatch):
+    # the rows of an epoch are grouped once and each batch derives its groups
+    # from them; the validation splits are grouped at the first epoch only
+    vocab = fg.build_vocab(["a b c d e"], max_size=10)
+    real = _ragged_corpus(vocab, 600, 4, seed=30)
+    fake = _ragged_corpus(vocab, 500, 5, seed=31)
+    gen = fg.train_mle(fake, None, fg.NGramConfig())
+    cfg = DiscConfig(embed_dim=6, kernels2=5, kernels3=7, lr=0.1, batch_size=64,
+                     max_epochs=3, patience=5, seed=30)
+    calls = []
+    real_distinct_rows = fg.data._distinct_rows
+
+    def counting(ids, lengths):
+        calls.append(len(lengths))
+        return real_distinct_rows(ids, lengths)
+
+    monkeypatch.setattr(fg.data, "_distinct_rows", counting)
+    if fixed:
+        _, report = train_discriminator_corpora(real, fake, cfg, np.random.default_rng(30))
+        epoch_rows, val_rows = 2 * (500 - 50), [60, 50]
+    else:
+        _, report = train_discriminator(real, gen, cfg, np.random.default_rng(30))
+        epoch_rows, val_rows = 2 * (600 - 60), [60, 60]
+    assert report.epochs == 3
+    assert calls == [epoch_rows, *val_rows, epoch_rows, epoch_rows]
+
+
 def test_domain_scores_equal_their_scores_inside_a_sampled_batch(s3, s3_disc):
     # exact_boundary scores the domain once; the filter scores sampled
     # batches. Equal bits make the boundary's plateau the filter's decisions.
@@ -630,11 +771,12 @@ def _per_row_loss_and_grads(disc, ids, lengths, labels):
     return loss, _batch_major_backward(disc, cache, dlogits), cache, dlogits
 
 
-def _grouped_loss_and_grads(disc, seqs, labels):
+def _grouped_loss_and_grads(disc, seqs, labels, out=None):
     # the training step on the batch-major kernels with the batch's rows
     # grouped by the lexsort reference: the loss over every row, and the
     # backward on one row per group, with the group's dlogits added up one
-    # batch row after another
+    # batch row after another; the trainable gradients are also copied into
+    # out, one after another, as training reads them
     ids, lengths = fg.data.corpus_to_arrays(seqs)
     labels = np.asarray(labels, dtype=np.float64)
     loss, _, _, dlogits = _per_row_loss_and_grads(disc, ids, lengths, labels)
@@ -643,7 +785,10 @@ def _grouped_loss_and_grads(disc, seqs, labels):
     for row, group in enumerate(groups):
         summed[group] += dlogits[row]
     _, cache = _batch_major_forward(disc, ids[rows], lengths[rows])
-    return loss, _batch_major_backward(disc, cache, summed)
+    grads = _batch_major_backward(disc, cache, summed)
+    if out is not None:
+        out[...] = np.concatenate([grads[k].ravel() for k in disc.trainable()])
+    return loss, grads
 
 
 def _two_branch_sigmoid(x):

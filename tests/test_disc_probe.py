@@ -27,6 +27,10 @@ def test_disc_probe_smoke():
                     for _ in range(2))
     assert (first["vocab"], first["rows"], first["seed"], first["epochs"]) == (50, 400, 3, 2)
     assert first["train_s"] >= 0.0
+    # two epochs of 2 * 360 rows (the 90% of 400 left for training) in
+    # batches of 256
+    assert first["steps"] == 2 * 3
+    assert first["step_ms"] == 1000.0 * first["train_s"] / first["steps"]
     assert first["peak_rss_mb"] > 0
     assert len(first["params_sha256"]) == 64
     assert first["params_sha256"] == again["params_sha256"]

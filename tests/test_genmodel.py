@@ -681,3 +681,26 @@ def test_ngram_sample_frequencies_match_seq_logprobs(order, k, length, seed):
     x = math.log(2e9)
     bound = np.sqrt(2 * dist.probs * (1 - dist.probs) * x / n) + 2 * x / (3 * n)
     assert (np.abs(freq - dist.probs) <= bound).all()
+
+
+def test_markov_tempered_chain_is_built_once_and_samples_as_a_fresh_one(monkeypatch):
+    # repeated calls at T = 0.7 share one tempered chain; each call's rows
+    # equal those of a model that has never sampled
+    source = fg.MarkovSource(("a", "b", "c"), np.array([0.5, 0.3, 0.2]),
+                             np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.1, 0.8, 0.1]]), 5)
+    built = []
+    real_source = fg.genmodel.MarkovSource
+
+    def counting_source(*args, **kwargs):
+        built.append(args)
+        return real_source(*args, **kwargs)
+
+    model = MarkovModel(source)
+    cfg = SamplerConfig(temperature=0.7, max_len=5)
+    monkeypatch.setattr(fg.genmodel, "MarkovSource", counting_source)
+    rows = [model.sample_corpus(40, cfg, np.random.default_rng(seed)) for seed in range(4)]
+    assert len(built) == 1
+    monkeypatch.undo()
+    for seed, got in enumerate(rows):
+        fresh = MarkovModel(source).sample_corpus(40, cfg, np.random.default_rng(seed))
+        assert got == fresh

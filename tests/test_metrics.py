@@ -470,6 +470,28 @@ def _scorer(s2, metric_names, seed):
                         fixed_length=s2.length, seed=seed)
 
 
+def test_scorer_groups_each_corpus_once(s2, monkeypatch):
+    # the held-out reference is grouped once for every row it is scored
+    # against, and each sample corpus once for all of its metrics
+    calls = []
+    real_distinct_rows = fg.data._distinct_rows
+
+    def counting(ids, lengths):
+        calls.append(len(lengths))
+        return real_distinct_rows(ids, lengths)
+
+    monkeypatch.setattr(fg.data, "_distinct_rows", counting)
+    train, test = s2.train[:], s2.test[:]  # new corpora, grouped by no other test
+    scorer = MetricScorer(("bleu", "selfbleu", "lm", "fed"), real_train=train,
+                          real_test=test, fixed_length=s2.length, seed=3)
+    assert calls == [len(test)]  # embedded for FED
+    for n in (300, 400):
+        samples = s2.generator.sample_corpus(n, SamplerConfig(max_len=s2.length),
+                                             np.random.default_rng(n))
+        scorer.cells(samples, seed=n)
+    assert calls == [len(test), 300, 400]
+
+
 def test_sweep_degenerate_single_point_matches_direct_calls(s2):
     report = temperature_sweep(
         s2.generator, _scorer(s2, ("bleu", "selfbleu", "lm", "rlm"), 99), [1.0],

@@ -5,10 +5,13 @@ Builds two synthetic Zipf corpora from a seed with ``ngram_probe.zipf_corpus``
 labels one real and the other generated, and trains the classifier on them
 for exactly two epochs with ``train_discriminator_corpora``. Such rows
 rarely repeat, unlike the bundled scenarios' batches. It prints one JSON
-line with the training time, a SHA-256 of the trained parameters and the
-process's peak RSS. Times are CPU seconds of this process, with BLAS held
-to one thread (unless the environment already sets its thread count) so
-that they are not a sum over BLAS threads.
+line with the training time, the number of training steps (batches) and
+the CPU milliseconds per step (the training time over the steps, so each
+step carries its share of the epochs' validation scoring), a SHA-256 of
+the trained parameters and the process's peak RSS. Times are CPU seconds
+of this process, with BLAS held to one thread (unless the environment
+already sets its thread count) so that they are not a sum over BLAS
+threads.
 
     PYTHONPATH=src python tools/disc_probe.py --vocab 2000 --seed 0
 """
@@ -35,9 +38,21 @@ def probe(vocab_size: int, rows: int, seed: int) -> dict:
     real = zipf_corpus(vocab_size, rows, seed)
     fake = zipf_corpus(vocab_size, rows, seed + 1)
     cfg = fg.DiscConfig(lr=0.05, batch_size=256, max_epochs=2, patience=3, seed=seed)
-    start = time.process_time()
-    disc, report = fg.train_discriminator_corpora(real, fake, cfg)
-    train_s = time.process_time() - start
+    steps = 0
+    step = fg.TextCNN.loss_and_grads
+
+    def counted_step(*args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return step(*args, **kwargs)
+
+    fg.TextCNN.loss_and_grads = counted_step
+    try:
+        start = time.process_time()
+        disc, report = fg.train_discriminator_corpora(real, fake, cfg)
+        train_s = time.process_time() - start
+    finally:
+        fg.TextCNN.loss_and_grads = step
     digest = hashlib.sha256()
     for name in sorted(disc.params):
         digest.update(np.ascontiguousarray(disc.params[name], dtype="<f8").tobytes())
@@ -47,6 +62,8 @@ def probe(vocab_size: int, rows: int, seed: int) -> dict:
         "seed": seed,
         "epochs": report.epochs,
         "train_s": train_s,
+        "steps": steps,
+        "step_ms": 1000.0 * train_s / steps,
         "params_sha256": digest.hexdigest(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
