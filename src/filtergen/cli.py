@@ -40,7 +40,7 @@ from .data import (Vocab, atomic_open, build_vocab, encode_corpus, load_corpus, 
                    save_corpus)
 from .disc import DiscConfig, error_rate, train_discriminator
 from .errors import BudgetError, ConfigError, FiltergenError, InputError, integer, number
-from .filtering import BoundaryEstimateConfig
+from .filtering import MAX_ATTEMPTS_PER_SAMPLE, BoundaryEstimateConfig
 # unused here since the subcommands run metrics.grid_boundary and grid_streams,
 # but perfbench's tracer test still expects this module to bind them
 from .filtering import estimate_boundary, sample_filtered  # noqa: F401
@@ -140,7 +140,7 @@ def validate_config(path) -> ExperimentConfig:
                         seed=seed)
 
     filt = _positive_ints(problems, doc.get("filter"), "filter",
-                 {"max_attempts_per_sample": 10_000}, extra=("c",))
+                 {"max_attempts_per_sample": MAX_ATTEMPTS_PER_SAMPLE}, extra=("c",))
     ratios = _grid_values(problems, filt.get("c", [0.5]), "filter.c", _is_ratio,
                           "filter.c entries must lie in (0, 1], got {!r}")
     temps = _grid_values(problems, doc.get("temperatures", [1.0]), "temperatures",
@@ -229,7 +229,8 @@ def _section(problems, doc, name: str, cls, **fixed):
 
 
 def _generator_section(problems, doc, seed: int):
-    """The seeded config of the generator ``kind`` names (default ``ngram``)."""
+    """The config of the generator ``kind`` names (default ``ngram``); the
+    neural generator's is seeded with ``seed``, the n-gram draws nothing."""
     kind = doc.get("kind", "ngram") if isinstance(doc, dict) else "ngram"
     if not isinstance(kind, str) or kind not in _GENERATORS:
         problems.append(f"generator.kind must be one of {'|'.join(_GENERATORS)}, "
@@ -237,7 +238,8 @@ def _generator_section(problems, doc, seed: int):
         return None
     if isinstance(doc, dict):
         doc = {key: value for key, value in doc.items() if key != "kind"}
-    return _section(problems, doc, "generator", _GENERATORS[kind], seed=seed)
+    fixed = {"seed": seed} if kind == "neural" else {}
+    return _section(problems, doc, "generator", _GENERATORS[kind], **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +250,17 @@ def _generator_section(problems, doc, seed: int):
 def _write_json(path, doc, **dump_args) -> None:
     with atomic_open(path) as fh:
         fh.write(json.dumps(doc, **dump_args))
+
+
+def _source_sha256(package: Path = Path(__file__).resolve().parent) -> str:
+    """SHA-256 over the package's ``*.py`` and ``scenarios/*.json`` files,
+    each one's relative path, size and bytes, in sorted order."""
+    h = hashlib.sha256()
+    for path in sorted([*package.glob("*.py"), *package.glob("scenarios/*.json")]):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(package).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def _sha256(path) -> str:
@@ -265,7 +278,8 @@ class _Pipeline:
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = {
             "config_hash": config.config_hash(),
-            "versions": {"filtergen": __version__, "numpy": np.__version__},
+            "versions": {"filtergen": __version__, "numpy": np.__version__,
+                         "source_sha256": _source_sha256()},
             "inputs": ({name: _sha256(config.data[name]) for name in _SPLITS}
                        if config.data is not None else {}),
             "stages": [],
@@ -697,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rejected-out")
     p.add_argument("--stats-out")
-    p.add_argument("--max-attempts", type=int, default=10_000,
+    p.add_argument("--max-attempts", type=int, default=MAX_ATTEMPTS_PER_SAMPLE,
                    help="attempt budget per emitted sample")
     p.set_defaults(func=_cmd_sample)
 

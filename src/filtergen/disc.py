@@ -64,11 +64,12 @@ matrix-vector product, whose outputs OpenBLAS divides between threads,
 and ``G_i @ W_i.T`` reduces over a bank's k kernels only. ``_fit`` keeps
 the trainable parameters as views of one flat buffer while it trains, and
 ``loss_and_grads`` writes their gradients into views of a second buffer
-of the same layout (``out``), allocated once per training, so that a
-momentum step is a few elementwise operations on two flat vectors and
-nothing is concatenated per step. Steps into one ``out`` also reuse the
-forward's pre-activation blocks, its largest arrays, which the allocator
-would otherwise return to the system and fault back in at every step.
+of the same layout, so that a momentum step is a few elementwise
+operations on two flat vectors and nothing is concatenated per step. That
+buffer and the forward's pre-activation blocks, its largest arrays, live
+in a ``work`` dict that ``_fit`` keeps for the whole training: the
+allocator would otherwise return the blocks to the system and fault them
+back in at every step. The model itself keeps only its parameters.
 """
 
 from __future__ import annotations
@@ -155,9 +156,6 @@ class TextCNN:
         total = sum(k for _, k in self.banks)
         self.params["out_w"] = rng.standard_normal(total) * 0.1
         self.params["out_b"] = np.zeros(1)
-        # the last ``out`` buffer, its trainable views and the forward's work
-        # buffers, all reused by the next step into the same ``out``
-        self._step = None
 
     def trainable(self) -> list[str]:
         names = [k for k in self.params if k != "embed" or not self.embed_frozen]
@@ -165,12 +163,12 @@ class TextCNN:
 
     # -- forward ----------------------------------------------------------
 
-    def _forward(self, ids: np.ndarray, lengths: np.ndarray, work: dict | None = None):
+    def _forward(self, ids: np.ndarray, lengths: np.ndarray, work: dict):
         """Logits of the rows and the cache ``_backward`` reads.
 
-        With ``work``, a dict the caller keeps, the pre-activation blocks
-        are views of buffers kept in it, grown as needed and overwritten by
-        the next call with the same dict; without, they are new arrays.
+        The pre-activation blocks are views of buffers kept in ``work``, a
+        dict the caller keeps, grown as needed and overwritten by the next
+        call with the same dict.
         """
         p = self.params
         b, l = ids.shape
@@ -206,7 +204,7 @@ class TextCNN:
             tables[0] += p[f"conv{w}_b"]  # the bias, once per token, not per window
             # position-major (P, B, k), so the pool and the backward's scans
             # read one contiguous (B, k) slab per window position
-            pre, term = _blocks(work, w, (positions, b, k))
+            pre, term = _blocks(work, ("pre", w), (positions, b, k))
             # the indices are valid: "clip" only spares the copy that "raise"
             # makes of a result with an out array
             tables[0].take(by_position[:positions], axis=0, out=pre, mode="clip")
@@ -233,33 +231,16 @@ class TextCNN:
             at += size
         return views
 
-    def _kept(self, out: np.ndarray) -> tuple[dict, dict]:
-        """The trainable views of ``out`` and the forward's work dict, kept
-        from the last step into the same buffer or made anew."""
-        if self._step is None or self._step[0] is not out:
-            size = sum(self.params[k].size for k in self.trainable())
-            if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                    and out.shape == (size,) and out.flags.c_contiguous
-                    and out.flags.writeable):
-                raise InputError(f"out must be a writable, contiguous float64 vector "
-                                 f"of the {size} trainable parameters")
-            self._step = (out, self._trainable_views(out), {})
-        return self._step[1:]
-
-    def _backward(self, cache, dlogits: np.ndarray, out: np.ndarray | None = None) -> dict:
+    def _backward(self, cache, dlogits: np.ndarray, grads: dict) -> dict:
         """Parameter gradients of the rows ``_forward`` ran on.
 
         ``cache`` is ``_forward``'s and ``dlogits`` holds one entry per row
         of it: in training, each distinct row's ``dlogits`` summed over the
         batch rows it stands for. The trainable parameters' gradients are
-        written to ``_trainable_views(out)``, of a new buffer when ``out``
-        is None.
+        written into ``grads``, arrays shaped as them such as
+        ``_trainable_views``; a frozen embedding's is set to new zeros.
         """
         p = self.params
-        if out is None:
-            grads = self._trainable_views(np.empty(sum(p[k].size for k in self.trainable())))
-        else:
-            grads = self._kept(out)[0]
         if self.embed_frozen:
             grads["embed"] = np.zeros_like(p["embed"])  # stays zero
         feats = cache["feats"]  # (D, K)
@@ -312,8 +293,7 @@ class TextCNN:
             grads["embed"][cache["tokens"]] = demb
         return grads
 
-    def loss_and_grads(self, seqs, labels, out: np.ndarray | None = None,
-                       ) -> tuple[float, dict]:
+    def loss_and_grads(self, seqs, labels, work: dict | None = None) -> tuple[float, dict]:
         """Mean binary cross-entropy of a batch plus parameter gradients.
 
         ``labels`` holds one number in [0, 1] per row. The forward pass and
@@ -323,12 +303,15 @@ class TextCNN:
         the backward takes each distinct row's ``dlogits`` summed in batch
         order. The gradients are the whole batch's up to rounding.
 
-        The trainable parameters' gradients are views of one flat float64
-        buffer, in ``trainable()`` order: ``out`` when given, which the
-        call overwrites, else a new one. A frozen embedding's gradient is
-        a separate array of zeros. Steps into the same ``out`` also reuse
-        the forward's pre-activation blocks, so that a training loop does
-        not ask the allocator for its largest arrays anew at every step.
+        ``work`` is a dict the caller keeps between steps, or a new one when
+        it is None. The first step into it makes the flat float64 gradient
+        buffer ``work["grad"]``, laid out in ``trainable()`` order, and its
+        views; every step into ``work`` overwrites them and returns the
+        views. A frozen embedding's gradient is a separate array of zeros.
+        The forward's pre-activation blocks are kept in ``work`` too, so
+        that a training loop does not ask the allocator for its largest
+        arrays anew at every step. One ``work`` serves one model and one
+        step at a time.
         """
         ids, lengths = corpus_to_arrays(seqs)
         labels = np.asarray(labels, dtype=np.float64)
@@ -337,7 +320,10 @@ class TextCNN:
             raise InputError(f"labels must hold one number in [0, 1] per row: "
                              f"{len(lengths)} rows, labels of shape {labels.shape}")
         distinct, inverse = row_groups(seqs)
-        work = None if out is None else self._kept(out)[1]
+        work = {} if work is None else work
+        if "grad" not in work:
+            work["grad"] = np.empty(sum(self.params[k].size for k in self.trainable()))
+            work["grad_views"] = self._trainable_views(work["grad"])
         logits, cache = self._forward(ids[distinct], lengths[distinct], work)
         # stable BCE-with-logits: softplus(logit) - y * logit
         terms = np.logaddexp(0.0, logits)[inverse]
@@ -345,7 +331,7 @@ class TextCNN:
         loss = float(terms.sum() / len(terms))
         dlogits = (_sigmoid(logits)[inverse] - labels) / len(labels)
         summed = np.bincount(inverse, weights=dlogits, minlength=len(distinct))
-        return loss, self._backward(cache, summed, out)
+        return loss, self._backward(cache, summed, work["grad_views"])
 
     # -- inference --------------------------------------------------------
 
@@ -363,24 +349,23 @@ class TextCNN:
         # 1024-row chunks keep a bank's (rows, positions, kernels) block in
         # cache on short sequences; 8192 rows ran at half the speed
         out = np.empty(len(lengths))
+        work = {}  # the chunks' blocks, grown as the rows widen
         for start in range(0, len(lengths), chunk):
             rows = slice(start, start + chunk)
             # as wide as the chunk's longest row, as if packed on its own
             width = int(lengths[rows].max())
-            logits, _ = self._forward(ids[rows, :width], lengths[rows])
+            logits, _ = self._forward(ids[rows, :width], lengths[rows], work)
             out[rows] = _sigmoid(logits)
         return np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)[inverse]
 
 
-def _blocks(work: dict | None, key, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Two float64 arrays of ``shape``: new, or views of the buffer ``work``
-    keeps under ``key``, grown when too small."""
+def _blocks(work: dict, key, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Two float64 arrays of ``shape``, views of the buffer ``work`` keeps
+    under ``key``, made or grown when too small."""
     size = shape[0] * shape[1] * shape[2]
-    buf = None if work is None else work.get(key)
+    buf = work.get(key)
     if buf is None or len(buf) < 2 * size:
-        buf = np.empty(2 * size)
-        if work is not None:
-            work[key] = buf
+        buf = work[key] = np.empty(2 * size)
     return buf[:size].reshape(shape), buf[size: 2 * size].reshape(shape)
 
 
@@ -480,12 +465,12 @@ def _generator_embeddings(gen_model):
 def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
          rng) -> DiscTrainReport:
     # the trainable parameters become views of one flat buffer, and each
-    # step writes their gradients into views of grad, so a momentum step is
-    # four elementwise operations on all of them at once
+    # step writes their gradients into views of work["grad"], so a momentum
+    # step is four elementwise operations on all of them at once
     flat = np.concatenate([disc.params[k].ravel() for k in disc.trainable()])
     disc.params.update(disc._trainable_views(flat))
     velocity = np.zeros_like(flat)
-    grad = np.empty_like(flat)
+    work = {}  # the steps' gradient buffer and forward blocks
     best_params = {k: v.copy() for k, v in disc.params.items()}
     best_acc, best_epoch, stale = -1.0, -1, 0
     losses, accs = [], []
@@ -503,8 +488,8 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
         for start in range(0, len(seqs), cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
             batch_labels = labels[batch]
-            loss, _ = disc.loss_and_grads(_slice_with_groups(seqs, batch), batch_labels,
-                                          out=grad)
+            loss, _ = disc.loss_and_grads(_slice_with_groups(seqs, batch), batch_labels, work)
+            grad = work["grad"]
             grad *= cfg.lr
             velocity *= cfg.momentum
             velocity -= grad
@@ -528,7 +513,6 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
             stop_reason = "patience"
             break
     disc.params = best_params  # copies, so no parameter is a view of flat
-    disc._step = None  # nor is any buffer of the steps kept
     return DiscTrainReport(losses, accs, best_epoch, best_acc, stop_reason)
 
 

@@ -20,6 +20,8 @@ from .errors import BudgetError, InputError, check_fields, integer, number
 from .genmodel import SamplerConfig, length_cap
 
 RATIO_CAP = 1e9  # keeps d/(1-d) finite as d approaches 1
+# The default attempt budget per requested sample of filtered sampling.
+MAX_ATTEMPTS_PER_SAMPLE = 10_000
 # Rows the boundary search scores per classifier call: 16 rounds of the
 # default 1000 samples. Scoring all 100 rounds at once grew the README
 # pipeline's peak RSS by a fifth.
@@ -141,7 +143,6 @@ def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | Non
     per_block = max(1, _BLOCK_ROWS // n)
     boundary = cfg.init
     trace = []
-    history = []
     for first in range(0, cfg.rounds, per_block):
         draws = rng.random((min(per_block, cfg.rounds - first), steps + 1, n))
         batch = gen.sample_block(draws[:, :steps], sampler)
@@ -152,11 +153,10 @@ def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | Non
         for round_idx, (s, z_ok) in enumerate(zip(scores, below_odds), first):
             acc = int(np.count_nonzero((s >= boundary) | z_ok)) / n
             trace.append({"round": round_idx, "u_c": boundary, "acceptance": acc})
-            history.append(boundary)
             # ties move down so the ratio-1 target settles at boundary 0
             boundary = boundary - cfg.step if acc <= ratio else boundary + cfg.step
             boundary = min(max(boundary, 0.0), 1.0)
-    final = float(np.mean(history[-cfg.tail:]))
+    final = float(np.mean([row["u_c"] for row in trace[-cfg.tail:]]))
     return final, trace
 
 
@@ -216,7 +216,7 @@ class FilteredGenerator:
     gen: object
     disc: object
     params: FilterParams
-    max_attempts_per_sample: int = 10_000
+    max_attempts_per_sample: int = MAX_ATTEMPTS_PER_SAMPLE
 
     def __post_init__(self):
         check_fields(self, max_attempts_per_sample=integer(1))

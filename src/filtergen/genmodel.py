@@ -541,11 +541,10 @@ class NGramConfig:
     order: int = 2
     delta: float = 0.01
     fixed_length: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         check_fields(self, order=integer(1), delta=number("(0, inf)"),
-                     fixed_length=integer(1, optional=True), seed=integer(0))
+                     fixed_length=integer(1, optional=True))
 
 
 @dataclass(frozen=True)
@@ -569,9 +568,8 @@ class NeuralConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch negative log-likelihoods observed during gradient training."""
+    """Per-epoch validation negative log-likelihoods of gradient training."""
 
-    train_nll: list
     valid_nll: list
     best_epoch: int
     stopped_early: bool
@@ -586,14 +584,14 @@ class NeuralLM:
 
     kind = "neural"
 
-    def __init__(self, vocab, cfg: NeuralConfig, rng=None):
+    def __init__(self, vocab, cfg: NeuralConfig):
         self.vocab = vocab
         self.cfg = cfg
         self.fixed_length = cfg.fixed_length
         self.support = support_ids(vocab, cfg.fixed_length)
         self._sup_index = _support_index(vocab, self.support)
         self._ids_of = np.append(self.support, PAD)  # a pick's id, PAD past a row's end
-        rng = np.random.default_rng(cfg.seed) if rng is None else rng
+        rng = np.random.default_rng(cfg.seed)
         v, de, dh, s = len(vocab), cfg.embed_dim, cfg.hidden_dim, len(self.support)
         self.params = {
             "embed": rng.standard_normal((v, de)) * 0.1,
@@ -711,7 +709,7 @@ class NeuralLM:
         best = {k: v.copy() for k, v in self.params.items()}
         best_valid = math.inf
         best_epoch = -1
-        train_nll, valid_nll = [], []
+        valid_nll = []
         stale = 0
         stopped_early = False
         for epoch in range(cfg.max_epochs):
@@ -722,7 +720,6 @@ class NeuralLM:
                 for k, g in grads.items():
                     velocity[k] = cfg.momentum * velocity[k] - cfg.lr * g
                     self.params[k] += velocity[k]
-            train_nll.append(self.mean_nll(train))
             valid_nll.append(self.mean_nll(valid))
             if valid_nll[-1] < best_valid - 1e-12:
                 best_valid = valid_nll[-1]
@@ -735,7 +732,7 @@ class NeuralLM:
                     stopped_early = True
                     break
         self.params = best
-        self.train_report = TrainReport(train_nll, valid_nll, best_epoch, stopped_early)
+        self.train_report = TrainReport(valid_nll, best_epoch, stopped_early)
         return self
 
     # -- sampling ---------------------------------------------------------

@@ -16,15 +16,15 @@ grouped once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import BOS, EOS, Corpus, _gram_ranks, row_groups
 from .disc import DiscConfig, error_rate, train_discriminator_corpora
 from .errors import InputError
-from .filtering import (BoundaryEstimateConfig, FilteredGenerator, FilterParams,
-                        estimate_boundary, sample_filtered)
+from .filtering import (MAX_ATTEMPTS_PER_SAMPLE, BoundaryEstimateConfig, FilteredGenerator,
+                        FilterParams, estimate_boundary, sample_filtered)
 from .genmodel import NGramConfig, SamplerConfig, libm_map, nll_rates, train_mle
 from .seeding import derive_seed
 
@@ -432,7 +432,7 @@ def classification_error(real_train: Corpus, real_test: Corpus, samples: Corpus,
     if len(samples) - n_eval < 2:
         raise InputError("too few samples for a classification-error estimate")
     train_part, eval_part = samples[:-n_eval], samples[-n_eval:]
-    cfg = DiscConfig(**{**disc_cfg.__dict__, "seed": seed})
+    cfg = replace(disc_cfg, seed=seed)
     rng = np.random.default_rng(seed)
     disc, _ = train_discriminator_corpora(real_train, train_part, cfg, rng)
     return error_rate(disc, real_test, eval_part)
@@ -465,7 +465,7 @@ def grid_boundary(gen, disc, seed: int, temp, ratio, uc_cfg) -> tuple[float, lis
 
 
 def grid_streams(gen, disc, seed: int, temp, ratio, boundary: float, n: int,
-                 max_attempts_per_sample: int = 10_000):
+                 max_attempts_per_sample: int = MAX_ATTEMPTS_PER_SAMPLE):
     """``(accepted, rejected, stats)`` of one grid point.
 
     The rejected stream is cut to its first ``n`` rows, or is None when

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -173,8 +174,7 @@ def test_data_mode_ngram_generator_artifact_is_pinned(tmp_path):
     # before the generator section was built from NGramConfig
     cfg = validate_config(_data_config(tmp_path, {"order": 2}, filter={"c": [1.0]},
                                        metrics=["bleu"], eval={"n_samples": 100}))
-    seed = fg.seeding.derive_seed(5, "train-gen")
-    assert cfg.generator == fg.NGramConfig(order=2, seed=seed)
+    assert cfg.generator == fg.NGramConfig(order=2)
     run_pipeline(cfg, tmp_path / "run")
     digest = hashlib.sha256((tmp_path / "run" / "gen.json").read_bytes()).hexdigest()
     assert digest == GEN_JSON_SHA256
@@ -441,7 +441,7 @@ _STAGES = ["data", "train-gen", "train-disc", "estimate-uc", "sample", "evaluate
 
 
 @pytest.mark.parametrize("change,first_rerun", [
-    ("version", "data"), ("delete gen.json", "train-gen")])
+    ("version", "data"), ("source", "data"), ("delete gen.json", "train-gen")])
 def test_a_rerun_recomputes_every_stage_from_the_first_changed_one(
         tmp_path, monkeypatch, change, first_rerun):
     cfg = validate_config(_write_config(tmp_path))
@@ -449,6 +449,8 @@ def test_a_rerun_recomputes_every_stage_from_the_first_changed_one(
     first = run_pipeline(cfg, out)
     if change == "version":
         monkeypatch.setattr("filtergen.cli.__version__", "0.0.0+other")
+    elif change == "source":  # an edited module under the same version
+        monkeypatch.setattr("filtergen.cli._source_sha256", lambda: "0" * 64)
     else:
         (out / "gen.json").unlink()
     second = run_pipeline(cfg, out)
@@ -456,6 +458,23 @@ def test_a_rerun_recomputes_every_stage_from_the_first_changed_one(
     assert skipped == _STAGES[:_STAGES.index(first_rerun)]
     assert _artifact_digests(second) == _artifact_digests(first)
     assert json.loads((out / "manifest.json").read_text()) == second
+
+
+def test_the_source_digest_covers_the_modules_and_the_scenarios(tmp_path):
+    package = tmp_path / "filtergen"
+    shutil.copytree(Path(fg.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    digest = fg.cli._source_sha256(package)
+    assert digest == fg.cli._source_sha256()  # the copy hashes as the package does
+    (package / "notes.txt").write_text("neither a module nor a scenario")
+    assert fg.cli._source_sha256(package) == digest
+    for name in ("disc.py", "scenarios/s2.json"):
+        path = package / name
+        original = path.read_bytes()
+        path.write_bytes(original + b"\n")
+        assert fg.cli._source_sha256(package) != digest, name
+        path.write_bytes(original)
+    assert fg.cli._source_sha256(package) == digest
 
 
 def test_a_changed_input_file_recomputes_every_stage(tmp_path):

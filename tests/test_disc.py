@@ -116,8 +116,8 @@ def test_padding_never_changes_predictions():
     from filtergen.data import PAD, corpus_to_arrays
     ids, lengths = corpus_to_arrays(seqs)
     padded = np.concatenate([ids, np.full((3, 4), PAD)], axis=1)
-    logits_a, _ = disc._forward(ids, lengths)
-    logits_b, _ = disc._forward(padded, lengths)
+    logits_a, _ = disc._forward(ids, lengths, {})
+    logits_b, _ = disc._forward(padded, lengths, {})
     assert np.abs(logits_a - logits_b).max() <= 1e-9
 
 
@@ -292,9 +292,9 @@ def test_logits_do_not_depend_on_the_batch_or_on_padding(pool, extra_pad):
     # logit is bit-identical whatever rows and PAD columns surround it
     ids, lengths = fg.data.corpus_to_arrays(Corpus(_DISC.vocab, pool))
     padded = np.concatenate([ids, np.full((len(pool), extra_pad), fg.data.PAD)], axis=1)
-    batch, _ = _DISC._forward(padded, lengths)
+    batch, _ = _DISC._forward(padded, lengths, {})
     for i, row in enumerate(pool):
-        alone, _ = _DISC._forward(np.array([row]), np.array([len(row)]))
+        alone, _ = _DISC._forward(np.array([row]), np.array([len(row)]), {})
         assert batch[i] == alone[0]
 
 
@@ -516,9 +516,12 @@ def test_loss_and_grads_fill_out_with_the_bytes_of_a_fresh_call(s3, frozen):
     labels = (np.random.default_rng(40).random(len(batch)) < 0.5).astype(np.float64)
     loss, grads = disc.loss_and_grads(batch, labels)
     trainable = disc.trainable()
-    buf = np.full(sum(disc.params[k].size for k in trainable), np.nan)
-    for _ in range(2):  # a second call into the same buffer overwrites it alike
-        out_loss, views = disc.loss_and_grads(batch, labels, out=buf)
+    work = {}
+    for step in range(2):  # a second call into the same work overwrites it alike
+        out_loss, views = disc.loss_and_grads(batch, labels, work)
+        if step == 0:
+            buf = work["grad"]
+        assert work["grad"] is buf
         assert out_loss == loss
         assert views.keys() == grads.keys()
         at = 0
@@ -530,22 +533,20 @@ def test_loss_and_grads_fill_out_with_the_bytes_of_a_fresh_call(s3, frozen):
             at += size
         assert at == len(buf)
         assert views["embed"].tobytes() == grads["embed"].tobytes()
-    for bad in (np.empty(len(buf) + 1), np.empty(len(buf), dtype=np.float32),
-                np.empty(2 * len(buf))[::2], list(buf)):
-        with pytest.raises(InputError):
-            disc.loss_and_grads(batch, labels, out=bad)
+        buf[...] = np.nan
+    # the model keeps only its parameters, none of a step's buffers
+    assert vars(disc).keys() == {"vocab", "cfg", "banks", "embed_frozen", "params"}
 
 
 @pytest.mark.parametrize("frozen", [False, True])
-def test_loss_and_grads_without_out_never_overwrite_earlier_gradients(s3, frozen):
+def test_loss_and_grads_without_work_never_overwrite_earlier_gradients(s3, frozen):
     batches = _step_batches(s3)
     disc = _step_disc(batches["s3"].vocab, frozen, 41)
     ones = np.ones(len(batches["s3"]))
     _, first = disc.loss_and_grads(batches["s3"], ones)
     kept = {k: v.copy() for k, v in first.items()}
     _, second = disc.loss_and_grads(batches["s3"], np.zeros(len(batches["s3"])))
-    size = sum(disc.params[k].size for k in disc.trainable())
-    disc.loss_and_grads(batches["s3"], ones, out=np.empty(size))
+    disc.loss_and_grads(batches["s3"], ones, {})
     for k in kept:
         assert first[k].tobytes() == kept[k].tobytes(), k
         assert not np.shares_memory(first[k], second[k]), k
@@ -694,7 +695,8 @@ def _random_batch(rng, vocab_size, rows, max_len, extra_pad):
 # boolean-scatter argmax and the two-branch sigmoid, as they were before the
 # position-major layout, and with the kernels' fixed-order token sum. On the
 # same rows the current kernels must agree with them exactly.
-def _batch_major_forward(disc, ids, lengths):
+def _batch_major_forward(disc, ids, lengths, work=None):
+    # work, the buffer dict of TextCNN._forward, goes unused
     p = disc.params
     b, l = ids.shape
     tokens, local = np.unique(ids, return_inverse=True)
@@ -771,12 +773,12 @@ def _per_row_loss_and_grads(disc, ids, lengths, labels):
     return loss, _batch_major_backward(disc, cache, dlogits), cache, dlogits
 
 
-def _grouped_loss_and_grads(disc, seqs, labels, out=None):
+def _grouped_loss_and_grads(disc, seqs, labels, work=None):
     # the training step on the batch-major kernels with the batch's rows
     # grouped by the lexsort reference: the loss over every row, and the
     # backward on one row per group, with the group's dlogits added up one
     # batch row after another; the trainable gradients are also copied into
-    # out, one after another, as training reads them
+    # work["grad"], one after another, as training reads them
     ids, lengths = fg.data.corpus_to_arrays(seqs)
     labels = np.asarray(labels, dtype=np.float64)
     loss, _, _, dlogits = _per_row_loss_and_grads(disc, ids, lengths, labels)
@@ -786,8 +788,9 @@ def _grouped_loss_and_grads(disc, seqs, labels, out=None):
         summed[group] += dlogits[row]
     _, cache = _batch_major_forward(disc, ids[rows], lengths[rows])
     grads = _batch_major_backward(disc, cache, summed)
-    if out is not None:
-        out[...] = np.concatenate([grads[k].ravel() for k in disc.trainable()])
+    if work is not None:
+        flat = np.concatenate([grads[k].ravel() for k in disc.trainable()])
+        work.setdefault("grad", np.empty(len(flat)))[...] = flat
     return loss, grads
 
 
@@ -833,13 +836,14 @@ def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
     batches += [_full_width_batch(full_rng, len(vocab), rows=23, width=5),
                 _full_width_batch(full_rng, len(vocab), rows=11, width=3)]
     for ids, lengths in batches:
-        logits, cache = disc._forward(ids, lengths)
+        logits, cache = disc._forward(ids, lengths, {})
         ref_logits, ref_cache = _reference_forward(disc, ids, lengths)
         assert np.allclose(logits, ref_logits, rtol=0.0, atol=1e-12)
         exact_logits, exact_cache = _batch_major_forward(disc, ids, lengths)
         assert np.array_equal(logits, exact_logits)
         dlogits = rng.standard_normal(len(lengths))
-        grads = disc._backward(cache, dlogits)
+        size = sum(disc.params[k].size for k in disc.trainable())
+        grads = disc._backward(cache, dlogits, disc._trainable_views(np.empty(size)))
         ref = _reference_backward(disc, ref_cache, dlogits)
         assert grads.keys() == ref.keys()
         for name in ref:
@@ -907,7 +911,7 @@ def test_loss_and_grads_equal_the_full_batch_kernels_bit_for_bit(s3, frozen):
     ids, lengths = fg.data.corpus_to_arrays(batches["length-only"])
     assert (ids == ids[0]).all(axis=1).sum() == 4 and len(set(lengths)) == 3
     ids, lengths = fg.data.corpus_to_arrays(batches["short"])
-    _, cache = _step_disc(batches["short"].vocab, frozen, 0)._forward(ids, lengths)
+    _, cache = _step_disc(batches["short"].vocab, frozen, 0)._forward(ids, lengths, {})
     assert cache["banks"][3] is None
     ids, _ = fg.data.corpus_to_arrays(batches["many-tokens"])
     assert len(np.unique(ids)) > fg.disc._BLOCK_MULADDS // (32 * 16)  # a block at k = 16
@@ -981,7 +985,7 @@ def _cancelling_labels(disc, row):
     # two labels for two copies of row whose dlogits add up to exactly 0:
     # with s its score, (s - 1) + (s - (2s - 1)) for s >= 1/2 and
     # (s - 0) + (s - 2s) below, each step exact by Sterbenz's lemma
-    logit, _ = disc._forward(np.array([row]), np.array([len(row)]))
+    logit, _ = disc._forward(np.array([row]), np.array([len(row)]), {})
     s = float(fg.disc._sigmoid(logit)[0])
     return (1.0, 2.0 * s - 1.0) if s >= 0.5 else (0.0, 2.0 * s)
 

@@ -70,8 +70,7 @@ def test_config_dataclasses_check_their_values(cls, kwargs, problem):
     cls(**edges)
 
 
-@pytest.mark.parametrize("cls", [fg.DiscConfig, fg.NGramConfig, fg.NeuralConfig,
-                                 fg.SamplerConfig])
+@pytest.mark.parametrize("cls", [fg.DiscConfig, fg.NeuralConfig, fg.SamplerConfig])
 def test_config_dataclasses_reject_seeds_numpy_cannot_take(cls):
     # numpy's generators take integers >= 0 only
     for seed in (-1, True):

@@ -205,7 +205,7 @@ def test_neural_training_nll_decreases_monotonically():
     cfg = NeuralConfig(embed_dim=8, hidden_dim=12, lr=0.05, momentum=0.0,
                        batch_size=20, max_epochs=15, patience=3, seed=1)
     model = train_mle(train, valid, cfg)
-    nll = model.train_report.train_nll
+    nll = model.train_report.valid_nll
     assert all(b <= a + 1e-9 for a, b in zip(nll, nll[1:]))
     assert perplexity(model, valid) < 2.0  # realizable target gets learned
 

@@ -5,9 +5,11 @@ Writes three seeded Zipf splits as text with ``ngram_probe.zipf_corpus``
 train with ``--rows`` rows from ``--seed``, valid with rows // 10 from the
 next seed and test with rows // 5 from the one after. It then runs
 ``filtergen pipeline`` on them in data mode, in this process, with the
-README's metrics, the default bigram and ``vocab_size``, T = 1 and
-c = 0.5; ``--epochs`` and ``--rounds`` cap classifier training and the
-boundary search to keep the run short. It prints one JSON line with each
+README's metrics, the default ``vocab_size``, T = 1 and c = 0.5, and the
+default bigram or, with ``--generator neural``, the default recurrent
+generator; ``--epochs`` and ``--rounds`` cap classifier training (and the
+recurrent generator's training) and the boundary search to keep the run
+short. It prints one JSON line with each
 stage's wall time from ``manifest.json``, the run's wall time, the
 process's peak RSS and the SHA-256 of ``sweep.csv``. BLAS is held to one
 thread (unless the environment already sets its thread count), so the
@@ -38,7 +40,7 @@ from ngram_probe import zipf_corpus  # noqa: E402
 
 
 def probe(vocab_size: int, rows: int, samples: int, seed: int, epochs: int,
-          rounds: int) -> dict:
+          rounds: int, generator: str = "ngram") -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         splits = {"train": rows, "valid": rows // 10, "test": rows // 5}
@@ -47,7 +49,8 @@ def probe(vocab_size: int, rows: int, samples: int, seed: int, epochs: int,
         config = {
             "seed": seed,
             "data": {name: str(tmp / f"{name}.txt") for name in splits},
-            "generator": {"kind": "ngram"},
+            "generator": ({"kind": "neural", "max_epochs": epochs} if generator == "neural"
+                          else {"kind": "ngram"}),
             "discriminator": {"lr": 0.05, "batch_size": 256, "max_epochs": epochs,
                               "patience": 8},
             "filter": {"c": [0.5]},
@@ -74,6 +77,7 @@ def probe(vocab_size: int, rows: int, samples: int, seed: int, epochs: int,
         "seed": seed,
         "epochs": epochs,
         "rounds": rounds,
+        "generator": generator,
         "stages_s": {st["name"]: st["wall_clock_s"] for st in manifest["stages"]},
         "wall_s": wall_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -88,11 +92,14 @@ def main(argv=None) -> None:
     parser.add_argument("--samples", type=int, default=2000,
                         help="eval.n_samples (at least 1000, the reverse LM's minimum)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epochs", type=int, default=3, help="discriminator.max_epochs")
+    parser.add_argument("--epochs", type=int, default=3,
+                        help="discriminator.max_epochs, and the neural generator's")
     parser.add_argument("--rounds", type=int, default=20, help="uc.rounds")
+    parser.add_argument("--generator", choices=("ngram", "neural"), default="ngram",
+                        help="generator.kind")
     args = parser.parse_args(argv)
     print(json.dumps(probe(args.vocab, args.rows, args.samples, args.seed, args.epochs,
-                           args.rounds)))
+                           args.rounds, args.generator)))
 
 
 if __name__ == "__main__":
