@@ -82,25 +82,30 @@ def _array(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def _write_ngram(model: NGramLM) -> dict:
-    contexts = sorted(model._counts)
+    contexts = sorted(model._row_of)
     return {
         "order": model.order,
         "delta": model.delta,
         "fixed_length": model.fixed_length,
         "contexts": [list(c) for c in contexts],
-        "rows": [model._counts[c].tolist() for c in contexts],
+        "rows": [model._counts[model._row_of[c]].tolist() for c in contexts],
     }
 
 
 def _read_ngram(vocab: Vocab, params: dict) -> NGramLM:
     model = NGramLM(vocab, params["order"], params["delta"], params["fixed_length"])
     shape = (len(model.support),)
-    for ctx, row in zip(params["contexts"], params["rows"], strict=True):
+    contexts, counts = {}, np.empty((len(params["rows"]),) + shape)
+    for i, (ctx, row) in enumerate(zip(params["contexts"], params["rows"], strict=True)):
         ctx = tuple(int(t) for t in ctx)
         if len(ctx) != model.order - 1:
             raise InputError(f"malformed checkpoint: context {ctx} of an order-"
                              f"{model.order} model")
-        model._add_counts(ctx, _array(row, "a counts row", shape))
+        if ctx in contexts:
+            raise InputError(f"malformed checkpoint: context {ctx} is listed twice")
+        contexts[ctx] = i
+        counts[i] = _array(row, "a counts row", shape)
+    model._add_counts(list(contexts), counts)
     return model
 
 

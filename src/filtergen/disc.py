@@ -83,6 +83,9 @@ from .errors import InputError, check_fields, integer, number
 from .genmodel import SamplerConfig
 
 _PROB_CLIP = 1e-12
+# Rows per scoring forward pass: 1024-row chunks keep a bank's (rows, positions,
+# kernels) block in cache on short sequences; 8192 rows ran at half the speed.
+_SCORE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -335,7 +338,7 @@ class TextCNN:
 
     # -- inference --------------------------------------------------------
 
-    def predict_corpus(self, corpus, chunk: int = 1024) -> np.ndarray:
+    def predict_corpus(self, corpus) -> np.ndarray:
         """Scores in (0, 1), one per row, each as if the row were scored alone.
 
         Only the distinct (ids, length) rows go through the forward pass,
@@ -346,12 +349,10 @@ class TextCNN:
         ids, lengths = corpus_to_arrays(corpus)
         distinct, inverse = row_groups(corpus)
         ids, lengths = ids[distinct], lengths[distinct]  # sorted by length first
-        # 1024-row chunks keep a bank's (rows, positions, kernels) block in
-        # cache on short sequences; 8192 rows ran at half the speed
         out = np.empty(len(lengths))
         work = {}  # the chunks' blocks, grown as the rows widen
-        for start in range(0, len(lengths), chunk):
-            rows = slice(start, start + chunk)
+        for start in range(0, len(lengths), _SCORE_CHUNK):
+            rows = slice(start, start + _SCORE_CHUNK)
             # as wide as the chunk's longest row, as if packed on its own
             width = int(lengths[rows].max())
             logits, _ = self._forward(ids[rows, :width], lengths[rows], work)

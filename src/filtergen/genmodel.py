@@ -20,20 +20,20 @@ enumerable domain V^L; in variable-length mode EOS and UNK join the
 support.
 
 The n-gram model works on the corpus id matrix: every context gets a dense
-integer key (``data._gram_ranks``), so fitting is one ``bincount``. Scoring
-computes each event's probability from its context's counts and their
-stored total, and caches nothing. Both find the events of each distinct row
-once (``data._distinct_rows``; scoring reads the corpus's kept
-``data.row_groups``): fitting weighs them by the row's multiplicity, and
-scoring gathers each row's score back to its copies.
-Sampling reads a per-temperature table that holds each reached context's
-tempered CDF, computed once, and the row each (context, token) step leads
-to, so a warm step is an exact binary search for the number of CDF entries
-below u (O(log S) per sequence) and a gather of successor rows. Each
-growing row carries the flat offset of its CDF row in the table, so the
-flat index the search ends on is also the (row, token) key of its successor
-and the step's pick is that index less the offset. A model's sampling
-tables, of every temperature, are held together under ``_CACHE_BYTES``.
+integer key (``data._gram_ranks``), so fitting is one ``bincount`` into one
+count matrix, a row per context. Scoring gathers each event's count and its
+context's stored total from that matrix, and caches nothing. Both find the
+events of each distinct row once (``data._distinct_rows``; scoring reads
+the corpus's kept ``data.row_groups``): fitting weighs them by the row's
+multiplicity, and scoring gathers each row's score back to its copies.
+Sampling reads a table of the temperature the model sampled last (another
+temperature starts a new one) that holds each reached context's tempered
+CDF, computed once, and the row each (context, token) step leads to, so a
+warm step is an exact binary search for the number of CDF entries below u
+(O(log S) per sequence) and a gather of successor rows. Each growing row
+carries the flat offset of its CDF row in the table, so the flat index the
+search ends on is also the (row, token) key of its successor and the step's
+pick is that index less the offset. The table is held under ``_CACHE_BYTES``.
 
 Every sampler turns uniforms into rows. ``sample_corpus`` draws one
 ``(length_cap, n)`` block with one ``rng.random`` call, which leaves the rng
@@ -65,9 +65,9 @@ from .data import (BOS, DEFAULT_MAX_LEN, EOS, PAD, UNK, Corpus, MarkovSource,
                    chain_probs, corpus_to_arrays, row_groups, split_tail)
 from .errors import InputError, check_fields, integer, number
 
-# Byte cap of one NGramLM's sampling tables of every temperature together. A
-# table may pass it only when the contexts in flight alone need more, or while
-# it grows and holds both blocks.
+# Byte cap of one NGramLM's sampling table. The table may pass it only when
+# the contexts in flight alone need more, or while it grows and holds both
+# blocks.
 _CACHE_BYTES = 256 * 2**20
 
 
@@ -149,9 +149,9 @@ class NGramLM:
     Every conditional is strictly positive and sums to one over the
     support, so sequence log-probabilities are always finite. ``fit`` and
     ``seq_logprobs`` find each distinct row's events once, and their counts
-    and scores equal the row-by-row ones bit for bit. Sampling fills the
-    model's tables, so one model is not for concurrent use from several
-    threads.
+    and scores equal the row-by-row ones bit for bit. The counts are one
+    matrix, a row per context; sampling fills one table, so one model is not
+    for concurrent use from several threads.
     """
 
     kind = "ngram"
@@ -168,9 +168,10 @@ class NGramLM:
         self.fixed_length = fixed_length
         self.support = support_ids(vocab, fixed_length)
         self._sup_index = _support_index(vocab, self.support)
-        self._counts: dict[tuple[int, ...], np.ndarray] = {}
-        self._totals: dict[tuple[int, ...], float] = {}  # each counts row's sum
-        self._tables: dict[float, _CdfTable] = {}
+        self._counts = np.zeros((0, len(self.support)))
+        self._totals = np.zeros(0)
+        self._row_of: dict[tuple[int, ...], int] = {}
+        self._table: _CdfTable | None = None
 
     # -- training ---------------------------------------------------------
 
@@ -185,19 +186,23 @@ class NGramLM:
         copies = np.repeat(np.bincount(inverse), mask.sum(axis=1))
         s = len(self.support)
         counts = np.bincount(ctx * s + sup, weights=copies, minlength=len(contexts) * s)
-        for context, row in zip(contexts, counts.reshape(-1, s)):
-            self._add_counts(context, row)
-        self._tables.clear()
+        self._add_counts(contexts, counts.reshape(-1, s))
+        self._table = None
         return self
 
-    def _add_counts(self, context: tuple[int, ...], row: np.ndarray) -> None:
-        """Add a support-length row of counts to ``context``'s, and its total."""
-        seen = self._counts.get(context)
-        if seen is None:
-            self._counts[context] = seen = row
+    def _add_counts(self, contexts: list, counts: np.ndarray) -> None:
+        """Add a row of ``counts`` per distinct context to the contexts' rows,
+        appending new ones; an empty model keeps ``counts`` itself."""
+        if not self._row_of:
+            self._counts = counts
+            self._row_of = dict(zip(contexts, range(len(contexts))))
         else:
-            seen += row
-        self._totals[context] = float(seen.sum())
+            rows = [self._row_of.setdefault(c, len(self._row_of)) for c in contexts]
+            grown = np.zeros((len(self._row_of), counts.shape[1]))
+            grown[:len(self._counts)] = self._counts
+            grown[rows] += counts
+            self._counts = grown
+        self._totals = self._counts.sum(axis=1)
 
     def _events(self, corpus: Corpus):
         """Every (context, next token) event of a corpus, in row-major order.
@@ -241,10 +246,10 @@ class NGramLM:
         the context's counts c and their total N, or 1 / S after a context
         never seen."""
         s = len(self.support)
-        counts = self._counts.get(context)
-        if counts is None:
+        row = self._row_of.get(context)
+        if row is None:
             return np.full(s, 1.0 / s)[sup]
-        return (counts[sup] + self.delta) / (self._totals[context] + self.delta * s)
+        return (self._counts[row, sup] + self.delta) / (self._totals[row] + self.delta * s)
 
     def seq_logprob(self, ids) -> float:
         """Log-probability of one row of ids, event by event."""
@@ -262,17 +267,17 @@ class NGramLM:
 
     def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
         """``seq_logprob`` of every row. Each distinct row is scored once:
-        each distinct context's events are scored together from its counts,
-        logged, and each row's terms are summed left to right; the scores
-        are gathered back to every row."""
+        each event's probability is gathered from its context's counts row
+        as ``cond_probs`` forms it, logged, and each row's terms are summed
+        left to right; the scores are gathered back to every row."""
         rows, inverse = row_groups(corpus)
         contexts, ctx, sup, mask = self._events(corpus[rows])
-        by_ctx = np.argsort(ctx, kind="stable")
-        bounds = np.searchsorted(ctx[by_ctx], np.arange(len(contexts) + 1))
-        probs = np.empty(len(ctx))
-        for u, context in enumerate(contexts):
-            events = by_ctx[bounds[u]: bounds[u + 1]]
-            probs[events] = self.cond_probs(context, sup[events])
+        s = len(self.support)
+        row = np.array([self._row_of.get(c, -1) for c in contexts], dtype=np.intp)[ctx]
+        seen = row >= 0
+        probs = np.full(len(ctx), 1.0 / s)
+        probs[seen] = ((self._counts[row[seen], sup[seen]] + self.delta)
+                       / (self._totals[row[seen]] + self.delta * s))
         terms = np.zeros(mask.shape)
         terms[mask] = libm_map(math.log, probs)
         total = np.zeros(len(terms))
@@ -297,14 +302,14 @@ class NGramLM:
         total = rounds * n
         s = len(self.support)
         eos_sup = int(self._sup_index[EOS]) if self.fixed_length is None else -1
-        table = self._tables.get(cfg.temperature)
-        if table is None:
-            table = self._tables[cfg.temperature] = _CdfTable(s)
+        table = self._table
+        if table is None or table.temperature != cfg.temperature:
+            table = self._table = _CdfTable(s, cfg.temperature)
         first = table.row_of.get(None)
         if first is None:
-            rows = self._table_rows(table, cfg.temperature, [None])
+            rows = self._table_rows(table, [None])
             if rows is None:
-                rows = self._rebuilt_rows(table, cfg.temperature, [None])
+                rows = self._rebuilt_rows(table, [None])
             first = int(rows[0])
         # offsets: the flat CDF offsets of the growing rows' table rows; idx:
         # the output rows still growing, None until some row ends (then every
@@ -332,11 +337,10 @@ class NGramLM:
             else:
                 ids[idx, t] = self.support.take(picks)
             if t + 1 < steps:
-                offsets = self._successors(table, cfg.temperature, drawn)
+                offsets = self._successors(table, drawn)
         return _sampled_corpus(self.vocab, ids, lengths, split)
 
-    def _successors(self, table: _CdfTable, temperature: float,
-                    drawn: np.ndarray) -> np.ndarray:
+    def _successors(self, table: _CdfTable, drawn: np.ndarray) -> np.ndarray:
         """Flat CDF offset of the table row reached by each drawn entry: the
         flat index ``row * len(support) + pick`` emits ``support[pick]`` from
         table row ``row``."""
@@ -346,11 +350,10 @@ class NGramLM:
         if not unknown.any():
             return nxt
         pairs, inverse = np.unique(drawn[unknown], return_inverse=True)
-        rows = self._table_rows(table, temperature, self._next_contexts(table, pairs))
+        rows = self._table_rows(table, self._next_contexts(table, pairs))
         if rows is None:
             pairs, inverse = np.unique(drawn, return_inverse=True)
-            return self._rebuilt_rows(table, temperature,
-                                      self._next_contexts(table, pairs))[inverse] * s
+            return self._rebuilt_rows(table, self._next_contexts(table, pairs))[inverse] * s
         np.put(table.succ, pairs, rows * s)
         nxt[unknown] = rows[inverse] * s
         return nxt
@@ -361,32 +364,27 @@ class NGramLM:
         return [(self._context(table.keys[r]) + (tok,))[1:]
                 for r, tok in zip(rows.tolist(), self.support[picks].tolist())]
 
-    def _table_rows(self, table: _CdfTable, temperature: float, keys: list):
+    def _table_rows(self, table: _CdfTable, keys: list):
         """Row ids of ``keys`` in ``table``, adding the missing rows; ``None``
-        when they would take this model's tables past ``_CACHE_BYTES``."""
+        when they would take the table past ``_CACHE_BYTES``."""
         missing = [k for k in dict.fromkeys(keys) if k not in table.row_of]
         need = len(table.keys) + len(missing)
         if need > table.capacity:
-            held = sum(t.nbytes for t in self._tables.values())
-            room = (_CACHE_BYTES - held + table.nbytes) // table.row_bytes
+            room = _CACHE_BYTES // table.row_bytes
             if need > room:
                 return None
             table.grow(min(2 * need, room))
         for r, key in zip(table.extend(missing), missing):
-            table.cdf[r] = self._tempered_cdf(key, temperature)
+            table.cdf[r] = self._tempered_cdf(key, table.temperature)
         return np.array([table.row_of[k] for k in keys], dtype=np.int64)
 
-    def _rebuilt_rows(self, table: _CdfTable, temperature: float, keys: list) -> np.ndarray:
-        """Drop this model's other tables and rebuild ``table`` from ``keys``,
-        the contexts in flight, whatever the cap; returns their row ids. The
-        rows are recomputed with the same formula, so the draws do not change.
-        Within the cap the table keeps its blocks, or twice the room the
-        contexts in flight need, so the next steps do not regrow it at once."""
-        self._tables = {temperature: table}
-        need = len(set(keys))
-        room = _CACHE_BYTES // table.row_bytes
-        table.reset(max(need, min(max(2 * need, table.capacity), room)))
-        return self._table_rows(table, temperature, keys)
+    def _rebuilt_rows(self, table: _CdfTable, keys: list) -> np.ndarray:
+        """Rebuild ``table`` from ``keys``, the contexts in flight, whatever
+        the cap; returns their row ids. The rows are recomputed with the same
+        formula, so the draws do not change. The table takes the whole cap,
+        or the rows the contexts in flight need when they need more."""
+        table.reset(max(len(set(keys)), _CACHE_BYTES // table.row_bytes))
+        return self._table_rows(table, keys)
 
     def _context(self, key) -> tuple[int, ...]:
         return (BOS,) * (self.order - 1) if key is None else key
@@ -410,8 +408,7 @@ class MarkovModel:
         self.vocab = source.vocab
         self.fixed_length = source.length
         self.support = support_ids(self.vocab, self.fixed_length)
-        # the tempered chain of each (temperature, steps) sampled at T != 1
-        self._tempered: dict[tuple[float, int], MarkovSource] = {}
+        self._tempered: tuple[float, MarkovSource] | None = None
 
     def seq_logprob(self, ids) -> float:
         return float(self.seq_logprobs(Corpus(self.vocab, [ids]))[0])
@@ -430,24 +427,22 @@ class MarkovModel:
 
     def sample_block(self, u: np.ndarray, cfg: SamplerConfig, split: str = "") -> Corpus:
         """The chain's rows of a ``(rounds, length_cap, n)`` block of
-        uniforms, round after round, every row drawn together. At T != 1 the
-        tempered chain is built once per (temperature, steps) and kept."""
+        uniforms, round after round, every row drawn together. At T != 1 it
+        keeps the tempered chain of the last such T, at the source's length."""
         _check_block(self, u, cfg)
         rounds, steps, n = u.shape
         u = u.transpose(1, 0, 2).reshape(steps, rounds * n)  # a view for one round
         if cfg.temperature == 1.0:
             return _sample_chain(self.source, u, split)
-        key = (cfg.temperature, steps)
-        src = self._tempered.get(key)
-        if src is None:
-            src = self._tempered[key] = MarkovSource(
+        if self._tempered is None or self._tempered[0] != cfg.temperature:
+            self._tempered = cfg.temperature, MarkovSource(
                 self.source.tokens,
                 _apply_temperature(self.source.initial, cfg.temperature),
                 np.apply_along_axis(_apply_temperature, 1, self.source.transition,
                                     cfg.temperature),
-                steps,
+                self.source.length,
             )
-        return _sample_chain(src, u, split)
+        return _sample_chain(self._tempered[1], u, split)
 
 
 class _CdfTable:
@@ -462,8 +457,9 @@ class _CdfTable:
     ``keys``.
     """
 
-    def __init__(self, n_support: int):
+    def __init__(self, n_support: int, temperature: float):
         self.n_support = n_support
+        self.temperature = temperature
         self.cdf, self.succ = self._blocks(0)
         self.keys: list = []
         self.row_of: dict = {}
@@ -489,10 +485,6 @@ class _CdfTable:
     @property
     def row_bytes(self) -> int:
         return self.n_support * (self.cdf.itemsize + self.succ.itemsize)
-
-    @property
-    def nbytes(self) -> int:
-        return self.capacity * self.row_bytes
 
     def grow(self, capacity: int) -> None:
         r = len(self.keys)

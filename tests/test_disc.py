@@ -277,7 +277,9 @@ def test_predict_corpus_scores_every_row_as_if_alone(pool, picks, many, chunk, o
         return
     expected = np.array([_scored_alone(r) for r in rows])
     corpus = Corpus(_DISC.vocab, rows)
-    assert np.array_equal(_DISC.predict_corpus(corpus, chunk=chunk), expected)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fg.disc, "_SCORE_CHUNK", chunk)
+        assert np.array_equal(_DISC.predict_corpus(corpus), expected)
     assert np.array_equal(_DISC.predict_corpus(corpus), expected)
     assert np.array_equal(_DISC.predict_corpus(corpus[len(rows) // 2:]),
                           expected[len(rows) // 2:])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def test_checkpoint_roundtrip(tmp_path, kind):
     cfg = SamplerConfig(seed=4)
     assert again.sample_corpus(1, cfg) == model.sample_corpus(1, cfg)
     if kind == "ngram":  # the stored totals are rebuilt from the counts read
-        assert again._totals == model._totals
+        assert _count_rows(again) == _count_rows(model)
         assert np.array_equal(again.seq_logprobs(train), model.seq_logprobs(train))
 
 
@@ -269,6 +270,24 @@ def test_checkpoint_with_a_misshapen_array_is_an_input_error(tmp_path, kind, nam
     (array[-1] if kind == "ngram" else array).pop()  # a count short, or a bias
     path.write_text(json.dumps(doc))
     with pytest.raises(InputError, match=r"model\.json: malformed checkpoint: .* has shape"):
+        load_model(path)
+
+
+def test_checkpoint_listing_a_context_twice_is_an_input_error(tmp_path):
+    # save_model never writes a context twice; a reader that added the rows
+    # would load counts no fit produced
+    source = _uniform_source(3, 3)
+    train = synth_markov(source, 50, np.random.default_rng(17), "train")
+    path = tmp_path / "model.json"
+    save_model(train_mle(train, None, NGramConfig(fixed_length=3)), path)
+    doc = json.loads(path.read_text())
+    params = doc["params"]
+    params["contexts"].append(params["contexts"][0])
+    params["rows"].append(params["rows"][0])
+    path.write_text(json.dumps(doc))
+    context = tuple(params["contexts"][0])
+    with pytest.raises(InputError, match=re.escape(
+            f"model.json: malformed checkpoint: context {context} is listed twice")):
         load_model(path)
 
 
@@ -297,6 +316,12 @@ def _ref_counts(model, *corpora):
     return counts
 
 
+def _count_rows(model):
+    """Each context's counts row and total, as plain lists and floats."""
+    return {ctx: (model._counts[r].tolist(), float(model._totals[r]))
+            for ctx, r in model._row_of.items()}
+
+
 @st.composite
 def _ngram_case(draw):
     """Order 1-3, fixed or variable length, and two random corpora."""
@@ -322,10 +347,11 @@ def test_ngram_fit_and_seq_logprobs_match_per_event_loops(case):
     twice = NGramLM(train.vocab, order, 0.05, fixed).fit(train).fit(test)
     for fitted, corpora in ((model, (train,)), (twice, (train, test))):
         want = _ref_counts(fitted, *corpora)
-        assert fitted._counts.keys() == want.keys() == fitted._totals.keys()
+        assert fitted._row_of.keys() == want.keys()
+        assert len(fitted._counts) == len(fitted._totals) == len(want)
         for ctx, row in want.items():
-            assert np.array_equal(fitted._counts[ctx], row)
-            assert fitted._totals[ctx] == row.sum()
+            assert np.array_equal(fitted._counts[fitted._row_of[ctx]], row)
+            assert fitted._totals[fitted._row_of[ctx]] == row.sum()
     got = model.seq_logprobs(test)
     assert got.shape == (len(test),) and got.dtype == np.float64
     np.testing.assert_allclose(got, [model.seq_logprob(s) for s in test.sequences],
@@ -503,10 +529,11 @@ def _ref_sample_corpus(model, n, cfg, rng):
        st.sampled_from(["default", "tiny", "full"]), st.integers(0, 2**32 - 1))
 def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatures, cap,
                                                     seed):
-    # The temperatures alternate twice on one model, so later calls read warm
-    # tables, and a refit must drop them. A "tiny" byte cap rebuilds a table
-    # whenever it would grow; a "full" one freezes the tables the small first
-    # call built, so a later call rebuilds them around successors already known.
+    # The temperatures alternate twice on one model, so a call starts a new
+    # table when the temperature changes and reads a warm one when it repeats,
+    # and a refit must drop it. A "tiny" byte cap rebuilds the table whenever
+    # it would grow; a "full" one freezes the table the small first call
+    # built, so a later call rebuilds it around successors already known.
     order, fixed, train, test = case
     model = NGramLM(train.vocab, order, 0.05, fixed).fit(train)
     with pytest.MonkeyPatch.context() as mp:
@@ -515,7 +542,7 @@ def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatur
         for call, temperature in enumerate(temperatures * 2 + [temperatures[0]]):
             if call == 1 and cap == "full":
                 mp.setattr(fg.genmodel, "_CACHE_BYTES",
-                           sum(t.nbytes for t in model._tables.values()))
+                           model._table.capacity * model._table.row_bytes)
             if call == 2 * len(temperatures):
                 model.fit(test)
             size = n if call else 1 + n // 100
@@ -525,7 +552,7 @@ def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatur
             assert np.array_equal(got.ids, want.ids)
             assert np.array_equal(got.lengths, want.lengths)
             if cap == "tiny":
-                assert len(model._tables) == 1
+                assert model._table.temperature == temperature
 
 
 @pytest.mark.parametrize("mode", ["fixed", "eos", "eos-short"])
@@ -625,14 +652,16 @@ def test_sampler_config_accepts_numpy_integers():
 
 
 def _table_state(model):
-    return [(temperature, table, table.cdf.tobytes(), table.succ.tobytes(), list(table.keys))
-            for temperature, table in model._tables.items()]
+    table = model._table
+    if table is None:
+        return None
+    return table.temperature, table, table.cdf.tobytes(), table.succ.tobytes(), list(table.keys)
 
 
 def test_caches_are_held_under_one_byte_cap(monkeypatch):
-    # only the sampling tables count against the cap: scoring computes from the
-    # counts, caches nothing and leaves the tables as they are; two sequences
-    # in flight need at most two table rows, which always fit
+    # only the sampling table counts against the cap: scoring computes from the
+    # counts, caches nothing and leaves the table as it is; two sequences in
+    # flight need at most two table rows, which always fit
     source = _uniform_source(3, 4)
     rng = np.random.default_rng(3)
     train = synth_markov(source, 200, rng, "train")
@@ -658,7 +687,7 @@ def test_caches_are_held_under_one_byte_cap(monkeypatch):
         assert _table_state(model) == before
         for temperature, max_len in itertools.product((1.0, 0.5), (1, 4)):
             model.sample_corpus(2, SamplerConfig(temperature, max_len, seed))
-            assert 0 < sum(t.nbytes for t in model._tables.values()) <= cap
+            assert 0 < model._table.capacity * model._table.row_bytes <= cap
 
 
 @settings(max_examples=25, deadline=None)
@@ -684,8 +713,10 @@ def test_ngram_sample_frequencies_match_seq_logprobs(order, k, length, seed):
 
 
 def test_markov_tempered_chain_is_built_once_and_samples_as_a_fresh_one(monkeypatch):
-    # repeated calls at T = 0.7 share one tempered chain; each call's rows
-    # equal those of a model that has never sampled
+    # repeated calls at one T share one tempered chain, a call at another
+    # T != 1 builds a new one, and T = 1 samples the source and keeps the
+    # chain; each call's rows, at any length cap, equal those of a model that
+    # has never sampled
     source = fg.MarkovSource(("a", "b", "c"), np.array([0.5, 0.3, 0.2]),
                              np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.1, 0.8, 0.1]]), 5)
     built = []
@@ -696,11 +727,11 @@ def test_markov_tempered_chain_is_built_once_and_samples_as_a_fresh_one(monkeypa
         return real_source(*args, **kwargs)
 
     model = MarkovModel(source)
-    cfg = SamplerConfig(temperature=0.7, max_len=5)
-    monkeypatch.setattr(fg.genmodel, "MarkovSource", counting_source)
-    rows = [model.sample_corpus(40, cfg, np.random.default_rng(seed)) for seed in range(4)]
-    assert len(built) == 1
-    monkeypatch.undo()
-    for seed, got in enumerate(rows):
-        fresh = MarkovModel(source).sample_corpus(40, cfg, np.random.default_rng(seed))
-        assert got == fresh
+    calls = [(0.7, 5, 1), (0.7, 3, 1), (1.3, 5, 2), (0.7, 4, 3), (1.0, 5, 3), (0.7, 5, 3)]
+    for seed, (temperature, max_len, chains) in enumerate(calls):
+        cfg = SamplerConfig(temperature=temperature, max_len=max_len)
+        monkeypatch.setattr(fg.genmodel, "MarkovSource", counting_source)
+        got = model.sample_corpus(40, cfg, np.random.default_rng(seed))
+        monkeypatch.undo()
+        assert len(built) == chains
+        assert got == MarkovModel(source).sample_corpus(40, cfg, np.random.default_rng(seed))

@@ -130,10 +130,11 @@ def _check_metrics(hyps, refs, max_order, seed=0):
 def _check_ngram(order, fixed, train, test):
     model = NGramLM(train.vocab, order, 0.05, fixed).fit(train)
     want = _ref_fit_counts(model, train)
-    assert list(model._counts) == [ctx for ctx, _ in want] == list(model._totals)
-    for ctx, row in want:
-        assert np.array_equal(model._counts[ctx], row)
-        assert model._totals[ctx] == float(row.sum())
+    assert list(model._row_of.items()) == [(ctx, r) for r, (ctx, _) in enumerate(want)]
+    assert len(model._counts) == len(model._totals) == len(want)
+    for r, (_, row) in enumerate(want):
+        assert np.array_equal(model._counts[r], row)
+        assert model._totals[r] == float(row.sum())
     for corpus in (train, test):
         assert np.array_equal(model.seq_logprobs(corpus), _ref_seq_logprobs(model, corpus))
 

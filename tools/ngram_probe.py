@@ -8,7 +8,7 @@ from the next seed, twice with ``seq_logprobs``, then samples twice with
 ``sample_corpus``, and then makes 200 warm ``sample_corpus`` calls of 10
 rows each, where the per-call cost shows. It prints one JSON line with the
 fit time, the cold and warm scoring and sampling times, the time of the
-small calls, the bytes held by the model's sampling tables, SHA-256 digests
+small calls, the bytes held by the model's sampling table, SHA-256 digests
 of the scores and of the two large samples' ids, and the process's peak
 RSS. Times are CPU seconds of this process.
 
@@ -78,7 +78,7 @@ def probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
         "test_rows": test_rows,
         "samples": samples,
         "seed": seed,
-        "contexts": len(model._counts),
+        "contexts": len(model._row_of),
         "fit_s": fit_s,
         "score_cold_s": score_times[0],
         "score_warm_s": score_times[1],
@@ -86,7 +86,7 @@ def probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
         "sample_cold_s": times[0],
         "sample_warm_s": times[1],
         "sample_small_s": small_s,
-        "table_bytes": sum(t.nbytes for t in model._tables.values()),
+        "table_bytes": model._table.capacity * model._table.row_bytes,
         "samples_sha256": digest.hexdigest(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
