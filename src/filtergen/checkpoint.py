@@ -51,7 +51,7 @@ def load_model(path):
         raise InputError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise InputError(f"{path}: malformed checkpoint: missing key {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise InputError(f"{path}: malformed checkpoint: {exc}") from exc
 
 

@@ -287,7 +287,7 @@ class _Pipeline:
         # the previous run's stages, if it had this config, code and inputs
         try:
             previous = json.loads((self.out / "manifest.json").read_text())
-        except (OSError, ValueError):  # missing or corrupt: every stage reruns
+        except (OSError, ValueError, RecursionError):  # missing or corrupt: every stage reruns
             previous = None
         same = isinstance(previous, dict) and all(
             previous.get(key) == self.manifest[key]
@@ -538,7 +538,7 @@ def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ConfigError([f"cannot read {path}: {exc}"])
 
 

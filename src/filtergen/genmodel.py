@@ -33,7 +33,9 @@ warm step is an exact binary search for the number of CDF entries below u
 (O(log S) per sequence) and a gather of successor rows. Each growing row
 carries the flat offset of its CDF row in the table, so the flat index the
 search ends on is also the (row, token) key of its successor and the step's
-pick is that index less the offset. The table is held under ``_CACHE_BYTES``.
+pick is that index less the offset. The table is made once, at every row
+sampling can reach or as many as ``_CACHE_BYTES`` holds, the first step's
+at row 0; a full table is cleared and refilled.
 
 Every sampler turns uniforms into rows. ``sample_corpus`` draws one
 ``(length_cap, n)`` block with one ``rng.random`` call, which leaves the rng
@@ -66,8 +68,7 @@ from .data import (BOS, DEFAULT_MAX_LEN, EOS, PAD, UNK, Corpus, MarkovSource,
 from .errors import InputError, check_fields, integer, number
 
 # Byte cap of one NGramLM's sampling table. The table may pass it only when
-# the contexts in flight alone need more, or while it grows and holds both
-# blocks.
+# the contexts in flight, and the first step's row, need more.
 _CACHE_BYTES = 256 * 2**20
 
 
@@ -300,21 +301,14 @@ class NGramLM:
         _check_block(self, u, cfg)
         rounds, steps, n = u.shape
         total = rounds * n
-        s = len(self.support)
         eos_sup = int(self._sup_index[EOS]) if self.fixed_length is None else -1
         table = self._table
         if table is None or table.temperature != cfg.temperature:
-            table = self._table = _CdfTable(s, cfg.temperature)
-        first = table.row_of.get(None)
-        if first is None:
-            rows = self._table_rows(table, [None])
-            if rows is None:
-                rows = self._rebuilt_rows(table, [None])
-            first = int(rows[0])
-        # offsets: the flat CDF offsets of the growing rows' table rows; idx:
-        # the output rows still growing, None until some row ends (then every
-        # row grows)
-        offsets = np.full(total, first * s, dtype=np.intp)
+            table = self._table = self._new_table(cfg.temperature)
+        # offsets: the flat CDF offsets of the growing rows' table rows, all
+        # row 0's at the first step; idx: the output rows still growing, None
+        # until some row ends (then every row grows)
+        offsets = np.zeros(total, dtype=np.intp)
         idx = None
         ids, lengths = _id_matrix(total, steps, self.fixed_length)
         for t in range(steps):
@@ -364,26 +358,37 @@ class NGramLM:
         return [(self._context(table.keys[r]) + (tok,))[1:]
                 for r, tok in zip(rows.tolist(), self.support[picks].tolist())]
 
+    def _new_table(self, temperature: float) -> _CdfTable:
+        """A table of the rows sampling can reach, or of the cap's (at least
+        one), with the first step's at row 0. Those are the first step's and
+        each context of BOS padding then support tokens (for order 1, ``()``)."""
+        s, rows = len(self.support), 1
+        cap = _CACHE_BYTES // (s * 12)  # a float64 CDF entry and an int32 successor each
+        for j in range(self.order):  # a checkpoint's order may be huge
+            rows += s ** j
+            if rows > cap:
+                break
+        table = _CdfTable(s, temperature, max(1, min(rows, cap)))
+        self._table_rows(table, [None])
+        return table
+
     def _table_rows(self, table: _CdfTable, keys: list):
         """Row ids of ``keys`` in ``table``, adding the missing rows; ``None``
-        when they would take the table past ``_CACHE_BYTES``."""
+        when they do not fit."""
         missing = [k for k in dict.fromkeys(keys) if k not in table.row_of]
-        need = len(table.keys) + len(missing)
-        if need > table.capacity:
-            room = _CACHE_BYTES // table.row_bytes
-            if need > room:
-                return None
-            table.grow(min(2 * need, room))
+        if len(table.keys) + len(missing) > table.capacity:
+            return None
         for r, key in zip(table.extend(missing), missing):
             table.cdf[r] = self._tempered_cdf(key, table.temperature)
         return np.array([table.row_of[k] for k in keys], dtype=np.int64)
 
     def _rebuilt_rows(self, table: _CdfTable, keys: list) -> np.ndarray:
-        """Rebuild ``table`` from ``keys``, the contexts in flight, whatever
-        the cap; returns their row ids. The rows are recomputed with the same
-        formula, so the draws do not change. The table takes the whole cap,
-        or the rows the contexts in flight need when they need more."""
-        table.reset(max(len(set(keys)), _CACHE_BYTES // table.row_bytes))
+        """Refill ``table`` with the first step's row, at row 0, and ``keys``,
+        the contexts in flight; returns their row ids. The rows are recomputed
+        with the same formula, so the draws do not change. The table keeps
+        the cap's rows, or takes the rows the contexts in flight need."""
+        table.reset(max(len(set(keys)) + 1, _CACHE_BYTES // table.row_bytes))
+        self._table_rows(table, [None])
         return self._table_rows(table, keys)
 
     def _context(self, key) -> tuple[int, ...]:
@@ -453,14 +458,14 @@ class _CdfTable:
     row reached from row r by emitting ``support[p]``, or -1 until a step
     first needs it; it is an int32 unless the block holds 2**31 entries or
     more, which only a table past the byte cap can. ``keys[r]`` is row r's
-    context, or ``None`` for the first step's row; ``row_of`` inverts
-    ``keys``.
+    context, or ``None`` for row 0, the first step's; ``row_of`` inverts
+    ``keys``. The blocks keep the ``capacity`` they are made or reset with.
     """
 
-    def __init__(self, n_support: int, temperature: float):
+    def __init__(self, n_support: int, temperature: float, capacity: int):
         self.n_support = n_support
         self.temperature = temperature
-        self.cdf, self.succ = self._blocks(0)
+        self.cdf, self.succ = self._blocks(capacity)
         self.keys: list = []
         self.row_of: dict = {}
 
@@ -471,8 +476,8 @@ class _CdfTable:
                                          < 2**31 else np.int64)
 
     def reset(self, capacity: int) -> None:
-        """Forget every row and hold room for ``capacity``, reusing the blocks
-        when they already have that size."""
+        """Forget every row and size the blocks to ``capacity`` rows, reusing
+        them when they already have that size."""
         if capacity != self.capacity:
             self.cdf, self.succ = self._blocks(capacity)
         self.keys = []
@@ -485,13 +490,6 @@ class _CdfTable:
     @property
     def row_bytes(self) -> int:
         return self.n_support * (self.cdf.itemsize + self.succ.itemsize)
-
-    def grow(self, capacity: int) -> None:
-        r = len(self.keys)
-        cdf, succ = self._blocks(capacity)
-        cdf[:r] = self.cdf[:r]
-        succ[:r] = self.succ[:r]
-        self.cdf, self.succ = cdf, succ
 
     def extend(self, keys: list) -> range:
         """Append a row per key, with unknown successors; returns the new row

@@ -19,6 +19,9 @@ from filtergen.metrics import MetricScorer, temperature_sweep
 # bytes are the same on every machine
 GEN_JSON_SHA256 = "b6ef561eb435c33b3c0ae8964582452d5e4b7b6e2b69bbb6bce34b60c02f100f"
 
+# JSON nested past the decoder's recursion limit: reading it raises RecursionError
+_TOO_DEEP = "[" * 200_000 + "]" * 200_000
+
 
 def _write_config(tmp_path, **overrides):
     doc = {
@@ -119,9 +122,10 @@ def test_validate_config_fills_defaults(tmp_path):
     assert cfg.discriminator.kernels3 == 32
 
 
-def test_config_error_exit_code(tmp_path):
+@pytest.mark.parametrize("bad", ["empty-object", "too-deep"])
+def test_config_error_exit_code(tmp_path, bad):
     path = tmp_path / "bad.json"
-    path.write_text("{}")
+    path.write_text({"empty-object": "{}", "too-deep": _TOO_DEEP}[bad])
     assert main(["pipeline", "--config", str(path)]) == 2
 
 
@@ -504,7 +508,7 @@ def test_oracle_report_checks_the_smallest_ratio(tmp_path):
     assert doc["tv_after"] < doc["tv_before"]
 
 
-@pytest.mark.parametrize("damage", ["truncated", "not-an-object"])
+@pytest.mark.parametrize("damage", ["truncated", "not-an-object", "too-deep"])
 def test_corrupt_state_file_recomputes_every_stage(tmp_path, capsys, damage):
     path = _write_config(tmp_path)
     out = tmp_path / "run"
@@ -514,7 +518,8 @@ def test_corrupt_state_file_recomputes_every_stage(tmp_path, capsys, damage):
     manifest = out / "manifest.json"
     text = manifest.read_text()
     # a truncated file is what a crash in the middle of a plain write leaves
-    manifest.write_text(text[: len(text) // 2] if damage == "truncated" else "[1, 2]")
+    manifest.write_text({"truncated": text[: len(text) // 2], "not-an-object": "[1, 2]",
+                         "too-deep": _TOO_DEEP}[damage])
     assert main(argv) == 0
     second = json.loads(capsys.readouterr().out)
     assert all(not st["skipped"] for st in second["stages"])
@@ -755,6 +760,7 @@ _BAD_CHECKPOINTS = {
     "ngram-without-params": json.dumps({"format_version": 1, "kind": "ngram",
                                         "vocab": {"tokens": ["a"]}, "params": {}}).encode(),
     "not-utf8": b"\xff\xfe",
+    "too-deep": _TOO_DEEP.encode(),
 }
 
 

@@ -526,23 +526,24 @@ def _ref_sample_corpus(model, n, cfg, rng):
 @settings(max_examples=150, deadline=None)
 @given(_ngram_case(), st.integers(1, 2000), st.integers(1, 6),
        st.lists(st.one_of(st.just(1.0), st.floats(0.05, 5.0)), min_size=1, max_size=3),
-       st.sampled_from(["default", "tiny", "full"]), st.integers(0, 2**32 - 1))
+       st.sampled_from(["default", "tiny", "half"]), st.integers(0, 2**32 - 1))
 def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatures, cap,
                                                     seed):
     # The temperatures alternate twice on one model, so a call starts a new
     # table when the temperature changes and reads a warm one when it repeats,
-    # and a refit must drop it. A "tiny" byte cap rebuilds the table whenever
-    # it would grow; a "full" one freezes the table the small first call
-    # built, so a later call rebuilds it around successors already known.
+    # and a refit must drop it. A "tiny" byte cap holds one row, so the table
+    # is rebuilt whenever it would grow; a "half" one holds half the rows
+    # sampling can reach, so a later call rebuilds the table the small first
+    # call partly filled, around successors already known.
     order, fixed, train, test = case
     model = NGramLM(train.vocab, order, 0.05, fixed).fit(train)
     with pytest.MonkeyPatch.context() as mp:
         if cap == "tiny":
             mp.setattr(fg.genmodel, "_CACHE_BYTES", 1)
+        if cap == "half":
+            s = len(model.support)
+            mp.setattr(fg.genmodel, "_CACHE_BYTES", _reachable_rows(model) // 2 * s * 12)
         for call, temperature in enumerate(temperatures * 2 + [temperatures[0]]):
-            if call == 1 and cap == "full":
-                mp.setattr(fg.genmodel, "_CACHE_BYTES",
-                           model._table.capacity * model._table.row_bytes)
             if call == 2 * len(temperatures):
                 model.fit(test)
             size = n if call else 1 + n // 100
@@ -553,6 +554,52 @@ def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatur
             assert np.array_equal(got.lengths, want.lengths)
             if cap == "tiny":
                 assert model._table.temperature == temperature
+
+
+def _reachable_rows(model):
+    """The first step's row and each context of BOS padding then support tokens."""
+    return 1 + sum(len(model.support) ** j for j in range(model.order))
+
+
+@pytest.mark.parametrize("fixed", [3, None])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_ngram_table_is_made_once_at_the_rows_sampling_can_reach(order, fixed,
+                                                                 monkeypatch):
+    # a table is sized when it is made, at every reachable row or at the
+    # cap's rows if fewer, with the first step's row at row 0; it keeps its
+    # blocks at one temperature, and a rebuild at a cap below the reachable
+    # rows puts that row back at row 0 and changes no draw
+    vocab = build_vocab(["a b c d"], max_size=10)
+    lines = ["a b c", "c b a", "b d a", "d d c"] if fixed else ["a b", "c b a d", "d", "b a"]
+    train = encode_corpus(lines * 5, vocab, "train")
+    uncapped, capped = (NGramLM(vocab, order, 0.05, fixed).fit(train) for _ in range(2))
+    reachable, row_bytes = _reachable_rows(uncapped), len(uncapped.support) * 12
+    cfgs = [SamplerConfig(temperature=0.7, max_len=6, seed=seed) for seed in range(3)]
+    first_step = SamplerConfig(temperature=0.7, max_len=1)  # makes the table, no more
+
+    uncapped.sample_corpus(5, first_step)
+    table = uncapped._table
+    blocks = table.cdf, table.succ
+    assert table.capacity == reachable
+    assert table.keys == [None] and table.row_of == {None: 0}
+    wide = [uncapped.sample_corpus(200, cfg) for cfg in cfgs]
+    assert uncapped._table is table and len(table.keys) <= reachable
+    assert table.cdf is blocks[0] and table.succ is blocks[1]
+
+    cap_rows = min(3, reachable - 1)
+    monkeypatch.setattr(fg.genmodel, "_CACHE_BYTES", cap_rows * row_bytes)
+    rebuilt, firsts = NGramLM._rebuilt_rows, []
+
+    def rebuilt_rows(self, table, keys):
+        rows = rebuilt(self, table, keys)
+        firsts.append((table.keys[0], table.row_of[None]))
+        return rows
+
+    monkeypatch.setattr(NGramLM, "_rebuilt_rows", rebuilt_rows)
+    capped.sample_corpus(1, first_step)
+    assert capped._table.capacity == cap_rows
+    assert [capped.sample_corpus(200, cfg) for cfg in cfgs] == wide
+    assert firsts and set(firsts) == {(None, 0)}
 
 
 @pytest.mark.parametrize("mode", ["fixed", "eos", "eos-short"])

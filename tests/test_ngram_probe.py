@@ -23,11 +23,15 @@ def test_ngram_probe_smoke():
     assert ((first["vocab"], first["rows"], first["test_rows"], first["samples"], first["seed"])
             == (50, 500, 100, 200, 3))
     assert 1 <= first["contexts"] <= 51
-    # at least the first step's row, each a float64 CDF entry and an int32 successor
-    # per support symbol (EOS, UNK and the 50 words)
-    assert first["table_bytes"] >= 52 * 12
+    # a row for each context sampling can reach (the first step's, BOS and the 52
+    # support symbols: EOS, UNK and the 50 words), each a float64 CDF entry and an
+    # int32 successor per support symbol; far below the byte cap, so never rebuilt
+    assert first["table_bytes"] == 54 * 52 * 12
+    assert first["rebuilds"] == 0
+    assert 1 <= first["cdf_rows"] <= 54
     assert min(first[k] for k in ("fit_s", "score_cold_s", "score_warm_s",
                                   "sample_cold_s", "sample_warm_s", "sample_small_s")) >= 0.0
     assert first["peak_rss_mb"] > 0
     assert first["scores_sha256"] == again["scores_sha256"]
     assert first["samples_sha256"] == again["samples_sha256"]
+    assert (first["rebuilds"], first["cdf_rows"]) == (again["rebuilds"], again["cdf_rows"])

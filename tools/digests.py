@@ -8,7 +8,9 @@ Prints one JSON object with sorted keys:
 - ``perfbench/<workload>/seed<k>``: the digest each benchmark workload's
   ``check`` returns after one pass, at seeds 1 and 2;
 - ``ngram_probe/...``: the score and sample digests of
-  ``tools/ngram_probe.py --vocab 2000 --seed 0``;
+  ``tools/ngram_probe.py --vocab 2000 --seed 0``, and of ``--vocab 5000
+  --samples 5000``, where the sampling table reaches its byte cap and is
+  rebuilt;
 - ``disc_probe/...``: the parameter digest of
   ``tools/disc_probe.py --vocab 2000 --rows 1500 --seed 0``;
 - ``pipeline_probe/...``: the ``sweep.csv`` digest of
@@ -21,7 +23,8 @@ With ``--against FILE`` it prints, in place of the object, every key whose
 value differs from the one in FILE (a saved run), then an ``N moved`` line,
 and exits with code 1 when N > 0. BLAS is held to one thread (unless the
 environment already sets its thread count) before numpy loads, as in the
-probes. It runs everything in this process, in about a minute.
+probes. It runs everything in this process, in about a minute, and peaks
+near 550 MB of RSS (the V = 5,000 probe).
 
     PYTHONPATH=src python tools/digests.py > DIGESTS.json
     PYTHONPATH=src python tools/digests.py --against DIGESTS.json
@@ -100,6 +103,9 @@ def collect() -> dict:
     ngram = ngram_probe.probe(2000, 20_000, 1000, 0)
     found["ngram_probe/vocab2000/scores_sha256"] = ngram["scores_sha256"]
     found["ngram_probe/vocab2000/samples_sha256"] = ngram["samples_sha256"]
+    ngram = ngram_probe.probe(5000, 20_000, 5000, 0)
+    found["ngram_probe/vocab5000_samples5000/scores_sha256"] = ngram["scores_sha256"]
+    found["ngram_probe/vocab5000_samples5000/samples_sha256"] = ngram["samples_sha256"]
     found["disc_probe/vocab2000_rows1500/params_sha256"] = (
         disc_probe.probe(2000, 1500, 0)["params_sha256"])
     found["pipeline_probe/vocab2000/sweep_sha256"] = (

@@ -8,9 +8,11 @@ from the next seed, twice with ``seq_logprobs``, then samples twice with
 ``sample_corpus``, and then makes 200 warm ``sample_corpus`` calls of 10
 rows each, where the per-call cost shows. It prints one JSON line with the
 fit time, the cold and warm scoring and sampling times, the time of the
-small calls, the bytes held by the model's sampling table, SHA-256 digests
-of the scores and of the two large samples' ids, and the process's peak
-RSS. Times are CPU seconds of this process.
+small calls, the bytes of the model's sampling table (its size as made,
+or as last rebuilt when the contexts in flight outgrew the byte cap), how
+many times sampling rebuilt the table and how many CDF rows it computed,
+SHA-256 digests of the scores and of the two large samples' ids, and the
+process's peak RSS. Times are CPU seconds of this process.
 
     PYTHONPATH=src python tools/ngram_probe.py --vocab 2000 --seed 0
 
@@ -44,6 +46,25 @@ def zipf_corpus(vocab_size: int, rows: int, seed: int) -> fg.Corpus:
 
 
 def probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
+    counts = {"rebuilds": 0, "cdf_rows": 0}
+    rebuilt, tempered = fg.NGramLM._rebuilt_rows, fg.NGramLM._tempered_cdf
+
+    def counted_rebuild(*args, **kwargs):
+        counts["rebuilds"] += 1
+        return rebuilt(*args, **kwargs)
+
+    def counted_cdf(*args, **kwargs):
+        counts["cdf_rows"] += 1
+        return tempered(*args, **kwargs)
+
+    fg.NGramLM._rebuilt_rows, fg.NGramLM._tempered_cdf = counted_rebuild, counted_cdf
+    try:
+        return {**_probe(vocab_size, rows, samples, seed), **counts}
+    finally:
+        fg.NGramLM._rebuilt_rows, fg.NGramLM._tempered_cdf = rebuilt, tempered
+
+
+def _probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
     test_rows = rows // 5
     corpus = zipf_corpus(vocab_size, rows, seed)
     held_out = zipf_corpus(vocab_size, test_rows, seed + 1)
