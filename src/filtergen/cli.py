@@ -15,11 +15,10 @@ first stage whose config, code, inputs or artifacts changed, and every
 later stage. Every stage and subcommand reads, samples and scores rows
 of at most ``data.DEFAULT_MAX_LEN`` tokens, with BLEU of order 5 and a
 64-dimensional FED embedding. With a single worker every run is
-bit-reproducible for a given (config, seed) and BLAS thread count: the
-recurrent generator's matrix products and FED's LAPACK calls can round
-differently when BLAS splits them over more threads (TextCNN training sums
-in a fixed order and does not), so set ``OPENBLAS_NUM_THREADS=1`` (as
-perfbench does) for results that match across machines.
+bit-reproducible for a given (config, seed). Only FED's LAPACK calls depend
+on the BLAS thread count, in their last digits, so set
+``OPENBLAS_NUM_THREADS=1`` (as perfbench does) for FED values that match
+across machines.
 """
 
 from __future__ import annotations
@@ -608,6 +607,8 @@ def _cmd_estimate_uc(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.c < 1.0 and args.u_c is None:
+        raise ConfigError(["--u-c is required when --c is below 1"])
     gen = _load_kind(args.gen, *_GENERATOR_KINDS)
     disc = _load_classifier(args.disc, gen)
     streams = grid_streams(gen, disc, args.seed, args.temperature, args.c,
@@ -705,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", required=True)
     p.add_argument("--disc", required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--u-c", dest="u_c", type=float, required=True)
+    p.add_argument("--u-c", dest="u_c", type=float)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--out", required=True)

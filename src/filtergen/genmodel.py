@@ -44,15 +44,11 @@ leaves it, and hands it to ``sample_block`` as one round. ``sample_block``
 takes a ``(rounds, steps, n)`` block and returns the rounds' rows one round
 after another, equal to one ``sample_corpus`` call per round; so
 ``filtering.estimate_boundary`` samples each block of rounds in one call.
-An n-gram or Markov row depends on its own uniforms alone, so those
-samplers draw a block's rows together; a NeuralLM samples it round by
-round, because its matrix products may round differently with the number
-of rows. The trained samplers write each step's ids into a row-major id
-matrix, PAD past each row's length (the step that drew EOS, or the cap),
-and trim it to its longest row. The ids come from the model's own support,
-so the Corpus is built without a check or a recount. Until some row ends,
-the n-gram sampler draws for every row and gathers no growing-row subset;
-with a fixed length that is every step.
+A row depends on its own uniforms alone, so every sampler draws a block's
+rows together; the trained ones grow them in one loop (``_grow_rows``) that
+stops stepping a row once it draws EOS. The recurrent LM's products run over
+fixed row blocks (``_row_product``), so a row's states, score and ids depend
+on that row alone, and none of its sums on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -70,6 +66,11 @@ from .errors import InputError, check_fields, integer, number
 # Byte cap of one NGramLM's sampling table. The table may pass it only when
 # the contexts in flight, and the first step's row, need more.
 _CACHE_BYTES = 256 * 2**20
+# ``_row_product``'s rows did not depend on each other or on one or two
+# OpenBLAS threads over 8-row blocks; they did over 16-row blocks at one
+# thread, and over sums of 600 terms or more at two.
+_ROW_BLOCK, _SUM_SPAN = 8, 256
+_SAMPLE_ROWS = 1024  # the most rows NeuralLM samples at once
 
 
 @dataclass(frozen=True)
@@ -299,40 +300,18 @@ class NGramLM:
         after round; ``u[r, t, j]`` draws step t of round r's row j. A row
         depends on its own uniforms alone, so every row is drawn together."""
         _check_block(self, u, cfg)
-        rounds, steps, n = u.shape
-        total = rounds * n
-        eos_sup = int(self._sup_index[EOS]) if self.fixed_length is None else -1
         table = self._table
         if table is None or table.temperature != cfg.temperature:
             table = self._table = self._new_table(cfg.temperature)
-        # offsets: the flat CDF offsets of the growing rows' table rows, all
-        # row 0's at the first step; idx: the output rows still growing, None
-        # until some row ends (then every row grows)
-        offsets = np.zeros(total, dtype=np.intp)
-        idx = None
-        ids, lengths = _id_matrix(total, steps, self.fixed_length)
-        for t in range(steps):
-            ut = u[:, t].reshape(total)  # a view for one round
-            if idx is not None:
-                if not len(idx):
-                    break
-                ut = ut[idx]
+        # a growing row's state is the flat CDF offset of its table row, all
+        # row 0's at the first step; a draw's flat index is its successor's key
+        def draw(offsets, ut, t):
+            offsets = offsets if t else np.zeros(len(ut), dtype=np.intp)
             drawn = _draw_from_cdf(table.cdf, ut, offsets)
-            picks = drawn - offsets
-            if eos_sup >= 0:
-                ended = picks == eos_sup
-                if ended.any():
-                    growing = np.arange(total) if idx is None else idx
-                    lengths[growing[ended]] = t
-                    keep = ~ended
-                    idx, drawn, picks = growing[keep], drawn[keep], picks[keep]
-            if idx is None:
-                ids[:, t] = self.support.take(picks)
-            else:
-                ids[idx, t] = self.support.take(picks)
-            if t + 1 < steps:
-                offsets = self._successors(table, drawn)
-        return _sampled_corpus(self.vocab, ids, lengths, split)
+            return drawn - offsets, drawn
+
+        return _grow_rows(self, u, draw, lambda drawn, _ids: self._successors(table, drawn),
+                          split)
 
     def _successors(self, table: _CdfTable, drawn: np.ndarray) -> np.ndarray:
         """Flat CDF offset of the table row reached by each drawn entry: the
@@ -361,11 +340,13 @@ class NGramLM:
     def _new_table(self, temperature: float) -> _CdfTable:
         """A table of the rows sampling can reach, or of the cap's (at least
         one), with the first step's at row 0. Those are the first step's and
-        each context of BOS padding then support tokens (for order 1, ``()``)."""
+        each context after a step: BOS padding then j >= 1 symbols other than
+        EOS (for order 1, ``()``)."""
         s, rows = len(self.support), 1
+        grow = s - (self.fixed_length is None)
         cap = _CACHE_BYTES // (s * 12)  # a float64 CDF entry and an int32 successor each
-        for j in range(self.order):  # a checkpoint's order may be huge
-            rows += s ** j
+        for j in range(min(1, self.order - 1), self.order):  # order may be a checkpoint's
+            rows += grow ** j
             if rows > cap:
                 break
         table = _CdfTable(s, temperature, max(1, min(rows, cap)))
@@ -443,8 +424,7 @@ class MarkovModel:
             self._tempered = cfg.temperature, MarkovSource(
                 self.source.tokens,
                 _apply_temperature(self.source.initial, cfg.temperature),
-                np.apply_along_axis(_apply_temperature, 1, self.source.transition,
-                                    cfg.temperature),
+                _apply_temperature(self.source.transition, cfg.temperature),
                 self.source.length,
             )
         return _sample_chain(self._tempered[1], u, split)
@@ -501,24 +481,53 @@ class _CdfTable:
         return new
 
 
-def _id_matrix(n: int, steps: int, fixed_length) -> tuple[np.ndarray, np.ndarray]:
-    """A sampler's ``(n, steps)`` ids and its ``n`` row lengths, ``steps``
-    until a row ends. The ids are PAD until drawn; with a fixed length every
-    id is drawn, so they start unset."""
-    shape = (n, steps)
-    ids = (np.empty(shape, dtype=np.int64) if fixed_length is not None
-           else np.full(shape, PAD, dtype=np.int64))
-    return ids, np.full(n, steps, dtype=np.int64)
-
-
-def _sampled_corpus(vocab, ids: np.ndarray, lengths: np.ndarray, split: str) -> Corpus:
-    """The Corpus of ``_id_matrix``'s arrays once sampled, the matrix trimmed
-    to the longest row. The ids come from the model's own support, so
-    nothing is checked or recounted."""
+def _grow_rows(model, u, draw, advance, split: str) -> Corpus:
+    """The Corpus of the rows a trained sampler grows from a ``(rounds, steps,
+    n)`` block of uniforms, round after round. ``draw(state, ut, t)`` returns
+    the growing rows' support picks and a carry with a row each (the state is
+    None at t = 0); a row that picks EOS ends, and ``advance(carry, ids)`` makes
+    the others' next state. The ids come from the support, PAD past each row's
+    end (every id is drawn at a fixed length), trimmed to the longest row."""
+    steps, total = u.shape[1], u.shape[0] * u.shape[2]
+    eos_sup = int(model._sup_index[EOS]) if model.fixed_length is None else -1
+    ids = np.full((total, steps), PAD) if eos_sup >= 0 else np.empty((total, steps), int)
+    lengths = np.full(total, steps)
+    idx = state = None  # idx: the output rows still growing, None until some row ends
+    for t in range(steps):
+        ut = u[:, t].reshape(total)  # a view for one round
+        if idx is not None:
+            if not len(idx):
+                break
+            ut = ut[idx]
+        picks, carry = draw(state, ut, t)
+        if eos_sup >= 0:
+            ended = picks == eos_sup
+            if ended.any():
+                growing = np.arange(total) if idx is None else idx
+                lengths[growing[ended]] = t
+                keep = ~ended
+                idx, picks, carry = growing[keep], picks[keep], carry[keep]
+        tokens = model.support.take(picks)
+        ids[slice(None) if idx is None else idx, t] = tokens
+        if t + 1 < steps:
+            state = advance(carry, tokens)
     width = int(lengths.max())
-    if width < ids.shape[1]:
+    if width < steps:
         ids = ids[:, :width].copy()
-    return _new_corpus(vocab, ids, lengths, split)
+    return _new_corpus(model.vocab, ids, lengths, split)
+
+
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over blocks of ``_ROW_BLOCK`` rows (the last padded with zeros),
+    summed over spans of ``_SUM_SPAN`` columns added in order, so a row's bits
+    depend neither on the other rows nor on the BLAS thread count."""
+    n, k = a.shape
+    blocks = np.zeros((-(-n // _ROW_BLOCK), _ROW_BLOCK, k))
+    blocks.reshape(-1, k)[:n] = a
+    out = blocks[:, :, :_SUM_SPAN] @ b[:_SUM_SPAN]
+    for start in range(_SUM_SPAN, k, _SUM_SPAN):
+        out += blocks[:, :, start:start + _SUM_SPAN] @ b[start:start + _SUM_SPAN]
+    return out.reshape(-1, b.shape[1])[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +589,6 @@ class NeuralLM:
         self.fixed_length = cfg.fixed_length
         self.support = support_ids(vocab, cfg.fixed_length)
         self._sup_index = _support_index(vocab, self.support)
-        self._ids_of = np.append(self.support, PAD)  # a pick's id, PAD past a row's end
         rng = np.random.default_rng(cfg.seed)
         v, de, dh, s = len(vocab), cfg.embed_dim, cfg.hidden_dim, len(self.support)
         self.params = {
@@ -620,11 +628,13 @@ class NeuralLM:
 
     def _step(self, ids: np.ndarray, h: np.ndarray):
         """One recurrence step from token ids and the previous hidden state;
-        returns the step's embeddings, its hidden state and its logits."""
+        returns the step's hidden state and its logits, a row each."""
         p = self.params
-        x = p["embed"][ids]
-        h = np.tanh(x @ p["w_xh"] + h @ p["w_hh"] + p["b_h"])
-        return x, h, h @ p["w_hy"] + p["b_y"]
+        h = np.tanh(_row_product(p["embed"][ids], p["w_xh"]) + _row_product(h, p["w_hh"])
+                    + p["b_h"])
+        logits = _row_product(h, p["w_hy"])
+        logits += p["b_y"]
+        return h, logits
 
     def nll_and_grads(self, corpus: Corpus) -> tuple[float, dict]:
         """Mean per-event NLL of a batch plus gradients for every parameter."""
@@ -634,15 +644,14 @@ class NeuralLM:
         n, width = targets.shape
         dh_dim = p["w_hh"].shape[0]
         hs = np.zeros((width + 1, n, dh_dim))
-        xs = np.empty((width, n, p["embed"].shape[1]))
         probs = np.empty((width, n, len(self.support)))
         total_events = float(mask.sum())
         loss = 0.0
         for t in range(width):
-            xs[t], hs[t + 1], logits = self._step(inputs[:, t], hs[t])
+            hs[t + 1], logits = self._step(inputs[:, t], hs[t])
             logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits)
-            probs[t] = e / e.sum(axis=1, keepdims=True)
+            e = np.exp(logits, out=logits)
+            np.divide(e, e.sum(axis=1, keepdims=True), out=probs[t])
             picked = probs[t, np.arange(n), targets[:, t]]
             loss -= float((np.log(picked) * mask[:, t]).sum())
         loss /= total_events
@@ -650,37 +659,40 @@ class NeuralLM:
         grads = {k: np.zeros_like(v) for k, v in p.items()}
         dh_next = np.zeros((n, dh_dim))
         for t in range(width - 1, -1, -1):
-            dlogits = probs[t].copy()
+            dlogits = probs[t]  # overwritten in place
             dlogits[np.arange(n), targets[:, t]] -= 1.0
             dlogits *= mask[:, t, None] / total_events
-            grads["w_hy"] += hs[t + 1].T @ dlogits
+            grads["w_hy"] += _row_product(hs[t + 1].T, dlogits)
             grads["b_y"] += dlogits.sum(axis=0)
-            dh = dlogits @ p["w_hy"].T + dh_next
-            dz = dh * (1.0 - hs[t + 1] ** 2)
+            dz = (_row_product(dlogits, p["w_hy"].T) + dh_next) * (1.0 - hs[t + 1] ** 2)
             grads["b_h"] += dz.sum(axis=0)
-            grads["w_xh"] += xs[t].T @ dz
-            grads["w_hh"] += hs[t].T @ dz
-            np.add.at(grads["embed"], inputs[:, t], dz @ p["w_xh"].T)
-            dh_next = dz @ p["w_hh"].T
+            grads["w_xh"] += _row_product(p["embed"][inputs[:, t]].T, dz)
+            grads["w_hh"] += _row_product(hs[t].T, dz)
+            np.add.at(grads["embed"], inputs[:, t], _row_product(dz, p["w_xh"].T))
+            dh_next = _row_product(dz, p["w_hh"].T)
         return loss, grads
 
     def seq_logprobs(self, corpus: Corpus) -> np.ndarray:
-        """Log probability of every row, 256 rows per forward pass."""
+        """Log probability of every row. A row's score depends on that row
+        alone, so each distinct row (``data.row_groups``) is scored once, 256
+        rows per forward pass, and the scores are gathered back to every row."""
+        rows, inverse = row_groups(corpus)
+        distinct = corpus[rows]
         out = []
-        for start in range(0, len(corpus), 256):
-            targets, events = self._targets(corpus[start: start + 256])
+        for start in range(0, len(distinct), 256):
+            targets, events = self._targets(distinct[start: start + 256])
             inputs, mask = self._step_stack(targets, events)
             n, width = targets.shape
             h = np.zeros((n, self.params["w_hh"].shape[0]))
             logp = np.zeros(n)
             for t in range(width):
-                _, h, logits = self._step(inputs[:, t], h)
+                h, logits = self._step(inputs[:, t], h)
                 logits -= logits.max(axis=1, keepdims=True)
                 logz = np.log(np.exp(logits).sum(axis=1))
                 picked = logits[np.arange(n), targets[:, t]] - logz
                 logp += np.where(mask[:, t], picked, 0.0)
             out.append(logp)
-        return np.concatenate(out)
+        return np.concatenate(out)[inverse]
 
     def seq_logprob(self, ids) -> float:
         return float(self.seq_logprobs(Corpus(self.vocab, [ids]))[0])
@@ -734,40 +746,27 @@ class NeuralLM:
 
     def sample_block(self, u: np.ndarray, cfg: SamplerConfig, split: str = "") -> Corpus:
         """The rows of a ``(rounds, length_cap, n)`` block of uniforms, round
-        after round, each round sampled on its own: a batch's matrix
-        products may round differently with its number of rows."""
+        after round, drawn together at most ``_SAMPLE_ROWS`` rows at a time."""
         _check_block(self, u, cfg)
-        return Corpus.concat([self._sample_round(round_u, cfg.temperature) for round_u in u],
-                             split)
+        eos_sup = self._sup_index[EOS] if self.fixed_length is None else None
+        dh = len(self.params["b_h"])
 
-    def _sample_round(self, u: np.ndarray, temperature: float) -> Corpus:
-        """The rows of one round's ``(length_cap, n)`` uniforms."""
-        steps, n = u.shape
-        h = np.zeros((n, self.params["w_hh"].shape[0]))
-        current = np.full(n, BOS, dtype=np.int64)
-        ids, lengths = _id_matrix(n, steps, self.fixed_length)
-        active = np.ones(n, dtype=bool)
-        eos_sup = int(self._sup_index[EOS]) if self.fixed_length is None else -1
-        for t in range(steps):
-            if not active.any():
-                break
-            _, h, logits = self._step(current, h)
-            logits /= temperature
-            if t == 0 and eos_sup >= 0:
+        def draw(state, ut, t):  # a growing row's state: its last id and hidden state
+            ids, h = state if t else (np.full(len(ut), BOS), np.zeros((len(ut), dh)))
+            h, logits = self._step(ids, h)
+            logits /= cfg.temperature
+            if t == 0 and eos_sup is not None:
                 logits[:, eos_sup] = -np.inf
             logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits)
-            rows = e / e.sum(axis=1, keepdims=True)
-            picks = _draw_from_cdf(np.cumsum(rows, axis=1), u[t])
-            if eos_sup >= 0:
-                ended = (picks == eos_sup) & active
-                lengths[ended] = t
-                active &= ~ended
-                picks[~active] = len(self.support)
-            tokens = self._ids_of.take(picks)
-            ids[:, t] = tokens
-            current = np.where(active, tokens, current)
-        return _sampled_corpus(self.vocab, ids, lengths, "")
+            e = np.exp(logits, out=logits)
+            e /= e.sum(axis=1, keepdims=True)
+            return _draw_from_cdf(np.cumsum(e, axis=1, out=e), ut), h
+
+        per = max(1, _SAMPLE_ROWS // u.shape[2])  # whole rounds at a time, or parts of one
+        return Corpus.concat([_grow_rows(self, u[r:r + per, :, j:j + _SAMPLE_ROWS], draw,
+                                         lambda h, ids: (ids, h), split)
+                              for r in range(0, len(u), per)
+                              for j in range(0, u.shape[2], _SAMPLE_ROWS)], split)
 
 
 # ---------------------------------------------------------------------------

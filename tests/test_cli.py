@@ -331,6 +331,11 @@ def test_cli_train_sample_evaluate_roundtrip(tmp_path, capsys):
     stats = json.loads((tmp_path / "samples.txt.stats.json").read_text())
     assert stats["acceptances"] == 200
     assert hashlib.sha256(gen_path.read_bytes()).hexdigest() == GEN_JSON_SHA256
+    # the identity ratio needs no boundary: it accepts every row
+    assert main(["sample", "--gen", str(gen_path), "--disc", str(disc_path),
+                 "--c", "1", "--n", "20", "--out", str(samples)]) == 0
+    stats = json.loads((tmp_path / "samples.txt.stats.json").read_text())
+    assert stats["attempts"] == stats["acceptances"] == 20
 
     # --rejected-out holds the first --n rejected rows, as the pipeline writes
     assert main(["sample", "--gen", str(gen_path), "--disc", str(disc_path),
@@ -354,6 +359,16 @@ def test_cli_train_sample_evaluate_roundtrip(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert set(doc) == {"bleu5", "self_bleu5", "lm_score"}
     assert 0.0 <= doc["bleu5"] <= 1.0
+
+
+def test_cli_sample_below_ratio_one_requires_a_boundary(tmp_path, capsys):
+    # checked before any file is read
+    out = tmp_path / "s.txt"
+    assert main(["sample", "--gen", "g", "--disc", "d", "--c", "0.5", "--n", "5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: --u-c is required when --c is below 1"]
+    assert not out.exists()
 
 
 def test_cli_sample_budget_exhaustion_exit_code(tmp_path):

@@ -557,8 +557,10 @@ def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatur
 
 
 def _reachable_rows(model):
-    """The first step's row and each context of BOS padding then support tokens."""
-    return 1 + sum(len(model.support) ** j for j in range(model.order))
+    """The first step's row and each context a step can lead to: ``()`` for
+    order 1, and above it BOS padding then j >= 1 symbols other than EOS."""
+    grow = len(model.support) - (model.fixed_length is None)
+    return 1 + (1 if model.order == 1 else sum(grow ** j for j in range(1, model.order)))
 
 
 @pytest.mark.parametrize("fixed", [3, None])
@@ -584,6 +586,8 @@ def test_ngram_table_is_made_once_at_the_rows_sampling_can_reach(order, fixed,
     assert table.keys == [None] and table.row_of == {None: 0}
     wide = [uncapped.sample_corpus(200, cfg) for cfg in cfgs]
     assert uncapped._table is table and len(table.keys) <= reachable
+    if order < 3:  # 600 rows reach every row a bigram can
+        assert len(table.keys) == reachable
     assert table.cdf is blocks[0] and table.succ is blocks[1]
 
     cap_rows = min(3, reachable - 1)
@@ -669,17 +673,41 @@ def test_sample_corpus_draws_one_uniform_per_row_and_step(kind):
             assert corpus.lengths.min() < max_len  # rows that end still drew at every step
 
 
+def _wide_neural():
+    """A NeuralLM over 502 support symbols at the default layer sizes, whose
+    rows end at EOS about one step in four: products this wide round
+    differently with the number of rows when BLAS takes them whole."""
+    vocab = fg.Vocab(tuple(f"w{i}" for i in range(500)))
+    model = NeuralLM(vocab, NeuralConfig(seed=1))
+    model.params["b_y"][model._sup_index[EOS]] = 5.0
+    return model
+
+
 @pytest.mark.parametrize("kind", ["ngram-eos", "markov", "neural-eos"])
 def test_sample_block_is_one_sample_corpus_call_per_round(kind):
-    model = _sampler_cases()[kind]
+    model = _wide_neural() if kind == "neural-eos" else _sampler_cases()[kind]
     cfg = SamplerConfig(max_len=5, seed=0)
     steps = fg.genmodel.length_cap(model, cfg)
-    u = np.random.default_rng(3).random((4, steps, 25))
+    u = np.random.default_rng(3).random((4, steps, 64))
     rounds = [model.sample_block(round_u[None], cfg) for round_u in u]
     assert model.sample_block(u, cfg, "gen") == Corpus.concat(rounds, "gen")
     for shape in ((4, steps + 1, 25), (steps, 25), (0, steps, 25), (4, steps, 0)):
         with pytest.raises(InputError, match="block of uniforms"):
             model.sample_block(np.zeros(shape), cfg)
+
+
+def test_neural_scores_of_a_row_subset_are_those_rows_scores():
+    # each distinct row is scored once, however many rows share its forward pass
+    model = _wide_neural()
+    corpus = model.sample_corpus(300, SamplerConfig(max_len=6, seed=2))
+    assert corpus.lengths.min() < corpus.lengths.max()
+    scores = model.seq_logprobs(corpus)
+    rng = np.random.default_rng(4)
+    for size in (1, 7, 64, 299):
+        rows = rng.choice(len(corpus), size, replace=False)
+        assert model.seq_logprobs(corpus[rows]).tobytes() == scores[rows].tobytes()
+    twice = Corpus.concat([corpus, corpus[::-1]])
+    assert model.seq_logprobs(twice).tobytes() == np.concatenate([scores, scores[::-1]]).tobytes()
 
 
 @pytest.mark.parametrize("fields", [

@@ -23,12 +23,13 @@ def test_ngram_probe_smoke():
     assert ((first["vocab"], first["rows"], first["test_rows"], first["samples"], first["seed"])
             == (50, 500, 100, 200, 3))
     assert 1 <= first["contexts"] <= 51
-    # a row for each context sampling can reach (the first step's, BOS and the 52
-    # support symbols: EOS, UNK and the 50 words), each a float64 CDF entry and an
-    # int32 successor per support symbol; far below the byte cap, so never rebuilt
-    assert first["table_bytes"] == 54 * 52 * 12
+    # a row for each context sampling can reach (the first step's and one after
+    # each of the 51 symbols that continue a row: UNK and the 50 words), each a
+    # float64 CDF entry and an int32 successor per support symbol (those 51 and
+    # EOS); far below the byte cap, so never rebuilt
+    assert first["table_bytes"] == 52 * 52 * 12
     assert first["rebuilds"] == 0
-    assert 1 <= first["cdf_rows"] <= 54
+    assert 1 <= first["cdf_rows"] <= 52
     assert min(first[k] for k in ("fit_s", "score_cold_s", "score_warm_s",
                                   "sample_cold_s", "sample_warm_s", "sample_small_s")) >= 0.0
     assert first["peak_rss_mb"] > 0

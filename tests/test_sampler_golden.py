@@ -87,9 +87,26 @@ def test_neural_sample_corpus_golden(fixed):
     cfg = fg.NeuralConfig(embed_dim=6, hidden_dim=8, batch_size=50, max_epochs=2,
                           fixed_length=FIXED_LENGTH if fixed else None, seed=7)
     model = fg.train_mle(_train_corpus(fixed), None, cfg)
+    step, stepped = model._step, []
+
+    def recorded_step(ids, h):
+        stepped.append(ids.copy())
+        return step(ids, h)
+
+    model._step = recorded_step
     for temperature in (1.0, 0.7):
         seed = 500 + 10 * fixed + int(temperature * 10)
         sampler = fg.SamplerConfig(temperature=temperature, max_len=8, seed=seed)
+        stepped.clear()
         corpus = model.sample_corpus(N_SAMPLES // 3, sampler, np.random.default_rng(seed))
         key = f"neural/{'fixed' if fixed else 'eos'}/T{temperature:g}"
         assert _sha(corpus) == NEURAL_GOLDEN[key], key
+        # step t takes the last ids of the rows still growing, the rows that
+        # have not drawn EOS before it, and no step runs once every row ended
+        lengths = corpus.lengths
+        assert len(stepped) == min(lengths.max() + 1, fg.genmodel.length_cap(model, sampler))
+        assert stepped[0].tolist() == [fg.BOS] * len(corpus)
+        for t, ids in enumerate(stepped[1:], 1):
+            assert ids.tolist() == corpus.ids[lengths >= t, t - 1].tolist()
+        if not fixed:
+            assert len(stepped[-1]) < len(corpus)

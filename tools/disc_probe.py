@@ -9,9 +9,9 @@ line with the training time, the number of training steps (batches) and
 the CPU milliseconds per step (the training time over the steps, so each
 step carries its share of the epochs' validation scoring), a SHA-256 of
 the trained parameters and the process's peak RSS. Times are CPU seconds
-of this process, with BLAS held to one thread (unless the environment
-already sets its thread count) so that they are not a sum over BLAS
-threads.
+of this process, a sum over its BLAS threads; set
+``OPENBLAS_NUM_THREADS=1`` to time one thread. The trained parameters do
+not depend on the thread count.
 
     PYTHONPATH=src python tools/disc_probe.py --vocab 2000 --seed 0
 """
@@ -21,17 +21,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import resource
 import time
 
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")  # before numpy loads BLAS
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-import filtergen as fg  # noqa: E402
-from ngram_probe import zipf_corpus  # noqa: E402
+import filtergen as fg
+from ngram_probe import zipf_corpus
 
 
 def probe(vocab_size: int, rows: int, seed: int) -> dict:
