@@ -105,6 +105,8 @@ def _read_ngram(vocab: Vocab, params: dict) -> NGramLM:
             raise InputError(f"malformed checkpoint: context {ctx} is listed twice")
         contexts[ctx] = i
         counts[i] = _array(row, "a counts row", shape)
+    if not ((counts >= 0) & (counts < np.inf)).all():  # NaN fails both
+        raise InputError("malformed checkpoint: counts must be finite and non-negative")
     model._add_counts(list(contexts), counts)
     return model
 
@@ -140,10 +142,11 @@ def _write_markov(model: MarkovModel) -> dict:
 
 
 def _read_markov(vocab: Vocab, params: dict) -> MarkovModel:
-    source = MarkovSource(vocab.tokens[NUM_RESERVED:],
-                          np.array(params["initial"]),
-                          np.array(params["transition"]),
-                          int(params["length"]))
+    try:
+        source = MarkovSource(vocab.tokens[NUM_RESERVED:], np.array(params["initial"]),
+                              np.array(params["transition"]), int(params["length"]))
+    except InputError as exc:
+        raise InputError(f"malformed checkpoint: {exc}") from exc
     return MarkovModel(source)
 
 

@@ -518,7 +518,7 @@ class MarkovSource:
         k = len(self.tokens)
         if initial.shape != (k,) or transition.shape != (k, k):
             raise InputError("initial/transition shapes do not match token count")
-        if (initial < 0).any() or (transition < 0).any():
+        if not ((initial >= 0).all() and (transition >= 0).all()):  # NaN is neither
             raise InputError("probabilities must be non-negative")
         if abs(initial.sum() - 1.0) > _STOCHASTIC_TOL:
             raise InputError("initial distribution must sum to 1")

@@ -58,9 +58,13 @@ def acceptance_probability(score, ratio: float, boundary: float):
     return float(out) if np.isscalar(score) or arr.ndim == 0 else out
 
 
-def _check_params(ratio: float, boundary: float) -> None:
+def _check_ratio(ratio: float) -> None:
     if not 0.0 < ratio <= 1.0:
         raise InputError("acceptance ratio must be in (0, 1]")
+
+
+def _check_params(ratio: float, boundary: float) -> None:
+    _check_ratio(ratio)
     if not 0.0 <= boundary <= 1.0:
         raise InputError("sampling boundary must be in [0, 1]")
 
@@ -133,8 +137,7 @@ def estimate_boundary(gen, disc, ratio: float, cfg: BoundaryEstimateConfig | Non
     target), or ``oracle.exact_boundary`` on enumerable domains, to detect
     an unachievable target.
     """
-    if not 0.0 < ratio <= 1.0:
-        raise InputError("acceptance ratio must be in (0, 1]")
+    _check_ratio(ratio)
     cfg = cfg or BoundaryEstimateConfig()
     sampler = sampler or SamplerConfig()
     rng = np.random.default_rng(sampler.seed) if rng is None else rng

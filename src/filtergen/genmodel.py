@@ -17,38 +17,28 @@ several such calls from their uniforms at once), a ``vocab``, and a
 event). In fixed-length mode the per-step distribution is supported on the
 content tokens only, so the model is a proper distribution over the
 enumerable domain V^L; in variable-length mode EOS and UNK join the
-support.
+support. ``_event_table`` gives every row's events (its tokens, then EOS
+when the length is variable) as support indices, for fitting, scoring and
+counting events. Every tempered law is ``_tempered_softmax``, softmax(x / T),
+of the n-gram's and the chain's log-probabilities or of the recurrent LM's
+logits; as T -> 0 it tends to the argmax, uniform over exact ties.
 
-The n-gram model works on the corpus id matrix: every context gets a dense
-integer key (``data._gram_ranks``), so fitting is one ``bincount`` into one
-count matrix, a row per context. Scoring gathers each event's count and its
-context's stored total from that matrix, and caches nothing. Both find the
-events of each distinct row once (``data._distinct_rows``; scoring reads
-the corpus's kept ``data.row_groups``): fitting weighs them by the row's
-multiplicity, and scoring gathers each row's score back to its copies.
-Sampling reads a table of the temperature the model sampled last (another
-temperature starts a new one) that holds each reached context's tempered
-CDF, computed once, and the row each (context, token) step leads to, so a
-warm step is an exact binary search for the number of CDF entries below u
-(O(log S) per sequence) and a gather of successor rows. Each growing row
-carries the flat offset of its CDF row in the table, so the flat index the
-search ends on is also the (row, token) key of its successor and the step's
-pick is that index less the offset. The table is made once, at every row
-sampling can reach or as many as ``_CACHE_BYTES`` holds, the first step's
-at row 0; a full table is cleared and refilled.
+The n-gram model keeps its counts in one matrix, a row per context (keyed
+by ``data._gram_ranks``), and fits and scores each distinct row once.
+It samples from a table, made once per temperature, of each reached
+context's tempered CDF and the row each (context, token) step leads to, so
+a warm step is a binary search (``data._draw_from_cdf``) and a gather.
 
 Every sampler turns uniforms into rows. ``sample_corpus`` draws one
 ``(length_cap, n)`` block with one ``rng.random`` call, which leaves the rng
-where drawing n uniforms at every step, whether or not rows have ended,
-leaves it, and hands it to ``sample_block`` as one round. ``sample_block``
-takes a ``(rounds, steps, n)`` block and returns the rounds' rows one round
-after another, equal to one ``sample_corpus`` call per round; so
-``filtering.estimate_boundary`` samples each block of rounds in one call.
-A row depends on its own uniforms alone, so every sampler draws a block's
-rows together; the trained ones grow them in one loop (``_grow_rows``) that
-stops stepping a row once it draws EOS. The recurrent LM's products run over
-fixed row blocks (``_row_product``), so a row's states, score and ids depend
-on that row alone, and none of its sums on the BLAS thread count.
+where n uniforms at every step would, whether or not rows have ended, and
+hands it to ``sample_block``, which takes a ``(rounds, steps, n)`` block and returns
+the rounds' rows one round after another, equal to one ``sample_corpus``
+call per round. A row depends on its own uniforms alone; the trained
+samplers grow a block's rows in one loop (``_grow_rows``) that stops
+stepping a row once it draws EOS. The recurrent LM's products run over
+fixed row blocks (``_row_product``), so none of a row's bits depend on the
+other rows or on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -60,7 +50,7 @@ import numpy as np
 
 from .data import (BOS, DEFAULT_MAX_LEN, EOS, PAD, UNK, Corpus, MarkovSource,
                    _distinct_rows, _draw_from_cdf, _gram_ranks, _new_corpus, _sample_chain,
-                   chain_probs, corpus_to_arrays, row_groups, split_tail)
+                   chain_probs, row_groups, split_tail)
 from .errors import InputError, check_fields, integer, number
 
 # Byte cap of one NGramLM's sampling table. The table may pass it only when
@@ -122,16 +112,58 @@ def _support_index(vocab, support) -> np.ndarray:
     return index
 
 
+def _tempered_softmax(x: np.ndarray, temperature: float) -> np.ndarray:
+    """softmax(x / T) along the last axis, in place in the float64 ``x``.
+
+    A row whose maximum / T is infinite becomes 0 at its maxima and -inf
+    elsewhere first: the T -> 0 limit, uniform over exact ties. Every row
+    is then divided by T, less its maximum / T, exponentiated and normalised.
+    """
+    top = x.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        shift = top / temperature
+        limit = np.isinf(shift)
+        if limit.any():
+            x[...] = np.where(limit, np.where(x == top, 0.0, -np.inf), x)
+            shift[limit] = 0.0
+        if temperature != 1.0:  # x / 1 is x
+            x /= temperature
+        x -= shift
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
 def _apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
-    # p^(1/T) renormalized == dividing softmax logits by T; computed in log
-    # space so extreme temperatures stay stable (T -> 0 gives the argmax)
+    # p^(1/T) renormalised is softmax(log p / T), the law logits divided by
+    # T give; T = 1 returns ``probs`` itself
     if temperature == 1.0:
         return probs
-    with np.errstate(divide="ignore"):
-        logs = np.log(probs) / temperature
-    logs -= logs.max(axis=-1, keepdims=True)
-    scaled = np.exp(logs)
-    return scaled / scaled.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore"):  # log 0 is -inf
+        return _tempered_softmax(np.log(probs), temperature)
+
+
+def _event_table(model, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """The support index of each event of each row, and the event mask.
+
+    A row's events are its tokens, then EOS when the length is variable, so
+    both arrays are ``(n, width + 1)`` then and ``(n, width)`` otherwise.
+    Past a row's events the index is 0 and the mask False, so PAD is no
+    event. An event outside the model's support raises InputError.
+    """
+    ids, lengths = corpus.ids, corpus.lengths
+    n, width = ids.shape
+    eos = int(model.fixed_length is None)
+    tokens = ids
+    if eos:
+        tokens = np.full((n, width + 1), PAD)
+        tokens[:, :width] = ids
+        tokens[np.arange(n), lengths] = EOS
+    mask = np.arange(width + eos) < (lengths + eos)[:, None]
+    targets = np.where(mask, model._sup_index.take(tokens), 0)
+    if targets.min() < 0:
+        raise InputError(f"token id {int(tokens[targets < 0][0])} is outside the model support")
+    return targets, mask
 
 
 def libm_map(fn, values: np.ndarray) -> np.ndarray:
@@ -162,8 +194,8 @@ class NGramLM:
                  fixed_length: int | None = None):
         if order < 1:
             raise InputError("order must be >= 1")
-        if not delta > 0:
-            raise InputError("smoothing delta must be > 0")
+        if not 0 < delta < math.inf:
+            raise InputError("smoothing delta must be finite and > 0")
         self.vocab = vocab
         self.order = order
         self.delta = float(delta)
@@ -211,30 +243,20 @@ class NGramLM:
 
         Returns ``(contexts, ctx, sup, mask)``: the distinct context tuples,
         each event's index into them, each event's support index, and the
-        ``(n, width + 1)`` mask of event positions. Event t of a row has
-        context ``(BOS,) * (order - 1) + ids`` at ``[t, t + order - 1)``; a
-        variable-length row ends with an EOS event at t = length.
+        mask of event positions (``_event_table``'s). Event t of a row has
+        context ``(BOS,) * (order - 1) + ids`` at ``[t, t + order - 1)``.
         """
-        ids, lengths = corpus.ids, corpus.lengths
-        n, width = ids.shape
-        targets = np.empty((n, width + 1), dtype=np.int64)
-        targets[:, :width] = ids
-        targets[np.arange(n), lengths] = EOS
-        n_events = lengths + (self.fixed_length is None)
-        mask = np.arange(width + 1)[None, :] < n_events[:, None]
-        tokens = targets[mask]
-        sup = self._sup_index[tokens]
-        outside = sup < 0
-        if outside.any():
-            raise InputError(
-                f"token id {int(tokens[outside][0])} is outside the model support")
+        targets, mask = _event_table(self, corpus)
+        sup = targets[mask]
         ctx_len = self.order - 1
         if ctx_len == 0:
             return [()], np.zeros(len(sup), dtype=np.int64), sup, mask
-        padded = np.full((n, ctx_len + width), BOS, dtype=np.int64)
+        ids, lengths = corpus.ids, corpus.lengths
+        padded = np.full((len(ids), ctx_len + ids.shape[1]), BOS, dtype=np.int64)
         padded[:, ctx_len:] = ids
         *_, (ranks, _) = _gram_ranks(padded, lengths + ctx_len, ctx_len)
-        _, first, ctx = np.unique(ranks[mask], return_index=True, return_inverse=True)
+        _, first, ctx = np.unique(ranks[:, :mask.shape[1]][mask], return_index=True,
+                                  return_inverse=True)
         rows, cols = np.nonzero(mask)
         windows = padded[rows[first, None], cols[first, None] + np.arange(ctx_len)]
         return list(map(tuple, windows.tolist())), ctx, sup, mask
@@ -376,10 +398,16 @@ class NGramLM:
         return (BOS,) * (self.order - 1) if key is None else key
 
     def _tempered_cdf(self, key, temperature: float) -> np.ndarray:
-        """CDF of a table row: the first step's row drops EOS and renormalises."""
-        row = _apply_temperature(self.cond_probs(self._context(key)), temperature)
+        """CDF of a table row: the first step's row drops EOS and renormalises,
+        or, when T is so small that EOS held all its tempered mass, tempers
+        the row without EOS (its T -> 0 limit: the argmax of the rest)."""
+        probs = self.cond_probs(self._context(key))  # a fresh array
+        row = _apply_temperature(probs, temperature)
         if key is None and self.fixed_length is None:
-            row[self._sup_index[EOS]] = 0.0  # cond_probs returned a fresh array
+            row[self._sup_index[EOS]] = 0.0
+            if not row.any():
+                probs[self._sup_index[EOS]] = 0.0
+                row = _apply_temperature(probs, temperature)
             row /= row.sum()
         return np.cumsum(row)
 
@@ -394,6 +422,7 @@ class MarkovModel:
         self.vocab = source.vocab
         self.fixed_length = source.length
         self.support = support_ids(self.vocab, self.fixed_length)
+        self._sup_index = _support_index(self.vocab, self.support)
         self._tempered: tuple[float, MarkovSource] | None = None
 
     def seq_logprob(self, ids) -> float:
@@ -601,31 +630,6 @@ class NeuralLM:
         }
         self.train_report: TrainReport | None = None
 
-    # -- batching ---------------------------------------------------------
-
-    def _targets(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-        """Target-event matrix (support indices) and per-sequence event counts."""
-        ids, lengths = corpus_to_arrays(corpus)
-        extra = 0 if self.fixed_length is not None else 1
-        events = lengths + extra
-        idx = self._sup_index[ids]
-        valid = np.arange(ids.shape[1])[None, :] < lengths[:, None]
-        if (idx[valid] < 0).any():
-            raise InputError("sequence contains ids outside the model support")
-        targets = np.zeros((len(ids), int(events.max())), dtype=np.int64)
-        targets[:, : ids.shape[1]] = np.where(valid, idx, 0)
-        if extra:
-            targets[np.arange(len(ids)), lengths] = self._sup_index[EOS]
-        return targets, events
-
-    def _step_stack(self, targets, events):
-        """Input token ids per step (BOS first, then the previous target)."""
-        n, width = targets.shape
-        inputs = np.full((n, width), BOS, dtype=np.int64)
-        inputs[:, 1:] = self.support[targets[:, :-1]]
-        mask = np.arange(width)[None, :] < events[:, None]
-        return inputs, mask
-
     def _step(self, ids: np.ndarray, h: np.ndarray):
         """One recurrence step from token ids and the previous hidden state;
         returns the step's hidden state and its logits, a row each."""
@@ -639,9 +643,9 @@ class NeuralLM:
     def nll_and_grads(self, corpus: Corpus) -> tuple[float, dict]:
         """Mean per-event NLL of a batch plus gradients for every parameter."""
         p = self.params
-        targets, events = self._targets(corpus)
-        inputs, mask = self._step_stack(targets, events)
+        targets, mask = _event_table(self, corpus)
         n, width = targets.shape
+        inputs = np.column_stack([np.full(n, BOS), self.support[targets[:, :-1]]])
         dh_dim = p["w_hh"].shape[0]
         hs = np.zeros((width + 1, n, dh_dim))
         probs = np.empty((width, n, len(self.support)))
@@ -649,9 +653,7 @@ class NeuralLM:
         loss = 0.0
         for t in range(width):
             hs[t + 1], logits = self._step(inputs[:, t], hs[t])
-            logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits, out=logits)
-            np.divide(e, e.sum(axis=1, keepdims=True), out=probs[t])
+            probs[t] = _tempered_softmax(logits, 1.0)
             picked = probs[t, np.arange(n), targets[:, t]]
             loss -= float((np.log(picked) * mask[:, t]).sum())
         loss /= total_events
@@ -680,9 +682,9 @@ class NeuralLM:
         distinct = corpus[rows]
         out = []
         for start in range(0, len(distinct), 256):
-            targets, events = self._targets(distinct[start: start + 256])
-            inputs, mask = self._step_stack(targets, events)
+            targets, mask = _event_table(self, distinct[start: start + 256])
             n, width = targets.shape
+            inputs = np.column_stack([np.full(n, BOS), self.support[targets[:, :-1]]])
             h = np.zeros((n, self.params["w_hh"].shape[0]))
             logp = np.zeros(n)
             for t in range(width):
@@ -699,8 +701,7 @@ class NeuralLM:
 
     def mean_nll(self, corpus: Corpus) -> float:
         """Mean NLL per event over the corpus."""
-        extra = 0 if self.fixed_length is not None else 1
-        return float(-self.seq_logprobs(corpus).sum() / (corpus.lengths + extra).sum())
+        return float(-self.seq_logprobs(corpus).sum() / _event_table(self, corpus)[1].sum())
 
     # -- training ---------------------------------------------------------
 
@@ -754,12 +755,9 @@ class NeuralLM:
         def draw(state, ut, t):  # a growing row's state: its last id and hidden state
             ids, h = state if t else (np.full(len(ut), BOS), np.zeros((len(ut), dh)))
             h, logits = self._step(ids, h)
-            logits /= cfg.temperature
             if t == 0 and eos_sup is not None:
                 logits[:, eos_sup] = -np.inf
-            logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits, out=logits)
-            e /= e.sum(axis=1, keepdims=True)
+            e = _tempered_softmax(logits, cfg.temperature)
             return _draw_from_cdf(np.cumsum(e, axis=1, out=e), ut), h
 
         per = max(1, _SAMPLE_ROWS // u.shape[2])  # whole rounds at a time, or parts of one
@@ -790,9 +788,8 @@ def train_mle(train: Corpus, valid: Corpus | None, config) -> "NGramLM | NeuralL
 
 
 def nll_rates(model, corpus: Corpus) -> np.ndarray:
-    """Per-row NLL per event: -log p(x) / (len(x) + 1 if EOS is an event)."""
-    extra = 0 if model.fixed_length is not None else 1
-    return -model.seq_logprobs(corpus) / (corpus.lengths + extra)
+    """Per-row NLL per event: -log p(x) over the row's number of events."""
+    return -model.seq_logprobs(corpus) / _event_table(model, corpus)[1].sum(axis=1)
 
 
 def perplexity(model, corpus: Corpus) -> float:

@@ -492,8 +492,10 @@ def temperature_sweep(gen, scorer: MetricScorer, temps, n_per_point: int, *,
     seeded with ``scorer.seed``, as the pipeline seeds them with its own.
     """
     temps = list(temps)
-    if not temps or any(t <= 0 for t in temps):
-        raise InputError("temperatures must be a non-empty list of positives")
+    if not temps:
+        raise InputError("temperatures must be a non-empty list")
+    for temp in temps:  # grid_sampler checks every temperature before any row
+        grid_sampler(scorer.seed, temp)
     if c_values and disc is None:
         raise InputError("filtered streams need a discriminator")
     seed = scorer.seed

@@ -17,7 +17,7 @@ import numpy as np
 from .data import (NUM_RESERVED, Corpus, MarkovSource, Vocab, _new_corpus, chain_probs,
                    corpus_to_arrays)
 from .errors import DegenerateError, InputError
-from .filtering import _clipped_odds, raw_acceptance_probability
+from .filtering import _check_ratio, _clipped_odds, raw_acceptance_probability
 
 MAX_DOMAIN = 10**6
 _CLIP = 1e-12  # ExactDiscriminator clips its scores to [_CLIP, 1 - _CLIP]
@@ -179,8 +179,7 @@ def exact_boundary(p_model: ExactDistribution, scores, ratio: float) -> Boundary
     accepts more than ``ratio``, the floor is reported with
     ``achievable=False`` instead of failing.
     """
-    if not 0.0 < ratio <= 1.0:
-        raise InputError("acceptance ratio must be in (0, 1]")
+    _check_ratio(ratio)
     scores = _score_vector(scores, p_model)
     values, inverse = np.unique(scores, return_inverse=True)
     weight = np.bincount(inverse, weights=p_model.probs, minlength=len(values))

@@ -712,6 +712,22 @@ def test_infinite_temperature_exits_3_with_one_error_line(tmp_path, capsys, inpu
     assert not list(tmp_path.iterdir())
 
 
+def test_sample_below_the_smallest_normal_temperature_writes_the_argmax_rows(
+        tmp_path, input_files):
+    # the identity filter writes the generator's rows; at T = 1e-320 log p / T
+    # overflows, and the rows must still be the argmax rows of T = 1e-300
+    written = {}
+    for temperature in ("1e-300", "1e-320"):
+        out = tmp_path / f"samples_{temperature}.txt"
+        assert main(["sample", "--gen", str(input_files["gen"]),
+                     "--disc", str(input_files["disc"]), "--c", "1", "--n", "20",
+                     "--temperature", temperature, "--out", str(out)]) == 0
+        written[temperature] = out.read_text()
+    lines = written["1e-300"].splitlines()
+    assert len(lines) == 20 and all(lines) and len(set(lines)) == 1
+    assert written["1e-320"] == written["1e-300"]
+
+
 def test_rejected_artifact_is_the_scored_prefix(tmp_path):
     # seed 1 rejects more rows than n_samples; the artifact keeps the first n
     cfg = validate_config(_s2_config(tmp_path, seed=1, filter={"c": [0.5]},
@@ -776,6 +792,17 @@ _BAD_CHECKPOINTS = {
                                         "vocab": {"tokens": ["a"]}, "params": {}}).encode(),
     "not-utf8": b"\xff\xfe",
     "too-deep": _TOO_DEEP.encode(),
+    # JSON's NaN loads as a float; such a model scores NaN and samples rows
+    "ngram-nan-counts": json.dumps({"format_version": 1, "kind": "ngram",
+                                    "vocab": {"tokens": ["a"]},
+                                    "params": {"order": 2, "delta": 0.01, "fixed_length": None,
+                                               "contexts": [[0]],
+                                               "rows": [[float("nan"), 0.0, 1.0]]}}).encode(),
+    "markov-nan-probabilities": json.dumps({"format_version": 1, "kind": "markov",
+                                            "vocab": {"tokens": ["a", "b"]},
+                                            "params": {"initial": [0.5, float("nan")],
+                                                       "transition": [[1.0, 0.0], [0.0, 1.0]],
+                                                       "length": 2}}).encode(),
 }
 
 
@@ -800,7 +827,8 @@ def test_malformed_checkpoint_exits_3_with_one_error_line(tmp_path, capsys, comm
     }[command]
     out = tmp_path / "out"
     assert main([command, *inputs, "--out", str(out)]) == 3
-    assert _one_error_line(capsys, ckpt)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: malformed checkpoint: ")
     assert not out.exists()
 
 

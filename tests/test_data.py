@@ -153,6 +153,15 @@ def test_invalid_stochastic_matrix_rejected():
                      np.array([[0.9, 0.2], [0.5, 0.5]]), 2)
 
 
+@pytest.mark.parametrize("where", ["initial", "transition"])
+def test_markov_source_rejects_nan_probabilities(where):
+    # nan < 0 and abs(nan - 1) > tol are both false: NaN must fail a test for a good value
+    initial, transition = np.array([0.5, 0.5]), np.eye(2)
+    {"initial": initial, "transition": transition}[where][1] = np.nan
+    with pytest.raises(InputError, match="must be non-negative"):
+        MarkovSource(("a", "b"), initial, transition, 2)
+
+
 def test_markov_source_leaves_the_callers_arrays_writable():
     initial, transition = np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.5, 0.5]])
     source = MarkovSource(("a", "b"), initial, transition, 2)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from filtergen import (EOS, Corpus, InputError, MarkovModel, NeuralConfig, Neura
                        build_vocab, encode_corpus, perplexity, synth_markov,
                        train_mle)
 from filtergen.checkpoint import load_model, save_model
+from filtergen.genmodel import _apply_temperature, _event_table, _tempered_softmax
 from filtergen.oracle import enumerate_distribution, enumerate_domain
 
 
@@ -191,12 +193,13 @@ def test_neural_gradients_match_finite_differences():
                 min_size=1, max_size=12))
 def test_neural_targets_match_a_per_sequence_loop(rows):
     vocab, model = _toy_neural()
-    targets, events = model._targets(Corpus(vocab, rows))
+    targets, mask = _event_table(model, Corpus(vocab, rows))
     eos = model._sup_index[EOS]
-    assert events.tolist() == [len(r) + 1 for r in rows]
-    for row, got in zip(rows, targets):
+    assert mask.sum(axis=1).tolist() == [len(r) + 1 for r in rows]
+    for row, got, events in zip(rows, targets, mask):
         want = [model._sup_index[i] for i in row] + [eos]
         assert got.tolist() == want + [0] * (targets.shape[1] - len(want))
+        assert events.tolist() == [True] * len(want) + [False] * (len(got) - len(want))
 
 
 def test_neural_training_nll_decreases_monotonically():
@@ -288,6 +291,37 @@ def test_checkpoint_listing_a_context_twice_is_an_input_error(tmp_path):
     context = tuple(params["contexts"][0])
     with pytest.raises(InputError, match=re.escape(
             f"model.json: malformed checkpoint: context {context} is listed twice")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field,bad,problem", [
+    ("rows", math.nan, "malformed checkpoint: counts must be finite and non-negative"),
+    ("rows", -1.0, "malformed checkpoint: counts must be finite and non-negative"),
+    ("rows", math.inf, "malformed checkpoint: counts must be finite and non-negative"),
+    ("delta", math.inf, "smoothing delta must be finite and > 0")])
+def test_ngram_checkpoint_with_a_bad_number_is_an_input_error(tmp_path, field, bad, problem):
+    # JSON's NaN and Infinity load as floats, and such a model scores NaN
+    vocab = build_vocab(["a b c"], max_size=10)
+    path = tmp_path / "model.json"
+    save_model(train_mle(encode_corpus(["a b c", "c b"], vocab), None, NGramConfig()), path)
+    doc = json.loads(path.read_text())
+    if field == "rows":
+        doc["params"]["rows"][0][0] = bad
+    else:
+        doc["params"][field] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=re.escape(f"model.json: {problem}")):
+        load_model(path)
+
+
+def test_markov_checkpoint_with_nan_probabilities_is_an_input_error(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(MarkovModel(_uniform_source(3, 3)), path)
+    doc = json.loads(path.read_text())
+    doc["params"]["transition"][1][2] = math.nan
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=re.escape(
+            "model.json: malformed checkpoint: probabilities must be non-negative")):
         load_model(path)
 
 
@@ -437,9 +471,10 @@ def _ref_neural_nll(model, seqs) -> float:
     """Summed NLL of ``seqs``: the step loop that scored one batch (or one
     sequence) before ``seq_logprobs`` became the batched kernel."""
     p = model.params
-    targets, events = model._targets(seqs)
-    inputs, mask = model._step_stack(targets, events)
+    targets, mask = _event_table(model, seqs)
     n, width = targets.shape
+    inputs = np.full((n, width), fg.BOS)
+    inputs[:, 1:] = model.support[targets[:, :-1]]
     h = np.zeros((n, p["w_hh"].shape[0]))
     loss = 0.0
     for t in range(width):
@@ -480,7 +515,6 @@ def _ref_sample_corpus(model, n, cfg, rng):
     active contexts, rebuilds and tempers each distinct context's row, and
     counts each gathered CDF row's entries below u."""
     from filtergen.data import _gram_ranks
-    from filtergen.genmodel import _apply_temperature
 
     length_cap = (min(model.fixed_length, cfg.max_len)
                   if model.fixed_length is not None else cfg.max_len)
@@ -810,3 +844,108 @@ def test_markov_tempered_chain_is_built_once_and_samples_as_a_fresh_one(monkeypa
         monkeypatch.undo()
         assert len(built) == chains
         assert got == MarkovModel(source).sample_corpus(40, cfg, np.random.default_rng(seed))
+
+
+# ---------------------------------------------------------------------------
+# One tempered softmax, and its T -> 0 limit
+# ---------------------------------------------------------------------------
+
+
+def _former_apply_temperature(probs, temperature):
+    """``genmodel._apply_temperature`` before the shared softmax."""
+    if temperature == 1.0:
+        return probs
+    with np.errstate(divide="ignore"):
+        logs = np.log(probs) / temperature
+    logs -= logs.max(axis=-1, keepdims=True)
+    scaled = np.exp(logs)
+    return scaled / scaled.sum(axis=-1, keepdims=True)
+
+
+def _former_neural_softmax(logits, temperature):
+    """The softmax ``NeuralLM.sample_block``'s draw computed inline."""
+    logits = logits / temperature
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+def test_tempered_softmax_is_both_former_softmaxes_bit_for_bit():
+    rng = np.random.default_rng(35)
+    fixed = (1.0, 0.9, 1.2, 1e-6, 1e-300, 1e300)
+    for case in range(2000):
+        temperature = (fixed[case % 7] if case % 7 < 6
+                       else float(10.0 ** rng.uniform(-300, 300)))
+        shape = (int(rng.integers(1, 4)), int(rng.integers(2, 301)))
+        probs = rng.dirichlet(np.full(shape[1], 0.5), size=shape[0])
+        probs[rng.random(shape) < 0.2] = 0.0
+        probs[:, rng.integers(shape[1])] += 0.1  # a positive entry per row
+        logits = rng.normal(0.0, 5.0, shape)
+        logits[rng.random(shape) < 0.1] = -np.inf
+        logits[:, rng.integers(shape[1])] = rng.normal(0.0, 5.0, shape[0])
+        for got, want in [
+                (_apply_temperature(probs.copy(), temperature),
+                 _former_apply_temperature(probs, temperature)),
+                (_apply_temperature(probs[0].copy(), temperature),
+                 _former_apply_temperature(probs[0], temperature)),
+                (_tempered_softmax(logits.copy(), temperature),
+                 _former_neural_softmax(logits, temperature))]:
+            assert np.isfinite(want).all()
+            assert got.tobytes() == want.tobytes(), (case, temperature)
+
+
+@pytest.mark.parametrize("temperature", [1e-310, 1e-320])
+def test_tempered_softmax_takes_the_argmax_limit(temperature):
+    probs = np.array([[0.2, 0.5, 0.3, 0.0], [0.4, 0.1, 0.4, 0.1], [0.0, 1.0, 0.0, 0.0]])
+    want = [[0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    assert _apply_temperature(probs, temperature).tolist() == want
+    logits = np.array([[-1e300, 2.0, -np.inf, 2.0, 1.0], [3.0, 1e300, 0.0, 0.0, 0.0]])
+    assert _tempered_softmax(logits, temperature).tolist() == [
+        [0.0, 0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]]
+
+
+def _greedy_model(kind, fixed_length):
+    """An n-gram, a recurrent LM or a Markov chain over a, b, c whose
+    argmax paths emit only c."""
+    vocab = build_vocab(["a b c"], max_size=10)
+    if kind == "markov":
+        return MarkovModel(fg.MarkovSource(
+            ("a", "b", "c"), np.array([0.2, 0.3, 0.5]),
+            np.array([[0.1, 0.2, 0.7], [0.5, 0.3, 0.2], [0.3, 0.3, 0.4]]), fixed_length))
+    train = encode_corpus(["a b c", "c c", "b c c", "c a c", "c"] if fixed_length is None
+                          else ["a b c", "c c c", "b c c", "c a c"], vocab)
+    return train_mle(train, None, NGramConfig(fixed_length=fixed_length) if kind == "ngram"
+                     else NeuralConfig(embed_dim=4, hidden_dim=4, max_epochs=2,
+                                       fixed_length=fixed_length))
+
+
+@pytest.mark.parametrize("kind,fixed_length", [
+    ("ngram", None), ("neural", None), ("ngram", 3), ("neural", 3), ("markov", 3)])
+def test_samplers_below_the_smallest_normal_temperature_keep_the_argmax(kind, fixed_length):
+    # at T = 1e-320, log p / T and logit / T overflow; NaN CDF rows would
+    # draw empty rows with an EOS and the first support symbol without one
+    model = _greedy_model(kind, fixed_length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cold, colder = (model.sample_corpus(30, SamplerConfig(temperature=t, max_len=4),
+                                            np.random.default_rng(0))
+                        for t in (1e-300, 1e-320))
+    c = model.vocab.id_of("c")
+    assert all(row and set(row) == {c} for row in cold.sequences)
+    assert fixed_length is None or cold.lengths.min() == fixed_length
+    assert colder == cold
+
+
+def test_unigram_first_step_skips_an_eos_that_holds_all_the_tempered_mass():
+    # EOS is the unigram's likeliest event; at T = 1e-4 its first-step row,
+    # tempered, is all EOS's, and dropping EOS alone would leave 0 / 0
+    vocab = build_vocab(["a b c"], max_size=10)
+    model = train_mle(encode_corpus(["a", "b", "c", "a b"], vocab), None,
+                      NGramConfig(order=1))
+    for temperature in (1e-4, 1e-300, 1e-320):
+        rows = model.sample_corpus(40, SamplerConfig(temperature=temperature, max_len=4),
+                                   np.random.default_rng(1))
+        # a and b tie as the likeliest first token; EOS follows
+        assert rows.lengths.tolist() == [1] * 40
+        assert set(rows.ids[:, 0].tolist()) == {vocab.id_of("a"), vocab.id_of("b")}
