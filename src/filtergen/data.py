@@ -577,31 +577,38 @@ def chain_probs(source: MarkovSource, ids: np.ndarray, lengths: np.ndarray) -> n
 
 
 def _draw_from_cdf(cdf: np.ndarray, u: np.ndarray, starts: np.ndarray | None = None,
-                   ) -> np.ndarray:
+                   spans=None) -> np.ndarray:
     """Inverse-CDF draws: for each draw j, how many entries of its CDF row
     are below ``u[j]``, clamped to the last index: its pick.
 
-    ``cdf`` is a C-ordered ``(R, S)`` block of nondecreasing rows. Without
-    ``starts``, draw j searches row j, or row 0 when ``cdf`` has one row,
-    and gets its pick. With ``starts``, draw j searches the row that begins
-    at flat index ``starts[j]`` of ``cdf.reshape(-1)`` (a multiple of S) and
-    gets the flat index of its entry, ``starts[j]`` plus the pick; the
-    n-gram sampler's rows carry these offsets from step to step. The count
-    is exact: a binary search over each row's first S - 1 entries finds the
-    same index as counting them all and clamping, in ceil(log2 S) gathers
-    of one entry per draw. The clamp keeps a draw whose u lies above a last
-    entry that rounded below 1 inside the support. Every sampler draws
-    through this function.
+    ``cdf`` is a C-ordered block of nondecreasing rows, ``(R, S)`` or flat.
+    Without ``starts``, draw j searches row j of an ``(R, S)`` block, or row
+    0 when it has one row, and gets its pick. With ``starts``, draw j
+    searches the row of ``spans[j]`` entries (S by default; one int serves
+    every draw) that begins at flat index ``starts[j]`` of
+    ``cdf.reshape(-1)`` and gets the flat index of its entry, ``starts[j]``
+    plus the pick; the n-gram sampler's rows carry these offsets from step
+    to step. The count is exact: a binary search over each row's first
+    span - 1 entries finds the same index as counting them all and clamping,
+    in ceil(log2 span) gathers of one entry per draw. The clamp keeps a draw
+    whose u lies above a last entry that rounded below 1 inside the support.
+    Every sampler draws through this function.
     """
-    r, s = cdf.shape
-    if starts is None and r > 1:
+    s = cdf.shape[-1]
+    if starts is None and len(cdf) > 1:
         starts = np.arange(0, len(u) * s, s)
         return _draw_from_cdf(cdf, u, starts) - starts
     flat = cdf.reshape(-1)
-    # the draw's entry lies in [pos, pos + span) of flat; a step of one adds the bool
+    # the draw's entry lies in [pos, pos + span) of flat
     pos = np.zeros(len(u), dtype=np.intp) if starts is None else starts.astype(np.intp)
-    span = s
-    while span > 1:
+    span = s if spans is None else spans
+    if isinstance(span, np.ndarray):  # once a draw's span is 1, half is 0: it adds 0
+        for _ in range((int(span.max(initial=1)) - 1).bit_length()):
+            half = span >> 1
+            pos += (flat.take(pos + (half - 1)) < u) * half
+            span = span - half
+        return pos
+    while span > 1:  # a step of one adds the bool
         half = span // 2
         if half == 1:
             pos += flat.take(pos) < u

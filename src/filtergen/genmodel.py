@@ -25,9 +25,11 @@ logits; as T -> 0 it tends to the argmax, uniform over exact ties.
 
 The n-gram model keeps its counts in one matrix, a row per context (keyed
 by ``data._gram_ranks``), and fits and scores each distinct row once.
-It samples from a table, made once per temperature, of each reached
-context's tempered CDF and the row each (context, token) step leads to, so
-a warm step is a binary search (``data._draw_from_cdf``) and a gather.
+It samples from a table made whole once per temperature: each context's
+tempered CDF, kept at its seen entries and at the gaps of unseen entries
+between them, which smoothing gives one shared value. A step is a binary
+search over the row's segments (``data._draw_from_cdf``), a division where
+it lands in a gap, and a gather of the row it leads to.
 
 Every sampler turns uniforms into rows. ``sample_corpus`` draws one
 ``(length_cap, n)`` block with one ``rng.random`` call, which leaves the rng
@@ -53,14 +55,11 @@ from .data import (BOS, DEFAULT_MAX_LEN, EOS, PAD, UNK, Corpus, MarkovSource,
                    chain_probs, row_groups, split_tail)
 from .errors import InputError, check_fields, integer, number
 
-# Byte cap of one NGramLM's sampling table. The table may pass it only when
-# the contexts in flight, and the first step's row, need more.
-_CACHE_BYTES = 256 * 2**20
 # ``_row_product``'s rows did not depend on each other or on one or two
 # OpenBLAS threads over 8-row blocks; they did over 16-row blocks at one
 # thread, and over sums of 600 terms or more at two.
 _ROW_BLOCK, _SUM_SPAN = 8, 256
-_SAMPLE_ROWS = 1024  # the most rows NeuralLM samples at once
+_SAMPLE_ROWS = 1024  # the most rows a sampler tempers at once
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,8 @@ class NGramLM:
     support, so sequence log-probabilities are always finite. ``fit`` and
     ``seq_logprobs`` find each distinct row's events once, and their counts
     and scores equal the row-by-row ones bit for bit. The counts are one
-    matrix, a row per context; sampling fills one table, so one model is not
-    for concurrent use from several threads.
+    matrix, a row per context. Sampling keeps one immutable table, of the
+    temperature it sampled last, so threads may share one model.
     """
 
     kind = "ngram"
@@ -205,7 +204,7 @@ class NGramLM:
         self._counts = np.zeros((0, len(self.support)))
         self._totals = np.zeros(0)
         self._row_of: dict[tuple[int, ...], int] = {}
-        self._table: _CdfTable | None = None
+        self._table: _SamplingTable | None = None
 
     # -- training ---------------------------------------------------------
 
@@ -324,92 +323,142 @@ class NGramLM:
         _check_block(self, u, cfg)
         table = self._table
         if table is None or table.temperature != cfg.temperature:
-            table = self._table = self._new_table(cfg.temperature)
-        # a growing row's state is the flat CDF offset of its table row, all
-        # row 0's at the first step; a draw's flat index is its successor's key
-        def draw(offsets, ut, t):
-            offsets = offsets if t else np.zeros(len(ut), dtype=np.intp)
-            drawn = _draw_from_cdf(table.cdf, ut, offsets)
-            return drawn - offsets, drawn
+            table = self._table = _SamplingTable(self, cfg.temperature)
+        # a growing row's state: its table row's first segment slot
+        first = table.starts[-1]
+        if self.order < 3:  # which the row's last token sets
+            def draw(starts, ut, t):
+                picks = table.draw(starts if t else np.full(len(ut), first), ut)
+                return picks, picks
 
-        return _grow_rows(self, u, draw, lambda drawn, _ids: self._successors(table, drawn),
-                          split)
+            return _grow_rows(self, u, draw, lambda picks, _ids: table.next_start.take(picks),
+                              split)
 
-    def _successors(self, table: _CdfTable, drawn: np.ndarray) -> np.ndarray:
-        """Flat CDF offset of the table row reached by each drawn entry: the
-        flat index ``row * len(support) + pick`` emits ``support[pick]`` from
-        table row ``row``."""
-        s = len(self.support)
-        nxt = table.succ.take(drawn)
-        unknown = nxt < 0
-        if not unknown.any():
-            return nxt
-        pairs, inverse = np.unique(drawn[unknown], return_inverse=True)
-        rows = self._table_rows(table, self._next_contexts(table, pairs))
-        if rows is None:
-            pairs, inverse = np.unique(drawn, return_inverse=True)
-            return self._rebuilt_rows(table, self._next_contexts(table, pairs))[inverse] * s
-        np.put(table.succ, pairs, rows * s)
-        nxt[unknown] = rows[inverse] * s
-        return nxt
+        def draw_in_context(state, ut, t):  # and its context
+            starts, ctx = state if t else (np.full(len(ut), first),
+                                           np.full((len(ut), self.order - 1), BOS))
+            return table.draw(starts, ut), ctx
 
-    def _next_contexts(self, table: _CdfTable, pairs: np.ndarray) -> list:
-        """Context reached by each ``row * len(support) + pick`` in ``pairs``."""
-        rows, picks = np.divmod(pairs, len(self.support))
-        return [(self._context(table.keys[r]) + (tok,))[1:]
-                for r, tok in zip(rows.tolist(), self.support[picks].tolist())]
+        def advance(ctx, ids):
+            ctx = np.column_stack([ctx[:, 1:], ids])
+            return table.starts_of(ctx), ctx
 
-    def _new_table(self, temperature: float) -> _CdfTable:
-        """A table of the rows sampling can reach, or of the cap's (at least
-        one), with the first step's at row 0. Those are the first step's and
-        each context after a step: BOS padding then j >= 1 symbols other than
-        EOS (for order 1, ``()``)."""
-        s, rows = len(self.support), 1
-        grow = s - (self.fixed_length is None)
-        cap = _CACHE_BYTES // (s * 12)  # a float64 CDF entry and an int32 successor each
-        for j in range(min(1, self.order - 1), self.order):  # order may be a checkpoint's
-            rows += grow ** j
-            if rows > cap:
-                break
-        table = _CdfTable(s, temperature, max(1, min(rows, cap)))
-        self._table_rows(table, [None])
-        return table
+        return _grow_rows(self, u, draw_in_context, advance, split)
 
-    def _table_rows(self, table: _CdfTable, keys: list):
-        """Row ids of ``keys`` in ``table``, adding the missing rows; ``None``
-        when they do not fit."""
-        missing = [k for k in dict.fromkeys(keys) if k not in table.row_of]
-        if len(table.keys) + len(missing) > table.capacity:
-            return None
-        for r, key in zip(table.extend(missing), missing):
-            table.cdf[r] = self._tempered_cdf(key, table.temperature)
-        return np.array([table.row_of[k] for k in keys], dtype=np.int64)
 
-    def _rebuilt_rows(self, table: _CdfTable, keys: list) -> np.ndarray:
-        """Refill ``table`` with the first step's row, at row 0, and ``keys``,
-        the contexts in flight; returns their row ids. The rows are recomputed
-        with the same formula, so the draws do not change. The table keeps
-        the cap's rows, or takes the rows the contexts in flight need."""
-        table.reset(max(len(set(keys)) + 1, _CACHE_BYTES // table.row_bytes))
-        self._table_rows(table, [None])
-        return self._table_rows(table, keys)
+class _SamplingTable:
+    """One temperature's tempered next-token law of an ``NGramLM``, made whole
+    at once and only read after, so threads may share it.
 
-    def _context(self, key) -> tuple[int, ...]:
-        return (BOS,) * (self.order - 1) if key is None else key
+    Its rows are each seen context's (in the model's row order), the uniform
+    row of a context never seen, and last the first step's. Smoothing gives
+    every unseen entry of a seen context's row one tempered value, the row's
+    ``floors`` entry, so a row is kept as segments in support order: one per
+    seen entry and one per run of unseen entries (a gap); the uniform row
+    keeps every entry, the first step's keeps EOS as one. Row r's slots in
+    ``ends`` are its CDF start, 0, then from ``starts[r]`` its ``spans[r]``
+    segments' CDF ends; at a segment's slot ``firsts`` holds its first
+    support index and ``rooms`` its width less one. The rows are made
+    ``_SAMPLE_ROWS`` at a time as the per-row sampler made each
+    (``cond_probs``, ``_apply_temperature``, the first step's EOS rule,
+    ``cumsum``), so every kept CDF value has its bits and a row without gaps
+    draws as it did. When no row has a gap, ``spans`` is the support's size
+    and ``floors``, ``firsts`` and ``rooms`` are None. A step leads to the
+    row at ``next_start[pick]`` below order 3, and above it to the row
+    ``starts_of`` finds for the context.
+    """
 
-    def _tempered_cdf(self, key, temperature: float) -> np.ndarray:
-        """CDF of a table row: the first step's row drops EOS and renormalises,
-        or, when T is so small that EOS held all its tempered mass, tempers
-        the row without EOS (its T -> 0 limit: the argmax of the rest)."""
-        probs = self.cond_probs(self._context(key))  # a fresh array
-        row = _apply_temperature(probs, temperature)
-        if key is None and self.fixed_length is None:
-            row[self._sup_index[EOS]] = 0.0
-            if not row.any():
-                probs[self._sup_index[EOS]] = 0.0
-                row = _apply_temperature(probs, temperature)
-            row /= row.sum()
-        return np.cumsum(row)
+    def __init__(self, model: NGramLM, temperature: float):
+        self.temperature = temperature
+        s, seen_rows = len(model.support), len(model._counts)
+        spans, ends, firsts, lasts, floors = [], [], [], [], []
+
+        def add(probs, seen, first_step=False):  # smoothed rows, their seen entries
+            law = _apply_temperature(probs, temperature)  # probs itself at T = 1
+            if first_step and model.fixed_length is None:
+                # drop EOS, or, when it held all the tempered mass, temper the
+                # row without it (its T -> 0 limit: the argmax of the rest)
+                eos = model._sup_index[EOS]
+                law[:, eos] = 0.0
+                if not law.any():
+                    probs[:, eos] = 0.0
+                    law = _apply_temperature(probs, temperature)
+                law /= law.sum(axis=1, keepdims=True)
+                seen[:, eos] = True
+            floors.append(law[np.arange(len(law)), seen.argmin(axis=1)])
+            cdf = np.cumsum(law, axis=1, out=law)
+            last, first = seen.copy(), seen.copy()
+            last[:, :-1] |= seen[:, 1:]
+            last[:, -1] = first[:, 0] = True
+            first[:, 1:] |= seen[:, :-1]
+            spans.append(last.sum(axis=1))
+            ends.append(cdf[last])
+            firsts.append(np.nonzero(first)[1])
+            lasts.append(np.nonzero(last)[1])
+
+        for a in range(0, seen_rows, _SAMPLE_ROWS):
+            counts = model._counts[a:a + _SAMPLE_ROWS]
+            add((counts + model.delta) / (model._totals[a:a + _SAMPLE_ROWS, None]
+                                          + model.delta * s), counts > 0)
+        add(np.full((1, s), 1.0 / s), np.ones((1, s), dtype=bool))
+        bos = (BOS,) * (model.order - 1)
+        row = model._row_of.get(bos)
+        add(model.cond_probs(bos)[None],
+            np.ones((1, s), dtype=bool) if row is None else model._counts[row:row + 1] > 0,
+            first_step=True)
+
+        spans = np.concatenate(spans)
+        self.starts = np.cumsum(spans + 1) - spans
+        slots = np.arange(spans.sum()) + np.repeat(np.arange(len(spans)), spans) + 1
+        self.ends = np.zeros(len(slots) + len(spans))
+        self.ends[slots] = np.concatenate(ends)
+        self.spans, self.floors, self.firsts, self.rooms = s, None, None, None
+        if (spans < s).any():
+            self.spans = spans
+            # a floor below the smallest normal float only holds a gap whose
+            # CDF entries round to its start; raised to it, no division overflows
+            self.floors = np.maximum(np.concatenate(floors), np.finfo(np.float64).tiny)
+            self.firsts = np.zeros(len(self.ends), dtype=np.intp)
+            self.firsts[slots] = np.concatenate(firsts)
+            self.rooms = np.zeros(len(self.ends), dtype=np.intp)
+            self.rooms[slots] = np.concatenate(lasts) - self.firsts[slots]
+        if model.order < 3:  # the context after a token is () or the token
+            self.next_start = self.starts[[model._row_of.get((tok,)[2 - model.order:], seen_rows)
+                                           for tok in model.support.tolist()]]
+            return
+        # level j keys a seen context's first j + 1 ids by its j-prefix's rank
+        # and its last id, and ends with a key past every other
+        contexts = np.array(list(model._row_of), dtype=np.int64).reshape(seen_rows,
+                                                                         model.order - 1)
+        self.base, self.levels, rank = len(model.vocab), [], np.zeros(seen_rows, dtype=np.int64)
+        for column in contexts.T:
+            keys, rank = np.unique(rank * self.base + column, return_inverse=True)
+            self.levels.append(np.append(keys, np.iinfo(np.int64).max))
+        self.level_starts = np.full(seen_rows + 1, self.starts[seen_rows])  # past: uniform
+        self.level_starts[rank] = self.starts[:seen_rows]
+
+    def draw(self, starts: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The support pick of each draw j from the row whose segments start
+        at slot ``starts[j]``, by its uniform ``u[j]``. A pick in a gap is
+        how many floor-wide steps from the gap's CDF start lie below u, at
+        most the gap's width less one."""
+        if self.floors is None:
+            return _draw_from_cdf(self.ends, u, starts, self.spans) - starts
+        rows = np.searchsorted(self.starts, starts)
+        slots = _draw_from_cdf(self.ends, u, starts, self.spans.take(rows))
+        inside = (u - self.ends.take(slots - 1)) / self.floors.take(rows)
+        return self.firsts.take(slots) + np.minimum(inside, self.rooms.take(slots)).astype(np.intp)
+
+    def starts_of(self, ctx: np.ndarray) -> np.ndarray:
+        """The first segment slot of each row of context ids' table row: its
+        seen context's, or the uniform row's. A prefix never seen, and so
+        each of its extensions, ranks with the key past every other."""
+        rank = np.zeros(len(ctx), dtype=np.int64)
+        for keys, column in zip(self.levels, ctx.T):
+            key = rank * self.base + column
+            rank = np.searchsorted(keys, key)
+            rank = np.where(keys.take(rank) == key, rank, len(keys) - 1)
+        return self.level_starts.take(rank)
 
 
 class MarkovModel:
@@ -457,57 +506,6 @@ class MarkovModel:
                 self.source.length,
             )
         return _sample_chain(self._tempered[1], u, split)
-
-
-class _CdfTable:
-    """One temperature's tempered next-token CDFs, one row per context reached.
-
-    ``cdf[r]`` is row r's CDF, the block ``data._draw_from_cdf`` searches.
-    ``succ[r, p]`` is the flat offset in ``cdf`` (its row id times S) of the
-    row reached from row r by emitting ``support[p]``, or -1 until a step
-    first needs it; it is an int32 unless the block holds 2**31 entries or
-    more, which only a table past the byte cap can. ``keys[r]`` is row r's
-    context, or ``None`` for row 0, the first step's; ``row_of`` inverts
-    ``keys``. The blocks keep the ``capacity`` they are made or reset with.
-    """
-
-    def __init__(self, n_support: int, temperature: float, capacity: int):
-        self.n_support = n_support
-        self.temperature = temperature
-        self.cdf, self.succ = self._blocks(capacity)
-        self.keys: list = []
-        self.row_of: dict = {}
-
-    def _blocks(self, capacity: int):
-        """Empty ``cdf`` and ``succ`` blocks of ``capacity`` rows."""
-        shape = (capacity, self.n_support)
-        return np.empty(shape), np.empty(shape, dtype=np.int32 if capacity * self.n_support
-                                         < 2**31 else np.int64)
-
-    def reset(self, capacity: int) -> None:
-        """Forget every row and size the blocks to ``capacity`` rows, reusing
-        them when they already have that size."""
-        if capacity != self.capacity:
-            self.cdf, self.succ = self._blocks(capacity)
-        self.keys = []
-        self.row_of = {}
-
-    @property
-    def capacity(self) -> int:
-        return len(self.succ)
-
-    @property
-    def row_bytes(self) -> int:
-        return self.n_support * (self.cdf.itemsize + self.succ.itemsize)
-
-    def extend(self, keys: list) -> range:
-        """Append a row per key, with unknown successors; returns the new row
-        ids, whose CDFs the caller writes."""
-        new = range(len(self.keys), len(self.keys) + len(keys))
-        self.succ[new.start: new.stop] = -1
-        self.row_of.update(zip(keys, new))
-        self.keys.extend(keys)
-        return new
 
 
 def _grow_rows(model, u, draw, advance, split: str) -> Corpus:

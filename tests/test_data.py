@@ -240,6 +240,14 @@ def test_draw_from_cdf_matches_counting_every_entry(s, r, n, seed):
     want = np.minimum((cdf[rows] < u[:, None]).sum(axis=1), s - 1)
     assert np.array_equal(_draw_from_cdf(cdf, u, rows * s), rows * s + want)
     assert np.array_equal(_draw_from_cdf(cdf[rows], u), want)
+    # ragged rows, the first spans[i] entries of row i laid end to end
+    spans = rng.integers(1, s + 1, r)
+    starts = np.cumsum(spans) - spans
+    flat = cdf[np.arange(s) < spans[:, None]]
+    inside = np.arange(s) < spans[rows, None]
+    want = np.minimum(((cdf[rows] < u[:, None]) & inside).sum(axis=1), spans[rows] - 1)
+    assert np.array_equal(_draw_from_cdf(flat, u, starts[rows], spans[rows]),
+                          starts[rows] + want)
 
 
 def test_split_tail_disjoint_and_covering():

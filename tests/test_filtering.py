@@ -172,8 +172,7 @@ def _per_round_estimate_boundary(gen, disc, ratio, cfg, sampler, rng):
 @pytest.fixture(scope="module")
 def search_cases(s2):
     """(generator, scorer, max_len) triples over s2's vocabulary, one of each
-    generator kind; "tiny-cache" runs under a byte cap of 1, so its tables
-    rebuild within a block."""
+    generator kind; the trigram's contexts are looked up by their prefixes."""
     fixed = s2.generator  # a fixed-length bigram
     eos = fg.train_mle(s2.train, None, fg.NGramConfig(order=2, delta=0.5))
     cnn = fg.TextCNN(s2.vocab, fg.DiscConfig(seed=3))
@@ -186,7 +185,7 @@ def search_cases(s2):
             "markov-textcnn": (fg.MarkovModel(s2.source), cnn, s2.length),
             "neural-fixed-textcnn": (neural(s2.length), cnn, s2.length),
             "neural-eos-textcnn": (neural(None), cnn, 8),
-            "tiny-cache-textcnn": (
+            "trigram-eos-textcnn": (
                 fg.train_mle(s2.train, None, fg.NGramConfig(order=3, delta=0.5)), cnn, 8)}
 
 
@@ -197,7 +196,7 @@ _OVER_BUDGET = _BLOCK_ROWS + 1
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(["fixed-textcnn", "eos-textcnn", "fixed-exact", "markov-textcnn",
                              "neural-fixed-textcnn", "neural-eos-textcnn",
-                             "tiny-cache-textcnn"]),
+                             "trigram-eos-textcnn"]),
        per_round=st.sampled_from([1, 7, 1000, _OVER_BUDGET]) | st.integers(1, 60),
        rounds=st.integers(1, 40), ratio=st.just(1.0) | st.floats(0.01, 1.0),
        init=st.floats(0.0, 1.0), step=st.floats(0.001, 0.3), tail=st.integers(1, 12),
@@ -216,7 +215,7 @@ _OVER_BUDGET = _BLOCK_ROWS + 1
          step=0.01, tail=10, temperature=1.0, seed=6)
 @example(case="neural-eos-textcnn", per_round=300, rounds=40, ratio=0.5, init=0.5,
          step=0.01, tail=10, temperature=1.3, seed=7)
-@example(case="tiny-cache-textcnn", per_round=1000, rounds=40, ratio=0.5, init=0.5,
+@example(case="trigram-eos-textcnn", per_round=1000, rounds=40, ratio=0.5, init=0.5,
          step=0.01, tail=10, temperature=1.0, seed=8)
 def test_estimate_boundary_equals_the_per_round_search(
         search_cases, case, per_round, rounds, ratio, init, step, tail, temperature, seed):
@@ -229,11 +228,8 @@ def test_estimate_boundary_equals_the_per_round_search(
                                     step=step, init=init, tail=tail)
     sampler = SamplerConfig(temperature=temperature, max_len=max_len, seed=seed)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        if case.startswith("tiny-cache"):
-            mp.setattr(fg.genmodel, "_CACHE_BYTES", 1)
-        got = estimate_boundary(gen, disc, ratio, cfg, sampler, rng)
-        want = _per_round_estimate_boundary(gen, disc, ratio, cfg, sampler, ref_rng)
+    got = estimate_boundary(gen, disc, ratio, cfg, sampler, rng)
+    want = _per_round_estimate_boundary(gen, disc, ratio, cfg, sampler, ref_rng)
     assert got == want
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert all(type(row["acceptance"]) is float for row in got[1])

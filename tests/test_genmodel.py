@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import filtergen as fg
@@ -358,7 +358,8 @@ def _count_rows(model):
 
 @st.composite
 def _ngram_case(draw):
-    """Order 1-3, fixed or variable length, and two random corpora."""
+    """Order 1-3, fixed or variable length, and two random corpora. No row
+    is empty, so with variable length EOS never follows BOS above order 1."""
     k = draw(st.integers(1, 5))
     vocab = fg.Vocab(tuple("abcde"[:k]))
     fixed = draw(st.sampled_from([None, 1, 2, 4]))
@@ -510,10 +511,11 @@ def test_neural_batched_kernel_matches_the_scalar_path(fixed_length):
 # ---------------------------------------------------------------------------
 
 
-def _ref_sample_corpus(model, n, cfg, rng):
+def _ref_sample_corpus(model, n, cfg, rng, tie=0.0):
     """``NGramLM.sample_corpus`` before the CDF table: every step ranks the
     active contexts, rebuilds and tempers each distinct context's row, and
-    counts each gathered CDF row's entries below u."""
+    counts each gathered CDF row's entries below u. Also returns which rows
+    drew a u within ``tie`` of an entry of their step's CDF row."""
     from filtergen.data import _gram_ranks
 
     length_cap = (min(model.fixed_length, cfg.max_len)
@@ -522,6 +524,7 @@ def _ref_sample_corpus(model, n, cfg, rng):
     contexts = np.full((n, max(ctx_len, 1)), fg.BOS, dtype=np.int64)
     tokens = np.full((n, length_cap), -1, dtype=np.int64)
     active = np.ones(n, dtype=bool)
+    near = np.zeros(n, dtype=bool)
     eos_sup = int(model._sup_index[EOS]) if model.fixed_length is None else -1
     for t in range(length_cap):
         u = rng.random(n)
@@ -538,11 +541,18 @@ def _ref_sample_corpus(model, n, cfg, rng):
         holder[inverse] = np.arange(len(keys))
         rows = np.empty((n_keys, len(model.support)))
         for i, row_key in enumerate(keys[holder].tolist()):
-            rows[i] = _apply_temperature(model.cond_probs(tuple(row_key)), cfg.temperature)
-        if t == 0 and eos_sup >= 0:
-            rows[:, eos_sup] = 0.0
-            rows /= rows.sum(axis=1, keepdims=True)
+            probs = model.cond_probs(tuple(row_key))
+            row = _apply_temperature(probs, cfg.temperature)
+            if t == 0 and eos_sup >= 0:
+                # drop EOS; where it held all the tempered mass, temper without it
+                row[eos_sup] = 0.0
+                if not row.any():
+                    probs[eos_sup] = 0.0
+                    row = _apply_temperature(probs, cfg.temperature)
+                row = row / row.sum()
+            rows[i] = row
         cum = np.cumsum(rows, axis=1)[inverse]
+        near[active] |= (np.abs(cum - u[active][:, None]) <= tie).any(axis=1)
         picks = np.minimum((cum < u[active][:, None]).sum(axis=1), cum.shape[1] - 1)
         ended = picks == eos_sup if model.fixed_length is None else np.zeros(len(picks), bool)
         emitted = model.support[picks]
@@ -554,90 +564,119 @@ def _ref_sample_corpus(model, n, cfg, rng):
                 [contexts[idx[keep], 1:ctx_len], emitted[keep, None]], axis=1)
         active[idx[ended]] = False
     # rows are filled left to right, -1 past the end
-    return Corpus.from_arrays(model.vocab, tokens, (tokens >= 0).sum(axis=1))
+    return Corpus.from_arrays(model.vocab, tokens, (tokens >= 0).sum(axis=1)), near
+
+
+# A gap's pick is found by one division, not by the per-step sampler's
+# cumulative sums, so a u within this distance of one of that sampler's CDF
+# entries may fall on its other side. On rows without gaps every draw matches.
+_TIE = 1e-9
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ngram_case(), st.integers(1, 2000), st.integers(1, 6),
-       st.lists(st.one_of(st.just(1.0), st.floats(0.05, 5.0)), min_size=1, max_size=3),
-       st.sampled_from(["default", "tiny", "half"]), st.integers(0, 2**32 - 1))
-def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatures, cap,
-                                                    seed):
-    # The temperatures alternate twice on one model, so a call starts a new
-    # table when the temperature changes and reads a warm one when it repeats,
-    # and a refit must drop it. A "tiny" byte cap holds one row, so the table
-    # is rebuilt whenever it would grow; a "half" one holds half the rows
-    # sampling can reach, so a later call rebuilds the table the small first
-    # call partly filled, around successors already known.
+       st.lists(st.one_of(st.just(1.0), st.floats(0.05, 5.0),
+                          st.sampled_from([1e-4, 1e-300, 1e-320])), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+# every row starts with c, so the first step's row has EOS, UNK, a and b in one gap
+@example((2, None, Corpus(fg.Vocab(("a", "b", "c")), [[6, 4], [6], [6, 5, 5]] * 4),
+          Corpus(fg.Vocab(("a", "b", "c")), [[4, 6]])), 2000, 4, [1.0, 5.0], 3)
+def test_ngram_sampler_matches_the_per_step_sampler(case, n, max_len, temperatures, seed):
+    # The temperatures alternate twice on one model, so a call makes a new
+    # table when the temperature changes and reads a warm one when it
+    # repeats, and a refit must drop it. Small fits leave (context, token)
+    # pairs unseen, so rows have gaps; below T = 1e-300 tempering takes the
+    # argmax limit. Rows that drew a u within _TIE of a CDF entry are skipped.
     order, fixed, train, test = case
     model = NGramLM(train.vocab, order, 0.05, fixed).fit(train)
-    with pytest.MonkeyPatch.context() as mp:
-        if cap == "tiny":
-            mp.setattr(fg.genmodel, "_CACHE_BYTES", 1)
-        if cap == "half":
-            s = len(model.support)
-            mp.setattr(fg.genmodel, "_CACHE_BYTES", _reachable_rows(model) // 2 * s * 12)
-        for call, temperature in enumerate(temperatures * 2 + [temperatures[0]]):
-            if call == 2 * len(temperatures):
-                model.fit(test)
-            size = n if call else 1 + n // 100
-            cfg = SamplerConfig(temperature=temperature, max_len=max_len, seed=seed)
-            got = model.sample_corpus(size, cfg, np.random.default_rng(seed + call))
-            want = _ref_sample_corpus(model, size, cfg, np.random.default_rng(seed + call))
-            assert np.array_equal(got.ids, want.ids)
-            assert np.array_equal(got.lengths, want.lengths)
-            if cap == "tiny":
-                assert model._table.temperature == temperature
-
-
-def _reachable_rows(model):
-    """The first step's row and each context a step can lead to: ``()`` for
-    order 1, and above it BOS padding then j >= 1 symbols other than EOS."""
-    grow = len(model.support) - (model.fixed_length is None)
-    return 1 + (1 if model.order == 1 else sum(grow ** j for j in range(1, model.order)))
+    for call, temperature in enumerate(temperatures * 2 + [temperatures[0]]):
+        if call == 2 * len(temperatures):
+            model.fit(test)
+        size = n if call else 1 + n // 100
+        cfg = SamplerConfig(temperature=temperature, max_len=max_len, seed=seed)
+        got = model.sample_corpus(size, cfg, np.random.default_rng(seed + call))
+        want, near = _ref_sample_corpus(model, size, cfg, np.random.default_rng(seed + call),
+                                        _TIE)
+        if model._table.floors is None:  # no gaps
+            assert got == want
+        keep = ~near
+        assert np.array_equal(got.lengths[keep], want.lengths[keep])
+        assert [row for row, k in zip(got.sequences, keep) if k] == [
+            row for row, k in zip(want.sequences, keep) if k]
 
 
 @pytest.mark.parametrize("fixed", [3, None])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_ngram_table_is_made_once_at_the_rows_sampling_can_reach(order, fixed,
                                                                  monkeypatch):
-    # a table is sized when it is made, at every reachable row or at the
-    # cap's rows if fewer, with the first step's row at row 0; it keeps its
-    # blocks at one temperature, and a rebuild at a cap below the reachable
-    # rows puts that row back at row 0 and changes no draw
+    # a temperature's table is made whole at its first call: a row per seen
+    # context, the uniform row of a context never seen and the first step's;
+    # later calls at that temperature read it, a call at another makes that
+    # one's, and a refit drops it. Every call draws a fresh model's rows.
     vocab = build_vocab(["a b c d"], max_size=10)
     lines = ["a b c", "c b a", "b d a", "d d c"] if fixed else ["a b", "c b a d", "d", "b a"]
     train = encode_corpus(lines * 5, vocab, "train")
-    uncapped, capped = (NGramLM(vocab, order, 0.05, fixed).fit(train) for _ in range(2))
-    reachable, row_bytes = _reachable_rows(uncapped), len(uncapped.support) * 12
-    cfgs = [SamplerConfig(temperature=0.7, max_len=6, seed=seed) for seed in range(3)]
-    first_step = SamplerConfig(temperature=0.7, max_len=1)  # makes the table, no more
+    more = encode_corpus(["d c b a", "a a"] if fixed is None else ["a a a"], vocab, "train")
+    calls = [(0.7, 6), (0.7, 1), (0.7, 4), (1.3, 6), (1.3, 2)]
+    cfgs = [SamplerConfig(temperature=t, max_len=m, seed=seed)
+            for seed, (t, m) in enumerate(calls)]
+    want = [NGramLM(vocab, order, 0.05, fixed).fit(train).sample_corpus(200, cfg)
+            for cfg in cfgs]
+    refit = NGramLM(vocab, order, 0.05, fixed).fit(train).fit(more).sample_corpus(200, cfgs[0])
+    made, real = [], fg.genmodel._SamplingTable
 
-    uncapped.sample_corpus(5, first_step)
-    table = uncapped._table
-    blocks = table.cdf, table.succ
-    assert table.capacity == reachable
-    assert table.keys == [None] and table.row_of == {None: 0}
-    wide = [uncapped.sample_corpus(200, cfg) for cfg in cfgs]
-    assert uncapped._table is table and len(table.keys) <= reachable
-    if order < 3:  # 600 rows reach every row a bigram can
-        assert len(table.keys) == reachable
-    assert table.cdf is blocks[0] and table.succ is blocks[1]
+    def counting(model, temperature):
+        made.append(temperature)
+        return real(model, temperature)
 
-    cap_rows = min(3, reachable - 1)
-    monkeypatch.setattr(fg.genmodel, "_CACHE_BYTES", cap_rows * row_bytes)
-    rebuilt, firsts = NGramLM._rebuilt_rows, []
+    monkeypatch.setattr(fg.genmodel, "_SamplingTable", counting)
+    model = NGramLM(vocab, order, 0.05, fixed).fit(train)
+    tables = []
+    for cfg, rows in zip(cfgs, want):
+        assert model.sample_corpus(200, cfg) == rows
+        tables.append(model._table)
+    assert made == [0.7, 1.3]
+    assert tables[0] is tables[1] is tables[2] and tables[3] is tables[4]
+    assert len(tables[0].starts) == len(model._row_of) + 2
+    model.fit(more)
+    assert model._table is None
+    assert model.sample_corpus(200, cfgs[0]) == refit
+    assert made == [0.7, 1.3, 0.7]
 
-    def rebuilt_rows(self, table, keys):
-        rows = rebuilt(self, table, keys)
-        firsts.append((table.keys[0], table.row_of[None]))
-        return rows
 
-    monkeypatch.setattr(NGramLM, "_rebuilt_rows", rebuilt_rows)
-    capped.sample_corpus(1, first_step)
-    assert capped._table.capacity == cap_rows
-    assert [capped.sample_corpus(200, cfg) for cfg in cfgs] == wide
-    assert firsts and set(firsts) == {(None, 0)}
+def test_threads_share_one_ngram_model_at_two_temperatures():
+    # a table is only read once made, so four threads sampling one model at
+    # two temperatures, each call making its table anew as another's
+    # replaces it, draw the rows one thread draws alone
+    import sys
+    import threading
+
+    vocab = build_vocab(["a b c d e"], max_size=10)
+    model = NGramLM(vocab, 2, 0.05).fit(encode_corpus(["a b", "c b a d e", "e", "b a"], vocab))
+    cfgs = [SamplerConfig(temperature=t, max_len=8, seed=0) for t in (0.6, 1.4)]
+    calls = 30
+    serial = [[model.sample_corpus(500, cfg, np.random.default_rng(c)) for c in range(calls)]
+              for cfg in cfgs]
+    threaded = [None] * 4
+    start = threading.Barrier(4)
+
+    def run(k):
+        start.wait()
+        threaded[k] = [model.sample_corpus(500, cfgs[k % 2], np.random.default_rng(c))
+                       for c in range(calls)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert threaded == serial * 2
 
 
 @pytest.mark.parametrize("mode", ["fixed", "eos", "eos-short"])
@@ -764,13 +803,13 @@ def _table_state(model):
     table = model._table
     if table is None:
         return None
-    return table.temperature, table, table.cdf.tobytes(), table.succ.tobytes(), list(table.keys)
+    return table.temperature, table, {k: v.tobytes() for k, v in vars(table).items()
+                                      if isinstance(v, np.ndarray)}
 
 
-def test_caches_are_held_under_one_byte_cap(monkeypatch):
-    # only the sampling table counts against the cap: scoring computes from the
-    # counts, caches nothing and leaves the table as it is; two sequences in
-    # flight need at most two table rows, which always fit
+def test_scoring_caches_nothing_and_leaves_the_sampling_table():
+    # scoring computes from the counts, caches nothing and leaves the
+    # sampling table as it is
     source = _uniform_source(3, 4)
     rng = np.random.default_rng(3)
     train = synth_markov(source, 200, rng, "train")
@@ -779,9 +818,6 @@ def test_caches_are_held_under_one_byte_cap(monkeypatch):
     counts = _ref_counts(model, train)
     s = len(model.support)
     contexts = list(itertools.product((fg.BOS, 4, 5, 6), repeat=2))
-    row_bytes = s * (8 + 4)  # a float64 CDF entry and an int32 successor per symbol
-    cap = 4 * row_bytes
-    monkeypatch.setattr(fg.genmodel, "_CACHE_BYTES", cap)
     for seed in range(3):
         before = _table_state(model)
         for context in contexts:
@@ -796,29 +832,42 @@ def test_caches_are_held_under_one_byte_cap(monkeypatch):
         assert _table_state(model) == before
         for temperature, max_len in itertools.product((1.0, 0.5), (1, 4)):
             model.sample_corpus(2, SamplerConfig(temperature, max_len, seed))
-            assert 0 < model._table.capacity * model._table.row_bytes <= cap
+            assert model._table.temperature == temperature
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_ngram_sample_frequencies_match_seq_logprobs(order, k, length, seed):
-    # a fitted fixed-length model at T = 1 against its own exact distribution;
-    # Bernstein's bound per sequence, failing by chance with p < 1e-9 each
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 3), st.sampled_from([60, 4]),
+       st.sampled_from([1.0, 0.5, 1.7]), st.integers(0, 2**32 - 1))
+def test_ngram_sample_frequencies_match_seq_logprobs(order, k, length, train_n, temperature,
+                                                     seed):
+    # a fitted fixed-length model against its own exact tempered law, the
+    # product of each step's _apply_temperature(cond_probs(context)) entry,
+    # which at T = 1 is exp(seq_logprobs); 4 training rows leave (context,
+    # token) pairs unseen, so draws land in gaps. Bernstein's bound per
+    # sequence, failing by chance with p < 1e-9 each
     rng = np.random.default_rng(seed)
     source = fg.MarkovSource(tuple("abc"[:k]), rng.dirichlet(np.ones(k)),
                              rng.dirichlet(np.ones(k), size=k), length)
-    train = synth_markov(source, 60, rng, "train")
+    train = synth_markov(source, train_n, rng, "train")
     model = NGramLM(train.vocab, order, 0.1, length).fit(train)
     dist = enumerate_distribution(model, train.vocab, length)
     np.testing.assert_allclose(dist.probs, np.exp(model.seq_logprobs(dist.domain)),
                                rtol=1e-12)
+    law = np.ones(len(dist.probs))
+    for i, row in enumerate(dist.domain.sequences):
+        padded = (fg.BOS,) * (order - 1) + row
+        for t, tok in enumerate(row):
+            step = _apply_temperature(model.cond_probs(padded[t: t + order - 1]), temperature)
+            law[i] *= step[model._sup_index[tok]]
+    if temperature == 1.0:
+        np.testing.assert_allclose(law, dist.probs, rtol=1e-12)
     n = 20_000
-    samples = model.sample_corpus(n, SamplerConfig(max_len=length, seed=seed),
-                                  np.random.default_rng(seed))
+    samples = model.sample_corpus(n, SamplerConfig(temperature=temperature, max_len=length,
+                                                   seed=seed), np.random.default_rng(seed))
     freq = fg.oracle.empirical_distribution(samples, dist).probs
     x = math.log(2e9)
-    bound = np.sqrt(2 * dist.probs * (1 - dist.probs) * x / n) + 2 * x / (3 * n)
-    assert (np.abs(freq - dist.probs) <= bound).all()
+    bound = np.sqrt(2 * law * (1 - law) * x / n) + 2 * x / (3 * n)
+    assert (np.abs(freq - law) <= bound).all()
 
 
 def test_markov_tempered_chain_is_built_once_and_samples_as_a_fresh_one(monkeypatch):

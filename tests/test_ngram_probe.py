@@ -23,16 +23,18 @@ def test_ngram_probe_smoke():
     assert ((first["vocab"], first["rows"], first["test_rows"], first["samples"], first["seed"])
             == (50, 500, 100, 200, 3))
     assert 1 <= first["contexts"] <= 51
-    # a row for each context sampling can reach (the first step's and one after
-    # each of the 51 symbols that continue a row: UNK and the 50 words), each a
-    # float64 CDF entry and an int32 successor per support symbol (those 51 and
-    # EOS); far below the byte cap, so never rebuilt
-    assert first["table_bytes"] == 52 * 52 * 12
-    assert first["rebuilds"] == 0
-    assert 1 <= first["cdf_rows"] <= 52
+    # a row per context, the uniform row and the first step's, each 1 to 52
+    # segments (a segment per seen entry and per run of unseen ones over the
+    # 52 support symbols: EOS, UNK and the 50 words); at 8 bytes a number,
+    # each row's start, span and floor, each row's CDF start and each
+    # segment's CDF end, first index and width, and the 52 next rows
+    rows, segments = first["table_rows"], first["table_segments"]
+    assert rows == first["contexts"] + 2
+    assert rows < segments <= rows * 52
+    assert first["table_bytes"] == 8 * (3 * rows + 3 * (rows + segments) + 52)
     assert min(first[k] for k in ("fit_s", "score_cold_s", "score_warm_s",
                                   "sample_cold_s", "sample_warm_s", "sample_small_s")) >= 0.0
     assert first["peak_rss_mb"] > 0
     assert first["scores_sha256"] == again["scores_sha256"]
     assert first["samples_sha256"] == again["samples_sha256"]
-    assert (first["rebuilds"], first["cdf_rows"]) == (again["rebuilds"], again["cdf_rows"])
+    assert first["table_bytes"] == again["table_bytes"]

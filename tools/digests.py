@@ -9,8 +9,7 @@ Prints one JSON object with sorted keys:
   ``check`` returns after one pass, at seeds 1 and 2;
 - ``ngram_probe/...``: the score and sample digests of
   ``tools/ngram_probe.py --vocab 2000 --seed 0``, and of ``--vocab 5000
-  --samples 5000``, where the sampling table reaches its byte cap and is
-  rebuilt;
+  --samples 5000``;
 - ``disc_probe/...``: the parameter digest of
   ``tools/disc_probe.py --vocab 2000 --rows 1500 --seed 0``;
 - ``pipeline_probe/...``: the ``sweep.csv`` digest of
@@ -24,7 +23,7 @@ value differs from the one in FILE (a saved run), then an ``N moved`` line,
 and exits with code 1 when N > 0. BLAS is held to one thread (unless the
 environment already sets its thread count) before numpy loads, as in the
 probes. It runs everything in this process, in about a minute, and peaks
-near 550 MB of RSS (the V = 5,000 probe).
+near 500 MB of RSS.
 
     PYTHONPATH=src python tools/digests.py > DIGESTS.json
     PYTHONPATH=src python tools/digests.py --against DIGESTS.json

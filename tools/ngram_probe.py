@@ -8,10 +8,10 @@ from the next seed, twice with ``seq_logprobs``, then samples twice with
 ``sample_corpus``, and then makes 200 warm ``sample_corpus`` calls of 10
 rows each, where the per-call cost shows. It prints one JSON line with the
 fit time, the cold and warm scoring and sampling times, the time of the
-small calls, the bytes of the model's sampling table (its size as made,
-or as last rebuilt when the contexts in flight outgrew the byte cap), how
-many times sampling rebuilt the table and how many CDF rows it computed,
-SHA-256 digests of the scores and of the two large samples' ids, and the
+small calls, the bytes of the model's sampling table's arrays, its rows
+and segments (a row per context, plus the uniform row and the first
+step's; a segment per seen entry and per run of unseen ones), SHA-256
+digests of the scores and of the two large samples' ids, and the
 process's peak RSS. Times are CPU seconds of this process.
 
     PYTHONPATH=src python tools/ngram_probe.py --vocab 2000 --seed 0
@@ -46,25 +46,6 @@ def zipf_corpus(vocab_size: int, rows: int, seed: int) -> fg.Corpus:
 
 
 def probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
-    counts = {"rebuilds": 0, "cdf_rows": 0}
-    rebuilt, tempered = fg.NGramLM._rebuilt_rows, fg.NGramLM._tempered_cdf
-
-    def counted_rebuild(*args, **kwargs):
-        counts["rebuilds"] += 1
-        return rebuilt(*args, **kwargs)
-
-    def counted_cdf(*args, **kwargs):
-        counts["cdf_rows"] += 1
-        return tempered(*args, **kwargs)
-
-    fg.NGramLM._rebuilt_rows, fg.NGramLM._tempered_cdf = counted_rebuild, counted_cdf
-    try:
-        return {**_probe(vocab_size, rows, samples, seed), **counts}
-    finally:
-        fg.NGramLM._rebuilt_rows, fg.NGramLM._tempered_cdf = rebuilt, tempered
-
-
-def _probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
     test_rows = rows // 5
     corpus = zipf_corpus(vocab_size, rows, seed)
     held_out = zipf_corpus(vocab_size, test_rows, seed + 1)
@@ -93,6 +74,7 @@ def _probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
     for _ in range(SMALL_CALLS):
         model.sample_corpus(SMALL_ROWS, small_cfg, small_rng)
     small_s = time.process_time() - start
+    table = model._table
     return {
         "vocab": vocab_size,
         "rows": rows,
@@ -107,7 +89,9 @@ def _probe(vocab_size: int, rows: int, samples: int, seed: int) -> dict:
         "sample_cold_s": times[0],
         "sample_warm_s": times[1],
         "sample_small_s": small_s,
-        "table_bytes": model._table.capacity * model._table.row_bytes,
+        "table_bytes": sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray)),
+        "table_rows": len(table.starts),
+        "table_segments": len(table.ends) - len(table.starts),
         "samples_sha256": digest.hexdigest(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
