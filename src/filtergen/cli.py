@@ -4,21 +4,19 @@ Subcommands: train-gen, train-disc, estimate-uc, sample, evaluate,
 oracle-check, pipeline. Exit codes: 0 success, 2 configuration error,
 3 stage failure, 4 attempt budget exhausted.
 
-Each stage subcommand makes its pipeline stage's calls with the stage's
-seed derivation and default sections: run with the pipeline's seed on its
-files, they reproduce its artifacts and its ``sweep.csv`` cells, apart from
-``error_rate``, which the pipeline seeds per grid point.
-
 The pipeline persists one artifact set per stage under the output
 directory and records the run in ``manifest.json``: a rerun recomputes the
 first stage whose config, code, inputs or artifacts changed, and every
-later stage. Every stage and subcommand reads, samples and scores rows
-of at most ``data.DEFAULT_MAX_LEN`` tokens, with BLEU of order 5 and a
-64-dimensional FED embedding. With a single worker every run is
-bit-reproducible for a given (config, seed). Only FED's LAPACK calls depend
-on the BLAS thread count, in their last digits, so set
-``OPENBLAS_NUM_THREADS=1`` (as perfbench does) for FED values that match
-across machines.
+later stage. Its estimate-uc, sample and evaluate stages walk the grid with
+the sweep functions of ``metrics``, as ``temperature_sweep`` does. Each stage
+subcommand makes its stage's calls for one grid point, with the stage's seed
+derivation and default sections, so on the pipeline's files it reproduces
+the stage's artifacts and ``sweep.csv`` cells, apart from ``error_rate``,
+which the pipeline seeds per grid point. Every run reads, samples and scores
+rows of at most ``data.DEFAULT_MAX_LEN`` tokens and is bit-reproducible for
+a given (config, seed) with a single worker. FED's LAPACK calls alone depend
+on the BLAS thread count, so set ``OPENBLAS_NUM_THREADS=1`` (as perfbench
+does) for FED values that match across machines.
 """
 
 from __future__ import annotations
@@ -37,15 +35,16 @@ from . import __version__
 from .checkpoint import load_model, save_model
 from .data import (Vocab, atomic_open, build_vocab, encode_corpus, load_corpus, read_lines,
                    save_corpus)
-from .disc import DiscConfig, error_rate, train_discriminator
+from .disc import MIN_CLASS_ROWS, DiscConfig, error_rate, train_discriminator
 from .errors import BudgetError, ConfigError, FiltergenError, InputError, integer, number
-from .filtering import MAX_ATTEMPTS_PER_SAMPLE, BoundaryEstimateConfig
+from .filtering import MAX_ATTEMPTS_PER_SAMPLE, BoundaryEstimateConfig, FilterStats
 # unused here since the subcommands run metrics.grid_boundary and grid_streams,
 # but perfbench's tracer test still expects this module to bind them
 from .filtering import estimate_boundary, sample_filtered  # noqa: F401
 from .genmodel import NeuralConfig, NGramConfig, train_mle
-from .metrics import (KNOWN_METRICS, RLM_MIN_SAMPLES, SWEEP_COLUMNS, MetricScorer,
-                      SweepReport, grid_baseline, grid_boundary, grid_streams)
+from .metrics import (GRID_STREAMS, KNOWN_METRICS, MIN_ROWS, SWEEP_COLUMNS, MetricScorer,
+                      SweepReport, grid_boundary, grid_streams, sweep_boundaries, sweep_points,
+                      sweep_rows, sweep_streams)
 from .oracle import exact_boundary, exact_filtered_distribution, tv_distance
 from .scenarios import SCENARIO_NAMES, build_scenario, load_spec
 from .seeding import derive_seed
@@ -128,6 +127,8 @@ def validate_config(path) -> ExperimentConfig:
             problems.append("data_sizes only applies to scenario mode")
         data_sizes = _positive_ints(problems, data_sizes, "data_sizes",
                                     dict.fromkeys(_SPLITS))
+        if (data_sizes["train"] or MIN_CLASS_ROWS) < MIN_CLASS_ROWS:
+            problems.append(f"data_sizes.train must be >= {MIN_CLASS_ROWS} for the classifier")
     if generator is None and scenario is None:
         problems.append("generator section required in data mode")
     if generator is not None:
@@ -145,6 +146,7 @@ def validate_config(path) -> ExperimentConfig:
     temps = _grid_values(problems, doc.get("temperatures", [1.0]), "temperatures",
                          _is_temperature, "temperature must be > 0, got {!r}")
 
+    eval_doc = _positive_ints(problems, doc.get("eval"), "eval", _EVAL_DEFAULTS)
     metrics = doc.get("metrics", ["bleu", "selfbleu", "lm", "fed"])
     if not isinstance(metrics, list):
         problems.append(f"metrics must be a list, got {metrics!r}")
@@ -152,10 +154,8 @@ def validate_config(path) -> ExperimentConfig:
     for m in metrics:
         if m not in KNOWN_METRICS:
             problems.append(f"unknown metric '{m}' (known: {', '.join(KNOWN_METRICS)})")
-
-    eval_doc = _positive_ints(problems, doc.get("eval"), "eval", _EVAL_DEFAULTS)
-    if "rlm" in metrics and eval_doc["n_samples"] < RLM_MIN_SAMPLES:
-        problems.append(f"eval.n_samples must be >= {RLM_MIN_SAMPLES} when 'rlm' is requested")
+        elif (MIN_ROWS[m] or 0) > eval_doc["n_samples"]:  # FED's depends on the vocabulary
+            problems.append(f"eval.n_samples must be >= {MIN_ROWS[m]} when '{m}' is requested")
 
     uc_cfg = _section(problems, doc.get("uc"), "uc", BoundaryEstimateConfig)
 
@@ -329,36 +329,20 @@ class _Pipeline:
     # -- stage bodies -----------------------------------------------------
 
     def run(self) -> dict:
-        cfg = self.cfg
+        grid = self.cfg.temperatures, self.cfg.filter_ratios
         self._stage("data", ["train.txt", "valid.txt", "test.txt", "vocab.json"],
                     self._stage_data)
         self._stage("train-gen", ["gen.json"], self._stage_train_gen)
         self._stage("train-disc", ["disc.json", "disc_report.json"], self._stage_train_disc)
-        uc_files = [self._uc_name(t, c) for t in cfg.temperatures
-                    for c in cfg.filter_ratios]
-        self._stage("estimate-uc", uc_files, self._stage_uc)
-        sample_files = []
-        for t in cfg.temperatures:
-            sample_files.append(self._sample_name(t, None, "baseline"))
-            for c in cfg.filter_ratios:
-                sample_files.append(self._sample_name(t, c, "accepted"))
-                sample_files.append(self._sample_name(t, c, "rejected"))
-                sample_files.append(self._sample_name(t, c, "stats"))
-        self._stage("sample", sample_files, self._stage_sample)
+        self._stage("estimate-uc", [_artifact(*p) for p in sweep_points(*grid, (), ("uc",))],
+                    self._stage_uc)
+        self._stage("sample", [_artifact(*p) for p in sweep_points(*grid, filtered=GRID_STREAMS)],
+                    self._stage_sample)
         final = ["sweep.csv", "report.json"]
         if self.scenario is not None:
             final.append("oracle_report.json")
         self._stage("evaluate", final, self._stage_evaluate)
         return self.manifest
-
-    def _uc_name(self, temp, ratio) -> str:
-        return f"uc_T{temp:g}_c{ratio:g}.json"
-
-    def _sample_name(self, temp, ratio, stream) -> str:
-        if stream == "baseline":
-            return f"samples_T{temp:g}_baseline.txt"
-        ext = "json" if stream == "stats" else "txt"
-        return f"samples_T{temp:g}_c{ratio:g}_{stream}.{ext}"
 
     def _stage_data(self) -> None:
         cfg = self.cfg
@@ -389,8 +373,7 @@ class _Pipeline:
         train = self._corpora("train")["train"]
         gen = load_model(self.out / "gen.json")
         rng = np.random.default_rng(derive_seed(self.cfg.seed, "train-disc"))
-        disc, report = train_discriminator(train, gen,
-                                           self.cfg.discriminator, rng)
+        disc, report = train_discriminator(train, gen, self.cfg.discriminator, rng)
         save_model(disc, self.out / "disc.json")
         _write_json(self.out / "disc_report.json", {
             "train_loss": report.train_loss,
@@ -405,25 +388,19 @@ class _Pipeline:
         return load_model(self.out / "gen.json"), load_model(self.out / "disc.json")
 
     def _stage_uc(self) -> None:
-        gen, disc = self._models()
-        for temp in self.cfg.temperatures:
-            for ratio in self.cfg.filter_ratios:
-                _save_uc(self.out / self._uc_name(temp, ratio), ratio,
-                         *grid_boundary(gen, disc, self.cfg.seed, temp, ratio, self.cfg.uc))
+        cfg = self.cfg
+        for (temp, ratio), (boundary, trace) in sweep_boundaries(
+                *self._models(), cfg.seed, cfg.temperatures, cfg.filter_ratios, cfg.uc).items():
+            _save_uc(self.out / _artifact(temp, ratio, "uc"), ratio, boundary, trace)
 
     def _stage_sample(self) -> None:
         cfg = self.cfg
-        gen, disc = self._models()
-        n = cfg.eval["n_samples"]
-        for temp in cfg.temperatures:
-            save_corpus(grid_baseline(gen, cfg.seed, temp, n),
-                        self.out / self._sample_name(temp, None, "baseline"))
-            for ratio in cfg.filter_ratios:
-                uc_doc = json.loads((self.out / self._uc_name(temp, ratio)).read_text())
-                streams = grid_streams(gen, disc, cfg.seed, temp, ratio, uc_doc["u_c"], n,
-                                       cfg.max_attempts_per_sample)
-                _save_streams(streams, *(self.out / self._sample_name(temp, ratio, stream)
-                                         for stream in ("accepted", "rejected", "stats")))
+        def boundary(temp, ratio) -> float:  # the estimate-uc stage's u_c
+            return json.loads((self.out / _artifact(temp, ratio, "uc")).read_text())["u_c"]
+        for temp, ratio, kind, value in sweep_streams(
+                *self._models(), cfg.seed, cfg.temperatures, cfg.filter_ratios, boundary,
+                cfg.eval["n_samples"], cfg.max_attempts_per_sample):
+            _save_point(value, self.out / _artifact(temp, ratio, kind))
 
     def _stage_evaluate(self) -> None:
         cfg = self.cfg
@@ -433,17 +410,10 @@ class _Pipeline:
             cfg.metrics, real_train=corpora["train"], real_test=corpora["test"],
             fixed_length=gen_cfg.fixed_length, seed=cfg.seed, disc_cfg=cfg.discriminator)
         vocab = corpora["train"].vocab
-        points = [(1.0, "baseline")] + [(c, stream) for c in cfg.filter_ratios
-                                        for stream in ("accepted", "rejected")]
-        rows = []
-        for temp in cfg.temperatures:
-            for ratio, stream in points:
-                lines = read_lines(self.out / self._sample_name(temp, ratio, stream))
-                # a blank rejected file means nothing was rejected: no row
-                if stream == "rejected" and not any(map(str.split, lines)):
-                    continue
-                rows.append(scorer.row(temp, ratio, stream,
-                                       encode_corpus(lines, vocab, stream)))
+        def stream(temp, ratio, kind):  # a blank file is an empty stream
+            lines = read_lines(self.out / _artifact(temp, ratio, kind))
+            return encode_corpus(lines, vocab, kind) if any(map(str.split, lines)) else ()
+        rows = sweep_rows(scorer, cfg.temperatures, cfg.filter_ratios, stream)
         with atomic_open(self.out / "sweep.csv") as fh:
             fh.write(SweepReport(rows).csv_text())
         _write_json(self.out / "report.json", {"rows": rows, "columns": list(SWEEP_COLUMNS)},
@@ -454,24 +424,27 @@ class _Pipeline:
             _write_json(self.out / "oracle_report.json", doc, sort_keys=True)
 
 
+def _artifact(temp, ratio, kind) -> str:
+    """The file of a sweep point's stream, ``stats`` or boundary (``uc``)."""
+    if kind == "baseline":
+        return f"samples_T{temp:g}_baseline.txt"
+    if kind == "uc":
+        return f"uc_T{temp:g}_c{ratio:g}.json"
+    return f"samples_T{temp:g}_c{ratio:g}_{kind}.{'json' if kind == 'stats' else 'txt'}"
+
+
 def _save_uc(path, ratio, boundary: float, trace: list) -> None:
     """The boundary file of one grid point."""
     # float: a config may list the identity ratio as the integer 1
     _write_json(path, {"c": float(ratio), "u_c": boundary, "trace": trace})
 
 
-def _save_streams(streams, accepted_path, rejected_path, stats_path) -> None:
-    """The sample files of one grid point's ``grid_streams`` result; no
-    rejected file without ``rejected_path``."""
-    accepted, rejected, stats = streams
-    save_corpus(accepted, accepted_path)
-    if rejected_path:
-        if rejected is not None:
-            save_corpus(rejected, rejected_path)
-        else:  # an empty file means nothing was rejected
-            with atomic_open(rejected_path):
-                pass
-    _write_json(stats_path, stats.to_dict())
+def _save_point(value, path) -> None:
+    """The file of one grid point's stream, one line per row, or stats."""
+    if isinstance(value, FilterStats):
+        _write_json(path, value.to_dict())
+    else:
+        save_corpus(value, path)
 
 
 def run_pipeline(config: ExperimentConfig, out_dir) -> dict:
@@ -613,8 +586,10 @@ def _cmd_sample(args) -> int:
     disc = _load_classifier(args.disc, gen)
     streams = grid_streams(gen, disc, args.seed, args.temperature, args.c,
                            args.u_c if args.c < 1.0 else 0.0, args.n, args.max_attempts)
-    _save_streams(streams, args.out, args.rejected_out,
-                  args.stats_out or f"{args.out}.stats.json")
+    for value, path in zip(streams, (args.out, args.rejected_out,
+                                     args.stats_out or f"{args.out}.stats.json")):
+        if path:  # no rejected file without --rejected-out
+            _save_point(value, path)
     stats = streams[2]
     print(f"accepted {stats.acceptances}/{stats.attempts} "
           f"(rate {stats.acceptance_rate:.4f})")

@@ -449,16 +449,18 @@ def split_tail(corpus: Corpus, n: int) -> tuple[Corpus, Corpus]:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    """One line per row: its tokens joined by single spaces."""
-    ids, lengths = corpus.ids, corpus.lengths
-    words = np.array(corpus.vocab.tokens, dtype=object).take(
-        ids[_valid_mask(lengths, ids.shape[1])])
-    # each word, then " " or, at a row's last word, "\n"
-    text = np.full(2 * len(words), " ", dtype=object)
-    text[0::2] = words
-    text[2 * np.cumsum(lengths) - 1] = "\n"
+    """One line per row: its tokens joined by single spaces. An empty stream,
+    such as the ``()`` of nothing rejected, writes an empty file."""
     with atomic_open(path) as fh:
-        fh.write("".join(text.tolist()))
+        if len(corpus):
+            ids, lengths = corpus.ids, corpus.lengths
+            words = np.array(corpus.vocab.tokens, dtype=object).take(
+                ids[_valid_mask(lengths, ids.shape[1])])
+            # each word, then " " or, at a row's last word, "\n"
+            text = np.full(2 * len(words), " ", dtype=object)
+            text[0::2] = words
+            text[2 * np.cumsum(lengths) - 1] = "\n"
+            fh.write("".join(text.tolist()))
 
 
 @contextmanager

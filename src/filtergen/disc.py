@@ -83,6 +83,8 @@ from .errors import InputError, check_fields, integer, number
 from .genmodel import SamplerConfig
 
 _PROB_CLIP = 1e-12
+# fewest rows of a class a classifier trains on: one to fit, one to validate
+MIN_CLASS_ROWS = 2
 # Rows per scoring forward pass: 1024-row chunks keep a bank's (rows, positions,
 # kernels) block in cache on short sequences; 8192 rows ran at half the speed.
 _SCORE_CHUNK = 1024
@@ -416,7 +418,7 @@ def train_discriminator(real: Corpus, gen_model, cfg: DiscConfig | None = None,
     cfg = cfg or DiscConfig()
     if real.vocab != gen_model.vocab:
         raise InputError("real corpus and generator use different vocabularies")
-    if len(real) < 2:
+    if len(real) < MIN_CLASS_ROWS:
         raise InputError("need at least two real sequences")
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     real_tr, real_val = split_tail(real, max(1, len(real) // 10))
@@ -439,7 +441,7 @@ def train_discriminator_corpora(real: Corpus, fake: Corpus,
     cfg = cfg or DiscConfig()
     if real.vocab != fake.vocab:
         raise InputError("corpora use different vocabularies")
-    if len(real) < 2 or len(fake) < 2:
+    if min(len(real), len(fake)) < MIN_CLASS_ROWS:
         raise InputError("need at least two sequences per class")
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     real_tr, real_val = split_tail(real, max(1, len(real) // 10))

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, product
 
 import numpy as np
 
 from .data import BOS, EOS, Corpus, _gram_ranks, row_groups
-from .disc import DiscConfig, error_rate, train_discriminator_corpora
+from .disc import MIN_CLASS_ROWS, DiscConfig, error_rate, train_discriminator_corpora
 from .errors import InputError
 from .filtering import (MAX_ATTEMPTS_PER_SAMPLE, BoundaryEstimateConfig, FilteredGenerator,
                         FilterParams, estimate_boundary, sample_filtered)
@@ -256,19 +257,20 @@ def fit_ppmi_svd(corpus: Corpus, dim: int = 64) -> EmbeddingModel:
     total = cooc.sum()
     if total == 0:
         raise InputError("corpus has no co-occurrences")
-    joint = cooc / total
-    marg = joint.sum(axis=1)
+    cooc /= total  # the joint law
+    marg = cooc.sum(axis=1)
+    # PPMI in one buffer: log(joint / outer), -inf where joint is 0, then fmax
+    # sets that and every other negative (or NaN) entry to 0
+    ppmi = np.outer(marg, marg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pmi = np.log(joint / np.outer(marg, marg))
-    ppmi = np.where(np.isfinite(pmi), np.maximum(pmi, 0.0), 0.0)
+        np.fmax(np.log(np.divide(cooc, ppmi, out=ppmi), out=ppmi), 0.0, out=ppmi)
+    del cooc
     u, s, _ = np.linalg.svd(ppmi, full_matrices=False)
     d = min(dim, k)
     vecs = u[:, :d] * np.sqrt(s[:d])
     # stabilize the SVD sign convention
-    signs = np.where(np.abs(vecs).max(axis=0) == vecs.max(axis=0), 1.0, -1.0)
-    vecs = vecs * signs
-    vocab_size = len(corpus.vocab)
-    table = np.zeros((vocab_size, d))
+    vecs *= np.where(np.abs(vecs).max(axis=0) == vecs.max(axis=0), 1.0, -1.0)
+    table = np.zeros((len(corpus.vocab), d))
     table[seen] = vecs
     return EmbeddingModel(table)
 
@@ -325,7 +327,11 @@ def _sym_sqrt(mat: np.ndarray) -> np.ndarray:
 SWEEP_COLUMNS = ("temperature", "c", "stream", "bleu5", "self_bleu5",
                  "lm_score", "rev_lm_score", "fed", "error_rate")
 
-KNOWN_METRICS = ("bleu", "selfbleu", "lm", "rlm", "fed", "err")
+# each metric's fewest rows; FED's, its embedding's dimension + 1, the scorer fills in
+MIN_ROWS = {"bleu": 1, "selfbleu": 2, "lm": 1, "rlm": RLM_MIN_SAMPLES, "fed": None,
+            "err": MIN_CLASS_ROWS + 1}
+KNOWN_METRICS = tuple(MIN_ROWS)
+_COLUMNS = dict(zip(KNOWN_METRICS, SWEEP_COLUMNS[3:]))  # each metric's sweep column
 
 
 @dataclass
@@ -335,19 +341,11 @@ class SweepReport:
     rows: list
 
     def csv_text(self) -> str:
-        lines = [",".join(SWEEP_COLUMNS)]
-        for row in self.rows:
-            cells = []
-            for col in SWEEP_COLUMNS:
-                val = row.get(col)
-                if val is None:
-                    cells.append("")
-                elif isinstance(val, str):
-                    cells.append(val)
-                else:
-                    cells.append(f"{val:.6f}")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        """A header line, then a line per row: a missing cell is empty."""
+        def cell(val) -> str:
+            return "" if val is None else val if isinstance(val, str) else f"{val:.6f}"
+        lines = [SWEEP_COLUMNS, *([cell(row.get(c)) for c in SWEEP_COLUMNS] for row in self.rows)]
+        return "".join(",".join(line) + "\n" for line in lines)
 
 
 class MetricScorer:
@@ -360,8 +358,9 @@ class MetricScorer:
     embedding are fitted only when ``lm`` or ``fed`` is requested, and
     ``cells`` scores only requested metrics. BLEU and self-BLEU are of order
     5 and the embedding has 64 dimensions, the defaults of ``BleuConfig``
-    and ``fit_ppmi_svd``. ``seed`` is the master seed of the rows'
-    classification-error seeds and of ``temperature_sweep``'s grid.
+    and ``fit_ppmi_svd``. ``min_rows`` is ``MIN_ROWS`` for its metrics. ``seed``
+    is the master seed of the rows' classification-error seeds and of
+    ``temperature_sweep``'s grid.
     """
 
     def __init__(self, metric_names, *, real_train: Corpus, real_test: Corpus,
@@ -371,6 +370,7 @@ class MetricScorer:
         if unknown:
             raise InputError(f"unknown metrics: {sorted(unknown)}")
         self.metric_names = tuple(metric_names)
+        self.min_rows = {m: MIN_ROWS[m] for m in self.metric_names}
         self.real_train, self.real_test, self.seed = real_train, real_test, seed
         self.lm_config = NGramConfig(order=2, delta=0.01, fixed_length=fixed_length)
         self.oracle_lm = None
@@ -381,6 +381,7 @@ class MetricScorer:
         if "fed" in self.metric_names:
             self.embedding = fit_ppmi_svd(real_train)
             self.real_emb = embed(real_test, self.embedding)
+            self.min_rows["fed"] = self.embedding.dim + 1
 
     def cells(self, samples: Corpus, seed: int, metric_names=None) -> dict:
         """The cells of one corpus for ``metric_names``, some of the scorer's
@@ -389,34 +390,25 @@ class MetricScorer:
         if not set(names) <= set(self.metric_names):
             raise InputError(f"metrics not requested of this scorer: "
                              f"{sorted(set(names) - set(self.metric_names))}")
-        row: dict = {}
-        if "bleu" in names:
-            row["bleu5"] = bleu(samples, self.real_test)
-        if "selfbleu" in names:
-            row["self_bleu5"] = self_bleu(samples)
-        if "lm" in names:
-            row["lm_score"] = lm_score(self.oracle_lm, samples)
-        if "rlm" in names:
-            row["rev_lm_score"] = reverse_lm_score(samples, self.real_test,
-                                                   self.lm_config)
-        if "fed" in names:
-            row["fed"] = fed(self.real_emb, embed(samples, self.embedding))
-        if "err" in names:
-            row["error_rate"] = classification_error(
-                self.real_train, self.real_test, samples, self.disc_cfg, seed)
-        return row
+        score = {"bleu": lambda: bleu(samples, self.real_test),
+                 "selfbleu": lambda: self_bleu(samples),
+                 "lm": lambda: lm_score(self.oracle_lm, samples),
+                 "rlm": lambda: reverse_lm_score(samples, self.real_test, self.lm_config),
+                 "fed": lambda: fed(self.real_emb, embed(samples, self.embedding)),
+                 "err": lambda: classification_error(self.real_train, self.real_test, samples,
+                                                     self.disc_cfg, seed)}
+        return {_COLUMNS[m]: score[m]() for m in KNOWN_METRICS if m in names}
 
     def row(self, temp, ratio, stream: str, samples: Corpus) -> dict:
         """The sweep row of one grid stream.
 
         The error-rate seed derives from (temperature, "baseline") or from
         (temperature, ratio, "a" or "r") for the accepted or rejected
-        stream. A stream too short for the reverse LM leaves that cell empty.
+        stream. A stream shorter than a metric's ``min_rows`` leaves that
+        metric's cell empty.
         """
         key = (temp, "baseline") if stream == "baseline" else (temp, ratio, stream[0])
-        names = self.metric_names
-        if len(samples) < RLM_MIN_SAMPLES:
-            names = tuple(m for m in names if m != "rlm")
+        names = [m for m in self.metric_names if len(samples) >= self.min_rows[m]]
         return {"temperature": temp, "c": ratio, "stream": stream,
                 **self.cells(samples, derive_seed(self.seed, "err", *key), names)}
 
@@ -429,7 +421,7 @@ def classification_error(real_train: Corpus, real_test: Corpus, samples: Corpus,
     parts; higher error = real and sampled text are harder to tell apart.
     """
     n_eval = max(1, int(len(samples) * 0.3))
-    if len(samples) - n_eval < 2:
+    if len(samples) - n_eval < MIN_CLASS_ROWS:
         raise InputError("too few samples for a classification-error estimate")
     train_part, eval_part = samples[:-n_eval], samples[-n_eval:]
     cfg = replace(disc_cfg, seed=seed)
@@ -438,8 +430,10 @@ def classification_error(real_train: Corpus, real_test: Corpus, samples: Corpus,
     return error_rate(disc, real_test, eval_part)
 
 
-# One (temperature, ratio) grid point, shared by ``temperature_sweep`` and
-# the pipeline's estimate-uc, sample and evaluate stages.
+# One (temperature, ratio) grid point, as the estimate-uc and sample
+# subcommands run it, and the walk over the grid (``sweep_*``), the one that
+# ``temperature_sweep`` and the pipeline's estimate-uc, sample and evaluate
+# stages make.
 
 
 def grid_sampler(seed: int, temp) -> SamplerConfig:
@@ -466,18 +460,55 @@ def grid_boundary(gen, disc, seed: int, temp, ratio, uc_cfg) -> tuple[float, lis
 
 def grid_streams(gen, disc, seed: int, temp, ratio, boundary: float, n: int,
                  max_attempts_per_sample: int = MAX_ATTEMPTS_PER_SAMPLE):
-    """``(accepted, rejected, stats)`` of one grid point.
-
-    The rejected stream is cut to its first ``n`` rows, or is None when
-    nothing was rejected.
-    """
+    """``(accepted, rejected, stats)`` of one grid point. The rejected stream
+    is its first ``n`` rows, and empty (``()``) when nothing was rejected."""
     sampler = grid_sampler(seed, temp)
     fg = FilteredGenerator(gen, disc, FilterParams(ratio, boundary),
                            max_attempts_per_sample)
     accepted, stats = sample_filtered(fg, n, sampler, np.random.default_rng(sampler.seed),
                                       keep_rejected=n)
-    rejected = stats.rejected_sequences
-    return accepted, rejected if len(rejected) else None, stats
+    return accepted, stats.rejected_sequences, stats
+
+
+GRID_STREAMS = ("accepted", "rejected", "stats")  # what grid_streams returns
+
+
+def sweep_points(temps, ratios, baseline=("baseline",), filtered=("accepted", "rejected")) -> list:
+    """The sweep's ``(temperature, ratio, kind)`` points, each temperature checked
+    first: at each temperature the ``baseline`` kinds at ratio 1, then at each
+    ratio the ``filtered`` kinds; by default the streams, in row order."""
+    if not temps:
+        raise InputError("temperatures must be a non-empty list")
+    for temp in temps:
+        SamplerConfig(temperature=temp)
+    return [(temp, *point) for temp in temps
+            for point in [*product([1.0], baseline), *product(ratios, filtered)]]
+
+
+def sweep_boundaries(gen, disc, seed: int, temps, ratios, uc_cfg) -> dict:
+    """``{(temperature, ratio): (u_c, trace)}`` of the filtered points."""
+    return {(temp, ratio): grid_boundary(gen, disc, seed, temp, ratio, uc_cfg)
+            for temp, ratio, _ in sweep_points(temps, ratios, (), ("uc",))}
+
+
+def sweep_streams(gen, disc, seed: int, temps, ratios, boundary, n: int,
+                  max_attempts_per_sample: int = MAX_ATTEMPTS_PER_SAMPLE):
+    """Yield ``(temperature, ratio, kind, value)`` at the points of ``sweep_points(temps,
+    ratios, filtered=GRID_STREAMS)``: the baseline, and a ratio's streams and stats
+    from one ``grid_streams`` call at ``boundary(temperature, ratio)``."""
+    for temp, ratio, kind in sweep_points(temps, ratios, filtered=GRID_STREAMS):
+        if kind == "baseline":
+            values = {kind: grid_baseline(gen, seed, temp, n)}
+        elif kind == "accepted":
+            values = dict(zip(GRID_STREAMS, grid_streams(
+                gen, disc, seed, temp, ratio, boundary(temp, ratio), n, max_attempts_per_sample)))
+        yield temp, ratio, kind, values[kind]
+
+
+def sweep_rows(scorer: MetricScorer, temps, ratios, stream) -> list[dict]:
+    """``scorer``'s rows of the points whose ``stream(temperature, ratio, kind)`` has rows."""
+    return [scorer.row(*point, samples) for point in sweep_points(temps, ratios)
+            if len(samples := stream(*point))]
 
 
 def temperature_sweep(gen, scorer: MetricScorer, temps, n_per_point: int, *,
@@ -486,28 +517,21 @@ def temperature_sweep(gen, scorer: MetricScorer, temps, n_per_point: int, *,
     """Metric grid over softmax temperatures for up to three streams.
 
     For every temperature: the unfiltered baseline, then per acceptance
-    ratio the accepted and rejected streams, each scored by ``scorer``.
-    The boundary is re-estimated at each temperature because the proposal
-    distribution changes with it. The grid's streams and boundaries are
-    seeded with ``scorer.seed``, as the pipeline seeds them with its own.
+    ratio the accepted and rejected streams, each scored by ``scorer``. The
+    boundary is re-estimated at each temperature because the proposal
+    distribution changes with it; the grid is seeded with ``scorer.seed``.
+    One temperature at a time, so that its n-gram sampling table is made
+    once, this makes the pipeline's estimate-uc, sample and evaluate calls,
+    and so reproduces a pipeline's ``sweep.csv`` by construction.
     """
     temps = list(temps)
-    if not temps:
-        raise InputError("temperatures must be a non-empty list")
-    for temp in temps:  # grid_sampler checks every temperature before any row
-        grid_sampler(scorer.seed, temp)
+    sweep_points(temps, c_values)  # checks every temperature before any point runs
     if c_values and disc is None:
         raise InputError("filtered streams need a discriminator")
     seed = scorer.seed
-    rows = []
-    for temp in temps:
-        rows.append(scorer.row(temp, 1.0, "baseline",
-                               grid_baseline(gen, seed, temp, n_per_point)))
-        for ratio in c_values:
-            boundary, _ = grid_boundary(gen, disc, seed, temp, ratio, uc_cfg)
-            accepted, rejected, _ = grid_streams(gen, disc, seed, temp, ratio, boundary,
-                                                 n_per_point)
-            rows.append(scorer.row(temp, ratio, "accepted", accepted))
-            if rejected is not None:
-                rows.append(scorer.row(temp, ratio, "rejected", rejected))
-    return SweepReport(rows)
+    def rows_at(temp) -> list[dict]:
+        u_c = sweep_boundaries(gen, disc, seed, [temp], c_values, uc_cfg)
+        streams = {(t, c, kind): value for t, c, kind, value in sweep_streams(
+            gen, disc, seed, [temp], c_values, lambda *pair: u_c[pair][0], n_per_point)}
+        return sweep_rows(scorer, [temp], c_values, lambda *point: streams[point])
+    return SweepReport(list(chain.from_iterable(map(rows_at, temps))))

@@ -99,6 +99,13 @@ def test_reverse_lm_minimum_is_one_constant(tmp_path):
     # both would write the T1 artifacts
     ({"temperatures": [1.0, 1.0000001]},
      "temperatures entries must differ in their {:g} artifact names, got [1.0, 1.0000001]"),
+    # fewer rows than a requested metric or the classifier needs
+    ({"metrics": ["bleu", "selfbleu"], "eval": {"n_samples": 1}},
+     "eval.n_samples must be >= 2 when 'selfbleu' is requested"),
+    ({"metrics": ["err"], "eval": {"n_samples": 2}},
+     "eval.n_samples must be >= 3 when 'err' is requested"),
+    ({"data_sizes": {"train": 1, "valid": 1, "test": 1}},
+     "data_sizes.train must be >= 2 for the classifier"),
 ])
 def test_mistyped_config_values_are_config_errors(tmp_path, overrides, problem):
     path = _write_config(tmp_path, **overrides)
@@ -649,6 +656,36 @@ def test_short_rejected_stream_leaves_the_reverse_lm_cell_empty(tmp_path):
                  "--gen", str(out / "gen.json"), "--metrics", "rlm",
                  "--out", str(tmp_path / "rlm.json")])
     assert code == 3
+
+
+def test_a_stream_too_short_for_a_metric_leaves_its_cell_empty(tmp_path):
+    # seed 5 rejects one row at c = 0.995: too few for self-BLEU and for the
+    # 5-dimensional FED of s2, enough for BLEU and the LM score
+    path = _write_config(tmp_path, seed=5, scenario="s2", filter={"c": [0.995]},
+                         discriminator={"lr": 0.05, "batch_size": 256, "max_epochs": 40,
+                                        "patience": 8},
+                         metrics=["bleu", "selfbleu", "lm", "fed"], eval={"n_samples": 40})
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert len((out / "samples_T1_c0.995_rejected.txt").read_text().splitlines()) == 1
+    with open(out / "sweep.csv") as fh:
+        rows = {r["stream"]: r for r in csv.DictReader(fh)}
+    assert rows["rejected"]["self_bleu5"] == rows["rejected"]["fed"] == ""
+    assert rows["rejected"]["bleu5"] != "" and rows["rejected"]["lm_score"] != ""
+    assert all(rows[stream][col] != "" for stream in ("baseline", "accepted")
+               for col in ("bleu5", "self_bleu5", "lm_score", "fed"))
+
+
+def test_every_written_file_is_the_artifact_of_one_stage(tmp_path):
+    # the sweep's points name the estimate-uc and sample artifacts
+    cfg = validate_config(_write_config(tmp_path, filter={"c": [1, 0.5]},
+                                        temperatures=[0.9, 1.2]))
+    out = tmp_path / "run"
+    manifest = run_pipeline(cfg, out)
+    declared = [a["path"] for stage in manifest["stages"] for a in stage["artifacts"]]
+    written = [p.name for p in out.iterdir() if p.name != "manifest.json"]
+    assert len(declared) == 4 + 1 + 2 + 2 * 2 + 2 * (1 + 2 * 3) + 3
+    assert sorted(declared) == sorted(written)
 
 
 def test_stage_subcommands_reproduce_the_pipeline_on_its_files(tmp_path):

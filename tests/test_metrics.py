@@ -12,8 +12,8 @@ from filtergen import (BleuConfig, Corpus, InputError, MarkovModel, NGramConfig,
                        SamplerConfig, bleu, build_vocab, embed,
                        encode_corpus, fed, fit_ppmi_svd, lm_score, perplexity,
                        reverse_lm_score, self_bleu, synth_markov)
-from filtergen.metrics import (_EPSILON, SWEEP_COLUMNS, MetricScorer, _cooccurrences,
-                               temperature_sweep)
+from filtergen.metrics import (_EPSILON, KNOWN_METRICS, MIN_ROWS, SWEEP_COLUMNS, MetricScorer,
+                               _cooccurrences, temperature_sweep)
 
 
 @pytest.fixture(scope="module")
@@ -558,3 +558,32 @@ def test_scorer_fits_the_oracle_lm_only_for_lm(s2, monkeypatch):
     assert fits[0][2] == everything.lm_config == without.lm_config
     with pytest.raises(InputError, match="not requested"):
         without.cells(samples, 3, ("lm",))
+
+
+def test_a_short_stream_leaves_empty_the_cells_of_the_metrics_it_is_too_short_for(s2):
+    # each metric scores a stream of at least min_rows rows and raises below
+    # it; a sweep row leaves the cell of a metric the stream is too short for
+    # empty, and scores the rest
+    scorer = MetricScorer(KNOWN_METRICS, real_train=s2.train, real_test=s2.test,
+                          fixed_length=s2.length, seed=2,
+                          disc_cfg=fg.DiscConfig(batch_size=8, max_epochs=2, patience=1))
+    assert scorer.embedding.dim == 5  # s2's 3 content tokens, BOS and EOS
+    assert scorer.min_rows == {**MIN_ROWS, "fed": 6}
+    assert MIN_ROWS == {"bleu": 1, "selfbleu": 2, "lm": 1, "rlm": 1000, "fed": None, "err": 3}
+    samples = s2.generator.sample_corpus(6, SamplerConfig(max_len=s2.length),
+                                         np.random.default_rng(0))
+    for n in range(1, 7):
+        row = scorer.row(1.0, 0.5, "rejected", samples[:n])
+        for metric, column in zip(KNOWN_METRICS, SWEEP_COLUMNS[3:]):
+            if n < scorer.min_rows[metric]:
+                assert column not in row, (n, metric)
+                with pytest.raises(InputError):
+                    scorer.cells(samples[:n], 0, (metric,))
+            else:
+                assert math.isfinite(row[column]), (n, metric)
+
+
+def test_sweep_checks_every_temperature_before_any_point(s2, monkeypatch):
+    monkeypatch.setattr(fg.metrics, "grid_baseline", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(InputError, match="temperature"):
+        temperature_sweep(s2.generator, _scorer(s2, ("bleu",), 1), [1.0, 0.0], 10)
