@@ -43,8 +43,8 @@ from .filtering import MAX_ATTEMPTS_PER_SAMPLE, BoundaryEstimateConfig, FilterSt
 from .filtering import estimate_boundary, sample_filtered  # noqa: F401
 from .genmodel import NeuralConfig, NGramConfig, train_mle
 from .metrics import (GRID_STREAMS, KNOWN_METRICS, MIN_ROWS, SWEEP_COLUMNS, MetricScorer,
-                      SweepReport, grid_boundary, grid_streams, sweep_boundaries, sweep_points,
-                      sweep_rows, sweep_streams)
+                      SweepReport, embedding_dim, grid_boundary, grid_streams, sweep_boundaries,
+                      sweep_points, sweep_rows, sweep_streams)
 from .oracle import exact_boundary, exact_filtered_distribution, tv_distance
 from .scenarios import SCENARIO_NAMES, build_scenario, load_spec
 from .seeding import derive_seed
@@ -347,14 +347,15 @@ class _Pipeline:
     def _stage_data(self) -> None:
         cfg = self.cfg
         if self.scenario is not None:
-            for name in _SPLITS:
-                save_corpus(getattr(self.scenario, name), self.out / f"{name}.txt")
-            self.scenario.vocab.save(self.out / "vocab.json")
+            vocab = self.scenario.vocab
+            splits = {name: getattr(self.scenario, name) for name in _SPLITS}
         else:
             vocab = build_vocab(read_lines(cfg.data["train"]), cfg.data["vocab_size"])
-            vocab.save(self.out / "vocab.json")
-            for name in _SPLITS:
-                save_corpus(load_corpus(cfg.data[name], vocab, name), self.out / f"{name}.txt")
+            splits = {name: load_corpus(cfg.data[name], vocab, name) for name in _SPLITS}
+        _check_splits(splits, cfg.metrics)
+        vocab.save(self.out / "vocab.json")
+        for name, corpus in splits.items():
+            save_corpus(corpus, self.out / f"{name}.txt")
 
     def _corpora(self, *names):
         """The named splits of the data stage, encoded with its vocabulary."""
@@ -422,6 +423,25 @@ class _Pipeline:
             # the smallest ratio: the identity ratio 1 checks no filter at all
             doc = oracle_check(self.scenario, min(cfg.filter_ratios))
             _write_json(self.out / "oracle_report.json", doc, sort_keys=True)
+
+
+def _check_splits(splits: dict, metrics) -> None:
+    """ConfigError for splits too short for a later stage, found before any
+    model is trained: a train split below the classifier's minimum and,
+    when FED is requested, a test split below FED's, the dimension + 1 of
+    the embedding that the train split gives."""
+    problems = []
+    train, test = len(splits["train"]), len(splits["test"])
+    if train < MIN_CLASS_ROWS:
+        problems.append(f"the train split has {train} rows; the classifier needs "
+                        f"at least {MIN_CLASS_ROWS}")
+    if "fed" in metrics:
+        dim = embedding_dim(splits["train"])
+        if test <= dim:
+            problems.append(f"the test split has {test} rows; FED on the train split's "
+                            f"{dim}-dim embedding needs at least {dim + 1}")
+    if problems:
+        raise ConfigError(problems)
 
 
 def _artifact(temp, ratio, kind) -> str:

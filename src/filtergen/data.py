@@ -344,19 +344,26 @@ def _group_keys(key: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     ``top``: one row per distinct key and each row's group, the groups in
     ascending key order."""
     if top < _MARK_KEYS_BELOW:
-        # the scheme TextCNN._forward uses for tokens: a flag per possible
-        # key, the flagged keys ascending, each key's rank, and a row per rank
-        present = np.zeros(top + 1, dtype=bool)
-        present[key] = True
-        values = present.nonzero()[0]
-        rank = np.empty(top + 1, dtype=np.intp)
-        rank[values] = np.arange(len(values))
-        inverse = rank[key]
+        values, inverse = _marked_ranks(key, top)
         distinct = np.empty(len(values), dtype=np.intp)
         distinct[inverse] = np.arange(len(key))
         return distinct, inverse
     order, first, inverse = _dense_ranks(key)
     return order[first], inverse
+
+
+def _marked_ranks(key: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an array of non-negative integers at most
+    ``top``, ascending, and each entry's index among them: what
+    ``np.unique(key, return_inverse=True)`` gives, by a flag per possible
+    value instead of a sort. ``_group_keys`` marks row keys with it and the
+    classifier's token remap (``disc._remap``) marks token ids."""
+    present = np.zeros(top + 1, dtype=bool)
+    present[key] = True
+    values = present.nonzero()[0]
+    rank = np.empty(top + 1, dtype=np.intp)
+    rank[values] = np.arange(len(values))
+    return values, rank[key]
 
 
 def row_groups(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
@@ -367,28 +374,11 @@ def row_groups(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     Two threads that ask at once may both compute it, and get equal arrays.
     """
     if corpus._groups is None:
-        _keep_groups(corpus, _distinct_rows(corpus.ids, corpus.lengths))
+        groups = _distinct_rows(corpus.ids, corpus.lengths)
+        for a in groups:
+            a.flags.writeable = False
+        object.__setattr__(corpus, "_groups", groups)
     return corpus._groups
-
-
-def _slice_with_groups(corpus: Corpus, rows: slice) -> Corpus:
-    """``corpus[rows]`` with its ``row_groups`` derived from the corpus's.
-
-    The slice's rows keep their groups' ranks, which order the groups by
-    key as ``_distinct_rows`` does, so grouping the ranks gives the groups
-    ``_distinct_rows`` would find on the slice's own arrays, in the same
-    order, without packing a key.
-    """
-    distinct, inverse = row_groups(corpus)
-    part = corpus[rows]
-    _keep_groups(part, _group_keys(inverse[rows], len(distinct) - 1))
-    return part
-
-
-def _keep_groups(corpus: Corpus, groups: tuple[np.ndarray, np.ndarray]) -> None:
-    for a in groups:
-        a.flags.writeable = False
-    object.__setattr__(corpus, "_groups", groups)
 
 
 def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,15 +9,18 @@ which makes predictions invariant to appended padding.
 A window's pre-activation is linear in its embeddings, so no window matrix
 is built. With ``W_i`` the rows ``i*de:(i+1)*de`` of a bank's weight, the
 table ``T_i = embed[tokens] @ W_i`` holds every token's term as a window's
-i-th token, over only the ``tokens`` that occur in the batch, and a
+i-th token, over only the ``tokens`` that occur in the rows, and a
 window's pre-activation at position p is ``b + sum_i T_i[local[:, p + i]]``
 (``local`` indexes ``tokens``); the bias is added to ``T_0``'s rows, once
-per token rather than once per window. The relu is applied after the pool,
-which gives the same value. A bank's pre-activations are one
-position-major ``(P, B, k)`` block, gathered with ``take`` on ``local.T``:
-the pool is a max over the leading axis, one contiguous ``(B, k)`` slab
-per position, and padding is masked only when some row is shorter than the
-batch. Both banks' relu'd pools are written into one ``(B, K)`` array.
+per token rather than once per window. ``_forward`` takes its rows so
+remapped: ``_remap`` finds ``tokens`` and ``local``, for each of
+``predict_corpus``'s chunks and for each batch of ``TextCNN._plan``. The
+relu is applied after the pool, which gives the same value. A bank's pre-activations are
+one position-major ``(P, B, k)`` block, gathered with ``take`` on
+``local.T``: the pool is a max over the leading axis, one contiguous
+``(B, k)`` slab per position, and padding is masked only when some row is
+shorter than the batch. Both banks' relu'd pools are written into one
+``(B, K)`` array.
 
 In the backward the pool's gradient reaches only each (row, kernel)'s
 first maximising window. Its position is the number of leading positions
@@ -48,10 +51,20 @@ each distinct row's ``dlogits`` in batch order (one ``bincount``), and
 ``_backward`` runs on the distinct rows with those sums. The loss is
 bit-identical to the full-batch step's and the gradients equal its up to
 rounding; their bits depend on which rows repeat and on the batch's order.
-``_fit`` groups each shuffled epoch's rows once, and each batch, a slice of
-them, takes its groups from the epoch's ranks (``data._slice_with_groups``):
-the same groups, in the same order, as grouping the batch on its own, with
-no key packed per batch.
+
+``_fit`` plans each shuffled epoch once (``TextCNN._plan``). One grouping
+over the epoch's arrays gives every batch's distinct rows (the groups
+``row_groups`` finds on the batch's own rows, in the same order) and each
+batch row's group, and the labels are checked there, once per epoch. Then,
+a few batches at a time (``_PLAN_CELLS``), the plan gathers each batch's
+distinct rows at the batch's width, remaps them (``_remap``) and makes the
+backward's index bases, each distinct row's offset and each bank's
+``local * k``. A step, one ``loss_and_grads`` call on a planned batch,
+runs only the forward, loss and backward that depend on the parameters,
+with the same sums in the same order as on the batch's own ``Corpus``,
+which ``loss_and_grads`` also takes and plans as one batch. ``_fit`` makes
+exactly one call per step, so a tracer that wraps ``loss_and_grads`` sees
+every step.
 
 No sum in the step depends on the BLAS thread count. ``dW_i`` is the one
 product that reduces over many terms, the batch's distinct tokens, and
@@ -66,25 +79,42 @@ the trainable parameters as views of one flat buffer while it trains, and
 ``loss_and_grads`` writes their gradients into views of a second buffer
 of the same layout, so that a momentum step is a few elementwise
 operations on two flat vectors and nothing is concatenated per step. That
-buffer and the forward's pre-activation blocks, its largest arrays, live
-in a ``work`` dict that ``_fit`` keeps for the whole training: the
-allocator would otherwise return the blocks to the system and fault them
-back in at every step. The model itself keeps only its parameters.
+buffer, a frozen embedding's read-only zero gradient and the forward's
+pre-activation blocks, its largest arrays, live in a ``work`` dict that
+``_fit`` keeps for the whole training: the allocator would otherwise return
+the blocks to the system and fault them back in at every step. The model
+itself keeps only its parameters.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import Corpus, _slice_with_groups, corpus_to_arrays, row_groups, split_tail
+from .data import (Corpus, _group_keys, _marked_ranks, corpus_to_arrays, row_groups,
+                   split_tail)
 from .errors import InputError, check_fields, integer, number
 from .genmodel import SamplerConfig
 
 _PROB_CLIP = 1e-12
 # fewest rows of a class a classifier trains on: one to fit, one to validate
 MIN_CLASS_ROWS = 2
+# Most distinct-row positions (rows x width) of the batches that a training
+# plan makes in one go, a few MB of index arrays: a whole epoch of the
+# bundled scenarios' short rows, or four 256-row batches of 64-token rows.
+# On a 2-vCPU VM, making each batch just before its step ran s3's 2-epoch
+# training about 5% slower than making all of them at once, and making a
+# whole epoch's at once raised tools/pipeline_probe.py's peak RSS (36,000
+# rows of up to 64 tokens an epoch) by 130 MB.
+_PLAN_CELLS = 2**16
+# Most flags (batches x vocabulary entries) that one go of a plan marks
+# tokens with: the rank table, 8 bytes a flag, fits a 32 KB L1 data cache.
+# Marking a go's tokens at once rather than batch by batch ran s3's
+# training about 3% faster; across more flags it was slower at V = 2,000.
+_PLAN_FLAGS = 2**12
 # Rows per scoring forward pass: 1024-row chunks keep a bank's (rows, positions,
 # kernels) block in cache on short sequences; 8192 rows ran at half the speed.
 _SCORE_CHUNK = 1024
@@ -168,30 +198,21 @@ class TextCNN:
 
     # -- forward ----------------------------------------------------------
 
-    def _forward(self, ids: np.ndarray, lengths: np.ndarray, work: dict):
-        """Logits of the rows and the cache ``_backward`` reads.
+    def _forward(self, rows: _Rows, work: dict):
+        """Logits of remapped rows (``_remap``) and the cache ``_backward``
+        reads.
 
         The pre-activation blocks are views of buffers kept in ``work``, a
         dict the caller keeps, grown as needed and overwritten by the next
         call with the same dict.
         """
         p = self.params
-        b, l = ids.shape
-        # the tokens that occur, ascending, and each position's index into
-        # them: the same as np.unique(ids, return_inverse=True), by a mark
-        # per vocabulary entry instead of a sort
-        present = np.zeros(len(p["embed"]), dtype=bool)
-        present[ids] = True
-        tokens = present.nonzero()[0]
-        index = np.empty(len(present), dtype=np.intp)
-        index[tokens] = np.arange(len(tokens))
-        local = index[ids]  # (B, L)
-        by_position = np.ascontiguousarray(local.T)  # (L, B)
-        ragged = lengths.min() < l  # else no window reaches padding
-        emb = p["embed"][tokens]  # (U, de)
+        by_position, lengths = rows.by_position, rows.lengths  # (L, B), (B,)
+        l, b = by_position.shape
+        emb = p["embed"][rows.tokens]  # (U, de)
         de = emb.shape[1]
         feats = np.empty((b, len(p["out_w"])))  # each bank's relu'd pools
-        cache = {"tokens": tokens, "local": local, "emb": emb, "feats": feats, "banks": {}}
+        cache = {"emb": emb, "feats": feats, "banks": {}}
         offset = 0
         for w, k in self.banks:
             pooled = feats[:, offset: offset + k]
@@ -216,7 +237,7 @@ class TextCNN:
             for i in range(1, w):
                 tables[i].take(by_position[i:i + positions], axis=0, out=term, mode="clip")
                 pre += term
-            if ragged:
+            if rows.ragged:  # else no window reaches padding
                 pre[np.arange(positions)[:, None] > lengths - w] = -np.inf
             top = pre.max(axis=0)  # (B, k); -inf for a row with no valid window
             np.maximum(top, 0.0, out=pooled)  # relu after the pool
@@ -236,18 +257,26 @@ class TextCNN:
             at += size
         return views
 
-    def _backward(self, cache, dlogits: np.ndarray, grads: dict) -> dict:
+    def _gradient_views(self, flat: np.ndarray) -> dict:
+        """``_trainable_views`` of ``flat`` for the gradients, plus one
+        read-only zero array as a frozen embedding's, which stays zero."""
+        views = self._trainable_views(flat)
+        if self.embed_frozen:
+            views["embed"] = np.zeros_like(self.params["embed"])
+            views["embed"].flags.writeable = False
+        return views
+
+    def _backward(self, batch: _Batch, cache, dlogits: np.ndarray, grads: dict) -> dict:
         """Parameter gradients of the rows ``_forward`` ran on.
 
-        ``cache`` is ``_forward``'s and ``dlogits`` holds one entry per row
-        of it: in training, each distinct row's ``dlogits`` summed over the
-        batch rows it stands for. The trainable parameters' gradients are
-        written into ``grads``, arrays shaped as them such as
-        ``_trainable_views``; a frozen embedding's is set to new zeros.
+        ``batch`` is the planned batch whose ``rows`` went through
+        ``_forward``, ``cache`` is ``_forward``'s and ``dlogits`` holds one
+        entry per row of it: in training, each distinct row's ``dlogits``
+        summed over the batch rows it stands for. The trainable parameters'
+        gradients are written into ``grads``, arrays shaped as them such as
+        ``_trainable_views``; a frozen embedding's entry is not touched.
         """
         p = self.params
-        if self.embed_frozen:
-            grads["embed"] = np.zeros_like(p["embed"])  # stays zero
         feats = cache["feats"]  # (D, K)
         grads["out_w"][...] = feats.T @ dlogits
         grads["out_b"][0] = dlogits.sum()
@@ -255,12 +284,11 @@ class TextCNN:
         # the relu after it only where the pooled value is positive
         dpres = np.where(feats > 0.0, dlogits[:, None] * p["out_w"], 0.0)  # (D, K)
         bias = dpres.sum(axis=0)  # each column alone, row after row
-        local, emb = cache["local"], cache["emb"]
-        (d, l), (u, de) = local.shape, emb.shape
-        row_starts = np.arange(0, d * l, l)[:, None]  # each row's offset into local
+        emb = cache["emb"]
+        (d, _), (u, de) = feats.shape, emb.shape
         demb = np.zeros(emb.shape)
         offset = 0
-        for w, k in self.banks:
+        for (w, k), base in zip(self.banks, batch.slots):
             dpre = dpres[:, offset: offset + k]
             grads[f"conv{w}_b"][...] = bias[offset: offset + k]
             offset += k
@@ -272,16 +300,16 @@ class TextCNN:
                 continue
             pre, top = bank
             # each row's first maximising window, as a flat index into
-            # local: the row's offset plus the number of leading positions
+            # base: the row's start plus the number of leading positions
             # that are not the maximum (at most the last position)
-            first = row_starts.repeat(k, axis=1)
+            first = batch.starts.repeat(k, axis=1)
             behind = np.ones((d, k), dtype=bool)
             for q in range(len(pre) - 1):
                 behind &= pre[q] != top
                 first += behind
             # slots[i, r, j] = t * k + j, t the i-th token of row r's window
             # for kernel j
-            slots = (local.ravel() * k).take(first + np.arange(w)[:, None, None])
+            slots = base.take(first + np.arange(w)[:, None, None])
             slots += np.arange(k)
             weights = dpre.ravel()
             for i in range(w):
@@ -295,48 +323,122 @@ class TextCNN:
                     demb += g @ weight[rows].T
         if not self.embed_frozen:
             grads["embed"][...] = 0.0
-            grads["embed"][cache["tokens"]] = demb
+            grads["embed"][batch.rows.tokens] = demb
         return grads
 
     def loss_and_grads(self, seqs, labels, work: dict | None = None) -> tuple[float, dict]:
         """Mean binary cross-entropy of a batch plus parameter gradients.
 
-        ``labels`` holds one number in [0, 1] per row. The forward pass and
-        the backward run once per distinct (ids, length) row of the batch's
-        ``row_groups``: a row's logit depends on that row alone, so its
-        softplus and sigmoid are gathered back to the batch unchanged, and
-        the backward takes each distinct row's ``dlogits`` summed in batch
-        order. The gradients are the whole batch's up to rounding.
+        ``seqs`` is a ``Corpus``, planned here as one batch, or one batch of
+        ``_plan``, whose labels ``_plan`` has checked. ``labels`` holds one
+        number in [0, 1] per row. The forward pass and the backward run once
+        per distinct (ids, length) row of the batch: a row's logit depends
+        on that row alone, so its softplus and sigmoid are gathered back to
+        the batch unchanged, and the backward takes each distinct row's
+        ``dlogits`` summed in batch order. The gradients are the whole
+        batch's up to rounding. A planned batch carries its rows' token
+        remap and the backward's index bases, so the call does only the
+        math that depends on the parameters; ``_fit`` makes one call per
+        step, which is what a tracer of this method sees.
 
         ``work`` is a dict the caller keeps between steps, or a new one when
         it is None. The first step into it makes the flat float64 gradient
         buffer ``work["grad"]``, laid out in ``trainable()`` order, and its
-        views; every step into ``work`` overwrites them and returns the
-        views. A frozen embedding's gradient is a separate array of zeros.
-        The forward's pre-activation blocks are kept in ``work`` too, so
-        that a training loop does not ask the allocator for its largest
-        arrays anew at every step. One ``work`` serves one model and one
-        step at a time.
+        views, plus one read-only zero array as a frozen embedding's
+        gradient; every step into ``work`` overwrites the buffer and returns
+        the views. The forward's pre-activation blocks are kept in ``work``
+        too, so that a training loop does not ask the allocator for its
+        largest arrays anew at every step. One ``work`` serves one model and
+        one step at a time.
         """
-        ids, lengths = corpus_to_arrays(seqs)
         labels = np.asarray(labels, dtype=np.float64)
-        # NaN fails both comparisons, and so is rejected with the rest
-        if labels.shape != lengths.shape or not (labels.min() >= 0.0 and labels.max() <= 1.0):
-            raise InputError(f"labels must hold one number in [0, 1] per row: "
-                             f"{len(lengths)} rows, labels of shape {labels.shape}")
-        distinct, inverse = row_groups(seqs)
+        batch = seqs if isinstance(seqs, _Batch) else next(self._plan(seqs, labels, len(seqs)))
         work = {} if work is None else work
         if "grad" not in work:
             work["grad"] = np.empty(sum(self.params[k].size for k in self.trainable()))
-            work["grad_views"] = self._trainable_views(work["grad"])
-        logits, cache = self._forward(ids[distinct], lengths[distinct], work)
+            work["grad_views"] = self._gradient_views(work["grad"])
+        inverse = batch.inverse
+        logits, cache = self._forward(batch.rows, work)
         # stable BCE-with-logits: softplus(logit) - y * logit
         terms = np.logaddexp(0.0, logits)[inverse]
         terms -= labels * logits[inverse]
         loss = float(terms.sum() / len(terms))
         dlogits = (_sigmoid(logits)[inverse] - labels) / len(labels)
-        summed = np.bincount(inverse, weights=dlogits, minlength=len(distinct))
-        return loss, self._backward(cache, summed, work["grad_views"])
+        summed = np.bincount(inverse, weights=dlogits, minlength=len(logits))
+        return loss, self._backward(batch, cache, summed, work["grad_views"])
+
+    def _plan(self, seqs: Corpus, labels: np.ndarray, batch_size: int) -> Iterator[_Batch]:
+        """The batches of ``batch_size`` consecutive rows of ``seqs`` (the
+        last may be shorter), each planned for ``loss_and_grads``.
+
+        ``labels`` holds one number in [0, 1] per row, checked here, once
+        for every batch. A batch's ``rows`` and ``inverse`` are what
+        ``row_groups`` and ``_remap`` give on ``seqs[batch]``'s own arrays.
+        The groups of every batch come from one grouping of keys over the
+        whole corpus, here: a row's key is its batch times the corpus's
+        group count plus its group's rank, and ascending keys list each
+        batch's groups in the order ``_distinct_rows`` gives on the batch
+        alone. The iterator makes the rest a chunk of batches at a time, at
+        most ``_PLAN_CELLS`` distinct-row positions and ``_PLAN_FLAGS``
+        flags, and at least one batch: it gathers the chunk's distinct rows
+        at its widest batch's width and marks their tokens at once
+        (``data._marked_ranks``), with the key ``batch * V + id`` and, past
+        a batch's width, a spare key that no batch's tokens include. The
+        backward's bases, ``local * k`` per bank and each distinct row's
+        offset in it, are one array each for the chunk.
+        """
+        ids, lengths = corpus_to_arrays(seqs)
+        # NaN fails both comparisons, and so is rejected with the rest
+        if labels.shape != lengths.shape or not (labels.min() >= 0.0 and labels.max() <= 1.0):
+            raise InputError(f"labels must hold one number in [0, 1] per row: "
+                             f"{len(lengths)} rows, labels of shape {labels.shape}")
+        groups, ranks = row_groups(seqs)
+        batch_of = np.arange(len(lengths)) // batch_size
+        count = int(batch_of[-1]) + 1
+        distinct, inverse = _group_keys(batch_of * len(groups) + ranks, count * len(groups) - 1)
+        owner = batch_of[distinct]  # each distinct row's batch, ascending
+        # the distinct rows of batch b are distinct[bounds[b]:bounds[b + 1]]
+        bounds = np.searchsorted(owner, np.arange(count + 1))
+        inverse -= bounds[batch_of]  # each row's index among its batch's groups
+        lengths = lengths[distinct]
+        widths = np.maximum.reduceat(lengths, bounds[:-1])  # each batch's longest row
+        ragged = (np.minimum.reduceat(lengths, bounds[:-1]) < widths).tolist()
+        vocab = len(self.params["embed"])
+        most_rows = max(1, _PLAN_CELLS // ids.shape[1])
+        most_batches = max(1, _PLAN_FLAGS // vocab)
+
+        def batches():
+            first = 0
+            while first < count:
+                end = int(np.searchsorted(bounds, bounds[first] + most_rows, "right")) - 1
+                end = max(first + 1, min(first + most_batches, end))
+                lo, hi = bounds[first], bounds[end]
+                width = int(widths[first:end].max())
+                # the chunk's tokens marked at once: key (batch - first) * V +
+                # id, and past a batch's width a spare key no batch includes
+                chunk = owner[lo:hi] - first
+                key = ids[distinct[lo:hi], :width]
+                key += (chunk * vocab)[:, None]
+                spare = (end - first) * vocab
+                if widths[first:end].min() < width:
+                    key[np.arange(width) >= widths[owner[lo:hi]][:, None]] = spare
+                values, local = _marked_ranks(key, spare)
+                token_bounds = np.searchsorted(values, np.arange(end - first + 1) * vocab)
+                local -= token_bounds[chunk][:, None]
+                tokens = values % vocab
+                starts = np.arange(0, local.size, width)[:, None]
+                slots = tuple(local.ravel() * k for _, k in self.banks)
+                for b in range(first, end):
+                    rows = slice(bounds[b] - lo, bounds[b + 1] - lo)
+                    block = local[rows, :widths[b]]
+                    remapped = _Rows(lengths[bounds[b]: bounds[b + 1]],
+                                     tokens[token_bounds[b - first]: token_bounds[b - first + 1]],
+                                     block, np.ascontiguousarray(block.T), ragged[b])
+                    yield _Batch(remapped, inverse[b * batch_size: (b + 1) * batch_size],
+                                 starts[rows], slots)
+                first = end
+
+        return batches()
 
     # -- inference --------------------------------------------------------
 
@@ -354,12 +456,55 @@ class TextCNN:
         out = np.empty(len(lengths))
         work = {}  # the chunks' blocks, grown as the rows widen
         for start in range(0, len(lengths), _SCORE_CHUNK):
-            rows = slice(start, start + _SCORE_CHUNK)
+            chunk = slice(start, start + _SCORE_CHUNK)
             # as wide as the chunk's longest row, as if packed on its own
-            width = int(lengths[rows].max())
-            logits, _ = self._forward(ids[rows, :width], lengths[rows], work)
-            out[rows] = _sigmoid(logits)
+            width = int(lengths[chunk].max())
+            rows = _remap(ids[chunk, :width], lengths[chunk], len(self.params["embed"]))
+            logits, _ = self._forward(rows, work)
+            out[chunk] = _sigmoid(logits)
         return np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)[inverse]
+
+
+class _Rows(NamedTuple):
+    """Rows of token ids as ``TextCNN._forward`` reads them (``_remap``).
+
+    ``tokens`` holds the ids that occur in the rows, ascending, ``local``
+    the ``(D, L)`` index of each position's id into ``tokens``,
+    ``by_position`` its contiguous transpose, and ``ragged`` whether some
+    row is shorter than ``L``, so that windows can reach padding.
+    """
+
+    lengths: np.ndarray
+    tokens: np.ndarray
+    local: np.ndarray
+    by_position: np.ndarray
+    ragged: bool
+
+
+class _Batch(NamedTuple):
+    """One training batch of ``TextCNN._plan``.
+
+    ``rows`` are the batch's distinct (ids, length) rows at its width, in
+    ``row_groups`` order, remapped, and ``inverse`` gives each batch row's
+    distinct row. ``slots`` holds the backward's index base of each bank,
+    ``local * k`` of the rows at some width, flattened, and ``starts`` the
+    ``(D, 1)`` offset of each distinct row in it.
+    """
+
+    rows: _Rows
+    inverse: np.ndarray
+    starts: np.ndarray
+    slots: tuple
+
+
+def _remap(ids: np.ndarray, lengths: np.ndarray, vocab_size: int) -> _Rows:
+    """The rows of an id matrix and their lengths, remapped to the tokens
+    that occur in them: the same tokens and indices as
+    ``np.unique(ids, return_inverse=True)``, by a flag per vocabulary entry
+    instead of a sort (``data._marked_ranks``)."""
+    tokens, local = _marked_ranks(ids, vocab_size - 1)
+    return _Rows(lengths, tokens, local, np.ascontiguousarray(local.T),
+                 bool(lengths.min() < ids.shape[1]))
 
 
 def _blocks(work: dict, key, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -483,15 +628,15 @@ def _fit(disc: TextCNN, pair_provider, real_val, fake_val, cfg: DiscConfig,
         assert len(pos) == len(neg)  # balanced classes by construction
         seqs = Corpus.concat([pos, neg])
         labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-        # shuffled once per epoch, so that each batch is a slice whose rows'
-        # groups come from the epoch's, found once
+        # shuffled and planned once per epoch: each step runs only the
+        # math that depends on the parameters
         order = rng.permutation(len(seqs))
         seqs, labels = seqs[order], labels[order]
         total_loss, seen = 0.0, 0
-        for start in range(0, len(seqs), cfg.batch_size):
-            batch = slice(start, start + cfg.batch_size)
-            batch_labels = labels[batch]
-            loss, _ = disc.loss_and_grads(_slice_with_groups(seqs, batch), batch_labels, work)
+        # run to its end, so that the plan lets go of the epoch's arrays
+        for batch in disc._plan(seqs, labels, cfg.batch_size):
+            batch_labels = labels[seen: seen + len(batch.inverse)]
+            loss, _ = disc.loss_and_grads(batch, batch_labels, work)
             grad = work["grad"]
             grad *= cfg.lr
             velocity *= cfg.momentum

@@ -21,7 +21,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .data import BOS, EOS, Corpus, _gram_ranks, row_groups
+from .data import BOS, EOS, Corpus, _gram_ranks, _valid_mask, row_groups
 from .disc import MIN_CLASS_ROWS, DiscConfig, error_rate, train_discriminator_corpora
 from .errors import InputError
 from .filtering import (MAX_ATTEMPTS_PER_SAMPLE, BoundaryEstimateConfig, FilteredGenerator,
@@ -216,6 +216,19 @@ class EmbeddingModel:
         return self.vectors.shape[1]
 
 
+def _seen_tokens(ids: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The ids at the ``valid`` positions, plus BOS and EOS, ascending: the
+    tokens that ``fit_ppmi_svd`` embeds."""
+    return np.union1d(ids[valid], [BOS, EOS])
+
+
+def embedding_dim(corpus: Corpus, dim: int = 64) -> int:
+    """The dimension of ``fit_ppmi_svd(corpus, dim)``'s vectors, without
+    fitting them: ``dim``, capped by the number of tokens it embeds."""
+    valid = _valid_mask(corpus.lengths, corpus.ids.shape[1])
+    return min(dim, len(_seen_tokens(corpus.ids, valid)))
+
+
 def _cooccurrences(corpus: Corpus, window: int) -> tuple[np.ndarray, np.ndarray]:
     """The token ids seen (plus BOS and EOS) and their co-occurrence counts.
 
@@ -226,7 +239,7 @@ def _cooccurrences(corpus: Corpus, window: int) -> tuple[np.ndarray, np.ndarray]
     ids, lengths = corpus.ids, corpus.lengths
     n, width = ids.shape
     valid = np.arange(width)[None, :] < lengths[:, None]
-    seen = np.union1d(ids[valid], [BOS, EOS])
+    seen = _seen_tokens(ids, valid)
     k = len(seen)
     index = np.zeros(len(corpus.vocab), dtype=np.int64)
     index[seen] = np.arange(k)
@@ -266,7 +279,7 @@ def fit_ppmi_svd(corpus: Corpus, dim: int = 64) -> EmbeddingModel:
         np.fmax(np.log(np.divide(cooc, ppmi, out=ppmi), out=ppmi), 0.0, out=ppmi)
     del cooc
     u, s, _ = np.linalg.svd(ppmi, full_matrices=False)
-    d = min(dim, k)
+    d = min(dim, k)  # the dimension embedding_dim reports
     vecs = u[:, :d] * np.sqrt(s[:d])
     # stabilize the SVD sign convention
     vecs *= np.where(np.abs(vecs).max(axis=0) == vecs.max(axis=0), 1.0, -1.0)

@@ -180,6 +180,41 @@ def test_data_mode_config_errors_exit_before_any_stage(tmp_path, generator, data
     assert not (tmp_path / "run").exists()
 
 
+def _one_line_train(tmp_path):
+    path = _data_config(tmp_path, {}, filter={"c": [1.0]}, metrics=["bleu"],
+                        eval={"n_samples": 100})
+    train = Path(json.loads(path.read_text())["data"]["train"])
+    train.write_text(train.read_text().splitlines()[0] + "\n")
+    return path, "the train split has 1 rows; the classifier needs at least 2"
+
+
+def _short_fed_test(tmp_path, test=5):
+    # s2's train split embeds in 5 dimensions, so FED needs 6 test rows
+    return _write_config(tmp_path, seed=1, scenario="s2",
+                         data_sizes={"train": 200, "valid": 20, "test": test},
+                         discriminator={"max_epochs": 2}, filter={"c": [0.5]},
+                         metrics=["bleu", "fed"], eval={"n_samples": 50}), \
+        "the test split has 5 rows; FED on the train split's 5-dim embedding needs at least 6"
+
+
+@pytest.mark.parametrize("split", [_one_line_train, _short_fed_test])
+def test_splits_a_later_stage_cannot_use_exit_2_at_the_data_stage(tmp_path, capsys, split):
+    # both got past the data stage and ended in exit 3 at a later one
+    path, problem = split(tmp_path)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+    assert not any(out.iterdir())  # no stage wrote anything
+
+
+def test_a_test_split_at_fed_s_minimum_gets_past_the_data_stage(tmp_path):
+    path, _ = _short_fed_test(tmp_path, test=6)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == 0
+    with open(out / "sweep.csv") as fh:
+        assert all(row["fed"] != "" for row in csv.DictReader(fh))
+
+
 def test_data_mode_ngram_generator_artifact_is_pinned(tmp_path):
     # no kind means ngram; the digest was recorded with an explicit kind,
     # before the generator section was built from NGramConfig

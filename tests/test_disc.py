@@ -15,6 +15,20 @@ FAST = DiscConfig(embed_dim=8, kernels2=8, kernels3=8, lr=0.1, batch_size=128,
                   max_epochs=60, patience=5, seed=0)
 
 
+def _rows(disc, ids, lengths):
+    # the forward's input: the rows remapped as predict_corpus's chunks are
+    return fg.disc._remap(np.asarray(ids), np.asarray(lengths), len(disc.vocab))
+
+
+def _unplanned(disc, ids, lengths):
+    # one training batch of the rows as given, none grouped, with the
+    # backward's index bases at the rows' own width
+    rows = _rows(disc, ids, lengths)
+    d, width = rows.local.shape
+    return fg.disc._Batch(rows, np.arange(d), np.arange(0, d * width, width)[:, None],
+                          tuple(rows.local.ravel() * k for _, k in disc.banks))
+
+
 def _start_token_sources(length=4):
     # real sequences start with "a", generated ones with "b"; neither start
     # token ever recurs, so the distinguishing windows are unambiguous for a
@@ -116,8 +130,8 @@ def test_padding_never_changes_predictions():
     from filtergen.data import PAD, corpus_to_arrays
     ids, lengths = corpus_to_arrays(seqs)
     padded = np.concatenate([ids, np.full((3, 4), PAD)], axis=1)
-    logits_a, _ = disc._forward(ids, lengths, {})
-    logits_b, _ = disc._forward(padded, lengths, {})
+    logits_a, _ = disc._forward(_rows(disc, ids, lengths), {})
+    logits_b, _ = disc._forward(_rows(disc, padded, lengths), {})
     assert np.abs(logits_a - logits_b).max() <= 1e-9
 
 
@@ -294,9 +308,9 @@ def test_logits_do_not_depend_on_the_batch_or_on_padding(pool, extra_pad):
     # logit is bit-identical whatever rows and PAD columns surround it
     ids, lengths = fg.data.corpus_to_arrays(Corpus(_DISC.vocab, pool))
     padded = np.concatenate([ids, np.full((len(pool), extra_pad), fg.data.PAD)], axis=1)
-    batch, _ = _DISC._forward(padded, lengths, {})
+    batch, _ = _DISC._forward(_rows(_DISC, padded, lengths), {})
     for i, row in enumerate(pool):
-        alone, _ = _DISC._forward(np.array([row]), np.array([len(row)]), {})
+        alone, _ = _DISC._forward(_rows(_DISC, [row], [len(row)]), {})
         assert batch[i] == alone[0]
 
 
@@ -442,17 +456,30 @@ def test_distinct_rows_switch_paths_at_the_key_bound(monkeypatch):
         _check_distinct_rows(ids, lengths)
 
 
-def _check_slice_groups(corpus, batch_size):
-    # every batch slice's groups, derived from the whole corpus's, equal
-    # _distinct_rows on the slice's own (trimmed) arrays
-    for start in range(0, len(corpus), batch_size):
-        part = fg.data._slice_with_groups(corpus, slice(start, start + batch_size))
-        assert part == corpus[start:start + batch_size]
+def _check_plan(corpus, batch_size):
+    # every planned batch against row_groups and _remap on the batch's own
+    # corpus[batch]: its distinct rows at its width, inverse, token remap
+    # and ragged flag, and index bases that hold local * k of its rows
+    disc = TextCNN(corpus.vocab, DiscConfig(embed_dim=2, kernels2=3, kernels3=5),
+                   np.random.default_rng(0))
+    batches = list(disc._plan(corpus, np.zeros(len(corpus)), batch_size))
+    starts = range(0, len(corpus), batch_size)
+    assert len(batches) == len(starts)
+    for start, batch in zip(starts, batches):
+        part = corpus[start:start + batch_size]
         distinct, inverse = fg.data.row_groups(part)
-        ref_distinct, ref_inverse = _distinct_rows(part.ids, part.lengths)
-        assert np.array_equal(part.ids[distinct], part.ids[ref_distinct])
-        assert np.array_equal(part.lengths[distinct], part.lengths[ref_distinct])
-        assert np.array_equal(inverse, ref_inverse)
+        ids, lengths = part.ids[distinct], part.lengths[distinct]
+        rows, ref = batch.rows, fg.disc._remap(ids, lengths, len(corpus.vocab))
+        assert np.array_equal(batch.inverse, inverse)
+        assert rows.local.shape == ids.shape  # the batch's width
+        assert np.array_equal(rows.tokens[rows.local], ids)  # its distinct rows
+        for name in ("lengths", "tokens", "local", "by_position"):
+            assert np.array_equal(getattr(rows, name), getattr(ref, name)), name
+        assert rows.by_position.flags.c_contiguous
+        assert rows.ragged == ref.ragged
+        at = batch.starts + np.arange(ids.shape[1])
+        for (_, k), base in zip(disc.banks, batch.slots):
+            assert np.array_equal(base[at], rows.local * k)
 
 
 _WIDE_VOCAB = fg.data.Vocab(f"w{i}" for i in range(10_000))  # 10,004 ids
@@ -460,14 +487,18 @@ _WIDE_VOCAB = fg.data.Vocab(f"w{i}" for i in range(10_000))  # 10,004 ids
 
 @settings(max_examples=150, deadline=None)
 @given(width=st.integers(1, 6), vocab=st.sampled_from([5, 9, 10_004]),
-       bound=st.sampled_from([0, 3, 2**15]), data=st.data())
-def test_a_slice_s_groups_equal_the_distinct_rows_of_its_own_arrays(width, vocab, bound,
-                                                                   data):
-    # ragged rows from a small pool, shuffled, cut into batches of any size;
-    # a bound of 0 sorts every key, 3 marks only when few groups occur, and
-    # 2**15 marks; at V = 10,004 and width 5 or 6 the whole corpus's key is
-    # re-ranked on the way
-    row = st.lists(st.integers(4, vocab - 1), min_size=1, max_size=width)
+       bound=st.sampled_from([0, 3, 2**15]), cells=st.sampled_from([1, 20, 2**16]),
+       data=st.data())
+def test_a_plan_s_batches_equal_the_groups_and_remap_of_their_own_arrays(width, vocab,
+                                                                         bound, cells, data):
+    # ragged rows from a small pool, any id among them, shuffled, cut into
+    # batches of any size; a bound of 0 sorts every key, 3 marks only when
+    # few (batch, group) keys occur, and 2**15 marks; the plan makes one
+    # batch at a time at 1 cell, a few at 20 and, at V = 5 and 9, all of
+    # them at 2**16 (at V = 10,004 one at a time, for the flags); at
+    # V = 10,004 and width 5 or 6 the whole corpus's key is re-ranked on
+    # the way
+    row = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=width)
     pool = data.draw(st.lists(row, min_size=1, max_size=8))
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
     words = _WIDE_VOCAB if vocab == 10_004 else fg.build_vocab(["a b c d e"], max_size=vocab - 4)
@@ -476,10 +507,20 @@ def test_a_slice_s_groups_equal_the_distinct_rows_of_its_own_arrays(width, vocab
     batch_size = data.draw(st.integers(1, len(picks) + 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fg.data, "_MARK_KEYS_BELOW", bound)
-        _check_slice_groups(corpus[order], batch_size)
+        mp.setattr(fg.disc, "_PLAN_CELLS", cells)
+        _check_plan(corpus[order], batch_size)
 
 
-def test_a_slice_s_groups_equal_distinct_rows_after_re_ranks():
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+def test_a_plan_s_narrower_batches_leave_out_the_padding_past_their_width(batch_size):
+    # batches of 3-token rows planned in one go with wider ones: past their
+    # width the gathered rows hold PAD, none of their tokens
+    vocab = fg.build_vocab(["a b c d e"], max_size=5)
+    _check_plan(Corpus(vocab, [(4, 5, 6), (4, 5, 6, 7, 8), (6, 6, 6), (5, 7, 4), (5,)]),
+                batch_size)
+
+
+def test_a_plan_s_batches_equal_their_own_groups_after_re_ranks():
     # test_distinct_rows_re_rank_a_key_before_it_overflows's rows: V = 10,004
     # at width 64, the key re-ranked many times; shuffled, in batches of 256
     rng = np.random.default_rng(21)
@@ -489,7 +530,7 @@ def test_a_slice_s_groups_equal_distinct_rows_after_re_ranks():
                     rng.integers(4, vocab, size=(300, width)), fg.data.PAD)
     picks = rng.integers(0, 300, size=5000)
     corpus = Corpus.from_arrays(_WIDE_VOCAB, pool[picks], lengths[picks])
-    _check_slice_groups(corpus[rng.permutation(len(corpus))], 256)
+    _check_plan(corpus[rng.permutation(len(corpus))], 256)
 
 
 def test_row_groups_are_found_once_per_corpus(monkeypatch):
@@ -522,8 +563,11 @@ def test_loss_and_grads_fill_out_with_the_bytes_of_a_fresh_call(s3, frozen):
     for step in range(2):  # a second call into the same work overwrites it alike
         out_loss, views = disc.loss_and_grads(batch, labels, work)
         if step == 0:
-            buf = work["grad"]
+            buf, embed = work["grad"], views["embed"]
         assert work["grad"] is buf
+        assert views["embed"] is embed
+        # a frozen embedding's gradient is one read-only zero array
+        assert views["embed"].flags.writeable != frozen
         assert out_loss == loss
         assert views.keys() == grads.keys()
         at = 0
@@ -775,12 +819,11 @@ def _per_row_loss_and_grads(disc, ids, lengths, labels):
     return loss, _batch_major_backward(disc, cache, dlogits), cache, dlogits
 
 
-def _grouped_loss_and_grads(disc, seqs, labels, work=None):
+def _grouped_loss_and_grads(disc, seqs, labels):
     # the training step on the batch-major kernels with the batch's rows
     # grouped by the lexsort reference: the loss over every row, and the
     # backward on one row per group, with the group's dlogits added up one
-    # batch row after another; the trainable gradients are also copied into
-    # work["grad"], one after another, as training reads them
+    # batch row after another
     ids, lengths = fg.data.corpus_to_arrays(seqs)
     labels = np.asarray(labels, dtype=np.float64)
     loss, _, _, dlogits = _per_row_loss_and_grads(disc, ids, lengths, labels)
@@ -789,11 +832,7 @@ def _grouped_loss_and_grads(disc, seqs, labels, work=None):
     for row, group in enumerate(groups):
         summed[group] += dlogits[row]
     _, cache = _batch_major_forward(disc, ids[rows], lengths[rows])
-    grads = _batch_major_backward(disc, cache, summed)
-    if work is not None:
-        flat = np.concatenate([grads[k].ravel() for k in disc.trainable()])
-        work.setdefault("grad", np.empty(len(flat)))[...] = flat
-    return loss, grads
+    return loss, _batch_major_backward(disc, cache, summed)
 
 
 def _two_branch_sigmoid(x):
@@ -838,14 +877,15 @@ def test_projected_table_kernels_match_window_matrix_reference(seed, frozen):
     batches += [_full_width_batch(full_rng, len(vocab), rows=23, width=5),
                 _full_width_batch(full_rng, len(vocab), rows=11, width=3)]
     for ids, lengths in batches:
-        logits, cache = disc._forward(ids, lengths, {})
+        batch = _unplanned(disc, ids, lengths)
+        logits, cache = disc._forward(batch.rows, {})
         ref_logits, ref_cache = _reference_forward(disc, ids, lengths)
         assert np.allclose(logits, ref_logits, rtol=0.0, atol=1e-12)
         exact_logits, exact_cache = _batch_major_forward(disc, ids, lengths)
         assert np.array_equal(logits, exact_logits)
         dlogits = rng.standard_normal(len(lengths))
         size = sum(disc.params[k].size for k in disc.trainable())
-        grads = disc._backward(cache, dlogits, disc._trainable_views(np.empty(size)))
+        grads = disc._backward(batch, cache, dlogits, disc._gradient_views(np.empty(size)))
         ref = _reference_backward(disc, ref_cache, dlogits)
         assert grads.keys() == ref.keys()
         for name in ref:
@@ -913,7 +953,8 @@ def test_loss_and_grads_equal_the_full_batch_kernels_bit_for_bit(s3, frozen):
     ids, lengths = fg.data.corpus_to_arrays(batches["length-only"])
     assert (ids == ids[0]).all(axis=1).sum() == 4 and len(set(lengths)) == 3
     ids, lengths = fg.data.corpus_to_arrays(batches["short"])
-    _, cache = _step_disc(batches["short"].vocab, frozen, 0)._forward(ids, lengths, {})
+    disc = _step_disc(batches["short"].vocab, frozen, 0)
+    _, cache = disc._forward(_rows(disc, ids, lengths), {})
     assert cache["banks"][3] is None
     ids, _ = fg.data.corpus_to_arrays(batches["many-tokens"])
     assert len(np.unique(ids)) > fg.disc._BLOCK_MULADDS // (32 * 16)  # a block at k = 16
@@ -946,12 +987,107 @@ def _ragged_corpus(vocab, n, low, seed):
                   "train")
 
 
+def _reference_fit(disc, pair_provider, real_val, fake_val, cfg, rng):
+    # _fit as a plain loop: every batch a Corpus slice that loss_and_grads
+    # groups and remaps on its own, and a momentum step per parameter with
+    # the gradients it returns
+    velocity = {k: np.zeros_like(disc.params[k]) for k in disc.trainable()}
+    best_params = {k: v.copy() for k, v in disc.params.items()}
+    best_acc, best_epoch, stale = -1.0, -1, 0
+    losses, accs = [], []
+    stop_reason = "max_epochs"
+    for epoch in range(cfg.max_epochs):
+        pos, neg = pair_provider(epoch)
+        seqs = Corpus.concat([pos, neg])
+        labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+        order = rng.permutation(len(seqs))
+        seqs, labels = seqs[order], labels[order]
+        total_loss = 0.0
+        for start in range(0, len(seqs), cfg.batch_size):
+            batch = slice(start, start + cfg.batch_size)
+            loss, grads = disc.loss_and_grads(seqs[batch], labels[batch])
+            for k, v in velocity.items():
+                v *= cfg.momentum
+                v -= grads[k] * cfg.lr
+                disc.params[k] += v
+            total_loss += loss * len(labels[batch])
+        losses.append(total_loss / len(seqs))
+        accs.append(fg.disc._accuracy(disc, real_val, fake_val))
+        if accs[-1] >= best_acc:
+            stale = 0 if accs[-1] > best_acc + 1e-12 else stale + 1
+            best_acc, best_epoch = accs[-1], epoch
+            best_params = {k: v.copy() for k, v in disc.params.items()}
+        else:
+            stale += 1
+        if stale >= cfg.patience:
+            stop_reason = "patience"
+            break
+    disc.params = best_params
+    return fg.disc.DiscTrainReport(losses, accs, best_epoch, best_acc, stop_reason)
+
+
+def _assert_same_training(trained, reference):
+    (disc, report), (ref_disc, ref_report) = trained, reference
+    assert report.epochs >= 2
+    assert report == ref_report  # every loss and accuracy, exactly
+    assert disc.params.keys() == ref_disc.params.keys()
+    for name in ref_disc.params:
+        assert disc.params[name].tobytes() == ref_disc.params[name].tobytes(), name
+    # training updates views of one flat buffer; none is left behind
+    for a, b in itertools.combinations(disc.params.values(), 2):
+        assert not np.shares_memory(a, b)
+
+
+def _data_mode_corpus(vocab, n, seed):
+    # encoded text: rows of 1-9 words, a few of them outside the vocabulary
+    # (UNK), padded with PAD past their ends
+    rng = np.random.default_rng(seed)
+    words = np.array(vocab.tokens[fg.data.NUM_RESERVED:] + ("zz", "qq"))
+    lines = [" ".join(rng.choice(words, size=m)) for m in rng.integers(1, 10, size=n)]
+    return fg.encode_corpus(lines, vocab, "train")
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+@pytest.mark.parametrize("case", ["s3", "data-mode", "neural"])
+def test_fit_equals_the_reference_loop_bit_for_bit(s3, case, batch_size, monkeypatch):
+    # the planned epochs against the reference loop's Corpus slices: every
+    # loss, accuracy and trained parameter byte-equal. s3's rows are all
+    # four tokens long; the data-mode corpus is ragged, with PAD and UNK;
+    # the NeuralLM generator's embeddings are copied and frozen. 1 and 7
+    # leave a short last batch, 256 one batch per epoch or a few.
+    cfg = DiscConfig(embed_dim=6, kernels2=5, kernels3=7, lr=0.1, batch_size=batch_size,
+                     max_epochs=2, patience=3, seed=batch_size)
+    if case == "s3":
+        def train():
+            return train_discriminator(s3.train[:150], s3.generator, cfg,
+                                       np.random.default_rng(1))
+    elif case == "data-mode":
+        vocab = fg.build_vocab(["a b c d e f g"], max_size=10)
+        real, fake = _data_mode_corpus(vocab, 160, 2), _data_mode_corpus(vocab, 200, 3)
+        assert (real.ids == fg.data.UNK).any() and (real.ids == fg.data.PAD).any()
+
+        def train():
+            return train_discriminator_corpora(real, fake, cfg, np.random.default_rng(2))
+    else:
+        vocab = fg.build_vocab(["a b c d"], max_size=10)
+        gen = fg.NeuralLM(vocab, fg.NeuralConfig(embed_dim=6, hidden_dim=4, seed=3))
+        real = _data_mode_corpus(vocab, 120, 4)
+
+        def train():
+            return train_discriminator(real, gen, cfg, np.random.default_rng(3))
+
+    trained = train()
+    assert trained[0].embed_frozen == (case == "neural")
+    monkeypatch.setattr(fg.disc, "_fit", _reference_fit)
+    _assert_same_training(trained, train())
+
+
 @pytest.mark.parametrize("frozen", [False, True])
 def test_training_equals_training_on_batch_major_kernels_bit_for_bit(frozen, monkeypatch):
-    # two epochs of the real training loop, once as written and once on the
-    # batch-major kernels: every loss and every trained parameter agree.
-    # Real rows and the bigram generator's samples have ragged lengths, so
-    # batches mix masked and unmasked rows.
+    # two epochs of the real training loop, once as written and once as
+    # the reference loop on the batch-major kernels: every loss and every
+    # trained parameter agree. Real rows and the bigram generator's samples
+    # have ragged lengths, so batches mix masked and unmasked rows.
     vocab = fg.build_vocab(["a b c d e"], max_size=10)
     real = _ragged_corpus(vocab, 600, 4, seed=20)
     gen = fg.train_mle(_ragged_corpus(vocab, 300, 5, seed=21), None, fg.NGramConfig())
@@ -964,30 +1100,23 @@ def test_training_equals_training_on_batch_major_kernels_bit_for_bit(frozen, mon
     def train():
         return train_discriminator(real, gen, cfg, np.random.default_rng(20))
 
-    disc, report = train()
-    # the reference scores on the batch-major forward and trains on the
-    # grouped batch-major step
-    monkeypatch.setattr(TextCNN, "_forward", _batch_major_forward)
+    trained = train()
+    assert trained[0].embed_frozen == frozen
+    # the reference scores on the batch-major forward, from the remapped
+    # rows' ids, and trains on the grouped batch-major step
+    monkeypatch.setattr(fg.disc, "_fit", _reference_fit)
+    monkeypatch.setattr(TextCNN, "_forward", lambda disc, rows, work: _batch_major_forward(
+        disc, rows.tokens[rows.local], rows.lengths))
     monkeypatch.setattr(TextCNN, "loss_and_grads", _grouped_loss_and_grads)
     monkeypatch.setattr(fg.disc, "_sigmoid", _two_branch_sigmoid)
-    ref_disc, ref_report = train()
-    assert disc.embed_frozen == frozen
-    assert report.epochs == 2
-    assert report.train_loss == ref_report.train_loss
-    assert report.valid_accuracy == ref_report.valid_accuracy
-    assert disc.params.keys() == ref_disc.params.keys()
-    for name in ref_disc.params:
-        assert np.array_equal(disc.params[name], ref_disc.params[name]), name
-    # training updates views of one flat buffer; none is left behind
-    for a, b in itertools.combinations(disc.params.values(), 2):
-        assert not np.shares_memory(a, b)
+    _assert_same_training(trained, train())
 
 
 def _cancelling_labels(disc, row):
     # two labels for two copies of row whose dlogits add up to exactly 0:
     # with s its score, (s - 1) + (s - (2s - 1)) for s >= 1/2 and
     # (s - 0) + (s - 2s) below, each step exact by Sterbenz's lemma
-    logit, _ = disc._forward(np.array([row]), np.array([len(row)]), {})
+    logit, _ = disc._forward(_rows(disc, [row], [len(row)]), {})
     s = float(fg.disc._sigmoid(logit)[0])
     return (1.0, 2.0 * s - 1.0) if s >= 0.5 else (0.0, 2.0 * s)
 
@@ -1067,4 +1196,6 @@ def test_loss_and_grads_rejects_bad_labels(labels):
     batch = Corpus(vocab, [(4 + i % 3, 5) for i in range(10)])
     with pytest.raises(InputError, match="labels"):
         disc.loss_and_grads(batch, labels)
+    with pytest.raises(InputError, match="labels"):  # an epoch's plan, in batches of 3
+        disc._plan(batch, np.asarray(labels, dtype=np.float64), 3)
     disc.loss_and_grads(batch, np.linspace(0.0, 1.0, 10))  # the bounds are allowed
